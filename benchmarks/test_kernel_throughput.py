@@ -4,7 +4,8 @@ Measures the vectorised SecAgg kernels against the retained scalar
 reference paths — masks/sec for the PRG backends (batched SHA-256
 counter mode and numpy Philox vs the pre-kernel scalar loop) and
 shares/sec for batched Shamir split/reconstruct vs the per-coefficient
-Python loops.  Results land in ``benchmarks/results/kernels.txt``.
+Python loops.  Rows are printed, not persisted: the committed
+performance ledger is ``bench/`` (``python3 bench/run.py``).
 
 The smoke assertions run in tier 1: they only require the vectorised
 kernels not to be *slower* than the scalar baselines (with generous
@@ -23,8 +24,13 @@ from repro.secagg.kernels import PhiloxPrg, Sha256CounterPrg
 from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
-    WIRE_CODECS,
+    MaskedInput,
+    SealedShares,
     UnmaskColumns,
+    encode_masked_input,
+    encode_message,
+    encode_sealed_matrix,
+    encode_unmask_columns,
     intern_header,
     route_sealed_stack,
 )
@@ -37,7 +43,6 @@ from repro.secagg.shamir import (
     split_secrets,
 )
 
-RESULTS_FILE = "kernels.txt"
 MASK_DIMENSION = 512
 MASK_BATCH = 48
 MODULUS = 2**16
@@ -85,7 +90,6 @@ def test_mask_prg_throughput(emit):
         emit(
             f"kernel_masks backend={name:17s} dimension={MASK_DIMENSION} "
             f"batch={MASK_BATCH} masks_per_sec={MASK_BATCH / elapsed:10.1f}",
-            RESULTS_FILE,
         )
     # The sha256-ctr batch kernel hashes exactly what the scalar loop
     # hashes; it must not be slower (1.5x slack absorbs timer noise).
@@ -101,7 +105,6 @@ def test_mask_prg_throughput(emit):
         f"kernel_masks backend={'sha256-ctr-cached':17s} "
         f"dimension={MASK_DIMENSION} batch={MASK_BATCH} "
         f"masks_per_sec={MASK_BATCH / cached_time:10.1f}",
-        RESULTS_FILE,
     )
     assert cached_time <= sha_time
 
@@ -131,13 +134,11 @@ def test_shamir_throughput(emit, bench_rng):
         f"kernel_shamir op=split     path=scalar    t={SHAMIR_THRESHOLD} "
         f"n={SHAMIR_SHARES} batch={SHAMIR_BATCH} "
         f"shares_per_sec={total_shares / scalar_split_time:10.1f}",
-        RESULTS_FILE,
     )
     emit(
         f"kernel_shamir op=split     path=batched   t={SHAMIR_THRESHOLD} "
         f"n={SHAMIR_SHARES} batch={SHAMIR_BATCH} "
         f"shares_per_sec={total_shares / batched_split_time:10.1f}",
-        RESULTS_FILE,
     )
     assert batched_split_time <= scalar_split_time * 1.5
 
@@ -168,13 +169,11 @@ def test_shamir_throughput(emit, bench_rng):
         f"kernel_shamir op=reconstruct path=scalar  t={SHAMIR_THRESHOLD} "
         f"n={SHAMIR_SHARES} batch={SHAMIR_BATCH} "
         f"shares_per_sec={total / scalar_rec_time:10.1f}",
-        RESULTS_FILE,
     )
     emit(
         f"kernel_shamir op=reconstruct path=batched t={SHAMIR_THRESHOLD} "
         f"n={SHAMIR_SHARES} batch={SHAMIR_BATCH} "
         f"shares_per_sec={total / batched_rec_time:10.1f}",
-        RESULTS_FILE,
     )
     assert batched_rec_time <= scalar_rec_time * 1.5
 
@@ -184,9 +183,9 @@ WIRE_CIPHERTEXT = 33
 
 
 def test_wire_codec_throughput(emit, bench_rng):
-    """Frames/sec: scalar vs batched codec on the three bulk legs."""
+    """Frames/sec: the per-frame reference vs the bulk encoders on the
+    three bulk legs."""
     header = intern_header(PROTOCOL_V1, "sha256-ctr")
-    scalar, batched = WIRE_CODECS["scalar"], WIRE_CODECS["batched"]
     recipients = list(range(1, WIRE_ROSTER + 1))
     ciphertexts = bench_rng.integers(
         0, 256, size=(WIRE_ROSTER, WIRE_CIPHERTEXT), dtype=np.uint8
@@ -201,29 +200,45 @@ def test_wire_codec_throughput(emit, bench_rng):
         ),
         key_shares={0: LimbShares(x=1, ys=(5, 6))},
     )
-    times = {}
-    for codec in (scalar, batched):
-        times[codec.name] = _best_of(
-            5,
-            lambda c=codec: (
-                c.encode_sealed_matrix(1, recipients, ciphertexts, header),
-                c.encode_masked_input(1, vector, header),
-                c.encode_unmask_columns(columns, header),
+
+    def per_frame():
+        return (
+            b"".join(
+                encode_message(
+                    SealedShares(
+                        sender=1,
+                        recipient=recipient,
+                        ciphertext=ciphertexts[position].tobytes(),
+                    ),
+                    header,
+                )
+                for position, recipient in enumerate(recipients)
             ),
+            encode_message(MaskedInput(sender=1, vector=vector), header),
+            encode_message(columns.to_response(), header),
         )
+
+    def bulk():
+        return (
+            encode_sealed_matrix(1, recipients, ciphertexts, header),
+            encode_masked_input(1, vector, header),
+            encode_unmask_columns(columns, header),
+        )
+
+    assert per_frame() == bulk()
+    times = {}
+    for name, encode in (("per-frame", per_frame), ("bulk", bulk)):
+        times[name] = _best_of(5, encode)
         frames = WIRE_ROSTER + 2
         emit(
-            f"kernel_wire codec={codec.name:8s} roster={WIRE_ROSTER} "
-            f"frames_per_sec={frames / times[codec.name]:10.1f}",
-            RESULTS_FILE,
+            f"kernel_wire codec={name:9s} roster={WIRE_ROSTER} "
+            f"frames_per_sec={frames / times[name]:10.1f}",
         )
-    # The batched codec exists to be faster on the quadratic leg; 1.5x
+    # The bulk encoders exist to be faster on the quadratic leg; 1.5x
     # slack tolerates timer noise, not a rerouted hot path.
-    assert times["batched"] <= times["scalar"] * 1.5
+    assert times["bulk"] <= times["per-frame"] * 1.5
 
-    datagram = batched.encode_sealed_matrix(
-        1, recipients, ciphertexts, header
-    )
+    datagram = encode_sealed_matrix(1, recipients, ciphertexts, header)
     frame_len = len(datagram) // WIRE_ROSTER
     stack = np.stack(
         [
@@ -237,5 +252,4 @@ def test_wire_codec_throughput(emit, bench_rng):
     emit(
         f"kernel_wire codec=route    roster={WIRE_ROSTER} "
         f"frames_per_sec={WIRE_ROSTER * WIRE_ROSTER / route_time:10.1f}",
-        RESULTS_FILE,
     )

@@ -12,7 +12,8 @@ Reported per cohort: rounds/sec and the p50/p99 wall-clock latency of
 each protocol phase, read from the *same*
 ``secagg_phase_wall_duration_seconds`` histogram family the simulator
 meters into.  Cohorts 16 and 64 run in tier-1; 128 rides the slow tier.
-Results land in ``benchmarks/results/net_throughput.txt``.
+Rows are printed, not persisted: the committed performance ledger is
+``bench/`` (``python3 bench/run.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.net import (
     run_swarm,
 )
 
-RESULTS_FILE = "net_throughput.txt"
 DIMENSION = 64
 MODULUS = 2**16
 ROUNDS = 3
@@ -87,7 +87,6 @@ def _run_cohort(cohort: int, rounds: int = ROUNDS):
 def _emit_rows(emit, cohort, rate, snapshot):
     emit(
         f"net cohort={cohort:4d} rounds/sec={rate:7.2f}",
-        RESULTS_FILE,
     )
     for phase in PHASES:
         p50 = snapshot.quantile(
@@ -99,7 +98,6 @@ def _emit_rows(emit, cohort, rate, snapshot):
         emit(
             f"net cohort={cohort:4d} phase={phase:<12s} "
             f"p50={p50 * 1e3:8.2f}ms p99={p99 * 1e3:8.2f}ms",
-            RESULTS_FILE,
         )
 
 

@@ -29,7 +29,7 @@ import pytest
 from repro.simulation import (
     BernoulliDropout,
     Population,
-    ShardedSecAggRound,
+    HierarchicalSecAggRound,
     SimulatedClock,
     get_execution_backend,
 )
@@ -62,12 +62,12 @@ def _rounds_per_sec(shards: int, bench_rng: np.random.Generator) -> float:
                 )
                 for u in cohort
             }
-            sharded_round = ShardedSecAggRound(
+            sharded_round = HierarchicalSecAggRound(
                 vectors=vectors,
                 modulus=MODULUS,
                 clock=clock,
                 rng=population.round_rng(round_index, purpose=2),
-                shards=shards,
+                topology=str(shards),
                 plans=population.plans(round_index, cohort),
                 phase_timeout=60.0,
                 backend=executor,

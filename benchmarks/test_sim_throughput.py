@@ -17,8 +17,8 @@ sum, same as the flat rounds.
 
 Each measured round is a complete dropout-tolerant async protocol
 execution on the simulated clock, verified exact against the surviving
-cohort's direct modular sum.  Results land in
-``benchmarks/results/sim_throughput.txt``.
+cohort's direct modular sum.  Rows are printed, not persisted: the
+committed performance ledger is ``bench/`` (``python3 bench/run.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.simulation import (
     AsyncSecAggRound,
     BernoulliDropout,
     Population,
-    ShardedSecAggRound,
+    HierarchicalSecAggRound,
     SimulatedClock,
     get_execution_backend,
     shamir_threshold,
@@ -44,7 +44,6 @@ DIMENSION = 64
 MODULUS = 2**16
 DROPOUT_RATE = 0.1
 THRESHOLD_FRACTION = 0.6
-RESULTS_FILE = "sim_throughput.txt"
 
 
 def _run_rounds(
@@ -93,12 +92,12 @@ def _run_rounds(
             rng = population.round_rng(round_index, purpose=2)
             plans = population.plans(round_index, cohort)
             if shards > 1:
-                sharded_round = ShardedSecAggRound(
+                sharded_round = HierarchicalSecAggRound(
                     vectors=vectors,
                     modulus=MODULUS,
                     clock=clock,
                     rng=rng,
-                    shards=shards,
+                    topology=str(shards),
                     threshold_fraction=THRESHOLD_FRACTION,
                     plans=plans,
                     phase_timeout=60.0,
@@ -166,7 +165,6 @@ def test_rounds_per_second(population_size, emit, bench_rng):
         f"sim_throughput population={population_size:4d} cohort<={cohort:3d} "
         f"dropout={DROPOUT_RATE} rounds_per_sec={rounds_per_sec:8.3f} "
         f"dropped={dropped} {_wire_suffix(wire)}",
-        RESULTS_FILE,
     )
     assert rounds_per_sec > 0
 
@@ -183,7 +181,6 @@ def test_wire_accounting_per_phase(emit, bench_rng):
     emit(
         f"sim_wire population= 128 cohort<= 48 rounds={wire['rounds']} "
         f"total_msgs={wire['messages']} {breakdown}",
-        RESULTS_FILE,
     )
     assert wire["messages"] > 0
     # Share routing is the protocol's quadratic phase; it must dominate
@@ -207,7 +204,6 @@ def test_rounds_per_second_sharded(shards, emit, bench_rng):
         f"dropout={DROPOUT_RATE} shards={shards} backend=inline "
         f"rounds_per_sec={rounds_per_sec:8.3f} dropped={dropped} "
         f"{_wire_suffix(wire)}",
-        RESULTS_FILE,
     )
     assert rounds_per_sec > 0
 
@@ -223,7 +219,6 @@ def test_rounds_per_second_full_cohort(population_size, emit, bench_rng):
         f"sim_throughput_full population={population_size:4d} "
         f"dropout={DROPOUT_RATE} rounds_per_sec={rounds_per_sec:8.3f} "
         f"dropped={dropped} {_wire_suffix(wire)}",
-        RESULTS_FILE,
     )
     assert rounds_per_sec > 0
 
@@ -257,7 +252,6 @@ def test_rounds_per_second_full_cohort_sharded(backend, emit, bench_rng):
         f"dropout={DROPOUT_RATE} shards={shards} backend={backend} "
         f"rounds_per_sec={rounds_per_sec:8.3f} dropped={dropped} "
         f"{_wire_suffix(wire)}",
-        RESULTS_FILE,
     )
     assert rounds_per_sec > 0
 
@@ -277,7 +271,6 @@ def test_phase_latency_quantiles(emit, bench_rng):
             f"sim_phase_latency phase={row['phase']:>12s} "
             f"sim_p50={row['sim_p50']:.4f} sim_p99={row['sim_p99']:.4f} "
             f"wall_p50={row['wall_p50']:.4f} wall_p99={row['wall_p99']:.4f}",
-            RESULTS_FILE,
         )
 
 
@@ -307,7 +300,6 @@ def test_telemetry_not_slower(emit, bench_rng, best_of):
         f"sim_telemetry_overhead population= 128 cohort<= 48 "
         f"plain_rps={plain:8.3f} metered_rps={metered:8.3f} "
         f"overhead={100 * (plain / metered - 1):+.1f}%",
-        RESULTS_FILE,
     )
     assert report_box[-1] is not None
     assert report_box[-1].counter_sum("secagg_rounds_total") > 0
@@ -353,7 +345,6 @@ def test_telemetry_overhead_full_cohort_sharded(emit, bench_rng, best_of):
         f"full-cohort shards={shards} plain_rps={plain:8.3f} "
         f"metered_rps={metered:8.3f} "
         f"overhead={100 * (plain / metered - 1):+.1f}%",
-        RESULTS_FILE,
     )
     assert report_box[-1] is not None
     # Every shard's sub-round reported in, relabeled per shard.

@@ -14,8 +14,8 @@ premium for the three shapes the docs discuss:
 
 Every measured round is verified bit-exact against the survivors'
 direct modular sum, so the numbers never come from a broken round.
-Results land in ``benchmarks/results/tree_throughput.txt``.  The
-tier-1 smoke additionally bounds the secagg-compose premium so an
+Rows are printed, not persisted: the committed performance ledger is
+``bench/`` (``python3 bench/run.py``).  The tier-1 smoke additionally bounds the secagg-compose premium so an
 accidental quadratic blowup in the virtual-client layer fails fast.
 """
 
@@ -37,7 +37,6 @@ DIMENSION = 64
 MODULUS = 2**16
 DROPOUT_RATE = 0.1
 THRESHOLD_FRACTION = 0.6
-RESULTS_FILE = "tree_throughput.txt"
 
 #: (label, topology, composer) — the shapes compared throughout.
 SHAPES = [
@@ -116,7 +115,6 @@ def test_tree_rounds_per_second(label, topology, composer, emit, bench_rng):
         f"tree_throughput population={population_size:4d} cohort<={cohort:3d} "
         f"dropout={DROPOUT_RATE} shape={label:>12s} "
         f"rounds_per_sec={rounds_per_sec:8.3f} dropped={dropped}",
-        RESULTS_FILE,
     )
     assert rounds_per_sec > 0
 
@@ -145,7 +143,6 @@ def test_secagg_compose_premium_bounded(emit, bench_rng):
         f"cohort<={cohort:3d} clear_rps={clear_rps:8.3f} "
         f"secagg_rps={secagg_rps:8.3f} "
         f"premium={100 * (clear_rps / secagg_rps - 1):+.1f}%",
-        RESULTS_FILE,
     )
     assert secagg_rps * 2.0 >= clear_rps
 
@@ -167,7 +164,6 @@ def test_rebalance_overhead(emit, bench_rng):
         f"cohort<={cohort:3d} plain_rps={plain_rps:8.3f} "
         f"armed_rps={armed_rps:8.3f} "
         f"overhead={100 * (plain_rps / armed_rps - 1):+.1f}%",
-        RESULTS_FILE,
     )
     assert armed_rps * 1.5 >= plain_rps
 
@@ -196,6 +192,5 @@ def test_tree_rounds_per_second_full_cohort(
         f"tree_throughput_full population={population_size:4d} "
         f"dropout={DROPOUT_RATE} shape={label:>12s} "
         f"rounds_per_sec={rounds_per_sec:8.3f} dropped={dropped}",
-        RESULTS_FILE,
     )
     assert rounds_per_sec > 0

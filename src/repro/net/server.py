@@ -75,7 +75,11 @@ from repro.resilience.journal import (
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.keys import TOY_GROUP, KeyAgreementGroup
-from repro.secagg.statemachine import PHASE_TAGS, ServerSession
+from repro.secagg.statemachine import (
+    PHASE_TAGS,
+    ServerSession,
+    count_phase_wire,
+)
 from repro.secagg.bonawitz import (
     ROUND_ADVERTISE,
     ROUND_MASKED_INPUT,
@@ -711,7 +715,6 @@ class SecAggServer:
             expected = set(session.expected) if recovered else set(joins)
             for phase in range(start_phase, ROUND_UNMASK + 1):
                 tag = PHASE_TAGS[phase]
-                wire_before = session.stats.snapshot()
                 with time_phase(
                     tag,
                     wall_histogram=self._m_wall_phase.labels(phase=tag),
@@ -736,7 +739,14 @@ class SecAggServer:
                     if phase != ROUND_UNMASK:
                         await self._deliver(deliveries, tag, evicted)
                     expected = set(session.expected)
-                self._wire_delta(session, wire_before, tag)
+                # Driven phases never revisit a tag (a recovered round's
+                # replay happens before the first one), so the per-tag
+                # totals are this phase's traffic.
+                totals = session.stats.phase_summary(tag)
+                if totals is not None:
+                    count_phase_wire(
+                        tag, totals, self._m_wire_messages, self._m_wire_bytes
+                    )
         wall_duration = loop.time() - started
         if aborted is None:
             included = session.included
@@ -1128,24 +1138,6 @@ class SecAggServer:
                     self._park(recipient)
                 else:
                     self._evict(recipient, tag, evicted, reason="disconnect")
-
-    def _wire_delta(
-        self, session: ServerSession, before: WireStats, tag: str
-    ) -> None:
-        totals = session.stats.diff(before).phase_totals().get(tag)
-        if totals is None:
-            return
-        for direction in ("up", "down"):
-            messages = totals.get(f"{direction}_messages", 0)
-            if messages:
-                self._m_wire_messages.labels(
-                    phase=tag, direction=direction
-                ).inc(messages)
-            volume = totals.get(f"{direction}_bytes", 0)
-            if volume:
-                self._m_wire_bytes.labels(
-                    phase=tag, direction=direction
-                ).inc(volume)
 
     def _close_round_connections(
         self, round_connections: list[_Connection]

@@ -12,7 +12,9 @@ Three layers, lowest fidelity first:
   :mod:`repro.secagg.prg`.
 * :mod:`repro.secagg.wire` + :mod:`repro.secagg.statemachine` — the
   sans-I/O protocol core: typed, versioned, byte-serializable wire
-  messages with first-class version/PRG negotiation, and pure
+  messages with first-class version/PRG negotiation (one encoding path
+  per message: bulk array encoders for the three quadratic legs, the
+  per-frame ``encode_message`` for the rest), and pure
   client/server sessions that every transport
   (:func:`~repro.secagg.bonawitz.run_bonawitz` synchronous loop,
   :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox,

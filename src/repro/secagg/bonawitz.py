@@ -91,7 +91,6 @@ from repro.secagg.shamir import (
 
 from repro.secagg.wire import (
     Advertise,
-    SealedShares,
     UnmaskColumns,
     UnmaskRequest,
     UnmaskResponse,
@@ -110,6 +109,31 @@ _SEED_WIDTH = 16  # bytes used to serialise a self-mask seed for the PRG
 #: message types live in :mod:`repro.secagg.wire` (typed, versioned,
 #: byte-serializable); this alias keeps the historical name.
 AdvertisedKeys = Advertise
+
+
+def _share_layout(
+    field: PrimeField, group: KeyAgreementGroup
+) -> tuple[int, int]:
+    """``(per-value byte width, mask-key limb count)`` of a share payload.
+
+    Share values fit 8 bytes whenever the field fits uint64 (16 covers
+    exotic fields up to ``2^128``), and every client pads its mask key
+    to the group's fixed limb count, so the pair — hence the envelope
+    length — is a function of the round's ``(field, group)`` alone.
+    """
+    width = 8 if field.prime <= (1 << 64) else 16
+    return width, -(-key_bits(group) // DEFAULT_LIMB_BITS)
+
+
+def sealed_share_length(field: PrimeField, group: KeyAgreementGroup) -> int:
+    """Byte length of every sealed share-keys envelope of a round.
+
+    Clients pad to it (:meth:`BonawitzClient.share_keys_matrix`) and
+    both sides validate against it, so a share-keys datagram is one
+    uniform frame stream whose shape no participant gets to choose.
+    """
+    width, limbs = _share_layout(field, group)
+    return 6 + width * (1 + limbs)
 
 
 def _encode_payload(
@@ -287,9 +311,7 @@ class BonawitzClient:
         self._group = group
         self._field = field
         self._mask_prg = get_mask_prg(mask_prg)
-        # Share values fit 8 bytes whenever the field fits uint64; the
-        # wide layout covers exotic fields up to 2^128.
-        self._payload_width = 8 if field.prime <= (1 << 64) else 16
+        self._payload_width, self._group_limbs = _share_layout(field, group)
         self._channel_keys = None  # type: KeyPair | None
         self._mask_keys = None  # type: KeyPair | None
         self._roster: dict[int, AdvertisedKeys] = {}
@@ -323,40 +345,25 @@ class BonawitzClient:
             self._channel_key_cache[peer] = key
         return key
 
-    def share_keys(self, roster: dict[int, AdvertisedKeys]) -> list[SealedShares]:
-        """Round 1: sample ``b_u`` and distribute sealed shares.
+    def share_keys_matrix(
+        self, roster: dict[int, AdvertisedKeys]
+    ) -> tuple[tuple[int, ...], np.ndarray]:
+        """Round 1: sample ``b_u`` and seal its shares for the roster.
 
         Args:
             roster: The server's broadcast of all round-0 messages.
 
         Returns:
-            One sealed envelope per roster member (self included).
+            ``(recipients, sealed)`` where row ``i`` of the ``(n, L)``
+            uint8 matrix is the ciphertext bound for ``recipients[i]``
+            (the sorted roster, self included; the self-addressed row
+            needs no sealing) and ``L`` is :func:`sealed_share_length`.
+            The wire layer turns this into one uniform frame stream
+            without constructing quadratically many envelope objects.
 
         Raises:
             AggregationError: If the roster is smaller than the threshold
                 or does not contain this client.
-        """
-        recipients, sealed = self.share_keys_matrix(roster)
-        return [
-            SealedShares(
-                sender=self.index,
-                recipient=recipient,
-                ciphertext=sealed[position].tobytes(),
-            )
-            for position, recipient in enumerate(recipients)
-        ]
-
-    def share_keys_matrix(
-        self, roster: dict[int, AdvertisedKeys]
-    ) -> tuple[tuple[int, ...], np.ndarray]:
-        """Columnar :meth:`share_keys`: the envelope matrix itself.
-
-        Returns:
-            ``(recipients, sealed)`` where row ``i`` of the ``(n, L)``
-            uint8 matrix is the ciphertext bound for ``recipients[i]``
-            (the self-addressed row is unsealed, as in the object path).
-            The wire layer turns this into one uniform frame stream
-            without constructing quadratically many envelope objects.
         """
         if self._channel_keys is None or self._mask_keys is None:
             raise AggregationError("share_keys called before advertise_keys")
@@ -386,8 +393,7 @@ class BonawitzClient:
         # then share one byte length, so share deliveries are uniform
         # frame streams the wire layer bulk-decodes in one numpy pass.
         # (Zero limbs share and reconstruct like any other value.)
-        group_limbs = -(-key_bits(self._group) // DEFAULT_LIMB_BITS)
-        limbs += [0] * (group_limbs - len(limbs))
+        limbs += [0] * (self._group_limbs - len(limbs))
         share_matrix = split_secrets(
             [self._self_seed] + limbs,
             self._threshold,
@@ -458,42 +464,6 @@ class BonawitzClient:
         )
         return recipients, sealed
 
-    def receive_shares(self, envelopes: list[SealedShares]) -> None:
-        """Store the round-1 envelopes addressed to this client.
-
-        All peer envelopes are opened with one batched keystream and
-        decoded with one vectorised payload parse.
-        """
-        for envelope in envelopes:
-            if envelope.recipient != self.index:
-                raise AggregationError(
-                    f"client {self.index} received an envelope for "
-                    f"{envelope.recipient}"
-                )
-        peer_envelopes = [
-            envelope
-            for envelope in envelopes
-            if envelope.sender != self.index
-        ]
-        for envelope in envelopes:
-            if envelope.sender == self.index:
-                self._received[envelope.sender] = _decode_payload(
-                    envelope.ciphertext, self._payload_width
-                )
-        # Envelope lengths are uniform per group (fixed limb padding),
-        # but bucket defensively so mixed-length streams still open.
-        buckets: dict[int, list[SealedShares]] = {}
-        for envelope in peer_envelopes:
-            buckets.setdefault(len(envelope.ciphertext), []).append(envelope)
-        for length, bucket in buckets.items():
-            ciphertexts = np.frombuffer(
-                b"".join(envelope.ciphertext for envelope in bucket),
-                dtype=np.uint8,
-            ).reshape(len(bucket), length)
-            self._open_envelope_matrix(
-                [envelope.sender for envelope in bucket], ciphertexts
-            )
-
     def _open_envelope_matrix(
         self, senders: list[int], ciphertexts: np.ndarray
     ) -> None:
@@ -511,14 +481,24 @@ class BonawitzClient:
     def receive_share_matrix(
         self, senders: list[int], ciphertexts: np.ndarray
     ) -> None:
-        """Columnar :meth:`receive_shares`: one uniform ciphertext matrix.
+        """Store the round-1 envelopes addressed to this client.
 
         The wire layer's bulk decoder hands the routed mailbox over as
-        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; this
-        opens every peer envelope in one batched keystream sweep with no
-        per-envelope objects.  Behaviour (including the self-envelope
-        shortcut) matches :meth:`receive_shares` exactly.
+        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; every
+        peer envelope is opened in one batched keystream sweep and
+        decoded with one vectorised payload parse (the self-addressed
+        row was never sealed).
+
+        Raises:
+            AggregationError: If ``L`` is not the round's
+                :func:`sealed_share_length`.
         """
+        expected = sealed_share_length(self._field, self._group)
+        if ciphertexts.shape[1] != expected:
+            raise AggregationError(
+                f"client {self.index} received {ciphertexts.shape[1]}-byte "
+                f"envelopes; this round's are {expected} bytes"
+            )
         peer_rows = [
             row for row, sender in enumerate(senders)
             if sender != self.index
@@ -582,36 +562,20 @@ class BonawitzClient:
                 f"no shares held for clients {sorted(unknown)}"
             )
 
-    def unmask(self, request: UnmaskRequest) -> UnmaskResponse:
-        """Round 3: reveal the requested shares.
+    def unmask_columns(self, request: UnmaskRequest) -> UnmaskColumns:
+        """Round 3: reveal the requested shares, as columns.
 
         The client enforces the protocol's core security rule: it refuses
         any request naming the same peer as both survivor and dropout,
         because revealing both ``b_v`` and ``s_v^SK`` would let the server
-        unmask ``v``'s individual input.
+        unmask ``v``'s individual input.  The reply is parallel arrays
+        (encoded, and recovered by the server, without per-survivor
+        ``Share`` objects).
 
         Raises:
             AggregationError: On an overlapping (malicious) request or a
                 request naming peers this client never received shares
                 from.
-        """
-        self._check_unmask_request(request)
-        return UnmaskResponse(
-            responder=self.index,
-            seed_shares={
-                v: self._received[v][0] for v in sorted(request.survivors)
-            },
-            key_shares={
-                v: self._received[v][1] for v in sorted(request.dropouts)
-            },
-        )
-
-    def unmask_columns(self, request: UnmaskRequest) -> UnmaskColumns:
-        """Columnar :meth:`unmask`: same checks, arrays instead of dicts.
-
-        Encodes (and the server recovers) without per-survivor ``Share``
-        objects; :meth:`UnmaskColumns.to_response` of the result equals
-        :meth:`unmask` of the same request exactly.
         """
         self._check_unmask_request(request)
         survivors = sorted(request.survivors)
@@ -713,7 +677,6 @@ class BonawitzServer:
         self._group = group
         self._mask_prg = get_mask_prg(mask_prg)
         self._roster: dict[int, AdvertisedKeys] = {}
-        self._mailbox: dict[int, list[SealedShares]] = {}
         self._share_senders: frozenset[int] = frozenset()
         self._masked: dict[int, np.ndarray] = {}
 
@@ -736,48 +699,13 @@ class BonawitzServer:
         self._roster = roster
         return dict(roster)
 
-    def route_shares(
-        self, envelopes_by_sender: dict[int, list[SealedShares]]
-    ) -> dict[int, list[SealedShares]]:
-        """Round 1: forward sealed envelopes to their recipients.
-
-        Returns:
-            Mailbox mapping recipient index to its incoming envelopes.
-
-        Raises:
-            AggregationError: If fewer than ``threshold`` clients shared
-                keys.
-        """
-        if len(envelopes_by_sender) < self._threshold:
-            raise AggregationError(
-                f"only {len(envelopes_by_sender)} clients shared keys; "
-                f"threshold is {self._threshold}"
-            )
-        self._share_senders = frozenset(envelopes_by_sender)
-        mailbox: dict[int, list[SealedShares]] = {}
-        for sender, envelopes in envelopes_by_sender.items():
-            for envelope in envelopes:
-                if envelope.sender != sender:
-                    raise AggregationError(
-                        f"envelope claims sender {envelope.sender} but came "
-                        f"from {sender}"
-                    )
-                mailbox.setdefault(envelope.recipient, []).append(envelope)
-        # Only deliver to clients that themselves completed round 1.
-        self._mailbox = {
-            recipient: sorted(items, key=lambda e: e.sender)
-            for recipient, items in mailbox.items()
-            if recipient in self._share_senders
-        }
-        return dict(self._mailbox)
-
     def register_share_keys(self, senders: "Iterable[int]") -> frozenset[int]:
-        """Columnar :meth:`route_shares` prologue: record ``U1`` only.
+        """Round 1: record ``U1``, the clients that shared keys.
 
-        The wire layer's columnar router forwards raw frame spans
-        itself, so no envelope objects reach the crypto server; this
-        still owns the threshold check and the ``U1`` set the later
-        phases validate against.
+        The wire layer routes the sealed envelopes itself as raw frame
+        spans (the server cannot read them anyway), so none reach the
+        crypto server; this owns the threshold check and the ``U1`` set
+        the later phases validate against.
 
         Raises:
             AggregationError: If fewer than ``threshold`` clients shared
@@ -970,7 +898,6 @@ def run_bonawitz(
     dropouts: dict[int, int] | None = None,
     field: PrimeField = DEFAULT_FIELD,
     mask_prg: MaskPrg | str | None = None,
-    wire_codec: str | None = None,
 ) -> AggregationOutcome:
     """Execute the full four-round protocol over simulated clients.
 
@@ -991,9 +918,6 @@ def run_bonawitz(
             round (0-3) at which that client stops responding.
         field: Shamir sharing field.
         mask_prg: Mask PRG backend shared by all participants.
-        wire_codec: Wire codec backend name (``"scalar"``/``"batched"``);
-            ``None`` uses the process default.  Output bytes and digests
-            are identical either way.
 
     Returns:
         The aggregation outcome.
@@ -1035,13 +959,11 @@ def run_bonawitz(
             group=group,
             field=field,
             mask_prg=mask_prg,
-            wire_codec=wire_codec,
         )
         for i in range(num_clients)
     }
     server = ServerSession(
-        modulus, dimension, threshold, field, group, mask_prg,
-        wire_codec=wire_codec,
+        modulus, dimension, threshold, field, group, mask_prg
     )
 
     # Phase 0 — every live client opens with Hello + Advertise.

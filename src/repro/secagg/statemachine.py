@@ -30,6 +30,16 @@ instead of crashing mid-round, and a server whose accepted roster falls
 below the Shamir threshold raises :class:`~repro.errors.NegotiationError`
 naming the rejections.
 
+There is one path per leg.  A share-keys upload is exactly one uniform
+sealed-shares datagram over the sorted roster at the envelope length
+the round's ``(field, group)`` fixes; the server validates that at
+:meth:`ServerSession.receive` — against the roster and the computed
+length, never against another upload — keeps the bytes opaque, and
+routes the phase as one transpose.  Anything else is a typed
+:class:`~repro.errors.AggregationError` naming the sender before any
+state is stored, and a client handed a mailbox that is not one uniform
+sealed-shares datagram refuses it the same way.
+
 The server session also keeps the round's wire ledger
 (:class:`~repro.secagg.wire.WireStats`): every frame it receives or
 emits is tallied per phase and client, so transports get message/byte
@@ -46,7 +56,7 @@ sessions do no metric work at all — the no-telemetry path.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -63,6 +73,7 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     BonawitzClient,
     BonawitzServer,
+    sealed_share_length,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import MaskPrg
@@ -81,7 +92,6 @@ from repro.secagg.wire import (
     Message,
     NegotiatedHeader,
     Reject,
-    ScalarWireCodec,
     SealedShares,
     UnmaskColumns,
     UnmaskRequest,
@@ -89,9 +99,11 @@ from repro.secagg.wire import (
     WireStats,
     decode_frames,
     decode_sealed_columns,
-    decode_sealed_datagram,
+    decode_unmask_columns,
+    encode_masked_input,
     encode_message,
-    get_wire_codec,
+    encode_sealed_matrix,
+    encode_unmask_columns,
     intern_header,
     iter_frames,
     route_sealed_stack,
@@ -123,6 +135,21 @@ def _suite_name(mask_prg: str, group: KeyAgreementGroup) -> str:
     return mask_prg if kex == "mod-dh" else f"{mask_prg}+{kex}"
 
 
+def count_phase_wire(
+    tag: str, totals: Mapping[str, int], messages, volume
+) -> None:
+    """Feed one closed phase's :meth:`WireStats.phase_summary
+    <repro.secagg.wire.WireStats.phase_summary>` totals into a
+    transport's per-``(phase, direction)`` message and byte counters."""
+    for direction in ("up", "down"):
+        count = totals[f"{direction}_messages"]
+        if count:
+            messages.labels(phase=tag, direction=direction).inc(count)
+        nbytes = totals[f"{direction}_bytes"]
+        if nbytes:
+            volume.labels(phase=tag, direction=direction).inc(nbytes)
+
+
 class ClientSession:
     """One participant's sans-I/O protocol session.
 
@@ -144,10 +171,6 @@ class ClientSession:
         version: Protocol version to propose at Hello.
         metrics: Optional registry for frame/rejection counters; the
             default collects nothing.
-        wire_codec: Wire codec backend — a name from
-            :data:`~repro.secagg.wire.WIRE_CODECS`, an instance, or
-            ``None`` for the process default (normally ``"batched"``).
-            Both codecs emit identical bytes.
     """
 
     def __init__(
@@ -162,13 +185,11 @@ class ClientSession:
         mask_prg: MaskPrg | str | None = None,
         version: int = PROTOCOL_V1,
         metrics: MetricsRegistry | None = None,
-        wire_codec: "str | ScalarWireCodec | None" = None,
     ) -> None:
         # A client configured for x25519 without the optional
         # `cryptography` package degrades to the toy DH group *before*
         # proposing a suite, so negotiation stays clean either way.
         group = resolve_group(group)
-        self._codec = get_wire_codec(wire_codec)
         self._crypto = BonawitzClient(
             index=index,
             vector=vector,
@@ -238,7 +259,8 @@ class ClientSession:
 
         The datagram may hold several concatenated frames (the roster
         broadcast, a mailbox of sealed envelopes); it must be
-        homogeneous, as the server's broadcasts are.
+        homogeneous, as the server's broadcasts are — a share delivery
+        in particular is one uniform sealed-shares datagram.
 
         Raises:
             AggregationError: On a protocol violation — including the
@@ -252,8 +274,8 @@ class ClientSession:
                 f"client {self.index} was rejected at Hello and holds no "
                 "round state"
             )
-        # The routed mailbox is the quadratic inbound leg; bulk-decode it
-        # columnar when it has the homogeneous shape.
+        # The routed mailbox is the quadratic inbound leg: one uniform
+        # sealed-shares datagram, bulk-decoded columnar.
         columns = decode_sealed_columns(data)
         if columns is not None:
             header, senders, recipients, ciphertexts, _ = columns
@@ -269,14 +291,11 @@ class ClientSession:
                     f"{misdelivered.pop()}"
                 )
             self._crypto.receive_share_matrix(senders, ciphertexts)
-            participants = frozenset(senders)
-            masked = self._crypto.masked_input(participants)
+            # U1 is derivable from the delivery itself: the server routes
+            # one envelope per round-1 completer (self included).
+            masked = self._crypto.masked_input(frozenset(senders))
             self._count_frames(len(senders), 1)
-            return [
-                self._codec.encode_masked_input(
-                    self.index, masked, self.header
-                )
-            ]
+            return [encode_masked_input(self.index, masked, self.header)]
         frames = decode_frames(data)
         if not frames:
             return []
@@ -306,20 +325,15 @@ class ClientSession:
             recipients, sealed = self._crypto.share_keys_matrix(roster)
             self._count_frames(len(frames), len(recipients))
             return [
-                self._codec.encode_sealed_matrix(
+                encode_sealed_matrix(
                     self.index, recipients, sealed, self.header
                 )
             ]
         if isinstance(first, SealedShares):
-            envelopes = []
-            for _, message in frames:
-                if not isinstance(message, SealedShares):
-                    raise AggregationError(
-                        "mixed message types in a share delivery"
-                    )
-                envelopes.append(message)
-            self._count_frames(len(frames), 1)
-            return self._handle_share_delivery(envelopes)
+            raise AggregationError(
+                f"client {self.index} was handed a share delivery that is "
+                "not one uniform sealed-shares datagram"
+            )
         if isinstance(first, UnmaskRequest):
             if len(frames) != 1:
                 raise AggregationError(
@@ -327,23 +341,11 @@ class ClientSession:
                 )
             columns = self._crypto.unmask_columns(first)
             self._count_frames(1, 1)
-            return [self._codec.encode_unmask_columns(columns, self.header)]
+            return [encode_unmask_columns(columns, self.header)]
         raise AggregationError(
             f"client {self.index} cannot handle inbound "
             f"{type(first).__name__}"
         )
-
-    def _handle_share_delivery(
-        self, envelopes: list[SealedShares]
-    ) -> list[bytes]:
-        self._crypto.receive_shares(envelopes)
-        # U1 is derivable from the delivery itself: the server routes
-        # one envelope per round-1 completer (self included).
-        participants = frozenset(envelope.sender for envelope in envelopes)
-        masked = self._crypto.masked_input(participants)
-        return [
-            self._codec.encode_masked_input(self.index, masked, self.header)
-        ]
 
 
 class ServerSession:
@@ -382,12 +384,6 @@ class ServerSession:
             replacing the contribution.  Off by default: the in-memory
             transports are loss-free, and there a duplicate is a
             protocol violation worth raising on.
-        wire_codec: Wire codec backend — a name from
-            :data:`~repro.secagg.wire.WIRE_CODECS`, an instance, or
-            ``None`` for the process default (normally ``"batched"``).
-            A columnar codec keeps bulk uploads as raw frame spans and
-            routes them array-at-a-time; bytes on the wire are
-            identical either way.
     """
 
     def __init__(
@@ -403,18 +399,17 @@ class ServerSession:
         | None = None,
         metrics: MetricsRegistry | None = None,
         resumable: bool = False,
-        wire_codec: "str | ScalarWireCodec | None" = None,
     ) -> None:
         if not accept_versions:
             raise ConfigurationError(
                 "the server must accept at least one protocol version"
             )
         group = resolve_group(group)
-        self._codec = get_wire_codec(wire_codec)
         self._crypto = BonawitzServer(
             modulus, dimension, threshold, field, group, mask_prg
         )
         self._threshold = threshold
+        self._sealed_length = sealed_share_length(field, group)
         self.header = intern_header(
             max(accept_versions),
             _suite_name(self._crypto._mask_prg.name, group),
@@ -428,15 +423,12 @@ class ServerSession:
         self._phase = ROUND_ADVERTISE
         self._hellos: dict[int, NegotiatedHeader] = {}
         self._advertisements: dict[int, Advertise] = {}
-        self._envelopes: dict[int, list[SealedShares]] = {}
-        # Raw frame span per (sender, recipient): routed envelopes are
-        # forwarded verbatim, so the original bytes are reused instead
-        # of re-encoding quadratically many frames.
-        self._envelope_raw: dict[tuple[int, int], "memoryview | bytes"] = {}
-        # Columnar upload store (columnar codecs only): per sender, the
-        # recipient roster, the raw datagram, and the per-frame length.
-        # Frames stay bytes until routing transposes them wholesale.
-        self._sealed_columns: dict[int, tuple[tuple[int, ...], bytes, int]] = {}
+        # The share-keys roster in sorted order — the recipient column
+        # every sealed upload must carry — and, per sender, the raw
+        # upload.  Frames stay bytes (the server forwards them verbatim
+        # and cannot read them) until routing transposes them wholesale.
+        self._share_roster: list[int] = []
+        self._sealed_uploads: dict[int, bytes] = {}
         self._masked: dict[int, np.ndarray] = {}
         self._responses: dict[int, "UnmaskResponse | UnmaskColumns"] = {}
         self._expected: frozenset[int] = frozenset()
@@ -499,12 +491,9 @@ class ServerSession:
         """Senders that already delivered in the current phase."""
         if self._phase == PHASE_DONE:
             return frozenset()
-        if self._phase == ROUND_SHARE_KEYS:
-            return frozenset(self._envelopes) | frozenset(
-                self._sealed_columns
-            )
         tables = {
             ROUND_ADVERTISE: self._advertisements,
+            ROUND_SHARE_KEYS: self._sealed_uploads,
             ROUND_MASKED_INPUT: self._masked,
             ROUND_UNMASK: self._responses,
         }
@@ -557,133 +546,88 @@ class ServerSession:
             )
         if self.resumable and self._guard_redelivery(sender, data):
             return
+        sealed = unmask = None
         if self._phase == ROUND_SHARE_KEYS:
-            # Columnar codecs keep the quadratic upload as one raw
-            # datagram: validate the sender column, stash the bytes, and
-            # let routing transpose the stack without ever building a
-            # SealedShares object.  A sender that already delivered
-            # through the object path (or piecemeal) falls through so
-            # append semantics stay intact.
-            if (
-                self._codec.columnar
-                and sender not in self._envelopes
-                and sender not in self._sealed_columns
-            ):
-                columns = decode_sealed_columns(data)
-                if columns is not None:
-                    header, senders, recipients, _, frame_len = columns
-                    if header is not self.header and header != self.header:
-                        raise NegotiationError(
-                            f"client {sender} sent a frame speaking "
-                            f"{header} into a round negotiated at "
-                            f"{self.header}"
-                        )
-                    for claimed in senders:
-                        if claimed != sender:
-                            raise AggregationError(
-                                f"frame claims sender {claimed} but "
-                                f"came from {sender}"
-                            )
-                    self._require_expected(sender)
-                    self._sealed_columns[sender] = (
-                        tuple(recipients),
-                        bytes(data),
-                        frame_len,
-                    )
-                    self.stats.record_upload(
-                        self.phase_tag,
-                        sender,
-                        len(data),
-                        messages=len(recipients),
-                    )
-                    if self._m_frames_in is not None and recipients:
-                        self._m_frames_in.inc(len(recipients))
-                    if self.resumable:
-                        self._upload_memo.setdefault(sender, {})[
-                            self._phase
-                        ] = bytes(data)
-                    return
-            bulk = decode_sealed_datagram(data)
-            if bulk is not None:
-                header, envelopes, raws = bulk
-                if header is not self.header and header != self.header:
-                    raise NegotiationError(
-                        f"client {sender} sent a frame speaking {header} "
-                        f"into a round negotiated at {self.header}"
-                    )
-                for envelope in envelopes:
-                    if envelope.sender != sender:
-                        raise AggregationError(
-                            f"frame claims sender {envelope.sender} but "
-                            f"came from {sender}"
-                        )
-                self._require_expected(sender)
-                self._envelopes.setdefault(sender, []).extend(envelopes)
-                for envelope, raw in zip(envelopes, raws):
-                    self._envelope_raw[
-                        (envelope.sender, envelope.recipient)
-                    ] = raw
-                self.stats.record_upload(
-                    self.phase_tag,
-                    sender,
-                    len(data),
-                    messages=len(envelopes),
-                )
-                if self._m_frames_in is not None and envelopes:
-                    self._m_frames_in.inc(len(envelopes))
-                if self.resumable:
-                    self._upload_memo.setdefault(sender, {})[
-                        self._phase
-                    ] = bytes(data)
-                return
-        if self._phase == ROUND_UNMASK:
-            # Columnar codecs parse the seed section straight into
-            # arrays; recover_sum consumes the columns without ever
-            # materializing per-survivor Share objects.
-            decoded = self._codec.decode_unmask(data)
-            if decoded is not None:
-                header, response_columns = decoded
-                if header is not self.header and header != self.header:
-                    raise NegotiationError(
-                        f"client {sender} sent a frame speaking {header} "
-                        f"into a round negotiated at {self.header}"
-                    )
-                if response_columns.responder != sender:
-                    raise AggregationError(
-                        f"frame claims sender {response_columns.responder} "
-                        f"but came from {sender}"
-                    )
-                self._require_expected(sender)
-                if sender in self._responses:
-                    raise AggregationError(
-                        f"duplicate unmask response from client {sender}"
-                    )
-                self._responses[sender] = response_columns
-                self.stats.record_upload(
-                    self.phase_tag, sender, len(data), messages=1
-                )
-                if self._m_frames_in is not None:
-                    self._m_frames_in.inc(1)
-                if self.resumable:
-                    self._upload_memo.setdefault(sender, {})[
-                        self._phase
-                    ] = bytes(data)
-                return
-        frames = iter_frames(data)
-        for header, message, raw in frames:
-            claimed = self._sender_of(message)
-            if claimed != sender:
-                raise AggregationError(
-                    f"frame claims sender {claimed} but came from {sender}"
-                )
-            self._dispatch(header, message, claimed, raw)
+            sealed = decode_sealed_columns(data)
+        elif self._phase == ROUND_UNMASK:
+            unmask = decode_unmask_columns(data)
+        if sealed is not None:
+            messages = self._store_sealed_upload(sender, data, sealed)
+        elif unmask is not None:
+            # The seed section parses straight into arrays; recover_sum
+            # consumes the columns without ever materializing
+            # per-survivor Share objects.
+            header, response = unmask
+            self._check_header(header, sender)
+            self._check_claimed(response.responder, sender)
+            self._store_response(sender, response)
+            messages = 1
+        else:
+            # Everything that is not a bulk leg, and the place malformed
+            # input gets its typed error.
+            frames = iter_frames(data, keep_raw=False)
+            for header, message, _ in frames:
+                claimed = self._sender_of(message)
+                self._check_claimed(claimed, sender)
+                self._dispatch(header, message, claimed)
+            messages = len(frames)
         self.stats.record_upload(
-            self.phase_tag, sender, len(data), messages=len(frames)
+            self.phase_tag, sender, len(data), messages=messages
         )
-        if self._m_frames_in is not None and frames:
-            self._m_frames_in.inc(len(frames))
+        if self._m_frames_in is not None and messages:
+            self._m_frames_in.inc(messages)
         if self.resumable:
             self._upload_memo.setdefault(sender, {})[self._phase] = bytes(data)
+
+    def _store_sealed_upload(
+        self, sender: int, data: bytes, columns: tuple
+    ) -> int:
+        """Validate and stash one share-keys upload; returns its frames.
+
+        The upload must be what an honest :meth:`ClientSession.handle`
+        emits for the roster broadcast: one envelope per roster member
+        in sorted order, each of the round's fixed length.  Both are
+        checked against what the *round* fixed, never against an
+        earlier upload, so no sender can get honest uploads refused;
+        nothing is stored unless every check passes.
+        """
+        header, senders, recipients, ciphertexts, _ = columns
+        self._check_header(header, sender)
+        for claimed in set(senders):
+            self._check_claimed(claimed, sender)
+        self._require_expected(sender)
+        if sender in self._sealed_uploads:
+            raise AggregationError(
+                f"duplicate share-keys upload from client {sender}"
+            )
+        if recipients != self._share_roster:
+            raise AggregationError(
+                f"client {sender} addressed {len(recipients)} envelopes to "
+                f"something other than the phase's roster of "
+                f"{len(self._share_roster)} in sorted order"
+            )
+        if ciphertexts.shape[1] != self._sealed_length:
+            raise AggregationError(
+                f"client {sender} sent {ciphertexts.shape[1]}-byte "
+                f"envelopes; this round's are {self._sealed_length} bytes"
+            )
+        self._sealed_uploads[sender] = bytes(data)
+        return len(recipients)
+
+    def _check_header(self, header: NegotiatedHeader, sender: int) -> None:
+        """Post-negotiation frames must carry the round's exact header."""
+        if header is not self.header and header != self.header:
+            raise NegotiationError(
+                f"client {sender} sent a frame speaking {header} into a "
+                f"round negotiated at {self.header}"
+            )
+
+    @staticmethod
+    def _check_claimed(claimed: int, sender: int) -> None:
+        if claimed != sender:
+            raise AggregationError(
+                f"frame claims sender {claimed} but came from {sender}"
+            )
 
     def _guard_redelivery(self, sender: int, data: bytes) -> bool:
         """At-most-once guard; True when the datagram is a known re-send.
@@ -754,11 +698,7 @@ class ServerSession:
         )
 
     def _dispatch(
-        self,
-        header: NegotiatedHeader,
-        message: Message,
-        sender: int,
-        raw: bytes | None = None,
+        self, header: NegotiatedHeader, message: Message, sender: int
     ) -> None:
         if isinstance(message, Hello):
             if self._phase != ROUND_ADVERTISE:
@@ -817,22 +757,14 @@ class ServerSession:
                 )
             self._advertisements[sender] = message
             return
-        # Post-negotiation phases: the header must match exactly.
-        if header is not self.header and header != self.header:
-            raise NegotiationError(
-                f"client {sender} sent a frame speaking {header} into a "
-                f"round negotiated at {self.header}"
-            )
+        self._check_header(header, sender)
         if isinstance(message, SealedShares):
-            if self._phase != ROUND_SHARE_KEYS:
-                raise AggregationError(
-                    "SealedShares outside the share-keys phase"
-                )
-            self._require_expected(sender)
-            self._envelopes.setdefault(sender, []).append(message)
-            if raw is not None:
-                self._envelope_raw[(message.sender, message.recipient)] = raw
-            return
+            # Sealed shares travel only on the bulk leg of receive();
+            # frames that reach the per-frame path failed its shape.
+            raise AggregationError(
+                f"client {sender} sent sealed shares that are not one "
+                "uniform share-keys datagram"
+            )
         if isinstance(message, MaskedInput):
             if self._phase != ROUND_MASKED_INPUT:
                 raise AggregationError(
@@ -850,16 +782,21 @@ class ServerSession:
                 raise AggregationError(
                     "UnmaskResponse outside the unmask phase"
                 )
-            self._require_expected(sender)
-            if sender in self._responses:
-                raise AggregationError(
-                    f"duplicate unmask response from client {sender}"
-                )
-            self._responses[sender] = message
+            self._store_response(sender, message)
             return
         raise AggregationError(
             f"the server cannot ingest {type(message).__name__} frames"
         )
+
+    def _store_response(
+        self, sender: int, response: "UnmaskResponse | UnmaskColumns"
+    ) -> None:
+        self._require_expected(sender)
+        if sender in self._responses:
+            raise AggregationError(
+                f"duplicate unmask response from client {sender}"
+            )
+        self._responses[sender] = response
 
     def _count_negotiation(self, outcome: str, reason: str | None = None) -> None:
         if self._m_negotiations is not None:
@@ -893,7 +830,7 @@ class ServerSession:
         if self._phase == ROUND_ADVERTISE:
             out = self._close_advertise()
         elif self._phase == ROUND_SHARE_KEYS:
-            out = self._close_share_keys()
+            out = self._route_columns()
         elif self._phase == ROUND_MASKED_INPUT:
             out = self._close_masked_input()
         elif self._phase == ROUND_UNMASK:
@@ -949,95 +886,37 @@ class ServerSession:
                 1,
             )
         self._expected = frozenset(roster)
+        self._share_roster = sorted(roster)
         return out
 
-    def _close_share_keys(self) -> dict[int, tuple[bytes, int]]:
-        if self._sealed_columns and not self._envelopes:
-            routed = self._route_columns()
-            if routed is not None:
-                return routed
-        self._materialize_columns()
-        mailbox = self._crypto.route_shares(self._envelopes)
-
-        def frame_of(envelope: SealedShares) -> bytes:
-            raw = self._envelope_raw.get(
-                (envelope.sender, envelope.recipient)
-            )
-            return (
-                raw
-                if raw is not None
-                else encode_message(envelope, self.header)
-            )
-
-        out = {
-            recipient: (
-                b"".join(frame_of(envelope) for envelope in envelopes),
-                len(envelopes),
-            )
-            for recipient, envelopes in mailbox.items()
-        }
-        self._envelope_raw.clear()
-        self._expected = frozenset(mailbox)
-        return out
-
-    def _route_columns(self) -> dict[int, tuple[bytes, int]] | None:
+    def _route_columns(self) -> dict[int, tuple[bytes, int]]:
         """Route the share-keys phase straight from raw frame spans.
 
-        Every columnar upload targets the same recipient roster with
-        the same frame length (the roster broadcast is shared and the
-        mask-key limb count is fixed per group), so the whole phase is
-        one ``(senders, recipients, frame)`` uint8 stack; a recipient's
-        mailbox is a plane of its transpose.  Returns ``None`` when the
-        uploads are not uniform — the caller then materializes them and
-        takes the object route (identical bytes, just slower).
+        Every stored upload targets the same sorted roster with the
+        same frame length (:meth:`_store_sealed_upload` admits nothing
+        else), so the whole phase is one ``(senders, recipients,
+        frame)`` uint8 stack; a recipient's mailbox is a plane of its
+        transpose, delivered only to clients that themselves completed
+        the phase.
         """
-        senders = sorted(self._sealed_columns)
-        roster, _, frame_len = self._sealed_columns[senders[0]]
-        if any(
-            stored[0] != roster or stored[2] != frame_len
-            for stored in self._sealed_columns.values()
-        ):
-            return None
+        senders = sorted(self._sealed_uploads)
         survivors = self._crypto.register_share_keys(senders)
-        stack = np.empty(
-            (len(senders), len(roster), frame_len), dtype=np.uint8
-        )
-        for row, sender in enumerate(senders):
-            stack[row] = np.frombuffer(
-                self._sealed_columns[sender][1], dtype=np.uint8
-            ).reshape(len(roster), frame_len)
+        roster = self._share_roster
+        stack = np.frombuffer(
+            b"".join(self._sealed_uploads[sender] for sender in senders),
+            dtype=np.uint8,
+        ).reshape(len(senders), len(roster), -1)
         routed = route_sealed_stack(stack)
-        # Senders are pre-sorted, so each plane is already the
-        # sorted-by-sender join the object path would have produced.
+        # Senders are pre-sorted, so each plane is the sorted-by-sender
+        # join of the per-envelope frames.
         out = {
             recipient: (routed[column].tobytes(), len(senders))
             for column, recipient in enumerate(roster)
             if recipient in survivors
         }
-        self._sealed_columns.clear()
+        self._sealed_uploads.clear()
         self._expected = frozenset(out)
         return out
-
-    def _materialize_columns(self) -> None:
-        """Fold columnar uploads back into the object-path stores.
-
-        Taken when the phase mixed columnar and object deliveries (or
-        non-uniform rosters): correctness over speed.
-        """
-        for sender, (_, payload, _) in sorted(self._sealed_columns.items()):
-            decoded = decode_sealed_datagram(payload)
-            if decoded is None:  # pragma: no cover - stored post-validation
-                raise AggregationError(
-                    f"stored columnar upload from client {sender} no "
-                    "longer parses"
-                )
-            _, envelopes, raws = decoded
-            self._envelopes.setdefault(sender, []).extend(envelopes)
-            for envelope, raw in zip(envelopes, raws):
-                self._envelope_raw[
-                    (envelope.sender, envelope.recipient)
-                ] = raw
-        self._sealed_columns.clear()
 
     def _close_masked_input(self) -> dict[int, tuple[bytes, int]]:
         request = self._crypto.collect_masked_inputs(self._masked)

@@ -33,7 +33,14 @@ checks each client's proposed header and answers with a typed
 
 Frames are self-delimiting, so several messages concatenate into one
 transport datagram (a client's round-1 upload is one frame per sealed
-envelope); :func:`decode_frames` walks them back out.  Multi-byte
+envelope); :func:`decode_frames` walks them back out.  The three bulk
+legs — sealed-share matrices, masked inputs, unmask responses — have
+array-at-a-time encoders and decoders (:func:`encode_sealed_matrix`,
+:func:`encode_masked_input`, :func:`encode_unmask_columns`,
+:func:`decode_sealed_columns`, :func:`decode_unmask_columns`) that the
+sessions call directly; :func:`encode_message` is the codec for every
+other message and the per-frame reference the bulk bytes are pinned to.
+Multi-byte
 integers that can exceed 64 bits (DH public keys, Shamir share values)
 use a minimal-length, length-prefixed little-endian encoding, keeping
 the format deterministic: equal messages encode to equal bytes.
@@ -46,16 +53,10 @@ transports attach to their round outcomes.
 from __future__ import annotations
 
 import dataclasses
-import os
 import struct
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
-
-try:  # Optional JIT for the bulk routing kernels; numpy otherwise.
-    import numba
-except ImportError:  # pragma: no cover - exercised where numba is absent
-    numba = None
 
 from repro.errors import AggregationError
 from repro.secagg.shamir import LimbShares, Share
@@ -778,6 +779,26 @@ def encode_sealed_matrix(
     return frames.tobytes()
 
 
+def encode_masked_input(
+    sender: int, vector: np.ndarray, header: NegotiatedHeader
+) -> bytes:
+    """Encode a masked-input frame straight from its vector.
+
+    Byte-identical to ``encode_message(MaskedInput(sender, vector),
+    header)`` without constructing the message object.
+    """
+    vector = np.ascontiguousarray(vector, dtype="<i8")
+    if vector.ndim != 1:
+        raise AggregationError(
+            f"masked input must be 1-d, got shape {vector.shape}"
+        )
+    return _frame(
+        MSG_MASKED_INPUT,
+        _MASKED_PREFIX.pack(sender, vector.shape[0]) + vector.tobytes(),
+        header,
+    )
+
+
 def decode_sealed_columns(
     data: bytes,
 ) -> tuple[NegotiatedHeader, list[int], list[int], np.ndarray, int] | None:
@@ -794,8 +815,7 @@ def decode_sealed_columns(
         ``(header, senders, recipients, ciphertext_matrix, frame_len)``
         where ``ciphertext_matrix`` is a zero-copy ``(n, L)`` uint8 view
         into ``data`` — or ``None`` whenever the datagram does not have
-        the homogeneous shape (callers fall back to :func:`iter_frames`;
-        results are identical either way).
+        the homogeneous shape (the sessions then refuse it).
 
     Raises:
         AggregationError: If the shape matches but a frame is corrupt.
@@ -824,7 +844,7 @@ def decode_sealed_columns(
         table[1:, :header_size],
         np.broadcast_to(table[0, :header_size], (count - 1, header_size)),
     ):
-        return None  # Heterogeneous headers: generic path.
+        return None  # Heterogeneous headers: not one uniform stream.
     header = intern_header(version, bytes(data[_HEADER.size : header_size]))
     fields = np.ascontiguousarray(
         table[:, header_size : header_size + _SEALED_BODY.size]
@@ -841,39 +861,6 @@ def decode_sealed_columns(
         table[:, body:],
         length,
     )
-
-
-def decode_sealed_datagram(
-    data: bytes,
-) -> tuple[NegotiatedHeader, list[SealedShares], list[memoryview]] | None:
-    """Object-level view of :func:`decode_sealed_columns`.
-
-    Returns the decoded envelopes plus each frame's raw span (for
-    verbatim routing), or ``None`` when the datagram is not a
-    homogeneous sealed stream.
-    """
-    columns = decode_sealed_columns(data)
-    if columns is None:
-        return None
-    header, senders, recipients, ciphertext_matrix, frame_len = columns
-    ciphertext_len = ciphertext_matrix.shape[1]
-    ciphertexts = np.ascontiguousarray(ciphertext_matrix).tobytes()
-    envelopes = [
-        SealedShares(
-            sender=sender,
-            recipient=recipient,
-            ciphertext=ciphertexts[
-                row * ciphertext_len : (row + 1) * ciphertext_len
-            ],
-        )
-        for row, (sender, recipient) in enumerate(zip(senders, recipients))
-    ]
-    view = memoryview(data)
-    raws = [
-        view[row * frame_len : (row + 1) * frame_len]
-        for row in range(len(envelopes))
-    ]
-    return header, envelopes, raws
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -961,7 +948,7 @@ def decode_unmask_columns(
 
     Raises:
         AggregationError: If the frame matches but its body is corrupt
-            (same errors as the scalar decoder).
+            (same errors as the per-frame decoder).
     """
     total = len(data)
     if total < _HEADER.size:
@@ -1061,26 +1048,6 @@ def decode_unmask_columns(
     )
 
 
-def _interleave_numpy(stack: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(stack.transpose(1, 0, 2))
-
-
-if numba is not None:  # pragma: no cover - container-dependent
-
-    @numba.njit(cache=True)
-    def _interleave_jit(stack):
-        senders, recipients, frame_len = stack.shape
-        out = np.empty((recipients, senders, frame_len), dtype=np.uint8)
-        for row in range(senders):
-            for col in range(recipients):
-                out[col, row] = stack[row, col]
-        return out
-
-    _interleave = _interleave_jit
-else:
-    _interleave = _interleave_numpy
-
-
 def route_sealed_stack(stack: np.ndarray) -> np.ndarray:
     """Route a uniform sealed-shares tensor to per-recipient mailboxes.
 
@@ -1088,151 +1055,10 @@ def route_sealed_stack(stack: np.ndarray) -> np.ndarray:
     in column ``r`` (senders in sorted order, the recipient order shared
     by every sender).  The result's ``[r]`` plane is recipient ``r``'s
     whole mailbox, frames already in sorted-sender order — ``tobytes()``
-    of a plane is the exact datagram the per-envelope path would have
-    joined.  Runs as one contiguous transpose (numba-jitted when
-    available).
+    of a plane is the exact datagram joining the per-envelope frames
+    would produce.  Runs as one contiguous transpose.
     """
-    return _interleave(stack)
-
-
-class ScalarWireCodec:
-    """Reference codec: every message through the per-frame encoder.
-
-    Kept selectable so CI can pin the batched kernels bit-identical to
-    this path on real round traffic.
-    """
-
-    name = "scalar"
-    #: Whether the server should keep bulk uploads columnar end to end.
-    columnar = False
-
-    def encode_sealed_matrix(
-        self,
-        sender: int,
-        recipients: Sequence[int],
-        ciphertexts: np.ndarray,
-        header: NegotiatedHeader,
-    ) -> bytes:
-        return b"".join(
-            encode_message(
-                SealedShares(
-                    sender=sender,
-                    recipient=recipient,
-                    ciphertext=ciphertexts[position].tobytes(),
-                ),
-                header,
-            )
-            for position, recipient in enumerate(recipients)
-        )
-
-    def encode_masked_input(
-        self, sender: int, vector: np.ndarray, header: NegotiatedHeader
-    ) -> bytes:
-        return encode_message(MaskedInput(sender=sender, vector=vector), header)
-
-    def encode_unmask_columns(
-        self, columns: UnmaskColumns, header: NegotiatedHeader
-    ) -> bytes:
-        return encode_message(columns.to_response(), header)
-
-    def decode_unmask(
-        self, data: bytes
-    ) -> tuple[NegotiatedHeader, UnmaskColumns] | None:
-        return None
-
-
-class BatchedWireCodec(ScalarWireCodec):
-    """Vectorised codec for the three bulk legs; byte-identical output.
-
-    Sealed-shares matrices, masked-input payloads and unmask responses
-    are encoded straight from their arrays (and unmask responses decoded
-    back to columns), skipping per-frame Python object construction on
-    the quadratic paths.  Golden vectors and Hypothesis equivalence pin
-    every leg to :class:`ScalarWireCodec` bit for bit.
-    """
-
-    name = "batched"
-    columnar = True
-
-    def encode_sealed_matrix(
-        self,
-        sender: int,
-        recipients: Sequence[int],
-        ciphertexts: np.ndarray,
-        header: NegotiatedHeader,
-    ) -> bytes:
-        return encode_sealed_matrix(sender, recipients, ciphertexts, header)
-
-    def encode_masked_input(
-        self, sender: int, vector: np.ndarray, header: NegotiatedHeader
-    ) -> bytes:
-        vector = np.ascontiguousarray(vector, dtype="<i8")
-        if vector.ndim != 1:
-            raise AggregationError(
-                f"masked input must be 1-d, got shape {vector.shape}"
-            )
-        return _frame(
-            MSG_MASKED_INPUT,
-            _MASKED_PREFIX.pack(sender, vector.shape[0]) + vector.tobytes(),
-            header,
-        )
-
-    def encode_unmask_columns(
-        self, columns: UnmaskColumns, header: NegotiatedHeader
-    ) -> bytes:
-        return encode_unmask_columns(columns, header)
-
-    def decode_unmask(
-        self, data: bytes
-    ) -> tuple[NegotiatedHeader, UnmaskColumns] | None:
-        return decode_unmask_columns(data)
-
-
-#: Wire codec registry, mirroring :data:`repro.secagg.kernels.MASK_PRGS`:
-#: both entries produce identical bytes; the knob exists so equivalence
-#: can be asserted on live traffic and regressions bisected.
-WIRE_CODECS: dict[str, ScalarWireCodec] = {
-    codec.name: codec for codec in (ScalarWireCodec(), BatchedWireCodec())
-}
-
-_default_wire_codec = os.environ.get("REPRO_WIRE_CODEC", "batched")
-if _default_wire_codec not in WIRE_CODECS:  # Fail fast on a typo'd env.
-    raise AggregationError(
-        f"unknown wire codec {_default_wire_codec!r} in REPRO_WIRE_CODEC "
-        f"(choose from {sorted(WIRE_CODECS)})"
-    )
-
-
-def get_wire_codec(codec: "str | ScalarWireCodec | None" = None):
-    """Resolve a codec name/instance; ``None`` means the process default.
-
-    The default is ``"batched"`` unless overridden by the
-    ``REPRO_WIRE_CODEC`` environment variable or
-    :func:`set_default_wire_codec`.
-    """
-    if codec is None:
-        codec = _default_wire_codec
-    if isinstance(codec, str):
-        try:
-            return WIRE_CODECS[codec]
-        except KeyError:
-            raise AggregationError(
-                f"unknown wire codec {codec!r} "
-                f"(choose from {sorted(WIRE_CODECS)})"
-            ) from None
-    return codec
-
-
-def set_default_wire_codec(name: str) -> str:
-    """Set the process-wide default codec; returns the previous name."""
-    global _default_wire_codec
-    if name not in WIRE_CODECS:
-        raise AggregationError(
-            f"unknown wire codec {name!r} (choose from {sorted(WIRE_CODECS)})"
-        )
-    previous = _default_wire_codec
-    _default_wire_codec = name
-    return previous
+    return np.ascontiguousarray(stack.transpose(1, 0, 2))
 
 
 #: Broadcast-decode memo: the server sends *one* roster (and unmask
@@ -1465,11 +1291,8 @@ class WireStats:
         """Totals for one phase tag, or ``None`` if it has no cells.
 
         Cells are keyed by phase and a round's phases never revisit, so
-        once a phase's span closes this equals the
-        ``snapshot()``/``diff()`` delta for that tag — at the cost of a
-        single pass over one tag's cells instead of a deep copy and a
-        cell-wise subtraction of the whole ledger.  This is the hot-path
-        metering primitive; snapshot/diff remain for interval scrapers.
+        once a phase's span closes this is that phase's traffic — one
+        pass over one tag's cells.  The transports meter from it.
         """
         up = self.uploads.get(phase)
         down = self.downloads.get(phase)
@@ -1526,56 +1349,3 @@ class WireStats:
                             tally.bytes, tally.messages
                         )
         return self
-
-    def snapshot(self) -> "WireStats":
-        """A deep, independent copy of the current counters.
-
-        Periodic scrapers take a snapshot per interval and
-        :meth:`diff` consecutive snapshots for per-interval deltas;
-        the live ledger keeps accumulating unaffected.
-        """
-        copy = WireStats()
-        return copy.merge([self])
-
-    def diff(self, prev: "WireStats") -> "WireStats":
-        """Cell-wise difference ``self - prev`` as a new ledger.
-
-        ``prev`` must be an earlier :meth:`snapshot` of the same
-        accounting stream (counters only grow, so every delta is
-        non-negative); cells that did not change are omitted, keeping
-        interval deltas sparse.
-
-        Raises:
-            ValueError: If any cell of ``prev`` exceeds this ledger's —
-                the snapshots are from different streams or out of
-                order.
-        """
-        delta = WireStats()
-        for mine, theirs, out in (
-            (self.uploads, prev.uploads, delta.uploads),
-            (self.downloads, prev.downloads, delta.downloads),
-        ):
-            for phase, cells in mine.items():
-                previous_cells = theirs.get(phase, {})
-                for client, tally in cells.items():
-                    earlier = previous_cells.get(client, WireTally())
-                    messages = tally.messages - earlier.messages
-                    nbytes = tally.bytes - earlier.bytes
-                    if messages < 0 or nbytes < 0:
-                        raise ValueError(
-                            f"diff against a later snapshot: phase "
-                            f"{phase!r} client {client} went backwards"
-                        )
-                    if messages or nbytes:
-                        self._cell(out, phase, client).add(nbytes, messages)
-            for phase, previous_cells in theirs.items():
-                cells = mine.get(phase, {})
-                for client, earlier in previous_cells.items():
-                    if client not in cells and (
-                        earlier.messages or earlier.bytes
-                    ):
-                        raise ValueError(
-                            f"diff against a later snapshot: phase "
-                            f"{phase!r} client {client} vanished"
-                        )
-        return delta

@@ -23,7 +23,8 @@ Layering (each module only depends on the ones above it):
 * :mod:`~repro.simulation.hierarchy` — N-level aggregation-tree
   orchestration: leaf Bonawitz sub-rounds composed bottom-up by a
   pluggable clear / SecAgg composer, with optional cross-shard
-  straggler rebalancing.
+  straggler rebalancing.  The flat ``k``-shard round is
+  ``HierarchicalSecAggRound(topology=str(k))``.
 * :mod:`~repro.simulation.engine` — the training orchestrator wiring
   encoder/decoder, the Skellam mixture noise, the federated trainer and
   the accounting ledger into the round loop.
@@ -37,10 +38,7 @@ from repro.simulation.engine import (
     SimulationResult,
 )
 from repro.simulation.events import Mailbox, SimulationTrace, TraceEvent
-from repro.simulation.hierarchy import (
-    HierarchicalSecAggRound,
-    ShardedSecAggRound,
-)
+from repro.simulation.hierarchy import HierarchicalSecAggRound
 from repro.simulation.population import (
     AlwaysAvailable,
     AvailabilityModel,
@@ -87,7 +85,6 @@ __all__ = [
     "RoundRecord",
     "ShardReport",
     "ShardTask",
-    "ShardedSecAggRound",
     "SharedMemoryTransport",
     "ShmVectorBlock",
     "SimulatedClock",

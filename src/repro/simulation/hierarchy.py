@@ -64,10 +64,7 @@ from repro.simulation.sharding import (
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import time_phase
 
-__all__ = [
-    "HierarchicalSecAggRound",
-    "ShardedSecAggRound",
-]
+__all__ = ["HierarchicalSecAggRound"]
 
 
 @dataclasses.dataclass
@@ -614,52 +611,4 @@ class HierarchicalSecAggRound:
             completed_at=completed_at,
             wire=wire,
             composer=self._composer.name,
-        )
-
-
-class ShardedSecAggRound(HierarchicalSecAggRound):
-    """The legacy flat ``k``-shard round: a one-level aggregation tree.
-
-    Kept as the stable entry point for 2-level shard→global rounds —
-    ``shards=k`` maps to ``TreeTopology((k,))`` and every other knob
-    passes through, so existing callers (and their pinned digests) are
-    untouched while gaining the ``composer`` and ``rebalance`` options.
-    """
-
-    def __init__(
-        self,
-        vectors: Mapping[int, np.ndarray],
-        modulus: int,
-        clock: SimulatedClock,
-        rng: np.random.Generator,
-        shards: int,
-        threshold_fraction: float = 0.6,
-        plans: Mapping[int, ClientPlan] | None = None,
-        phase_timeout: float = 60.0,
-        backend: ExecutionBackend | str | None = None,
-        trace: SimulationTrace | None = None,
-        mask_prg: str | None = None,
-        metrics: MetricsRegistry | None = None,
-        composer: Composer | str | None = None,
-        rebalance: bool = False,
-        max_shard_size: int | None = None,
-    ) -> None:
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        super().__init__(
-            vectors=vectors,
-            modulus=modulus,
-            clock=clock,
-            rng=rng,
-            topology=TreeTopology((shards,)),
-            threshold_fraction=threshold_fraction,
-            composer=composer,
-            plans=plans,
-            phase_timeout=phase_timeout,
-            backend=backend,
-            trace=trace,
-            mask_prg=mask_prg,
-            metrics=metrics,
-            rebalance=rebalance,
-            max_shard_size=max_shard_size,
         )

@@ -43,7 +43,7 @@ timeout / straggler counters, and wire byte+message counters derived
 from per-phase :meth:`WireStats.phase_summary
 <repro.secagg.wire.WireStats.phase_summary>` totals (each phase's wire
 cells are written exactly once, so the per-tag totals *are* the phase
-delta — no ledger snapshot/diff on the hot path).
+delta).
 Instrumentation only ever *reads* the simulated clock — never
 the RNG — so metered and unmetered runs stay bit-identical.
 """
@@ -74,6 +74,7 @@ from repro.secagg.statemachine import (
     PHASE_TAGS,
     ClientSession,
     ServerSession,
+    count_phase_wire,
 )
 from repro.secagg.wire import PROTOCOL_V1, WireStats
 from repro.simulation.clock import SimulatedClock
@@ -159,10 +160,6 @@ class AsyncSecAggRound:
             :class:`~repro.errors.ChaosKillError`) when it reaches this
             phase, before collecting or committing anything for it.
             ``None`` (default) never fails.
-        wire_codec: Wire codec backend name for every session in the
-            round (``None`` = process default, normally ``"batched"``).
-            Bytes are identical across codecs; the knob exists for
-            equivalence assertions and bisection.
     """
 
     def __init__(
@@ -183,7 +180,6 @@ class AsyncSecAggRound:
         client_versions: Mapping[int, int] | None = None,
         metrics: MetricsRegistry | None = None,
         fail_at_phase: int | None = None,
-        wire_codec: str | None = None,
     ) -> None:
         if not vectors:
             raise ConfigurationError("cohort must not be empty")
@@ -216,7 +212,6 @@ class AsyncSecAggRound:
         self._trace = trace
         self._tamper = tamper_unmask_request
         self._mask_prg = get_mask_prg(mask_prg)
-        self._wire_codec = wire_codec
         self._client_versions = dict(client_versions or {})
         if fail_at_phase is not None and not (
             ROUND_ADVERTISE <= fail_at_phase <= ROUND_UNMASK
@@ -312,21 +307,6 @@ class AsyncSecAggRound:
         if self._m_dropped is not None:
             self._m_dropped.labels(phase=_TAGS[phase]).inc()
 
-    def _count_wire(self, tag: str, totals: Mapping[str, int]) -> None:
-        if self._m_wire_messages is None:
-            return
-        for direction in ("up", "down"):
-            messages = totals.get(f"{direction}_messages", 0)
-            if messages:
-                self._m_wire_messages.labels(
-                    phase=tag, direction=direction
-                ).inc(messages)
-            volume = totals.get(f"{direction}_bytes", 0)
-            if volume:
-                self._m_wire_bytes.labels(
-                    phase=tag, direction=direction
-                ).inc(volume)
-
     async def run(self) -> RoundOutcome:
         """Execute the round; returns the outcome or raises on failure.
 
@@ -381,7 +361,6 @@ class AsyncSecAggRound:
             self._mask_prg,
             tamper_unmask_request=self._tamper,
             metrics=self._metrics,
-            wire_codec=self._wire_codec,
         )
         # Phase 0 is the only one where the cohort (the transport's
         # knowledge) defines who may deliver; afterwards the session
@@ -435,12 +414,17 @@ class AsyncSecAggRound:
                 expected = set(session.expected)
             if observing:
                 # Each phase writes its wire cells exactly once, so the
-                # per-tag totals are the phase delta — no ledger
-                # snapshot/diff in the hot loop.
+                # per-tag totals are the phase delta.
                 totals = session.stats.phase_summary(tag)
                 if totals is not None:
                     self._record("wire-phase", phase=tag, **totals)
-                    self._count_wire(tag, totals)
+                    if self._m_wire_messages is not None:
+                        count_phase_wire(
+                            tag,
+                            totals,
+                            self._m_wire_messages,
+                            self._m_wire_bytes,
+                        )
         modular_sum = session.modular_sum
         completed_at = self._clock.now
         included = session.included
@@ -521,7 +505,6 @@ class AsyncSecAggRound:
             mask_prg=self._mask_prg,
             version=self._client_versions.get(index, PROTOCOL_V1),
             metrics=self._metrics,
-            wire_codec=self._wire_codec,
         )
         self._live_clients[index] = session
         # Phase 0 — propose the header and advertise both public keys.

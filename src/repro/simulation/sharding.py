@@ -51,9 +51,8 @@ mirroring the flat driver.
 This module holds the level-agnostic primitives — partition rule,
 threshold rule, picklable shard tasks/reports, and the execution
 backends.  Orchestration lives in :mod:`repro.simulation.hierarchy`
-(:class:`~repro.simulation.hierarchy.HierarchicalSecAggRound` and its
-legacy flat-tree alias ``ShardedSecAggRound``, re-exported here for
-backward compatibility).
+(:class:`~repro.simulation.hierarchy.HierarchicalSecAggRound`; the flat
+``k``-shard round is its ``topology=str(k)`` case).
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ __all__ = [
     "ProcessBackend",
     "ShardReport",
     "ShardTask",
-    "ShardedSecAggRound",
     "get_execution_backend",
     "partition_cohort",
     "run_shard",
@@ -496,16 +494,3 @@ def get_execution_backend(
             f"{sorted(EXECUTION_BACKENDS)}"
         ) from None
     return factory()
-
-
-def __getattr__(name: str):
-    # ``ShardedSecAggRound`` moved to :mod:`repro.simulation.hierarchy`
-    # when orchestration became tree-shaped; resolve it lazily so the
-    # historical ``from repro.simulation.sharding import
-    # ShardedSecAggRound`` keeps working without a circular import at
-    # module load.
-    if name == "ShardedSecAggRound":
-        from repro.simulation.hierarchy import ShardedSecAggRound
-
-        return ShardedSecAggRound
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

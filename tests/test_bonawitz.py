@@ -18,8 +18,6 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     BonawitzClient,
     BonawitzServer,
-    SealedShares,
-    UnmaskRequest,
     _decode_payload,
     _encode_payload,
     _open_sealed,
@@ -28,6 +26,8 @@ from repro.secagg.bonawitz import (
 )
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.statemachine import ClientSession, ServerSession
+from repro.secagg.wire import UnmaskRequest
 
 MODULUS = 2**10
 DIMENSION = 32
@@ -40,6 +40,22 @@ def rng():
 
 def make_inputs(rng, n=6, d=DIMENSION):
     return rng.integers(0, MODULUS, size=(n, d), dtype=np.int64)
+
+
+def share_round(server, clients):
+    """Rounds 0-1 by hand over the crypto state machines: advertise,
+    seal for the roster, and hand every client the envelope column
+    addressed to it (what the wire layer's router does with frames)."""
+    roster = server.collect_advertisements(
+        [client.advertise_keys() for client in clients]
+    )
+    sealed = {c.index: c.share_keys_matrix(roster)[1] for c in clients}
+    senders = sorted(server.register_share_keys(sealed))
+    for client in clients:
+        column = sorted(roster).index(client.index)
+        client.receive_share_matrix(
+            senders, np.stack([sealed[s][column] for s in senders])
+        )
 
 
 class TestHappyPath:
@@ -225,9 +241,11 @@ class TestValidation:
             server.collect_advertisements([keys, keys])
 
     def test_spoofed_sender_rejected(self, rng):
-        server = BonawitzServer(MODULUS, DIMENSION, threshold=2)
-        clients = [
-            BonawitzClient(
+        # The crypto server never sees envelopes (the wire layer routes
+        # them as opaque frames), so origin binding is the session's.
+        server = ServerSession(MODULUS, DIMENSION, 2, group=TOY_GROUP)
+        sessions = {
+            i: ClientSession(
                 i,
                 np.zeros(DIMENSION, dtype=np.int64),
                 MODULUS,
@@ -236,15 +254,13 @@ class TestValidation:
                 TOY_GROUP,
             )
             for i in (1, 2)
-        ]
-        roster = server.collect_advertisements(
-            [c.advertise_keys() for c in clients]
-        )
-        envelopes = {c.index: c.share_keys(roster) for c in clients}
-        forged = SealedShares(sender=2, recipient=1, ciphertext=b"xx")
-        envelopes[1] = [forged]
+        }
+        for i, session in sessions.items():
+            server.receive(b"".join(session.start()), sender=i)
+        roster = server.advance()
+        (forged,) = sessions[2].handle(roster[2])
         with pytest.raises(AggregationError, match="claims sender"):
-            server.route_shares(envelopes)
+            server.receive(forged, sender=1)
 
     def test_wrong_dimension_masked_input_rejected(self, rng):
         inputs = make_inputs(rng, n=3)
@@ -261,14 +277,7 @@ class TestValidation:
             )
             for i in range(3)
         }
-        roster = server.collect_advertisements(
-            [c.advertise_keys() for c in clients.values()]
-        )
-        mailbox = server.route_shares(
-            {u: clients[u].share_keys(roster) for u in clients}
-        )
-        for u, envelopes in mailbox.items():
-            clients[u].receive_shares(envelopes)
+        share_round(server, list(clients.values()))
         masked = {
             u: clients[u].masked_input(server.share_participants)
             for u in clients
@@ -290,14 +299,7 @@ class TestValidation:
             )
             for i in (1, 2)
         ]
-        roster = server.collect_advertisements(
-            [c.advertise_keys() for c in clients]
-        )
-        mailbox = server.route_shares(
-            {c.index: c.share_keys(roster) for c in clients}
-        )
-        for c in clients:
-            c.receive_shares(mailbox[c.index])
+        share_round(server, clients)
         masked = {
             c.index: c.masked_input(server.share_participants)
             for c in clients
@@ -316,7 +318,7 @@ class TestValidation:
             TOY_GROUP,
         )
         with pytest.raises(AggregationError, match="before advertise"):
-            client.share_keys({})
+            client.share_keys_matrix({})
         with pytest.raises(AggregationError, match="before share_keys"):
             client.masked_input(frozenset({1}))
 
@@ -339,19 +341,12 @@ class TestSecurityInvariants:
             )
             for i in range(3)
         }
-        roster = server.collect_advertisements(
-            [c.advertise_keys() for c in clients.values()]
-        )
-        mailbox = server.route_shares(
-            {u: clients[u].share_keys(roster) for u in clients}
-        )
-        for u, envelopes in mailbox.items():
-            clients[u].receive_shares(envelopes)
+        share_round(server, list(clients.values()))
         malicious = UnmaskRequest(
             survivors=frozenset({1, 2}), dropouts=frozenset({2, 3})
         )
         with pytest.raises(AggregationError, match="both survivor"):
-            clients[1].unmask(malicious)
+            clients[1].unmask_columns(malicious)
 
     def test_unknown_peer_in_unmask_request_rejected(self, rng):
         inputs = make_inputs(rng, n=2)
@@ -368,16 +363,9 @@ class TestSecurityInvariants:
             )
             for i in range(2)
         }
-        roster = server.collect_advertisements(
-            [c.advertise_keys() for c in clients.values()]
-        )
-        mailbox = server.route_shares(
-            {u: clients[u].share_keys(roster) for u in clients}
-        )
-        for u, envelopes in mailbox.items():
-            clients[u].receive_shares(envelopes)
+        share_round(server, list(clients.values()))
         with pytest.raises(AggregationError, match="no shares held"):
-            clients[1].unmask(
+            clients[1].unmask_columns(
                 UnmaskRequest(
                     survivors=frozenset({42}), dropouts=frozenset()
                 )
@@ -404,14 +392,7 @@ class TestSecurityInvariants:
                 for i in range(3)
             }
             server = BonawitzServer(modulus, 32, threshold=2)
-            roster = server.collect_advertisements(
-                [c.advertise_keys() for c in clients.values()]
-            )
-            mailbox = server.route_shares(
-                {u: clients[u].share_keys(roster) for u in clients}
-            )
-            for u, envelopes in mailbox.items():
-                clients[u].receive_shares(envelopes)
+            share_round(server, list(clients.values()))
             observed.append(
                 clients[1].masked_input(server.share_participants)
             )

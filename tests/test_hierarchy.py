@@ -40,7 +40,6 @@ from repro.secagg.tree import MIN_SHARD_SIZE, partition_members
 from repro.simulation import (
     ClientPlan,
     HierarchicalSecAggRound,
-    ShardedSecAggRound,
     SimulatedClock,
     SimulationTrace,
     partition_cohort,
@@ -613,12 +612,12 @@ class TestTelemetryAndConfig:
     def test_sharded_round_is_one_level_tree(self):
         vectors = make_vectors(12, seed=3)
         clock = SimulatedClock()
-        legacy = ShardedSecAggRound(
+        legacy = HierarchicalSecAggRound(
             vectors=vectors,
             modulus=MODULUS,
             clock=clock,
             rng=np.random.default_rng(17),
-            shards=3,
+            topology="3",
         )
         assert isinstance(legacy, HierarchicalSecAggRound)
         assert legacy.topology.branching == (3,)
@@ -626,12 +625,12 @@ class TestTelemetryAndConfig:
         tree, _, _ = run_tree(vectors, "3", seed=17)
         assert np.array_equal(outcome.modular_sum, tree.modular_sum)
         with pytest.raises(ConfigurationError):
-            ShardedSecAggRound(
+            HierarchicalSecAggRound(
                 vectors=vectors,
                 modulus=MODULUS,
                 clock=SimulatedClock(),
                 rng=np.random.default_rng(0),
-                shards=0,
+                topology="0",
             )
 
     def test_simulation_config_tree_knobs(self):

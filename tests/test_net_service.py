@@ -29,7 +29,13 @@ from repro.net.frames import read_datagram
 from repro.secagg.bonawitz import ROUND_SHARE_KEYS, ROUND_UNMASK
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.statemachine import ClientSession
-from repro.secagg.wire import Hello, Reject, decode_frames, encode_message
+from repro.secagg.wire import (
+    Hello,
+    Reject,
+    decode_frames,
+    encode_message,
+    iter_frames,
+)
 from repro.telemetry import parse_prometheus
 
 
@@ -326,6 +332,85 @@ class TestTransportBoundaries:
             )
         )
 
+    def test_malformed_share_keys_upload_is_evicted_at_ingest(self):
+        """One client of 16 uploads a truncated-roster share-keys
+        datagram: the session refuses it at receive(), the transport
+        evicts the offender in that phase, and the round completes as
+        if the client had dropped at share-keys."""
+
+        async def scenario():
+            import numpy as np
+
+            swarm_cfg = SwarmConfig(clients=16, threshold=8, seed=37)
+            from repro.net.swarm import client_plans, derive_population
+
+            inputs, _ = derive_population(swarm_cfg)
+            plans = client_plans(swarm_cfg)
+
+            async def truncator(port, plan, vector):
+                session = ClientSession(
+                    index=plan.index,
+                    vector=np.asarray(vector),
+                    modulus=swarm_cfg.modulus,
+                    threshold=8,
+                    rng=np.random.default_rng(plan.seed),
+                    group=TOY_GROUP,
+                )
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                try:
+                    await write_datagram(writer, b"".join(session.start()))
+                    await asyncio.wait_for(read_datagram(reader), 10)
+                    roster = await asyncio.wait_for(read_datagram(reader), 10)
+                    (upload,) = session.handle(roster)
+                    frames = [bytes(raw) for _, _, raw in iter_frames(upload)]
+                    await write_datagram(writer, b"".join(frames[:-1]))
+                    # The server evicts us: connection closes.
+                    assert await asyncio.wait_for(
+                        read_datagram(reader), 10
+                    ) is None
+                finally:
+                    writer.close()
+
+            server = SecAggServer(
+                ServerConfig(cohort_size=16, threshold=8, phase_timeout=60.0)
+            )
+            async with server:
+                tasks = [
+                    asyncio.ensure_future(
+                        truncator(server.port, plan, inputs[plan.index - 1])
+                        if plan.index == 16
+                        else run_client(
+                            "127.0.0.1",
+                            server.port,
+                            plan,
+                            inputs[plan.index - 1],
+                            swarm_cfg.modulus,
+                            8,
+                        )
+                    )
+                    for plan in plans
+                ]
+                results = await asyncio.wait_for(server.serve_rounds(), 30)
+                await asyncio.gather(*tasks)
+                dropped = server.metrics.snapshot().value(
+                    "secagg_clients_dropped_total", phase="share-keys"
+                )
+            return results, dropped
+
+        (result,), dropped = asyncio.run(scenario())
+        assert result.aborted is None
+        assert result.evicted == frozenset({16})
+        assert dropped == 1
+        assert len(result.included) == 15
+        assert result.digest == expected_digest(
+            SwarmConfig(
+                clients=16, threshold=8, dropouts=1,
+                dropout_phase=ROUND_SHARE_KEYS, seed=37,
+            )
+        )
+
     def test_straggler_evicted_at_wall_deadline(self):
         swarm_cfg = SwarmConfig(clients=6, threshold=3, seed=13)
 
@@ -396,14 +481,14 @@ class TestMetricsEndpoint:
                 swarm_task = asyncio.ensure_future(
                     run_swarm("127.0.0.1", server.port, swarm_cfg)
                 )
-                await asyncio.wait_for(server.serve_rounds(), 60)
+                results = await asyncio.wait_for(server.serve_rounds(), 60)
                 await swarm_task
                 text = await scrape_metrics(
                     "127.0.0.1", server.metrics_port
                 )
-            return text
+            return text, results
 
-        text = asyncio.run(scenario())
+        text, (result,) = asyncio.run(scenario())
         parsed = parse_prometheus(text)
         families = parsed.family_names()
         # The very same families the simulator reports into.
@@ -425,6 +510,17 @@ class TestMetricsEndpoint:
         assert parsed.value(
             "secagg_rounds_total", outcome="completed"
         ) == 1.0
+        # The wire counters are fed per phase from the session's own
+        # ledger, so over a round they add up to it exactly.
+        for family, total in (
+            ("secagg_wire_bytes_total", result.wire.total_bytes),
+            ("secagg_wire_messages_total", result.wire.total_messages),
+        ):
+            assert sum(
+                value
+                for (name, _), value in parsed.samples.items()
+                if name == family
+            ) == total
 
     def test_healthz_and_404(self):
         async def scenario():

@@ -19,7 +19,7 @@ from repro.simulation import (
     ClientPlan,
     InlineBackend,
     ProcessBackend,
-    ShardedSecAggRound,
+    HierarchicalSecAggRound,
     SimulatedClock,
     SimulationTrace,
     get_execution_backend,
@@ -50,12 +50,12 @@ def run_sharded(vectors, shards, plans=None, backend="inline", seed=1,
                 threshold_fraction=0.6, phase_timeout=60.0, trace=False):
     clock = SimulatedClock()
     trace_log = SimulationTrace(clock) if trace else None
-    sharded = ShardedSecAggRound(
+    sharded = HierarchicalSecAggRound(
         vectors=vectors,
         modulus=MODULUS,
         clock=clock,
         rng=np.random.default_rng(seed),
-        shards=shards,
+        topology=str(shards),
         threshold_fraction=threshold_fraction,
         plans=plans,
         phase_timeout=phase_timeout,
@@ -459,22 +459,22 @@ class TestDeterminism:
 class TestValidation:
     def test_empty_cohort_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedSecAggRound(
+            HierarchicalSecAggRound(
                 vectors={},
                 modulus=MODULUS,
                 clock=SimulatedClock(),
                 rng=np.random.default_rng(0),
-                shards=2,
+                topology="2",
             )
 
     def test_bad_threshold_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedSecAggRound(
+            HierarchicalSecAggRound(
                 vectors=make_vectors(6),
                 modulus=MODULUS,
                 clock=SimulatedClock(),
                 rng=np.random.default_rng(0),
-                shards=2,
+                topology="2",
                 threshold_fraction=0.0,
             )
 

@@ -22,8 +22,12 @@ from repro.secagg.wire import (
     PROTOCOL_V1,
     Hello,
     Reject,
+    SealedShares,
     decode_message,
+    decode_sealed_columns,
     encode_message,
+    encode_sealed_matrix,
+    iter_frames,
 )
 
 MODULUS = 2**12
@@ -66,6 +70,53 @@ def pump(clients, server, skip=frozenset()):
                 server.receive(b"".join(out), sender=u)
         deliveries = server.advance()
     return server.modular_sum
+
+
+def open_share_keys(clients, server):
+    """Run the advertise phase; returns each client's honest share-keys
+    upload."""
+    for u in sorted(clients):
+        server.receive(b"".join(clients[u].start()), sender=u)
+    deliveries = server.advance()
+    return {
+        u: b"".join(clients[u].handle(deliveries[u]))
+        for u in sorted(deliveries)
+    }
+
+
+def _frames_of(upload):
+    return [bytes(raw) for _, _, raw in iter_frames(upload)]
+
+
+def _truncated_roster(upload, sender, header):
+    return b"".join(_frames_of(upload)[:-1])
+
+
+def _reordered_recipients(upload, sender, header):
+    frames = _frames_of(upload)
+    return b"".join([frames[1], frames[0], *frames[2:]])
+
+
+def _wrong_ciphertext_length(upload, sender, header):
+    _, _, recipients, ciphertexts, _ = decode_sealed_columns(upload)
+    return encode_sealed_matrix(sender, recipients, ciphertexts[:, :-1], header)
+
+
+def _one_frame_at_a_time(upload, sender, header):
+    return _frames_of(upload)[0]
+
+
+def _mixed_message_types(upload, sender, header):
+    return upload + encode_message(Hello(sender=sender), header)
+
+
+MALFORMED_SHARE_KEYS = [
+    _truncated_roster,
+    _reordered_recipients,
+    _wrong_ciphertext_length,
+    _one_frame_at_a_time,
+    _mixed_message_types,
+]
 
 
 class TestPureProtocolPump:
@@ -262,6 +313,75 @@ class TestStrictValidation:
             AggregationError, match="transport-authenticated"
         ):
             server.receive(mailbox)
+
+    @pytest.mark.parametrize("malform", MALFORMED_SHARE_KEYS)
+    def test_malformed_share_keys_upload_refused_before_any_state(
+        self, malform
+    ):
+        """A share-keys upload is one uniform datagram over the sorted
+        roster at the round's envelope length; anything else is refused
+        at receive(), naming the sender, with nothing stored."""
+        _, clients, server = make_sessions(n=4, threshold=2)
+        uploads = open_share_keys(clients, server)
+        bad = malform(uploads[2], 2, clients[2].header)
+        with pytest.raises(AggregationError, match="client 2 "):
+            server.receive(bad, sender=2)
+        assert server.received() == frozenset()
+        assert server.stats.phase_summary("share-keys") is None
+        # The refusal is not sticky: the honest datagram still lands.
+        server.receive(uploads[2], sender=2)
+        assert server.received() == frozenset({2})
+
+    def test_second_share_keys_upload_refused(self):
+        _, clients, server = make_sessions(n=3, threshold=2)
+        uploads = open_share_keys(clients, server)
+        server.receive(uploads[1], sender=1)
+        with pytest.raises(AggregationError, match="duplicate.*client 1"):
+            server.receive(uploads[1], sender=1)
+        assert server.received() == frozenset({1})
+
+    @pytest.mark.parametrize(
+        "malform", [_truncated_roster, _wrong_ciphertext_length]
+    )
+    def test_malformed_first_mover_cannot_poison_honest_uploads(
+        self, malform
+    ):
+        """Uploads are validated against the roster and the computed
+        length, never against the first upload seen."""
+        inputs, clients, server = make_sessions(n=5, threshold=3)
+        uploads = open_share_keys(clients, server)
+        with pytest.raises(AggregationError, match="client 1 "):
+            server.receive(
+                malform(uploads[1], 1, clients[1].header), sender=1
+            )
+        for u in (2, 3, 4, 5):
+            server.receive(uploads[u], sender=u)
+        deliveries = server.advance()
+        assert set(deliveries) == {2, 3, 4, 5}
+        for _ in range(2):
+            for u in sorted(deliveries):
+                server.receive(
+                    b"".join(clients[u].handle(deliveries[u])), sender=u
+                )
+            deliveries = server.advance()
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs[1:].sum(axis=0), MODULUS)
+        )
+
+    @pytest.mark.parametrize("tail", ["short-envelope", "foreign-frame"])
+    def test_client_refuses_non_uniform_mailbox(self, tail):
+        _, clients, server = make_sessions(n=3, threshold=2)
+        uploads = open_share_keys(clients, server)
+        for u, upload in uploads.items():
+            server.receive(upload, sender=u)
+        mailbox = server.advance()[1]
+        extra = (
+            SealedShares(sender=3, recipient=1, ciphertext=b"x")
+            if tail == "short-envelope"
+            else Hello(sender=3)
+        )
+        with pytest.raises(AggregationError, match="not one uniform"):
+            clients[1].handle(mailbox + encode_message(extra, server.header))
 
     def test_sum_unavailable_before_recovery(self):
         _, _, server = make_sessions(n=3, threshold=2)

@@ -21,7 +21,7 @@ from repro.simulation import (
     BernoulliDropout,
     ClientPlan,
     ProcessBackend,
-    ShardedSecAggRound,
+    HierarchicalSecAggRound,
     SimulatedClock,
     SimulationConfig,
     SimulationEngine,
@@ -196,12 +196,12 @@ class TestRoundMetrics:
 def run_metered_sharded(vectors, shards, backend="inline", seed=1):
     clock = SimulatedClock()
     registry = MetricsRegistry()
-    sharded = ShardedSecAggRound(
+    sharded = HierarchicalSecAggRound(
         vectors=vectors,
         modulus=MODULUS,
         clock=clock,
         rng=np.random.default_rng(seed),
-        shards=shards,
+        topology=str(shards),
         threshold_fraction=0.6,
         backend=backend,
         metrics=registry,

@@ -24,7 +24,7 @@ from repro.simulation import (
     AsyncSecAggRound,
     ClientPlan,
     ProcessBackend,
-    ShardedSecAggRound,
+    HierarchicalSecAggRound,
     SimulatedClock,
     get_execution_backend,
     shared_memory_available,
@@ -91,12 +91,12 @@ def run_mailbox(inputs):
 def run_sharded(inputs, backend):
     vectors = {u + 1: inputs[u] for u in range(NUM_CLIENTS)}
     clock = SimulatedClock()
-    sharded = ShardedSecAggRound(
+    sharded = HierarchicalSecAggRound(
         vectors=vectors,
         modulus=MODULUS,
         clock=clock,
         rng=np.random.default_rng(42),
-        shards=3,
+        topology="3",
         backend=backend,
     )
     return sharded.execute()

@@ -351,6 +351,9 @@ class TestWireStats:
             "down_bytes": 400,
         }
         assert phases["unmask"]["up_bytes"] == 25
+        # The transports' per-phase metering primitive agrees.
+        assert stats.phase_summary("advertise") == phases["advertise"]
+        assert stats.phase_summary("share-keys") is None
 
     def test_client_totals(self):
         stats = WireStats()
@@ -384,66 +387,6 @@ class TestWireStats:
         stats.record_upload("advertise", 1, 10)
         clone = pickle.loads(pickle.dumps(stats))
         assert clone.total_bytes == 10
-
-    def test_snapshot_is_a_deep_independent_copy(self):
-        stats = WireStats()
-        stats.record_upload("advertise", 1, 10)
-        frozen = stats.snapshot()
-        stats.record_upload("advertise", 1, 5, messages=2)
-        stats.record_download("unmask", 2, 8)
-        assert frozen.total_bytes == 10
-        assert frozen.total_messages == 1
-        assert stats.total_bytes == 23
-
-    def test_diff_yields_sparse_interval_delta(self):
-        stats = WireStats()
-        stats.record_upload("advertise", 1, 10)
-        stats.record_upload("advertise", 2, 7)
-        before = stats.snapshot()
-        stats.record_upload("advertise", 1, 5, messages=2)
-        stats.record_download("unmask", 3, 8)
-        delta = stats.diff(before)
-        # Only the cells that moved appear in the delta.
-        assert delta.total_bytes == 13
-        assert delta.total_messages == 3
-        assert 2 not in delta.uploads["advertise"]
-        assert delta.phase_totals() == {
-            "advertise": {
-                "up_messages": 2,
-                "up_bytes": 5,
-                "down_messages": 0,
-                "down_bytes": 0,
-            },
-            "unmask": {
-                "up_messages": 0,
-                "up_bytes": 0,
-                "down_messages": 1,
-                "down_bytes": 8,
-            },
-        }
-
-    def test_diff_of_equal_snapshots_is_empty(self):
-        stats = WireStats()
-        stats.record_upload("advertise", 1, 10)
-        delta = stats.diff(stats.snapshot())
-        assert delta.total_bytes == 0
-        assert delta.uploads == {} and delta.downloads == {}
-
-    def test_diff_refuses_out_of_order_snapshots(self):
-        stats = WireStats()
-        stats.record_upload("advertise", 1, 10)
-        later = stats.snapshot()
-        later.record_upload("advertise", 1, 5)
-        with pytest.raises(ValueError, match="went backwards"):
-            stats.diff(later)
-
-    def test_diff_refuses_foreign_streams(self):
-        stats = WireStats()
-        stats.record_upload("advertise", 1, 10)
-        other = WireStats()
-        other.record_download("unmask", 9, 3)
-        with pytest.raises(ValueError, match="vanished"):
-            stats.diff(other)
 
 
 class TestHeaderValidation:

@@ -1,42 +1,36 @@
-"""Batched wire-codec tests: golden pins, equivalence, and round digests.
+"""Bulk wire-encoder tests: golden pins and per-frame equivalence.
 
-The batched codec's whole contract is *bit-identity* with the scalar
-reference path — golden vectors freeze the bytes, Hypothesis pins the
-scalar/batched equivalence on arbitrary inputs, and a full protocol run
-is compared datagram-for-datagram across codecs.
+The bulk encoders' whole contract is *bit-identity* with the per-frame
+reference :func:`~repro.secagg.wire.encode_message` — golden vectors
+freeze the bytes and Hypothesis pins the bulk/per-frame equivalence on
+arbitrary inputs.
 """
 
-import hashlib
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AggregationError
-from repro.secagg.bonawitz import run_bonawitz
 from repro.secagg.shamir import LimbShares, Share
 from repro.secagg.wire import (
     PROTOCOL_V1,
-    WIRE_CODECS,
     MaskedInput,
     NegotiatedHeader,
+    SealedShares,
     UnmaskColumns,
     UnmaskResponse,
     decode_message,
     decode_sealed_columns,
     decode_unmask_columns,
+    encode_masked_input,
     encode_message,
-    get_wire_codec,
+    encode_sealed_matrix,
+    encode_unmask_columns,
     route_sealed_stack,
-    set_default_wire_codec,
 )
 
 HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
-SCALAR = WIRE_CODECS["scalar"]
-BATCHED = WIRE_CODECS["batched"]
 
-#: Frozen batched-codec outputs (same format contract as
+#: Frozen bulk-encoder outputs (same format contract as
 #: ``tests/test_wire.py``): the masked-input and unmask hexes are
 #: byte-identical to that module's per-frame golden vectors.
 GOLDEN_SEALED_MATRIX = (
@@ -77,13 +71,13 @@ def _columns(responder, seed_shares, key_shares, prime=2**61 - 1):
 class TestGoldenVectors:
     def test_sealed_matrix_matches_golden(self):
         ciphertexts = np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8)
-        encoded = BATCHED.encode_sealed_matrix(2, [5, 6], ciphertexts, HEADER)
+        encoded = encode_sealed_matrix(2, [5, 6], ciphertexts, HEADER)
         assert encoded.hex() == GOLDEN_SEALED_MATRIX
 
     def test_masked_input_matches_golden(self):
         vector = np.array([0, 1, 65535, 2**40], dtype=np.int64)
         assert (
-            BATCHED.encode_masked_input(4, vector, HEADER).hex()
+            encode_masked_input(4, vector, HEADER).hex()
             == GOLDEN_MASKED
         )
 
@@ -94,7 +88,7 @@ class TestGoldenVectors:
             {9: LimbShares(x=6, ys=(10, 2**61 - 2))},
         )
         assert (
-            BATCHED.encode_unmask_columns(columns, HEADER).hex()
+            encode_unmask_columns(columns, HEADER).hex()
             == GOLDEN_UNMASK
         )
 
@@ -155,10 +149,18 @@ class TestScalarBatchedEquivalence:
         ciphertexts = np.frombuffer(raw, dtype=np.uint8).reshape(
             len(recipients), width
         )
-        assert BATCHED.encode_sealed_matrix(
+        assert encode_sealed_matrix(
             sender, recipients, ciphertexts, HEADER
-        ) == SCALAR.encode_sealed_matrix(
-            sender, recipients, ciphertexts, HEADER
+        ) == b"".join(
+            encode_message(
+                SealedShares(
+                    sender=sender,
+                    recipient=recipient,
+                    ciphertext=ciphertexts[position].tobytes(),
+                ),
+                HEADER,
+            )
+            for position, recipient in enumerate(recipients)
         )
 
     @given(
@@ -171,9 +173,9 @@ class TestScalarBatchedEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_masked_input(self, sender, values):
         vector = np.array(values, dtype=np.int64)
-        assert BATCHED.encode_masked_input(
-            sender, vector, HEADER
-        ) == SCALAR.encode_masked_input(sender, vector, HEADER)
+        assert encode_masked_input(sender, vector, HEADER) == encode_message(
+            MaskedInput(sender=sender, vector=vector), HEADER
+        )
 
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
@@ -188,9 +190,9 @@ class TestScalarBatchedEquivalence:
             {p: LimbShares(x=x, ys=tuple(ys)) for p, (x, ys) in keys.items()},
             prime=2**128,  # Force the object-dtype (16-byte) column path.
         )
-        assert BATCHED.encode_unmask_columns(
-            columns, HEADER
-        ) == SCALAR.encode_unmask_columns(columns, HEADER)
+        assert encode_unmask_columns(columns, HEADER) == encode_message(
+            columns.to_response(), HEADER
+        )
 
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
@@ -232,7 +234,7 @@ class TestColumnarRouting:
     def test_routed_mailbox_is_columnar_decodable(self):
         ciphertexts = np.arange(24, dtype=np.uint8).reshape(3, 8)
         datagrams = [
-            BATCHED.encode_sealed_matrix(s, [1, 2, 3], ciphertexts, HEADER)
+            encode_sealed_matrix(s, [1, 2, 3], ciphertexts, HEADER)
             for s in (1, 2, 3)
         ]
         frame_len = len(datagrams[0]) // 3
@@ -249,64 +251,3 @@ class TestColumnarRouting:
         assert header == HEADER
         assert senders == [1, 2, 3]
         assert recipients == [2, 2, 2]
-
-
-class TestCodecRegistry:
-    def test_default_is_batched(self):
-        assert get_wire_codec(None).name == "batched"
-
-    def test_lookup_by_name_and_instance(self):
-        assert get_wire_codec("scalar") is SCALAR
-        assert get_wire_codec(BATCHED) is BATCHED
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(AggregationError, match="unknown wire codec"):
-            get_wire_codec("zstd")
-        with pytest.raises(AggregationError, match="unknown wire codec"):
-            set_default_wire_codec("zstd")
-
-    def test_set_default_round_trips(self):
-        previous = set_default_wire_codec("scalar")
-        try:
-            assert previous == "batched"
-            assert get_wire_codec(None).name == "scalar"
-        finally:
-            set_default_wire_codec(previous)
-
-    def test_scalar_decode_unmask_declines(self):
-        encoded = BATCHED.encode_unmask_columns(
-            _columns(6, {2: Share(x=6, y=1)}, {}), HEADER
-        )
-        assert SCALAR.decode_unmask(encoded) is None
-        assert BATCHED.decode_unmask(encoded) is not None
-
-
-class TestCrossCodecRounds:
-    """Full four-round protocol runs must be digest-identical."""
-
-    def _digest(self, outcome):
-        return hashlib.sha256(
-            np.ascontiguousarray(outcome.modular_sum).tobytes()
-        ).hexdigest()
-
-    @pytest.mark.parametrize("dropouts", [None, {2: 2, 5: 3}])
-    def test_run_bonawitz_digest_equal(self, dropouts):
-        results = {}
-        for codec in ("scalar", "batched"):
-            rng = np.random.default_rng(20220601)
-            vectors = rng.integers(0, 1000, size=(9, 24))
-            outcome = run_bonawitz(
-                vectors,
-                modulus=2**31 - 1,
-                threshold=5,
-                rng=np.random.default_rng(7),
-                dropouts=dict(dropouts) if dropouts else None,
-                wire_codec=codec,
-            )
-            results[codec] = (
-                self._digest(outcome),
-                outcome.included,
-                outcome.wire.total_messages,
-                outcome.wire.total_bytes,
-            )
-        assert results["scalar"] == results["batched"]
