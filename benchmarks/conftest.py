@@ -112,6 +112,24 @@ def best_of():
 
 
 @pytest.fixture(scope="session")
+def interleaved_pairs():
+    """Spread-aware A/B sampler for relative-cost guards.
+
+    Runs ``baseline`` and ``guarded`` alternately ``pairs`` times and
+    returns the ``(baseline, guarded)`` results pair by pair.  Host
+    speed drifts by more than the bounds these guards assert, but it
+    drifts slowly, so the two runs of one pair see the same machine: a
+    real regression loses *every* pair by more than the bound, jitter
+    does not.  A guard should fail only on the former.
+    """
+
+    def _pairs(pairs: int, baseline, guarded) -> list[tuple]:
+        return [(baseline(), guarded()) for _ in range(pairs)]
+
+    return _pairs
+
+
+@pytest.fixture(scope="session")
 def bench_rng():
     """Session-wide deterministic generator for benchmark inputs."""
     return np.random.default_rng(20220601)

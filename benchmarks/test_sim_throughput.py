@@ -224,21 +224,17 @@ def test_rounds_per_second_full_cohort(population_size, emit, bench_rng):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["inline", "process", "process-pickle"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_rounds_per_second_full_cohort_sharded(backend, emit, bench_rng):
     """Full-cohort sharded throughput at population 512.
 
     The hierarchical regime the sharding layer exists for: 8 shards cut
-    the quadratic protocol work by ~8x, and the process backends overlap
-    the shard sub-rounds across cores on top of that.  ``process`` moves
-    shard vectors over the shared-memory transport; ``process-pickle``
-    ships them inside the task pickle — the before/after pair for the
-    vector-transport comparison.
+    the quadratic protocol work by ~8x, and the process backend overlaps
+    the shard sub-rounds across cores on top of that.
     """
     population_size, shards = 512, 8
     # Three rounds: a single ~1.3s round is too noisy to compare the
-    # vector transports, and the reused shared-memory block only shows
-    # its amortised cost from the second round on.
+    # backends, and the process pool's start-up is paid in the first.
     rounds_per_sec, dropped, wire, _ = _run_rounds(
         population_size,
         population_size,
@@ -274,18 +270,16 @@ def test_phase_latency_quantiles(emit, bench_rng):
         )
 
 
-def test_telemetry_not_slower(emit, bench_rng, best_of):
+def test_telemetry_not_slower(emit, bench_rng, interleaved_pairs):
     """Metering overhead must stay under a hard 10% bound (tier-1).
 
-    Best-of-3 on each side squeezes scheduler noise out of the
-    comparison, so the bound is tight enough to actually fail when the
-    instrumentation hot path regresses (the 1.5x-slack ancestor of this
-    guard waved through a measured +46% overhead).
+    One plain-vs-metered comparison reads anywhere in -15%..+15% on a
+    shared host, so the guard takes five interleaved pairs and fails
+    only when metering loses *every* pair by more than the bound: a
+    regression in the instrumentation hot path does (the 1.5x-slack
+    ancestor of this guard waved through a measured +46% overhead),
+    scheduler jitter does not.
     """
-    plain = best_of(
-        3,
-        lambda: _run_rounds(128, 48, num_rounds=2, bench_rng=bench_rng)[0],
-    )
     report_box = []
 
     def metered_run():
@@ -295,15 +289,22 @@ def test_telemetry_not_slower(emit, bench_rng, best_of):
         report_box.append(report)
         return rps
 
-    metered = best_of(3, metered_run)
+    pairs = interleaved_pairs(
+        5,
+        lambda: _run_rounds(128, 48, num_rounds=2, bench_rng=bench_rng)[0],
+        metered_run,
+    )
+    overheads = sorted(plain / metered - 1 for plain, metered in pairs)
     emit(
         f"sim_telemetry_overhead population= 128 cohort<= 48 "
-        f"plain_rps={plain:8.3f} metered_rps={metered:8.3f} "
-        f"overhead={100 * (plain / metered - 1):+.1f}%",
+        f"pairs={len(pairs)} "
+        f"plain_rps={max(plain for plain, _ in pairs):8.3f} "
+        f"metered_rps={max(metered for _, metered in pairs):8.3f} "
+        f"overhead={100 * overheads[0]:+.1f}%..{100 * overheads[-1]:+.1f}%",
     )
     assert report_box[-1] is not None
     assert report_box[-1].counter_sum("secagg_rounds_total") > 0
-    assert metered * 1.10 >= plain
+    assert overheads[0] <= 0.10
 
 
 @pytest.mark.slow

@@ -119,32 +119,38 @@ def test_tree_rounds_per_second(label, topology, composer, emit, bench_rng):
     assert rounds_per_sec > 0
 
 
-def test_secagg_compose_premium_bounded(emit, bench_rng):
+def test_secagg_compose_premium_bounded(emit, bench_rng, interleaved_pairs):
     """Tier-1 smoke: the outer Bonawitz rounds must stay a bounded
     premium over the clear composition, not a blowup.
 
     The leaf sub-rounds dominate (cohort 48 across 8 shards), so the
     extra composition round should cost a modest fraction of a round.
-    2x slack is generous against wall-clock noise while still catching
-    anything catastrophically slower hiding in the virtual-client or
-    composition-round hot path.
+    One clear-vs-secagg comparison has read +1%..+88% on a shared
+    host, so the guard takes five interleaved pairs and fails only when
+    secagg loses *every* pair by more than 2x — which anything
+    catastrophically slower hiding in the composition-round hot path
+    would, and scheduler jitter does not.
     """
     population_size, cohort = 128, 48
-    clear_rps, _ = _run_tree_rounds(
-        population_size, cohort, num_rounds=2, bench_rng=bench_rng,
-        topology="8", composer="clear",
+
+    def rounds_per_sec(composer):
+        return _run_tree_rounds(
+            population_size, cohort, num_rounds=2, bench_rng=bench_rng,
+            topology="8", composer=composer,
+        )[0]
+
+    pairs = interleaved_pairs(
+        5, lambda: rounds_per_sec("clear"), lambda: rounds_per_sec("secagg")
     )
-    secagg_rps, _ = _run_tree_rounds(
-        population_size, cohort, num_rounds=2, bench_rng=bench_rng,
-        topology="8", composer="secagg",
-    )
+    premiums = sorted(clear / secagg - 1 for clear, secagg in pairs)
     emit(
         f"tree_compose_premium population={population_size:4d} "
-        f"cohort<={cohort:3d} clear_rps={clear_rps:8.3f} "
-        f"secagg_rps={secagg_rps:8.3f} "
-        f"premium={100 * (clear_rps / secagg_rps - 1):+.1f}%",
+        f"cohort<={cohort:3d} pairs={len(pairs)} "
+        f"clear_rps={max(clear for clear, _ in pairs):8.3f} "
+        f"secagg_rps={max(secagg for _, secagg in pairs):8.3f} "
+        f"premium={100 * premiums[0]:+.1f}%..{100 * premiums[-1]:+.1f}%",
     )
-    assert secagg_rps * 2.0 >= clear_rps
+    assert premiums[0] <= 1.0
 
 
 def test_rebalance_overhead(emit, bench_rng):

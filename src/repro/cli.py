@@ -614,14 +614,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                                       "protocol; k > 1 composes k Bonawitz "
                                       "sub-rounds modularly)")
     simulate_parser.add_argument("--backend",
-                                 choices=["inline", "process",
-                                          "process-pickle"],
+                                 choices=["inline", "process"],
                                  default="inline",
                                  help="shard execution backend (process = "
-                                      "parallel OS process pool over the "
-                                      "shared-memory vector transport; "
-                                      "process-pickle ships vectors in the "
-                                      "task pickle)")
+                                      "parallel OS process pool, shard "
+                                      "vectors shipped in the task pickle)")
     simulate_parser.add_argument("--tree", metavar="SHAPE", default=None,
                                  help="aggregation-tree topology, root level "
                                       "first (e.g. '8' or '4x4'); overrides "

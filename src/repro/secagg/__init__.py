@@ -16,9 +16,11 @@ Three layers, lowest fidelity first:
   per message: bulk array encoders for the three quadratic legs, the
   per-frame ``encode_message`` for the rest), and pure
   client/server sessions that every transport
-  (:func:`~repro.secagg.bonawitz.run_bonawitz` synchronous loop,
+  (the :func:`~repro.secagg.statemachine.drive_in_memory` synchronous
+  loop behind :func:`~repro.secagg.bonawitz.run_bonawitz` and the
+  tree's composition rounds,
   :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox,
-  the sharded process backends) drives identically.
+  the sharded process backend) drives identically.
 """
 
 from repro.secagg.bonawitz import (
@@ -31,6 +33,7 @@ from repro.secagg.statemachine import (
     PHASE_TAGS,
     ClientSession,
     ServerSession,
+    drive_in_memory,
 )
 from repro.secagg.wire import (
     PROTOCOL_V1,
@@ -49,20 +52,11 @@ from repro.secagg.wire import (
     decode_message,
     encode_message,
 )
-from repro.secagg.compose import (
-    COMPOSERS,
-    ClearComposer,
-    ComposeResult,
-    Composer,
-    SecAggComposer,
-    compose_shard_sums,
-    get_composer,
-)
+from repro.secagg.compose import COMPOSERS, compose, compose_shard_sums
 from repro.secagg.field import DEFAULT_FIELD, MERSENNE_61, PrimeField
 from repro.secagg.tree import (
     TreeNode,
     TreeTopology,
-    VirtualClient,
     run_composition_round,
 )
 from repro.secagg.kernels import (
@@ -106,10 +100,7 @@ __all__ = [
     "BonawitzClient",
     "BonawitzServer",
     "COMPOSERS",
-    "ClearComposer",
     "ClientSession",
-    "ComposeResult",
-    "Composer",
     "DEFAULT_FIELD",
     "DEFAULT_MASK_PRG",
     "DhGroup",
@@ -130,7 +121,6 @@ __all__ = [
     "Reject",
     "SUPPORTED_PROTOCOL_VERSIONS",
     "SealedShares",
-    "SecAggComposer",
     "SecureAggregator",
     "ServerSession",
     "Sha256CounterPrg",
@@ -140,18 +130,18 @@ __all__ = [
     "TreeTopology",
     "UnmaskRequest",
     "UnmaskResponse",
-    "VirtualClient",
     "WIRE_FORMAT_VERSION",
     "WireStats",
     "ZeroSumMaskProtocol",
     "agree",
+    "compose",
     "compose_shard_sums",
     "decode_frames",
     "decode_message",
+    "drive_in_memory",
     "encode_message",
     "expand_mask",
     "generate_keypair",
-    "get_composer",
     "get_mask_prg",
     "pairwise_delta",
     "reconstruct_large_secret",

@@ -68,6 +68,7 @@ from repro.secagg.kernels import (
     sum_signed_masks,
 )
 from repro.secagg.keys import (
+    SCALAR_BATCH_MAX,
     DhGroup,
     KeyAgreementGroup,
     KeyPair,
@@ -611,21 +612,25 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
     agreements in two lane-per-pair vectorised sweeps and warms the
     shared memo, so the per-client protocol code — unchanged, still one
     code path with the server — finds every agreement precomputed.
-    Purely an optimisation: derived keys are byte-identical.
+    Purely an optimisation: derived keys are byte-identical.  A roster
+    small enough that each client's on-demand batch is scalar anyway
+    (a tree's composition rounds have two to a handful of parties) is
+    left to that path: two fixed-cost sweeps would cost it more than
+    its whole key agreement.
 
     Args:
         clients: Simulated participants; ones that have not advertised
             keys yet are skipped.
 
     Returns:
-        Number of pairwise keys derived.
+        Number of pairwise keys derived (0 when left on demand).
     """
     advertised = [
         client
         for client in clients
         if client._channel_keys is not None and client._mask_keys is not None
     ]
-    if len(advertised) < 2:
+    if len(advertised) - 1 <= SCALAR_BATCH_MAX:
         return 0
     group = advertised[0]._group
     warmed = warm_agreement_cache(
@@ -929,7 +934,11 @@ def run_bonawitz(
     # Imported here: the sans-I/O sessions live above this module in the
     # layering (statemachine imports the crypto classes defined here).
     from repro.secagg.keys import TOY_GROUP
-    from repro.secagg.statemachine import ClientSession, ServerSession
+    from repro.secagg.statemachine import (
+        ClientSession,
+        ServerSession,
+        drive_in_memory,
+    )
 
     inputs = _validate_inputs(np.asarray(inputs), modulus)
     num_clients, dimension = inputs.shape
@@ -966,28 +975,9 @@ def run_bonawitz(
         modulus, dimension, threshold, field, group, mask_prg
     )
 
-    # Phase 0 — every live client opens with Hello + Advertise.
-    for u in sorted(sessions):
-        if alive(u, ROUND_ADVERTISE):
-            server.receive(b"".join(sessions[u].start()), sender=u)
-    deliveries = server.advance()
-    # Pre-derive the roster's pairwise DH keys in one vectorised sweep
-    # (a pure memoisation warm-up; see warm_pairwise_agreements).
-    warm_pairwise_agreements(
-        [sessions[u].crypto for u in sorted(server.expected)]
-    )
-
-    # Phases 1-3 — deliver the server's datagrams to each live client
-    # and feed the responses straight back; a client that dropped at a
-    # phase neither receives nor responds (it stopped talking).
-    for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-        for u in sorted(deliveries):
-            if not alive(u, phase):
-                continue
-            responses = sessions[u].handle(deliveries[u])
-            if responses and sessions[u].rejected is None:
-                server.receive(b"".join(responses), sender=u)
-        deliveries = server.advance()
+    # A client that dropped at a phase neither receives nor responds
+    # from then on (it stopped talking).
+    drive_in_memory(server, sessions, responds=alive)
 
     included = server.included
     return AggregationOutcome(

@@ -3,41 +3,38 @@
 Hierarchical secure aggregation structures a large federation as ``k``
 independent SecAgg instances — one per shard of the cohort — whose
 outputs are combined at each interior node of the aggregation tree.
-Two interchangeable :class:`Composer` strategies exist:
+:func:`compose` does that one of two ways, selected by name
+(:data:`COMPOSERS`):
 
-* :class:`ClearComposer` — the outer modular addition of the hybrid
-  approach (Truex et al., DDP-SA): free, but the composing server sees
-  every intermediate shard sum in plaintext.  Because modular addition
-  over the same ``Z_m`` is associative and commutative,
+* ``"clear"`` — the outer modular addition of the hybrid approach
+  (Truex et al., DDP-SA): free, but the composing server sees every
+  intermediate shard sum in plaintext.  Because modular addition over
+  the same ``Z_m`` is associative and commutative,
 
   ``(Σ_{u ∈ S_1} x_u mod m) + ... + (Σ_{u ∈ S_k} x_u mod m)  mod m``
 
   is *bit-identical* to the flat sum over the union of the shards'
   survivor sets.  That identity is what the simulation's
   ``verify_aggregate`` oracle asserts round by round.
-* :class:`SecAggComposer` — an outer Bonawitz round over the child
-  sums, each wrapped in a :class:`~repro.secagg.tree.VirtualClient`,
-  so the composing node only ever receives *masked* inputs and no
-  intermediate aggregate is exposed.  Masks cancel over the (complete)
-  virtual-client set, so the composed sum is bit-identical to the
-  clear composition — the composer changes who can see what, never
-  the sum.
+* ``"secagg"`` — an outer Bonawitz round over the child sums
+  (:func:`repro.secagg.tree.run_composition_round`), each the private
+  input of a virtual client, so the composing node only ever receives
+  *masked* inputs and no intermediate aggregate is exposed.  Masks
+  cancel over the (complete) virtual-client set, so the composed sum is
+  bit-identical to the clear composition — the choice changes who can
+  see what, never the sum.
 """
 
 from __future__ import annotations
 
-import abc
-import dataclasses
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.secagg.wire import WireStats
-    from repro.telemetry.registry import MetricsRegistry
+from repro.secagg.tree import run_composition_round
+from repro.secagg.wire import WireStats
+from repro.telemetry.registry import MetricsRegistry
 
 
 def compose_shard_sums(
@@ -74,67 +71,54 @@ def compose_shard_sums(
     return total
 
 
-@dataclasses.dataclass(frozen=True)
-class ComposeResult:
-    """What one interior node's composition produced.
+#: How an interior node may combine its children's sums — the values
+#: of the ``--compose`` / ``composer=`` / config knob.
+COMPOSERS = ("clear", "secagg")
 
-    Attributes:
-        modular_sum: ``Σ child_sums mod m``.
-        wire: Wire accounting for the composition round itself, or
-            ``None`` when composition needed no protocol (clear
-            addition, or a single-child passthrough).
+
+def compose(
+    child_sums: Sequence[np.ndarray],
+    modulus: int,
+    how: str = "clear",
+    rng: np.random.Generator | None = None,
+    level: int = 0,
+    mask_prg: str | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> tuple[np.ndarray, WireStats | None]:
+    """Combine one interior tree node's child sums into one modular sum.
+
+    ``"clear"`` runs are deliberately *visible*: each increments
+    ``compose_clear_total`` so privacy-relevant configuration shows up
+    in ``/metrics``.  Under ``"secagg"`` a single child is passed
+    through unchanged — there is nothing to hide from a node with one
+    child; its "intermediate" sum *is* its output.
+
+    Args:
+        child_sums: At least one per-child modular sum, all of the
+            same 1-d shape over ``Z_m``.
+        modulus: The shared aggregation modulus ``m``.
+        how: One of :data:`COMPOSERS`.
+        rng: Node-local randomness (required by ``"secagg"`` with two
+            or more children, ignored by ``"clear"``).
+        level: Tree depth of the composing node (0 = root), used only
+            for telemetry labels.
+        mask_prg: Mask PRG backend name for the ``"secagg"`` round.
+        metrics: Optional registry for composition-side instruments.
+
+    Returns:
+        ``(Σ child_sums mod m, wire)`` where ``wire`` accounts for the
+        composition round itself and is ``None`` when composition
+        needed no protocol (clear addition, single-child passthrough).
+
+    Raises:
+        ConfigurationError: For an unknown ``how``, no child sums,
+            mismatched shapes, or ``"secagg"`` without ``rng``.
     """
-
-    modular_sum: np.ndarray
-    wire: "WireStats | None" = None
-
-
-class Composer(abc.ABC):
-    """Strategy for combining child sums at an interior tree node."""
-
-    #: Registry key and the name annotated onto outcomes and traces.
-    name: str = ""
-
-    @abc.abstractmethod
-    def compose(
-        self,
-        child_sums: Sequence[np.ndarray],
-        modulus: int,
-        rng: np.random.Generator | None = None,
-        level: int = 0,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> ComposeResult:
-        """Combine ``child_sums`` into one modular sum.
-
-        Args:
-            child_sums: At least one per-child modular sum, all of the
-                same 1-d shape over ``Z_m``.
-            modulus: The shared aggregation modulus ``m``.
-            rng: Node-local randomness (required by cryptographic
-                composers, ignored by the clear one).
-            level: Tree depth of the composing node (0 = root), used
-                only for telemetry labels.
-            metrics: Optional registry for composer-side counters.
-        """
-
-
-class ClearComposer(Composer):
-    """Plaintext modular addition — fast, but the composing node sees
-    every intermediate sum.  Its runs are deliberately *visible*: each
-    one increments ``compose_clear_total`` so privacy-relevant
-    configuration shows up in ``/metrics``.
-    """
-
-    name = "clear"
-
-    def compose(
-        self,
-        child_sums: Sequence[np.ndarray],
-        modulus: int,
-        rng: np.random.Generator | None = None,
-        level: int = 0,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> ComposeResult:
+    if how not in COMPOSERS:
+        raise ConfigurationError(
+            f"unknown composer {how!r}; expected one of {sorted(COMPOSERS)}"
+        )
+    if how == "clear":
         total = compose_shard_sums(child_sums, modulus)
         if metrics is not None:
             metrics.counter(
@@ -142,78 +126,16 @@ class ClearComposer(Composer):
                 "Interior-node compositions performed in the clear "
                 "(intermediate sums visible to the composing node).",
             ).labels(level=str(level)).inc()
-        return ComposeResult(modular_sum=total)
-
-
-class SecAggComposer(Composer):
-    """An outer Bonawitz round over the child sums.
-
-    Each child sum becomes a virtual client's private input, so the
-    composing node only receives masked frames and no intermediate
-    aggregate is ever exposed.  A single child is passed through
-    unchanged (there is nothing to hide from a node with one child —
-    its "intermediate" sum *is* its output).
-    """
-
-    name = "secagg"
-
-    def __init__(self, mask_prg: str | None = None) -> None:
-        self._mask_prg = mask_prg
-
-    def compose(
-        self,
-        child_sums: Sequence[np.ndarray],
-        modulus: int,
-        rng: np.random.Generator | None = None,
-        level: int = 0,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> ComposeResult:
-        if not child_sums:
-            raise ConfigurationError("need at least one shard sum to compose")
-        if len(child_sums) == 1:
-            only = np.asarray(child_sums[0], dtype=np.int64)
-            return ComposeResult(modular_sum=np.mod(only, modulus))
-        if rng is None:
-            raise ConfigurationError(
-                "the secagg composer needs node-local randomness (rng)"
-            )
-        from repro.secagg.tree import run_composition_round
-
-        modular_sum, wire = run_composition_round(
-            child_sums,
-            modulus,
-            rng,
-            mask_prg=self._mask_prg,
-            metrics=metrics,
-        )
-        return ComposeResult(modular_sum=modular_sum, wire=wire)
-
-
-#: Composer registry keyed by the ``--compose`` / config knob value.
-COMPOSERS: dict[str, type[Composer]] = {
-    ClearComposer.name: ClearComposer,
-    SecAggComposer.name: SecAggComposer,
-}
-
-
-def get_composer(
-    composer: "Composer | str | None", mask_prg: str | None = None
-) -> Composer:
-    """Resolve a composer instance from a name, instance, or ``None``.
-
-    ``None`` defaults to the clear composer (the legacy sharded-round
-    behaviour).  Instances pass through so callers can inject
-    custom strategies.
-    """
-    if composer is None:
-        return ClearComposer()
-    if isinstance(composer, Composer):
-        return composer
-    if composer not in COMPOSERS:
+        return total, None
+    if not child_sums:
+        raise ConfigurationError("need at least one shard sum to compose")
+    if len(child_sums) == 1:
+        only = np.asarray(child_sums[0], dtype=np.int64)
+        return np.mod(only, modulus), None
+    if rng is None:
         raise ConfigurationError(
-            f"unknown composer {composer!r}; expected one of "
-            f"{sorted(COMPOSERS)}"
+            "the secagg composer needs node-local randomness (rng)"
         )
-    if composer == SecAggComposer.name:
-        return SecAggComposer(mask_prg=mask_prg)
-    return COMPOSERS[composer]()
+    return run_composition_round(
+        child_sums, modulus, rng, mask_prg=mask_prg, metrics=metrics
+    )

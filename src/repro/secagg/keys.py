@@ -271,6 +271,11 @@ def generate_keypair(
 _PAIR_CACHE_MAX = 300_000
 _pair_caches: dict[tuple[object, object], dict[tuple[int, int], bytes]] = {}
 
+#: Largest batch of exponentiations :func:`agree_batch` still does with
+#: scalar ``pow``: the vectorised square-and-multiply costs a fixed
+#: ~2.5 ms per call whatever the lane count, a 61-bit ``pow`` ~13 us.
+SCALAR_BATCH_MAX = 8
+
 
 def _group_cache(group: KeyAgreementGroup) -> dict[tuple[int, int], bytes]:
     if isinstance(group, X25519Group):
@@ -480,7 +485,10 @@ def agree_batch(
         else:
             prime = group.prime
             width = (prime.bit_length() + 7) // 8
-            if prime <= LIMB_SPLIT_MAX_MODULUS and len(missing) > 8:
+            if (
+                prime <= LIMB_SPLIT_MAX_MODULUS
+                and len(missing) > SCALAR_BATCH_MAX
+            ):
                 bases = np.asarray(
                     [peer_publics[position] for position in missing],
                     dtype=np.uint64,

@@ -6,14 +6,15 @@ inbound wire frames (:mod:`repro.secagg.wire`) and emit outbound ones —
 **no I/O, no clock, no asyncio**.  A transport's whole job is to move
 the returned bytes and decide *when* a phase closes:
 
-* the synchronous in-memory loop
-  (:func:`repro.secagg.bonawitz.run_bonawitz`) closes a phase when every
-  live client has delivered;
+* the synchronous in-memory loop (:func:`drive_in_memory`, which
+  :func:`repro.secagg.bonawitz.run_bonawitz` and the tree's
+  :func:`repro.secagg.tree.run_composition_round` both call) closes a
+  phase when every live client has delivered;
 * the simulated-clock mailbox transport
   (:class:`repro.simulation.rounds.AsyncSecAggRound`) closes it at the
   earlier of "everyone delivered" and the phase deadline;
-* the sharded process backend runs one mailbox transport per shard,
-  moving shard inputs over shared memory.
+* the sharded process backend runs one mailbox transport per shard in
+  a worker process.
 
 The sessions wrap the existing crypto state machines
 (:class:`repro.secagg.bonawitz.BonawitzClient` /
@@ -56,6 +57,7 @@ sessions do no metric work at all — the no-telemetry path.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Callable, Mapping
 
 import numpy as np
@@ -74,6 +76,7 @@ from repro.secagg.bonawitz import (
     BonawitzClient,
     BonawitzServer,
     sealed_share_length,
+    warm_pairwise_agreements,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import MaskPrg
@@ -930,3 +933,64 @@ class ServerSession:
         }
         self._expected = frozenset(request.survivors)
         return out
+
+
+def _everyone_responds(index: int, phase: int) -> bool:
+    return True
+
+
+def _no_span(phase: int) -> contextlib.AbstractContextManager:
+    return contextlib.nullcontext()
+
+
+def drive_in_memory(
+    server: ServerSession,
+    clients: Mapping[int, ClientSession],
+    responds: Callable[[int, int], bool] = _everyone_responds,
+    phase_span: Callable[[int], contextlib.AbstractContextManager] = _no_span,
+) -> None:
+    """Drive one round synchronously: the in-memory transport.
+
+    The ``start → receive → advance → handle`` loop over sessions the
+    caller built: every responding client opens with Hello + Advertise,
+    then for each later phase the server's datagrams go to the clients
+    in index order and their responses straight back, the phase closing
+    once everyone still talking has delivered.  On return the server
+    holds the round's result (``modular_sum``, ``included``, ``stats``).
+
+    Args:
+        server: The round's server session.
+        clients: Client session per nonzero index.
+        responds: ``responds(index, phase)`` is false from the phase at
+            which a client stops talking (it then neither receives nor
+            answers); by default nobody drops.
+        phase_span: ``phase_span(phase)`` is entered around each
+            phase's client and server work (wall-time metering); by
+            default nothing is metered.
+
+    Raises:
+        AggregationError: If a phase closes below the Shamir threshold
+            or a session refuses its input.
+    """
+    with phase_span(ROUND_ADVERTISE):
+        for index in sorted(clients):
+            if responds(index, ROUND_ADVERTISE):
+                server.receive(
+                    b"".join(clients[index].start()), sender=index
+                )
+        deliveries = server.advance()
+    # Pre-derive the roster's pairwise DH keys in one vectorised sweep
+    # (a pure memoisation warm-up; see warm_pairwise_agreements).
+    warm_pairwise_agreements(
+        [clients[index].crypto for index in sorted(server.expected)]
+    )
+    for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
+        with phase_span(phase):
+            for index in sorted(deliveries):
+                if not responds(index, phase):
+                    continue
+                client = clients[index]
+                responses = client.handle(deliveries[index])
+                if responses and client.rejected is None:
+                    server.receive(b"".join(responses), sender=index)
+            deliveries = server.advance()

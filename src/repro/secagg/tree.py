@@ -1,4 +1,4 @@
-"""N-level aggregation trees: topology, virtual clients, compose rounds.
+"""N-level aggregation trees: topology and the composition round.
 
 Sharded rounds (:mod:`repro.simulation.hierarchy`) cut the Bonawitz
 protocol's ``O(n^2)`` cost by running one independent SecAgg instance
@@ -13,16 +13,15 @@ supplies the protocol-level pieces that close it:
   recursive cohort partition that reuses the flat round-robin rule at
   every level, so a one-level tree is *bit-identical* to the legacy
   sharded partition.
-* :class:`VirtualClient` — a shard (or region) coordinator acting as a
-  client of its *parent* aggregation round: a thin adapter over the
-  sans-I/O :class:`~repro.secagg.statemachine.ClientSession`, fed the
-  subtree's modular sum as its private input vector.  The adapter's
-  public API is wire frames only — the plaintext sum is deliberately
-  unreachable from the parent round, which is the whole point.
-* :func:`run_composition_round` — a synchronous in-memory Bonawitz
-  round over virtual clients (the same sans-I/O core every transport
-  drives), so every interior node of the tree sees only *masked*
-  child sums and recovers exactly ``Σ child_sums mod m``.
+* :func:`run_composition_round` — one interior node's Bonawitz round
+  over its children.  Each shard (or region) coordinator is a *virtual
+  client* of its parent's round: a sans-I/O
+  :class:`~repro.secagg.statemachine.ClientSession` fed the subtree's
+  modular sum as its private input, driven by the same in-memory loop
+  :func:`~repro.secagg.bonawitz.run_bonawitz` runs
+  (:func:`~repro.secagg.statemachine.drive_in_memory`).  The node's
+  server therefore sees only *masked* child sums and recovers exactly
+  ``Σ child_sums mod m``.
 
 Because pairwise masks cancel over the full survivor set and every
 virtual client is an in-process coordinator that never drops, the
@@ -39,17 +38,13 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.bonawitz import (
-    ROUND_MASKED_INPUT,
-    ROUND_SHARE_KEYS,
-    ROUND_UNMASK,
-)
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.keys import TOY_GROUP, DhGroup
 from repro.secagg.statemachine import (
     PHASE_TAGS,
     ClientSession,
     ServerSession,
+    drive_in_memory,
 )
 from repro.secagg.wire import WireStats
 from repro.telemetry.registry import MetricsRegistry
@@ -248,81 +243,6 @@ class TreeTopology:
         return build(members, 0, 0, (), self.branching)
 
 
-class VirtualClient:
-    """A subtree coordinator participating in its parent's SecAgg round.
-
-    The adapter wraps a sans-I/O
-    :class:`~repro.secagg.statemachine.ClientSession` whose private
-    input vector is the subtree's modular sum.  Its public API is
-    **wire frames only** — :meth:`start` and :meth:`handle` — so the
-    parent round's inputs are masked datagrams and the plaintext sum is
-    not reachable from the parent round through this object.  (That
-    reachability property is what the hierarchy's privacy tests
-    assert; it is the reason the outer level can be SecAgg-composed at
-    all.)
-
-    Args:
-        index: The virtual client's nonzero index within the parent
-            round (child position + 1).
-        subtree_sum: The subtree's modular sum — consumed here, never
-            stored on a public attribute.
-        modulus: Aggregation modulus ``m``.
-        threshold: The parent round's Shamir threshold.
-        rng: Coordinator-local randomness.
-        group: DH group (must match the parent server's).
-        field: Shamir sharing field.
-        mask_prg: Mask PRG backend shared by the parent round.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        subtree_sum: np.ndarray,
-        modulus: int,
-        threshold: int,
-        rng: np.random.Generator,
-        group: DhGroup | None = None,
-        field: PrimeField = DEFAULT_FIELD,
-        mask_prg: str | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.index = index
-        # Name-mangled on purpose: the session (and through it the raw
-        # subtree sum) must not be part of the adapter's public surface.
-        self.__session = ClientSession(
-            index=index,
-            vector=np.asarray(subtree_sum, dtype=np.int64),
-            modulus=modulus,
-            threshold=threshold,
-            rng=rng,
-            group=group if group is not None else TOY_GROUP,
-            field=field,
-            mask_prg=mask_prg,
-            metrics=metrics,
-        )
-
-    def start(self) -> bytes:
-        """Open the parent round: Hello + key advertisement frames."""
-        return b"".join(self.__session.start())
-
-    def handle(self, data: bytes) -> bytes:
-        """Process one parent-server datagram; returns response frames."""
-        if self.__session.rejected is not None:
-            raise AggregationError(
-                f"virtual client {self.index} was rejected at Hello"
-            )
-        response = b"".join(self.__session.handle(data))
-        if self.__session.rejected is not None:
-            raise AggregationError(
-                f"virtual client {self.index} rejected by the parent "
-                f"round: {self.__session.rejected}"
-            )
-        return response
-
-    def __repr__(self) -> str:  # Never leak the vector through repr.
-        return f"VirtualClient(index={self.index})"
-
-
 def run_composition_round(
     child_sums: Sequence[np.ndarray],
     modulus: int,
@@ -334,11 +254,15 @@ def run_composition_round(
 ) -> tuple[np.ndarray, WireStats]:
     """One interior tree node's Bonawitz round over its children.
 
-    Each child sum becomes a :class:`VirtualClient`'s private input and
-    the node runs a complete four-phase round over the sans-I/O
-    sessions — the parent only ever receives masked inputs, and the
-    recovered aggregate equals ``Σ child_sums mod m`` bit-identically
-    (all virtual clients survive, so every pairwise mask cancels).
+    Each child coordinator is a virtual client of this node: a
+    :class:`~repro.secagg.statemachine.ClientSession` whose private
+    input is the child's modular sum.  The node runs the complete
+    four-phase round through
+    :func:`~repro.secagg.statemachine.drive_in_memory` — the loop
+    :func:`~repro.secagg.bonawitz.run_bonawitz` runs — so its server
+    only ever receives masked frames, and the recovered aggregate
+    equals ``Σ child_sums mod m`` bit-identically (all virtual clients
+    survive, so every pairwise mask cancels).
 
     The Shamir threshold is the full child count: coordinators are
     in-process and never drop, so the round tolerates no dropout and
@@ -372,10 +296,11 @@ def run_composition_round(
     group = group if group is not None else TOY_GROUP
     # Per-child generators spawn in child order, mirroring the leaf
     # transports' sorted-index convention.
-    clients = [
-        VirtualClient(
+    clients = {
+        position
+        + 1: ClientSession(
             index=position + 1,
-            subtree_sum=array,
+            vector=array,
             modulus=modulus,
             threshold=threshold,
             rng=np.random.default_rng(int(rng.integers(0, 2**63))),
@@ -385,7 +310,7 @@ def run_composition_round(
             metrics=metrics,
         )
         for position, array in enumerate(arrays)
-    ]
+    }
     server = ServerSession(
         modulus,
         dimension,
@@ -395,51 +320,24 @@ def run_composition_round(
         mask_prg,
         metrics=metrics,
     )
-    phase_histogram = (
-        metrics.histogram(
+    if metrics is None:
+        drive_in_memory(server, clients)
+    else:
+        phase_histogram = metrics.histogram(
             "secagg_phase_wall_duration_seconds",
             "Wall-clock compute seconds per protocol phase.",
         )
-        if metrics is not None
-        else None
-    )
 
-    def phase_span(phase: int):
-        if phase_histogram is None:
-            return _NULL_SPAN
-        return time_phase(
-            PHASE_TAGS[phase],
-            wall_histogram=phase_histogram.labels(phase=PHASE_TAGS[phase]),
-        )
+        def phase_span(phase: int):
+            tag = PHASE_TAGS[phase]
+            return time_phase(
+                tag, wall_histogram=phase_histogram.labels(phase=tag)
+            )
 
-    from repro.secagg.bonawitz import ROUND_ADVERTISE
-
-    with phase_span(ROUND_ADVERTISE):
-        for client in clients:
-            server.receive(client.start(), sender=client.index)
-        deliveries = server.advance()
-    by_index = {client.index: client for client in clients}
-    for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-        with phase_span(phase):
-            for index in sorted(deliveries):
-                response = by_index[index].handle(deliveries[index])
-                if response:
-                    server.receive(response, sender=index)
-            deliveries = server.advance()
-    if server.included != frozenset(by_index):
+        drive_in_memory(server, clients, phase_span=phase_span)
+    if server.included != frozenset(clients):
         raise AggregationError(
             "a composition round lost a virtual client — coordinators "
             "are in-process and must never drop"
         )
     return server.modular_sum, server.stats
-
-
-class _NullSpan:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_SPAN = _NullSpan()

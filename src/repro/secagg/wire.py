@@ -6,7 +6,7 @@ message types flow through every transport — the synchronous in-memory
 driver (:func:`repro.secagg.bonawitz.run_bonawitz`), the
 simulated-clock mailbox transport
 (:class:`repro.simulation.rounds.AsyncSecAggRound`) and the
-shared-memory process backend — and recorded traffic can be replayed
+sharded process backend — and recorded traffic can be replayed
 byte for byte.
 
 Frame layout (all integers little-endian)::

@@ -21,8 +21,8 @@ Layering (each module only depends on the ones above it):
   primitives: partition/threshold rules, picklable shard tasks, the
   inline/process execution backends.
 * :mod:`~repro.simulation.hierarchy` — N-level aggregation-tree
-  orchestration: leaf Bonawitz sub-rounds composed bottom-up by a
-  pluggable clear / SecAgg composer, with optional cross-shard
+  orchestration: leaf Bonawitz sub-rounds composed bottom-up in the
+  clear or by an outer SecAgg round, with optional cross-shard
   straggler rebalancing.  The flat ``k``-shard round is
   ``HierarchicalSecAggRound(topology=str(k))``.
 * :mod:`~repro.simulation.engine` — the training orchestrator wiring
@@ -61,11 +61,6 @@ from repro.simulation.sharding import (
     shamir_threshold,
     validate_threshold_fraction,
 )
-from repro.simulation.shm import (
-    SharedMemoryTransport,
-    ShmVectorBlock,
-    shared_memory_available,
-)
 
 __all__ = [
     "AlwaysAvailable",
@@ -85,8 +80,6 @@ __all__ = [
     "RoundRecord",
     "ShardReport",
     "ShardTask",
-    "SharedMemoryTransport",
-    "ShmVectorBlock",
     "SimulatedClock",
     "SimulationConfig",
     "SimulationEngine",
@@ -98,6 +91,5 @@ __all__ = [
     "get_execution_backend",
     "partition_cohort",
     "shamir_threshold",
-    "shared_memory_available",
     "validate_threshold_fraction",
 ]

@@ -158,10 +158,9 @@ class SimulationConfig:
             of dropping them.  Off by default (re-homing changes which
             members contribute, so pinned digests cover the default).
         backend: How shard sub-rounds execute — ``"inline"``
-            (sequential, default), ``"process"`` (a reusable OS process
-            pool with the shared-memory vector transport), or
-            ``"process-pickle"`` (the same pool shipping vectors inside
-            the task pickle); results are bit-identical in all cases.
+            (sequential, default) or ``"process"`` (a reusable OS
+            process pool; shard vectors travel inside the task pickle);
+            results are bit-identical either way.
         telemetry: Meter the run into a
             :class:`~repro.telemetry.MetricsRegistry` (phase latencies,
             round/dropout/wire counters, cumulative-epsilon gauge) and

@@ -6,17 +6,17 @@ an arbitrary region→…→global aggregation tree described by a
 dropout-tolerant :class:`~repro.simulation.rounds.AsyncSecAggRound`
 sub-rounds on an :class:`~repro.simulation.sharding.ExecutionBackend`
 exactly as before; every *interior* node then combines its children's
-sums with a pluggable :class:`~repro.secagg.compose.Composer`:
+sums through :func:`repro.secagg.compose.compose`:
 
 * ``"clear"`` — the legacy outer modular addition.  Cheap, but the
   composing node sees each child's intermediate sum in plaintext.
-* ``"secagg"`` — an outer Bonawitz round in which each child
-  coordinator participates as a
-  :class:`~repro.secagg.tree.VirtualClient` whose private input is its
-  subtree's sum.  The composing node only ever receives masked frames,
-  so no intermediate aggregate is exposed anywhere in the tree — and
-  because masks cancel over the complete virtual-client set, the
-  result is **bit-identical** to the clear composition.
+* ``"secagg"`` — an outer Bonawitz round
+  (:func:`~repro.secagg.tree.run_composition_round`) in which each
+  child coordinator participates as a virtual client whose private
+  input is its subtree's sum.  The composing node only ever receives
+  masked frames, so no intermediate aggregate is exposed anywhere in
+  the tree — and because masks cancel over the complete virtual-client
+  set, the result is **bit-identical** to the clear composition.
 
 Cross-shard straggler rebalancing (``rebalance=True``) closes the
 remaining availability gap: a leaf shard whose survivor count falls
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import ROUND_MASKED_INPUT
-from repro.secagg.compose import Composer, get_composer
+from repro.secagg.compose import COMPOSERS, compose
 from repro.secagg.tree import MIN_SHARD_SIZE, TreeNode, TreeTopology
 from repro.secagg.wire import WireStats
 from repro.simulation.clock import SimulatedClock
@@ -107,10 +107,9 @@ class HierarchicalSecAggRound:
         threshold_fraction: Per-shard Shamir threshold as a fraction of
             the shard's size (``max(2, ceil(fraction * len(shard)))``).
         composer: How interior nodes combine child sums — ``"clear"``
-            (legacy outer modular addition, intermediate sums visible),
-            ``"secagg"`` (outer Bonawitz round over virtual clients,
-            intermediate sums masked), or a
-            :class:`~repro.secagg.compose.Composer` instance.
+            (legacy outer modular addition, intermediate sums visible;
+            the default) or ``"secagg"`` (outer Bonawitz round over
+            virtual clients, intermediate sums masked).
         plans: Behaviour plan per cohort member.
         phase_timeout: Per-phase server deadline (simulated seconds).
         backend: ``"inline"``, ``"process"``, or an
@@ -146,7 +145,7 @@ class HierarchicalSecAggRound:
         rng: np.random.Generator,
         topology: TreeTopology | str,
         threshold_fraction: float = 0.6,
-        composer: Composer | str | None = None,
+        composer: str | None = None,
         plans: Mapping[int, ClientPlan] | None = None,
         phase_timeout: float = 60.0,
         backend: ExecutionBackend | str | None = None,
@@ -180,7 +179,12 @@ class HierarchicalSecAggRound:
         self._trace = trace
         self._mask_prg = mask_prg
         self._topology = TreeTopology.parse(topology)
-        self._composer = get_composer(composer, mask_prg=mask_prg)
+        self._composer = composer if composer is not None else "clear"
+        if self._composer not in COMPOSERS:
+            raise ConfigurationError(
+                f"unknown composer {composer!r}; expected one of "
+                f"{sorted(COMPOSERS)}"
+            )
         self._root = self._topology.partition(self._vectors)
         self._leaves = self._root.leaves()
         self._rebalance = rebalance
@@ -203,7 +207,7 @@ class HierarchicalSecAggRound:
         self._entropy = int(rng.integers(0, 2**63))
         self._compose_entropy = (
             int(rng.integers(0, 2**63))
-            if self._composer.name == "secagg"
+            if self._composer == "secagg"
             else None
         )
         self.last_reports: tuple[ShardReport, ...] = ()
@@ -222,7 +226,7 @@ class HierarchicalSecAggRound:
             self._m_transfer = metrics.counter(
                 "secagg_shard_transfer_bytes_total",
                 "Vector payload bytes that crossed the worker "
-                "boundary, by transport.",
+                "boundary (inside the task and report pickles).",
             )
             self._m_level_wall = metrics.histogram(
                 "tree_level_wall_seconds",
@@ -251,7 +255,7 @@ class HierarchicalSecAggRound:
     @property
     def composer_name(self) -> str:
         """Name of the composer interior nodes run (clear / secagg)."""
-        return self._composer.name
+        return self._composer
 
     def _shard_threshold(self, members: Sequence[int]) -> int:
         return shamir_threshold(self._threshold_fraction, len(members))
@@ -276,13 +280,6 @@ class HierarchicalSecAggRound:
             collect_metrics=self._metrics is not None,
             attempt=attempt,
         )
-
-    def _transport_label(self) -> str | None:
-        """How shard vectors cross the worker boundary, or ``None``
-        when they never leave this process (inline backend)."""
-        if isinstance(self._backend, ProcessBackend):
-            return self._backend.effective_transport
-        return None
 
     def _wall_span(self, name: str, instrument, **labels):
         """A wall-clock-only span, or a no-op without metrics."""
@@ -483,29 +480,31 @@ class HierarchicalSecAggRound:
         with self._wall_span(
             "tree-level", self._m_level_wall, level=str(node.level)
         ):
-            result = self._composer.compose(
+            modular_sum, compose_wire = compose(
                 [child.modular_sum for child in live],
                 self._modulus,
+                self._composer,
                 rng=rng,
                 level=node.level,
+                mask_prg=self._mask_prg,
                 metrics=compose_metrics,
             )
         if compose_metrics is not None:
             self._metrics.absorb(
                 compose_metrics.snapshot().with_labels(level=str(node.level))
             )
-        if result.wire is not None:
-            wire.append(result.wire)
+        if compose_wire is not None:
+            wire.append(compose_wire)
         self._record(
             "tree-compose",
             level=node.level,
             node=list(node.path),
-            composer=self._composer.name,
+            composer=self._composer,
             children=len(live),
             aborted_children=len(children) - len(live),
         )
         return _NodeResult(
-            modular_sum=result.modular_sum, included=included, wire=wire
+            modular_sum=modular_sum, included=included, wire=wire
         )
 
     # -- the round ---------------------------------------------------------
@@ -519,7 +518,7 @@ class HierarchicalSecAggRound:
             shards' sums (bit-identical across composers), ``included``
             the union of their survivor sets, ``completed_at`` the
             slowest shard's finish time (to which the parent clock is
-            advanced), and ``composer`` the composing strategy's name.
+            advanced), and ``composer`` how interior nodes composed.
 
         Raises:
             AggregationError: Only if *every* leaf shard aborted below
@@ -544,20 +543,21 @@ class HierarchicalSecAggRound:
                 self._backend.close()
         final_reports = [reports[leaf.leaf_index] for leaf in self._leaves]
         self.last_reports = tuple(final_reports)
-        if self._metrics is not None:
-            transport = self._transport_label()
-            if transport is not None:
-                moved = sum(
-                    vector.nbytes
-                    for task in all_tasks
-                    for vector in task.vectors.values()
-                )
-                moved += sum(
-                    report.outcome.modular_sum.nbytes
-                    for report in final_reports
-                    if report.outcome is not None
-                )
-                self._m_transfer.labels(transport=transport).inc(moved)
+        # Only a process pool moves vectors out of this process.
+        if self._metrics is not None and isinstance(
+            self._backend, ProcessBackend
+        ):
+            moved = sum(
+                vector.nbytes
+                for task in all_tasks
+                for vector in task.vectors.values()
+            )
+            moved += sum(
+                report.outcome.modular_sum.nbytes
+                for report in final_reports
+                if report.outcome is not None
+            )
+            self._m_transfer.labels(transport="pickle").inc(moved)
         with self._wall_span("shard-merge", self._m_merge):
             if self._metrics is not None:
                 for report in final_reports:
@@ -600,7 +600,7 @@ class HierarchicalSecAggRound:
             backend=self._backend.name,
             included=len(included),
             dropped=len(self._vectors) - len(included),
-            composer=self._composer.name,
+            composer=self._composer,
             topology=self._topology.describe(),
         )
         return RoundOutcome(
@@ -610,5 +610,5 @@ class HierarchicalSecAggRound:
             started_at=started_at,
             completed_at=completed_at,
             wire=wire,
-            composer=self._composer.name,
+            composer=self._composer,
         )

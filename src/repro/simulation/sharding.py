@@ -21,10 +21,7 @@ work, and the shards are embarrassingly parallel.  The
 * ``"process"`` — fanned out over a reusable
   :class:`concurrent.futures.ProcessPoolExecutor`, one OS process per
   worker, for multi-core hosts; shard vectors cross the process
-  boundary through a reusable shared-memory block
-  (:mod:`repro.simulation.shm`).
-* ``"process-pickle"`` — the same pool with vectors shipped inside the
-  task pickle (the vector-transport comparison baseline).
+  boundary inside the task pickle.
 
 Both backends produce **bit-identical results**: every shard derives
 its protocol randomness from a spawn-keyed
@@ -62,6 +59,8 @@ import dataclasses
 import math
 import os
 from collections.abc import Iterable, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -71,12 +70,6 @@ from repro.simulation.clock import SimulatedClock
 from repro.simulation.events import SimulationTrace, TraceEvent
 from repro.simulation.population import ClientPlan
 from repro.simulation.rounds import AsyncSecAggRound, RoundOutcome
-from repro.simulation.shm import (
-    SharedMemoryTransport,
-    ShmVectorBlock,
-    WorkerBlock,
-    shared_memory_available,
-)
 from repro.telemetry.registry import MetricsRegistry, MetricsSnapshot
 
 __all__ = [
@@ -172,9 +165,6 @@ class ShardTask:
         plans: Behaviour plans for the shard's members.
         phase_timeout: Per-phase server deadline (simulated seconds).
         mask_prg: Mask PRG backend *name* (instances may not pickle).
-        shm: When set, ``vectors`` is empty and the inputs (plus the
-            result row) live in the shared-memory block this descriptor
-            names — the :mod:`repro.simulation.shm` vector transport.
         collect_metrics: When true the worker meters its sub-round into
             a private registry and ships the (picklable) snapshot back
             on the report for the parent to absorb under a ``shard``
@@ -196,7 +186,6 @@ class ShardTask:
     plans: dict[int, ClientPlan]
     phase_timeout: float
     mask_prg: str | None = None
-    shm: "ShmVectorBlock | None" = None
     collect_metrics: bool = False
     attempt: int = 0
 
@@ -250,18 +239,7 @@ def run_shard(task: ShardTask) -> ShardReport:
 
     Module-level (not a method) so :class:`ProcessBackend` can pickle a
     bare reference to it; the inline backend calls it directly.
-
-    When the task rode the shared-memory vector transport, the inputs
-    are read out of the block here and the composed sum is written back
-    into the task's result row (the returned outcome then carries an
-    empty placeholder the parent restores) — identical int64 values
-    either way, so results are bit-identical across transports.
     """
-    vectors = task.vectors
-    block: WorkerBlock | None = None
-    if task.shm is not None:
-        block = WorkerBlock(task.shm)
-        vectors = block.read_vectors()
     clock = SimulatedClock(start=task.start_time)
     trace = SimulationTrace(clock)
     registry = MetricsRegistry() if task.collect_metrics else None
@@ -276,7 +254,7 @@ def run_shard(task: ShardTask) -> ShardReport:
         np.random.SeedSequence(task.entropy, spawn_key=spawn_key)
     )
     sub_round = AsyncSecAggRound(
-        vectors=vectors,
+        vectors=task.vectors,
         modulus=task.modulus,
         threshold=task.threshold,
         clock=clock,
@@ -293,16 +271,9 @@ def run_shard(task: ShardTask) -> ShardReport:
         outcome = clock.run(sub_round.run())
     except AggregationError as aggregation_error:
         error = str(aggregation_error)
-    if block is not None:
-        if outcome is not None:
-            block.write_result(outcome.modular_sum)
-            outcome = dataclasses.replace(
-                outcome, modular_sum=np.empty(0, dtype=np.int64)
-            )
-        block.close()
     return ShardReport(
         shard_index=task.shard_index,
-        members=tuple(sorted(vectors)),
+        members=tuple(sorted(task.vectors)),
         outcome=outcome,
         error=error,
         ended_at=clock.now,
@@ -357,59 +328,27 @@ class ProcessBackend(ExecutionBackend):
     The pool is created lazily on first use and reused across rounds
     (worker start-up would otherwise dominate small rounds); call
     :meth:`close` — or use the backend as a context manager — to reap
-    the workers.
+    the workers.  Shard vectors and result sums cross the process
+    boundary inside the task and report pickles.
 
     Args:
         max_workers: Pool width; defaults to
             ``min(cpu_count, _MAX_POOL_WORKERS)`` but at least 2, so
             shards overlap even where the container under-reports cores.
-        vector_transport: How shard input vectors (and result sums)
-            cross the process boundary — ``"shm"`` (default) moves them
-            through one :mod:`multiprocessing.shared_memory` block per
-            round (:mod:`repro.simulation.shm`), ``"pickle"`` ships
-            them inside the task pickle.  Results are bit-identical;
-            shm skips the vector serialisation entirely.  Platforms
-            without shared memory fall back to pickle transparently.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        vector_transport: str = "shm",
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if vector_transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                "vector_transport must be 'shm' or 'pickle', got "
-                f"{vector_transport!r}"
-            )
         self._max_workers = max_workers
-        self._vector_transport = vector_transport
-        if vector_transport == "pickle":
-            self.name = "process-pickle"
-        self._pool = None
-        # One shared block reused across every round this backend runs;
-        # built lazily, released with the pool.
-        self._shm_transport: SharedMemoryTransport | None = None
+        self._pool: ProcessPoolExecutor | None = None
 
-    @property
-    def effective_transport(self) -> str:
-        """The vector transport actually in use on this platform —
-        requested ``"shm"`` degrades to ``"pickle"`` where POSIX shared
-        memory is unavailable."""
-        if self._vector_transport == "shm" and shared_memory_available():
-            return "shm"
-        return "pickle"
-
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
             workers = self._max_workers
             if workers is None:
                 workers = min(
@@ -420,25 +359,14 @@ class ProcessBackend(ExecutionBackend):
 
     def run_shards(self, tasks: Sequence[ShardTask]) -> list[ShardReport]:
         # map() preserves task order regardless of completion order.
-        pool = self._ensure_pool()
-        if self._vector_transport == "shm" and shared_memory_available():
-            if self._shm_transport is None:
-                self._shm_transport = SharedMemoryTransport()
-            transport = self._shm_transport
-            try:
-                packed = transport.pack(tasks)
-                return transport.unpack(
-                    list(pool.map(run_shard, packed))
-                )
-            except BaseException:
-                # A worker crash (or mid-round cancellation) unwinds
-                # through here with the block's contents suspect and
-                # nobody left to unpack them: unlink the named segment
-                # now instead of leaking it until interpreter exit.
-                self._shm_transport = None
-                transport.close()
-                raise
-        return list(pool.map(run_shard, tasks))
+        try:
+            return list(self._ensure_pool().map(run_shard, tasks))
+        except BrokenProcessPool:
+            # A worker died (OOM kill, crash): the executor refuses all
+            # further work, so drop it — the next round builds a fresh
+            # pool instead of failing the rest of the run.
+            self.close()
+            raise
 
     def warm(self) -> None:
         self._ensure_pool()
@@ -447,9 +375,6 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._shm_transport is not None:
-            self._shm_transport.close()
-            self._shm_transport = None
 
     def __enter__(self) -> "ProcessBackend":
         return self
@@ -458,16 +383,13 @@ class ProcessBackend(ExecutionBackend):
         self.close()
 
 
-def _pickle_process_backend() -> ProcessBackend:
-    """Registry factory for the pickle-transport process backend."""
-    return ProcessBackend(vector_transport="pickle")
-
-
 #: Backend registry, keyed by wire/CLI name.
 EXECUTION_BACKENDS = {
     InlineBackend.name: InlineBackend,
     ProcessBackend.name: ProcessBackend,
-    "process-pickle": _pickle_process_backend,
+    # Alias of "process", kept only because bench/layers.py (frozen by
+    # BENCHMARK.json) still asks for it; the next benchmark PR drops it.
+    "process-pickle": ProcessBackend,
 }
 
 #: The backend used when none is requested.

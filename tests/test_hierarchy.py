@@ -6,9 +6,8 @@ Two load-bearing invariants anchor this module:
   to the flat modular sum over the same survivor set, for any topology,
   any dropout schedule, and either composer (a hypothesis property).
 * **Privacy** — with the secagg composer, no unmasked intermediate
-  shard sum is reachable from the parent round's inputs: the virtual
-  client exposes wire frames only, and the raw sum's bytes never
-  appear in any datagram the composing server receives.
+  shard sum reaches the parent round: the raw sum's bytes never appear
+  in any datagram the composing server receives.
 
 Plus the straggler-rebalancing contract: a leaf shard driven below its
 Shamir threshold *before* the masking phase commits re-homes its
@@ -24,11 +23,9 @@ from hypothesis import strategies as st
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg import (
-    ClearComposer,
-    SecAggComposer,
     TreeTopology,
-    VirtualClient,
-    get_composer,
+    compose,
+    run_bonawitz,
     run_composition_round,
 )
 from repro.secagg.bonawitz import (
@@ -168,41 +165,48 @@ class TestTreeTopology:
 
 
 class TestComposers:
-    def test_get_composer_resolution(self):
-        assert get_composer(None).name == "clear"
-        assert get_composer("clear").name == "clear"
-        assert get_composer("secagg").name == "secagg"
-        instance = ClearComposer()
-        assert get_composer(instance) is instance
-        with pytest.raises(ConfigurationError):
-            get_composer("homomorphic")
+    def test_composer_name_resolution(self):
+        sums = [np.arange(DIMENSION, dtype=np.int64)] * 2
+        expected = np.mod(np.arange(DIMENSION) * 2, MODULUS)
+        for how in ("clear", "secagg"):
+            total, _ = compose(
+                sums, MODULUS, how, rng=np.random.default_rng(0)
+            )
+            assert np.array_equal(total, expected)
+        # The default is the clear (legacy sharded-round) composition.
+        assert compose(sums, MODULUS)[1] is None
+        assert run_tree(make_vectors(8), "2")[1].composer_name == "clear"
+        with pytest.raises(ConfigurationError, match="unknown composer"):
+            compose(sums, MODULUS, "homomorphic")
+        with pytest.raises(ConfigurationError, match="unknown composer"):
+            run_tree(make_vectors(8), "2", composer="homomorphic")
 
     def test_clear_composer_counts_compositions(self):
         metrics = MetricsRegistry()
         sums = [np.arange(DIMENSION, dtype=np.int64)] * 3
-        result = ClearComposer().compose(
-            sums, MODULUS, level=1, metrics=metrics
+        total, wire = compose(
+            sums, MODULUS, "clear", level=1, metrics=metrics
         )
         assert np.array_equal(
-            result.modular_sum, np.mod(np.arange(DIMENSION) * 3, MODULUS)
+            total, np.mod(np.arange(DIMENSION) * 3, MODULUS)
         )
-        assert result.wire is None
+        assert wire is None
         assert metrics.snapshot().value(
             "compose_clear_total", level="1"
         ) == 1.0
 
     def test_secagg_composer_single_child_passthrough(self):
         only = np.arange(DIMENSION, dtype=np.int64) + MODULUS
-        result = SecAggComposer().compose([only], MODULUS)
-        assert np.array_equal(result.modular_sum, np.mod(only, MODULUS))
-        assert result.wire is None
+        total, wire = compose([only], MODULUS, "secagg")
+        assert np.array_equal(total, np.mod(only, MODULUS))
+        assert wire is None
 
     def test_secagg_composer_requires_rng(self):
         sums = [np.arange(DIMENSION, dtype=np.int64)] * 2
         with pytest.raises(ConfigurationError):
-            SecAggComposer().compose(sums, MODULUS, rng=None)
+            compose(sums, MODULUS, "secagg", rng=None)
         with pytest.raises(ConfigurationError):
-            SecAggComposer().compose([], MODULUS)
+            compose([], MODULUS, "secagg")
 
     def test_secagg_composition_bit_identical_to_clear(self):
         rng = np.random.default_rng(5)
@@ -210,34 +214,16 @@ class TestComposers:
             rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
             for _ in range(4)
         ]
-        clear = ClearComposer().compose(sums, MODULUS).modular_sum
-        masked = SecAggComposer().compose(
-            sums, MODULUS, rng=np.random.default_rng(7)
+        clear, _ = compose(sums, MODULUS, "clear")
+        masked, wire = compose(
+            sums, MODULUS, "secagg", rng=np.random.default_rng(7)
         )
-        assert np.array_equal(masked.modular_sum, clear)
-        assert masked.wire is not None and masked.wire.total_bytes > 0
+        assert np.array_equal(masked, clear)
+        assert wire is not None and wire.total_bytes > 0
 
 
 class TestVirtualClientPrivacy:
     """No unmasked intermediate sum is reachable from the parent round."""
-
-    def test_adapter_api_is_wire_frames_only(self):
-        secret = np.arange(DIMENSION, dtype=np.int64)
-        client = VirtualClient(
-            index=1,
-            subtree_sum=secret,
-            modulus=MODULUS,
-            threshold=2,
-            rng=np.random.default_rng(0),
-        )
-        # No public attribute (or repr) exposes the vector or the
-        # underlying session; the session is name-mangled private.
-        public = [name for name in vars(client) if not name.startswith("_")]
-        assert public == ["index"]
-        for name in ("vector", "subtree_sum", "session"):
-            assert not hasattr(client, name)
-        assert "array" not in repr(client)
-        assert repr(client) == "VirtualClient(index=1)"
 
     def test_parent_server_never_receives_raw_sums(self, monkeypatch):
         """Wire accounting: every datagram the composing server ingests
@@ -278,6 +264,33 @@ class TestVirtualClientPrivacy:
                 MODULUS,
                 np.random.default_rng(0),
             )
+
+    def test_composition_round_is_the_flat_protocol(self):
+        """A composition round is ``run_bonawitz`` at the full-count
+        threshold over the child sums — same loop, same protocol: the
+        same released sum and the same messages per phase."""
+        rng = np.random.default_rng(17)
+        child_sums = [
+            rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
+            for _ in range(5)
+        ]
+        total, wire = run_composition_round(
+            child_sums, MODULUS, np.random.default_rng(19)
+        )
+        flat = run_bonawitz(
+            np.stack(child_sums),
+            MODULUS,
+            threshold=len(child_sums),
+            rng=np.random.default_rng(19),
+        )
+        assert flat.included == frozenset(range(1, len(child_sums) + 1))
+        assert np.array_equal(total, flat.modular_sum)
+        composed_phases = wire.phase_totals()
+        flat_phases = flat.wire.phase_totals()
+        assert set(composed_phases) == set(flat_phases)
+        for phase, totals in flat_phases.items():
+            for direction in ("up_messages", "down_messages"):
+                assert composed_phases[phase][direction] == totals[direction]
 
     def test_secagg_tree_wire_includes_composition_traffic(self):
         vectors = make_vectors(16, seed=2)

@@ -7,6 +7,11 @@ over the same survivor set, under any partition, any per-shard dropout
 pattern, and either execution backend.
 """
 
+import hashlib
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +49,30 @@ def flat_sum(vectors, included):
     for u in included:
         total = np.mod(total + vectors[u], MODULUS)
     return total
+
+
+def make_tasks(num_clients=6, shards=2):
+    vectors = make_vectors(num_clients)
+    return [
+        ShardTask(
+            shard_index=index,
+            vectors={u: vectors[u] for u in members},
+            modulus=MODULUS,
+            threshold=2,
+            start_time=0.0,
+            entropy=7,
+            plans={},
+            phase_timeout=10.0,
+        )
+        for index, members in enumerate(partition_cohort(vectors, shards))
+    ]
+
+
+def digests(reports):
+    return [
+        hashlib.sha256(report.outcome.modular_sum.tobytes()).hexdigest()
+        for report in reports
+    ]
 
 
 def run_sharded(vectors, shards, plans=None, backend="inline", seed=1,
@@ -232,6 +261,27 @@ class TestBackends:
         assert inline_outcome.included == process_outcome.included
         assert inline_outcome.completed_at == process_outcome.completed_at
 
+    def test_pool_recovers_after_a_worker_is_killed(self):
+        """A dead worker breaks the executor for good; the backend must
+        drop it so the next round — the engine reuses one backend for a
+        whole run — builds a fresh pool instead of failing forever."""
+        tasks = make_tasks()
+        expected = InlineBackend().run_shards(tasks)
+        with ProcessBackend(max_workers=2) as backend:
+            assert digests(backend.run_shards(tasks)) == digests(expected)
+            for pid in list(backend._pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                backend.run_shards(tasks)
+            recovered = backend.run_shards(tasks)
+        assert digests(recovered) == digests(expected)
+        assert [r.outcome.included for r in recovered] == [
+            r.outcome.included for r in expected
+        ]
+        assert [r.ended_at for r in recovered] == [
+            r.ended_at for r in expected
+        ]
+
     def test_registry_resolution(self):
         assert isinstance(get_execution_backend(None), InlineBackend)
         assert isinstance(get_execution_backend("inline"), InlineBackend)
@@ -240,144 +290,6 @@ class TestBackends:
         assert get_execution_backend(backend) is backend
         with pytest.raises(ConfigurationError, match="unknown execution"):
             get_execution_backend("thread")
-
-
-class TestShmLifecycle:
-    """The shared-memory block must never outlive its round abnormally.
-
-    ``close()`` is the happy path; these pin the failure paths — an
-    abandoned transport (gc'd without close) and a worker crash
-    unwinding ``run_shards`` — both of which used to leak the named
-    segment until interpreter exit.
-    """
-
-    @staticmethod
-    def _make_tasks(num_clients=6, shards=2):
-        vectors = make_vectors(num_clients)
-        members = sorted(vectors)
-        per_shard = len(members) // shards
-        return [
-            ShardTask(
-                shard_index=index,
-                vectors={
-                    u: vectors[u]
-                    for u in members[
-                        index * per_shard:(index + 1) * per_shard
-                    ]
-                },
-                modulus=MODULUS,
-                threshold=2,
-                start_time=0.0,
-                entropy=7,
-                plans={},
-                phase_timeout=10.0,
-            )
-            for index in range(shards)
-        ]
-
-    def test_abandoned_transport_unlinks_on_gc(self):
-        import gc
-
-        from multiprocessing import shared_memory
-
-        from repro.simulation.shm import (
-            SharedMemoryTransport,
-            shared_memory_available,
-        )
-
-        if not shared_memory_available():
-            pytest.skip("no POSIX shared memory on this platform")
-        transport = SharedMemoryTransport()
-        transport.pack(self._make_tasks())
-        name = transport._segment.name
-        # Dropped without close(): the finalizer must unlink.
-        del transport
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_explicit_close_unlinks_and_gc_stays_quiet(self):
-        import gc
-
-        from multiprocessing import shared_memory
-
-        from repro.simulation.shm import (
-            SharedMemoryTransport,
-            shared_memory_available,
-        )
-
-        if not shared_memory_available():
-            pytest.skip("no POSIX shared memory on this platform")
-        transport = SharedMemoryTransport()
-        transport.pack(self._make_tasks())
-        name = transport._segment.name
-        transport.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        # The finalizer already ran; gc must not try to unlink again.
-        del transport
-        gc.collect()
-
-    def test_worker_failure_unlinks_segment(self):
-        from multiprocessing import shared_memory
-
-        from repro.simulation.shm import (
-            SharedMemoryTransport,
-            shared_memory_available,
-        )
-
-        if not shared_memory_available():
-            pytest.skip("no POSIX shared memory on this platform")
-
-        class CrashingPool:
-            def map(self, fn, iterable):
-                raise RuntimeError("worker died mid-round")
-
-            def shutdown(self, wait=True):
-                pass
-
-        backend = ProcessBackend(max_workers=2)
-        backend._pool = CrashingPool()
-        backend._shm_transport = SharedMemoryTransport()
-        # pack() runs before map(), so the segment exists when the
-        # crash unwinds; capture its name via a probe pack.
-        probe = backend._shm_transport
-        probe.pack(self._make_tasks())
-        name = probe._segment.name
-        with pytest.raises(RuntimeError, match="worker died"):
-            backend.run_shards(self._make_tasks())
-        # The failed round unlinked the segment and dropped the
-        # transport; nothing is left to leak.
-        assert backend._shm_transport is None
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        backend._pool = None
-        backend.close()
-
-    def test_failing_shard_round_leaves_no_named_segment(self):
-        """End to end: a round whose pool dies leaves /dev/shm clean."""
-        import os
-
-        from repro.simulation.shm import shared_memory_available
-
-        if not shared_memory_available() or not os.path.isdir("/dev/shm"):
-            pytest.skip("no inspectable shared-memory filesystem")
-        before = set(os.listdir("/dev/shm"))
-
-        class CrashingPool:
-            def map(self, fn, iterable):
-                raise RuntimeError("worker died mid-round")
-
-            def shutdown(self, wait=True):
-                pass
-
-        backend = ProcessBackend(max_workers=2)
-        backend._pool = CrashingPool()
-        with pytest.raises(RuntimeError):
-            backend.run_shards(self._make_tasks())
-        backend._pool = None
-        backend.close()
-        assert set(os.listdir("/dev/shm")) - before == set()
 
 
 class TestTimingAndTraces:

@@ -258,10 +258,8 @@ class TestShardedMetrics:
         outcome, report, sharded = run_metered_sharded(
             vectors, shards=2, backend=backend
         )
-        transport = backend.effective_transport
-        assert transport in ("shm", "pickle")
         transferred = report.counter(
-            "secagg_shard_transfer_bytes_total", transport=transport
+            "secagg_shard_transfer_bytes_total", transport="pickle"
         )
         assert transferred > 0
         # Per-shard series crossed the process boundary intact.

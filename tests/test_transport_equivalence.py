@@ -2,9 +2,8 @@
 
 The sans-I/O refactor's acceptance gate: the synchronous in-memory
 transport (``run_bonawitz``), the simulated-clock mailbox transport
-(``AsyncSecAggRound``) and the sharded process backends (shared-memory
-and pickle vector transports) all drive the same
-:mod:`repro.secagg.statemachine` sessions — so on a fixed seed they must
+(``AsyncSecAggRound``) and the sharded backends (inline and process
+pool) all drive the same :mod:`repro.secagg.statemachine` sessions — so on a fixed seed they must
 produce **bit-identical** aggregate sums, pinned here against digests
 captured from the pre-refactor implementation and against the
 survivors' direct modular sum (the sharded-vs-flat oracle).
@@ -20,14 +19,13 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     run_bonawitz,
 )
+from repro.secagg.tree import run_composition_round
 from repro.simulation import (
     AsyncSecAggRound,
     ClientPlan,
     ProcessBackend,
     HierarchicalSecAggRound,
     SimulatedClock,
-    get_execution_backend,
-    shared_memory_available,
 )
 
 MODULUS = 2**16
@@ -47,6 +45,15 @@ PRE_REFACTOR_DROPOUT_DIGEST = (
 PRE_REFACTOR_SHARDED_DIGEST = (
     "928b2be2af72b1aaeb4093235c07e6e40be54636ab298e25aec65ec5e4aae08a"
 )
+
+#: Wire bytes ``run_sync`` moved, and the sum digest and wire bytes of a
+#: composition round over the first four input rows (protocol rng seed
+#: 42), captured before both were moved onto ``drive_in_memory``.
+SYNC_WIRE_BYTES = 31129
+COMPOSITION_DIGEST = (
+    "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
+)
+COMPOSITION_WIRE_BYTES = 4467
 
 
 @pytest.fixture
@@ -108,6 +115,16 @@ class TestPreRefactorGoldens:
         assert outcome.included == frozenset(range(1, 13)) - {3}
         assert digest(outcome.modular_sum) == PRE_REFACTOR_DROPOUT_DIGEST
 
+    def test_in_memory_rounds_move_the_pinned_bytes(self, inputs):
+        """The two callers of the shared in-memory loop build their
+        sessions from the same RNG draws as before it was shared."""
+        assert run_sync(inputs).wire.total_bytes == SYNC_WIRE_BYTES
+        total, wire = run_composition_round(
+            list(inputs[:4]), MODULUS, np.random.default_rng(42)
+        )
+        assert digest(total) == COMPOSITION_DIGEST
+        assert wire.total_bytes == COMPOSITION_WIRE_BYTES
+
     def test_mailbox_transport_matches_pre_refactor_bits(self, inputs):
         outcome = run_mailbox(inputs)
         assert outcome.included == frozenset(range(1, 13)) - {3}
@@ -137,30 +154,13 @@ class TestCrossTransportIdentity:
             )
             np.testing.assert_array_equal(outcome.modular_sum, reference)
 
-    @pytest.mark.skipif(
-        not shared_memory_available(),
-        reason="platform lacks POSIX shared memory",
-    )
     def test_sharded_backends_agree_bit_for_bit(self, inputs):
         inline = run_sharded(inputs, "inline")
-        shm_backend = ProcessBackend(max_workers=2)
-        try:
-            shm = run_sharded(inputs, shm_backend)
-        finally:
-            shm_backend.close()
-        pickle_backend = get_execution_backend("process-pickle")
-        try:
-            pickled = run_sharded(inputs, pickle_backend)
-        finally:
-            pickle_backend.close()
-        assert shm_backend.name == "process"
-        assert pickle_backend.name == "process-pickle"
-        for outcome in (shm, pickled):
-            assert outcome.included == inline.included
-            assert outcome.completed_at == inline.completed_at
-            np.testing.assert_array_equal(
-                outcome.modular_sum, inline.modular_sum
-            )
+        with ProcessBackend(max_workers=2) as backend:
+            pooled = run_sharded(inputs, backend)
+        assert pooled.included == inline.included
+        assert pooled.completed_at == inline.completed_at
+        assert digest(pooled.modular_sum) == digest(inline.modular_sum)
         assert digest(inline.modular_sum) == PRE_REFACTOR_SHARDED_DIGEST
 
 
