@@ -1,8 +1,8 @@
 """Kernel micro-benchmarks: mask PRG and Shamir throughput.
 
 Measures the vectorised SecAgg kernels against the retained scalar
-reference paths — masks/sec for the PRG backends (batched SHA-256
-counter mode and numpy Philox vs the pre-kernel scalar loop) and
+reference paths — masks/sec for the two PRG suites (SHAKE-256 and
+batched SHA-256 counter mode vs the pre-kernel scalar loop) and
 shares/sec for batched Shamir split/reconstruct vs the per-coefficient
 Python loops.  Rows are printed, not persisted: the committed
 performance ledger is ``bench/`` (``python3 bench/run.py``).
@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from repro.secagg.field import DEFAULT_FIELD
-from repro.secagg.kernels import PhiloxPrg, Sha256CounterPrg
+from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
 from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
@@ -51,41 +51,56 @@ SHAMIR_SHARES = 96
 SHAMIR_BATCH = 6
 
 
-def _best_of(repeats: int, func) -> float:
-    """Best-of-``repeats`` wall time — robust to scheduler noise."""
-    best = float("inf")
+def _interleaved_best_of(repeats: int, *funcs) -> list[float]:
+    """Best wall time per function — robust to scheduler noise — with
+    the functions taking turns, so all see the same machine."""
+    best = [float("inf")] * len(funcs)
     for _ in range(repeats):
-        started = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - started)
+        for position, func in enumerate(funcs):
+            started = time.perf_counter()
+            func()
+            best[position] = min(best[position], time.perf_counter() - started)
     return best
 
 
+def _best_of(repeats: int, func) -> float:
+    return _interleaved_best_of(repeats, func)[0]
+
+
 def test_mask_prg_throughput(emit):
-    """Masks/sec: scalar reference vs batched SHA-256 vs Philox."""
+    """Masks/sec: scalar reference vs the two suites, cold and memo-warm."""
     seeds = [bytes([i & 255, i >> 8]) * 16 for i in range(MASK_BATCH)]
 
     def scalar():
         for seed in seeds:
             expand_mask_reference(seed, MASK_DIMENSION, MODULUS)
 
-    philox_prg = PhiloxPrg()
-    scalar_time = _best_of(5, scalar)
-    # Fresh instance per repetition: measures the hash loop itself, not
-    # the per-instance expansion memo.
-    sha_time = _best_of(
-        5,
-        lambda: Sha256CounterPrg().expand_batch(
-            seeds, MASK_DIMENSION, MODULUS
-        ),
-    )
-    philox_time = _best_of(
-        5, lambda: philox_prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)
+    def cold(suite, dimension, batch=seeds):
+        # Fresh instance per repetition: measures the hash loop itself,
+        # not the per-instance word memo.
+        return lambda: suite().expand_batch(batch, dimension, MODULUS)
+
+    def warm(suite):
+        prg = suite()
+        prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)  # fill the memo
+        return lambda: prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)
+
+    scalar_time, sha_time, shake_time, sha_cached, shake_cached = (
+        _interleaved_best_of(
+            5,
+            scalar,
+            cold(Sha256CounterPrg, MASK_DIMENSION),
+            cold(Shake256Prg, MASK_DIMENSION),
+            warm(Sha256CounterPrg),
+            warm(Shake256Prg),
+        )
     )
     for name, elapsed in [
         ("scalar-reference", scalar_time),
         ("sha256-ctr-batch", sha_time),
-        ("philox-batch", philox_time),
+        ("shake256-batch", shake_time),
+        ("sha256-ctr-cached", sha_cached),
+        ("shake256-cached", shake_cached),
     ]:
         emit(
             f"kernel_masks backend={name:17s} dimension={MASK_DIMENSION} "
@@ -94,19 +109,29 @@ def test_mask_prg_throughput(emit):
     # The sha256-ctr batch kernel hashes exactly what the scalar loop
     # hashes; it must not be slower (1.5x slack absorbs timer noise).
     assert sha_time <= scalar_time * 1.5
+    # One XOF call per mask beats one hash call per four coordinates.
+    assert shake_time < sha_time
+    # The memo makes re-expansion of the same seeds nearly free.
+    assert sha_cached <= sha_time
+    assert shake_cached <= shake_time
 
-    # Caching makes re-expansion of the same seeds nearly free.
-    sha_prg = Sha256CounterPrg()
-    sha_prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)  # warm the memo
-    cached_time = _best_of(
-        5, lambda: sha_prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)
+    # Narrow masks (the O(n^2) workloads): per-seed overhead dominates,
+    # so the default suite must at least not lose there.
+    narrow = [bytes([i & 255, i >> 8]) * 16 for i in range(2048)]
+    sha_narrow, shake_narrow = _interleaved_best_of(
+        5,
+        cold(Sha256CounterPrg, 16, narrow),
+        cold(Shake256Prg, 16, narrow),
     )
-    emit(
-        f"kernel_masks backend={'sha256-ctr-cached':17s} "
-        f"dimension={MASK_DIMENSION} batch={MASK_BATCH} "
-        f"masks_per_sec={MASK_BATCH / cached_time:10.1f}",
-    )
-    assert cached_time <= sha_time
+    for name, elapsed in [
+        ("sha256-ctr-batch", sha_narrow),
+        ("shake256-batch", shake_narrow),
+    ]:
+        emit(
+            f"kernel_masks backend={name:17s} dimension=16 "
+            f"batch={len(narrow)} masks_per_sec={len(narrow) / elapsed:10.1f}",
+        )
+    assert shake_narrow <= sha_narrow
 
 
 def test_shamir_throughput(emit, bench_rng):

@@ -37,6 +37,7 @@ from repro.mechanisms import (
     SkellamMechanism,
     SkellamMixtureMechanism,
 )
+from repro.secagg.kernels import DEFAULT_MASK_PRG, MASK_PRGS
 from repro.sumestimation import (
     format_results_table,
     run_sum_estimation,
@@ -707,7 +708,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                               help="wall seconds before stragglers are "
                                    "evicted from a phase")
     serve_parser.add_argument("--join-timeout", type=float, default=30.0)
-    serve_parser.add_argument("--mask-prg", default=None)
+    serve_parser.add_argument("--mask-prg", default=None,
+                              choices=sorted(MASK_PRGS),
+                              help="mask PRG suite (default: "
+                                   f"{DEFAULT_MASK_PRG.name}); must match "
+                                   "every client's, or the round refuses "
+                                   "the client at advertise")
     serve_parser.add_argument("--digest-out", metavar="PATH", default=None,
                               help="write one aggregate digest per round "
                                    "(CI compares against the in-memory "
@@ -757,7 +763,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                                    "delay (s)")
     swarm_parser.add_argument("--chaos-cancel", type=int, default=0,
                               help="client tasks cancelled mid-round")
-    swarm_parser.add_argument("--mask-prg", default=None)
+    swarm_parser.add_argument("--mask-prg", default=None,
+                              choices=sorted(MASK_PRGS),
+                              help="mask PRG suite (default: "
+                                   f"{DEFAULT_MASK_PRG.name}); must match "
+                                   "the server's, or the round refuses "
+                                   "the client at advertise")
     swarm_parser.add_argument("--timeout", type=float, default=60.0,
                               help="per-delivery client timeout (s)")
     swarm_parser.add_argument("--connect-timeout", type=float, default=10.0,

@@ -291,9 +291,14 @@ def sum_mod(values: np.ndarray, modulus: int, axis: int = 0) -> np.ndarray:
 
     int64/uint64 sums of many near-modulus entries overflow, so the
     reduction runs in chunks of at most ``2^63 // m`` rows, reducing
-    modulo ``m`` between chunks.
+    modulo ``m`` between chunks — exact for every ``m <= 2^63`` (no
+    multiplication, so not bound by :data:`LIMB_SPLIT_MAX_MODULUS`).
     """
-    m = _validate_field_modulus(modulus)
+    if not 2 <= modulus <= 1 << 63:
+        raise ConfigurationError(
+            f"modulus must lie in [2, 2**63], got {modulus}"
+        )
+    m = np.uint64(modulus)
     values = np.asarray(values, dtype=np.uint64)
     if values.shape[axis] == 0:
         return np.zeros(

@@ -63,8 +63,8 @@ from repro.secagg.kernels import (
     DEFAULT_MASK_PRG,
     MASK_PRGS,
     MaskPrg,
-    PhiloxPrg,
     Sha256CounterPrg,
+    Shake256Prg,
     get_mask_prg,
     sum_signed_masks,
 )
@@ -116,7 +116,6 @@ __all__ = [
     "PHASE_TAGS",
     "PROTOCOL_V1",
     "PairwiseMaskProtocol",
-    "PhiloxPrg",
     "PrimeField",
     "Reject",
     "SUPPORTED_PROTOCOL_VERSIONS",
@@ -124,6 +123,7 @@ __all__ = [
     "SecureAggregator",
     "ServerSession",
     "Sha256CounterPrg",
+    "Shake256Prg",
     "Share",
     "TOY_GROUP",
     "TreeNode",

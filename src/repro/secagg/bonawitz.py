@@ -36,10 +36,9 @@ per-recipient share generation and envelope sealing, per-survivor
 reconstruction — runs on the vectorised kernel layer
 (:mod:`repro.secagg.kernels`), so clients and the server share one code
 path for each primitive.  The ``mask_prg`` knob selects the mask PRG
-backend per protocol version; all participants in a round must agree on
-it (the SHA-256 counter default is bit-compatible with the original
-implementation, the Philox backend trades that compatibility for
-speed).
+suite; all participants in a round must agree on it (``"shake256"``,
+the default, is one XOF call per mask; ``"sha256-ctr"`` is the
+compatibility suite, bit-identical to the original implementation).
 
 Layering: this module holds the *crypto* state machines
 (:class:`BonawitzClient` / :class:`BonawitzServer`) operating on live

@@ -5,14 +5,15 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
 * **Mask expansion.**  Every client expands one pairwise seed per peer
   plus its self-mask seed; the server re-expands the same seeds during
   dropout recovery.  A full cohort of ``n`` clients expands ``Θ(n²)``
-  masks per round.  The seed implementation hashed one counter block at
-  a time through a Python generator; :class:`Sha256CounterPrg` instead
-  precomputes the whole little-endian counter buffer with numpy and
-  hashes it in a single tight loop over a reusable ``memoryview``,
-  producing *bit-identical* output.  The backend sits behind the small
-  :class:`MaskPrg` strategy interface so a protocol version can opt into
-  the ~10× faster numpy-Philox backend (:class:`PhiloxPrg`) where
-  SHA-256 compatibility is not required.
+  masks per round, so a mask should cost about what streaming
+  ``d·log2(m)`` pseudorandom bits costs: :class:`Shake256Prg`, the
+  default suite, makes one native XOF call per mask and reads the stream
+  at the modulus' own word width, and :func:`sum_signed_masks` adds the
+  raw words in wrapping arithmetic.  :class:`Sha256CounterPrg` (one
+  Python-level hash call per four coordinates, *bit-identical* to the
+  seed implementation) stays negotiable by name as the compatibility
+  suite; both sit behind the small :class:`MaskPrg` interface, which
+  derives everything from one primitive.
 
 * **Shamir sharing.**  Each client splits its self-mask seed and every
   limb of its mask private key over the same ``n`` evaluation points,
@@ -25,10 +26,11 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
   per-share, per-coefficient Python loops into a handful of uint64 array
   operations using 128-bit-safe limb-split modular multiplication.
 
-Both layers are exact: no floats, no wraparound, and the golden-vector
-and property-test suites (``tests/test_keys_prg.py``,
-``tests/test_shamir.py``) pin them against the retained scalar
-reference paths.
+Both layers are exact — no floats, and the only wraparound is the one
+that is itself a reduction mod ``2^k`` — and the golden-vector and
+property-test suites (``tests/test_keys_prg.py``,
+``tests/test_mask_prg_suites.py``, ``tests/test_shamir.py``) pin them
+against hashlib and the retained scalar reference paths.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.linalg.modular import (
-    LIMB_SPLIT_MAX_MODULUS,
     horner_mod,
     inv_mod,
     mul_mod,
@@ -51,282 +52,195 @@ from repro.linalg.modular import (
 _BLOCK_WORDS = 4  # SHA-256 digest = 32 bytes = 4 uint64 words.
 _DIGEST_BYTES = 32
 
-#: Shared little-endian counter-block buffer, grown on demand (doubling)
-#: and sliced by every expansion — "precompute once, hash in a tight
-#: loop" instead of serialising each counter inside the hash loop.
-_counter_buffer = np.arange(1024, dtype="<u8").tobytes()
-
-
-def _counter_bytes(limit: int) -> bytes:
-    """Counter buffer covering counters ``0..limit-1`` (8 bytes each)."""
-    global _counter_buffer, _counter_slice_cache
-    if limit * 8 > len(_counter_buffer):
-        size = len(_counter_buffer) // 8
-        while size < limit:
-            size *= 2
-        _counter_buffer = np.arange(size, dtype="<u8").tobytes()
-        _counter_slice_cache = []
-    return _counter_buffer
-
-
-#: Pre-cut 8-byte counter slices (lazily extended), so batch hash loops
-#: reuse one bytes object per counter instead of slicing per (seed, i).
+#: Pre-cut 8-byte little-endian counters (lazily extended), so the hash
+#: loops reuse one bytes object per counter instead of building one per
+#: (seed, block).
 _counter_slice_cache: list[bytes] = []
 
 
-def _counter_slices(offset: int, blocks: int) -> list[bytes]:
-    """8-byte little-endian counter slices for ``offset..offset+blocks-1``."""
-    limit = offset + blocks
-    buffer = _counter_bytes(limit)
+def _counter_slices(blocks: int) -> list[bytes]:
+    """8-byte little-endian counter slices for ``0..blocks-1``."""
     cache = _counter_slice_cache
-    if len(cache) < limit:
-        cache.extend(
-            buffer[8 * i : 8 * i + 8] for i in range(len(cache), limit)
-        )
-    return cache[offset:limit]
+    if len(cache) < blocks:
+        buffer = np.arange(len(cache), blocks, dtype="<u8").tobytes()
+        cache.extend(buffer[i : i + 8] for i in range(0, len(buffer), 8))
+    return cache[:blocks]
 
 
 def _validate_mask_request(dimension: int, modulus: int) -> None:
     if dimension < 0:
         raise ConfigurationError(f"dimension must be >= 0, got {dimension}")
-    if modulus < 2:
-        raise ConfigurationError(f"modulus must be >= 2, got {modulus}")
+    # Above 2**63 residues no longer fit the int64 contract.
+    if not 2 <= modulus <= 1 << 63:
+        raise ConfigurationError(
+            f"modulus must lie in [2, 2**63], got {modulus}"
+        )
 
 
 class MaskPrg(abc.ABC):
     """Strategy interface: expand a short seed to a vector over ``Z_m``.
 
-    Implementations must be *pure*: ``expand`` is a deterministic
-    function of ``(seed, dimension, modulus)`` alone, because dropout
-    recovery depends on the server regenerating bit-identical masks from
-    reconstructed seeds.  Prefixes must also be stable — expanding to a
-    larger dimension extends the shorter expansion.
+    A backend supplies one primitive, :meth:`_squeeze` — raw unsigned
+    words off its keyed stream — and everything else derives from it.
+    For ``m = 2^k`` the residue is the low ``k`` bits of a word (exactly
+    uniform); for general ``m`` 64-bit words at or above the largest
+    multiple of ``m`` are rejected and a mask is the first ``d`` accepted
+    words of the stream, reduced mod ``m``.  Both rules are *pure* in
+    ``(seed, dimension, modulus)`` — dropout recovery depends on the
+    server regenerating bit-identical masks from reconstructed seeds —
+    and prefix stable: a longer expansion extends the shorter one.
     """
 
     #: Registry / wire-format identifier for backend negotiation.
     name: str
 
+    #: Word memo budget in bytes.  Every pairwise mask is expanded once
+    #: by *each* endpoint (and again by the server for dropout pairs), so
+    #: memoising halves the protocol's hash volume; the memo clears
+    #: wholesale when the budget is hit (entries are round-local, like
+    #: the DH pair cache).  32 MiB of 2-byte words is as many ``m = 2^16``
+    #: masks as the 128 MiB of int64 residues the memo used to hold.
+    CACHE_BUDGET_BYTES = 32 * 1024 * 1024
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[bytes, int, int], np.ndarray] = {}
+        self._memo_bytes = 0
+
     @abc.abstractmethod
+    def _squeeze(
+        self, seeds: list[bytes], count: int, bits: int
+    ) -> np.ndarray:
+        """``(len(seeds), count)`` read-only little-endian unsigned words.
+
+        Row ``i`` is the first ``count`` words of ``seeds[i]``'s stream,
+        each carrying at least ``bits`` uniform low bits; the word width
+        is the backend's choice per ``bits`` and 64 for ``bits == 64``.
+        """
+
+    def word_rows(
+        self, seeds: Sequence[bytes], dimension: int, bits: int
+    ) -> list[np.ndarray]:
+        """One memoised read-only word row per seed, for ``m = 2^bits``.
+
+        Rows are views over the digest bytes — nothing is copied into or
+        out of the memo — so callers must reduce them into a new array.
+        """
+        keys = [(bytes(seed), dimension, bits) for seed in seeds]
+        rows = [self._memo.get(key) for key in keys]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        if missing:
+            fresh = self._squeeze(
+                [keys[i][0] for i in missing], dimension, bits
+            )
+            if self._memo_bytes + fresh.nbytes > self.CACHE_BUDGET_BYTES:
+                self._memo.clear()
+                self._memo_bytes = 0
+            self._memo_bytes += fresh.nbytes
+            for i, row in zip(missing, fresh):
+                rows[i] = self._memo[keys[i]] = row
+        return rows
+
     def expand(self, seed: bytes, dimension: int, modulus: int) -> np.ndarray:
         """Expand ``seed`` into a length-``dimension`` vector over ``Z_m``."""
+        return self.expand_batch([seed], dimension, modulus)[0]
 
     def expand_batch(
         self, seeds: Sequence[bytes], dimension: int, modulus: int
     ) -> np.ndarray:
-        """Expand many seeds at once; returns a ``(len(seeds), d)`` array.
-
-        The default implementation loops over :meth:`expand`; backends
-        may override with something flatter.
-        """
+        """Expand many seeds at once into a ``(len(seeds), d)`` int64 array."""
         _validate_mask_request(dimension, modulus)
+        if modulus & (modulus - 1) == 0:
+            rows = self.word_rows(seeds, dimension, modulus.bit_length() - 1)
+            out = np.empty((len(seeds), dimension), dtype=np.int64)
+            if rows:
+                low_bits = rows[0].dtype.type(modulus - 1)
+                np.bitwise_and(rows, low_bits, out=out, casting="unsafe")
+            return out
+        # General modulus: the accepted share of the stream is data
+        # dependent, so squeeze per seed and re-squeeze longer on the
+        # (astronomically rare) shortfall.
+        limit = np.uint64((1 << 64) - (1 << 64) % modulus)
         out = np.empty((len(seeds), dimension), dtype=np.int64)
         for row, seed in enumerate(seeds):
-            out[row] = self.expand(seed, dimension, modulus)
+            count = 2 * dimension + _BLOCK_WORDS
+            while True:
+                words = self._squeeze([bytes(seed)], count, 64)[0]
+                accepted = words[words < limit]
+                if len(accepted) >= dimension:
+                    break
+                count *= 2
+            out[row] = accepted[:dimension] % np.uint64(modulus)
         return out
 
 
-def _words_to_residues_pow2(words: np.ndarray, modulus: int) -> np.ndarray:
-    """Mask uniform uint64 words down to a power-of-two modulus."""
-    return (words & np.uint64(modulus - 1)).astype(np.int64)
+class Shake256Prg(MaskPrg):
+    """SHAKE-256 as an XOF — the default suite: one hash call per mask.
+
+    The stream is ``SHAKE256(seed)`` read as little-endian unsigned
+    words of the narrowest width in {8, 16, 32, 64} bits that holds
+    ``log2(m)`` bits (2 B instead of 8 B of stream per coordinate at
+    ``m = 2^16``); general moduli read 64-bit words.
+    """
+
+    name = "shake256"
+
+    def _squeeze(
+        self, seeds: list[bytes], count: int, bits: int
+    ) -> np.ndarray:
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= bits)
+        shake = hashlib.shake_256
+        nbytes = count * width
+        digest = b"".join([shake(seed).digest(nbytes) for seed in seeds])
+        return np.frombuffer(digest, dtype=f"<u{width}").reshape(
+            len(seeds), count
+        )
 
 
 class Sha256CounterPrg(MaskPrg):
-    """SHA-256 counter mode — the bit-identical compatibility default.
+    """SHA-256 counter mode — the compatibility suite.
 
     ``block_i = SHA256(seed || i)`` with a little-endian 64-bit counter,
-    blocks concatenated and read as little-endian uint64 words; power-of-
-    two moduli mask low bits, general moduli rejection-sample below the
-    largest multiple of ``m`` in 64 bits.  Identical output to the seed
-    implementation (see the golden vectors in ``tests/test_keys_prg.py``)
-    but ~3× faster: the counter buffer for all blocks is built in one
-    numpy call and the hash loop reuses one message buffer through a
-    ``memoryview`` instead of allocating per-block byte strings.
+    blocks concatenated and always read as little-endian uint64 words:
+    one Python-level hash call per four coordinates.  Bit-identical to
+    the seed implementation (see the golden vectors in
+    ``tests/test_keys_prg.py``), negotiable by name for rounds that must
+    interoperate with it.
     """
 
     name = "sha256-ctr"
 
-    #: Expansion memo budget in bytes.  Every pairwise mask is expanded
-    #: once by *each* endpoint (and again by the server for dropout
-    #: pairs), so memoising halves the protocol's SHA-256 volume; the
-    #: cache clears wholesale when the budget is hit (entries are
-    #: round-local, like the DH pair cache).
-    CACHE_BUDGET_BYTES = 128 * 1024 * 1024
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple[bytes, int, int], np.ndarray] = {}
-        self._cache_bytes = 0
-
-    def _cache_store(
-        self, key: tuple[bytes, int, int], value: np.ndarray
-    ) -> None:
-        if self._cache_bytes + value.nbytes > self.CACHE_BUDGET_BYTES:
-            self._cache.clear()
-            self._cache_bytes = 0
-        self._cache[key] = value
-        self._cache_bytes += value.nbytes
-
-    @staticmethod
-    def _counter_digests(seed: bytes, blocks: int, offset: int = 0) -> bytes:
-        """Concatenated ``SHA256(seed || i)`` for ``i`` in the block range."""
-        sha256 = hashlib.sha256
-        return b"".join(
-            [
-                sha256(seed + counter).digest()
-                for counter in _counter_slices(offset, blocks)
-            ]
-        )
-
-    def _counter_words(
-        self, seed: bytes, num_words: int, offset: int = 0
+    def _squeeze(
+        self, seeds: list[bytes], count: int, bits: int
     ) -> np.ndarray:
-        """``num_words`` uint64 words from SHA-256(seed || counter)."""
-        blocks = (num_words + _BLOCK_WORDS - 1) // _BLOCK_WORDS
-        if blocks == 0:
-            return np.empty(0, dtype="<u8")
-        digest = self._counter_digests(seed, blocks, offset)
-        return np.frombuffer(digest, dtype="<u8")[:num_words]
-
-    def expand(self, seed: bytes, dimension: int, modulus: int) -> np.ndarray:
-        _validate_mask_request(dimension, modulus)
-        if modulus & (modulus - 1) == 0:
-            # Power of two: masking low bits of a uniform word is uniform.
-            key = (bytes(seed), dimension, modulus)
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached.copy()
-            mask = _words_to_residues_pow2(
-                self._counter_words(seed, dimension), modulus
-            )
-            self._cache_store(key, mask.copy())
-            return mask
-        # General modulus: rejection-sample below the largest multiple of
-        # m representable in 64 bits, so the residue is exactly uniform.
-        limit = (1 << 64) - ((1 << 64) % modulus)
-        out = np.empty(dimension, dtype=np.int64)
-        filled = 0
-        offset = 0
-        while filled < dimension:
-            want = dimension - filled
-            words = self._counter_words(seed, 2 * want + _BLOCK_WORDS, offset)
-            offset += (len(words) + _BLOCK_WORDS - 1) // _BLOCK_WORDS
-            accepted = words[words < np.uint64(limit)]
-            take = min(want, len(accepted))
-            out[filled : filled + take] = (
-                accepted[:take] % np.uint64(modulus)
-            ).astype(np.int64)
-            filled += take
-        return out
-
-    def expand_batch(
-        self, seeds: Sequence[bytes], dimension: int, modulus: int
-    ) -> np.ndarray:
-        _validate_mask_request(dimension, modulus)
-        if modulus & (modulus - 1) != 0:
-            # Rejection path consumes a data-dependent number of blocks
-            # per seed; keep it per-seed.
-            return super().expand_batch(seeds, dimension, modulus)
-        if not seeds or dimension == 0:
-            return np.zeros((len(seeds), dimension), dtype=np.int64)
-        out = np.empty((len(seeds), dimension), dtype=np.int64)
-        miss_rows: list[int] = []
-        miss_seeds: list[bytes] = []
-        cache_get = self._cache.get
-        for row, seed in enumerate(seeds):
-            cached = cache_get((seed, dimension, modulus))
-            if cached is not None:
-                out[row] = cached
-            else:
-                miss_rows.append(row)
-                miss_seeds.append(seed)
-        if not miss_seeds:
-            return out
-        # Flat batch: one digest buffer and one masking pass for all
-        # missing seeds amortises the numpy round-trips across the
-        # whole cohort.
-        blocks = (dimension + _BLOCK_WORDS - 1) // _BLOCK_WORDS
-        counters = _counter_slices(0, blocks)
+        blocks = (count + _BLOCK_WORDS - 1) // _BLOCK_WORDS
+        counters = _counter_slices(blocks)
         sha256 = hashlib.sha256
         digest = b"".join(
             [
                 sha256(seed + counter).digest()
-                for seed in miss_seeds
+                for seed in seeds
                 for counter in counters
             ]
         )
-        words = np.frombuffer(digest, dtype="<u8").reshape(
-            len(miss_seeds), blocks * _BLOCK_WORDS
-        )[:, :dimension]
-        residues = _words_to_residues_pow2(words, modulus)
-        for position, row in enumerate(miss_rows):
-            out[row] = residues[position]
-            self._cache_store(
-                (bytes(miss_seeds[position]), dimension, modulus),
-                residues[position].copy(),
-            )
-        return out
+        return np.frombuffer(digest, dtype="<u8").reshape(
+            len(seeds), blocks * _BLOCK_WORDS
+        )[:, :count]
 
 
-class PhiloxPrg(MaskPrg):
-    """Counter-based numpy Philox backend — the fast protocol-v2 option.
-
-    The seed is stretched to a 256-bit Philox key via SHA-256; uniform
-    uint64 words come from ``BitGenerator.random_raw`` (the specified,
-    version-stable Philox-4x64 output stream), and the word-to-residue
-    logic (low-bit masking / rejection sampling) matches the SHA backend
-    exactly.  Output is deterministic per seed but *not* bit-compatible
-    with :class:`Sha256CounterPrg`, so all round participants must agree
-    on the backend — the protocol-version knob on
-    :class:`repro.secagg.bonawitz.BonawitzServer` and
-    :class:`~repro.secagg.bonawitz.BonawitzClient`.
-    """
-
-    name = "philox"
-
-    @staticmethod
-    def _bit_generator(seed: bytes) -> np.random.Philox:
-        words = np.frombuffer(hashlib.sha256(seed).digest(), dtype="<u8")
-        # Philox-4x64 takes a 2-word key; fold the digest's other two
-        # words into the counter's high half (the low half stays the
-        # running block counter) so all 256 seed-derived bits matter.
-        counter = np.array([0, 0, words[2], words[3]], dtype=np.uint64)
-        return np.random.Philox(key=words[:2], counter=counter)
-
-    def expand(self, seed: bytes, dimension: int, modulus: int) -> np.ndarray:
-        _validate_mask_request(dimension, modulus)
-        bit_generator = self._bit_generator(seed)
-        if modulus & (modulus - 1) == 0:
-            words = bit_generator.random_raw(dimension).astype(np.uint64)
-            return _words_to_residues_pow2(words, modulus)
-        limit = (1 << 64) - ((1 << 64) % modulus)
-        out = np.empty(dimension, dtype=np.int64)
-        filled = 0
-        while filled < dimension:
-            want = dimension - filled
-            words = bit_generator.random_raw(2 * want + _BLOCK_WORDS)
-            words = words.astype(np.uint64)
-            accepted = words[words < np.uint64(limit)]
-            take = min(want, len(accepted))
-            out[filled : filled + take] = (
-                accepted[:take] % np.uint64(modulus)
-            ).astype(np.int64)
-            filled += take
-        return out
-
-
-#: Registered backends, keyed by wire name.
+#: Registered suites, keyed by wire name.
 MASK_PRGS: dict[str, MaskPrg] = {
-    prg.name: prg for prg in (Sha256CounterPrg(), PhiloxPrg())
+    prg.name: prg for prg in (Shake256Prg(), Sha256CounterPrg())
 }
 
-#: The compatibility default: bit-identical to the seed implementation.
-DEFAULT_MASK_PRG = MASK_PRGS["sha256-ctr"]
+#: What a round speaks unless told otherwise.
+DEFAULT_MASK_PRG = MASK_PRGS["shake256"]
 
 
 def get_mask_prg(spec: str | MaskPrg | None) -> MaskPrg:
     """Resolve a backend name (or pass an instance through).
 
     Args:
-        spec: A registered name (``"sha256-ctr"``, ``"philox"``), a
+        spec: A registered name (``"shake256"``, ``"sha256-ctr"``), a
             :class:`MaskPrg` instance, or None for the default.
 
     Raises:
@@ -355,16 +269,17 @@ def sum_signed_masks(
 
     This is the whole of a client's round-2 masking (self mask plus one
     signed pairwise mask per peer) and of the server's recovery
-    subtraction, collapsed into a single kernel call: one batched
-    expansion, one overflow-safe modular reduction, instead of one
-    ``np.mod`` round-trip per peer.
+    subtraction, collapsed into a single kernel call.  For ``m = 2^k``
+    the raw word rows are added and subtracted in their own unsigned
+    dtype — wraparound is exact mod ``2^k`` because ``2^k`` divides the
+    word range — and masked and widened once at the end.
 
     Args:
         seeds: One PRG seed per mask.
         signs: ``+1`` or ``-1`` per mask (lower/higher-indexed party).
         dimension: Mask vector length.
-        modulus: Aggregation modulus ``m``.
-        prg: Mask PRG backend (default: SHA-256 counter mode).
+        modulus: Aggregation modulus ``m``, at most ``2**63``.
+        prg: Mask PRG backend (default: :data:`DEFAULT_MASK_PRG`).
 
     Returns:
         The signed sum reduced into ``[0, m)``, int64.
@@ -378,19 +293,23 @@ def sum_signed_masks(
         )
     if any(sign not in (1, -1) for sign in signs):
         raise ConfigurationError(f"signs must be +1 or -1, got {signs!r}")
+    _validate_mask_request(dimension, modulus)
     if not seeds:
         return np.zeros(dimension, dtype=np.int64)
-    masks = get_mask_prg(prg).expand_batch(seeds, dimension, modulus)
+    prg = get_mask_prg(prg)
+    if modulus & (modulus - 1) == 0:
+        rows = prg.word_rows(seeds, dimension, modulus.bit_length() - 1)
+        total = np.zeros(dimension, dtype=rows[0].dtype)
+        for row, sign in zip(rows, signs):
+            if sign == 1:
+                total += row
+            else:
+                total -= row
+        return (total & total.dtype.type(modulus - 1)).astype(np.int64)
+    masks = prg.expand_batch(seeds, dimension, modulus)
     flips = np.asarray(signs, dtype=np.int64) == -1
     masks[flips] = np.mod(-masks[flips], modulus)
-    if modulus <= LIMB_SPLIT_MAX_MODULUS:
-        return sum_mod(masks.astype(np.uint64), modulus).astype(np.int64)
-    # Enormous moduli (beyond the limb-split kernels) fall back to the
-    # per-mask reduction; nothing in the repo uses moduli this large.
-    total = np.zeros(dimension, dtype=object)
-    for row in masks:
-        total = np.mod(total + row, modulus)
-    return total.astype(np.int64)
+    return sum_mod(masks.astype(np.uint64), modulus).astype(np.int64)
 
 
 def keystream_batch(
@@ -416,7 +335,7 @@ def keystream_batch(
     if not keys or length == 0:
         return np.zeros((len(keys), length), dtype=np.uint8)
     blocks = (length + _DIGEST_BYTES - 1) // _DIGEST_BYTES
-    counters = _counter_slices(0, blocks)
+    counters = _counter_slices(blocks)
     sha256 = hashlib.sha256
     digest = b"".join(
         [

@@ -7,20 +7,22 @@ over ``Z_m``.  Correct dropout recovery requires that the server, given
 a reconstructed seed, regenerates *bit-identical* masks, so the
 expansion must be a deterministic function of the seed alone.
 
-The default expansion is SHA-256 in counter mode: ``block_i =
-SHA256(seed || i)``, concatenated and read as little-endian 64-bit
-words.  For power-of-two moduli (every modulus the paper uses) the
-words are masked to ``log2(m)`` bits, which is exactly uniform.  For
-general moduli, rejection sampling below the largest multiple of ``m``
-keeps the output exactly uniform rather than module-biased.
+Two suites are registered.  The default, ``"shake256"``, reads one
+``SHAKE256(seed)`` stream per mask at the modulus' native word width;
+``"sha256-ctr"`` is the original expansion — ``block_i = SHA256(seed ||
+i)``, concatenated and read as little-endian 64-bit words — kept for
+rounds that must interoperate with it.  In both, power-of-two moduli
+(every modulus the paper uses) mask words to ``log2(m)`` bits, which is
+exactly uniform, and general moduli rejection-sample 64-bit words below
+the largest multiple of ``m``, so the output is exactly uniform rather
+than modulo-biased.
 
 The actual computation lives in the vectorised kernel layer
 (:mod:`repro.secagg.kernels`): this module keeps the stable functional
 API, routes it through a selectable :class:`~repro.secagg.kernels.MaskPrg`
-backend (SHA-256 counter mode by default, numpy Philox for speed), and
-retains the original scalar implementation as
-:func:`expand_mask_reference` — the baseline the golden-vector tests
-and kernel micro-benchmarks compare against.
+suite, and retains the original scalar SHA-256 implementation as
+:func:`expand_mask_reference` — the baseline the ``"sha256-ctr"``
+golden-vector tests and kernel micro-benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -52,10 +54,13 @@ def expand_mask_reference(
 ) -> np.ndarray:
     """The retained scalar reference expansion (pre-kernel seed code).
 
-    Kept verbatim so the vectorised :class:`Sha256CounterPrg` kernel can
-    be asserted bit-identical forever, and as the scalar baseline for
+    Kept verbatim so the ``"sha256-ctr"`` suite can be asserted
+    bit-identical forever, and as the scalar baseline for
     ``benchmarks/test_kernel_throughput.py``.  Production callers use
-    :func:`expand_mask`.
+    :func:`expand_mask`.  (The two part ways only where this loop is
+    itself not prefix stable: a general modulus, an odd dimension, *and*
+    more than half of the first ``2d + 4`` words rejected — it then
+    skips the unread words of its last block, the kernel does not.)
     """
     if dimension < 0:
         raise ConfigurationError(f"dimension must be >= 0, got {dimension}")
@@ -96,17 +101,17 @@ def expand_mask(
         seed: Arbitrary-length byte seed (32 bytes in the protocol).
         dimension: Output length ``d``.
         modulus: The group modulus ``m >= 2``.
-        prg: Mask PRG backend — a registered name (``"sha256-ctr"``,
-            ``"philox"``), a :class:`~repro.secagg.kernels.MaskPrg`
-            instance, or None for the bit-compatible SHA-256 default.
+        prg: Mask PRG suite — a registered name (``"shake256"``,
+            ``"sha256-ctr"``), a :class:`~repro.secagg.kernels.MaskPrg`
+            instance, or None for the default.
 
     Returns:
         Length-``d`` int64 array with entries in ``[0, m)``; identical
         for identical ``(seed, dimension, modulus)`` and backend.
 
     Raises:
-        ConfigurationError: On a negative dimension, modulus < 2, or an
-            unknown backend name.
+        ConfigurationError: On a negative dimension, a modulus outside
+            ``[2, 2**63]``, or an unknown suite name.
     """
     return get_mask_prg(prg).expand(seed, dimension, modulus)
 

@@ -134,8 +134,8 @@ class PairwiseMaskProtocol(SecureAggregator):
     Args:
         modulus: The group modulus ``m``; must be an even integer >= 2.
         rng: Generator the pairwise seeds are drawn from.
-        mask_prg: Mask PRG backend name or instance (``"sha256-ctr"``
-            default, ``"philox"`` fast).
+        mask_prg: Mask PRG suite name or instance (``"shake256"``
+            default, ``"sha256-ctr"`` compatibility).
     """
 
     def __init__(

@@ -24,10 +24,10 @@ The two-part header separates concerns deliberately: the *format
 version* says how to parse the bytes; the *negotiated header*
 (:class:`NegotiatedHeader`) says which protocol semantics the sender is
 speaking — the protocol version and the mask-PRG backend that all
-participants of a round must agree on (the ``"sha256-ctr"`` default is
-bit-compatible with the original implementation, ``"philox"`` trades
-that for speed).  Negotiation happens at :class:`Hello`: the server
-checks each client's proposed header and answers with a typed
+participants of a round must agree on (``"shake256"`` by default;
+``"sha256-ctr"`` is the compatibility suite, bit-identical to the
+original implementation).  Negotiation happens at :class:`Hello`: the
+server checks each client's proposed header and answers with a typed
 :class:`Reject` (surfaced client-side as
 :class:`repro.errors.NegotiationError`) instead of crashing mid-round.
 

@@ -143,9 +143,9 @@ class AsyncSecAggRound:
         trace: Optional event log for observability.
         tamper_unmask_request: Test/adversary seam applied to the
             server's round-3 announcement before broadcast.
-        mask_prg: Mask PRG backend (protocol version) shared by the
-            server and every cohort member — ``"sha256-ctr"`` (default,
-            bit-compatible) or ``"philox"`` (fast), or a
+        mask_prg: Mask PRG suite shared by the server and every cohort
+            member — ``"shake256"`` (default) or ``"sha256-ctr"``
+            (compatibility), or a
             :class:`~repro.secagg.kernels.MaskPrg` instance.
         client_versions: Protocol version each client proposes at Hello
             (defaults to :data:`~repro.secagg.wire.PROTOCOL_V1`); the

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.secagg.kernels import (
     DEFAULT_MASK_PRG,
-    PhiloxPrg,
+    MASK_PRGS,
     Sha256CounterPrg,
+    Shake256Prg,
     get_mask_prg,
 )
 from repro.secagg.keys import (
@@ -235,7 +236,7 @@ class TestGoldenVectors:
             dtype="<u8",
         ).astype(np.int64)
         np.testing.assert_array_equal(
-            expand_mask(seed, dimension, modulus), expected
+            expand_mask(seed, dimension, modulus, prg="sha256-ctr"), expected
         )
 
     @pytest.mark.parametrize(
@@ -277,7 +278,7 @@ class TestKernelReferenceEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_expand_equivalence_property(self, modulus, dimension, seed):
         np.testing.assert_array_equal(
-            expand_mask(seed, dimension, modulus),
+            expand_mask(seed, dimension, modulus, prg="sha256-ctr"),
             expand_mask_reference(seed, dimension, modulus),
         )
 
@@ -304,65 +305,72 @@ class TestKernelReferenceEquivalence:
         )
 
 
-class TestPhiloxBackend:
+class TestShake256Backend:
     def test_deterministic_per_seed(self):
-        prg = PhiloxPrg()
+        prg = Shake256Prg()
         np.testing.assert_array_equal(
             prg.expand(b"seed", 128, 2**16), prg.expand(b"seed", 128, 2**16)
         )
 
     def test_distinct_seeds_differ(self):
-        prg = PhiloxPrg()
+        prg = Shake256Prg()
         assert not np.array_equal(
             prg.expand(b"seed-a", 64, 2**16), prg.expand(b"seed-b", 64, 2**16)
         )
 
     def test_prefix_stability(self):
-        prg = PhiloxPrg()
+        prg = Shake256Prg()
         np.testing.assert_array_equal(
             prg.expand(b"s", 10, 2**20), prg.expand(b"s", 50, 2**20)[:10]
         )
 
     def test_range_general_modulus(self):
-        mask = PhiloxPrg().expand(b"x", 2000, 1000)
+        mask = Shake256Prg().expand(b"x", 2000, 1000)
         assert mask.min() >= 0 and mask.max() < 1000
 
     def test_uniformity(self):
-        mask = PhiloxPrg().expand(b"uniformity", 200_000, 8)
+        mask = Shake256Prg().expand(b"uniformity", 200_000, 8)
         counts = np.bincount(mask, minlength=8)
         expected = len(mask) / 8
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 30
 
     def test_not_bit_compatible_with_sha_backend(self):
-        # Different protocol versions really are different streams.
+        # Different suites really are different streams.
         assert not np.array_equal(
-            PhiloxPrg().expand(b"seed", 64, 2**16),
+            Shake256Prg().expand(b"seed", 64, 2**16),
             Sha256CounterPrg().expand(b"seed", 64, 2**16),
         )
 
 
 class TestMaskPrgRegistry:
-    def test_default_is_sha256_ctr(self):
+    def test_default_is_shake256(self):
         assert get_mask_prg(None) is DEFAULT_MASK_PRG
-        assert DEFAULT_MASK_PRG.name == "sha256-ctr"
+        assert DEFAULT_MASK_PRG.name == "shake256"
+        assert isinstance(DEFAULT_MASK_PRG, Shake256Prg)
 
     def test_lookup_by_name(self):
-        assert isinstance(get_mask_prg("philox"), PhiloxPrg)
+        assert sorted(MASK_PRGS) == ["sha256-ctr", "shake256"]
+        assert isinstance(get_mask_prg("shake256"), Shake256Prg)
         assert isinstance(get_mask_prg("sha256-ctr"), Sha256CounterPrg)
 
     def test_instance_passthrough(self):
-        prg = PhiloxPrg()
+        prg = Sha256CounterPrg()
         assert get_mask_prg(prg) is prg
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown mask PRG"):
             get_mask_prg("md5-ctr")
 
+    def test_removed_philox_backend_rejected(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            get_mask_prg("philox")
+        assert "['sha256-ctr', 'shake256']" in str(excinfo.value)
+
     def test_expand_mask_accepts_backend_argument(self):
         np.testing.assert_array_equal(
-            expand_mask(b"s", 32, 2**12, prg="philox"),
-            PhiloxPrg().expand(b"s", 32, 2**12),
+            expand_mask(b"s", 32, 2**12, prg="sha256-ctr"),
+            Sha256CounterPrg().expand(b"s", 32, 2**12),
         )
 
 

@@ -17,6 +17,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.secagg import keys as keys_module
 from repro.secagg.bonawitz import run_bonawitz
+from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.keys import (
     TOY_GROUP,
     X25519_GROUP,
@@ -56,7 +57,7 @@ class TestGroupSurface:
 
     def test_split_suite(self):
         assert split_suite("sha256-ctr") == ("sha256-ctr", "mod-dh")
-        assert split_suite("philox+x25519") == ("philox", "x25519")
+        assert split_suite("shake256+x25519") == ("shake256", "x25519")
 
     def test_bad_group_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -159,8 +160,8 @@ class TestNegotiation:
         vector = np.zeros(4, dtype=np.int64)
         toy = ClientSession(1, vector, MODULUS, 2, rng, TOY_GROUP)
         curve = ClientSession(2, vector, MODULUS, 2, rng, X25519_GROUP)
-        assert toy.header.mask_prg == "sha256-ctr"
-        assert curve.header.mask_prg == "sha256-ctr+x25519"
+        assert toy.header.mask_prg == DEFAULT_MASK_PRG.name
+        assert curve.header.mask_prg == f"{DEFAULT_MASK_PRG.name}+x25519"
 
     @requires_x25519
     def test_kex_mismatch_rejected_at_hello(self):
@@ -187,7 +188,7 @@ class TestNegotiation:
         session = ClientSession(
             1, vectors[0], MODULUS, 3, rng2, X25519_GROUP
         )
-        assert session.header.mask_prg == "sha256-ctr"
+        assert session.header.mask_prg == DEFAULT_MASK_PRG.name
 
     def test_requesting_x25519_explicitly_raises_without_lib(
         self, monkeypatch

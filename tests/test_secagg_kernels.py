@@ -77,12 +77,12 @@ class TestSumSignedMasks:
             reference = (reference + expand_mask(seed, 8, modulus)) % modulus
         assert total.tolist() == [int(v) for v in reference]
 
-    def test_philox_backend_selectable(self):
-        sha = sum_signed_masks([b"s"], [1], 16, 2**10)
-        philox = sum_signed_masks([b"s"], [1], 16, 2**10, prg="philox")
-        assert not np.array_equal(sha, philox)
+    def test_sha256_ctr_backend_selectable(self):
+        default = sum_signed_masks([b"s"], [1], 16, 2**10)
+        sha = sum_signed_masks([b"s"], [1], 16, 2**10, prg="sha256-ctr")
+        assert not np.array_equal(default, sha)
         np.testing.assert_array_equal(
-            philox, expand_mask(b"s", 16, 2**10, prg="philox")
+            sha, expand_mask(b"s", 16, 2**10, prg="sha256-ctr")
         )
 
 
@@ -231,16 +231,16 @@ class TestPayloadMatrixCodec:
 
 
 class TestProtocolBackendKnob:
-    def test_run_bonawitz_philox_backend(self, rng):
+    def test_run_bonawitz_sha256_ctr_backend(self, rng):
         inputs = rng.integers(0, 2**12, size=(5, 16), dtype=np.int64)
         outcome = run_bonawitz(
-            inputs, 2**12, threshold=3, rng=rng, mask_prg="philox"
+            inputs, 2**12, threshold=3, rng=rng, mask_prg="sha256-ctr"
         )
         np.testing.assert_array_equal(
             outcome.modular_sum, np.mod(inputs.sum(axis=0), 2**12)
         )
 
-    def test_run_bonawitz_philox_with_dropouts(self, rng):
+    def test_run_bonawitz_sha256_ctr_with_dropouts(self, rng):
         inputs = rng.integers(0, 2**12, size=(6, 8), dtype=np.int64)
         outcome = run_bonawitz(
             inputs,
@@ -248,7 +248,7 @@ class TestProtocolBackendKnob:
             threshold=3,
             rng=rng,
             dropouts={2: 2, 5: 3},
-            mask_prg="philox",
+            mask_prg="sha256-ctr",
         )
         included = sorted(outcome.included)
         expected = np.mod(

@@ -427,7 +427,7 @@ class TestVersionNegotiation:
 
 
 class TestMaskPrgKnob:
-    def test_philox_round_sum_is_exact(self):
+    def test_sha256_ctr_round_sum_is_exact(self):
         vectors = make_vectors(6)
         clock = SimulatedClock()
         secagg_round = AsyncSecAggRound(
@@ -438,7 +438,7 @@ class TestMaskPrgKnob:
             rng=np.random.default_rng(3),
             plans={2: ClientPlan(drop_phase=ROUND_SHARE_KEYS)},
             phase_timeout=60.0,
-            mask_prg="philox",
+            mask_prg="sha256-ctr",
         )
         outcome = clock.run(secagg_round.run())
         np.testing.assert_array_equal(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AggregationError, ConfigurationError, NegotiationError
+from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.statemachine import (
     PHASE_TAGS,
@@ -188,11 +189,16 @@ class TestNegotiationFailurePath:
         assert server.included == frozenset({1, 3, 4, 5})
 
     def test_mismatched_prg_backend_rejected_at_hello(self):
-        _, clients, server = make_sessions(n=4, threshold=2, prgs={3: "philox"})
+        # A client of an older release speaks "sha256-ctr" into a round on
+        # the default suite: refused at advertise, naming both.
+        _, clients, server = make_sessions(
+            n=4, threshold=2, prgs={3: "sha256-ctr"}
+        )
         for u in sorted(clients):
             server.receive(b"".join(clients[u].start()), sender=u)
         assert 3 in server.rejections
-        assert "philox" in server.rejections[3]
+        assert "'sha256-ctr'" in server.rejections[3]
+        assert f"{DEFAULT_MASK_PRG.name!r}" in server.rejections[3]
         deliveries = server.advance()
         clients[3].handle(deliveries[3])
         assert isinstance(clients[3].rejected, NegotiationError)
@@ -268,7 +274,8 @@ class TestStrictValidation:
         # Rewrite the roster broadcast's PRG name in place (same length,
         # so the framing stays valid): the client must refuse the
         # foreign header rather than mis-expand masks later.
-        foreign = deliveries[1].replace(b"sha256-ctr", b"sha999-ctr")
+        name = DEFAULT_MASK_PRG.name.encode("ascii")
+        foreign = deliveries[1].replace(name, name.upper())
         with pytest.raises(NegotiationError, match="speaking"):
             clients[1].handle(foreign)
 

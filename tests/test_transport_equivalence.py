@@ -19,6 +19,7 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     run_bonawitz,
 )
+from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.tree import run_composition_round
 from repro.simulation import (
     AsyncSecAggRound,
@@ -48,12 +49,15 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 
 #: Wire bytes ``run_sync`` moved, and the sum digest and wire bytes of a
 #: composition round over the first four input rows (protocol rng seed
-#: 42), captured before both were moved onto ``drive_in_memory``.
-SYNC_WIRE_BYTES = 31129
+#: 42), captured before both were moved onto ``drive_in_memory`` — per
+#: mask PRG suite: every frame carries the suite name, so the 8-byte
+#: ``"shake256"`` moves 2 B less per frame (488 and 68 frames) than the
+#: 10-byte ``"sha256-ctr"`` the counts were captured under.
+SYNC_WIRE_BYTES = {"sha256-ctr": 31129, "shake256": 31129 - 2 * 488}
 COMPOSITION_DIGEST = (
     "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
 )
-COMPOSITION_WIRE_BYTES = 4467
+COMPOSITION_WIRE_BYTES = {"sha256-ctr": 4467, "shake256": 4467 - 2 * 68}
 
 
 @pytest.fixture
@@ -68,13 +72,14 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def run_sync(inputs):
+def run_sync(inputs, mask_prg=None):
     return run_bonawitz(
         inputs,
         MODULUS,
         threshold=7,
         rng=np.random.default_rng(42),
         dropouts={3: ROUND_MASKED_INPUT, 9: ROUND_UNMASK},
+        mask_prg=mask_prg,
     )
 
 
@@ -118,12 +123,21 @@ class TestPreRefactorGoldens:
     def test_in_memory_rounds_move_the_pinned_bytes(self, inputs):
         """The two callers of the shared in-memory loop build their
         sessions from the same RNG draws as before it was shared."""
-        assert run_sync(inputs).wire.total_bytes == SYNC_WIRE_BYTES
-        total, wire = run_composition_round(
-            list(inputs[:4]), MODULUS, np.random.default_rng(42)
-        )
-        assert digest(total) == COMPOSITION_DIGEST
-        assert wire.total_bytes == COMPOSITION_WIRE_BYTES
+        assert DEFAULT_MASK_PRG.name == "shake256"
+        for suite in ("sha256-ctr", None):
+            name = suite or DEFAULT_MASK_PRG.name
+            assert (
+                run_sync(inputs, suite).wire.total_bytes
+                == SYNC_WIRE_BYTES[name]
+            )
+            total, wire = run_composition_round(
+                list(inputs[:4]),
+                MODULUS,
+                np.random.default_rng(42),
+                mask_prg=suite,
+            )
+            assert digest(total) == COMPOSITION_DIGEST
+            assert wire.total_bytes == COMPOSITION_WIRE_BYTES[name]
 
     def test_mailbox_transport_matches_pre_refactor_bits(self, inputs):
         outcome = run_mailbox(inputs)

@@ -122,10 +122,10 @@ class TestGoldenVectors:
 
     def test_header_variants_are_pinned_too(self):
         frame = encode_message(
-            Hello(sender=1), NegotiatedHeader(version=2, mask_prg="philox")
+            Hello(sender=1), NegotiatedHeader(version=2, mask_prg="shake256")
         )
         assert frame.hex() == (
-            "53470101150000000200067068696c6f7801000000"
+            "5347010117000000020008" "7368616b65323536" "01000000"
         )
 
     def test_encoding_is_deterministic_under_set_order(self):
@@ -403,9 +403,9 @@ class TestHeaderValidation:
             NegotiatedHeader(version=1, mask_prg="")
 
     def test_headers_are_value_objects(self):
-        assert NegotiatedHeader(1, "philox") == NegotiatedHeader(1, "philox")
-        assert NegotiatedHeader(1, "philox") != NegotiatedHeader(2, "philox")
-        assert dataclasses.asdict(NegotiatedHeader(1, "philox")) == {
+        assert NegotiatedHeader(1, "shake256") == NegotiatedHeader(1, "shake256")
+        assert NegotiatedHeader(1, "shake256") != NegotiatedHeader(2, "philox")
+        assert dataclasses.asdict(NegotiatedHeader(1, "shake256")) == {
             "version": 1,
-            "mask_prg": "philox",
+            "mask_prg": "shake256",
         }
