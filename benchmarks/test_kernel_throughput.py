@@ -19,8 +19,10 @@ import time
 
 import numpy as np
 
+from repro.secagg.bonawitz import _share_layout
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
+from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
@@ -37,8 +39,10 @@ from repro.secagg.wire import (
 from repro.secagg.prg import expand_mask_reference
 from repro.secagg.shamir import (
     Share,
+    reconstruct_quorum,
     reconstruct_secret_scalar,
     reconstruct_secrets,
+    split_large_secret,
     split_secret_scalar,
     split_secrets,
 )
@@ -49,6 +53,11 @@ MODULUS = 2**16
 SHAMIR_THRESHOLD = 48
 SHAMIR_SHARES = 96
 SHAMIR_BATCH = 6
+#: What one unmask phase of ``bench``'s ``secagg_recovery`` reconstructs:
+#: 96 clients, 28 silent after sharing keys, a quorum of 58.
+ROUND_CLIENTS = 96
+ROUND_DROPOUTS = 28
+ROUND_QUORUM = 58
 
 
 def _interleaved_best_of(repeats: int, *funcs) -> list[float]:
@@ -201,6 +210,44 @@ def test_shamir_throughput(emit, bench_rng):
         f"shares_per_sec={total / batched_rec_time:10.1f}",
     )
     assert batched_rec_time <= scalar_rec_time * 1.5
+
+    # The row above reconstructs one secret set per call, which is not
+    # what a round does.  The round-shaped case: every survivor's seed
+    # and every limb of every dropout's key, one quorum, one call.
+    limbs = _share_layout(field, TOY_GROUP)[1]
+    seeds = [
+        int(bench_rng.integers(0, field.prime))
+        for _ in range(ROUND_CLIENTS - ROUND_DROPOUTS)
+    ]
+    top_limb = 1 << 60 * (limbs - 1)  # every key spans all the limbs
+    keys = [
+        top_limb | int(bench_rng.integers(0, 1 << 60))
+        for _ in range(ROUND_DROPOUTS)
+    ]
+    seed_matrix = split_secrets(
+        seeds, ROUND_QUORUM, ROUND_CLIENTS, bench_rng, field
+    )
+    round_xs = list(range(1, ROUND_QUORUM + 1))
+    seed_rows = seed_matrix[:, :ROUND_QUORUM].tolist()
+    key_sets = [
+        split_large_secret(
+            key, ROUND_QUORUM, ROUND_CLIENTS, bench_rng, field
+        )[:ROUND_QUORUM]
+        for key in keys
+    ]
+
+    def round_reconstruct():
+        return reconstruct_quorum(round_xs, seed_rows, key_sets, field)
+
+    round_time = _best_of(5, round_reconstruct)
+    assert round_reconstruct() == (seeds, keys)
+    round_rows = len(seeds) + ROUND_DROPOUTS * limbs
+    emit(
+        f"kernel_shamir op=reconstruct path=quorum  t={ROUND_QUORUM} "
+        f"n={ROUND_CLIENTS} seeds={len(seeds)} dropouts={ROUND_DROPOUTS} "
+        f"limbs={limbs} ms_per_phase={round_time * 1e3:7.2f} "
+        f"shares_per_sec={round_rows * ROUND_QUORUM / round_time:10.1f}",
+    )
 
 
 WIRE_ROSTER = 96

@@ -87,6 +87,7 @@ from repro.secagg.shamir import (
     LimbShares,
     Share,
     reconstruct_large_secret,
+    reconstruct_quorum,
     reconstruct_secret,
     reconstruct_secrets,
     split_large_secret,
@@ -145,6 +146,7 @@ __all__ = [
     "get_mask_prg",
     "pairwise_delta",
     "reconstruct_large_secret",
+    "reconstruct_quorum",
     "reconstruct_secret",
     "reconstruct_secrets",
     "run_bonawitz",

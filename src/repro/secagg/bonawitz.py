@@ -73,6 +73,7 @@ from repro.secagg.keys import (
     KeyPair,
     agree,
     agree_batch,
+    forget_agreements,
     generate_keypair,
     key_bits,
     warm_agreement_cache,
@@ -84,8 +85,7 @@ from repro.secagg.shamir import (
     LimbShares,
     Share,
     _secret_limbs,
-    reconstruct_large_secret,
-    reconstruct_secrets,
+    reconstruct_quorum,
     split_secrets,
 )
 
@@ -93,7 +93,6 @@ from repro.secagg.wire import (
     Advertise,
     UnmaskColumns,
     UnmaskRequest,
-    UnmaskResponse,
     WireStats,
 )
 
@@ -617,6 +616,10 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
     left to that path: two fixed-cost sweeps would cost it more than
     its whole key agreement.
 
+    A round's keys are fresh, so the call first drops whatever earlier
+    rounds left in the group's memo: the memo then holds one round's
+    pairs, not every round's since the process started.
+
     Args:
         clients: Simulated participants; ones that have not advertised
             keys yet are skipped.
@@ -629,9 +632,12 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
         for client in clients
         if client._channel_keys is not None and client._mask_keys is not None
     ]
-    if len(advertised) - 1 <= SCALAR_BATCH_MAX:
+    if not advertised:
         return 0
     group = advertised[0]._group
+    forget_agreements(group)
+    if len(advertised) - 1 <= SCALAR_BATCH_MAX:
+        return 0
     warmed = warm_agreement_cache(
         {c.index: c._channel_keys.private for c in advertised},
         {c.index: c._channel_keys.public for c in advertised},
@@ -681,6 +687,10 @@ class BonawitzServer:
         self._group = group
         self._mask_prg = get_mask_prg(mask_prg)
         self._roster: dict[int, AdvertisedKeys] = {}
+        # Client index -> its Shamir point: every client shares over the
+        # sorted roster at x = 1..n, so a recipient's point is its
+        # 1-based position there.
+        self._points: dict[int, int] = {}
         self._share_senders: frozenset[int] = frozenset()
         self._masked: dict[int, np.ndarray] = {}
 
@@ -701,6 +711,10 @@ class BonawitzServer:
                 f"threshold is {self._threshold}"
             )
         self._roster = roster
+        self._points = {
+            index: position
+            for position, index in enumerate(sorted(roster), start=1)
+        }
         return dict(roster)
 
     def register_share_keys(self, senders: "Iterable[int]") -> frozenset[int]:
@@ -762,20 +776,78 @@ class BonawitzServer:
         dropouts = self._share_senders - survivors
         return UnmaskRequest(survivors=survivors, dropouts=frozenset(dropouts))
 
-    def recover_sum(
-        self, responses: "list[UnmaskResponse | UnmaskColumns]"
-    ) -> np.ndarray:
+    def check_unmask_response(self, response: UnmaskColumns) -> None:
+        """Refuse a round-3 response that is not what the round fixed.
+
+        An honest response is determined in shape by the round alone:
+        one seed share per survivor in sorted order, one key share per
+        announced dropout at the group's limb count, every share at the
+        responder's own Shamir point (its 1-based position in the sorted
+        roster) and every value in the field.  Checking that per
+        response — at ingest, where the sender can still be named and
+        evicted — is what lets :meth:`recover_sum` treat the quorum as
+        one point set.
+
+        Raises:
+            AggregationError: Naming the responder and the first thing
+                that is off.
+        """
+        who = f"client {response.responder}"
+        point = self._points.get(response.responder)
+        if point is None:
+            raise AggregationError(f"{who} is not on the round's roster")
+        survivors = np.asarray(sorted(self._masked), dtype=np.uint32)
+        if not np.array_equal(response.peers, survivors):
+            raise AggregationError(
+                f"{who} sent seed shares for something other than the "
+                f"round's {len(survivors)} survivors in sorted order"
+            )
+        dropouts = self._share_senders - set(self._masked)
+        if response.key_shares.keys() != dropouts:
+            raise AggregationError(
+                f"{who} sent key shares for "
+                f"{sorted(response.key_shares)}; the announced dropouts "
+                f"are {sorted(dropouts)}"
+            )
+        prime = self._field.prime
+        limbs = _share_layout(self._field, self._group)[1]
+        if np.any(response.xs != point):
+            raise AggregationError(
+                f"{who} sent seed shares at a point other than its own "
+                f"({point})"
+            )
+        if response.ys.size and int(response.ys.max()) >= prime:
+            raise AggregationError(
+                f"{who} sent a seed share value outside [0, {prime})"
+            )
+        for peer, share in response.key_shares.items():
+            if share.x != point:
+                raise AggregationError(
+                    f"{who} sent client {peer}'s key share at point "
+                    f"{share.x}, not its own ({point})"
+                )
+            if len(share.ys) != limbs:
+                raise AggregationError(
+                    f"{who} sent client {peer}'s key share with "
+                    f"{len(share.ys)} limbs; the group's keys have {limbs}"
+                )
+            if max(share.ys) >= prime:
+                raise AggregationError(
+                    f"{who} sent client {peer}'s key share with a value "
+                    f"outside [0, {prime})"
+                )
+
+    def recover_sum(self, responses: "list[UnmaskColumns]") -> np.ndarray:
         """Round 3: reconstruct missing masks and output the modular sum.
 
-        All survivor seeds are reconstructed in one shared-weight batch
-        (the responder set — hence the Lagrange weights — is the same
-        for every survivor), and all lingering masks are removed with
-        one batched signed-mask expansion.  Responses may arrive as
-        per-peer :class:`~repro.secagg.wire.UnmaskResponse` objects or
-        columnar :class:`~repro.secagg.wire.UnmaskColumns`; when the
-        whole quorum is columnar over the same survivor roster, the seed
-        matrix assembles as one transpose instead of
-        O(survivors × threshold) dict lookups.
+        The first ``threshold`` responses are the quorum.  Each is held
+        to :meth:`check_unmask_response`, so the quorum is one point set
+        and everything it reveals — every survivor's self-mask seed and
+        every limb of every dropout's mask key — is reconstructed in one
+        :func:`~repro.secagg.shamir.reconstruct_quorum` call from one
+        Lagrange weight vector, however many clients dropped.  All
+        lingering masks are then removed with one batched signed-mask
+        expansion.
 
         Returns:
             ``Σ_{u ∈ U2} x_u mod m`` as a length-``d`` int64 array.
@@ -792,68 +864,30 @@ class BonawitzServer:
         survivors = sorted(self._masked)
         dropouts = sorted(self._share_senders - set(self._masked))
         quorum = responses[: self._threshold]
+        for response in quorum:
+            self.check_unmask_response(response)
         total = np.zeros(self._dimension, dtype=np.int64)
         for vector in self._masked.values():
             total = np.mod(total + vector, self._modulus)
-        # Reconstruct every survivor's self-mask seed in one batch; the
-        # share points are the quorum's Shamir indices for all of them.
-        mask_seeds: list[bytes] = []
-        if survivors:
-            uniform = all(
-                isinstance(response, UnmaskColumns)
-                and response.ys.dtype != object
-                for response in quorum
-            )
-            if uniform:
-                expected = np.asarray(survivors, dtype=np.uint32)
-                uniform = all(
-                    response.peers.shape == expected.shape
-                    and np.array_equal(response.peers, expected)
-                    for response in quorum
-                )
-            if uniform:
-                # Columnar fast path: each response's seed column is
-                # already in sorted-survivor order, so the per-survivor
-                # share rows are one stack-and-transpose away.
-                seed_rows = np.stack(
-                    [response.ys for response in quorum]
-                ).T.tolist()
-                seed_xs = [int(response.xs[0]) for response in quorum]
-            else:
-                materialized = [
-                    response.to_response()
-                    if isinstance(response, UnmaskColumns)
-                    else response
-                    for response in quorum
-                ]
-                seed_rows = [
-                    [
-                        response.seed_shares[survivor].y
-                        for response in materialized
-                    ]
-                    for survivor in survivors
-                ]
-                seed_xs = [
-                    response.seed_shares[survivors[0]].x
-                    for response in materialized
-                ]
-            seeds = reconstruct_secrets(seed_xs, seed_rows, self._field)
-            mask_seeds = [
-                seed.to_bytes(_SEED_WIDTH, "little") for seed in seeds
-            ]
+        # Each response's seed column is already in sorted-survivor
+        # order, so the per-survivor share rows are one
+        # stack-and-transpose away.
+        seeds, privates = reconstruct_quorum(
+            [self._points[response.responder] for response in quorum],
+            np.stack([response.ys for response in quorum]).T.tolist(),
+            [
+                [response.key_shares[dropout] for response in quorum]
+                for dropout in dropouts
+            ],
+            self._field,
+            DEFAULT_LIMB_BITS,
+        )
         # ``lingering`` is subtracted wholesale, so each queued mask
         # carries the sign it contributed to the aggregate with: +1 for
         # every self-mask, the original pairwise sign for dropout pairs.
+        mask_seeds = [seed.to_bytes(_SEED_WIDTH, "little") for seed in seeds]
         mask_signs = [1] * len(mask_seeds)
-        # Reconstruct each dropout's mask key (all limbs in one batch per
-        # dropout) and queue its lingering pairwise masks for removal.
-        for dropout in dropouts:
-            limb_shares = [
-                response.key_shares[dropout] for response in quorum
-            ]
-            private = reconstruct_large_secret(
-                limb_shares, self._field, DEFAULT_LIMB_BITS
-            )
+        for dropout, private in zip(dropouts, privates):
             # The survivor's lingering term for the pair (s, d) was
             # +PRG when s < d and -PRG when s > d.
             mask_seeds += agree_batch(

@@ -21,10 +21,14 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
   same ``t`` points.  :func:`batched_split` evaluates all polynomials at
   all points with one vectorised Horner recurrence
   (:func:`repro.linalg.modular.horner_mod`), and
-  :func:`batched_reconstruct` computes the Lagrange weights once per
-  point-set and applies them to every secret's share row — turning the
-  per-share, per-coefficient Python loops into a handful of uint64 array
-  operations using 128-bit-safe limb-split modular multiplication.
+  :func:`batched_reconstruct` applies one Lagrange weight vector to
+  every share row it is handed — a handful of uint64 array operations
+  using 128-bit-safe limb-split modular multiplication.  It computes
+  the weights once per *call*; "once per unmask phase" is enforced one
+  layer up, where :meth:`BonawitzServer.recover_sum
+  <repro.secagg.bonawitz.BonawitzServer.recover_sum>` stacks every
+  survivor seed and every dropout key limb into a single
+  :func:`repro.secagg.shamir.reconstruct_quorum` call.
 
 Both layers are exact — no floats, and the only wraparound is the one
 that is itself a reduction mod ``2^k`` — and the golden-vector and
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,7 +49,6 @@ import numpy as np
 from repro.errors import AggregationError, ConfigurationError
 from repro.linalg.modular import (
     horner_mod,
-    inv_mod,
     mul_mod,
     sum_mod,
 )
@@ -428,13 +432,18 @@ def batched_split(
 def lagrange_weights_at_zero(
     xs: Sequence[int] | np.ndarray, prime: int
 ) -> np.ndarray:
-    """Vectorised Lagrange weights ``l_i(0)`` for distinct points ``xs``.
+    """Lagrange weights ``l_i(0)`` for distinct points ``xs``.
 
-    ``l_i(0) = Π_{j≠i} x_j / (x_j - x_i) mod p``.  The pairwise
-    difference matrix, row products, and Fermat inversions are all
-    uint64 array programs; the weights are computed **once** per point
-    set and reused for every secret sharing those points — the key
-    saving in batched reconstruction.
+    ``l_i(0) = Π_{j≠i} x_j / (x_j - x_i) = (Π_j x_j) / (x_i Π_{j≠i}
+    (x_j - x_i)) mod p``.  Plain Python integers: each denominator is
+    one unreduced product and one ``pow(·, -1, p)``, which for a quorum
+    of tens of points beats the ``2t`` uint64 array passes and two
+    61-step Fermat ladders it replaces several times over.  This
+    function computes what it is asked every time; sharing one weight
+    vector across every secret a quorum reveals is the callers' job —
+    :func:`batched_reconstruct` per call, and
+    :func:`repro.secagg.shamir.reconstruct_quorum` once per unmask
+    phase.
 
     Args:
         xs: ``(t,)`` distinct nonzero points in ``(0, prime)``.
@@ -458,20 +467,19 @@ def lagrange_weights_at_zero(
             f"share points must lie in (0, {prime}), got range "
             f"[{xs.min()}, {xs.max()}]"
         )
-    p = np.uint64(prime)
-    # differences[i, j] = (x_j - x_i) mod p; the diagonal is patched to 1
-    # so row products skip the j == i term.
-    differences = (xs[np.newaxis, :] + (p - xs[:, np.newaxis])) % p
-    np.fill_diagonal(differences, 1)
-    denominators = np.ones(len(xs), dtype=np.uint64)
-    for column in range(len(xs)):
-        denominators = mul_mod(denominators, differences[:, column], prime)
-    # Numerators: Π_{j≠i} x_j = (Π_j x_j) · x_i^{-1}.
-    product_all = np.ones((), dtype=np.uint64)
-    for column in range(len(xs)):
-        product_all = mul_mod(product_all, xs[column], prime)
-    numerators = mul_mod(product_all, inv_mod(xs, prime), prime)
-    return mul_mod(numerators, inv_mod(denominators, prime), prime)
+    points = xs.tolist()
+    product_all = math.prod(points) % prime
+    weights = [
+        product_all
+        * pow(
+            x_i * math.prod([x_j - x_i for x_j in points if x_j != x_i]),
+            -1,
+            prime,
+        )
+        % prime
+        for x_i in points
+    ]
+    return np.asarray(weights, dtype=np.uint64)
 
 
 def batched_reconstruct(

@@ -262,12 +262,15 @@ def generate_keypair(
 #: by DH symmetry, so when a caller supplies its own public element the
 #: simulation computes each pairwise exponentiation once instead of once
 #: per endpoint — and the server's dropout-recovery agreements hit the
-#: entries the surviving clients already produced.  Bounded per group;
-#: sized to hold every pair of one full-cohort 512-client round
-#: (two key sets per pair) with headroom.  When full the cache is
-#: cleared outright rather than evicted entry-by-entry: key pairs are
-#: fresh every round, so old entries are dead weight, and one-at-a-time
-#: FIFO eviction on a large dict degrades quadratically on tombstones.
+#: entries the surviving clients already produced.  Key pairs are fresh
+#: every round, so old entries are dead weight: a driver that warms the
+#: memo for a round drops the previous round's entries first
+#: (:func:`forget_agreements`).  The per-group bound — sized to hold
+#: every pair of one full-cohort 512-client round (two key sets per
+#: pair) with headroom — is the backstop for processes that never warm;
+#: when full the cache is cleared outright rather than evicted
+#: entry-by-entry, since one-at-a-time FIFO eviction on a large dict
+#: degrades quadratically on tombstones.
 _PAIR_CACHE_MAX = 300_000
 _pair_caches: dict[tuple[object, object], dict[tuple[int, int], bytes]] = {}
 
@@ -281,6 +284,14 @@ def _group_cache(group: KeyAgreementGroup) -> dict[tuple[int, int], bytes]:
     if isinstance(group, X25519Group):
         return _pair_caches.setdefault(("x25519", 0), {})
     return _pair_caches.setdefault((group.prime, group.generator), {})
+
+
+def forget_agreements(group: KeyAgreementGroup) -> None:
+    """Drop every memoised agreement of ``group``.
+
+    Memo only: a later :func:`agree` re-derives byte-identical keys.
+    """
+    _group_cache(group).clear()
 
 
 def agree(

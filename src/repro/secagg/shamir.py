@@ -23,6 +23,11 @@ Two code paths produce identical reconstructions:
   per-coefficient loops over Python integers, retained both for fields
   larger than ``2^61`` and as the equivalence baseline the property
   tests (``tests/test_shamir.py``) drive against the kernels.
+
+Dropout recovery reconstructs many secrets — a seed per survivor, every
+limb of every dropout's key — from one quorum; :func:`reconstruct_quorum`
+is the one routine for that (:func:`reconstruct_large_secret` is its
+one-secret case), so an unmask phase computes its Lagrange weights once.
 """
 
 from __future__ import annotations
@@ -180,21 +185,29 @@ def split_secrets(
     )
 
 
-def _check_shares(shares: Sequence[Share], field: PrimeField) -> None:
-    if not shares:
+def _check_points(xs: Sequence[int], field: PrimeField) -> None:
+    if not xs:
         raise AggregationError("cannot reconstruct from zero shares")
-    xs = [share.x for share in shares]
     if len(set(xs)) != len(xs):
         raise AggregationError(f"duplicate share points: {sorted(xs)}")
-    for share in shares:
-        if not 0 < share.x < field.prime:
+    for x in xs:
+        if not 0 < x < field.prime:
             raise AggregationError(
-                f"share point {share.x} outside (0, {field.prime})"
+                f"share point {x} outside (0, {field.prime})"
             )
-        if not 0 <= share.y < field.prime:
-            raise AggregationError(
-                f"share value {share.y} outside [0, {field.prime})"
-            )
+
+
+def _check_values(ys: Sequence[int], field: PrimeField) -> None:
+    if min(ys) < 0 or max(ys) >= field.prime:
+        bad = next(y for y in ys if not 0 <= y < field.prime)
+        raise AggregationError(
+            f"share value {bad} outside [0, {field.prime})"
+        )
+
+
+def _check_shares(shares: Sequence[Share], field: PrimeField) -> None:
+    _check_points([share.x for share in shares], field)
+    _check_values([share.y for share in shares], field)
 
 
 class LimbShares(NamedTuple):
@@ -286,6 +299,8 @@ def reconstruct_large_secret(
 ) -> int:
     """Recover a large secret from at least ``threshold`` limb-share sets.
 
+    The one-secret case of :func:`reconstruct_quorum`.
+
     Args:
         shares: :class:`LimbShares` from distinct recipients, all with the
             same number of limbs.
@@ -300,20 +315,75 @@ def reconstruct_large_secret(
             otherwise malformed.
     """
     shares = list(shares)
-    if not shares:
-        raise AggregationError("cannot reconstruct from zero shares")
-    num_limbs = len(shares[0].ys)
-    if any(len(share.ys) != num_limbs for share in shares):
-        raise AggregationError("limb counts disagree across shares")
-    xs = [share.x for share in shares]
-    limb_values = reconstruct_secrets(
-        xs, [[share.ys[k] for share in shares] for k in range(num_limbs)],
-        field,
+    _, (secret,) = reconstruct_quorum(
+        [share.x for share in shares], [], [shares], field, limb_bits
     )
-    secret = 0
-    for limb in reversed(limb_values):
-        secret = (secret << limb_bits) | int(limb)
     return secret
+
+
+def reconstruct_quorum(
+    xs: Sequence[int],
+    scalar_rows: Sequence[Sequence[int]],
+    limb_share_sets: Sequence[Sequence[LimbShares]],
+    field: PrimeField = DEFAULT_FIELD,
+    limb_bits: int = DEFAULT_LIMB_BITS,
+) -> tuple[list[int], list[int]]:
+    """Everything one quorum reveals, from one Lagrange weight vector.
+
+    An unmask phase hands the server, from the same ``t`` responders,
+    one share of every survivor's self-mask seed and one
+    :class:`LimbShares` of every dropout's mask key.  All of them sit at
+    the responders' points, so every seed row and every limb row goes
+    into a single :func:`reconstruct_secrets` call: the weights are
+    computed once however many clients dropped.
+
+    Args:
+        xs: The quorum's distinct nonzero share points.
+        scalar_rows: One row of share values per one-element secret,
+            aligned with ``xs``.
+        limb_share_sets: Per large secret, one :class:`LimbShares` per
+            quorum member, aligned with ``xs``.
+        field: Field everything was shared over.
+        limb_bits: Limb width used at split time.
+
+    Returns:
+        ``(scalars, large)``: one value per scalar row, one reassembled
+        integer per limb-share set.
+
+    Raises:
+        AggregationError: On zero shares, limb counts that disagree
+            within a set, a limb share that does not sit at its quorum
+            member's point, or anything :func:`reconstruct_secrets`
+            refuses (duplicate/out-of-field points, out-of-field values,
+            ragged rows).
+    """
+    xs = list(xs)
+    rows = list(scalar_rows)
+    num_scalars = len(rows)
+    limb_counts = []
+    for shares in limb_share_sets:
+        if not shares:
+            raise AggregationError("cannot reconstruct from zero shares")
+        num_limbs = len(shares[0].ys)
+        if any(len(share.ys) != num_limbs for share in shares):
+            raise AggregationError("limb counts disagree across shares")
+        if [share.x for share in shares] != xs:
+            raise AggregationError(
+                f"limb shares at points {[share.x for share in shares]} "
+                f"do not sit at the quorum's points {xs}"
+            )
+        rows.extend(zip(*[share.ys for share in shares]))
+        limb_counts.append(num_limbs)
+    values = reconstruct_secrets(xs, rows, field)
+    cursor = num_scalars
+    large = []
+    for num_limbs in limb_counts:
+        secret = 0
+        for limb in reversed(values[cursor : cursor + num_limbs]):
+            secret = (secret << limb_bits) | limb
+        large.append(secret)
+        cursor += num_limbs
+    return values[:num_scalars], large
 
 
 def reconstruct_secret_scalar(
@@ -408,6 +478,12 @@ def reconstruct_secrets(
         )
     if not rows:
         return []
+    # Every share is checked as Python integers before any array is
+    # built: a value beyond uint64 must be a typed refusal, not numpy's
+    # OverflowError.
+    _check_points(xs, field)
+    for row in rows:
+        _check_values(row, field)
     if not _uses_kernels(field):
         return [
             reconstruct_secret_scalar(
@@ -415,12 +491,9 @@ def reconstruct_secrets(
             )
             for row in rows
         ]
-    _check_shares(
-        [Share(x=xs[j], y=rows[0][j]) for j in range(len(xs))], field
-    )
     result = kernels.batched_reconstruct(
         np.asarray(xs, dtype=np.uint64),
         np.asarray(rows, dtype=np.uint64),
         field.prime,
     )
-    return [int(value) for value in result]
+    return result.tolist()

@@ -433,7 +433,7 @@ class ServerSession:
         self._share_roster: list[int] = []
         self._sealed_uploads: dict[int, bytes] = {}
         self._masked: dict[int, np.ndarray] = {}
-        self._responses: dict[int, "UnmaskResponse | UnmaskColumns"] = {}
+        self._responses: dict[int, UnmaskColumns] = {}
         self._expected: frozenset[int] = frozenset()
         self._request: UnmaskRequest | None = None
         self._modular_sum: np.ndarray | None = None
@@ -563,7 +563,16 @@ class ServerSession:
             header, response = unmask
             self._check_header(header, sender)
             self._check_claimed(response.responder, sender)
-            self._store_response(sender, response)
+            self._require_expected(sender)
+            if sender in self._responses:
+                raise AggregationError(
+                    f"duplicate unmask response from client {sender}"
+                )
+            # Held to the shape the round fixed before it is stored, so
+            # a malformed response evicts its sender here instead of
+            # failing the whole quorum at recovery.
+            self._crypto.check_unmask_response(response)
+            self._responses[sender] = response
             messages = 1
         else:
             # Everything that is not a bulk leg, and the place malformed
@@ -785,21 +794,15 @@ class ServerSession:
                 raise AggregationError(
                     "UnmaskResponse outside the unmask phase"
                 )
-            self._store_response(sender, message)
-            return
+            # Like sealed shares, an unmask response travels only on the
+            # bulk leg of receive(): one lone frame.
+            raise AggregationError(
+                f"client {sender} sent an unmask response that is not "
+                "one lone frame"
+            )
         raise AggregationError(
             f"the server cannot ingest {type(message).__name__} frames"
         )
-
-    def _store_response(
-        self, sender: int, response: "UnmaskResponse | UnmaskColumns"
-    ) -> None:
-        self._require_expected(sender)
-        if sender in self._responses:
-            raise AggregationError(
-                f"duplicate unmask response from client {sender}"
-            )
-        self._responses[sender] = response
 
     def _count_negotiation(self, outcome: str, reason: str | None = None) -> None:
         if self._m_negotiations is not None:

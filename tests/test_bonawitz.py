@@ -175,6 +175,48 @@ class TestDropoutRecovery:
         np.testing.assert_array_equal(outcome.modular_sum, expected)
         assert outcome.dropped == frozenset({1, 5})
 
+    @pytest.mark.parametrize("dropouts", [0, 1, 10])
+    def test_one_lagrange_weight_vector_per_unmask_phase(
+        self, rng, monkeypatch, dropouts
+    ):
+        """A count guard, not a timing guard: however many clients
+        dropped, recover_sum reconstructs every survivor seed and every
+        dropout key from one weight vector (it used to compute one for
+        the seeds plus one per dropout, all over the same points)."""
+        from repro.secagg import kernels
+
+        calls = []
+        per_recover = []
+        weights = kernels.lagrange_weights_at_zero
+        recover = BonawitzServer.recover_sum
+
+        def counting_weights(xs, prime):
+            calls.append(len(xs))
+            return weights(xs, prime)
+
+        def counted_recover(self, responses):
+            before = len(calls)
+            total = recover(self, responses)
+            per_recover.append(len(calls) - before)
+            return total
+
+        monkeypatch.setattr(
+            kernels, "lagrange_weights_at_zero", counting_weights
+        )
+        monkeypatch.setattr(BonawitzServer, "recover_sum", counted_recover)
+        inputs = make_inputs(rng, n=24, d=8)
+        silent = {u: ROUND_MASKED_INPUT for u in range(2, 2 + dropouts)}
+        outcome = run_bonawitz(
+            inputs, MODULUS, threshold=12, rng=rng, dropouts=silent
+        )
+        kept = [u - 1 for u in sorted(outcome.included)]
+        assert len(kept) == 24 - dropouts
+        np.testing.assert_array_equal(
+            outcome.modular_sum, inputs[kept].sum(axis=0) % MODULUS
+        )
+        assert per_recover == [1]
+        assert calls == [12]
+
     def test_too_many_dropouts_fails_loudly(self, rng):
         inputs = make_inputs(rng, n=4)
         with pytest.raises(AggregationError, match="threshold"):

@@ -26,14 +26,20 @@ from repro.net import (
     write_datagram,
 )
 from repro.net.frames import read_datagram
-from repro.secagg.bonawitz import ROUND_SHARE_KEYS, ROUND_UNMASK
+from repro.secagg.bonawitz import (
+    ROUND_MASKED_INPUT,
+    ROUND_SHARE_KEYS,
+    ROUND_UNMASK,
+)
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.statemachine import ClientSession
 from repro.secagg.wire import (
     Hello,
     Reject,
     decode_frames,
+    decode_unmask_columns,
     encode_message,
+    encode_unmask_columns,
     iter_frames,
 )
 from repro.telemetry import parse_prometheus
@@ -410,6 +416,104 @@ class TestTransportBoundaries:
                 dropout_phase=ROUND_SHARE_KEYS, seed=37,
             )
         )
+
+    def test_malformed_unmask_response_is_evicted_at_ingest(self):
+        """One quorum responder of 16 omits the dropout's key share.
+        That used to reach recover_sum as a bare KeyError, escape the
+        serve loop's ``except AggregationError`` and take the server
+        down; now the session refuses it at receive(), the transport
+        evicts the offender, and the round completes — the offender's
+        masked input is already in, so the sum still counts it."""
+
+        async def scenario():
+            import dataclasses
+
+            import numpy as np
+
+            swarm_cfg = SwarmConfig(
+                clients=16, threshold=8, dropouts=1,
+                dropout_phase=ROUND_MASKED_INPUT, seed=37,
+            )
+            from repro.net.swarm import client_plans, derive_population
+
+            inputs, _ = derive_population(swarm_cfg)
+            plans = client_plans(swarm_cfg)
+            assert plans[0].drop_at_phase is None
+
+            async def withholder(port, plan, vector):
+                session = ClientSession(
+                    index=plan.index,
+                    vector=np.asarray(vector),
+                    modulus=swarm_cfg.modulus,
+                    threshold=8,
+                    rng=np.random.default_rng(plan.seed),
+                    group=TOY_GROUP,
+                )
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                try:
+                    await write_datagram(writer, b"".join(session.start()))
+                    await asyncio.wait_for(read_datagram(reader), 10)
+                    for _ in range(2):
+                        delivery = await asyncio.wait_for(
+                            read_datagram(reader), 10
+                        )
+                        await write_datagram(
+                            writer, b"".join(session.handle(delivery))
+                        )
+                    request = await asyncio.wait_for(read_datagram(reader), 10)
+                    (upload,) = session.handle(request)
+                    header, columns = decode_unmask_columns(upload)
+                    assert len(columns.key_shares) == 1
+                    await write_datagram(
+                        writer,
+                        encode_unmask_columns(
+                            dataclasses.replace(columns, key_shares={}),
+                            header,
+                        ),
+                    )
+                    # The server evicts us: connection closes.
+                    assert await asyncio.wait_for(
+                        read_datagram(reader), 10
+                    ) is None
+                finally:
+                    writer.close()
+
+            server = SecAggServer(
+                ServerConfig(cohort_size=16, threshold=8, phase_timeout=60.0)
+            )
+            async with server:
+                tasks = [
+                    asyncio.ensure_future(
+                        withholder(server.port, plan, inputs[plan.index - 1])
+                        if plan.index == 1
+                        else run_client(
+                            "127.0.0.1",
+                            server.port,
+                            plan,
+                            inputs[plan.index - 1],
+                            swarm_cfg.modulus,
+                            8,
+                        )
+                    )
+                    for plan in plans
+                ]
+                results = await asyncio.wait_for(server.serve_rounds(), 30)
+                await asyncio.gather(*tasks)
+                evictions = server.metrics.snapshot().value(
+                    "net_evictions_total", reason="protocol"
+                )
+            return results, evictions, swarm_cfg
+
+        (result,), evictions, swarm_cfg = asyncio.run(scenario())
+        assert result.aborted is None
+        # 16 is the scheduled masked-input dropout (a disconnect); 1 is
+        # the only protocol eviction.
+        assert result.evicted == frozenset({1, 16})
+        assert evictions == 1
+        assert 1 in result.included and len(result.included) == 15
+        assert result.digest == expected_digest(swarm_cfg)
 
     def test_straggler_evicted_at_wall_deadline(self):
         swarm_cfg = SwarmConfig(clients=6, threshold=3, seed=13)

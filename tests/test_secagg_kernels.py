@@ -147,16 +147,74 @@ class TestBatchedShamirKernels:
         acc = sum(int(w) * f(int(x)) for w, x in zip(weights, xs)) % PRIME
         assert acc == 5
 
+    @pytest.mark.parametrize(
+        "xs, prime, golden",
+        [
+            # Frozen from the uint64 array implementation (pairwise
+            # difference matrix, row products, Fermat ladders) that the
+            # plain-integer one replaced: same weights, bit for bit.
+            (
+                [1, 2, 3, 5, 8, 13],
+                PRIME,
+                [
+                    823515360433462130, 2026346886884761343,
+                    1844674407370955166, 1345075088707988137,
+                    2020357684263427081, 1163402609194181948,
+                ],
+            ),
+            (
+                [96, 7, 41, 1, 58],
+                PRIME,
+                [
+                    1517162349225608944, 1130135904066102815,
+                    112833261564417185, 1220670280740900293,
+                    630884222830358666,
+                ],
+            ),
+            (
+                [PRIME - 1, 1, 1 << 60, 123456789012345678, 2],
+                PRIME,
+                [
+                    1052772513245848679, 520874216939826426,
+                    1509381587828000146, 1740137647033894613,
+                    2094363062593511990,
+                ],
+            ),
+            ([5], PRIME, [1]),
+            ([3, 1, 100, 57], 101, [16, 95, 18, 74]),
+        ],
+    )
+    def test_weights_match_frozen_goldens(self, xs, prime, golden):
+        weights = lagrange_weights_at_zero(xs, prime)
+        assert weights.dtype == np.uint64
+        assert weights.tolist() == golden
+
     def test_duplicate_points_rejected(self):
-        with pytest.raises(AggregationError, match="duplicate"):
+        with pytest.raises(
+            AggregationError, match=r"duplicate share points: \[1, 1\]"
+        ):
             lagrange_weights_at_zero(np.array([1, 1], dtype=np.uint64), PRIME)
 
     def test_zero_point_rejected(self):
-        with pytest.raises(AggregationError, match="share points"):
+        with pytest.raises(
+            AggregationError,
+            match=rf"share points must lie in \(0, {PRIME}\), "
+            r"got range \[0, 1\]",
+        ):
             lagrange_weights_at_zero(np.array([0, 1], dtype=np.uint64), PRIME)
 
+    def test_out_of_field_point_rejected(self):
+        with pytest.raises(
+            AggregationError,
+            match=rf"share points must lie in \(0, {PRIME}\), "
+            rf"got range \[1, {PRIME}\]",
+        ):
+            lagrange_weights_at_zero([1, PRIME], PRIME)
+
     def test_empty_points_rejected(self):
-        with pytest.raises(AggregationError, match="zero shares"):
+        with pytest.raises(
+            AggregationError, match="cannot reconstruct from zero shares"
+        ):
             lagrange_weights_at_zero(np.array([], dtype=np.uint64), PRIME)
 
     def test_mismatched_row_width_rejected(self):

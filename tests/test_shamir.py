@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.field import PrimeField
 from repro.secagg.shamir import (
+    LimbShares,
     Share,
     reconstruct_large_secret,
+    reconstruct_quorum,
     reconstruct_secret,
     reconstruct_secret_scalar,
     reconstruct_secrets,
@@ -267,6 +269,60 @@ class TestScalarVectorEquivalence:
                 [Share(x=x, y=y) for x, y in zip(xs, rows[i])]
             ) == secrets[i]
 
+    @given(
+        threshold=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=0, max_value=4),
+        survivors=st.integers(min_value=0, max_value=5),
+        dropouts=st.integers(min_value=0, max_value=4),
+        limbs=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_quorum_reconstruction_matches_scalar_row_for_row(
+        self, threshold, extra, survivors, dropouts, limbs, seed
+    ):
+        """What an unmask phase reconstructs — a seed per survivor and
+        ``limbs`` limbs per dropout, all from one quorum subset and one
+        weight vector — equals the scalar reference on every row,
+        including no dropouts at all and one-limb keys."""
+        rng = np.random.default_rng(seed)
+        num_shares = threshold + extra
+        seeds = [int(rng.integers(0, FIELD.prime)) for _ in range(survivors)]
+        keys = [
+            int.from_bytes(rng.bytes(8 * limbs), "little") % (1 << 60 * limbs)
+            | ((1 << 60 * (limbs - 1)) if limbs > 1 else 0)
+            for _ in range(dropouts)
+        ]
+        seed_matrix = split_secrets(seeds, threshold, num_shares, rng)
+        key_shares = [
+            split_large_secret(key, threshold, num_shares, rng) for key in keys
+        ]
+        subset = [
+            int(j)
+            for j in rng.choice(num_shares, size=threshold, replace=False)
+        ]
+        xs = [j + 1 for j in subset]
+        seed_rows = [
+            [int(seed_matrix[i, j]) for j in subset] for i in range(survivors)
+        ]
+        limb_sets = [[shares[j] for j in subset] for shares in key_shares]
+        got_seeds, got_keys = reconstruct_quorum(xs, seed_rows, limb_sets)
+        assert got_seeds == seeds
+        assert got_keys == keys
+        for row, value in zip(seed_rows, got_seeds):
+            assert value == reconstruct_secret_scalar(
+                [Share(x=x, y=y) for x, y in zip(xs, row)]
+            )
+        for shares, value in zip(limb_sets, got_keys):
+            assert len(shares[0].ys) == limbs
+            reference = 0
+            for k in reversed(range(limbs)):
+                reference = (reference << 60) | reconstruct_secret_scalar(
+                    [Share(x=share.x, y=share.ys[k]) for share in shares]
+                )
+            assert value == reference
+            assert value == reconstruct_large_secret(shares)
+
     def test_small_field_routes_through_kernels(self, rng):
         field = PrimeField(prime=101)
         shares = split_secret(42, 3, 7, rng, field)
@@ -319,6 +375,31 @@ class TestBatchedRejection:
         shares = split_secret(77777, threshold=3, num_shares=5, rng=rng)
         assert reconstruct_secret(shares[:2]) != 77777
         assert reconstruct_secret_scalar(shares[:2]) != 77777
+
+    def test_quorum_checks_every_share(self, rng):
+        """The batched unmask reconstruction refuses what the one-secret
+        paths refuse, on whichever row it sits."""
+        a = split_large_secret(1 << 100, 2, 3, rng)
+        b = split_large_secret(7, 2, 3, rng)
+        good = [a[0], a[1]]
+        with pytest.raises(AggregationError, match="zero shares"):
+            reconstruct_quorum([], [], [[]])
+        with pytest.raises(AggregationError, match="limb counts"):
+            reconstruct_quorum([1, 2], [], [good, [a[0], b[1]]])
+        with pytest.raises(AggregationError, match="quorum's points"):
+            reconstruct_quorum([1, 2], [], [good, [a[0], a[2]]])
+        with pytest.raises(AggregationError, match="duplicate"):
+            reconstruct_quorum([1, 1], [[3, 4]], [[a[0], a[0]]])
+        with pytest.raises(AggregationError, match="disagree"):
+            reconstruct_quorum([1, 2], [[3, 4, 5]], [good])
+        # Out-of-field values on a later row, wider than uint64 included
+        # (numpy alone would raise OverflowError there).
+        for bad in (FIELD.prime, 1 << 70, -1):
+            with pytest.raises(AggregationError, match="outside"):
+                reconstruct_quorum([1, 2], [[3, 4], [5, bad]], [good])
+            wide = LimbShares(x=2, ys=(a[1].ys[0], bad))
+            with pytest.raises(AggregationError, match="outside"):
+                reconstruct_quorum([1, 2], [[3, 4]], [good, [a[0], wide]])
 
     def test_split_secrets_validates_every_secret(self, rng):
         with pytest.raises(ConfigurationError, match="secret"):

@@ -8,12 +8,15 @@ transports themselves don't: version/PRG negotiation rejection at Hello
 accounting ledger.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import AggregationError, ConfigurationError, NegotiationError
 from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.keys import TOY_GROUP
+from repro.secagg.shamir import LimbShares
 from repro.secagg.statemachine import (
     PHASE_TAGS,
     ClientSession,
@@ -26,8 +29,10 @@ from repro.secagg.wire import (
     SealedShares,
     decode_message,
     decode_sealed_columns,
+    decode_unmask_columns,
     encode_message,
     encode_sealed_matrix,
+    encode_unmask_columns,
     iter_frames,
 )
 
@@ -117,6 +122,131 @@ MALFORMED_SHARE_KEYS = [
     _wrong_ciphertext_length,
     _one_frame_at_a_time,
     _mixed_message_types,
+]
+
+
+def open_unmask(clients, server, silent=frozenset()):
+    """Run the round up to the unmask request, ``silent`` going quiet
+    after sharing keys; returns each survivor's honest unmask upload."""
+    for u in sorted(clients):
+        server.receive(b"".join(clients[u].start()), sender=u)
+    deliveries = server.advance()
+    for phase in range(2):
+        for u in sorted(deliveries):
+            if phase == 1 and u in silent:
+                continue
+            server.receive(
+                b"".join(clients[u].handle(deliveries[u])), sender=u
+            )
+        deliveries = server.advance()
+    return {
+        u: b"".join(clients[u].handle(deliveries[u]))
+        for u in sorted(deliveries)
+    }
+
+
+def _rewritten(upload, changes):
+    """Re-encode an unmask upload with ``changes(columns)`` applied."""
+    header, columns = decode_unmask_columns(upload)
+    return encode_unmask_columns(
+        dataclasses.replace(columns, **changes(columns)), header
+    )
+
+
+def _missing_key_share(upload):
+    def drop_one(columns):
+        kept = dict(columns.key_shares)
+        del kept[max(kept)]
+        return {"key_shares": kept}
+
+    return _rewritten(upload, drop_one)
+
+
+def _extra_key_share(upload):
+    # A key share for a *survivor*: the share the security rule says
+    # must never travel together with that survivor's seed share.
+    def add_one(columns):
+        share = next(iter(columns.key_shares.values()))
+        return {
+            "key_shares": {**columns.key_shares, int(columns.peers[0]): share}
+        }
+
+    return _rewritten(upload, add_one)
+
+
+def _wrong_peer_set(upload):
+    return _rewritten(
+        upload,
+        lambda columns: {
+            "peers": columns.peers[:-1],
+            "xs": columns.xs[:-1],
+            "ys": columns.ys[:-1],
+        },
+    )
+
+
+def _mixed_points(upload):
+    def shift_one(columns):
+        xs = columns.xs.copy()
+        xs[-1] += 1
+        return {"xs": xs}
+
+    return _rewritten(upload, shift_one)
+
+
+def _foreign_key_point(upload):
+    def move(columns):
+        peer, share = next(iter(columns.key_shares.items()))
+        return {
+            "key_shares": {
+                **columns.key_shares,
+                peer: LimbShares(x=share.x + 1, ys=share.ys),
+            }
+        }
+
+    return _rewritten(upload, move)
+
+
+def _wrong_limb_count(upload):
+    def shorten(columns):
+        peer, share = next(iter(columns.key_shares.items()))
+        return {
+            "key_shares": {
+                **columns.key_shares,
+                peer: LimbShares(x=share.x, ys=share.ys[:-1]),
+            }
+        }
+
+    return _rewritten(upload, shorten)
+
+
+def _out_of_field_value(upload):
+    # Wider than uint64: numpy would raise OverflowError on it.
+    def inflate(columns):
+        peer, share = next(iter(columns.key_shares.items()))
+        return {
+            "key_shares": {
+                **columns.key_shares,
+                peer: LimbShares(x=share.x, ys=(1 << 70,) + share.ys[1:]),
+            }
+        }
+
+    return _rewritten(upload, inflate)
+
+
+def _two_frames(upload):
+    return upload + upload
+
+
+MALFORMED_UNMASK = [
+    _missing_key_share,
+    _extra_key_share,
+    _wrong_peer_set,
+    _mixed_points,
+    _foreign_key_point,
+    _wrong_limb_count,
+    _out_of_field_value,
+    _two_frames,
 ]
 
 
@@ -373,6 +503,49 @@ class TestStrictValidation:
             deliveries = server.advance()
         np.testing.assert_array_equal(
             server.modular_sum, np.mod(inputs[1:].sum(axis=0), MODULUS)
+        )
+
+    @pytest.mark.parametrize("malform", MALFORMED_UNMASK)
+    def test_malformed_unmask_response_refused_before_any_state(
+        self, malform
+    ):
+        """An unmask response is one lone frame whose shape the round
+        fixed — a seed share per survivor, a key share per announced
+        dropout at the group's limb count, everything at the responder's
+        own point and in the field.  Anything else is refused at
+        receive(), naming the sender, with nothing stored; it used to
+        reach recover_sum and take the round (a bare KeyError for a
+        missing key share) with it."""
+        inputs, clients, server = make_sessions(n=8, threshold=4)
+        uploads = open_unmask(clients, server, silent={6, 7})
+        assert sorted(uploads) == [1, 2, 3, 4, 5, 8]
+        with pytest.raises(AggregationError, match="client 2 "):
+            server.receive(malform(uploads[2]), sender=2)
+        assert server.received() == frozenset()
+        assert server.stats.phase_summary("unmask") is None
+        # The refusal is not sticky, and the round still recovers the
+        # survivors' exact sum from honest responses.
+        for u, upload in uploads.items():
+            server.receive(upload, sender=u)
+        server.advance()
+        survivors = [u - 1 for u in sorted(uploads)]
+        np.testing.assert_array_equal(
+            server.modular_sum,
+            np.mod(inputs[survivors].sum(axis=0), MODULUS),
+        )
+
+    def test_unmask_quorum_recovers_without_the_malformed_responder(self):
+        inputs, clients, server = make_sessions(n=8, threshold=4)
+        uploads = open_unmask(clients, server, silent={7})
+        with pytest.raises(AggregationError, match="client 1 "):
+            server.receive(_missing_key_share(uploads[1]), sender=1)
+        for u in (2, 3, 4, 5):
+            server.receive(uploads[u], sender=u)
+        server.advance()
+        survivors = [u - 1 for u in sorted(uploads)]
+        np.testing.assert_array_equal(
+            server.modular_sum,
+            np.mod(inputs[survivors].sum(axis=0), MODULUS),
         )
 
     @pytest.mark.parametrize("tail", ["short-envelope", "foreign-frame"])
