@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.secagg.bonawitz import _share_layout
+from repro.secagg.bonawitz import _key_limbs
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
 from repro.secagg.keys import TOY_GROUP
@@ -214,7 +214,7 @@ def test_shamir_throughput(emit, bench_rng):
     # The row above reconstructs one secret set per call, which is not
     # what a round does.  The round-shaped case: every survivor's seed
     # and every limb of every dropout's key, one quorum, one call.
-    limbs = _share_layout(field, TOY_GROUP)[1]
+    limbs = _key_limbs(TOY_GROUP)
     seeds = [
         int(bench_rng.integers(0, field.prime))
         for _ in range(ROUND_CLIENTS - ROUND_DROPOUTS)

@@ -1,13 +1,16 @@
 """The real-socket SecAgg aggregation server.
 
-This is the third transport over the sans-I/O protocol core — after the
-synchronous in-memory loop (:func:`repro.secagg.bonawitz.run_bonawitz`)
-and the simulated-clock mailbox
+This is the third caller of the one
+:class:`~repro.secagg.statemachine.RoundDriver` — after the synchronous
+in-memory loop (:func:`repro.secagg.bonawitz.run_bonawitz`) and the
+simulated-clock mailbox
 (:class:`repro.simulation.rounds.AsyncSecAggRound`) — and the first one
 whose clients are *real peers on real sockets*: an asyncio TCP listener
-drives one :class:`~repro.secagg.statemachine.ServerSession` per round,
-with wall-clock phase deadlines doing the job the simulated clock's
-``phase_timeout`` does in the simulator.
+offers every datagram to the driver of the round in flight, with
+wall-clock phase deadlines doing the job the simulated clock's
+``phase_timeout`` does in the simulator.  What a refused datagram, a
+closed phase and an abort mean is the driver's business and the same as
+in the other two; this file is what only a socket needs.
 
 Transport rules (everything the protocol core deliberately does not
 decide):
@@ -17,9 +20,9 @@ decide):
   becomes the connection's bound client id (first come, first bound —
   a duplicate id is refused with a typed
   :class:`~repro.secagg.wire.Reject`).  Every subsequent datagram is
-  ingested as ``session.receive(data, sender=<bound id>)``, so a frame
-  claiming a different origin raises inside the core and the connection
-  is evicted — one socket can never impersonate another.
+  offered to the driver under the bound id, so a frame claiming a
+  different origin is refused inside the core and the connection is
+  evicted — one socket can never impersonate another.
 * **Phases close on the wall clock.**  A phase ends at the earlier of
   "every expected client delivered" and ``phase_timeout`` seconds;
   stragglers are treated as dropouts, exactly like the simulator.
@@ -35,8 +38,8 @@ decide):
   (byte-identical redelivery is idempotent) but never *different*
   bytes for the same phase — that is answered with a typed Reject and
   eviction (the at-most-once guard).
-* **Late traffic is ignored and counted**, mirroring the mailbox
-  transport's ``message-ignored`` semantics.
+* **Late traffic is ignored and counted** by the driver, as in the
+  mailbox transport.
 * **Rounds are durable when a journal is configured.**  The server
   journals the cohort at round start and every phase's ingested
   uploads at phase commit; a killed-and-restarted server replays the
@@ -46,13 +49,12 @@ decide):
   charges are idempotent by round id, so a crash can never
   double-charge the ledger.
 
-Telemetry lands in the *same* metric families the simulator reports
-(``secagg_phase_wall_duration_seconds``, ``secagg_rounds_total``,
-``secagg_wire_bytes_total``, ...), plus a handful of ``net_*`` families
-only a real listener has (connections, evictions, round wall time); the
-registry is served live over HTTP ``GET /metrics``
-(:mod:`repro.net.http`), so simulated and real runs share one metrics
-catalog and one scrape format.
+The round's telemetry is the driver's — the very ``secagg_*`` round
+families the simulator reports, counted by the same code — plus a
+handful of ``net_*`` families only a real listener has (connections,
+evictions by reason, round wall time); the registry is served live over
+HTTP ``GET /metrics`` (:mod:`repro.net.http`), so simulated and real
+runs share one metrics catalog and one scrape format.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import hashlib
 
 import numpy as np
 
-from repro.errors import AggregationError, ConfigurationError, ConflictError
+from repro.errors import AggregationError, ConfigurationError
 from repro.net.frames import MAX_DATAGRAM_BYTES, read_datagram, write_datagram
 from repro.net.http import start_metrics_endpoint
 from repro.resilience.journal import (
@@ -77,15 +79,10 @@ from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.keys import TOY_GROUP, KeyAgreementGroup
 from repro.secagg.statemachine import (
     PHASE_TAGS,
+    RoundDriver,
     ServerSession,
-    count_phase_wire,
 )
-from repro.secagg.bonawitz import (
-    ROUND_ADVERTISE,
-    ROUND_MASKED_INPUT,
-    ROUND_SHARE_KEYS,
-    ROUND_UNMASK,
-)
+from repro.secagg.bonawitz import ROUND_ADVERTISE, ROUND_UNMASK
 from repro.secagg.wire import (
     Hello,
     Reject,
@@ -289,37 +286,8 @@ class SecAggServer:
             self.ledger = DurableLedger(self._journal, recovery.charged)
             self._next_round_id = recovery.next_round_id
             self._interrupted = recovery.interrupted
-        # Same family names (and help) the simulator's rounds report
-        # into, so /metrics holds one catalog for both worlds.
-        self._m_wall_phase = self.metrics.histogram(
-            "secagg_phase_wall_duration_seconds",
-            "Wall-clock compute seconds per protocol phase.",
-        )
-        self._m_rounds = self.metrics.counter(
-            "secagg_rounds_total",
-            "Secure-aggregation rounds finished, by outcome.",
-        )
-        self._m_timeouts = self.metrics.counter(
-            "secagg_phase_timeouts_total",
-            "Phases the server closed at the deadline, by phase.",
-        )
-        self._m_dropped = self.metrics.counter(
-            "secagg_clients_dropped_total",
-            "Cohort members that dropped or straggled out, by phase.",
-        )
-        self._m_ignored = self.metrics.counter(
-            "secagg_messages_ignored_total",
-            "Datagrams ignored: stragglers, duplicates, unknown senders.",
-        )
-        self._m_wire_messages = self.metrics.counter(
-            "secagg_wire_messages_total",
-            "Protocol messages on the wire, by phase and direction.",
-        )
-        self._m_wire_bytes = self.metrics.counter(
-            "secagg_wire_bytes_total",
-            "Serialized bytes on the wire, by phase and direction.",
-        )
-        # Families only a real listener has.
+        # Families only a real listener has; the secagg_* round families
+        # are each round's driver's.
         self._m_connections = self.metrics.counter(
             "net_connections_total",
             "TCP connections by handshake outcome.",
@@ -606,10 +574,9 @@ class SecAggServer:
         return await self._drive(
             index=index,
             round_id=round_id,
-            session=session,
+            driver=RoundDriver(session, joins, metrics=self.metrics),
             roster=frozenset(joins),
             joins=joins,
-            start_phase=ROUND_ADVERTISE,
             recovered=False,
         )
 
@@ -630,35 +597,32 @@ class SecAggServer:
         rounds.
         """
         round_id = interrupted.round_id
-        session = self._build_session()
+        driver = RoundDriver(
+            self._build_session(), interrupted.cohort, metrics=self.metrics
+        )
         recoverable = bool(interrupted.phases) and (
             interrupted.params == self._journal_params()
         )
         if recoverable:
             try:
-                for _, uploads in interrupted.phases:
-                    for client in sorted(uploads):
-                        session.receive(uploads[client], sender=client)
-                    session.advance()
+                driver.restore(uploads for _, uploads in interrupted.phases)
             except AggregationError:
                 recoverable = False
         if not recoverable or self.config.resume_grace <= 0:
             if self._journal is not None:
                 self._journal.round_end(round_id, "aborted", None)
             self._m_recovery.labels(outcome="aborted").inc()
-            self._m_rounds.labels(outcome="aborted").inc()
+            driver.abort()
             return None
         self._m_recovery.labels(outcome="resumed").inc()
-        loop = asyncio.get_running_loop()
-        for client in session.expected:
-            self._parked[client] = loop.time() + self.config.resume_grace
+        for client in driver.waiting:
+            self._park(client)
         return await self._drive(
             index=index,
             round_id=round_id,
-            session=session,
+            driver=driver,
             roster=frozenset(interrupted.cohort),
             joins={},
-            start_phase=session.phase,
             recovered=True,
         )
 
@@ -686,14 +650,13 @@ class SecAggServer:
         *,
         index: int,
         round_id: int,
-        session: ServerSession,
+        driver: RoundDriver,
         roster: frozenset[int],
         joins: dict[int, bytes],
-        start_phase: int,
         recovered: bool,
     ) -> NetRoundResult:
         loop = asyncio.get_running_loop()
-        evicted: set[int] = set()
+        session = driver.session
         # Snapshot the cohort's connection *objects*: by round end the
         # same client ids may already be bound to next-round
         # connections, and cleanup must not close those.  Resumed
@@ -706,56 +669,39 @@ class SecAggServer:
         self._round_state = {
             "round_id": round_id,
             "roster": roster,
-            "session": session,
+            "driver": driver,
             "connections": round_connections,
+            # What the session accepted in the phase being collected:
+            # the journal's phase commit.
+            "committed": {},
         }
         started = loop.time()
         aborted: str | None = None
         with time_phase("round", wall_histogram=self._m_round_wall):
-            expected = set(session.expected) if recovered else set(joins)
-            for phase in range(start_phase, ROUND_UNMASK + 1):
-                tag = PHASE_TAGS[phase]
-                with time_phase(
-                    tag,
-                    wall_histogram=self._m_wall_phase.labels(phase=tag),
-                ):
-                    if phase == ROUND_ADVERTISE:
-                        datagrams = dict(joins)
-                    else:
-                        datagrams = await self._collect(tag, expected, evicted)
-                    committed: dict[int, bytes] = {}
-                    for client in sorted(datagrams):
-                        if await self._ingest(
-                            session, client, datagrams[client], tag, evicted
-                        ):
-                            committed[client] = datagrams[client]
-                    try:
-                        deliveries = session.advance()
-                    except AggregationError as error:
-                        aborted = str(error)
-                        break
-                    if self._journal is not None:
-                        self._journal.phase_commit(round_id, tag, committed)
-                    if phase != ROUND_UNMASK:
-                        await self._deliver(deliveries, tag, evicted)
-                    expected = set(session.expected)
-                # Driven phases never revisit a tag (a recovered round's
-                # replay happens before the first one), so the per-tag
-                # totals are this phase's traffic.
-                totals = session.stats.phase_summary(tag)
-                if totals is not None:
-                    count_phase_wire(
-                        tag, totals, self._m_wire_messages, self._m_wire_bytes
+            # A recovered round picks up at the first phase its journal
+            # had not committed.
+            for phase in range(session.phase, ROUND_UNMASK + 1):
+                committed = self._round_state["committed"] = {}
+                if phase == ROUND_ADVERTISE:
+                    # The handshakes that formed the cohort are the
+                    # advertise uploads.
+                    for client in sorted(joins):
+                        await self._offer(client, joins[client])
+                else:
+                    await self._collect()
+                try:
+                    deliveries = driver.close()
+                except AggregationError as error:
+                    aborted = str(error)
+                    break
+                if self._journal is not None:
+                    self._journal.phase_commit(
+                        round_id, PHASE_TAGS[phase], committed
                     )
+                await self._deliver(deliveries)
         wall_duration = loop.time() - started
-        if aborted is None:
-            included = session.included
-            modular_sum = session.modular_sum
-            self._m_rounds.labels(outcome="completed").inc()
-        else:
-            included = frozenset()
-            modular_sum = None
-            self._m_rounds.labels(outcome="aborted").inc()
+        included = session.included if aborted is None else frozenset()
+        modular_sum = session.modular_sum if aborted is None else None
         digest = (
             hashlib.sha256(modular_sum.tobytes()).hexdigest()
             if modular_sum is not None
@@ -779,7 +725,7 @@ class SecAggServer:
             modular_sum=modular_sum,
             included=included,
             dropped=frozenset(roster) - included,
-            evicted=frozenset(evicted),
+            evicted=frozenset(driver.evicted),
             rejected=dict(session.rejections),
             aborted=aborted,
             wall_duration=wall_duration,
@@ -827,43 +773,37 @@ class SecAggServer:
                 )
             elif kind == "stop":
                 break
-            else:
-                self._m_ignored.inc()
+            # Anything else is data from a connection no round has
+            # admitted yet: there is no phase it could be late for.
         return joins
 
-    async def _collect(
-        self, tag: str, expected: set[int], evicted: set[int]
-    ) -> dict[int, bytes]:
-        """Gather one phase's datagrams until complete or deadline.
+    async def _collect(self) -> None:
+        """Offer the driver one phase's datagrams until it waits on
+        nobody or the wall deadline passes.
 
         With no grace window, members whose connection is gone (at
         phase start or mid-phase) are evicted immediately — a
         disconnect must never leave the round waiting out the full
         deadline for a peer that cannot answer.  With ``resume_grace >
-        0`` they are parked instead: still counted as pending until
-        they resume, their grace expires (eviction, reason
-        ``grace-expired``), or the phase deadline passes.
+        0`` they are parked instead: still waited on until they resume,
+        their grace expires (eviction, reason ``grace-expired``), or
+        the phase deadline passes.
         """
         loop = asyncio.get_running_loop()
+        state = self._round_state
+        assert state is not None
+        driver: RoundDriver = state["driver"]
+        waiting = driver.waiting
         deadline = loop.time() + self.config.phase_timeout
-        grace = self.config.resume_grace
-        collected: dict[int, bytes] = {}
-        pending = {
-            client
-            for client in expected
-            if client not in evicted
-        }
-        for client in sorted(pending):
+        for client in sorted(waiting):
             if client not in self._connections and client not in self._parked:
-                if grace > 0:
-                    self._park(client)
-                else:
-                    self._evict(client, tag, evicted, reason="disconnect")
-        pending -= evicted
-        while pending - set(collected):
+                self._lost(client)
+        while waiting:
             now = loop.time()
             if now >= deadline:
-                self._expire(tag, pending - set(collected))
+                self._m_evictions.labels(reason="straggler").inc(
+                    len(driver.timeout())
+                )
                 break
             for client in [
                 parked
@@ -871,10 +811,9 @@ class SecAggServer:
                 if until <= now
             ]:
                 del self._parked[client]
-                if client in pending and client not in collected:
-                    self._evict(client, tag, evicted, reason="grace-expired")
-            pending -= evicted
-            if not pending - set(collected):
+                if client in waiting:
+                    self._evict(client, "grace-expired")
+            if not waiting:
                 break
             # Wake at the earliest of the phase deadline and the next
             # grace expiry among peers the phase is still waiting on.
@@ -883,7 +822,7 @@ class SecAggServer:
                 + [
                     until
                     for parked, until in self._parked.items()
-                    if parked in pending and parked not in collected
+                    if parked in waiting
                 ]
             )
             try:
@@ -892,67 +831,52 @@ class SecAggServer:
                 )
             except asyncio.TimeoutError:
                 continue
-            if kind == "stop":
-                continue  # flag is set; finish draining this round first
-            if kind == "join":
-                state = self._round_state
+            if kind == "data":
+                await self._offer(client, payload)
+            elif kind == "gone":
+                if client in waiting:
+                    self._lost(client)
+            elif kind == "resume":
+                await self._handle_resume(client, payload)
+            elif kind == "join":
                 if (
-                    state is not None
-                    and client in state["roster"]
-                    and client not in evicted
-                    and client not in state["session"].rejections
+                    client in state["roster"]
+                    and client not in driver.evicted
+                    and client not in driver.session.rejections
                 ):
                     # A current-round member re-handshaking from
                     # scratch (it lost its connection before learning
                     # the round id): resume with a full replay.
-                    await self._accept_resume(client, 0, tag, evicted)
+                    await self._accept_resume(client, 0)
                 else:
                     # A connection for the *next* round; park it.
                     self._pending_joins[client] = payload
-                continue
-            if kind == "resume":
-                await self._handle_resume(client, payload, tag, evicted)
-                continue
-            if kind == "gone":
-                if client in pending and client not in collected:
-                    if grace > 0:
-                        self._park(client)
-                    else:
-                        self._evict(client, tag, evicted, reason="disconnect")
-                        pending.discard(client)
-                continue
-            if client not in pending:
-                self._m_ignored.inc()
-                continue
-            state = self._round_state
-            if state is not None and state["session"].already_ingested(
-                client, payload
-            ):
-                # A resumed client re-sending an upload a *previous*
-                # phase already committed; drop it before it can shadow
-                # the upload this phase is actually waiting for.
-                self._m_ignored.inc()
-                continue
-            if client in collected:
-                if bytes(payload) == bytes(collected[client]):
-                    # Idempotent redelivery after a resume.
-                    self._m_ignored.inc()
-                else:
-                    # The at-most-once guard, in-phase flavour: the
-                    # same client re-submitting *different* bytes can
-                    # never be honoured.
-                    await self._conflict_evict(
-                        client,
-                        tag,
-                        evicted,
-                        f"client {client} re-submitted different bytes "
-                        f"for the {tag} phase",
-                    )
-                    collected.pop(client, None)
-                    pending.discard(client)
-                continue
-            collected[client] = payload
-        return collected
+            # "stop": the flag is set; finish draining this round first.
+
+    async def _offer(self, client: int, payload: bytes) -> None:
+        """Offer one datagram to the round's driver under the bound id.
+
+        A datagram the session refuses — spoofed sender, wrong shape,
+        out of phase, header mismatch — has already evicted its sender
+        there: the connection is lying or broken either way, so it is
+        closed and dropout tolerance absorbs the loss.
+        """
+        state = self._round_state
+        assert state is not None
+        driver: RoundDriver = state["driver"]
+        refusal = driver.offer(client, payload)
+        if refusal is None:
+            state["committed"][client] = payload
+        elif refusal != "ignored":
+            if refusal == "conflict":
+                # The at-most-once guard: the same client re-submitting
+                # *different* bytes for the phase can never be honoured.
+                await self._send_reject(
+                    client,
+                    f"client {client} re-submitted different bytes for "
+                    f"the {driver.session.phase_tag} phase",
+                )
+            self._dismiss(client, refusal)
 
     def _park(self, client: int) -> None:
         """Hold a dropped client under the resume grace window."""
@@ -960,9 +884,15 @@ class SecAggServer:
             loop = asyncio.get_running_loop()
             self._parked[client] = loop.time() + self.config.resume_grace
 
-    async def _handle_resume(
-        self, client: int, payload: bytes, tag: str, evicted: set[int]
-    ) -> None:
+    def _lost(self, client: int) -> None:
+        """A round member's connection is gone: park it under the grace
+        window, or with none evict it at once."""
+        if self.config.resume_grace > 0:
+            self._park(client)
+        else:
+            self._evict(client, "disconnect")
+
+    async def _handle_resume(self, client: int, payload: bytes) -> None:
         """Vet one Resume handshake against the in-flight round."""
         state = self._round_state
         try:
@@ -982,7 +912,8 @@ class SecAggServer:
                 outcome="rejected",
             )
             return
-        if client in evicted or client in state["session"].rejections:
+        driver: RoundDriver = state["driver"]
+        if client in driver.evicted or client in driver.session.rejections:
             await self._reject_resume(
                 client,
                 "no longer a participant of this round",
@@ -996,24 +927,18 @@ class SecAggServer:
                 outcome="rejected",
             )
             return
-        await self._accept_resume(client, message.deliveries, tag, evicted)
+        await self._accept_resume(client, message.deliveries)
 
-    async def _accept_resume(
-        self, client: int, deliveries_seen: int, tag: str, evicted: set[int]
-    ) -> None:
+    async def _accept_resume(self, client: int, deliveries_seen: int) -> None:
         """Unpark a resumed client and replay what it has not seen."""
         state = self._round_state
         assert state is not None
-        session: ServerSession = state["session"]
+        session: ServerSession = state["driver"].session
         self._parked.pop(client, None)
         connection = self._connections.get(client)
         if connection is None:
-            # It vanished again between the handshake and now; park it
-            # and let the grace machinery decide.
-            if self.config.resume_grace > 0:
-                self._park(client)
-            else:
-                self._evict(client, tag, evicted, reason="disconnect")
+            # It vanished again between the handshake and now.
+            self._lost(client)
             return
         state["connections"][client] = connection
         try:
@@ -1027,35 +952,15 @@ class SecAggServer:
             for replayed in session.replay_for(client, deliveries_seen):
                 await write_datagram(connection.writer, replayed)
         except (AggregationError, ConnectionError, OSError):
-            if self.config.resume_grace > 0:
-                self._park(client)
-            else:
-                self._evict(client, tag, evicted, reason="disconnect")
+            self._lost(client)
             return
         self._m_resume.labels(outcome="accepted").inc()
 
-    async def _reject_resume(
-        self, client: int, reason: str, outcome: str
-    ) -> None:
-        """Answer a doomed resume with a typed Reject, then close."""
-        self._m_resume.labels(outcome=outcome).inc()
-        connection = self._connections.get(client)
-        if connection is None:
-            return
-        with contextlib.suppress(AggregationError, ConnectionError, OSError):
-            await write_datagram(
-                connection.writer,
-                encode_message(
-                    Reject(client=client, reason=reason),
-                    self._reject_header,
-                ),
-            )
-        connection.close()
-
-    async def _conflict_evict(
-        self, client: int, tag: str, evicted: set[int], reason: str
-    ) -> None:
-        """At-most-once violation: typed Reject, then eviction."""
+    async def _send_reject(
+        self, client: int, reason: str
+    ) -> _Connection | None:
+        """Tell a client, if it is still connected, why it is refused;
+        returns the connection that was told."""
         connection = self._connections.get(client)
         if connection is not None:
             with contextlib.suppress(
@@ -1068,62 +973,40 @@ class SecAggServer:
                         self._reject_header,
                     ),
                 )
-        self._evict(client, tag, evicted, reason="conflict")
+        return connection
 
-    def _expire(self, tag: str, missing: set[int]) -> None:
-        self._m_timeouts.labels(phase=tag).inc()
-        for client in missing:
-            self._m_dropped.labels(phase=tag).inc()
-            self._m_evictions.labels(reason="straggler").inc()
-
-    async def _ingest(
-        self,
-        session: ServerSession,
-        client: int,
-        datagram: bytes,
-        tag: str,
-        evicted: set[int],
-    ) -> bool:
-        """Feed one datagram to the session under the bound sender id.
-
-        Returns True when the session accepted it (it then belongs in
-        the phase's journal commit).
-        """
-        try:
-            session.receive(datagram, sender=client)
-        except ConflictError as error:
-            # The at-most-once guard, cross-phase flavour: a resumed
-            # client tried to replace an upload the session already
-            # committed.
-            await self._conflict_evict(client, tag, evicted, str(error))
-            return False
-        except AggregationError:
-            # Spoofed sender, duplicate delivery, out-of-phase frame,
-            # header mismatch: the connection is lying or broken either
-            # way — evict it and let dropout tolerance absorb the loss.
-            self._evict(client, tag, evicted, reason="protocol")
-            return False
-        return True
-
-    def _evict(
-        self, client: int, tag: str, evicted: set[int], reason: str
+    async def _reject_resume(
+        self, client: int, reason: str, outcome: str
     ) -> None:
-        if client in evicted:
-            return
-        evicted.add(client)
+        """Answer a doomed resume with a typed Reject, then close."""
+        self._m_resume.labels(outcome=outcome).inc()
+        connection = await self._send_reject(client, reason)
+        if connection is not None:
+            connection.close()
+
+    def _evict(self, client: int, reason: str) -> None:
+        """The transport gives up on a round member."""
+        state = self._round_state
+        assert state is not None
+        if state["driver"].evict(client, reason):
+            self._dismiss(client, reason)
+
+    def _dismiss(self, client: int, reason: str) -> None:
+        """What an eviction means on a socket, whoever decided it: the
+        reason is counted, the connection closed, and whatever the
+        client had delivered this phase — the driver retracted it —
+        kept out of the journal."""
+        state = self._round_state
+        assert state is not None
+        state["committed"].pop(client, None)
         self._parked.pop(client, None)
         self._m_evictions.labels(reason=reason).inc()
-        self._m_dropped.labels(phase=tag).inc()
         connection = self._connections.get(client)
         if connection is not None:
             connection.close()
 
-    async def _deliver(
-        self, deliveries: dict[int, bytes], tag: str, evicted: set[int]
-    ) -> None:
+    async def _deliver(self, deliveries: dict[int, bytes]) -> None:
         for recipient in sorted(deliveries):
-            if recipient in evicted:
-                continue
             connection = self._connections.get(recipient)
             if connection is None:
                 continue
@@ -1132,12 +1015,9 @@ class SecAggServer:
                     connection.writer, deliveries[recipient]
                 )
             except (AggregationError, ConnectionError, OSError):
-                if self.config.resume_grace > 0:
-                    # The delivery stays in the session's replay
-                    # buffer; a resume within the grace window gets it.
-                    self._park(recipient)
-                else:
-                    self._evict(recipient, tag, evicted, reason="disconnect")
+                # With a grace window the delivery stays in the
+                # session's replay buffer; a resume gets it.
+                self._lost(recipient)
 
     def _close_round_connections(
         self, round_connections: list[_Connection]

@@ -14,13 +14,15 @@ Three layers, lowest fidelity first:
   sans-I/O protocol core: typed, versioned, byte-serializable wire
   messages with first-class version/PRG negotiation (one encoding path
   per message: bulk array encoders for the three quadratic legs, the
-  per-frame ``encode_message`` for the rest), and pure
-  client/server sessions that every transport
-  (the :func:`~repro.secagg.statemachine.drive_in_memory` synchronous
-  loop behind :func:`~repro.secagg.bonawitz.run_bonawitz` and the
-  tree's composition rounds,
-  :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox,
-  the sharded process backend) drives identically.
+  per-frame ``encode_message`` for the rest), pure client/server
+  sessions, and the one :class:`~repro.secagg.statemachine.RoundDriver`
+  through which every transport (the
+  :func:`~repro.secagg.statemachine.drive_in_memory` synchronous loop
+  behind :func:`~repro.secagg.bonawitz.run_bonawitz` and the tree's
+  composition rounds, the
+  :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox and its
+  sharded process backend, the :mod:`repro.net` socket server) feeds
+  the server session and closes its phases.
 """
 
 from repro.secagg.bonawitz import (
@@ -32,6 +34,7 @@ from repro.secagg.bonawitz import (
 from repro.secagg.statemachine import (
     PHASE_TAGS,
     ClientSession,
+    RoundDriver,
     ServerSession,
     drive_in_memory,
 )
@@ -119,6 +122,7 @@ __all__ = [
     "PairwiseMaskProtocol",
     "PrimeField",
     "Reject",
+    "RoundDriver",
     "SUPPORTED_PROTOCOL_VERSIONS",
     "SealedShares",
     "SecureAggregator",

@@ -110,40 +110,32 @@ _SEED_WIDTH = 16  # bytes used to serialise a self-mask seed for the PRG
 AdvertisedKeys = Advertise
 
 
-def _share_layout(
-    field: PrimeField, group: KeyAgreementGroup
-) -> tuple[int, int]:
-    """``(per-value byte width, mask-key limb count)`` of a share payload.
-
-    Share values fit 8 bytes whenever the field fits uint64 (16 covers
-    exotic fields up to ``2^128``), and every client pads its mask key
-    to the group's fixed limb count, so the pair — hence the envelope
-    length — is a function of the round's ``(field, group)`` alone.
-    """
-    width = 8 if field.prime <= (1 << 64) else 16
-    return width, -(-key_bits(group) // DEFAULT_LIMB_BITS)
+#: Bytes per share value in an envelope.  Every sharing field fits
+#: uint64 (:class:`~repro.secagg.field.PrimeField` refuses anything the
+#: limb-split kernels cannot carry), so the width is not a choice.
+_SHARE_VALUE_BYTES = 8
 
 
-def sealed_share_length(field: PrimeField, group: KeyAgreementGroup) -> int:
+def _key_limbs(group: KeyAgreementGroup) -> int:
+    """Limbs every mask key of ``group`` is padded to."""
+    return -(-key_bits(group) // DEFAULT_LIMB_BITS)
+
+
+def sealed_share_length(group: KeyAgreementGroup) -> int:
     """Byte length of every sealed share-keys envelope of a round.
 
-    Clients pad to it (:meth:`BonawitzClient.share_keys_matrix`) and
-    both sides validate against it, so a share-keys datagram is one
-    uniform frame stream whose shape no participant gets to choose.
+    A seed share plus one share per limb of the group's mask key, each
+    :data:`_SHARE_VALUE_BYTES` wide.  Clients pad to it
+    (:meth:`BonawitzClient.share_keys_matrix`) and both sides validate
+    against it, so a share-keys datagram is one uniform frame stream
+    whose shape no participant gets to choose.
     """
-    width, limbs = _share_layout(field, group)
-    return 6 + width * (1 + limbs)
+    return 6 + _SHARE_VALUE_BYTES * (1 + _key_limbs(group))
 
 
-def _encode_payload(
-    seed_share: Share, key_share: LimbShares, width: int = 16
-) -> bytes:
-    """Serialise one recipient's shares into a fixed-layout byte string.
-
-    ``width`` is the per-value byte width: 8 suffices whenever the
-    sharing field fits uint64 (every default configuration — it halves
-    the envelope keystream), 16 covers fields up to ``2^128``.
-    """
+def _encode_payload(seed_share: Share, key_share: LimbShares) -> bytes:
+    """Serialise one recipient's shares into a fixed-layout byte string."""
+    width = _SHARE_VALUE_BYTES
     parts = [
         seed_share.x.to_bytes(4, "little"),
         seed_share.y.to_bytes(width, "little"),
@@ -153,10 +145,9 @@ def _encode_payload(
     return b"".join(parts)
 
 
-def _decode_payload(
-    payload: bytes, width: int = 16
-) -> tuple[Share, LimbShares]:
-    """Inverse of :func:`_encode_payload` (same ``width`` required)."""
+def _decode_payload(payload: bytes) -> tuple[Share, LimbShares]:
+    """Inverse of :func:`_encode_payload`."""
+    width = _SHARE_VALUE_BYTES
     x = int.from_bytes(payload[0:4], "little")
     seed_y = int.from_bytes(payload[4 : 4 + width], "little")
     num_limbs = int.from_bytes(payload[4 + width : 6 + width], "little")
@@ -188,51 +179,47 @@ def _open_sealed(channel_key: bytes, ciphertext: bytes) -> bytes:
 
 
 def _encode_payload_matrix(
-    seed_ys: np.ndarray, limb_ys: np.ndarray, width: int = 16
+    seed_ys: np.ndarray, limb_ys: np.ndarray
 ) -> np.ndarray:
     """Vectorised :func:`_encode_payload` for one sender's whole roster.
 
     Args:
         seed_ys: ``(n,)`` uint64 seed-share values, recipient order.
         limb_ys: ``(num_limbs, n)`` uint64 key-share values.
-        width: Per-value byte width (8 or 16; values fit uint64 either
-            way, 16 just zero-pads the high half).
 
     Returns:
-        ``(n, 6 + width * (1 + num_limbs))`` uint8 matrix; row ``j`` is
+        ``(n, 6 + 8 * (1 + num_limbs))`` uint8 matrix; row ``j`` is
         exactly ``_encode_payload`` of recipient ``j + 1``'s shares.
     """
+    width = _SHARE_VALUE_BYTES
     num_limbs, num = limb_ys.shape
     payloads = np.zeros(
         (num, 6 + width * (1 + num_limbs)), dtype=np.uint8
     )
     xs = np.arange(1, num + 1, dtype="<u4")
     payloads[:, 0:4] = xs.view(np.uint8).reshape(num, 4)
-    payloads[:, 4:12] = (
-        seed_ys.astype("<u8").view(np.uint8).reshape(num, 8)
+    payloads[:, 4 : 4 + width] = (
+        seed_ys.astype("<u8").view(np.uint8).reshape(num, width)
     )
     payloads[:, 4 + width] = num_limbs & 0xFF
     payloads[:, 5 + width] = num_limbs >> 8
     base = 6 + width
     for k in range(num_limbs):
-        payloads[:, base + width * k : base + width * k + 8] = (
-            limb_ys[k].astype("<u8").view(np.uint8).reshape(num, 8)
+        payloads[:, base + width * k : base + width * (k + 1)] = (
+            limb_ys[k].astype("<u8").view(np.uint8).reshape(num, width)
         )
     return payloads
 
 
 def _decode_payload_matrix(
-    plain: np.ndarray, width: int = 16
+    plain: np.ndarray,
 ) -> list[tuple[Share, LimbShares]]:
     """Vectorised :func:`_decode_payload` over equal-layout payload rows.
-
-    With 16-byte values, rows whose high words are nonzero (possible
-    only for garbled ciphertexts) fall back to the scalar decoder, so
-    behaviour matches the scalar path byte for byte.
 
     Raises:
         AggregationError: On a layout/limb-count mismatch.
     """
+    width = _SHARE_VALUE_BYTES
     rows, row_bytes = plain.shape
     count_cols = np.ascontiguousarray(
         plain[:, 4 + width : 6 + width]
@@ -246,25 +233,18 @@ def _decode_payload_matrix(
             f"malformed share payload: {row_bytes} bytes, expected "
             f"{6 + width * (1 + int(count_cols.max(initial=0)))}"
         )
-    def words(start: int) -> tuple[np.ndarray, np.ndarray | None]:
+
+    def words(start: int) -> list[int]:
+        # tolist() hands back plain Python ints in one C pass.
         chunk = np.ascontiguousarray(plain[:, start : start + width])
-        pair = chunk.view("<u8")
-        return pair[:, 0], (pair[:, 1] if width == 16 else None)
+        return chunk.view("<u8")[:, 0].tolist()
+
     base = 6 + width
-    xs = np.ascontiguousarray(plain[:, 0:4]).view("<u4")[:, 0]
-    value_words = [words(4)] + [
-        words(base + width * k) for k in range(num_limbs)
-    ]
-    if any(hi is not None and hi.any() for _, hi in value_words):
-        return [
-            _decode_payload(plain[row].tobytes(), width)
-            for row in range(rows)
-        ]
-    # tolist() hands back plain Python ints in one C pass; zip-transpose
-    # assembles each row's limb tuple without per-element numpy scalars.
-    xs_list = xs.tolist()
-    seed_list = value_words[0][0].tolist()
-    limb_columns = [value_words[1 + k][0].tolist() for k in range(num_limbs)]
+    xs_list = np.ascontiguousarray(plain[:, 0:4]).view("<u4")[:, 0].tolist()
+    seed_list = words(4)
+    # zip-transpose assembles each row's limb tuple without per-element
+    # numpy scalars.
+    limb_columns = [words(base + width * k) for k in range(num_limbs)]
     limb_rows = zip(*limb_columns) if limb_columns else ((),) * rows
     return [
         (Share(x, y), LimbShares(x, ys))
@@ -310,7 +290,7 @@ class BonawitzClient:
         self._group = group
         self._field = field
         self._mask_prg = get_mask_prg(mask_prg)
-        self._payload_width, self._group_limbs = _share_layout(field, group)
+        self._group_limbs = _key_limbs(group)
         self._channel_keys = None  # type: KeyPair | None
         self._mask_keys = None  # type: KeyPair | None
         self._roster: dict[int, AdvertisedKeys] = {}
@@ -400,31 +380,7 @@ class BonawitzClient:
             self._rng,
             self._field,
         )
-        if self._field.prime <= (1 << 64):
-            payloads = _encode_payload_matrix(
-                np.asarray(share_matrix[0], dtype=np.uint64),
-                np.asarray(share_matrix[1:], dtype=np.uint64),
-                self._payload_width,
-            )
-        else:
-            # Fields beyond uint64 keep the scalar byte encoder.
-            payloads = np.frombuffer(
-                b"".join(
-                    _encode_payload(
-                        Share(x=position + 1, y=int(share_matrix[0, position])),
-                        LimbShares(
-                            x=position + 1,
-                            ys=tuple(
-                                int(share_matrix[1 + k, position])
-                                for k in range(len(limbs))
-                            ),
-                        ),
-                        self._payload_width,
-                    )
-                    for position in range(len(recipients))
-                ),
-                dtype=np.uint8,
-            ).reshape(len(recipients), -1)
+        payloads = _encode_payload_matrix(share_matrix[0], share_matrix[1:])
         # Seal every peer-bound payload in one keystream batch; the
         # self-addressed envelope needs no sealing.  Channel keys for
         # the whole roster are agreed in one vectorised sweep first.
@@ -471,9 +427,7 @@ class BonawitzClient:
             [self._channel_key(sender) for sender in senders],
             ciphertexts.shape[1],
         )
-        decoded = _decode_payload_matrix(
-            np.bitwise_xor(ciphertexts, streams), self._payload_width
-        )
+        decoded = _decode_payload_matrix(np.bitwise_xor(ciphertexts, streams))
         for sender, shares in zip(senders, decoded):
             self._received[sender] = shares
 
@@ -492,7 +446,7 @@ class BonawitzClient:
             AggregationError: If ``L`` is not the round's
                 :func:`sealed_share_length`.
         """
-        expected = sealed_share_length(self._field, self._group)
+        expected = sealed_share_length(self._group)
         if ciphertexts.shape[1] != expected:
             raise AggregationError(
                 f"client {self.index} received {ciphertexts.shape[1]}-byte "
@@ -505,7 +459,7 @@ class BonawitzClient:
         for row, sender in enumerate(senders):
             if sender == self.index:
                 self._received[sender] = _decode_payload(
-                    ciphertexts[row].tobytes(), self._payload_width
+                    ciphertexts[row].tobytes()
                 )
         if peer_rows:
             self._open_envelope_matrix(
@@ -580,9 +534,6 @@ class BonawitzClient:
         survivors = sorted(request.survivors)
         received = self._received
         count = len(survivors)
-        ys_dtype: type | np.dtype = (
-            np.uint64 if self._field.prime <= (1 << 64) else object
-        )
         return UnmaskColumns(
             responder=self.index,
             peers=np.asarray(survivors, dtype="<u4"),
@@ -592,7 +543,7 @@ class BonawitzClient:
                 count=count,
             ),
             ys=np.asarray(
-                [received[v][0].y for v in survivors], dtype=ys_dtype
+                [received[v][0].y for v in survivors], dtype=np.uint64
             ),
             key_shares={
                 v: received[v][1] for v in sorted(request.dropouts)
@@ -810,7 +761,7 @@ class BonawitzServer:
                 f"are {sorted(dropouts)}"
             )
         prime = self._field.prime
-        limbs = _share_layout(self._field, self._group)[1]
+        limbs = _key_limbs(self._group)
         if np.any(response.xs != point):
             raise AggregationError(
                 f"{who} sent seed shares at a point other than its own "

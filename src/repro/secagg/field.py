@@ -2,9 +2,11 @@
 
 Shamir secret sharing (:mod:`repro.secagg.shamir`) and the simulated
 Diffie-Hellman key agreement (:mod:`repro.secagg.keys`) both operate over
-``GF(p)`` for a public prime ``p``.  This module provides a small,
-dependency-free field abstraction using Python's arbitrary-precision
-integers, so share arithmetic is exact regardless of the secret size.
+``GF(p)`` for a public prime ``p``.  This module provides a small
+field abstraction over Python integers for the scalar references; the
+protocol's share arithmetic runs on the limb-split uint64 kernels
+(:mod:`repro.linalg.modular`), so a field is refused unless they can
+carry it — there is no second, wide-field code path.
 
 The default prime is the Mersenne prime ``2^61 - 1``: large enough to
 embed 32-bit mask seeds and SecAgg moduli up to ``2^60`` with room to
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ConfigurationError
+from repro.linalg.modular import LIMB_SPLIT_MAX_MODULUS
 
 #: Mersenne prime 2^61 - 1, the default field modulus.
 MERSENNE_61 = (1 << 61) - 1
@@ -58,7 +61,10 @@ class PrimeField:
     """The finite field ``GF(p)``.
 
     Attributes:
-        prime: The field modulus; validated to be prime on construction.
+        prime: The field modulus; validated on construction to be prime
+            and at most :data:`~repro.linalg.modular.LIMB_SPLIT_MAX_MODULUS`
+            (``2^61``), the widest the vectorised share arithmetic
+            carries.
     """
 
     prime: int = MERSENNE_61
@@ -67,6 +73,12 @@ class PrimeField:
         if self.prime < 2 or not _is_probable_prime(self.prime):
             raise ConfigurationError(
                 f"field modulus must be prime, got {self.prime}"
+            )
+        if self.prime > LIMB_SPLIT_MAX_MODULUS:
+            raise ConfigurationError(
+                f"field modulus {self.prime} exceeds "
+                f"{LIMB_SPLIT_MAX_MODULUS}, the widest the share "
+                "arithmetic carries"
             )
 
     @property

@@ -12,17 +12,15 @@ uniformly; participant ``i`` receives the share ``(i, f(i))``.  Any ``t``
 shares determine ``f`` (and hence the secret) by Lagrange interpolation;
 any ``t - 1`` shares are jointly uniform and reveal nothing.
 
-Two code paths produce identical reconstructions:
-
-* the **vectorised kernels** (:mod:`repro.secagg.kernels`) — batched
-  Horner evaluation and shared-weight Lagrange interpolation over
-  uint64 arrays, used automatically whenever the field modulus fits the
-  limb-split arithmetic (every default configuration); and
-* the **scalar reference path** (:func:`split_secret_scalar`,
-  :func:`reconstruct_secret_scalar`) — the original per-share,
-  per-coefficient loops over Python integers, retained both for fields
-  larger than ``2^61`` and as the equivalence baseline the property
-  tests (``tests/test_shamir.py``) drive against the kernels.
+Everything runs on the **vectorised kernels**
+(:mod:`repro.secagg.kernels`) — batched Horner evaluation and
+shared-weight Lagrange interpolation over uint64 arrays; a
+:class:`~repro.secagg.field.PrimeField` they could not carry does not
+construct.  The **scalar references** (:func:`split_secret_scalar`,
+:func:`reconstruct_secret_scalar`) — the original per-share,
+per-coefficient loops over Python integers — are retained as the
+equivalence baseline the property tests (``tests/test_shamir.py``)
+drive against the kernels; nothing in ``src/`` selects them.
 
 Dropout recovery reconstructs many secrets — a seed per survivor, every
 limb of every dropout's key — from one quorum; :func:`reconstruct_quorum`
@@ -38,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.linalg.modular import LIMB_SPLIT_MAX_MODULUS
 from repro.secagg import kernels
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 
@@ -57,11 +54,6 @@ class Share(NamedTuple):
 
     x: int
     y: int
-
-
-def _uses_kernels(field: PrimeField) -> bool:
-    """Whether the limb-split kernels cover this field."""
-    return field.prime <= LIMB_SPLIT_MAX_MODULUS
 
 
 def _validate_split_parameters(
@@ -133,8 +125,6 @@ def split_secret(
             shares requested than field elements permit).
     """
     _validate_split_parameters(secret, threshold, num_shares, field)
-    if not _uses_kernels(field):
-        return split_secret_scalar(secret, threshold, num_shares, rng, field)
     ys = kernels.batched_split(
         np.asarray([secret], dtype=np.uint64),
         threshold,
@@ -159,8 +149,7 @@ def split_secrets(
         threshold: Reconstruction threshold ``t``.
         num_shares: Number of recipients ``n`` (points ``x = 1..n``).
         rng: Polynomial randomness.
-        field: Field to share over (must fit the limb-split kernels for
-            the fast path; larger fields fall back to the scalar loop).
+        field: Field to share over.
 
     Returns:
         ``(len(secrets), num_shares)`` integer matrix; entry ``[i, j]``
@@ -168,14 +157,6 @@ def split_secrets(
     """
     for secret in secrets:
         _validate_split_parameters(int(secret), threshold, num_shares, field)
-    if not _uses_kernels(field):
-        rows = [
-            [share.y for share in split_secret_scalar(
-                int(secret), threshold, num_shares, rng, field
-            )]
-            for secret in secrets
-        ]
-        return np.asarray(rows, dtype=object)
     return kernels.batched_split(
         np.asarray(secrets, dtype=np.uint64),
         threshold,
@@ -434,8 +415,6 @@ def reconstruct_secret(
         AggregationError: On duplicate or out-of-field shares.
     """
     shares = list(shares)
-    if not _uses_kernels(field):
-        return reconstruct_secret_scalar(shares, field)
     _check_shares(shares, field)
     result = kernels.batched_reconstruct(
         np.asarray([share.x for share in shares], dtype=np.uint64),
@@ -484,13 +463,6 @@ def reconstruct_secrets(
     _check_points(xs, field)
     for row in rows:
         _check_values(row, field)
-    if not _uses_kernels(field):
-        return [
-            reconstruct_secret_scalar(
-                [Share(x=x, y=y) for x, y in zip(xs, row)], field
-            )
-            for row in rows
-        ]
     result = kernels.batched_reconstruct(
         np.asarray(xs, dtype=np.uint64),
         np.asarray(rows, dtype=np.uint64),

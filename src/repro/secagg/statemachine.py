@@ -3,18 +3,27 @@
 This module is the single protocol implementation every transport
 drives.  :class:`ClientSession` and :class:`ServerSession` consume
 inbound wire frames (:mod:`repro.secagg.wire`) and emit outbound ones —
-**no I/O, no clock, no asyncio**.  A transport's whole job is to move
-the returned bytes and decide *when* a phase closes:
+**no I/O, no clock, no asyncio**.
 
-* the synchronous in-memory loop (:func:`drive_in_memory`, which
+One driver, three callers.  :class:`RoundDriver` wraps one
+:class:`ServerSession` for one round and is the only code that feeds it
+or closes its phases, so what happens to a datagram the session refuses
+(its sender is evicted, the round goes on), what a closed phase reports
+(the ``secagg_*`` round families, the ``wire-phase`` trace event) and
+what an abort leaves behind (the phase and who had delivered it) are
+each written once.  The callers keep only what is genuinely theirs —
+*when* a phase is over and how bytes move:
+
+* :func:`drive_in_memory` (which
   :func:`repro.secagg.bonawitz.run_bonawitz` and the tree's
   :func:`repro.secagg.tree.run_composition_round` both call) closes a
-  phase when every live client has delivered;
-* the simulated-clock mailbox transport
-  (:class:`repro.simulation.rounds.AsyncSecAggRound`) closes it at the
-  earlier of "everyone delivered" and the phase deadline;
-* the sharded process backend runs one mailbox transport per shard in
-  a worker process.
+  phase when every live client has answered;
+* :class:`repro.simulation.rounds.AsyncSecAggRound` — mailboxes on the
+  simulated clock, one per shard under the sharded backends — closes it
+  at the earlier of "everyone delivered" and the phase deadline;
+* :class:`repro.net.server.SecAggServer` does the same over sockets on
+  the wall clock, and adds what only a lossy transport needs (parking,
+  resumption, Reject notices, the journal).
 
 The sessions wrap the existing crypto state machines
 (:class:`repro.secagg.bonawitz.BonawitzClient` /
@@ -33,7 +42,7 @@ naming the rejections.
 
 There is one path per leg.  A share-keys upload is exactly one uniform
 sealed-shares datagram over the sorted roster at the envelope length
-the round's ``(field, group)`` fixes; the server validates that at
+the round's key-agreement group fixes; the server validates that at
 :meth:`ServerSession.receive` — against the roster and the computed
 length, never against another upload — keeps the bytes opaque, and
 routes the phase as one transpose.  Anything else is a typed
@@ -57,8 +66,8 @@ sessions do no metric work at all — the no-telemetry path.
 
 from __future__ import annotations
 
-import contextlib
-from collections.abc import Callable, Mapping
+import time
+from collections.abc import Callable, Iterable, Mapping, Set
 
 import numpy as np
 
@@ -113,6 +122,7 @@ from repro.secagg.wire import (
     split_suite,
 )
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.report import SIM_PHASE_HISTOGRAM, WALL_PHASE_HISTOGRAM
 
 #: Wire tag per protocol phase — shared by transports, traces and the
 #: accounting ledger.
@@ -136,21 +146,6 @@ def _suite_name(mask_prg: str, group: KeyAgreementGroup) -> str:
     """
     kex = kex_name(group)
     return mask_prg if kex == "mod-dh" else f"{mask_prg}+{kex}"
-
-
-def count_phase_wire(
-    tag: str, totals: Mapping[str, int], messages, volume
-) -> None:
-    """Feed one closed phase's :meth:`WireStats.phase_summary
-    <repro.secagg.wire.WireStats.phase_summary>` totals into a
-    transport's per-``(phase, direction)`` message and byte counters."""
-    for direction in ("up", "down"):
-        count = totals[f"{direction}_messages"]
-        if count:
-            messages.labels(phase=tag, direction=direction).inc(count)
-        nbytes = totals[f"{direction}_bytes"]
-        if nbytes:
-            volume.labels(phase=tag, direction=direction).inc(nbytes)
 
 
 class ClientSession:
@@ -412,7 +407,7 @@ class ServerSession:
             modulus, dimension, threshold, field, group, mask_prg
         )
         self._threshold = threshold
-        self._sealed_length = sealed_share_length(field, group)
+        self._sealed_length = sealed_share_length(group)
         self.header = intern_header(
             max(accept_versions),
             _suite_name(self._crypto._mask_prg.name, group),
@@ -490,17 +485,32 @@ class ServerSession:
         """
         return self._expected
 
-    def received(self) -> frozenset[int]:
-        """Senders that already delivered in the current phase."""
-        if self._phase == PHASE_DONE:
-            return frozenset()
-        tables = {
+    def _phase_table(self) -> dict:
+        """Where the current phase's accepted uploads sit, by sender."""
+        return {
             ROUND_ADVERTISE: self._advertisements,
             ROUND_SHARE_KEYS: self._sealed_uploads,
             ROUND_MASKED_INPUT: self._masked,
             ROUND_UNMASK: self._responses,
-        }
-        return frozenset(tables[self._phase])
+        }[self._phase]
+
+    def received(self) -> frozenset[int]:
+        """Senders that already delivered in the current phase."""
+        if self._phase == PHASE_DONE:
+            return frozenset()
+        return frozenset(self._phase_table())
+
+    def retract(self, sender: int) -> None:
+        """Forget what ``sender`` delivered in the current phase.
+
+        For a transport that evicts a client *after* accepting its
+        upload (the at-most-once guard: the same connection then sent
+        different bytes for the phase): the phase closes as if the
+        client had never answered.  The bytes stay in :attr:`stats` —
+        they did cross the wire.
+        """
+        if self._phase != PHASE_DONE:
+            self._phase_table().pop(sender, None)
 
     def phase_ready(self) -> bool:
         """True once every expected client delivered (never during
@@ -938,28 +948,308 @@ class ServerSession:
         return out
 
 
-def _everyone_responds(index: int, phase: int) -> bool:
-    return True
+class RoundDriver:
+    """One round of one :class:`ServerSession`, closed phase by phase.
 
+    The only code that calls :meth:`ServerSession.receive` and
+    :meth:`ServerSession.advance`.  A transport hands it every datagram
+    that arrives (:meth:`offer`), tells it who it gave up on
+    (:meth:`evict`, :meth:`timeout`) and asks it to :meth:`close` the
+    phase once :attr:`waiting` is empty or its deadline passed; what a
+    refusal, a closed phase and an abort mean is decided here, once:
 
-def _no_span(phase: int) -> contextlib.AbstractContextManager:
-    return contextlib.nullcontext()
+    * a datagram the session refuses evicts its sender — ``"protocol"``
+      for an :class:`~repro.errors.AggregationError` (spoofed origin,
+      wrong shape, out of phase, a re-send on a loss-free transport),
+      ``"conflict"`` for a :class:`~repro.errors.ConflictError` — and
+      the round goes on; it aborts only when :meth:`close` finds the
+      phase under its threshold;
+    * a closed phase is metered once: wall (and, given ``now``,
+      simulated) seconds since the previous close, the phase's
+      :meth:`WireStats.phase_summary
+      <repro.secagg.wire.WireStats.phase_summary>` totals as wire
+      counters and a ``wire-phase`` trace event, and one
+      ``secagg_clients_dropped_total`` per member the phase expected and
+      closed without, whatever kept it away;
+    * an abort leaves :attr:`abort_phase` and :attr:`survivors_at_abort`
+      behind and counts the round aborted, once.
+
+    Sans-I/O like the session it wraps: no asyncio, no socket, and no
+    clock beyond ``time.perf_counter`` for the wall histogram and the
+    caller's ``now`` for the simulated one.
+
+    Args:
+        session: The round's server session.
+        cohort: Who may deliver the advertise phase (afterwards the
+            session tracks the shrinking participant set itself).
+        metrics: Registry for the ``secagg_*`` round families, which are
+            registered here and nowhere else; ``None`` (default) meters
+            nothing.
+        now: Reads the caller's simulated clock, for
+            ``secagg_phase_sim_duration_seconds``; a transport on the
+            wall clock has none.
+        record: Trace sink ``record(kind, **details)``; receives
+            ``message-received`` / ``message-ignored`` /
+            ``client-evicted`` / ``phase-timeout`` / ``wire-phase``.
+    """
+
+    def __init__(
+        self,
+        session: ServerSession,
+        cohort: Iterable[int],
+        metrics: MetricsRegistry | None = None,
+        now: Callable[[], float] | None = None,
+        record: Callable[..., None] | None = None,
+    ) -> None:
+        self.session = session
+        self._cohort = frozenset(cohort)
+        #: Evicted client -> why (``"protocol"``, ``"conflict"``, or the
+        #: transport's own reason such as ``"disconnect"``).
+        self.evicted: dict[int, str] = {}
+        #: On abort, the phase that failed and who had delivered it —
+        #: before the masking phase commits those survivors can be
+        #: re-homed to a sibling shard instead of dropped with theirs.
+        self.abort_phase: int | None = None
+        self.survivors_at_abort: frozenset[int] = frozenset()
+        self._now = now
+        self._record = record
+        self._metrics = metrics
+        if metrics is not None:
+            if now is not None:
+                self._m_sim_phase = metrics.histogram(
+                    SIM_PHASE_HISTOGRAM,
+                    "Simulated seconds per protocol phase.",
+                )
+            self._m_wall_phase = metrics.histogram(
+                WALL_PHASE_HISTOGRAM,
+                "Wall-clock compute seconds per protocol phase.",
+            )
+            self._m_rounds = metrics.counter(
+                "secagg_rounds_total",
+                "Secure-aggregation rounds finished, by outcome.",
+            )
+            self._m_dropped = metrics.counter(
+                "secagg_clients_dropped_total",
+                "Members a phase expected and closed without, by phase.",
+            )
+            self._m_timeouts = metrics.counter(
+                "secagg_phase_timeouts_total",
+                "Phases the server closed at the deadline, by phase.",
+            )
+            self._m_ignored = metrics.counter(
+                "secagg_messages_ignored_total",
+                "Datagrams ignored: stragglers, re-sends, unknown senders.",
+            ).labels()
+            self._m_wire_messages = metrics.counter(
+                "secagg_wire_messages_total",
+                "Protocol messages on the wire, by phase and direction.",
+            )
+            self._m_wire_bytes = metrics.counter(
+                "secagg_wire_bytes_total",
+                "Serialized bytes on the wire, by phase and direction.",
+            )
+        self._open_phase()
+
+    def _open_phase(self) -> None:
+        session = self.session
+        self._members = (
+            self._cohort
+            if session.phase == ROUND_ADVERTISE
+            else session.expected
+        )
+        self._waiting = set(self._members).difference(self.evicted)
+        if self._metrics is not None:
+            self._wall_start = time.perf_counter()
+            self._sim_start = self._now() if self._now is not None else None
+
+    def _note(self, kind: str, **details) -> None:
+        if self._record is not None:
+            self._record(kind, **details)
+
+    @property
+    def waiting(self) -> Set[int]:
+        """Members the phase still waits on: the cohort during
+        advertise, afterwards :attr:`ServerSession.expected`, minus
+        whoever delivered or was evicted.  A live read-only view."""
+        return self._waiting
+
+    def offer(self, sender: int, data: bytes) -> str | None:
+        """Hand the session one datagram under its transport-bound sender.
+
+        Returns:
+            ``None`` when the session accepted it, else why not:
+            ``"ignored"`` — the sender is not (or no longer) part of
+            the phase, or a resumable session has these very bytes
+            already (redelivery after a resume is idempotent) — counted,
+            nothing else happens; ``"protocol"`` / ``"conflict"`` — the
+            session refused it and the sender is now evicted.
+        """
+        session = self.session
+        tag = session.phase_tag
+        if (
+            sender not in self._members
+            or sender in self.evicted
+            or (session.resumable and session.already_ingested(sender, data))
+        ):
+            self._note("message-ignored", sender=sender, during=tag)
+            if self._metrics is not None:
+                self._m_ignored.inc()
+            return "ignored"
+        try:
+            session.receive(data, sender=sender)
+        except AggregationError as error:
+            reason = (
+                "conflict" if isinstance(error, ConflictError) else "protocol"
+            )
+            self.evict(sender, reason)
+            return reason
+        self._waiting.discard(sender)
+        self._note("message-received", sender=sender, phase=tag)
+        return None
+
+    def evict(self, sender: int, reason: str) -> bool:
+        """Drop ``sender`` from the round; true unless already evicted.
+
+        Nothing it sends is looked at again and nothing further is
+        addressed to it.  If it had already delivered the current phase
+        that upload is retracted, so the phase closes without it.
+        """
+        if sender in self.evicted:
+            return False
+        self.evicted[sender] = reason
+        if sender in self._members and sender not in self._waiting:
+            self.session.retract(sender)
+        self._waiting.discard(sender)
+        self._note(
+            "client-evicted",
+            client=sender,
+            phase=self.session.phase_tag,
+            reason=reason,
+        )
+        return True
+
+    def timeout(self) -> frozenset[int]:
+        """The phase's deadline passed; returns who it was waiting on.
+
+        They are not evicted — a straggler simply misses the phase and
+        :meth:`close` counts it dropped like any other absentee.
+        """
+        tag = self.session.phase_tag
+        missing = frozenset(self._waiting)
+        self._note("phase-timeout", phase=tag, missing=sorted(missing))
+        if self._metrics is not None:
+            self._m_timeouts.labels(phase=tag).inc()
+        return missing
+
+    def abort(self) -> None:
+        """Record where the round died and count it aborted, once.
+
+        :meth:`close` calls it when the session finds the phase under
+        threshold; a caller calls it when the round dies on its side of
+        the loop (an injected server kill, an unrecoverable journal).
+        """
+        if self.abort_phase is None:
+            self.abort_phase = self.session.phase
+            self.survivors_at_abort = self.session.received()
+            if self._metrics is not None:
+                self._m_rounds.labels(outcome="aborted").inc()
+
+    def close(self) -> dict[int, bytes]:
+        """Close the phase; returns the datagrams to deliver.
+
+        Evicted recipients are left out.  After the unmask phase the
+        result is empty and the session holds the aggregate.
+
+        Raises:
+            AggregationError: If the phase's deliveries fall below the
+                Shamir threshold (or Hello rejections took the roster
+                there) — after :meth:`abort` recorded it.
+        """
+        session = self.session
+        tag = session.phase_tag
+        # A client refused at Hello did answer; it is counted where it
+        # was refused (secagg_negotiations_total), not as dropped.
+        absent = len(
+            self._members.difference(session.received(), session.rejections)
+        )
+        try:
+            deliveries = session.advance()
+        except AggregationError:
+            self.abort()
+            raise
+        if self._record is not None or self._metrics is not None:
+            self._meter_phase(tag, absent)
+        self._open_phase()
+        if session.phase == PHASE_DONE and self._metrics is not None:
+            self._m_rounds.labels(outcome="completed").inc()
+        return {
+            recipient: payload
+            for recipient, payload in deliveries.items()
+            if recipient not in self.evicted
+        }
+
+    def _meter_phase(self, tag: str, absent: int) -> None:
+        # Each phase writes its wire cells exactly once (a recovered
+        # round's replay happens before the first metered phase), so
+        # the per-tag totals are the phase delta.
+        totals = self.session.stats.phase_summary(tag)
+        if totals is not None:
+            self._note("wire-phase", phase=tag, **totals)
+        if self._metrics is None:
+            return
+        self._m_wall_phase.labels(phase=tag).observe(
+            time.perf_counter() - self._wall_start
+        )
+        if self._now is not None:
+            self._m_sim_phase.labels(phase=tag).observe(
+                self._now() - self._sim_start
+            )
+        if absent:
+            self._m_dropped.labels(phase=tag).inc(absent)
+        if totals is not None:
+            for direction in ("up", "down"):
+                count = totals[f"{direction}_messages"]
+                if count:
+                    self._m_wire_messages.labels(
+                        phase=tag, direction=direction
+                    ).inc(count)
+                nbytes = totals[f"{direction}_bytes"]
+                if nbytes:
+                    self._m_wire_bytes.labels(
+                        phase=tag, direction=direction
+                    ).inc(nbytes)
+
+    def restore(self, phases: Iterable[Mapping[int, bytes]]) -> None:
+        """Replay phases a journal committed, unmetered.
+
+        The crypto server draws no randomness, so feeding the committed
+        uploads back in sorted order rebuilds the pre-crash session
+        byte for byte, replay buffer included.
+
+        Raises:
+            AggregationError: If the session refuses the replay.
+        """
+        for uploads in phases:
+            for client in sorted(uploads):
+                self.session.receive(uploads[client], sender=client)
+            self.session.advance()
+        self._open_phase()
 
 
 def drive_in_memory(
     server: ServerSession,
     clients: Mapping[int, ClientSession],
-    responds: Callable[[int, int], bool] = _everyone_responds,
-    phase_span: Callable[[int], contextlib.AbstractContextManager] = _no_span,
-) -> None:
-    """Drive one round synchronously: the in-memory transport.
+    responds: Callable[[int, int], bool] | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> RoundDriver:
+    """Drive one round synchronously: the in-memory caller of
+    :class:`RoundDriver`.
 
-    The ``start → receive → advance → handle`` loop over sessions the
-    caller built: every responding client opens with Hello + Advertise,
-    then for each later phase the server's datagrams go to the clients
-    in index order and their responses straight back, the phase closing
-    once everyone still talking has delivered.  On return the server
-    holds the round's result (``modular_sum``, ``included``, ``stats``).
+    Every responding client opens with Hello + Advertise, then for each
+    later phase the server's datagrams go to the clients in index order
+    and their responses straight back, the phase closing once everyone
+    still talking has answered.  On return the server holds the round's
+    result (``modular_sum``, ``included``, ``stats``).
 
     Args:
         server: The round's server session.
@@ -967,33 +1257,34 @@ def drive_in_memory(
         responds: ``responds(index, phase)`` is false from the phase at
             which a client stops talking (it then neither receives nor
             answers); by default nobody drops.
-        phase_span: ``phase_span(phase)`` is entered around each
-            phase's client and server work (wall-time metering); by
-            default nothing is metered.
+        metrics: Registry the driver meters the round into; by default
+            nothing is metered.
+
+    Returns:
+        The round's driver: who was evicted, and why.
 
     Raises:
         AggregationError: If a phase closes below the Shamir threshold
-            or a session refuses its input.
+            or a *client* session refuses its input (a datagram the
+            server session refuses only evicts its sender).
     """
-    with phase_span(ROUND_ADVERTISE):
-        for index in sorted(clients):
-            if responds(index, ROUND_ADVERTISE):
-                server.receive(
-                    b"".join(clients[index].start()), sender=index
-                )
-        deliveries = server.advance()
+    driver = RoundDriver(server, clients, metrics=metrics)
+    for index in sorted(clients):
+        if responds is None or responds(index, ROUND_ADVERTISE):
+            driver.offer(index, b"".join(clients[index].start()))
+    deliveries = driver.close()
     # Pre-derive the roster's pairwise DH keys in one vectorised sweep
     # (a pure memoisation warm-up; see warm_pairwise_agreements).
     warm_pairwise_agreements(
         [clients[index].crypto for index in sorted(server.expected)]
     )
     for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-        with phase_span(phase):
-            for index in sorted(deliveries):
-                if not responds(index, phase):
-                    continue
-                client = clients[index]
-                responses = client.handle(deliveries[index])
-                if responses and client.rejected is None:
-                    server.receive(b"".join(responses), sender=index)
-            deliveries = server.advance()
+        for index in sorted(deliveries):
+            if responds is not None and not responds(index, phase):
+                continue
+            client = clients[index]
+            responses = client.handle(deliveries[index])
+            if responses and client.rejected is None:
+                driver.offer(index, b"".join(responses))
+        deliveries = driver.close()
+    return driver

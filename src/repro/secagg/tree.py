@@ -17,9 +17,12 @@ supplies the protocol-level pieces that close it:
   over its children.  Each shard (or region) coordinator is a *virtual
   client* of its parent's round: a sans-I/O
   :class:`~repro.secagg.statemachine.ClientSession` fed the subtree's
-  modular sum as its private input, driven by the same in-memory loop
-  :func:`~repro.secagg.bonawitz.run_bonawitz` runs
-  (:func:`~repro.secagg.statemachine.drive_in_memory`).  The node's
+  modular sum as its private input.  The round is not a transport of
+  its own: it goes through
+  :func:`~repro.secagg.statemachine.drive_in_memory`, the in-memory
+  caller of the one :class:`~repro.secagg.statemachine.RoundDriver`
+  (:func:`~repro.secagg.bonawitz.run_bonawitz` is the same call), so it
+  is refused, metered and aborted like every other round.  The node's
   server therefore sees only *masked* child sums and recovers exactly
   ``Σ child_sums mod m``.
 
@@ -41,14 +44,12 @@ from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.keys import TOY_GROUP, DhGroup
 from repro.secagg.statemachine import (
-    PHASE_TAGS,
     ClientSession,
     ServerSession,
     drive_in_memory,
 )
 from repro.secagg.wire import WireStats
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import time_phase
 
 #: A Bonawitz instance needs at least two parties; a shard below this
 #: size is never formed (shared with the flat partition rule).
@@ -268,9 +269,9 @@ def run_composition_round(
     in-process and never drop, so the round tolerates no dropout and
     fails loudly on any protocol defect instead of silently recovering.
 
-    With ``metrics``, each phase's wall time is observed into the same
-    ``secagg_phase_wall_duration_seconds`` family the transports use
-    (the caller adds the per-level label when absorbing the snapshot).
+    With ``metrics``, the round is metered into the same ``secagg_*``
+    round families as any other (the caller adds the per-level label
+    when absorbing the snapshot).
 
     Returns:
         ``(modular_sum, wire_stats)`` for the composition round.
@@ -320,21 +321,7 @@ def run_composition_round(
         mask_prg,
         metrics=metrics,
     )
-    if metrics is None:
-        drive_in_memory(server, clients)
-    else:
-        phase_histogram = metrics.histogram(
-            "secagg_phase_wall_duration_seconds",
-            "Wall-clock compute seconds per protocol phase.",
-        )
-
-        def phase_span(phase: int):
-            tag = PHASE_TAGS[phase]
-            return time_phase(
-                tag, wall_histogram=phase_histogram.labels(phase=tag)
-            )
-
-        drive_in_memory(server, clients, phase_span=phase_span)
+    drive_in_memory(server, clients, metrics=metrics)
     if server.included != frozenset(clients):
         raise AggregationError(
             "a composition round lost a virtual client — coordinators "

@@ -317,14 +317,18 @@ _TYPE_OF_MESSAGE = {
 }
 
 
+_COLUMN_WIDTHS = (1, 2, 4, 8)
+
+
 def _column_width(max_value: int) -> int:
     """Smallest power-of-two byte width holding ``max_value``.
 
     Power-of-two widths keep the columnar sections numpy-decodable;
     the choice is a pure function of the values, so the encoding stays
-    deterministic.
+    deterministic.  Share values live in a field that fits uint64, so 8
+    is the widest column there is.
     """
-    for width in (1, 2, 4, 8, 16):
+    for width in _COLUMN_WIDTHS:
         if max_value < 1 << (8 * width):
             return width
     raise AggregationError(
@@ -467,16 +471,11 @@ def _encode_body(message: Message) -> bytes:
                     (share.x for share in shares), dtype="<u4", count=count
                 ).tobytes()
             )
-            if width <= 8:
-                parts.append(
-                    np.fromiter(ys, dtype="<u8", count=count)
-                    .astype(f"<u{width}")
-                    .tobytes()
-                )
-            else:
-                parts.append(
-                    b"".join(y.to_bytes(width, "little") for y in ys)
-                )
+            parts.append(
+                np.fromiter(ys, dtype="<u8", count=count)
+                .astype(f"<u{width}")
+                .tobytes()
+            )
         else:
             parts.append((1).to_bytes(1, "little"))
         _append_key_section(parts, message.key_shares)
@@ -639,7 +638,7 @@ def _decode_fast(
         responder = read_uint(4)
         seed_count = read_uint(4)
         seed_width = read_uint(1)
-        if seed_width not in (1, 2, 4, 8, 16):
+        if seed_width not in _COLUMN_WIDTHS:
             raise AggregationError(
                 f"malformed wire frame: seed column width {seed_width}"
             )
@@ -660,23 +659,10 @@ def _decode_fast(
                 view, dtype="<u4", count=seed_count, offset=cursor
             ).tolist()
             cursor += 4 * seed_count
-            if seed_width <= 8:
-                ys = np.frombuffer(
-                    view,
-                    dtype=f"<u{seed_width}",
-                    count=seed_count,
-                    offset=cursor,
-                ).tolist()
-                cursor += seed_width * seed_count
-            else:
-                ys = [
-                    from_bytes(
-                        view[cursor + k * 16 : cursor + (k + 1) * 16],
-                        "little",
-                    )
-                    for k in range(seed_count)
-                ]
-                cursor += 16 * seed_count
+            ys = np.frombuffer(
+                view, dtype=f"<u{seed_width}", count=seed_count, offset=cursor
+            ).tolist()
+            cursor += seed_width * seed_count
             seed_shares = {
                 peer: Share(x=x, y=y)
                 for peer, x, y in zip(peers, xs, ys)
@@ -869,8 +855,8 @@ class UnmaskColumns:
 
     Parallel arrays instead of per-peer dicts: ``peers`` holds the
     sorted survivor ids, ``xs``/``ys`` the matching seed-share columns
-    (``ys`` is uint64, or dtype=object for fields beyond 64 bits); the
-    per-dropout ``key_shares`` stay a small dict.  Encoding the columns
+    (``ys`` is uint64); the per-dropout ``key_shares`` stay a small
+    dict.  Encoding the columns
     (:func:`encode_unmask_columns`) is byte-identical to encoding
     :meth:`to_response`, and the server consumes the columns directly —
     one transpose at recovery instead of O(survivors × threshold) dict
@@ -917,14 +903,9 @@ def encode_unmask_columns(
             np.ascontiguousarray(columns.peers, dtype="<u4").tobytes()
         )
         parts.append(np.ascontiguousarray(columns.xs, dtype="<u4").tobytes())
-        if width <= 8:
-            parts.append(
-                np.asarray(ys, dtype="<u8").astype(f"<u{width}").tobytes()
-            )
-        else:
-            parts.append(
-                b"".join(int(y).to_bytes(width, "little") for y in ys)
-            )
+        parts.append(
+            np.asarray(ys, dtype="<u8").astype(f"<u{width}").tobytes()
+        )
     else:
         parts.append((1).to_bytes(1, "little"))
     _append_key_section(parts, columns.key_shares)
@@ -985,7 +966,7 @@ def decode_unmask_columns(
     responder = read_uint(4)
     seed_count = read_uint(4)
     seed_width = read_uint(1)
-    if seed_width not in (1, 2, 4, 8, 16):
+    if seed_width not in _COLUMN_WIDTHS:
         raise AggregationError(
             f"malformed wire frame: seed column width {seed_width}"
         )
@@ -1004,23 +985,10 @@ def decode_unmask_columns(
         cursor += 4 * seed_count
         xs = np.frombuffer(view, dtype="<u4", count=seed_count, offset=cursor)
         cursor += 4 * seed_count
-        if seed_width <= 8:
-            ys = np.frombuffer(
-                view, dtype=f"<u{seed_width}", count=seed_count, offset=cursor
-            ).astype(np.uint64)
-            cursor += seed_width * seed_count
-        else:
-            ys = np.asarray(
-                [
-                    from_bytes(
-                        view[cursor + k * 16 : cursor + (k + 1) * 16],
-                        "little",
-                    )
-                    for k in range(seed_count)
-                ],
-                dtype=object,
-            )
-            cursor += 16 * seed_count
+        ys = np.frombuffer(
+            view, dtype=f"<u{seed_width}", count=seed_count, offset=cursor
+        ).astype(np.uint64)
+        cursor += seed_width * seed_count
     key_shares: dict[int, LimbShares] = {}
     for _ in range(read_uint(4)):
         peer = read_uint(4)

@@ -1,24 +1,28 @@
-"""Async dropout-tolerant SecAgg rounds: the mailbox transport.
+"""Async dropout-tolerant SecAgg rounds: the mailbox caller of the driver.
 
-:func:`repro.secagg.bonawitz.run_bonawitz` drives the sans-I/O protocol
+:func:`repro.secagg.bonawitz.run_bonawitz` runs the sans-I/O protocol
 sessions (:mod:`repro.secagg.statemachine`) synchronously: every phase
 is a barrier, dropouts are a static schedule, and time does not exist.
-This module is the *other* transport over the very same sessions: every
-client is an asyncio task that sleeps its upload latency on the
-simulated clock before posting its wire frames into the server's
-mailbox, and the server collects each phase's datagrams until either
-everyone expected has responded or the phase deadline passes —
-whichever comes first.
+This module is the second of the three callers of the one
+:class:`~repro.secagg.statemachine.RoundDriver`: every client is an
+asyncio task that sleeps its upload latency on the simulated clock
+before posting its wire frames into the server's mailbox, and the server
+offers each datagram to the driver until either everyone expected has
+responded or the phase deadline passes — whichever comes first — and
+then has it close the phase.
 
 The protocol logic itself — message encoding, negotiation, phase
-bookkeeping, thresholds, crypto — lives entirely in the shared core;
-this file only moves bytes and decides when phases close.  The
+bookkeeping, thresholds, crypto — lives entirely in the shared core, and
+what a refused datagram, a closed phase and an abort mean lives in the
+driver; this file only moves bytes and decides when phases close.  The
 consequences are exactly the ones the protocol was designed for:
 
 * a client that crashes (plan says stop) or straggles past the deadline
   simply misses the phase; the surviving set shrinks monotonically
   ``U0 ⊇ U1 ⊇ U2 ⊇ U3`` and Shamir reconstruction removes whatever
   masks the dropouts left behind;
+* a client whose upload the server session refuses is evicted, exactly
+  as over sockets: the round goes on without it;
 * if any phase's survivor count falls below the Shamir threshold the
   server raises :class:`~repro.errors.AggregationError` — the round
   aborts rather than mis-aggregating;
@@ -36,21 +40,15 @@ refuse (the protocol's core security rule).  Every datagram is tallied
 in the round's :class:`~repro.secagg.wire.WireStats`, surfaced on the
 :class:`RoundOutcome` and as per-phase ``wire-phase`` trace events.
 
-With a :class:`~repro.telemetry.MetricsRegistry` attached, the round
-additionally reports per-phase latency histograms on both clocks
-(via :func:`~repro.telemetry.time_phase` spans), outcome / dropout /
-timeout / straggler counters, and wire byte+message counters derived
-from per-phase :meth:`WireStats.phase_summary
-<repro.secagg.wire.WireStats.phase_summary>` totals (each phase's wire
-cells are written exactly once, so the per-tag totals *are* the phase
-delta).
-Instrumentation only ever *reads* the simulated clock — never
-the RNG — so metered and unmetered runs stay bit-identical.
+With a :class:`~repro.telemetry.MetricsRegistry` attached, the driver
+reports the round into the ``secagg_*`` round families — the same ones,
+counted the same way, as the socket server's.  Instrumentation only ever
+*reads* the simulated clock — never the RNG — so metered and unmetered
+runs stay bit-identical.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from collections.abc import Callable, Mapping
 
@@ -73,18 +71,14 @@ from repro.secagg.keys import TOY_GROUP, KeyAgreementGroup
 from repro.secagg.statemachine import (
     PHASE_TAGS,
     ClientSession,
+    RoundDriver,
     ServerSession,
-    count_phase_wire,
 )
 from repro.secagg.wire import PROTOCOL_V1, WireStats
 from repro.simulation.clock import SimulatedClock
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import time_phase
 from repro.simulation.events import Mailbox, SimulationTrace
 from repro.simulation.population import ClientPlan
-
-#: Wire tags, one per protocol phase (shared with the sans-I/O core).
-_TAGS = PHASE_TAGS
 
 #: Server -> client sentinel: "you are no longer part of this round".
 _EXCLUDED = object()
@@ -151,11 +145,12 @@ class AsyncSecAggRound:
             (defaults to :data:`~repro.secagg.wire.PROTOCOL_V1`); the
             seam for exercising version-negotiation rejections.
         metrics: Optional :class:`~repro.telemetry.MetricsRegistry` the
-            round reports into — per-phase latency histograms (on both
-            clocks), round outcome / dropout / timeout counters, and
-            wire byte+message counters fed from the session's
-            :class:`~repro.secagg.wire.WireStats`.  ``None`` (default)
-            keeps the round entirely instrumentation-free.
+            round's driver and sessions report into — per-phase latency
+            histograms (on both clocks), round outcome / dropout /
+            timeout counters, and wire byte+message counters fed from
+            the session's :class:`~repro.secagg.wire.WireStats`.
+            ``None`` (default) keeps the round entirely
+            instrumentation-free.
         fail_at_phase: Chaos seam — the server "crashes" (raises
             :class:`~repro.errors.ChaosKillError`) when it reaches this
             phase, before collecting or committing anything for it.
@@ -230,56 +225,25 @@ class AsyncSecAggRound:
         }
         self._inbox = Mailbox(clock)
         self._boxes = {u: Mailbox(clock) for u in self._cohort}
-        # Abort introspection for hierarchical orchestration: on an
-        # AggregationError these record which phase failed and which
-        # cohort members had delivered it — before the masking phase
-        # commits, those survivors can be re-homed to a sibling shard
-        # instead of being dropped with their shard.
-        self.abort_phase: int | None = None
-        self.survivors_at_abort: frozenset[int] = frozenset()
         # Live client sessions, registered as their tasks spawn so the
         # server can batch-warm the pairwise DH agreements.
         self._live_clients: dict[int, ClientSession] = {}
         self._metrics = metrics
-        if metrics is not None:
-            self._m_sim_phase = metrics.histogram(
-                "secagg_phase_sim_duration_seconds",
-                "Simulated seconds per protocol phase.",
-            )
-            self._m_wall_phase = metrics.histogram(
-                "secagg_phase_wall_duration_seconds",
-                "Wall-clock compute seconds per protocol phase.",
-            )
-            self._m_rounds = metrics.counter(
-                "secagg_rounds_total",
-                "Secure-aggregation rounds finished, by outcome.",
-            )
-            self._m_dropped = metrics.counter(
-                "secagg_clients_dropped_total",
-                "Cohort members that dropped or straggled out, by phase.",
-            )
-            self._m_timeouts = metrics.counter(
-                "secagg_phase_timeouts_total",
-                "Phases the server closed at the deadline, by phase.",
-            )
-            self._m_ignored = metrics.counter(
-                "secagg_messages_ignored_total",
-                "Datagrams ignored: stragglers, duplicates, unknown "
-                "senders.",
-            )
-            self._m_wire_messages = metrics.counter(
-                "secagg_wire_messages_total",
-                "Protocol messages on the wire, by phase and direction.",
-            )
-            self._m_wire_bytes = metrics.counter(
-                "secagg_wire_bytes_total",
-                "Serialized bytes on the wire, by phase and direction.",
-            )
-        else:
-            self._m_sim_phase = self._m_wall_phase = None
-            self._m_rounds = self._m_dropped = None
-            self._m_timeouts = self._m_ignored = None
-            self._m_wire_messages = self._m_wire_bytes = None
+        self._driver: RoundDriver | None = None
+
+    @property
+    def abort_phase(self) -> int | None:
+        """On an :class:`~repro.errors.AggregationError`, the phase that
+        failed (the driver's abort record; ``None`` otherwise)."""
+        return None if self._driver is None else self._driver.abort_phase
+
+    @property
+    def survivors_at_abort(self) -> frozenset[int]:
+        """On abort, the cohort members that had delivered the failing
+        phase — the hierarchical round's re-homing candidates."""
+        if self._driver is None:
+            return frozenset()
+        return self._driver.survivors_at_abort
 
     def _plan(self, client: int) -> ClientPlan:
         return self._plans.get(client, ClientPlan())
@@ -287,25 +251,6 @@ class AsyncSecAggRound:
     def _record(self, kind: str, **details) -> None:
         if self._trace is not None:
             self._trace.record(kind, **details)
-
-    def _phase_span(self, tag: str):
-        """A dual-clock span for one phase, or a no-op without metrics."""
-        if self._metrics is None:
-            return contextlib.nullcontext()
-        return time_phase(
-            tag,
-            clock=self._clock,
-            sim_histogram=self._m_sim_phase.labels(phase=tag),
-            wall_histogram=self._m_wall_phase.labels(phase=tag),
-        )
-
-    def _count_round(self, outcome: str) -> None:
-        if self._m_rounds is not None:
-            self._m_rounds.labels(outcome=outcome).inc()
-
-    def _count_dropped(self, phase: int) -> None:
-        if self._m_dropped is not None:
-            self._m_dropped.labels(phase=_TAGS[phase]).inc()
 
     async def run(self) -> RoundOutcome:
         """Execute the round; returns the outcome or raises on failure.
@@ -330,7 +275,6 @@ class AsyncSecAggRound:
                     task.cancel()
             await asyncio.gather(*tasks.values(), return_exceptions=True)
         if server_error is not None:
-            self._count_round("aborted")
             # Prefer a client-side protocol rejection as the root cause
             # (e.g. the overlap-refusal rule): the server's threshold
             # failure is its downstream symptom.  Checked *after* the
@@ -346,9 +290,7 @@ class AsyncSecAggRound:
         for u in self._cohort:
             task = tasks[u]
             if task.done() and not task.cancelled() and task.exception():
-                self._count_round("aborted")
                 raise task.exception()
-        self._count_round("completed")
         return outcome
 
     async def _server_task(self, started_at: float) -> RoundOutcome:
@@ -362,69 +304,61 @@ class AsyncSecAggRound:
             tamper_unmask_request=self._tamper,
             metrics=self._metrics,
         )
-        # Phase 0 is the only one where the cohort (the transport's
-        # knowledge) defines who may deliver; afterwards the session
-        # tracks the shrinking participant set itself.
-        expected = set(self._cohort)
-        deliveries: dict[int, bytes] = {}
-        observing = self._trace is not None or self._metrics is not None
+        # The hooks close over the clock and the trace, not over this
+        # round: the round holds the driver, and a cycle would leave
+        # every finished round's session to the garbage collector.
+        clock, trace = self._clock, self._trace
+        driver = self._driver = RoundDriver(
+            session,
+            self._cohort,
+            metrics=self._metrics,
+            now=lambda: clock.now,
+            record=trace.record if trace is not None else None,
+        )
         for phase in (
             ROUND_ADVERTISE,
             ROUND_SHARE_KEYS,
             ROUND_MASKED_INPUT,
             ROUND_UNMASK,
         ):
-            tag = _TAGS[phase]
             if self._fail_at_phase == phase:
-                self.abort_phase = phase
-                self.survivors_at_abort = frozenset(session.received())
+                tag = PHASE_TAGS[phase]
+                driver.abort()
                 self._record("chaos-server-kill", phase=tag)
                 raise ChaosKillError(
                     f"chaos: server killed before the {tag} phase committed"
                 )
-            with self._phase_span(tag):
-                datagrams = await self._collect(tag, expected=expected)
-                for sender, payload in datagrams.items():
-                    session.receive(payload, sender=sender)
-                try:
-                    deliveries = session.advance()
-                except AggregationError:
-                    self.abort_phase = phase
-                    self.survivors_at_abort = frozenset(session.received())
-                    raise
-                if phase == ROUND_ADVERTISE:
-                    # Pre-derive the accepted roster's pairwise DH keys
-                    # in one vectorised sweep (pure memoisation warm-up;
-                    # the rejected clients' keys would never be used).
-                    warm_pairwise_agreements(
-                        [
-                            self._live_clients[u].crypto
-                            for u in sorted(session.expected)
-                            if u in self._live_clients
-                        ]
+            pool = set(driver.waiting)
+            # The phase is over at the earlier of "nobody left to wait
+            # on" and the simulated deadline; stragglers' late messages
+            # reach a later phase's offer() and are ignored there.
+            deadline = self._clock.now + self._phase_timeout
+            while driver.waiting:
+                item = await self._inbox.get_before(deadline)
+                if item is None:
+                    driver.timeout()
+                    break
+                driver.offer(*item)
+            deliveries = driver.close()
+            if phase == ROUND_ADVERTISE:
+                # Pre-derive the accepted roster's pairwise DH keys
+                # in one vectorised sweep (pure memoisation warm-up;
+                # the rejected clients' keys would never be used).
+                warm_pairwise_agreements(
+                    [
+                        self._live_clients[u].crypto
+                        for u in sorted(session.expected)
+                        if u in self._live_clients
+                    ]
+                )
+                for client, reason in session.rejections.items():
+                    self._record(
+                        "client-rejected", client=client, reason=reason
                     )
-                    for client, reason in session.rejections.items():
-                        self._record(
-                            "client-rejected", client=client, reason=reason
-                        )
-                if session.tampered and phase == ROUND_MASKED_INPUT:
-                    self._record("unmask-request-tampered")
-                if phase != ROUND_UNMASK:
-                    self._broadcast(deliveries, among=expected)
-                expected = set(session.expected)
-            if observing:
-                # Each phase writes its wire cells exactly once, so the
-                # per-tag totals are the phase delta.
-                totals = session.stats.phase_summary(tag)
-                if totals is not None:
-                    self._record("wire-phase", phase=tag, **totals)
-                    if self._m_wire_messages is not None:
-                        count_phase_wire(
-                            tag,
-                            totals,
-                            self._m_wire_messages,
-                            self._m_wire_bytes,
-                        )
+            if session.tampered and phase == ROUND_MASKED_INPUT:
+                self._record("unmask-request-tampered")
+            if phase != ROUND_UNMASK:
+                self._broadcast(deliveries, among=pool)
         modular_sum = session.modular_sum
         completed_at = self._clock.now
         included = session.included
@@ -443,41 +377,6 @@ class AsyncSecAggRound:
             completed_at=completed_at,
             wire=session.stats,
         )
-
-    async def _collect(self, tag: str, expected: set[int]) -> dict[int, bytes]:
-        """Gather one phase's datagrams until complete or deadline.
-
-        Messages from unexpected senders, duplicate senders, or earlier
-        phases (stragglers whose phase already closed) are ignored and
-        traced.
-        """
-        deadline = self._clock.now + self._phase_timeout
-        collected: dict[int, bytes] = {}
-        while len(collected) < len(expected):
-            item = await self._inbox.get_before(deadline)
-            if item is None:
-                self._record(
-                    "phase-timeout",
-                    phase=tag,
-                    missing=sorted(expected - set(collected)),
-                )
-                if self._m_timeouts is not None:
-                    self._m_timeouts.labels(phase=tag).inc()
-                break
-            sender, sender_tag, payload = item
-            if sender_tag != tag or sender not in expected or (
-                sender in collected
-            ):
-                self._record(
-                    "message-ignored", sender=sender, phase=sender_tag,
-                    during=tag,
-                )
-                if self._m_ignored is not None:
-                    self._m_ignored.inc()
-                continue
-            collected[sender] = payload
-            self._record("message-received", sender=sender, phase=tag)
-        return collected
 
     def _broadcast(
         self, deliveries: dict[int, bytes], among: set[int]
@@ -510,10 +409,9 @@ class AsyncSecAggRound:
         # Phase 0 — propose the header and advertise both public keys.
         if not plan.responds_at(ROUND_ADVERTISE):
             self._record("client-dropped", client=index, phase=ROUND_ADVERTISE)
-            self._count_dropped(ROUND_ADVERTISE)
             return
         await self._clock.sleep(plan.latencies[ROUND_ADVERTISE])
-        self._send(index, ROUND_ADVERTISE, b"".join(session.start()))
+        self._inbox.put((index, b"".join(session.start())))
         # Phases 1-3 — receive the server's datagram, respond in kind.
         for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
             data = await self._boxes[index].get()
@@ -521,7 +419,6 @@ class AsyncSecAggRound:
                 return
             if not plan.responds_at(phase):
                 self._record("client-dropped", client=index, phase=phase)
-                self._count_dropped(phase)
                 return
             responses = session.handle(data)
             if session.rejected is not None:
@@ -534,7 +431,4 @@ class AsyncSecAggRound:
                 )
                 return
             await self._clock.sleep(plan.latencies[phase])
-            self._send(index, phase, b"".join(responses))
-
-    def _send(self, sender: int, phase: int, payload: bytes) -> None:
-        self._inbox.put((sender, _TAGS[phase], payload))
+            self._inbox.put((index, b"".join(responses)))

@@ -41,6 +41,16 @@ class TestPrimality:
         with pytest.raises(ConfigurationError):
             PrimeField(prime=1)
 
+    def test_field_wider_than_the_share_arithmetic_is_refused(self):
+        """A prime above 2^61 used to construct and then die inside the
+        first Shamir split with numpy's bare ``ValueError: high is out
+        of bounds for int64``; now no Bonawitz round or split can be
+        handed one — the refusal is typed and precedes any randomness."""
+        for prime in ((1 << 89) - 1, (1 << 127) - 1):
+            with pytest.raises(ConfigurationError, match="exceeds"):
+                PrimeField(prime=prime)
+        assert PrimeField(prime=MERSENNE_61) == DEFAULT_FIELD
+
 
 class TestArithmetic:
     def test_element_canonicalises(self):

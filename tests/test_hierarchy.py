@@ -427,6 +427,45 @@ class TestRebalancing:
         }
         assert attempts[1] == 1
 
+    def test_leaf_taken_under_threshold_by_evictions_is_rehomed(
+        self, monkeypatch
+    ):
+        """Clients 1 and 3 upload a share-keys datagram one envelope
+        short.  The leaf's driver evicts both and the phase closes
+        under threshold, so the abort carries its phase and survivors
+        like any dropout-driven one and the honest four are re-homed —
+        a refusal raised out of the loop instead (the pre-driver
+        simulator) left ``abort_phase`` unset and stranded them."""
+        import repro.simulation.rounds as rounds_module
+        from repro.secagg.statemachine import ClientSession
+        from repro.secagg.wire import decode_sealed_columns, iter_frames
+
+        class ShortSharer(ClientSession):
+            def handle(self, data):
+                (upload,) = super().handle(data)
+                if self.index in (1, 3) and decode_sealed_columns(upload):
+                    frames = [raw for _, _, raw in iter_frames(upload)]
+                    upload = b"".join(bytes(raw) for raw in frames[:-1])
+                return [upload]
+
+        monkeypatch.setattr(rounds_module, "ClientSession", ShortSharer)
+        vectors = make_vectors(self.NUM, seed=8)
+        outcome, round_, trace = run_tree(
+            vectors, "2", threshold_fraction=0.8, seed=2, rebalance=True,
+            trace=True,
+        )
+        expected_included = frozenset(range(2, 13, 2)) | {5, 7, 9, 11}
+        assert outcome.included == expected_included
+        assert np.array_equal(
+            outcome.modular_sum, flat_sum(vectors, expected_included)
+        )
+        evicted = {
+            event.details["client"]: event.details["reason"]
+            for event in trace.of_kind("client-evicted")
+        }
+        assert evicted == {1: "protocol", 3: "protocol"}
+        assert trace.count("shard-rebalanced") == 1
+
     def test_rebalance_with_secagg_composer_stays_bit_identical(self):
         vectors = make_vectors(self.NUM, seed=8)
         clear, _, _ = run_tree(

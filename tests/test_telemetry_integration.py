@@ -133,6 +133,12 @@ class TestRoundMetrics:
         assert report.counter(
             "secagg_phase_timeouts_total", phase="advertise"
         ) == 1
+        # A straggler is dropped like any other absentee: counted once,
+        # under the phase that closed without it.
+        assert report.counter(
+            "secagg_clients_dropped_total", phase="advertise"
+        ) == 1
+        assert report.counter_sum("secagg_clients_dropped_total") == 1
 
     def test_aborted_round_counted_before_raise(self):
         vectors = make_vectors(6)

@@ -7,11 +7,14 @@ arbitrary inputs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import AggregationError
 from repro.secagg.shamir import LimbShares, Share
 from repro.secagg.wire import (
+    MSG_UNMASK_RESPONSE,
     PROTOCOL_V1,
     MaskedInput,
     NegotiatedHeader,
@@ -27,6 +30,7 @@ from repro.secagg.wire import (
     encode_unmask_columns,
     route_sealed_stack,
 )
+from repro.secagg.wire import _frame
 
 HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
 
@@ -53,17 +57,16 @@ GOLDEN_UNMASK = (
 )
 
 
-def _columns(responder, seed_shares, key_shares, prime=2**61 - 1):
+def _columns(responder, seed_shares, key_shares):
     """Build an :class:`UnmaskColumns` the way the client session does."""
     peers = sorted(seed_shares)
-    dtype = np.uint64 if prime <= (1 << 64) else object
     return UnmaskColumns(
         responder=responder,
         peers=np.asarray(peers, dtype="<u4"),
         xs=np.fromiter(
             (seed_shares[p].x for p in peers), dtype="<u4", count=len(peers)
         ),
-        ys=np.asarray([seed_shares[p].y for p in peers], dtype=dtype),
+        ys=np.asarray([seed_shares[p].y for p in peers], dtype=np.uint64),
         key_shares=dict(sorted(key_shares.items())),
     )
 
@@ -103,12 +106,40 @@ class TestGoldenVectors:
         _, response = decode_message(bytes.fromhex(GOLDEN_UNMASK))
         assert columns.to_response() == response
 
+    def test_sixteen_byte_seed_column_is_refused_with_a_type(self):
+        """No sharing field is wider than uint64, so nothing honest
+        emits a 16-byte seed column; a well-formed frame *declaring*
+        one is outside input and ends in a typed error on both decoders
+        — and a value that wide cannot be encoded either."""
+        body = b"".join(
+            [
+                (6).to_bytes(4, "little"),  # responder
+                (1).to_bytes(4, "little"),  # one seed share
+                (16).to_bytes(1, "little"),  # declared column width
+                (2).to_bytes(4, "little"),  # peer
+                (6).to_bytes(4, "little"),  # x
+                (2**100).to_bytes(16, "little"),  # y
+                (0).to_bytes(4, "little"),  # no key shares
+            ]
+        )
+        frame = _frame(MSG_UNMASK_RESPONSE, body, HEADER)
+        for decode in (decode_unmask_columns, decode_message):
+            with pytest.raises(AggregationError, match="seed column width 16"):
+                decode(frame)
+        wide = UnmaskResponse(
+            responder=6, seed_shares={2: Share(x=6, y=2**100)}, key_shares={}
+        )
+        with pytest.raises(AggregationError, match="too wide for the wire"):
+            encode_message(wide, HEADER)
+
 
 SEED_STRATEGY = st.dictionaries(
     st.integers(min_value=1, max_value=2**32 - 1),
     st.tuples(
         st.integers(min_value=1, max_value=2**32 - 1),
-        st.integers(min_value=0, max_value=2**128 - 1),
+        # Seed shares live in a field that fits uint64: 8 bytes is the
+        # widest seed column on the wire.
+        st.integers(min_value=0, max_value=2**64 - 1),
     ),
     max_size=12,
 )
@@ -188,7 +219,6 @@ class TestScalarBatchedEquivalence:
             responder,
             {p: Share(x=x, y=y) for p, (x, y) in seeds.items()},
             {p: LimbShares(x=x, ys=tuple(ys)) for p, (x, ys) in keys.items()},
-            prime=2**128,  # Force the object-dtype (16-byte) column path.
         )
         assert encode_unmask_columns(columns, HEADER) == encode_message(
             columns.to_response(), HEADER
