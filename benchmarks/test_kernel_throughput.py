@@ -23,16 +23,11 @@ from repro.secagg.bonawitz import _key_limbs
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
 from repro.secagg.keys import TOY_GROUP
-from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
-    MaskedInput,
     SealedShares,
-    UnmaskColumns,
-    encode_masked_input,
     encode_message,
     encode_sealed_matrix,
-    encode_unmask_columns,
     intern_header,
     route_sealed_stack,
 )
@@ -255,58 +250,39 @@ WIRE_CIPHERTEXT = 33
 
 
 def test_wire_codec_throughput(emit, bench_rng):
-    """Frames/sec: the per-frame reference vs the bulk encoders on the
-    three bulk legs."""
+    """Frames/sec on the sealed-share leg — the one with two encoders:
+    the per-frame reference vs the array-at-a-time one, then routing."""
     header = intern_header(PROTOCOL_V1, "sha256-ctr")
     recipients = list(range(1, WIRE_ROSTER + 1))
     ciphertexts = bench_rng.integers(
         0, 256, size=(WIRE_ROSTER, WIRE_CIPHERTEXT), dtype=np.uint8
     )
-    vector = bench_rng.integers(0, MODULUS, size=512, dtype=np.int64)
-    columns = UnmaskColumns(
-        responder=1,
-        peers=np.arange(2, WIRE_ROSTER + 2, dtype="<u4"),
-        xs=np.full(WIRE_ROSTER, 1, dtype="<u4"),
-        ys=bench_rng.integers(
-            0, 2**61 - 1, size=WIRE_ROSTER, dtype=np.uint64
-        ),
-        key_shares={0: LimbShares(x=1, ys=(5, 6))},
-    )
 
     def per_frame():
-        return (
-            b"".join(
-                encode_message(
-                    SealedShares(
-                        sender=1,
-                        recipient=recipient,
-                        ciphertext=ciphertexts[position].tobytes(),
-                    ),
-                    header,
-                )
-                for position, recipient in enumerate(recipients)
-            ),
-            encode_message(MaskedInput(sender=1, vector=vector), header),
-            encode_message(columns.to_response(), header),
+        return b"".join(
+            encode_message(
+                SealedShares(
+                    sender=1,
+                    recipient=recipient,
+                    ciphertext=ciphertexts[position].tobytes(),
+                ),
+                header,
+            )
+            for position, recipient in enumerate(recipients)
         )
 
     def bulk():
-        return (
-            encode_sealed_matrix(1, recipients, ciphertexts, header),
-            encode_masked_input(1, vector, header),
-            encode_unmask_columns(columns, header),
-        )
+        return encode_sealed_matrix(1, recipients, ciphertexts, header)
 
     assert per_frame() == bulk()
     times = {}
     for name, encode in (("per-frame", per_frame), ("bulk", bulk)):
         times[name] = _best_of(5, encode)
-        frames = WIRE_ROSTER + 2
         emit(
             f"kernel_wire codec={name:9s} roster={WIRE_ROSTER} "
-            f"frames_per_sec={frames / times[name]:10.1f}",
+            f"frames_per_sec={WIRE_ROSTER / times[name]:10.1f}",
         )
-    # The bulk encoders exist to be faster on the quadratic leg; 1.5x
+    # The bulk encoder exists to be faster on the quadratic leg; 1.5x
     # slack tolerates timer noise, not a rerouted hot path.
     assert times["bulk"] <= times["per-frame"] * 1.5
 

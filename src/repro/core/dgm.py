@@ -20,9 +20,8 @@ from repro.config import ClipConfig, CompressionConfig
 from repro.core.client import GradientEncoder
 from repro.errors import ConfigurationError
 from repro.linalg.hadamard import RandomRotation
-from repro.linalg.modular import decode_centered, encode_mod
+from repro.linalg.modular import decode_centered, encode_mod, sum_mod
 from repro.sampling.fast import bernoulli_round, discrete_gaussian_noise
-from repro.secagg.protocol import SecureAggregator, ZeroSumMaskProtocol
 
 
 def round_sigma_up(sigma: float) -> float:
@@ -65,17 +64,17 @@ def estimate_sum(
     sigma_squared: float,
     modulus: int,
     rng: np.random.Generator,
-    aggregator: SecureAggregator | None = None,
 ) -> np.ndarray:
     """Run dDGM end-to-end (Algorithm 12) and return the decoded sum.
+
+    As in :mod:`repro.core.skellam_mixture`, the SecAgg line is the ideal
+    functionality: the messages' sum mod ``m``.
 
     Args:
         values: ``(n, d)`` real array, one row per participant.
         sigma_squared: Per-participant discrete Gaussian parameter.
         modulus: SecAgg modulus ``m``.
-        rng: Numpy random generator.
-        aggregator: Optional SecAgg instance; defaults to the zero-sum
-            protocol.
+        rng: Numpy random generator (the noise; the sum draws nothing).
 
     Returns:
         Length-``d`` int64 estimate of the column sums.
@@ -85,8 +84,7 @@ def estimate_sum(
         raise ConfigurationError(f"expected an (n, d) array, got ndim={values.ndim}")
     perturbed = dgm_perturb(values, sigma_squared, rng)
     messages = encode_mod(perturbed, modulus)
-    aggregator = aggregator or ZeroSumMaskProtocol(modulus, rng)
-    residue = aggregator.run(messages)
+    residue = sum_mod(messages, modulus)
     return decode_centered(residue, modulus)
 
 

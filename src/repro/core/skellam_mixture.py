@@ -16,7 +16,11 @@ noise plus the Bernoulli rounding variance (Corollary 2).
 experiment pipelines; :func:`smm_perturb_exact` composes the exact
 samplers of Appendix A so the noise distribution matches its analytical
 form exactly.  :func:`estimate_sum_1d` / :func:`estimate_sum` run the
-complete Algorithm 1 / Algorithm 2 including secure aggregation.
+complete Algorithm 1 / Algorithm 2.  Their SecAgg line is the ideal
+functionality the paper's analysis assumes — the messages' sum mod ``m``
+and nothing else (:func:`repro.linalg.modular.sum_mod`); the protocol
+that realises it is :func:`repro.secagg.bonawitz.run_bonawitz`, which
+returns the same vector on the same messages.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ import fractions
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.linalg.modular import decode_centered, encode_mod
+from repro.linalg.modular import decode_centered, encode_mod, sum_mod
 from repro.sampling.fast import bernoulli_round, skellam_noise
 from repro.sampling.rng import RandIntSource
 from repro.sampling.exact_poisson import sample_poisson
-from repro.secagg.protocol import SecureAggregator, ZeroSumMaskProtocol
 
 
 def smm_perturb(
@@ -127,7 +130,6 @@ def estimate_sum_1d(
     lam: float,
     modulus: int,
     rng: np.random.Generator,
-    aggregator: SecureAggregator | None = None,
 ) -> int:
     """Run 1SMM end-to-end (Algorithm 1) and return the decoded sum.
 
@@ -135,9 +137,7 @@ def estimate_sum_1d(
         values: ``(n,)`` real array, one scalar per participant.
         lam: Per-participant Skellam parameter.
         modulus: SecAgg modulus ``m``.
-        rng: Numpy random generator (noise + SecAgg masks).
-        aggregator: Optional SecAgg instance; defaults to the fast
-            zero-sum protocol.
+        rng: Numpy random generator (the noise; the sum draws nothing).
 
     Returns:
         The server's integer estimate of ``sum(values)``.
@@ -147,8 +147,7 @@ def estimate_sum_1d(
         raise ConfigurationError(f"expected a 1-d array, got ndim={values.ndim}")
     perturbed = smm_perturb(values, lam, rng)
     messages = encode_mod(perturbed[:, np.newaxis], modulus)
-    aggregator = aggregator or ZeroSumMaskProtocol(modulus, rng)
-    residue = aggregator.run(messages)
+    residue = sum_mod(messages, modulus)
     return int(decode_centered(residue, modulus)[0])
 
 
@@ -157,7 +156,6 @@ def estimate_sum(
     lam: float,
     modulus: int,
     rng: np.random.Generator,
-    aggregator: SecureAggregator | None = None,
 ) -> np.ndarray:
     """Run dSMM end-to-end (Algorithm 2) and return the decoded vector sum.
 
@@ -165,9 +163,7 @@ def estimate_sum(
         values: ``(n, d)`` real array, one row per participant.
         lam: Per-participant Skellam parameter.
         modulus: SecAgg modulus ``m``.
-        rng: Numpy random generator (noise + SecAgg masks).
-        aggregator: Optional SecAgg instance; defaults to the fast
-            zero-sum protocol.
+        rng: Numpy random generator (the noise; the sum draws nothing).
 
     Returns:
         Length-``d`` int64 estimate of the column sums.
@@ -177,6 +173,5 @@ def estimate_sum(
         raise ConfigurationError(f"expected an (n, d) array, got ndim={values.ndim}")
     perturbed = smm_perturb(values, lam, rng)
     messages = encode_mod(perturbed, modulus)
-    aggregator = aggregator or ZeroSumMaskProtocol(modulus, rng)
-    residue = aggregator.run(messages)
+    residue = sum_mod(messages, modulus)
     return decode_centered(residue, modulus)

@@ -14,7 +14,12 @@ contract they all share:
 The distributed mechanisms additionally share the SecAgg wire pipeline
 (rotate -> scale -> mechanism-specific integer encode -> mod m -> secure
 sum -> unwrap -> un-scale -> un-rotate), factored into
-:class:`DistributedSumEstimator`.
+:class:`DistributedSumEstimator`.  The secure sum there is SecAgg's ideal
+functionality, :func:`repro.linalg.modular.sum_mod` — what the paper's
+analysis assumes of the black box; running the protocol that realises it
+(:func:`repro.secagg.bonawitz.run_bonawitz`, or per round
+:class:`repro.simulation.engine.SimulationEngine`) is a separate,
+measured concern.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from repro.config import CompressionConfig
 from repro.core.calibration import AccountingSpec
 from repro.errors import CalibrationError, ConfigurationError
 from repro.linalg.hadamard import RandomRotation, next_power_of_two
-from repro.linalg.modular import decode_centered
-from repro.secagg.protocol import SecureAggregator, ZeroSumMaskProtocol
+from repro.linalg.modular import decode_centered, sum_mod
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +162,7 @@ class DistributedSumEstimator(SumEstimator):
 
     Subclasses implement :meth:`_encode_integer` — everything from the
     scaled, rotated real batch to integer values (before the modular
-    wrap) — and inherit the rotation, wrapping, aggregation and decoding
+    wrap) — and inherit the rotation, wrapping, modular sum and decoding
     steps.
 
     Subclasses relying on their own sensitivity control (SMM/DGM run
@@ -168,22 +172,14 @@ class DistributedSumEstimator(SumEstimator):
 
     Args:
         compression: Modulus ``m`` and scale ``gamma``.
-        secagg_factory: Optional factory building the SecAgg protocol
-            from ``(modulus, rng)``; defaults to the fast zero-sum
-            simulator.
     """
 
     #: Whether the raw input is L2-clipped to ``Delta_2`` before rotation.
     requires_l2_preclip: bool = True
 
-    def __init__(
-        self,
-        compression: CompressionConfig,
-        secagg_factory: type[SecureAggregator] = ZeroSumMaskProtocol,
-    ) -> None:
+    def __init__(self, compression: CompressionConfig) -> None:
         super().__init__()
         self.compression = compression
-        self._secagg_factory = secagg_factory
 
     @abc.abstractmethod
     def _encode_integer(
@@ -211,8 +207,7 @@ class DistributedSumEstimator(SumEstimator):
         scaled = self.compression.gamma * rotated
         integer_messages = self._encode_integer(scaled, rng)
         wrapped = np.mod(integer_messages, self.compression.modulus)
-        aggregator = self._secagg_factory(self.compression.modulus, rng)
-        residue = aggregator.run(wrapped)
+        residue = sum_mod(wrapped, self.compression.modulus)
         centred = decode_centered(residue, self.compression.modulus)
         unscaled = centred.astype(np.float64) / self.compression.gamma
         return rotation.inverse(unscaled)

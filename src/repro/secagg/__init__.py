@@ -1,10 +1,11 @@
-"""Secure-aggregation substrate: black-box simulator and full protocol.
+"""Secure-aggregation substrate: the Bonawitz et al. protocol.
 
-Three layers, lowest fidelity first:
+The black-box contract the paper's DP analysis relies on — reveal only
+the modular sum over ``Z_m`` — is the ideal functionality
+:func:`repro.linalg.modular.sum_mod`, which the paper pipeline
+(:mod:`repro.mechanisms`, :mod:`repro.core`) sums through; this package
+is the protocol that realises it.  Two layers:
 
-* :mod:`repro.secagg.protocol` — the black-box contract the paper's DP
-  analysis relies on (mask, sum over ``Z_m``, reveal only the modular
-  sum).  Used by the experiment pipelines for speed.
 * :mod:`repro.secagg.bonawitz` — the four-round Bonawitz et al. crypto
   state machines (DH key agreement, Shamir-shared seeds, double
   masking, dropout recovery), built on :mod:`repro.secagg.field`,
@@ -12,11 +13,11 @@ Three layers, lowest fidelity first:
   :mod:`repro.secagg.prg`.
 * :mod:`repro.secagg.wire` + :mod:`repro.secagg.statemachine` — the
   sans-I/O protocol core: typed, versioned, byte-serializable wire
-  messages with first-class version/PRG negotiation (one encoding path
-  per message: bulk array encoders for the three quadratic legs, the
-  per-frame ``encode_message`` for the rest), pure client/server
-  sessions, and the one :class:`~repro.secagg.statemachine.RoundDriver`
-  through which every transport (the
+  messages with first-class version/PRG negotiation (``encode_message``
+  for every message, plus the array-at-a-time sealed-share codec for
+  the one O(n²) leg), pure client/server sessions, and the one
+  :class:`~repro.secagg.statemachine.RoundDriver` through which every
+  transport (the
   :func:`~repro.secagg.statemachine.drive_in_memory` synchronous loop
   behind :func:`~repro.secagg.bonawitz.run_bonawitz` and the tree's
   composition rounds, the
@@ -80,12 +81,6 @@ from repro.secagg.keys import (
     generate_keypair,
 )
 from repro.secagg.prg import expand_mask, pairwise_delta
-from repro.secagg.protocol import (
-    PairwiseMaskProtocol,
-    SecureAggregator,
-    ZeroSumMaskProtocol,
-    secure_sum,
-)
 from repro.secagg.shamir import (
     LimbShares,
     Share,
@@ -119,13 +114,11 @@ __all__ = [
     "OAKLEY_GROUP_2_PRIME",
     "PHASE_TAGS",
     "PROTOCOL_V1",
-    "PairwiseMaskProtocol",
     "PrimeField",
     "Reject",
     "RoundDriver",
     "SUPPORTED_PROTOCOL_VERSIONS",
     "SealedShares",
-    "SecureAggregator",
     "ServerSession",
     "Sha256CounterPrg",
     "Shake256Prg",
@@ -137,7 +130,6 @@ __all__ = [
     "UnmaskResponse",
     "WIRE_FORMAT_VERSION",
     "WireStats",
-    "ZeroSumMaskProtocol",
     "agree",
     "compose",
     "compose_shard_sums",
@@ -155,7 +147,6 @@ __all__ = [
     "reconstruct_secrets",
     "run_bonawitz",
     "run_composition_round",
-    "secure_sum",
     "split_large_secret",
     "split_secret",
     "split_secrets",

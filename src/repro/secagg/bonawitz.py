@@ -1,12 +1,14 @@
 """The Bonawitz et al. secure-aggregation protocol (semi-honest variant).
 
-The paper uses SecAgg [10] as a black box; :mod:`repro.secagg.protocol`
-models only its input/output contract.  This module implements the
-protocol itself — the four-round state machine of Bonawitz et al.
-(CCS 2017, "Practical Secure Aggregation for Privacy-Preserving Machine
-Learning") — so the repository also demonstrates *how* the contract is
-achieved and how the system behaves when participants drop out
-mid-protocol, which is the protocol's raison d'etre.
+The paper uses SecAgg [10] as a black box, and its own pipeline
+(:mod:`repro.mechanisms`, :mod:`repro.core`) sums through the ideal
+functionality — :func:`repro.linalg.modular.sum_mod`, the modular sum
+and nothing else.  This module implements the protocol that realises it
+— the four-round state machine of Bonawitz et al. (CCS 2017, "Practical
+Secure Aggregation for Privacy-Preserving Machine Learning") — so the
+repository also demonstrates *how* the contract is achieved and how the
+system behaves when participants drop out mid-protocol, which is the
+protocol's raison d'etre.
 
 Round structure (client set shrinks monotonically: ``U0 ⊇ U1 ⊇ U2 ⊇ U3``):
 
@@ -24,8 +26,10 @@ Round structure (client set shrinks monotonically: ``U0 ⊇ U1 ⊇ U2 ⊇ U3``):
 3. **Unmasking** — the server reveals who survived.  Each responding
    client returns its share of ``b_v`` for survivors ``v ∈ U2`` and its
    share of ``s_v^SK`` for dropouts ``v ∈ U1 \\ U2`` — never both for the
-   same ``v`` (the core security rule).  With ``t`` responses the server
-   reconstructs the missing masks and recovers ``Σ_{u ∈ U2} x_u mod m``.
+   same ``v`` (the core security rule; a client answers one request a
+   round, so no sequence of requests gets both either).  With ``t``
+   responses the server reconstructs the missing masks and recovers
+   ``Σ_{u ∈ U2} x_u mod m``.
 
 Dropouts are injected via a schedule mapping client index to the first
 round in which it stops responding; recovery succeeds whenever at least
@@ -78,8 +82,6 @@ from repro.secagg.keys import (
     key_bits,
     warm_agreement_cache,
 )
-from repro.secagg.prg import expand_mask
-from repro.secagg.protocol import _validate_inputs
 from repro.secagg.shamir import (
     DEFAULT_LIMB_BITS,
     LimbShares,
@@ -91,8 +93,8 @@ from repro.secagg.shamir import (
 
 from repro.secagg.wire import (
     Advertise,
-    UnmaskColumns,
     UnmaskRequest,
+    UnmaskResponse,
     WireStats,
 )
 
@@ -104,16 +106,29 @@ ROUND_UNMASK = 3
 
 _SEED_WIDTH = 16  # bytes used to serialise a self-mask seed for the PRG
 
-#: A client's round-0 message: its two public keys.  The protocol's
-#: message types live in :mod:`repro.secagg.wire` (typed, versioned,
-#: byte-serializable); this alias keeps the historical name.
-AdvertisedKeys = Advertise
-
-
 #: Bytes per share value in an envelope.  Every sharing field fits
 #: uint64 (:class:`~repro.secagg.field.PrimeField` refuses anything the
 #: limb-split kernels cannot carry), so the width is not a choice.
 _SHARE_VALUE_BYTES = 8
+
+
+def _validate_inputs(inputs: np.ndarray, modulus: int) -> np.ndarray:
+    """Check that ``inputs`` is an ``(n, d)`` integer array over ``Z_m``."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 2:
+        raise AggregationError(
+            f"expected a (participants, dimension) array, got ndim={inputs.ndim}"
+        )
+    if not np.issubdtype(inputs.dtype, np.integer):
+        raise AggregationError(
+            f"SecAgg inputs must be integers, got dtype={inputs.dtype}"
+        )
+    if inputs.size and (inputs.min() < 0 or inputs.max() >= modulus):
+        raise AggregationError(
+            f"SecAgg inputs must lie in [0, {modulus}), got range "
+            f"[{inputs.min()}, {inputs.max()}]"
+        )
+    return inputs.astype(np.int64)
 
 
 def _key_limbs(group: KeyAgreementGroup) -> int:
@@ -293,17 +308,18 @@ class BonawitzClient:
         self._group_limbs = _key_limbs(group)
         self._channel_keys = None  # type: KeyPair | None
         self._mask_keys = None  # type: KeyPair | None
-        self._roster: dict[int, AdvertisedKeys] = {}
+        self._roster: dict[int, Advertise] = {}
         self._self_seed: int | None = None
         self._received: dict[int, tuple[Share, LimbShares]] = {}
         self._share_roster: tuple[int, ...] = ()
         self._channel_key_cache: dict[int, bytes] = {}
+        self._unmasked = False
 
-    def advertise_keys(self) -> AdvertisedKeys:
+    def advertise_keys(self) -> Advertise:
         """Round 0: generate both key pairs and publish the public halves."""
         self._channel_keys = generate_keypair(self._rng, self._group)
         self._mask_keys = generate_keypair(self._rng, self._group)
-        return AdvertisedKeys(
+        return Advertise(
             index=self.index,
             channel_public=self._channel_keys.public,
             mask_public=self._mask_keys.public,
@@ -325,7 +341,7 @@ class BonawitzClient:
         return key
 
     def share_keys_matrix(
-        self, roster: dict[int, AdvertisedKeys]
+        self, roster: dict[int, Advertise]
     ) -> tuple[tuple[int, ...], np.ndarray]:
         """Round 1: sample ``b_u`` and seal its shares for the roster.
 
@@ -419,28 +435,16 @@ class BonawitzClient:
         )
         return recipients, sealed
 
-    def _open_envelope_matrix(
-        self, senders: list[int], ciphertexts: np.ndarray
-    ) -> None:
-        """Open equal-length peer envelopes in one batched sweep."""
-        streams = keystream_batch(
-            [self._channel_key(sender) for sender in senders],
-            ciphertexts.shape[1],
-        )
-        decoded = _decode_payload_matrix(np.bitwise_xor(ciphertexts, streams))
-        for sender, shares in zip(senders, decoded):
-            self._received[sender] = shares
-
     def receive_share_matrix(
         self, senders: list[int], ciphertexts: np.ndarray
     ) -> None:
         """Store the round-1 envelopes addressed to this client.
 
         The wire layer's bulk decoder hands the routed mailbox over as
-        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; every
-        peer envelope is opened in one batched keystream sweep and
-        decoded with one vectorised payload parse (the self-addressed
-        row was never sealed).
+        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; the peer
+        rows are opened in one batched keystream sweep (the
+        self-addressed row was never sealed) and all rows decoded with
+        one vectorised payload parse.
 
         Raises:
             AggregationError: If ``L`` is not the round's
@@ -456,16 +460,13 @@ class BonawitzClient:
             row for row, sender in enumerate(senders)
             if sender != self.index
         ]
-        for row, sender in enumerate(senders):
-            if sender == self.index:
-                self._received[sender] = _decode_payload(
-                    ciphertexts[row].tobytes()
-                )
+        plain = np.array(ciphertexts)
         if peer_rows:
-            self._open_envelope_matrix(
-                [senders[row] for row in peer_rows],
-                np.ascontiguousarray(ciphertexts[peer_rows]),
+            plain[peer_rows] ^= keystream_batch(
+                [self._channel_key(senders[row]) for row in peer_rows],
+                expected,
             )
+        self._received.update(zip(senders, _decode_payload_matrix(plain)))
 
     def masked_input(self, participants: frozenset[int]) -> np.ndarray:
         """Round 2: upload the doubly masked input vector.
@@ -503,6 +504,12 @@ class BonawitzClient:
         )
 
     def _check_unmask_request(self, request: UnmaskRequest) -> None:
+        if self._unmasked:
+            raise AggregationError(
+                f"client {self.index} already answered this round's unmask "
+                "request and refuses another: a second one could name as "
+                "dropout a peer the first named as survivor"
+            )
         overlap = request.survivors & request.dropouts
         if overlap:
             raise AggregationError(
@@ -515,26 +522,29 @@ class BonawitzClient:
                 f"no shares held for clients {sorted(unknown)}"
             )
 
-    def unmask_columns(self, request: UnmaskRequest) -> UnmaskColumns:
+    def unmask_columns(self, request: UnmaskRequest) -> UnmaskResponse:
         """Round 3: reveal the requested shares, as columns.
 
         The client enforces the protocol's core security rule: it refuses
         any request naming the same peer as both survivor and dropout,
         because revealing both ``b_v`` and ``s_v^SK`` would let the server
-        unmask ``v``'s individual input.  The reply is parallel arrays
-        (encoded, and recovered by the server, without per-survivor
-        ``Share`` objects).
+        unmask ``v``'s individual input — and, for the same reason, any
+        request after the one it answered (a refused request does not
+        use the answer up).  The reply is parallel arrays (encoded, and
+        recovered by the server, without per-survivor ``Share``
+        objects).
 
         Raises:
-            AggregationError: On an overlapping (malicious) request or a
+            AggregationError: On an overlapping (malicious) request, a
                 request naming peers this client never received shares
-                from.
+                from, or a second request.
         """
         self._check_unmask_request(request)
+        self._unmasked = True
         survivors = sorted(request.survivors)
         received = self._received
         count = len(survivors)
-        return UnmaskColumns(
+        return UnmaskResponse(
             responder=self.index,
             peers=np.asarray(survivors, dtype="<u4"),
             xs=np.fromiter(
@@ -637,7 +647,7 @@ class BonawitzServer:
         self._field = field
         self._group = group
         self._mask_prg = get_mask_prg(mask_prg)
-        self._roster: dict[int, AdvertisedKeys] = {}
+        self._roster: dict[int, Advertise] = {}
         # Client index -> its Shamir point: every client shares over the
         # sorted roster at x = 1..n, so a recipient's point is its
         # 1-based position there.
@@ -646,10 +656,10 @@ class BonawitzServer:
         self._masked: dict[int, np.ndarray] = {}
 
     def collect_advertisements(
-        self, advertisements: list[AdvertisedKeys]
-    ) -> dict[int, AdvertisedKeys]:
+        self, advertisements: list[Advertise]
+    ) -> dict[int, Advertise]:
         """Round 0: gather public keys and broadcast the roster."""
-        roster: dict[int, AdvertisedKeys] = {}
+        roster: dict[int, Advertise] = {}
         for message in advertisements:
             if message.index in roster:
                 raise AggregationError(
@@ -727,7 +737,7 @@ class BonawitzServer:
         dropouts = self._share_senders - survivors
         return UnmaskRequest(survivors=survivors, dropouts=frozenset(dropouts))
 
-    def check_unmask_response(self, response: UnmaskColumns) -> None:
+    def check_unmask_response(self, response: UnmaskResponse) -> None:
         """Refuse a round-3 response that is not what the round fixed.
 
         An honest response is determined in shape by the round alone:
@@ -788,7 +798,7 @@ class BonawitzServer:
                     f"outside [0, {prime})"
                 )
 
-    def recover_sum(self, responses: "list[UnmaskColumns]") -> np.ndarray:
+    def recover_sum(self, responses: "list[UnmaskResponse]") -> np.ndarray:
         """Round 3: reconstruct missing masks and output the modular sum.
 
         The first ``threshold`` responses are the quorum.  Each is held

@@ -45,9 +45,13 @@ sealed-shares datagram over the sorted roster at the envelope length
 the round's key-agreement group fixes; the server validates that at
 :meth:`ServerSession.receive` — against the roster and the computed
 length, never against another upload — keeps the bytes opaque, and
-routes the phase as one transpose.  Anything else is a typed
-:class:`~repro.errors.AggregationError` naming the sender before any
-state is stored, and a client handed a mailbox that is not one uniform
+routes the phase as one transpose.  Every other upload is parsed frame
+by frame by :func:`~repro.secagg.wire.iter_frames` and checked against
+what the round fixed (an unmask response by
+:meth:`~repro.secagg.bonawitz.BonawitzServer.check_unmask_response`).
+A datagram is taken whole or not at all: a refusal is a typed
+:class:`~repro.errors.AggregationError` that leaves the session as it
+found it, and a client handed a mailbox that is not one uniform
 sealed-shares datagram refuses it the same way.
 
 The server session also keeps the round's wire ledger
@@ -105,17 +109,13 @@ from repro.secagg.wire import (
     NegotiatedHeader,
     Reject,
     SealedShares,
-    UnmaskColumns,
     UnmaskRequest,
     UnmaskResponse,
     WireStats,
     decode_frames,
     decode_sealed_columns,
-    decode_unmask_columns,
-    encode_masked_input,
     encode_message,
     encode_sealed_matrix,
-    encode_unmask_columns,
     intern_header,
     iter_frames,
     route_sealed_stack,
@@ -293,7 +293,7 @@ class ClientSession:
             # one envelope per round-1 completer (self included).
             masked = self._crypto.masked_input(frozenset(senders))
             self._count_frames(len(senders), 1)
-            return [encode_masked_input(self.index, masked, self.header)]
+            return [self._encode(MaskedInput(self.index, masked))]
         frames = decode_frames(data)
         if not frames:
             return []
@@ -337,9 +337,9 @@ class ClientSession:
                 raise AggregationError(
                     "an unmask request must arrive alone"
                 )
-            columns = self._crypto.unmask_columns(first)
+            response = self._crypto.unmask_columns(first)
             self._count_frames(1, 1)
-            return [encode_unmask_columns(columns, self.header)]
+            return [self._encode(response)]
         raise AggregationError(
             f"client {self.index} cannot handle inbound "
             f"{type(first).__name__}"
@@ -428,7 +428,7 @@ class ServerSession:
         self._share_roster: list[int] = []
         self._sealed_uploads: dict[int, bytes] = {}
         self._masked: dict[int, np.ndarray] = {}
-        self._responses: dict[int, UnmaskColumns] = {}
+        self._responses: dict[int, UnmaskResponse] = {}
         self._expected: frozenset[int] = frozenset()
         self._request: UnmaskRequest | None = None
         self._modular_sum: np.ndarray | None = None
@@ -486,18 +486,17 @@ class ServerSession:
         return self._expected
 
     def _phase_table(self) -> dict:
-        """Where the current phase's accepted uploads sit, by sender."""
+        """Where the current phase's accepted uploads sit, by sender
+        (nowhere once the round is done)."""
         return {
             ROUND_ADVERTISE: self._advertisements,
             ROUND_SHARE_KEYS: self._sealed_uploads,
             ROUND_MASKED_INPUT: self._masked,
             ROUND_UNMASK: self._responses,
-        }[self._phase]
+        }.get(self._phase, {})
 
     def received(self) -> frozenset[int]:
         """Senders that already delivered in the current phase."""
-        if self._phase == PHASE_DONE:
-            return frozenset()
         return frozenset(self._phase_table())
 
     def retract(self, sender: int) -> None:
@@ -509,8 +508,7 @@ class ServerSession:
         client had never answered.  The bytes stay in :attr:`stats` —
         they did cross the wire.
         """
-        if self._phase != PHASE_DONE:
-            self._phase_table().pop(sender, None)
+        self._phase_table().pop(sender, None)
 
     def phase_ready(self) -> bool:
         """True once every expected client delivered (never during
@@ -544,9 +542,15 @@ class ServerSession:
                 would let one connection impersonate another.  Frames
                 claiming a different sender are rejected (spoofing).
 
+        The datagram is taken whole or not at all: when any frame of it
+        is refused, whatever its earlier frames stored is taken back,
+        and the phase's uploads, the Hello outcomes, :attr:`stats` and
+        the at-most-once memo are as the call found them (an upload the
+        sender delivered in an *earlier* datagram is not touched).
+
         Raises:
             AggregationError: When ``sender`` is omitted, and on
-                spoofed/duplicate/out-of-phase frames.
+                spoofed/duplicate/out-of-phase/malformed frames.
         """
         if sender is None:
             # Trusting the frame-claimed origin here would turn every
@@ -559,39 +563,34 @@ class ServerSession:
             )
         if self.resumable and self._guard_redelivery(sender, data):
             return
-        sealed = unmask = None
+        sealed = None
         if self._phase == ROUND_SHARE_KEYS:
             sealed = decode_sealed_columns(data)
-        elif self._phase == ROUND_UNMASK:
-            unmask = decode_unmask_columns(data)
         if sealed is not None:
             messages = self._store_sealed_upload(sender, data, sealed)
-        elif unmask is not None:
-            # The seed section parses straight into arrays; recover_sum
-            # consumes the columns without ever materializing
-            # per-survivor Share objects.
-            header, response = unmask
-            self._check_header(header, sender)
-            self._check_claimed(response.responder, sender)
-            self._require_expected(sender)
-            if sender in self._responses:
-                raise AggregationError(
-                    f"duplicate unmask response from client {sender}"
-                )
-            # Held to the shape the round fixed before it is stored, so
-            # a malformed response evicts its sender here instead of
-            # failing the whole quorum at recovery.
-            self._crypto.check_unmask_response(response)
-            self._responses[sender] = response
-            messages = 1
         else:
-            # Everything that is not a bulk leg, and the place malformed
-            # input gets its typed error.
+            # Everything that is not the bulk leg, and the place
+            # malformed input gets its typed error.
             frames = iter_frames(data, keep_raw=False)
-            for header, message, _ in frames:
-                claimed = self._sender_of(message)
-                self._check_claimed(claimed, sender)
-                self._dispatch(header, message, claimed)
+            # Every frame is the sender's own and stores at most one
+            # entry under it, never over an earlier one — so the tables
+            # it is absent from now are exactly what a refusal undoes.
+            fresh = [
+                table
+                for table in (
+                    self._hellos, self.rejections, self._phase_table()
+                )
+                if sender not in table
+            ]
+            try:
+                for header, message, _ in frames:
+                    claimed = self._sender_of(message)
+                    self._check_claimed(claimed, sender)
+                    self._dispatch(header, message, claimed)
+            except AggregationError:
+                for table in fresh:
+                    table.pop(sender, None)
+                raise
             messages = len(frames)
         self.stats.record_upload(
             self.phase_tag, sender, len(data), messages=messages
@@ -705,14 +704,10 @@ class ServerSession:
 
     @staticmethod
     def _sender_of(message: Message) -> int:
-        if isinstance(message, Hello):
+        if isinstance(message, (Hello, SealedShares, MaskedInput)):
             return message.sender
         if isinstance(message, Advertise):
             return message.index
-        if isinstance(message, SealedShares):
-            return message.sender
-        if isinstance(message, MaskedInput):
-            return message.sender
         if isinstance(message, UnmaskResponse):
             return message.responder
         raise AggregationError(
@@ -804,12 +799,17 @@ class ServerSession:
                 raise AggregationError(
                     "UnmaskResponse outside the unmask phase"
                 )
-            # Like sealed shares, an unmask response travels only on the
-            # bulk leg of receive(): one lone frame.
-            raise AggregationError(
-                f"client {sender} sent an unmask response that is not "
-                "one lone frame"
-            )
+            self._require_expected(sender)
+            if sender in self._responses:
+                raise AggregationError(
+                    f"client {sender} sent a second unmask response"
+                )
+            # Held to the shape the round fixed before it is stored, so
+            # a malformed response evicts its sender here instead of
+            # failing the whole quorum at recovery.
+            self._crypto.check_unmask_response(message)
+            self._responses[sender] = message
+            return
         raise AggregationError(
             f"the server cannot ingest {type(message).__name__} frames"
         )

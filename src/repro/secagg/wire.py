@@ -33,17 +33,17 @@ server checks each client's proposed header and answers with a typed
 
 Frames are self-delimiting, so several messages concatenate into one
 transport datagram (a client's round-1 upload is one frame per sealed
-envelope); :func:`decode_frames` walks them back out.  The three bulk
-legs — sealed-share matrices, masked inputs, unmask responses — have
-array-at-a-time encoders and decoders (:func:`encode_sealed_matrix`,
-:func:`encode_masked_input`, :func:`encode_unmask_columns`,
-:func:`decode_sealed_columns`, :func:`decode_unmask_columns`) that the
-sessions call directly; :func:`encode_message` is the codec for every
-other message and the per-frame reference the bulk bytes are pinned to.
-Multi-byte
-integers that can exceed 64 bits (DH public keys, Shamir share values)
-use a minimal-length, length-prefixed little-endian encoding, keeping
-the format deterministic: equal messages encode to equal bytes.
+envelope); :func:`decode_frames` walks them back out.
+:func:`encode_message` and :func:`iter_frames` are the codec of every
+message.  The one leg with O(n²) frames a round — sealed shares — also
+has an array-at-a-time encoder, decoder and router
+(:func:`encode_sealed_matrix`, :func:`decode_sealed_columns`,
+:func:`route_sealed_stack`) whose bytes are pinned to the per-frame
+ones; a masked input and an unmask response are one frame per client
+and already arrays inside it.  Multi-byte integers that can exceed 64
+bits (DH public keys, Shamir share values) use a minimal-length,
+length-prefixed little-endian encoding, keeping the format
+deterministic: equal messages encode to equal bytes.
 
 :class:`WireStats` is the per-round accounting ledger — message counts
 and serialized bytes per phase, per client, in both directions — that
@@ -59,7 +59,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import AggregationError
-from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.shamir import LimbShares
 
 #: First bytes of every frame.
 WIRE_MAGIC = b"SG"
@@ -238,13 +238,45 @@ class UnmaskRequest:
     dropouts: frozenset[int]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class UnmaskResponse:
-    """One client's round-3 reply: the requested shares it holds."""
+    """One client's round-3 reply: the requested shares it holds.
+
+    The seed section scales with the survivor count (one share per
+    survivor, in every response), so it is columnar in memory as it is
+    on the wire: ``peers`` holds the survivor ids, ``xs`` / ``ys`` the
+    matching share columns (``ys`` is uint64 — every sharing field fits
+    it).  The key section scales with the (few) dropouts and stays a
+    per-peer dict.  The server consumes the columns as they are — one
+    transpose at recovery instead of O(survivors × threshold) dict
+    lookups.
+    """
 
     responder: int
-    seed_shares: dict[int, Share]
+    peers: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
     key_shares: dict[int, LimbShares]
+
+    def _columns(self) -> tuple:
+        return tuple(
+            tuple(np.asarray(column).tolist())
+            for column in (self.peers, self.xs, self.ys)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnmaskResponse):
+            return NotImplemented
+        return (
+            self.responder == other.responder
+            and self._columns() == other._columns()
+            and self.key_shares == other.key_shares
+        )
+
+    def __hash__(self) -> int:
+        # Values, not buffers: a decoded response (uint32 columns) and
+        # the one a client built compare and hash alike.
+        return hash((self.responder, self._columns()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,19 +439,6 @@ def _decode_index_set(reader: _Reader) -> frozenset[int]:
     return frozenset(reader.u32() for _ in range(count))
 
 
-def _append_key_section(
-    parts: list[bytes], key_shares: Mapping[int, LimbShares]
-) -> None:
-    """Append the per-dropout key-share section of an unmask response."""
-    parts.append(len(key_shares).to_bytes(4, "little"))
-    for peer in sorted(key_shares):
-        limb_shares = key_shares[peer]
-        parts.append(peer.to_bytes(4, "little"))
-        parts.append(limb_shares.x.to_bytes(4, "little"))
-        parts.append(len(limb_shares.ys).to_bytes(2, "little"))
-        parts.extend(_encode_biguint(y) for y in limb_shares.ys)
-
-
 def _encode_body(message: Message) -> bytes:
     if isinstance(message, Hello):
         return message.sender.to_bytes(4, "little")
@@ -452,33 +471,34 @@ def _encode_body(message: Message) -> bytes:
             message.dropouts
         )
     if isinstance(message, UnmaskResponse):
-        # The seed section scales with the survivor count (one share per
-        # survivor, every response), so it is columnar with one fixed
-        # byte width — encoded and decoded as numpy columns.  The key
-        # section scales with the (few) dropouts and stays per-peer.
-        parts = [message.responder.to_bytes(4, "little")]
-        peers = sorted(message.seed_shares)
-        count = len(peers)
-        parts.append(count.to_bytes(4, "little"))
+        # The seed columns go out as they are, at the one fixed byte
+        # width their largest value needs; the key section is per peer.
+        count = int(message.peers.shape[0])
+        parts = [
+            message.responder.to_bytes(4, "little"),
+            count.to_bytes(4, "little"),
+        ]
         if count:
-            shares = [message.seed_shares[peer] for peer in peers]
-            ys = [share.y for share in shares]
-            width = _column_width(max(ys))
+            width = _column_width(int(message.ys.max()))
             parts.append(width.to_bytes(1, "little"))
-            parts.append(np.asarray(peers, dtype="<u4").tobytes())
-            parts.append(
-                np.fromiter(
-                    (share.x for share in shares), dtype="<u4", count=count
-                ).tobytes()
+            parts.extend(
+                np.ascontiguousarray(column, dtype="<u4").tobytes()
+                for column in (message.peers, message.xs)
             )
             parts.append(
-                np.fromiter(ys, dtype="<u8", count=count)
+                np.asarray(message.ys, dtype="<u8")
                 .astype(f"<u{width}")
                 .tobytes()
             )
         else:
             parts.append((1).to_bytes(1, "little"))
-        _append_key_section(parts, message.key_shares)
+        parts.append(len(message.key_shares).to_bytes(4, "little"))
+        for peer in sorted(message.key_shares):
+            limb_shares = message.key_shares[peer]
+            parts.append(peer.to_bytes(4, "little"))
+            parts.append(limb_shares.x.to_bytes(4, "little"))
+            parts.append(len(limb_shares.ys).to_bytes(2, "little"))
+            parts.extend(_encode_biguint(y) for y in limb_shares.ys)
         return b"".join(parts)
     if isinstance(message, Reject):
         reason = message.reason.encode("utf-8")
@@ -575,9 +595,9 @@ def _decode_fast(
 ) -> Message | None:
     """Allocation-light decoders for the quadratically frequent types.
 
-    Returns ``None`` for types the generic :class:`_Reader` path covers;
-    behaviour (including malformed-frame errors) is identical either
-    way — the golden and property suites pin both paths.
+    Returns ``None`` for the types :func:`_decode_body` covers; a type
+    has one decoder, and malformed frames end in the same typed errors
+    on both.
     """
     if msg_type == MSG_SEALED_SHARES:
         if end - start < _SEALED_BODY.size:
@@ -642,7 +662,8 @@ def _decode_fast(
             raise AggregationError(
                 f"malformed wire frame: seed column width {seed_width}"
             )
-        seed_shares: dict[int, Share] = {}
+        # The seed section stays columnar — zero per-survivor objects.
+        peers = xs = ys = np.empty(0, dtype=np.uint64)
         if seed_count:
             columns = 8 + seed_width
             if cursor + seed_count * columns > end:
@@ -653,20 +674,16 @@ def _decode_fast(
                 )
             peers = np.frombuffer(
                 view, dtype="<u4", count=seed_count, offset=cursor
-            ).tolist()
+            )
             cursor += 4 * seed_count
             xs = np.frombuffer(
                 view, dtype="<u4", count=seed_count, offset=cursor
-            ).tolist()
+            )
             cursor += 4 * seed_count
             ys = np.frombuffer(
                 view, dtype=f"<u{seed_width}", count=seed_count, offset=cursor
-            ).tolist()
+            ).astype(np.uint64)
             cursor += seed_width * seed_count
-            seed_shares = {
-                peer: Share(x=x, y=y)
-                for peer, x, y in zip(peers, xs, ys)
-            }
         key_shares: dict[int, LimbShares] = {}
         for _ in range(read_uint(4)):
             peer = read_uint(4)
@@ -679,11 +696,7 @@ def _decode_fast(
             raise AggregationError(
                 f"malformed wire frame: {end - cursor} trailing body bytes"
             )
-        return UnmaskResponse(
-            responder=responder,
-            seed_shares=seed_shares,
-            key_shares=key_shares,
-        )
+        return UnmaskResponse(responder, peers, xs, ys, key_shares)
     if msg_type == MSG_ADVERTISE:
         if end - start < 8:
             raise AggregationError(
@@ -765,26 +778,6 @@ def encode_sealed_matrix(
     return frames.tobytes()
 
 
-def encode_masked_input(
-    sender: int, vector: np.ndarray, header: NegotiatedHeader
-) -> bytes:
-    """Encode a masked-input frame straight from its vector.
-
-    Byte-identical to ``encode_message(MaskedInput(sender, vector),
-    header)`` without constructing the message object.
-    """
-    vector = np.ascontiguousarray(vector, dtype="<i8")
-    if vector.ndim != 1:
-        raise AggregationError(
-            f"masked input must be 1-d, got shape {vector.shape}"
-        )
-    return _frame(
-        MSG_MASKED_INPUT,
-        _MASKED_PREFIX.pack(sender, vector.shape[0]) + vector.tobytes(),
-        header,
-    )
-
-
 def decode_sealed_columns(
     data: bytes,
 ) -> tuple[NegotiatedHeader, list[int], list[int], np.ndarray, int] | None:
@@ -846,173 +839,6 @@ def decode_sealed_columns(
         fields[:, 1].tolist(),
         table[:, body:],
         length,
-    )
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class UnmaskColumns:
-    """Columnar twin of :class:`UnmaskResponse` for the bulk unmask leg.
-
-    Parallel arrays instead of per-peer dicts: ``peers`` holds the
-    sorted survivor ids, ``xs``/``ys`` the matching seed-share columns
-    (``ys`` is uint64); the per-dropout ``key_shares`` stay a small
-    dict.  Encoding the columns
-    (:func:`encode_unmask_columns`) is byte-identical to encoding
-    :meth:`to_response`, and the server consumes the columns directly —
-    one transpose at recovery instead of O(survivors × threshold) dict
-    lookups.
-    """
-
-    responder: int
-    peers: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    key_shares: dict[int, LimbShares]
-
-    def to_response(self) -> UnmaskResponse:
-        """Materialise the equivalent per-peer :class:`UnmaskResponse`."""
-        return UnmaskResponse(
-            responder=self.responder,
-            seed_shares={
-                int(peer): Share(x=int(x), y=int(y))
-                for peer, x, y in zip(self.peers, self.xs, self.ys)
-            },
-            key_shares=dict(self.key_shares),
-        )
-
-
-def encode_unmask_columns(
-    columns: UnmaskColumns, header: NegotiatedHeader
-) -> bytes:
-    """Encode an :class:`UnmaskColumns` frame straight from its arrays.
-
-    Byte-identical to ``encode_message(columns.to_response(), header)``
-    (the golden and property suites pin this), without materialising
-    per-peer ``Share`` objects on the O(survivors) leg.
-    """
-    count = int(columns.peers.shape[0])
-    parts = [
-        columns.responder.to_bytes(4, "little"),
-        count.to_bytes(4, "little"),
-    ]
-    if count:
-        ys = columns.ys
-        width = _column_width(int(ys.max()))
-        parts.append(width.to_bytes(1, "little"))
-        parts.append(
-            np.ascontiguousarray(columns.peers, dtype="<u4").tobytes()
-        )
-        parts.append(np.ascontiguousarray(columns.xs, dtype="<u4").tobytes())
-        parts.append(
-            np.asarray(ys, dtype="<u8").astype(f"<u{width}").tobytes()
-        )
-    else:
-        parts.append((1).to_bytes(1, "little"))
-    _append_key_section(parts, columns.key_shares)
-    return _frame(MSG_UNMASK_RESPONSE, b"".join(parts), header)
-
-
-def decode_unmask_columns(
-    data: bytes,
-) -> tuple[NegotiatedHeader, UnmaskColumns] | None:
-    """Columnar bulk-parse of a single-frame unmask-response datagram.
-
-    The round-3 upload is exactly one :class:`UnmaskResponse` frame
-    whose seed section is already columnar on the wire; this parser
-    keeps it columnar — zero per-survivor ``Share`` objects — for the
-    server's vectorised recovery path.
-
-    Returns:
-        ``(header, columns)``, or ``None`` when the datagram is not a
-        lone unmask-response frame (callers fall back to
-        :func:`iter_frames`; results are equivalent either way).
-
-    Raises:
-        AggregationError: If the frame matches but its body is corrupt
-            (same errors as the per-frame decoder).
-    """
-    total = len(data)
-    if total < _HEADER.size:
-        return None
-    magic, fmt, msg_type, length, version, prg_len = _HEADER.unpack_from(
-        data, 0
-    )
-    if (
-        magic != WIRE_MAGIC
-        or fmt != WIRE_FORMAT_VERSION
-        or msg_type != MSG_UNMASK_RESPONSE
-        or length != total
-        or _HEADER.size + prg_len > total
-    ):
-        return None
-    header_size = _HEADER.size + prg_len
-    header = intern_header(version, bytes(data[_HEADER.size : header_size]))
-    view = memoryview(data)
-    from_bytes = int.from_bytes
-    cursor = header_size
-    end = total
-
-    def read_uint(width: int) -> int:
-        nonlocal cursor
-        if cursor + width > end:
-            raise AggregationError(
-                "malformed wire frame: body truncated "
-                f"({end - cursor} bytes left, {width} needed)"
-            )
-        value = from_bytes(view[cursor : cursor + width], "little")
-        cursor += width
-        return value
-
-    responder = read_uint(4)
-    seed_count = read_uint(4)
-    seed_width = read_uint(1)
-    if seed_width not in _COLUMN_WIDTHS:
-        raise AggregationError(
-            f"malformed wire frame: seed column width {seed_width}"
-        )
-    peers = xs = ys = np.empty(0, dtype=np.uint64)
-    if seed_count:
-        columns = 8 + seed_width
-        if cursor + seed_count * columns > end:
-            raise AggregationError(
-                "malformed wire frame: body truncated "
-                f"({end - cursor} bytes left, "
-                f"{seed_count * columns} needed)"
-            )
-        peers = np.frombuffer(
-            view, dtype="<u4", count=seed_count, offset=cursor
-        )
-        cursor += 4 * seed_count
-        xs = np.frombuffer(view, dtype="<u4", count=seed_count, offset=cursor)
-        cursor += 4 * seed_count
-        ys = np.frombuffer(
-            view, dtype=f"<u{seed_width}", count=seed_count, offset=cursor
-        ).astype(np.uint64)
-        cursor += seed_width * seed_count
-    key_shares: dict[int, LimbShares] = {}
-    for _ in range(read_uint(4)):
-        peer = read_uint(4)
-        x = read_uint(4)
-        num_limbs = read_uint(2)
-        limbs = []
-        for _ in range(num_limbs):
-            width = read_uint(2)
-            if width == 0:
-                raise AggregationError(
-                    "malformed wire frame: zero-width integer"
-                )
-            limbs.append(read_uint(width))
-        key_shares[peer] = LimbShares(x=x, ys=tuple(limbs))
-    if cursor != end:
-        raise AggregationError(
-            f"malformed wire frame: {end - cursor} trailing body bytes"
-        )
-    return header, UnmaskColumns(
-        responder=responder,
-        peers=peers,
-        xs=xs,
-        ys=ys,
-        key_shares=key_shares,
     )
 
 

@@ -37,9 +37,8 @@ from repro.secagg.wire import (
     Hello,
     Reject,
     decode_frames,
-    decode_unmask_columns,
+    decode_message,
     encode_message,
-    encode_unmask_columns,
     iter_frames,
 )
 from repro.telemetry import parse_prometheus
@@ -464,12 +463,12 @@ class TestTransportBoundaries:
                         )
                     request = await asyncio.wait_for(read_datagram(reader), 10)
                     (upload,) = session.handle(request)
-                    header, columns = decode_unmask_columns(upload)
-                    assert len(columns.key_shares) == 1
+                    header, response = decode_message(upload)
+                    assert len(response.key_shares) == 1
                     await write_datagram(
                         writer,
-                        encode_unmask_columns(
-                            dataclasses.replace(columns, key_shares={}),
+                        encode_message(
+                            dataclasses.replace(response, key_shares={}),
                             header,
                         ),
                     )

@@ -11,6 +11,7 @@ import ast
 import asyncio
 import dataclasses
 import hashlib
+import importlib
 import pathlib
 
 import numpy as np
@@ -39,10 +40,9 @@ from repro.secagg.tree import run_composition_round
 from repro.secagg.wire import (
     MaskedInput,
     decode_frames,
+    UnmaskResponse,
     decode_sealed_columns,
-    decode_unmask_columns,
-    encode_masked_input,
-    encode_unmask_columns,
+    encode_message,
     iter_frames,
 )
 from repro.simulation import (
@@ -94,7 +94,7 @@ def digest(vector):
     return hashlib.sha256(np.asarray(vector).tobytes()).hexdigest()
 
 
-# -- the three refusals -----------------------------------------------------
+# -- the four refusals ------------------------------------------------------
 
 
 def short_share_keys(session, upload):
@@ -110,33 +110,45 @@ def spoofed_masked_input(session, upload):
     frames = decode_frames(upload)
     if len(frames) != 1 or not isinstance(frames[0][1], MaskedInput):
         return upload
-    return encode_masked_input(
-        session.index + 1, frames[0][1].vector, session.header
+    return encode_message(
+        MaskedInput(session.index + 1, frames[0][1].vector), session.header
     )
+
+
+def doubled_masked_input(session, upload):
+    """A masked input sent twice in one datagram: the first frame is
+    valid on its own, the second is a duplicate."""
+    frames = decode_frames(upload)
+    if len(frames) != 1 or not isinstance(frames[0][1], MaskedInput):
+        return upload
+    return upload + upload
 
 
 def key_share_at_the_wrong_point(session, upload):
     """An unmask response whose key share sits at a neighbour's point."""
-    decoded = decode_unmask_columns(upload)
-    if decoded is None:
+    frames = decode_frames(upload)
+    if len(frames) != 1 or not isinstance(frames[0][1], UnmaskResponse):
         return upload
-    header, columns = decoded
-    assert columns.key_shares, "the scenario needs a dropout to recover"
+    header, response = frames[0]
+    assert response.key_shares, "the scenario needs a dropout to recover"
     moved = {
         peer: LimbShares(x=share.x + 1, ys=share.ys)
-        for peer, share in columns.key_shares.items()
+        for peer, share in response.key_shares.items()
     }
-    return encode_unmask_columns(
-        dataclasses.replace(columns, key_shares=moved), header
+    return encode_message(
+        dataclasses.replace(response, key_shares=moved), header
     )
 
 
 #: refusal -> (corruption, whether the offender's input still counts).
 #: An unmask-phase offender already delivered its masked input, so the
-#: aggregate keeps it; the two earlier refusals leave it out.
+#: aggregate keeps it; the earlier refusals leave it out — also the
+#: doubled masked input, whose first frame a frame-by-frame ingest had
+#: already stored when the second was refused.
 REFUSALS = {
     "short-share-keys": (short_share_keys, False),
     "spoofed-sender": (spoofed_masked_input, False),
+    "doubled-masked-input": (doubled_masked_input, False),
     "wrong-point-key-share": (key_share_at_the_wrong_point, True),
 }
 
@@ -602,3 +614,48 @@ class TestOneLoop:
             text = path.read_text()
             for fork in ("dtype=object", "width == 16", "_uses_kernels"):
                 assert fork not in text, (path.name, fork)
+
+    def test_there_is_no_second_secagg(self):
+        """The paper pipeline sums through the ideal functionality
+        (``sum_mod``); the black-box mask simulators are gone and
+        nothing selects an aggregator any more."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.secagg.protocol")
+        selectors = []
+        for package in ("mechanisms", "core"):
+            for path in sorted((SRC / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ):
+                        continue
+                    arguments = node.args
+                    for arg in (
+                        arguments.posonlyargs
+                        + arguments.args
+                        + arguments.kwonlyargs
+                    ):
+                        if arg.arg in ("aggregator", "secagg_factory"):
+                            selectors.append((path.name, node.name, arg.arg))
+        assert selectors == []
+
+    def test_an_unmask_response_has_one_representation(self):
+        """One class, and ``encode_message`` / ``iter_frames`` its one
+        encoder and decoder: the per-frame twins' names stay unused."""
+        defined = {
+            node.name
+            for node in ast.walk(
+                ast.parse((SRC / "secagg" / "wire.py").read_text())
+            )
+            if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            )
+        }
+        assert "UnmaskResponse" in defined and "encode_message" in defined
+        assert not defined & {
+            "UnmaskColumns",
+            "to_response",
+            "encode_unmask_columns",
+            "decode_unmask_columns",
+            "encode_masked_input",
+        }

@@ -1,144 +1,139 @@
-"""Tests for the SecAgg simulator (repro.secagg.protocol)."""
+"""The SecAgg contract: ideal functionality == real protocol.
+
+The paper pipeline sums through SecAgg's ideal functionality
+(:func:`repro.linalg.modular.sum_mod` — the modular sum and nothing
+else); :func:`repro.secagg.run_bonawitz` is the protocol that realises
+it.  These tests hold the two to the same vector on the messages the
+mechanisms actually produce, and pin what the protocol refuses as
+input.  That a transmitted message is marginally uniform is pinned on
+the real protocol in
+``tests/test_bonawitz.py::test_masked_messages_are_marginally_uniform``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.protocol import (
-    PairwiseMaskProtocol,
-    ZeroSumMaskProtocol,
-    secure_sum,
-)
+from repro.config import CompressionConfig, PrivacyBudget
+from repro.core.calibration import AccountingSpec
+from repro.core.client import skellam_encoder
+from repro.core.dgm import discrete_gaussian_encoder
+from repro.errors import AggregationError
+from repro.linalg.hadamard import RandomRotation
+from repro.linalg.modular import decode_centered, sum_mod
+from repro.mechanisms.base import InputSpec
+from repro.mechanisms.smm import SkellamMixtureMechanism
+from repro.secagg import run_bonawitz
+
+N = 12
+DIMENSION = 64
+COMPRESSION = CompressionConfig(modulus=2**10, gamma=8.0)
 
 
-@pytest.fixture(params=[PairwiseMaskProtocol, ZeroSumMaskProtocol])
-def protocol_class(request):
-    return request.param
+@pytest.fixture(scope="module")
+def smm():
+    mechanism = SkellamMixtureMechanism(COMPRESSION)
+    mechanism.calibrate(
+        InputSpec(num_participants=N, dimension=DIMENSION),
+        AccountingSpec(budget=PrivacyBudget(3.0)),
+    )
+    return mechanism
 
 
-class TestCorrectness:
-    def test_modular_sum_recovered(self, protocol_class):
-        rng = np.random.default_rng(0)
-        inputs = rng.integers(0, 256, size=(12, 9), dtype=np.int64)
-        protocol = protocol_class(256, rng)
-        assert np.array_equal(
-            protocol.run(inputs), inputs.sum(axis=0) % 256
+def unit_vectors(rng):
+    values = rng.normal(size=(N, DIMENSION))
+    return values / np.linalg.norm(values, axis=1, keepdims=True)
+
+
+class TestIdealEqualsReal:
+    def test_smm_batch_sums_identically_through_both(self, smm):
+        """An SMM-encoded batch — rotated, clipped, Skellam-mixture
+        perturbed, wrapped mod m with the mechanism's calibration —
+        reveals the same vector through the ideal sum and through the
+        full four-round protocol at threshold n."""
+        rng = np.random.default_rng(11)
+        rotation = RandomRotation.create(DIMENSION, rng)
+        encoder = skellam_encoder(rotation, COMPRESSION, smm.clip, smm.lam)
+        messages = encoder.encode(unit_vectors(rng), rng)
+        assert messages.shape == (N, DIMENSION)
+        # Noise makes the batch wrap: the sum is genuinely modular.
+        assert messages.sum(axis=0).max() >= COMPRESSION.modulus
+        ideal = sum_mod(messages, COMPRESSION.modulus)
+        real = run_bonawitz(
+            messages, COMPRESSION.modulus, threshold=N, rng=rng
         )
-
-    def test_single_participant(self, protocol_class):
-        rng = np.random.default_rng(1)
-        inputs = rng.integers(0, 64, size=(1, 5), dtype=np.int64)
-        protocol = protocol_class(64, rng)
-        assert np.array_equal(protocol.run(inputs), inputs[0])
-
-    def test_two_participants(self, protocol_class):
-        rng = np.random.default_rng(2)
-        inputs = np.array([[63, 0], [1, 63]], dtype=np.int64)
-        protocol = protocol_class(64, rng)
-        assert np.array_equal(protocol.run(inputs), [0, 63])
-
-    def test_repeated_runs_consistent(self, protocol_class):
-        rng = np.random.default_rng(3)
-        inputs = rng.integers(0, 16, size=(5, 4), dtype=np.int64)
-        protocol = protocol_class(16, rng)
-        expected = inputs.sum(axis=0) % 16
-        for _ in range(5):
-            assert np.array_equal(protocol.run(inputs), expected)
-
-
-class TestConfidentiality:
-    def test_messages_differ_from_inputs(self, protocol_class):
-        rng = np.random.default_rng(4)
-        inputs = np.zeros((8, 50), dtype=np.int64)
-        protocol = protocol_class(256, rng)
-        messages = protocol.transmit(inputs)
-        # All-zero inputs produce non-zero masked messages.
-        assert np.any(messages != 0)
-
-    def test_individual_message_marginally_uniform(self, protocol_class):
-        # Chi-square test of one participant's message bytes against
-        # the uniform distribution on Z_16.
-        rng = np.random.default_rng(5)
-        modulus = 16
-        inputs = np.zeros((4, 4000), dtype=np.int64)
-        protocol = protocol_class(modulus, rng)
-        messages = protocol.transmit(inputs)
-        counts = np.bincount(messages[0], minlength=modulus)
-        expected = messages.shape[1] / modulus
-        chi_square = float(((counts - expected) ** 2 / expected).sum())
-        # dof 15; 0.999 quantile ~37.7.
-        assert chi_square < 45.0
-
-    def test_masks_sum_to_zero(self, protocol_class):
-        rng = np.random.default_rng(6)
-        modulus = 128
-        protocol = protocol_class(modulus, rng)
-        masks = protocol._masks(7, 11)
-        assert np.all(masks.sum(axis=0) % modulus == 0)
-
-
-class TestValidation:
-    def test_rejects_float_inputs(self, protocol_class):
-        protocol = protocol_class(256, np.random.default_rng(0))
-        with pytest.raises(AggregationError):
-            protocol.run(np.zeros((2, 3), dtype=np.float64))
-
-    def test_rejects_out_of_range(self, protocol_class):
-        protocol = protocol_class(256, np.random.default_rng(0))
-        with pytest.raises(AggregationError):
-            protocol.run(np.full((2, 3), 256, dtype=np.int64))
-        with pytest.raises(AggregationError):
-            protocol.run(np.full((2, 3), -1, dtype=np.int64))
-
-    def test_rejects_1d_input(self, protocol_class):
-        protocol = protocol_class(256, np.random.default_rng(0))
-        with pytest.raises(AggregationError):
-            protocol.run(np.zeros(3, dtype=np.int64))
-
-    def test_rejects_odd_modulus(self, protocol_class):
-        with pytest.raises(ConfigurationError):
-            protocol_class(15, np.random.default_rng(0))
-
-
-class TestSecureSumWrapper:
-    def test_both_schemes(self):
-        rng = np.random.default_rng(7)
-        inputs = rng.integers(0, 32, size=(6, 8), dtype=np.int64)
-        expected = inputs.sum(axis=0) % 32
-        assert np.array_equal(secure_sum(inputs, 32, rng, "zero-sum"), expected)
-        assert np.array_equal(secure_sum(inputs, 32, rng, "pairwise"), expected)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigurationError):
-            secure_sum(
-                np.zeros((2, 2), dtype=np.int64),
-                32,
-                np.random.default_rng(0),
-                "magic",
-            )
-
-
-class TestBonawitzScheme:
-    def test_secure_sum_bonawitz_matches_plain_sum(self):
-        rng = np.random.default_rng(21)
-        inputs = rng.integers(0, 2**8, size=(5, 16), dtype=np.int64)
-        result = secure_sum(inputs, 2**8, rng, scheme="bonawitz")
+        assert real.included == frozenset(range(1, N + 1))
+        np.testing.assert_array_equal(real.modular_sum, ideal)
         np.testing.assert_array_equal(
-            result, np.mod(inputs.sum(axis=0), 2**8)
+            decode_centered(real.modular_sum, COMPRESSION.modulus),
+            decode_centered(ideal, COMPRESSION.modulus),
         )
 
-    def test_bonawitz_scheme_agrees_with_masks(self):
-        rng = np.random.default_rng(22)
-        inputs = rng.integers(0, 2**10, size=(4, 8), dtype=np.int64)
-        via_bonawitz = secure_sum(
-            inputs, 2**10, np.random.default_rng(1), scheme="bonawitz"
+    def test_dgm_batch_sums_identically_through_both(self, smm):
+        """The same holds for the other mixture the pipeline encodes."""
+        rng = np.random.default_rng(12)
+        rotation = RandomRotation.create(DIMENSION, rng)
+        encoder = discrete_gaussian_encoder(
+            rotation, COMPRESSION, smm.clip, sigma=1.5
         )
-        via_masks = secure_sum(
-            inputs, 2**10, np.random.default_rng(2), scheme="zero-sum"
+        messages = encoder.encode(unit_vectors(rng), rng)
+        real = run_bonawitz(
+            messages, COMPRESSION.modulus, threshold=N, rng=rng
         )
-        np.testing.assert_array_equal(via_bonawitz, via_masks)
+        np.testing.assert_array_equal(
+            real.modular_sum, sum_mod(messages, COMPRESSION.modulus)
+        )
 
-    def test_unknown_scheme_error_mentions_bonawitz(self):
-        inputs = np.zeros((2, 4), dtype=np.int64)
-        with pytest.raises(ConfigurationError, match="bonawitz"):
-            secure_sum(inputs, 2**8, np.random.default_rng(0), scheme="nope")
+    def test_estimate_sum_decodes_the_ideal_sum_of_its_messages(self, smm):
+        """``estimate_sum`` draws the rotation and the noise and nothing
+        else: replaying its generator reproduces the messages, and its
+        output is their ideal modular sum, decoded."""
+        values = unit_vectors(np.random.default_rng(13))
+        estimate = smm.estimate_sum(values, np.random.default_rng(14))
+        replay = np.random.default_rng(14)
+        rotation = RandomRotation.create(DIMENSION, replay)
+        encoder = skellam_encoder(rotation, COMPRESSION, smm.clip, smm.lam)
+        residue = sum_mod(encoder.encode(values, replay), COMPRESSION.modulus)
+        np.testing.assert_allclose(
+            estimate,
+            rotation.inverse(
+                decode_centered(residue, COMPRESSION.modulus)
+                / COMPRESSION.gamma
+            ),
+        )
+
+    def test_ideal_sum_does_not_overflow_where_int64_would(self):
+        """Near-2^62 residues over a modulus that does not divide 2^64:
+        a plain int64 column sum wraps to the wrong residue, the ideal
+        sum and the protocol agree on the exact answer."""
+        modulus = 2**62 - 2
+        inputs = np.full((6, 3), modulus - 1, dtype=np.int64)
+        expected = np.full(3, (6 * (modulus - 1)) % modulus, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            assert not np.array_equal(
+                inputs.sum(axis=0, dtype=np.int64) % modulus, expected
+            )
+        np.testing.assert_array_equal(sum_mod(inputs, modulus), expected)
+        real = run_bonawitz(
+            inputs, modulus, threshold=6, rng=np.random.default_rng(0)
+        )
+        np.testing.assert_array_equal(real.modular_sum, expected)
+
+
+class TestInputValidation:
+    """What :func:`run_bonawitz` refuses before a session is built."""
+
+    @pytest.mark.parametrize(
+        "inputs, complaint",
+        [
+            (np.zeros((2, 3), dtype=np.float64), "must be integers"),
+            (np.full((2, 3), 256, dtype=np.int64), r"lie in \[0, 256\)"),
+            (np.full((2, 3), -1, dtype=np.int64), r"lie in \[0, 256\)"),
+            (np.zeros(3, dtype=np.int64), "ndim=1"),
+        ],
+        ids=["float-dtype", "above-range", "below-range", "one-dimensional"],
+    )
+    def test_refused(self, inputs, complaint):
+        with pytest.raises(AggregationError, match=complaint):
+            run_bonawitz(
+                inputs, 256, threshold=2, rng=np.random.default_rng(0)
+            )

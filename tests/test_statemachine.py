@@ -4,8 +4,10 @@ Drives :class:`~repro.secagg.statemachine.ClientSession` /
 :class:`~repro.secagg.statemachine.ServerSession` with a hand-rolled
 in-test pump — the smallest possible transport — and covers what the
 transports themselves don't: version/PRG negotiation rejection at Hello
-(the typed failure path), strict phase/sender validation, and the wire
-accounting ledger.
+(the typed failure path), strict phase/sender validation, the two
+session-level guarantees a transport cannot give (a refused datagram
+leaves nothing behind; a client answers one unmask request a round),
+and the wire accounting ledger.
 """
 
 import dataclasses
@@ -17,7 +19,14 @@ from repro.errors import AggregationError, ConfigurationError, NegotiationError
 from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares
+from repro.secagg.bonawitz import (
+    ROUND_ADVERTISE,
+    ROUND_MASKED_INPUT,
+    ROUND_SHARE_KEYS,
+    ROUND_UNMASK,
+)
 from repro.secagg.statemachine import (
+    PHASE_DONE,
     PHASE_TAGS,
     ClientSession,
     ServerSession,
@@ -27,12 +36,11 @@ from repro.secagg.wire import (
     Hello,
     Reject,
     SealedShares,
+    UnmaskRequest,
     decode_message,
     decode_sealed_columns,
-    decode_unmask_columns,
     encode_message,
     encode_sealed_matrix,
-    encode_unmask_columns,
     iter_frames,
 )
 
@@ -40,7 +48,9 @@ MODULUS = 2**12
 DIMENSION = 8
 
 
-def make_sessions(n=5, threshold=3, seed=0, versions=None, prgs=None):
+def make_sessions(
+    n=5, threshold=3, seed=0, versions=None, prgs=None, resumable=False
+):
     rng = np.random.default_rng(seed)
     inputs = rng.integers(0, MODULUS, size=(n, DIMENSION), dtype=np.int64)
     clients = {
@@ -57,7 +67,7 @@ def make_sessions(n=5, threshold=3, seed=0, versions=None, prgs=None):
         for u in range(1, n + 1)
     }
     server = ServerSession(
-        MODULUS, DIMENSION, threshold, group=TOY_GROUP
+        MODULUS, DIMENSION, threshold, group=TOY_GROUP, resumable=resumable
     )
     return inputs, clients, server
 
@@ -81,13 +91,7 @@ def pump(clients, server, skip=frozenset()):
 def open_share_keys(clients, server):
     """Run the advertise phase; returns each client's honest share-keys
     upload."""
-    for u in sorted(clients):
-        server.receive(b"".join(clients[u].start()), sender=u)
-    deliveries = server.advance()
-    return {
-        u: b"".join(clients[u].handle(deliveries[u]))
-        for u in sorted(deliveries)
-    }
+    return open_phase(clients, server, ROUND_SHARE_KEYS)
 
 
 def _frames_of(upload):
@@ -125,9 +129,9 @@ MALFORMED_SHARE_KEYS = [
 ]
 
 
-def open_unmask(clients, server, silent=frozenset()):
+def open_unmask_requests(clients, server, silent=frozenset()):
     """Run the round up to the unmask request, ``silent`` going quiet
-    after sharing keys; returns each survivor's honest unmask upload."""
+    after sharing keys; returns each survivor's request datagram."""
     for u in sorted(clients):
         server.receive(b"".join(clients[u].start()), sender=u)
     deliveries = server.advance()
@@ -139,6 +143,33 @@ def open_unmask(clients, server, silent=frozenset()):
                 b"".join(clients[u].handle(deliveries[u])), sender=u
             )
         deliveries = server.advance()
+    return deliveries
+
+
+def open_unmask(clients, server, silent=frozenset()):
+    """:func:`open_unmask_requests`, answered: each survivor's honest
+    unmask upload."""
+    requests = open_unmask_requests(clients, server, silent)
+    return {
+        u: b"".join(clients[u].handle(requests[u])) for u in sorted(requests)
+    }
+
+
+def open_phase(clients, server, phase):
+    """Run a dropout-free round up to ``phase``; returns each client's
+    honest upload for it."""
+    uploads = {u: b"".join(clients[u].start()) for u in sorted(clients)}
+    for _ in range(phase):
+        uploads = close_phase(clients, server, uploads)
+    return uploads
+
+
+def close_phase(clients, server, uploads):
+    """Deliver what the phase still lacks, close it, and return the
+    next phase's honest uploads."""
+    for u in sorted(set(uploads) - server.received()):
+        server.receive(uploads[u], sender=u)
+    deliveries = server.advance()
     return {
         u: b"".join(clients[u].handle(deliveries[u]))
         for u in sorted(deliveries)
@@ -146,10 +177,10 @@ def open_unmask(clients, server, silent=frozenset()):
 
 
 def _rewritten(upload, changes):
-    """Re-encode an unmask upload with ``changes(columns)`` applied."""
-    header, columns = decode_unmask_columns(upload)
-    return encode_unmask_columns(
-        dataclasses.replace(columns, **changes(columns)), header
+    """Re-encode an unmask upload with ``changes(response)`` applied."""
+    header, response = decode_message(upload)
+    return encode_message(
+        dataclasses.replace(response, **changes(response)), header
     )
 
 
@@ -567,6 +598,189 @@ class TestStrictValidation:
         _, _, server = make_sessions(n=3, threshold=2)
         with pytest.raises(AggregationError, match="not been recovered"):
             server.modular_sum
+
+
+def _doubled(upload, sender, header):
+    return _two_frames(upload)
+
+
+def _second_advertisement(upload, sender, header):
+    return upload + _frames_of(upload)[1]
+
+
+#: phase -> a datagram whose *first* frame(s) the phase would accept and
+#: whose last one it refuses.
+REFUSED_AFTER_A_VALID_FRAME = {
+    ROUND_ADVERTISE: _second_advertisement,
+    ROUND_SHARE_KEYS: _mixed_message_types,
+    ROUND_MASKED_INPUT: _doubled,
+    ROUND_UNMASK: _doubled,
+}
+
+
+def observable_state(server, sender, datagrams):
+    """Everything a refused datagram could have left behind that the
+    session shows: the phase's uploads, the Hello refusals, the wire
+    ledger and the at-most-once memo."""
+    return (
+        server.received(),
+        dict(server.rejections),
+        server.stats.phase_totals(),
+        [server.already_ingested(sender, data) for data in datagrams],
+    )
+
+
+class TestAllOrNothingReceive:
+    """``receive()`` dispatches frame by frame, so a datagram whose
+    first frame is valid and whose second is refused used to leave the
+    first one stored: the sender was evicted *and* counted."""
+
+    @pytest.mark.parametrize("resumable", [False, True])
+    @pytest.mark.parametrize(
+        "phase", sorted(REFUSED_AFTER_A_VALID_FRAME), ids=PHASE_TAGS.get
+    )
+    def test_refused_datagram_leaves_nothing_behind(self, phase, resumable):
+        inputs, clients, server = make_sessions(
+            n=4, threshold=2, resumable=resumable
+        )
+        uploads = open_phase(clients, server, phase)
+        bad = REFUSED_AFTER_A_VALID_FRAME[phase](
+            uploads[2], 2, clients[2].header
+        )
+        before = observable_state(server, 2, [uploads[2], bad])
+        with pytest.raises(AggregationError):
+            server.receive(bad, sender=2)
+        assert observable_state(server, 2, [uploads[2], bad]) == before
+        assert 2 not in server.received()
+        # Nothing half-kept refuses the honest datagram afterwards (a
+        # Hello left behind would make it a duplicate), and the round
+        # ends on everyone's exact sum.
+        server.receive(uploads[2], sender=2)
+        assert 2 in server.received()
+        while server.phase != PHASE_DONE:
+            uploads = close_phase(clients, server, uploads)
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs.sum(axis=0), MODULUS)
+        )
+
+    def test_refused_hello_outcome_is_taken_back_too(self):
+        """A Hello the server *rejects* is state as well: when a later
+        frame of the same datagram is refused, the rejection goes with
+        it, and the datagram can be judged again from scratch."""
+        _, clients, server = make_sessions(
+            n=3, threshold=2, versions={2: PROTOCOL_V1 + 1}
+        )
+        hello, advertise = clients[2].start()
+        with pytest.raises(AggregationError, match="duplicate Hello"):
+            server.receive(hello + hello, sender=2)
+        assert server.rejections == {}
+        assert server.stats.phase_summary("advertise") is None
+        server.receive(hello + advertise, sender=2)
+        assert sorted(server.rejections) == [2]
+        assert server.received() == frozenset()
+
+    @pytest.mark.parametrize(
+        "phase", [ROUND_MASKED_INPUT, ROUND_UNMASK], ids=PHASE_TAGS.get
+    )
+    def test_an_earlier_upload_of_the_sender_is_not_touched(self, phase):
+        """What the sender delivered in an *earlier* datagram is not the
+        refused datagram's to take back: it stays until the transport
+        retracts it (``RoundDriver.evict`` does)."""
+        inputs, clients, server = make_sessions(n=4, threshold=2)
+        uploads = open_phase(clients, server, phase)
+        server.receive(uploads[2], sender=2)
+        before = observable_state(server, 2, [uploads[2]])
+        with pytest.raises(AggregationError, match="client 2"):
+            server.receive(uploads[2] + uploads[2], sender=2)
+        assert observable_state(server, 2, [uploads[2]]) == before
+        assert server.received() == frozenset({2})
+        while server.phase != PHASE_DONE:
+            uploads = close_phase(clients, server, uploads)
+        assert server.included == frozenset(clients)
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs.sum(axis=0), MODULUS)
+        )
+
+
+def _request(clients, survivors, dropouts):
+    return encode_message(
+        UnmaskRequest(
+            survivors=frozenset(survivors), dropouts=frozenset(dropouts)
+        ),
+        clients[1].header,
+    )
+
+
+class TestOneUnmaskAnswer:
+    """Never both shares of one peer — across requests, not only inside
+    one.  ``_check_unmask_request`` used to keep no memory, so a second
+    request could move a peer between the survivor and dropout sets and
+    collect the other share."""
+
+    @pytest.mark.parametrize(
+        "silent, survivors, dropouts",
+        [
+            # The honest request named 2 a survivor (seed share out):
+            # now name it a dropout to get its key share.
+            (frozenset(), {1, 3, 4, 5}, {2}),
+            # The honest request named 5 a dropout (key share out): now
+            # name it a survivor to get its seed share.
+            ({5}, {1, 2, 3, 4, 5}, set()),
+            # The very same request again: one answer is one answer.
+            (frozenset(), {1, 2, 3, 4, 5}, set()),
+        ],
+        ids=["survivor-to-dropout", "dropout-to-survivor", "same-again"],
+    )
+    def test_second_request_is_refused(self, silent, survivors, dropouts):
+        _, clients, server = make_sessions(n=5, threshold=3)
+        requests = open_unmask_requests(clients, server, silent=silent)
+        (answer,) = clients[1].handle(requests[1])
+        _, response = decode_message(answer)
+        assert response.peers.tolist() == sorted(set(clients) - silent)
+        assert sorted(response.key_shares) == sorted(silent)
+        with pytest.raises(AggregationError, match="already answered"):
+            clients[1].handle(_request(clients, survivors, dropouts))
+        # The answer it did give still completes the round.
+        server.receive(answer, sender=1)
+        for u in (2, 3):
+            server.receive(b"".join(clients[u].handle(requests[u])), sender=u)
+        server.advance()
+        assert server.included == frozenset(clients) - silent
+
+    def test_a_refused_request_does_not_use_the_answer_up(self):
+        _, clients, server = make_sessions(n=5, threshold=3)
+        requests = open_unmask_requests(clients, server)
+        with pytest.raises(AggregationError, match="both survivor"):
+            clients[1].handle(_request(clients, {1, 2, 3, 4, 5}, {2}))
+        with pytest.raises(AggregationError, match="no shares held"):
+            clients[1].handle(_request(clients, {1, 2, 3, 4, 5, 9}, set()))
+        (answer,) = clients[1].handle(requests[1])
+        server.receive(answer, sender=1)
+        with pytest.raises(AggregationError, match="already answered"):
+            clients[1].handle(requests[1])
+
+    def test_tampering_server_gets_one_answer_per_client(self):
+        """The ``tamper_unmask_request`` seam is the attacker of ROADMAP
+        4(b): whatever it rewrites the announcement to, a client that
+        answered it answers nothing else."""
+        _, clients, _ = make_sessions(n=5, threshold=3)
+        server = ServerSession(
+            MODULUS, DIMENSION, 3, group=TOY_GROUP,
+            tamper_unmask_request=lambda request: UnmaskRequest(
+                survivors=request.survivors - {2},
+                dropouts=request.dropouts | {2},
+            ),
+        )
+        requests = open_unmask_requests(clients, server)
+        assert server.tampered
+        (answer,) = clients[1].handle(requests[1])
+        _, response = decode_message(answer)
+        # The tampered request got 2's key share and not its seed share …
+        assert sorted(response.key_shares) == [2]
+        assert 2 not in response.peers.tolist()
+        # … and the honest one, sent afterwards, gets nothing.
+        with pytest.raises(AggregationError, match="already answered"):
+            clients[1].handle(_request(clients, {1, 2, 3, 4, 5}, set()))
 
 
 class TestWireAccounting:

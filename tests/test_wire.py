@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError
-from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
     WIRE_FORMAT_VERSION,
@@ -77,7 +77,9 @@ GOLDEN = {
     "unmask-response": (
         UnmaskResponse(
             responder=6,
-            seed_shares={2: Share(x=6, y=123456789), 5: Share(x=6, y=1)},
+            peers=np.array([2, 5], dtype="<u4"),
+            xs=np.array([6, 6], dtype="<u4"),
+            ys=np.array([123456789, 1], dtype=np.uint64),
             key_shares={9: LimbShares(x=6, ys=(10, 2**61 - 2))},
         ),
         # Columnar seed section: count, width, peer/x/y columns; then
@@ -292,11 +294,12 @@ class TestHypothesisRoundTrips:
     )
     @settings(max_examples=50, deadline=None)
     def test_unmask_response_round_trip(self, responder, seeds, keys):
+        peers = sorted(seeds)
         message = UnmaskResponse(
             responder=responder,
-            seed_shares={
-                peer: Share(x=x, y=y) for peer, (x, y) in seeds.items()
-            },
+            peers=np.array(peers, dtype="<u4"),
+            xs=np.array([seeds[peer][0] for peer in peers], dtype="<u4"),
+            ys=np.array([seeds[peer][1] for peer in peers], dtype=np.uint64),
             key_shares={
                 peer: LimbShares(x=x, ys=tuple(ys))
                 for peer, (x, ys) in keys.items()
