@@ -1,11 +1,13 @@
-"""Kernel micro-benchmarks: mask PRG and Shamir throughput.
+"""Kernel micro-benchmarks: mask PRG, Shamir and key-agreement throughput.
 
 Measures the vectorised SecAgg kernels against the retained scalar
 reference paths — masks/sec for the two PRG suites (SHAKE-256 and
-batched SHA-256 counter mode vs the pre-kernel scalar loop) and
+batched SHA-256 counter mode vs the pre-kernel scalar loop),
 shares/sec for batched Shamir split/reconstruct vs the per-coefficient
-Python loops.  Rows are printed, not persisted: the committed
-performance ledger is ``bench/`` (``python3 bench/run.py``).
+Python loops, and the scalar-``pow`` / vectorised-sweep crossover that
+``repro.secagg.keys.SCALAR_BATCH_MAX`` records.  Rows are printed, not
+persisted: the committed performance ledger is ``bench/`` (``python3
+bench/run.py``).
 
 The smoke assertions run in tier 1: they only require the vectorised
 kernels not to be *slower* than the scalar baselines (with generous
@@ -22,7 +24,8 @@ import numpy as np
 from repro.secagg.bonawitz import _key_limbs
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
-from repro.secagg.keys import TOY_GROUP
+from repro.linalg.modular import pow_mod
+from repro.secagg.keys import SCALAR_BATCH_MAX, TOY_GROUP
 from repro.secagg.wire import (
     PROTOCOL_V1,
     SealedShares,
@@ -136,6 +139,46 @@ def test_mask_prg_throughput(emit):
             f"batch={len(narrow)} masks_per_sec={len(narrow) / elapsed:10.1f}",
         )
     assert shake_narrow <= sha_narrow
+
+
+def test_key_agreement_crossover(emit, bench_rng):
+    """Scalar ``pow`` per peer vs one vectorised sweep, by lane count.
+
+    The measurement ``SCALAR_BATCH_MAX`` is set from: a scalar ``pow``
+    costs the same per lane, the sweep nearly the same per call.
+    """
+    prime = TOY_GROUP.prime
+    private = int(bench_rng.integers(1 << 60, prime))
+    for lanes in (
+        SCALAR_BATCH_MAX // 4, SCALAR_BATCH_MAX, 4 * SCALAR_BATCH_MAX
+    ):
+        peers = [int(peer) for peer in bench_rng.integers(2, prime, lanes)]
+
+        def scalar():
+            return [pow(peer, private, prime) for peer in peers]
+
+        def sweep():
+            return pow_mod(
+                np.asarray(peers, dtype=np.uint64), private, prime
+            ).tolist()
+
+        assert scalar() == sweep()
+        scalar_time, sweep_time = _interleaved_best_of(9, scalar, sweep)
+        crossover = sweep_time / (scalar_time / lanes)
+        emit(
+            f"kernel_dh lanes={lanes:4d} "
+            f"scalar_pow_us={1e6 * scalar_time / lanes:6.2f} "
+            f"scalar_us={1e6 * scalar_time:8.1f} "
+            f"sweep_us={1e6 * sweep_time:8.1f} "
+            f"crossover_lanes={crossover:6.1f} "
+            f"(SCALAR_BATCH_MAX={SCALAR_BATCH_MAX})",
+        )
+        # A factor of four to either side of the constant the choice
+        # must be clear, or the constant (or a kernel) has gone stale.
+        if lanes < SCALAR_BATCH_MAX:
+            assert scalar_time < sweep_time
+        elif lanes > SCALAR_BATCH_MAX:
+            assert sweep_time < scalar_time
 
 
 def test_shamir_throughput(emit, bench_rng):

@@ -16,11 +16,21 @@ dominates the baselines' error at small bitwidths (Section 6).
 
 *Field kernels.* The vectorised SecAgg kernels
 (:mod:`repro.secagg.kernels`) run Shamir share generation and Lagrange
-reconstruction as numpy array programs over the 61-bit prime field.
+reconstruction, and :mod:`repro.secagg.keys` its batched Diffie-Hellman
+exponentiations, as numpy array programs over the 61-bit prime field.
 Products of two 61-bit residues need 122 bits, which uint64 cannot hold,
-so :func:`mul_mod` splits each operand into 32-bit limbs and reduces the
-partial products with shift-and-mod steps that each stay below ``2^64``
-— exact modular multiplication without arbitrary-precision integers.
+so :func:`mul_mod` splits each operand into two limbs and recombines the
+partial products without ever leaving uint64 — exact modular
+multiplication without arbitrary-precision integers.  Over the default
+field ``GF(2^61 - 1)`` the recombination is a *Mersenne fold*
+(:func:`_mul_mod_m61`, :func:`_sqr_mod_m61`): ``2^61 ≡ 1``, so a term
+weighted ``2^k`` is brought back under ``2^61`` by one shift and one
+mask, no carry is ever formed and one final ``% p`` canonises the sum.
+At the few dozen lanes one SecAgg client carries a numpy call costs
+~0.6 us whatever it does, so the kernels are written for call count: 17
+calls a multiply, 13 a squaring, and :func:`pow_mod` /
+:func:`pow_mod_elementwise` call them directly.  Any other modulus up
+to ``2^61`` takes the general shift-and-mod path (:func:`_shift32_mod`).
 """
 
 from __future__ import annotations
@@ -38,10 +48,18 @@ _LIMB_MASK = np.uint64((1 << 32) - 1)
 _LIMB_SHIFT = np.uint64(32)
 
 #: Mersenne prime 2^61 - 1 — the default SecAgg field modulus, with a
-#: dedicated fast reduction (2^61 ≡ 1 lets the 128-bit product fold into
+#: dedicated fast reduction (2^61 ≡ 1 lets the 122-bit product fold into
 #: 64 bits with shifts instead of repeated division).
 _M61 = (1 << 61) - 1
 _M61_U64 = np.uint64(_M61)
+
+# Shifts and masks of the Mersenne fold: operands split at bit 31, the
+# cross term of a product at bit 30 and of a squaring at bit 29 (its
+# low part then goes back up by the 32 of ``_LIMB_SHIFT``).
+_ONE = np.uint64(1)
+_SHIFT29, _MASK29 = np.uint64(29), np.uint64((1 << 29) - 1)
+_SHIFT30, _MASK30 = np.uint64(30), np.uint64((1 << 30) - 1)
+_SHIFT31, _MASK31 = np.uint64(31), np.uint64((1 << 31) - 1)
 
 
 def _validate_field_modulus(modulus: int) -> np.uint64:
@@ -67,43 +85,84 @@ def _shift32_mod(values: np.ndarray, modulus: np.uint64) -> np.ndarray:
 def _mul_mod_m61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(a * b) mod (2^61 - 1)`` for operands already in ``[0, 2^61)``.
 
-    Standard 32-bit-limb "mulhi": the high 64 bits of the 128-bit
-    product are assembled from the four partial products (each < 2^64),
-    then the whole product folds modulo the Mersenne prime using
-    ``2^64 ≡ 8`` and ``2^61 ≡ 1``.
+    Mersenne fold.  With ``a = a1·2^31 + a0`` and ``b = b1·2^31 + b0``
+    (``a1, b1 < 2^30``; ``a0, b0 < 2^31``)
+
+    ``a·b = a1·b1·2^62 + (a1·b0 + a0·b1)·2^31 + a0·b0``
+
+    and, because ``2^61 ≡ 1``, each term folds below ``2^62`` with no
+    carry between them:
+
+    * ``a1·b1 < 2^60`` and ``2^62 ≡ 2``: the term is ``2·a1·b1 < 2^61``;
+    * ``mid = a1·b0 + a0·b1 < 2^62``; writing ``mid = h·2^30 + l`` gives
+      ``mid·2^31 = h·2^61 + l·2^31 ≡ h + l·2^31`` with ``h < 2^32`` and
+      ``l·2^31 < 2^61``;
+    * ``a0·b0 < 2^62`` needs no folding at all.
+
+    The four add up to less than ``2^63 + 2^32``, so every intermediate
+    fits uint64 — nothing wraps, which also keeps numpy *scalars* (0-d
+    operands) free of overflow warnings — and one ``% p`` canonises the
+    sum.  In-place steps touch only arrays this function created, and
+    every one of those already has the broadcast shape.
     """
-    a1, a0 = a >> _LIMB_SHIFT, a & _LIMB_MASK
-    b1, b0 = b >> _LIMB_SHIFT, b & _LIMB_MASK
-    mid1 = a1 * b0
-    mid2 = a0 * b1
-    carry = ((a0 * b0 >> _LIMB_SHIFT) + (mid1 & _LIMB_MASK) + (
-        mid2 & _LIMB_MASK
-    )) >> _LIMB_SHIFT
-    high = a1 * b1 + (mid1 >> _LIMB_SHIFT) + (mid2 >> _LIMB_SHIFT) + carry
-    with np.errstate(over="ignore"):
-        low = a * b  # uint64 wraparound keeps exactly the low 64 bits
-    folded = (high << np.uint64(3)) + (low >> np.uint64(61)) + (
-        low & _M61_U64
-    )
-    return folded % _M61_U64
+    a1, a0 = a >> _SHIFT31, a & _MASK31
+    b1, b0 = b >> _SHIFT31, b & _MASK31
+    mid = a1 * b0
+    mid += a0 * b1
+    total = a1 * b1
+    total <<= _ONE
+    total += a0 * b0
+    total += mid >> _SHIFT30
+    mid &= _MASK30
+    mid <<= _SHIFT31
+    total += mid
+    total %= _M61_U64
+    return total
+
+
+def _sqr_mod_m61(a: np.ndarray) -> np.ndarray:
+    """``(a * a) mod (2^61 - 1)`` for ``a`` already in ``[0, 2^61)``.
+
+    :func:`_mul_mod_m61` with the two cross products merged: ``a^2 =
+    a1^2·2^62 + a1·a0·2^32 + a0^2``, three partial products instead of
+    four.  ``mid = a1·a0 < 2^61``; writing ``mid = h·2^29 + l`` gives
+    ``mid·2^32 ≡ h + l·2^32`` with ``h < 2^32`` and ``l·2^32 < 2^61``,
+    so the sum is again below ``2^63 + 2^32``.  The square step of every
+    exponentiation below — two thirds of its multiplications — runs
+    through here.
+    """
+    a1, a0 = a >> _SHIFT31, a & _MASK31
+    mid = a1 * a0
+    total = a1 * a1
+    total <<= _ONE
+    total += a0 * a0
+    total += mid >> _SHIFT29
+    mid &= _MASK29
+    mid <<= _LIMB_SHIFT
+    total += mid
+    total %= _M61_U64
+    return total
 
 
 def mul_mod(
     a: np.ndarray | int, b: np.ndarray | int, modulus: int
 ) -> np.ndarray:
-    """Exact ``(a * b) mod m`` on uint64 arrays via 32-bit limb splitting.
+    """Exact ``(a * b) mod m`` on uint64 arrays via limb splitting.
 
     Args:
-        a: Residues in ``[0, m)`` (array or scalar; broadcast applies).
-        b: Residues in ``[0, m)``.
+        a: Residues (array or scalar; broadcast applies).  Values at or
+            above ``m`` are reduced first.
+        b: Residues, likewise.
         modulus: The modulus ``m``, at most :data:`LIMB_SPLIT_MAX_MODULUS`.
 
     Returns:
         ``(a * b) mod m`` as a uint64 array, exact even though the full
-        128-bit product never materialises: with ``a = a1*2^32 + a0`` and
-        ``b = b1*2^32 + b0``, the partial products ``a1*b1 < 2^58``,
-        ``a1*b0 + a0*b1 < 2^62`` and ``a0*b0 < 2^64`` each fit in uint64,
-        and the radix recombination uses :func:`_shift32_mod`.
+        128-bit product never materialises.  ``m = 2^61 - 1`` takes the
+        Mersenne fold (:func:`_mul_mod_m61`); for any other modulus,
+        with ``a = a1*2^32 + a0`` and ``b = b1*2^32 + b0``, the partial
+        products ``a1*b1 < 2^58``, ``a1*b0 + a0*b1 < 2^62`` and ``a0*b0
+        < 2^64`` each fit in uint64, and the radix recombination uses
+        :func:`_shift32_mod`.
 
     Raises:
         ConfigurationError: If the modulus is outside ``[2, 2^61]``.
@@ -118,6 +177,21 @@ def mul_mod(
     result = _shift32_mod(a1 * b1 % m, m)
     result = _shift32_mod((result + (a1 * b0 + a0 * b1) % m) % m, m)
     return (result + a0 * b0 % m) % m
+
+
+def _pow_kernels(modulus: int):
+    """``(multiply, square)`` for operands already reduced mod ``m``.
+
+    What the exponentiation loops below call once per bit: over
+    ``GF(2^61 - 1)`` the two Mersenne-fold kernels themselves, with no
+    per-call validation or re-reduction in between.
+    """
+    if modulus == _M61:
+        return _mul_mod_m61, _sqr_mod_m61
+    return (
+        lambda a, b: mul_mod(a, b, modulus),
+        lambda a: mul_mod(a, a, modulus),
+    )
 
 
 def pow_mod(
@@ -141,14 +215,15 @@ def pow_mod(
         raise ConfigurationError(
             f"exponent must be >= 0, got {exponent}"
         )
+    multiply, square = _pow_kernels(modulus)
     base = np.asarray(base, dtype=np.uint64) % m
     result = np.ones_like(base)
     while exponent:
         if exponent & 1:
-            result = mul_mod(result, base, modulus)
+            result = multiply(result, base)
         exponent >>= 1
         if exponent:
-            base = mul_mod(base, base, modulus)
+            base = square(base)
     return result
 
 
@@ -172,16 +247,16 @@ def pow_mod_elementwise(
         Element-wise modular power as a uint64 array.
     """
     m = _validate_field_modulus(modulus)
+    multiply, square = _pow_kernels(modulus)
     bases = np.asarray(bases, dtype=np.uint64) % m
-    exponents = np.asarray(exponents, dtype=np.uint64).copy()
+    exponents = np.asarray(exponents, dtype=np.uint64)
     result = np.ones_like(bases)
-    one = np.uint64(1)
-    while np.any(exponents):
-        odd = (exponents & one).astype(bool)
-        result = np.where(odd, mul_mod(result, bases, modulus), result)
-        exponents >>= one
-        if np.any(exponents):
-            bases = mul_mod(bases, bases, modulus)
+    bits = int(exponents.max(initial=0)).bit_length()
+    for bit in range(bits):
+        bit_set = exponents & np.uint64(1 << bit)
+        result = np.where(bit_set, multiply(result, bases), result)
+        if bit + 1 < bits:
+            bases = square(bases)
     return result
 
 

@@ -82,7 +82,11 @@ from repro.secagg.statemachine import (
     RoundDriver,
     ServerSession,
 )
-from repro.secagg.bonawitz import ROUND_ADVERTISE, ROUND_UNMASK
+from repro.secagg.bonawitz import (
+    ROUND_ADVERTISE,
+    ROUND_UNMASK,
+    forget_round_memos,
+)
 from repro.secagg.wire import (
     Hello,
     Reject,
@@ -565,6 +569,11 @@ class SecAggServer:
             return None
         round_id = self._next_round_id
         self._next_round_id += 1
+        # Keys and seeds are fresh every round: what the last round's
+        # dropout recovery memoised is dead weight in a long-lived
+        # server, so the round opens on empty memos like every other
+        # transport's.
+        forget_round_memos(self.config.group, self.config.mask_prg)
         session = self._build_session()
         if self._journal is not None:
             self._journal.round_start(

@@ -35,6 +35,7 @@ from repro.secagg.bonawitz import (
     ROUND_SHARE_KEYS,
     ROUND_UNMASK,
     AggregationOutcome,
+    forget_round_memos,
     run_bonawitz,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
@@ -334,7 +335,12 @@ async def run_swarm(
     (provided the threshold holds).  Transient-disconnect clients drop
     and resume mid-round but remain full participants, so the reference
     digest still applies.
+
+    Opening the round drops what the previous one left in this process'
+    key-agreement and mask-PRG memos, as every other round driver does
+    (:func:`~repro.secagg.bonawitz.forget_round_memos`).
     """
+    forget_round_memos(group, config.mask_prg)
     inputs, _ = derive_population(config)
     plans = client_plans(config)
     retry = config.retry_policy

@@ -80,6 +80,7 @@ from repro.secagg.keys import (
     forget_agreements,
     generate_keypair,
     key_bits,
+    resolve_group,
     warm_agreement_cache,
 )
 from repro.secagg.shamir import (
@@ -561,6 +562,25 @@ class BonawitzClient:
         )
 
 
+def forget_round_memos(
+    group: KeyAgreementGroup, mask_prg: MaskPrg | str | None
+) -> None:
+    """Drop the previous round's key agreements and mask-PRG rows.
+
+    Key pairs and mask seeds are fresh every round, so nothing a
+    finished round memoised can be hit again: whoever opens a round —
+    :func:`warm_pairwise_agreements` for the in-memory and simulated
+    drivers, ``run_swarm`` and ``SecAggServer._run_round`` on sockets —
+    calls this first, and both memos hold one round's entries whatever
+    the transport.  ``group`` is resolved the way a session resolves
+    it, so an x25519 request that degrades to modular DH forgets the
+    memo its round really filled.  Memos only: derived bytes cannot
+    change.
+    """
+    forget_agreements(resolve_group(group))
+    get_mask_prg(mask_prg).forget()
+
+
 def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
     """Simulation accelerator: pre-derive every pairwise DH key at once.
 
@@ -572,14 +592,16 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
     shared memo, so the per-client protocol code — unchanged, still one
     code path with the server — finds every agreement precomputed.
     Purely an optimisation: derived keys are byte-identical.  A roster
-    small enough that each client's on-demand batch is scalar anyway
-    (a tree's composition rounds have two to a handful of parties) is
-    left to that path: two fixed-cost sweeps would cost it more than
-    its whole key agreement.
+    whose ``n(n-1)/2`` pairs are no more lanes than
+    :data:`~repro.secagg.keys.SCALAR_BATCH_MAX` (a tree's composition
+    rounds have two to a handful of parties) is left to the on-demand
+    scalar path: two fixed-cost sweeps would cost it more than its
+    whole key agreement.
 
-    A round's keys are fresh, so the call first drops whatever earlier
-    rounds left in the group's memo: the memo then holds one round's
-    pairs, not every round's since the process started.
+    A round's keys and seeds are fresh, so the call first drops whatever
+    earlier rounds left in the memos (:func:`forget_round_memos`): they
+    then hold one round's entries, not every round's since the process
+    started.
 
     Args:
         clients: Simulated participants; ones that have not advertised
@@ -596,8 +618,8 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
     if not advertised:
         return 0
     group = advertised[0]._group
-    forget_agreements(group)
-    if len(advertised) - 1 <= SCALAR_BATCH_MAX:
+    forget_round_memos(group, advertised[0]._mask_prg)
+    if len(advertised) * (len(advertised) - 1) // 2 <= SCALAR_BATCH_MAX:
         return 0
     warmed = warm_agreement_cache(
         {c.index: c._channel_keys.private for c in advertised},

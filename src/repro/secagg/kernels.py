@@ -98,16 +98,37 @@ class MaskPrg(abc.ABC):
     #: Registry / wire-format identifier for backend negotiation.
     name: str
 
-    #: Word memo budget in bytes.  Every pairwise mask is expanded once
-    #: by *each* endpoint (and again by the server for dropout pairs), so
-    #: memoising halves the protocol's hash volume; the memo clears
-    #: wholesale when the budget is hit (entries are round-local, like
-    #: the DH pair cache).  32 MiB of 2-byte words is as many ``m = 2^16``
-    #: masks as the 128 MiB of int64 residues the memo used to hold.
+    #: Memo budget in bytes.  Every pairwise mask is expanded once by
+    #: *each* endpoint (and again by the server for dropout pairs), so
+    #: memoising halves the protocol's hash volume.  Entries are
+    #: round-local like the DH pair cache, and like it the memo is
+    #: round-scoped on every transport: whoever opens a round calls
+    #: :meth:`forget` (through
+    #: :func:`repro.secagg.bonawitz.forget_round_memos`), so the budget
+    #: is the backstop inside one round — when hit the memo clears
+    #: wholesale.  32 MiB of 2-byte words is as many ``m = 2^16`` masks
+    #: as the 128 MiB of int64 residues the memo used to hold.
     CACHE_BUDGET_BYTES = 32 * 1024 * 1024
+
+    #: What one memo entry costs beside its words, charged against the
+    #: budget: the key tuple, the row's array view and the dict slot
+    #: (tracemalloc over 20 000 rows squeezed 64 at a time: 208 B a
+    #: row) plus the 65 B of a 32-byte seed only the memo keeps alive.
+    #: Counting words only, narrow masks (d = 64, m = 2^16: 128 B of
+    #: words a row) held ~3x the budget before it tripped, d = 8 rows
+    #: ~18x.
+    ENTRY_OVERHEAD_BYTES = 300
 
     def __init__(self) -> None:
         self._memo: dict[tuple[bytes, int, int], np.ndarray] = {}
+        self._memo_bytes = 0
+
+    def forget(self) -> None:
+        """Drop every memoised row.
+
+        Memo only: a later expansion re-derives bit-identical words.
+        """
+        self._memo.clear()
         self._memo_bytes = 0
 
     @abc.abstractmethod
@@ -136,10 +157,10 @@ class MaskPrg(abc.ABC):
             fresh = self._squeeze(
                 [keys[i][0] for i in missing], dimension, bits
             )
-            if self._memo_bytes + fresh.nbytes > self.CACHE_BUDGET_BYTES:
-                self._memo.clear()
-                self._memo_bytes = 0
-            self._memo_bytes += fresh.nbytes
+            cost = fresh.nbytes + len(missing) * self.ENTRY_OVERHEAD_BYTES
+            if self._memo_bytes + cost > self.CACHE_BUDGET_BYTES:
+                self.forget()
+            self._memo_bytes += cost
             for i, row in zip(missing, fresh):
                 rows[i] = self._memo[keys[i]] = row
         return rows

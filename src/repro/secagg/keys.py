@@ -263,21 +263,37 @@ def generate_keypair(
 #: simulation computes each pairwise exponentiation once instead of once
 #: per endpoint — and the server's dropout-recovery agreements hit the
 #: entries the surviving clients already produced.  Key pairs are fresh
-#: every round, so old entries are dead weight: a driver that warms the
-#: memo for a round drops the previous round's entries first
-#: (:func:`forget_agreements`).  The per-group bound — sized to hold
+#: every round, so old entries are dead weight, and the memo is
+#: round-scoped on every transport: whoever opens a round — the
+#: in-memory and simulated drivers, ``run_swarm`` and the socket
+#: server's ``_run_round`` — drops the previous round's entries first
+#: (:func:`forget_agreements`, through
+#: :func:`repro.secagg.bonawitz.forget_round_memos`).  Left alone, a
+#: 64-client swarm process gains 64·63 = 4 032 entries a round for as
+#: long as it lives.  The per-group bound — sized to hold
 #: every pair of one full-cohort 512-client round (two key sets per
-#: pair) with headroom — is the backstop for processes that never warm;
-#: when full the cache is cleared outright rather than evicted
-#: entry-by-entry, since one-at-a-time FIFO eviction on a large dict
-#: degrades quadratically on tombstones.
+#: pair) with headroom — is the backstop for a caller that opens no
+#: round at all; when full the cache is cleared outright rather than
+#: evicted entry-by-entry, since one-at-a-time FIFO eviction on a large
+#: dict degrades quadratically on tombstones.
 _PAIR_CACHE_MAX = 300_000
 _pair_caches: dict[tuple[object, object], dict[tuple[int, int], bytes]] = {}
 
-#: Largest batch of exponentiations :func:`agree_batch` still does with
-#: scalar ``pow``: the vectorised square-and-multiply costs a fixed
-#: ~2.5 ms per call whatever the lane count, a 61-bit ``pow`` ~13 us.
-SCALAR_BATCH_MAX = 8
+#: Largest batch of exponentiations still done with scalar ``pow``.
+#: Measured on the Mersenne-fold kernels over ``TOY_GROUP`` (``python -m
+#: pytest benchmarks/test_kernel_throughput.py -k crossover -s``: best
+#: of 9 of ``[pow(peer, private, p) for peer in peers]`` against
+#: ``pow_mod(np.asarray(peers, uint64), private, p).tolist()`` with a
+#: 61-bit exponent, 2 vCPUs, numpy 2.4): a scalar ``pow`` costs
+#: 12.9-13.1 us (11 lanes 143 us, 45 lanes 589 us), the vectorised
+#: square-and-multiply a near-fixed 0.57-0.64 ms (11 lanes 617 us, 45
+#: lanes 638 us, 180 lanes 751 us), so they cross at 46-49 lanes.
+#: (Before the fold the sweep cost 1.5 ms and crossed at ~120, not at
+#: the 8 this constant then said.)  Both users compare the lanes their
+#: sweep would carry: :func:`agree_batch` its cache-missing peers,
+#: :func:`repro.secagg.bonawitz.warm_pairwise_agreements` its
+#: ``n(n-1)/2`` pairs.
+SCALAR_BATCH_MAX = 45
 
 
 def _group_cache(group: KeyAgreementGroup) -> dict[tuple[int, int], bytes]:
@@ -445,8 +461,9 @@ def agree_batch(
     exponentiations for cache-missing peers run as one batched
     square-and-multiply over uint64 arrays
     (:func:`repro.linalg.modular.pow_mod`) when the group fits the
-    limb-split kernels — ~4× cheaper per peer than scalar ``pow`` —
-    falling back to scalar ``pow`` for big groups.
+    limb-split kernels and more than :data:`SCALAR_BATCH_MAX` peers are
+    missing — a near-fixed cost whatever the lane count — and as scalar
+    ``pow`` for fewer peers or a big group.
 
     Args:
         private: This party's secret exponent.

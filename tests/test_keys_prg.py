@@ -13,13 +13,17 @@ from repro.secagg.kernels import (
     Shake256Prg,
     get_mask_prg,
 )
+from repro.secagg.bonawitz import BonawitzClient, warm_pairwise_agreements
 from repro.secagg.keys import (
     OAKLEY_GROUP_2_PRIME,
+    SCALAR_BATCH_MAX,
     TOY_GROUP,
     DhGroup,
     KeyPair,
+    _group_cache,
     agree,
     agree_batch,
+    forget_agreements,
     generate_keypair,
     warm_agreement_cache,
 )
@@ -399,6 +403,56 @@ class TestAgreementAcceleration:
         assert batched == [
             agree(alice.private, p.public, TOY_GROUP) for p in peers
         ]
+
+    @pytest.mark.parametrize(
+        "lanes", [1, SCALAR_BATCH_MAX, SCALAR_BATCH_MAX + 1, 63, 127]
+    )
+    @pytest.mark.parametrize("memoised", [False, True])
+    def test_same_keys_on_both_sides_of_the_crossover(
+        self, rng, lanes, memoised
+    ):
+        # At most SCALAR_BATCH_MAX missing peers go through scalar pow,
+        # more through the vectorised sweep: the bytes must not tell.
+        alice = generate_keypair(rng, TOY_GROUP)
+        peers = [generate_keypair(rng, TOY_GROUP).public for _ in range(lanes)]
+        forget_agreements(TOY_GROUP)
+        batched = agree_batch(
+            alice.private,
+            peers,
+            TOY_GROUP,
+            own_public=alice.public if memoised else None,
+        )
+        assert len(_group_cache(TOY_GROUP)) == (lanes if memoised else 0)
+        assert batched == [
+            agree(alice.private, peer, TOY_GROUP) for peer in peers
+        ]
+
+    def test_warm_rule_counts_pairs_not_parties(self):
+        def advertised(count):
+            clients = [
+                BonawitzClient(
+                    index,
+                    np.zeros(4, dtype=np.int64),
+                    2**16,
+                    2,
+                    np.random.default_rng(index),
+                    TOY_GROUP,
+                )
+                for index in range(1, count + 1)
+            ]
+            for client in clients:
+                client.advertise_keys()
+            return clients
+
+        # A 32-client leaf or cohort is a 496-lane sweep per key set —
+        # far above the crossover, though its 31 peers per client are
+        # below it.
+        assert warm_pairwise_agreements(advertised(32)) == 2 * 496
+        assert len(_group_cache(TOY_GROUP)) == 2 * 496
+        # A composition round's handful of parties stays on demand, and
+        # the previous round's entries are gone either way.
+        assert warm_pairwise_agreements(advertised(4)) == 0
+        assert len(_group_cache(TOY_GROUP)) == 0
 
     def test_agree_batch_validates_publics(self, rng):
         alice = generate_keypair(rng, TOY_GROUP)

@@ -8,6 +8,7 @@ code under test; two frozen literals pin the reference itself.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,53 @@ class TestSumSignedMasksProperty:
                 sum_signed_masks(seeds, signs, 16, 2**16, prg).tolist()
                 == expected
             )
+
+    def test_memo_budget_counts_what_it_holds(self):
+        # Narrow rows are mostly overhead (16 B of words beside ~300 B
+        # of key tuple, seed, array view and dict slot): a budget that
+        # counts words alone holds ~18x itself at d = 8.
+        budget = 256 * 1024
+
+        class SmallMemo(Shake256Prg):
+            CACHE_BUDGET_BYTES = budget
+
+        prg = SmallMemo()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            peak_rows = 0
+            for batch in range(400):
+                seeds = [
+                    hashlib.sha256(bytes([row]) + batch.to_bytes(4, "big"))
+                    .digest()
+                    for row in range(64)
+                ]
+                prg.word_rows(seeds, 8, 16)
+                del seeds
+                if len(prg._memo) < peak_rows:
+                    break  # the budget tripped and the memo cleared
+                peak_rows = len(prg._memo)
+                held = tracemalloc.get_traced_memory()[0] - baseline
+                assert held <= 2 * budget, (
+                    f"{len(prg._memo)} rows hold {held} B against a "
+                    f"{budget} B budget"
+                )
+            else:
+                pytest.fail("the memo never cleared")
+        finally:
+            tracemalloc.stop()
+        assert peak_rows >= budget // 1024  # and it is still a memo
+
+    def test_forget_empties_the_memo_and_its_account(self):
+        prg = Shake256Prg()
+        seeds = [bytes([i]) * 8 for i in range(5)]
+        first = prg.expand_batch(seeds, 16, 2**16)
+        assert len(prg._memo) == 5
+        prg.forget()
+        assert len(prg._memo) == 0 and prg._memo_bytes == 0
+        np.testing.assert_array_equal(
+            prg.expand_batch(seeds, 16, 2**16), first
+        )
 
 
 class TestSuitesReleaseTheSameSum:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.linalg.modular import (
+    _mul_mod_m61,
+    _sqr_mod_m61,
     decode_centered,
     encode_mod,
     horner_mod,
@@ -207,3 +209,137 @@ class TestFieldKernels:
     def test_mul_mod_property_mersenne(self, a, b):
         p = MERSENNE_61
         assert int(mul_mod(np.uint64(a), np.uint64(b), p)) == (a * b) % p
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMersenneFoldKernels:
+    """The GF(2^61 - 1) multiply, squaring and the exponentiations built
+    on them, pinned to Python integers — under ``error::RuntimeWarning``,
+    because numpy *scalars* warn on the overflow that arrays wrap
+    silently, and the fold must not overflow at all."""
+
+    P = MERSENNE_61
+    #: Every limb boundary of the fold (operands split at bit 31, cross
+    #: terms at bits 30 and 29, the generic path at bit 32) from both
+    #: sides, and the ends of the field.
+    EDGES = sorted(
+        {0, 1, 1 << 60, MERSENNE_61 - 2, MERSENNE_61 - 1}
+        | {(1 << k) + d for k in (28, 29, 30, 31, 32) for d in (-1, 0, 1)}
+    )
+
+    def test_mul_mod_on_the_edge_cross_product(self):
+        p = self.P
+        a, b = np.meshgrid(
+            np.asarray(self.EDGES, dtype=np.uint64),
+            np.asarray(self.EDGES, dtype=np.uint64),
+            indexing="ij",
+        )
+        expected = [[x * y % p for y in self.EDGES] for x in self.EDGES]
+        assert mul_mod(a, b, p).tolist() == expected
+
+    def test_squaring_on_the_edges(self):
+        p = self.P
+        # 2^61 - 1 itself is inside the kernels' stated operand range.
+        edges = self.EDGES + [p]
+        a = np.asarray(edges, dtype=np.uint64)
+        expected = [x * x % p for x in edges]
+        assert _sqr_mod_m61(a).tolist() == expected
+        assert _mul_mod_m61(a, a).tolist() == expected
+        assert mul_mod(a, a, p).tolist() == expected
+
+    def test_kernels_leave_their_operands_alone(self):
+        a = np.asarray(self.EDGES, dtype=np.uint64)
+        b = a[::-1].copy()
+        before = a.tolist(), b.tolist()
+        _mul_mod_m61(a, b)
+        _mul_mod_m61(a, a)
+        _sqr_mod_m61(a)
+        assert (a.tolist(), b.tolist()) == before
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [int, np.uint64, lambda v: np.asarray(v, dtype=np.uint64)],
+        ids=["int", "numpy-scalar", "0-d-array"],
+    )
+    def test_scalar_operands_are_exact_and_warning_free(self, wrap):
+        p = self.P
+        for x in self.EDGES:
+            for y in self.EDGES:
+                assert int(mul_mod(wrap(x), wrap(y), p)) == x * y % p
+            assert int(pow_mod(wrap(x), p - 2, p)) == pow(x, p - 2, p)
+            assert int(
+                pow_mod_elementwise(wrap(x), wrap(p - 2), p)
+            ) == pow(x, p - 2, p)
+
+    def test_broadcast_operands(self):
+        # The (k, 1) x (1, n) product horner_mod forms, and a scalar
+        # against a vector.
+        p = self.P
+        column = np.asarray(self.EDGES, dtype=np.uint64)[:, np.newaxis]
+        row = np.asarray(self.EDGES[::-1], dtype=np.uint64)[np.newaxis, :]
+        assert mul_mod(column, row, p).tolist() == [
+            [x * y % p for y in self.EDGES[::-1]] for x in self.EDGES
+        ]
+        assert mul_mod(p - 1, row[0], p).tolist() == [
+            (p - 1) * y % p for y in self.EDGES[::-1]
+        ]
+
+    @given(
+        a=st.integers(min_value=0, max_value=(1 << 61) - 1),
+        b=st.integers(min_value=0, max_value=(1 << 61) - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fold_property(self, a, b):
+        p = self.P
+        operands = np.asarray([a, b], dtype=np.uint64)
+        assert _mul_mod_m61(operands, operands[::-1]).tolist() == [
+            a * b % p
+        ] * 2
+        assert _sqr_mod_m61(operands).tolist() == [a * a % p, b * b % p]
+
+    def test_pow_mod_exponent_edges(self):
+        p = self.P
+        rng = np.random.default_rng(61)
+        bases = self.EDGES + rng.integers(0, p, size=20).tolist()
+        array = np.asarray(bases, dtype=np.uint64)
+        exponents = [0, 1, 2, p - 2, p - 1] + rng.integers(
+            1 << 60, 1 << 61, size=3
+        ).tolist()
+        for exponent in exponents:
+            expected = [pow(x, exponent, p) for x in bases]
+            assert pow_mod(array, exponent, p).tolist() == expected
+            assert pow_mod_elementwise(
+                array, np.full(len(bases), exponent, dtype=np.uint64), p
+            ).tolist() == expected
+
+    def test_pow_mod_elementwise_mixed_and_zero_exponents(self):
+        p = self.P
+        rng = np.random.default_rng(62)
+        bases = rng.integers(0, p, size=64, dtype=np.uint64)
+        exponents = rng.integers(0, 1 << 61, size=64, dtype=np.uint64)
+        exponents[::5] = 0
+        exponents[1::7] = 1
+        before = bases.tolist(), exponents.tolist()
+        assert pow_mod_elementwise(bases, exponents, p).tolist() == [
+            pow(int(b), int(e), p) for b, e in zip(bases, exponents)
+        ]
+        assert (bases.tolist(), exponents.tolist()) == before
+        # Every lane's exponent zero: x^0 = 1, also for x = 0.
+        assert pow_mod_elementwise(
+            bases, np.zeros(64, dtype=np.uint64), p
+        ).tolist() == [1] * 64
+        assert pow_mod_elementwise(
+            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64), p
+        ).tolist() == []
+
+    @pytest.mark.parametrize("prime", [(1 << 31) - 1, 101, 1 << 61])
+    def test_other_moduli_keep_the_generic_path(self, prime):
+        rng = np.random.default_rng(63)
+        bases = rng.integers(0, prime, size=30, dtype=np.uint64)
+        exponents = rng.integers(0, prime, size=30, dtype=np.uint64)
+        assert pow_mod(bases, prime - 2, prime).tolist() == [
+            pow(int(b), prime - 2, prime) for b in bases
+        ]
+        assert pow_mod_elementwise(bases, exponents, prime).tolist() == [
+            pow(int(b), int(e), prime) for b, e in zip(bases, exponents)
+        ]

@@ -31,7 +31,8 @@ from repro.secagg.bonawitz import (
     ROUND_SHARE_KEYS,
     ROUND_UNMASK,
 )
-from repro.secagg.keys import TOY_GROUP
+from repro.secagg.kernels import DEFAULT_MASK_PRG
+from repro.secagg.keys import TOY_GROUP, _group_cache
 from repro.secagg.statemachine import ClientSession
 from repro.secagg.wire import (
     Hello,
@@ -121,6 +122,50 @@ class TestSwarmEquivalence:
         expected = expected_digest(swarm_cfg)
         assert [r.digest for r in results] == [expected, expected]
         assert first.completed == second.completed == 8
+
+
+    def test_memos_hold_one_round_on_sockets(self):
+        # Keys and seeds are fresh every round, so the swarm and the
+        # server drop the last round's memo entries when they open the
+        # next: five rounds leave what one round leaves.
+        clients, rounds = 16, 5
+        configs = [
+            SwarmConfig(clients=clients, threshold=8, dropouts=3, seed=900 + k)
+            for k in range(rounds)
+        ]
+        # Two key sets per unordered pair, each entry shared by both
+        # endpoints and the recovering server; one word row per pairwise
+        # mask and one per self mask.
+        pair_entries = clients * (clients - 1)
+        mask_rows = clients * (clients - 1) // 2 + clients
+
+        async def scenario():
+            server = SecAggServer(
+                ServerConfig(cohort_size=clients, threshold=8, rounds=rounds)
+            )
+            sizes = []
+            async with server:
+                serve = asyncio.ensure_future(server.serve_rounds())
+                for config in configs:
+                    await run_swarm("127.0.0.1", server.port, config)
+                    sizes.append(
+                        (
+                            len(_group_cache(TOY_GROUP)),
+                            len(DEFAULT_MASK_PRG._memo),
+                        )
+                    )
+                results = await asyncio.wait_for(serve, 60)
+            return results, sizes
+
+        results, sizes = asyncio.run(scenario())
+        for agreements, rows in sizes:
+            assert 0 < agreements <= pair_entries
+            assert 0 < rows <= mask_rows
+        # The reference rounds run last: they warm (and so refill) the
+        # same process-wide memos.
+        assert [r.digest for r in results] == [
+            expected_digest(config) for config in configs
+        ]
 
 
 class TestNegotiationOverSockets:
