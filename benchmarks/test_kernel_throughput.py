@@ -26,14 +26,6 @@ from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
 from repro.linalg.modular import pow_mod
 from repro.secagg.keys import SCALAR_BATCH_MAX, TOY_GROUP
-from repro.secagg.wire import (
-    PROTOCOL_V1,
-    SealedShares,
-    encode_message,
-    encode_sealed_matrix,
-    intern_header,
-    route_sealed_stack,
-)
 from repro.secagg.prg import expand_mask_reference
 from repro.secagg.shamir import (
     Share,
@@ -285,62 +277,4 @@ def test_shamir_throughput(emit, bench_rng):
         f"n={ROUND_CLIENTS} seeds={len(seeds)} dropouts={ROUND_DROPOUTS} "
         f"limbs={limbs} ms_per_phase={round_time * 1e3:7.2f} "
         f"shares_per_sec={round_rows * ROUND_QUORUM / round_time:10.1f}",
-    )
-
-
-WIRE_ROSTER = 96
-WIRE_CIPHERTEXT = 33
-
-
-def test_wire_codec_throughput(emit, bench_rng):
-    """Frames/sec on the sealed-share leg — the one with two encoders:
-    the per-frame reference vs the array-at-a-time one, then routing."""
-    header = intern_header(PROTOCOL_V1, "sha256-ctr")
-    recipients = list(range(1, WIRE_ROSTER + 1))
-    ciphertexts = bench_rng.integers(
-        0, 256, size=(WIRE_ROSTER, WIRE_CIPHERTEXT), dtype=np.uint8
-    )
-
-    def per_frame():
-        return b"".join(
-            encode_message(
-                SealedShares(
-                    sender=1,
-                    recipient=recipient,
-                    ciphertext=ciphertexts[position].tobytes(),
-                ),
-                header,
-            )
-            for position, recipient in enumerate(recipients)
-        )
-
-    def bulk():
-        return encode_sealed_matrix(1, recipients, ciphertexts, header)
-
-    assert per_frame() == bulk()
-    times = {}
-    for name, encode in (("per-frame", per_frame), ("bulk", bulk)):
-        times[name] = _best_of(5, encode)
-        emit(
-            f"kernel_wire codec={name:9s} roster={WIRE_ROSTER} "
-            f"frames_per_sec={WIRE_ROSTER / times[name]:10.1f}",
-        )
-    # The bulk encoder exists to be faster on the quadratic leg; 1.5x
-    # slack tolerates timer noise, not a rerouted hot path.
-    assert times["bulk"] <= times["per-frame"] * 1.5
-
-    datagram = encode_sealed_matrix(1, recipients, ciphertexts, header)
-    frame_len = len(datagram) // WIRE_ROSTER
-    stack = np.stack(
-        [
-            np.frombuffer(datagram, dtype=np.uint8).reshape(
-                WIRE_ROSTER, frame_len
-            )
-        ]
-        * WIRE_ROSTER
-    )
-    route_time = _best_of(5, lambda: route_sealed_stack(stack))
-    emit(
-        f"kernel_wire codec=route    roster={WIRE_ROSTER} "
-        f"frames_per_sec={WIRE_ROSTER * WIRE_ROSTER / route_time:10.1f}",
     )

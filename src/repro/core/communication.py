@@ -8,24 +8,37 @@ module turns that discussion into numbers: bytes uploaded per client per
 round, the Bonawitz protocol's per-round overhead, and whole-run totals
 — so the ablation benchmarks can report *accuracy per megabyte*, the
 quantity a deployment actually optimises.
+
+The model is the wire, not a description of it: a masked input is
+``ceil(d * ceil(log2 m) / 8)`` payload bytes because that is what
+:mod:`repro.secagg.wire` packs, and the protocol's per-phase costs are
+the lengths of the frames a dropout-free round's client really sends
+(:func:`bonawitz_round_cost` encodes one of each), so
+``tests/test_communication.py`` can hold both equal to a live round's
+:class:`~repro.secagg.wire.WireStats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-
-#: Bytes of one Diffie-Hellman public key (Oakley group 2: 1024 bits).
-DH_PUBLIC_KEY_BYTES = 128
-
-#: Bytes of one sealed Shamir share envelope (Section's payload layout:
-#: 4 + 16 + 2 + 16 * ceil(1024/60) limbs for the key share).
-SHARE_ENVELOPE_BYTES = 22 + 16 * math.ceil(1024 / 60)
-
-#: Bytes of one Shamir share revealed at unmasking (point + value).
-UNMASK_SHARE_BYTES = 20
+from repro.secagg.bonawitz import sealed_share_length
+from repro.secagg.field import DEFAULT_FIELD, PrimeField
+from repro.secagg.kernels import MaskPrg
+from repro.secagg.keys import DhGroup, KeyAgreementGroup, key_bits
+from repro.secagg.statemachine import ServerSession
+from repro.secagg.wire import (
+    Advertise,
+    Hello,
+    MaskedInput,
+    SealedUpload,
+    UnmaskResponse,
+    encode_message,
+    modulus_bits,
+)
 
 
 def payload_bits(dimension: int, modulus: int) -> int:
@@ -42,12 +55,13 @@ def payload_bits(dimension: int, modulus: int) -> int:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
     if modulus < 2:
         raise ConfigurationError(f"modulus must be >= 2, got {modulus}")
-    return dimension * math.ceil(math.log2(modulus))
+    return dimension * modulus_bits(modulus)
 
 
 def client_upload_bytes(dimension: int, modulus: int) -> int:
-    """Bytes of the round-2 masked input one client uploads."""
-    return math.ceil(payload_bits(dimension, modulus) / 8)
+    """Bytes of the round-2 masked input one client uploads: the payload
+    of its masked-input frame."""
+    return -(-payload_bits(dimension, modulus) // 8)
 
 
 def central_upload_bytes(dimension: int) -> int:
@@ -63,13 +77,14 @@ def central_upload_bytes(dimension: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class SecAggRoundCost:
-    """Per-client byte counts of one Bonawitz protocol execution.
+    """Per-client upload of one Bonawitz protocol execution, in bytes
+    on the wire (frame headers included).
 
     Attributes:
-        advertise: Round 0 — two DH public keys.
-        share_keys: Round 1 — one sealed envelope per peer.
+        advertise: Round 0 — the Hello and two public keys.
+        share_keys: Round 1 — one sealed envelope per roster member.
         masked_input: Round 2 — the ``d``-vector over ``Z_m``.
-        unmask: Round 3 — one revealed share per peer.
+        unmask: Round 3 — one revealed seed share per survivor.
     """
 
     advertise: int
@@ -93,14 +108,29 @@ class SecAggRoundCost:
 
 
 def bonawitz_round_cost(
-    num_clients: int, dimension: int, modulus: int
+    num_clients: int,
+    dimension: int,
+    modulus: int,
+    group: KeyAgreementGroup = DhGroup(),
+    mask_prg: MaskPrg | str | None = None,
+    field: PrimeField = DEFAULT_FIELD,
 ) -> SecAggRoundCost:
-    """Per-client communication of one full Bonawitz round.
+    """Per-client upload of one full, dropout-free Bonawitz round.
+
+    Each phase is the length of the datagram a client of such a round
+    sends, measured by encoding one: the frame layouts live in
+    :mod:`repro.secagg.wire` and nowhere else.  (Public keys and seed
+    shares are taken full-width; about one in 256 is a byte shorter on
+    the wire.)
 
     Args:
         num_clients: Participants ``n`` in the aggregation.
         dimension: Vector length ``d``.
         modulus: Group modulus ``m``.
+        group: Key-agreement group; the default is the 1024-bit Oakley
+            group a deployment would use, not the simulations' toy one.
+        mask_prg: Mask PRG suite (its name rides on every frame).
+        field: Shamir sharing field.
 
     Returns:
         The per-round cost breakdown; the masked input is ``O(d log m)``
@@ -111,11 +141,41 @@ def bonawitz_round_cost(
         raise ConfigurationError(
             f"num_clients must be >= 2, got {num_clients}"
         )
+    # The header a round with this suite negotiates.
+    header = ServerSession(
+        modulus, dimension, 2, field, group, mask_prg
+    ).header
+    public_key = (1 << key_bits(group)) - 1
+    peers = np.arange(1, num_clients + 1)
+
+    def frame(message) -> int:
+        return len(encode_message(message, header))
+
     return SecAggRoundCost(
-        advertise=2 * DH_PUBLIC_KEY_BYTES,
-        share_keys=num_clients * SHARE_ENVELOPE_BYTES,
-        masked_input=client_upload_bytes(dimension, modulus),
-        unmask=num_clients * UNMASK_SHARE_BYTES,
+        advertise=frame(Hello(1))
+        + frame(Advertise(1, public_key, public_key)),
+        share_keys=frame(
+            SealedUpload(
+                1,
+                np.zeros(
+                    (num_clients, sealed_share_length(group)), dtype=np.uint8
+                ),
+            )
+        ),
+        masked_input=frame(
+            MaskedInput(
+                1, np.zeros(dimension, dtype=np.int64), modulus_bits(modulus)
+            )
+        ),
+        unmask=frame(
+            UnmaskResponse(
+                1,
+                peers=peers,
+                xs=peers,
+                ys=np.full(num_clients, field.prime - 1, dtype=np.uint64),
+                key_shares={},
+            )
+        ),
     )
 
 

@@ -48,7 +48,8 @@ from repro.secagg.wire import (
     MaskedInput,
     NegotiatedHeader,
     Reject,
-    SealedShares,
+    SealedDelivery,
+    SealedUpload,
     UnmaskRequest,
     UnmaskResponse,
     WireStats,
@@ -118,7 +119,8 @@ __all__ = [
     "Reject",
     "RoundDriver",
     "SUPPORTED_PROTOCOL_VERSIONS",
-    "SealedShares",
+    "SealedDelivery",
+    "SealedUpload",
     "ServerSession",
     "Sha256CounterPrg",
     "Shake256Prg",

@@ -140,47 +140,38 @@ def _key_limbs(group: KeyAgreementGroup) -> int:
 def sealed_share_length(group: KeyAgreementGroup) -> int:
     """Byte length of every sealed share-keys envelope of a round.
 
-    A seed share plus one share per limb of the group's mask key, each
-    :data:`_SHARE_VALUE_BYTES` wide.  Clients pad to it
-    (:meth:`BonawitzClient.share_keys_matrix`) and both sides validate
-    against it, so a share-keys datagram is one uniform frame stream
-    whose shape no participant gets to choose.
+    A seed share value plus one value per limb of the group's mask key,
+    each :data:`_SHARE_VALUE_BYTES` wide — and nothing else: the Shamir
+    point is the recipient's 1-based position in the sorted roster and
+    the limb count is the group's, so neither is sent.  Clients pad to
+    it (:meth:`BonawitzClient.share_keys_matrix`) and both sides
+    validate against it, so a share-keys upload is one matrix whose
+    shape no participant gets to choose.
     """
-    return 6 + _SHARE_VALUE_BYTES * (1 + _key_limbs(group))
+    return _SHARE_VALUE_BYTES * (1 + _key_limbs(group))
 
 
 def _encode_payload(seed_share: Share, key_share: LimbShares) -> bytes:
-    """Serialise one recipient's shares into a fixed-layout byte string."""
-    width = _SHARE_VALUE_BYTES
-    parts = [
-        seed_share.x.to_bytes(4, "little"),
-        seed_share.y.to_bytes(width, "little"),
-        len(key_share.ys).to_bytes(2, "little"),
-    ]
-    parts.extend(y.to_bytes(width, "little") for y in key_share.ys)
-    return b"".join(parts)
-
-
-def _decode_payload(payload: bytes) -> tuple[Share, LimbShares]:
-    """Inverse of :func:`_encode_payload`."""
-    width = _SHARE_VALUE_BYTES
-    x = int.from_bytes(payload[0:4], "little")
-    seed_y = int.from_bytes(payload[4 : 4 + width], "little")
-    num_limbs = int.from_bytes(payload[4 + width : 6 + width], "little")
-    expected = 6 + width * (1 + num_limbs)
-    if len(payload) != expected:
-        raise AggregationError(
-            f"malformed share payload: {len(payload)} bytes, "
-            f"expected {expected}"
-        )
-    base = 6 + width
-    ys = tuple(
-        int.from_bytes(
-            payload[base + width * k : base + width * (k + 1)], "little"
-        )
-        for k in range(num_limbs)
+    """Serialise one recipient's share values: seed, then each limb."""
+    return b"".join(
+        y.to_bytes(_SHARE_VALUE_BYTES, "little")
+        for y in (seed_share.y, *key_share.ys)
     )
-    return Share(x=x, y=seed_y), LimbShares(x=x, ys=ys)
+
+
+def _decode_payload(payload: bytes, point: int) -> tuple[Share, LimbShares]:
+    """Inverse of :func:`_encode_payload` for the recipient at ``point``."""
+    width = _SHARE_VALUE_BYTES
+    if len(payload) < width or len(payload) % width:
+        raise AggregationError(
+            f"malformed share payload: {len(payload)} bytes is not a seed "
+            f"share and whole {width}-byte limbs"
+        )
+    seed_y, *ys = (
+        int.from_bytes(payload[at : at + width], "little")
+        for at in range(0, len(payload), width)
+    )
+    return Share(x=point, y=seed_y), LimbShares(x=point, ys=tuple(ys))
 
 
 def _seal(channel_key: bytes, payload: bytes) -> bytes:
@@ -204,67 +195,23 @@ def _encode_payload_matrix(
         limb_ys: ``(num_limbs, n)`` uint64 key-share values.
 
     Returns:
-        ``(n, 6 + 8 * (1 + num_limbs))`` uint8 matrix; row ``j`` is
-        exactly ``_encode_payload`` of recipient ``j + 1``'s shares.
+        ``(n, 8 * (1 + num_limbs))`` uint8 matrix; row ``j`` is exactly
+        ``_encode_payload`` of recipient ``j``'s shares.
     """
-    width = _SHARE_VALUE_BYTES
-    num_limbs, num = limb_ys.shape
-    payloads = np.zeros(
-        (num, 6 + width * (1 + num_limbs)), dtype=np.uint8
-    )
-    xs = np.arange(1, num + 1, dtype="<u4")
-    payloads[:, 0:4] = xs.view(np.uint8).reshape(num, 4)
-    payloads[:, 4 : 4 + width] = (
-        seed_ys.astype("<u8").view(np.uint8).reshape(num, width)
-    )
-    payloads[:, 4 + width] = num_limbs & 0xFF
-    payloads[:, 5 + width] = num_limbs >> 8
-    base = 6 + width
-    for k in range(num_limbs):
-        payloads[:, base + width * k : base + width * (k + 1)] = (
-            limb_ys[k].astype("<u8").view(np.uint8).reshape(num, width)
-        )
-    return payloads
+    words = np.vstack([seed_ys[np.newaxis], limb_ys]).T
+    return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
 
 
 def _decode_payload_matrix(
-    plain: np.ndarray,
+    plain: np.ndarray, point: int
 ) -> list[tuple[Share, LimbShares]]:
-    """Vectorised :func:`_decode_payload` over equal-layout payload rows.
-
-    Raises:
-        AggregationError: On a layout/limb-count mismatch.
-    """
-    width = _SHARE_VALUE_BYTES
-    rows, row_bytes = plain.shape
-    count_cols = np.ascontiguousarray(
-        plain[:, 4 + width : 6 + width]
-    ).view("<u2")[:, 0]
-    num_limbs = int(count_cols[0]) if rows else 0
-    if rows and (
-        row_bytes != 6 + width * (1 + num_limbs)
-        or np.any(count_cols != num_limbs)
-    ):
-        raise AggregationError(
-            f"malformed share payload: {row_bytes} bytes, expected "
-            f"{6 + width * (1 + int(count_cols.max(initial=0)))}"
-        )
-
-    def words(start: int) -> list[int]:
-        # tolist() hands back plain Python ints in one C pass.
-        chunk = np.ascontiguousarray(plain[:, start : start + width])
-        return chunk.view("<u8")[:, 0].tolist()
-
-    base = 6 + width
-    xs_list = np.ascontiguousarray(plain[:, 0:4]).view("<u4")[:, 0].tolist()
-    seed_list = words(4)
-    # zip-transpose assembles each row's limb tuple without per-element
-    # numpy scalars.
-    limb_columns = [words(base + width * k) for k in range(num_limbs)]
-    limb_rows = zip(*limb_columns) if limb_columns else ((),) * rows
+    """Vectorised :func:`_decode_payload` over equal-length payload rows,
+    all addressed to the recipient at ``point``."""
+    # tolist() hands back plain Python ints in one C pass.
+    rows = np.ascontiguousarray(plain).view("<u8").tolist()
     return [
-        (Share(x, y), LimbShares(x, ys))
-        for x, y, ys in zip(xs_list, seed_list, limb_rows)
+        (Share(point, seed_y), LimbShares(point, tuple(ys)))
+        for seed_y, *ys in rows
     ]
 
 
@@ -313,6 +260,9 @@ class BonawitzClient:
         self._self_seed: int | None = None
         self._received: dict[int, tuple[Share, LimbShares]] = {}
         self._share_roster: tuple[int, ...] = ()
+        # This client's Shamir point: every client shares over the
+        # sorted roster at x = 1..n, so it is the 1-based position there.
+        self._point = 0
         self._channel_key_cache: dict[int, bytes] = {}
         self._unmasked = False
 
@@ -354,8 +304,7 @@ class BonawitzClient:
             uint8 matrix is the ciphertext bound for ``recipients[i]``
             (the sorted roster, self included; the self-addressed row
             needs no sealing) and ``L`` is :func:`sealed_share_length`.
-            The wire layer turns this into one uniform frame stream
-            without constructing quadratically many envelope objects.
+            The wire layer sends the matrix as one frame.
 
         Raises:
             AggregationError: If the roster is smaller than the threshold
@@ -372,6 +321,7 @@ class BonawitzClient:
             raise AggregationError("client missing from its own roster")
         self._roster = dict(roster)
         self._share_roster = tuple(sorted(roster))
+        self._point = self._share_roster.index(self.index) + 1
         self._self_seed = int(self._rng.integers(0, self._field.prime))
         recipients = self._share_roster
         # One vectorised split covers the self-mask seed and every limb
@@ -386,9 +336,9 @@ class BonawitzClient:
             )
         limbs = _secret_limbs(self._mask_keys.private, DEFAULT_LIMB_BITS)
         # Pad to the group's fixed limb count: every client's envelopes
-        # then share one byte length, so share deliveries are uniform
-        # frame streams the wire layer bulk-decodes in one numpy pass.
-        # (Zero limbs share and reconstruct like any other value.)
+        # then share one byte length, so an upload is one matrix and a
+        # recipient needs no limb count.  (Zero limbs share and
+        # reconstruct like any other value.)
         limbs += [0] * (self._group_limbs - len(limbs))
         share_matrix = split_secrets(
             [self._self_seed] + limbs,
@@ -441,21 +391,30 @@ class BonawitzClient:
     ) -> None:
         """Store the round-1 envelopes addressed to this client.
 
-        The wire layer's bulk decoder hands the routed mailbox over as
-        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; the peer
-        rows are opened in one batched keystream sweep (the
-        self-addressed row was never sealed) and all rows decoded with
-        one vectorised payload parse.
+        The wire layer hands the routed mailbox over as sender ids plus
+        an ``(n, L)`` uint8 ciphertext matrix; the peer rows are opened
+        in one batched keystream sweep (the self-addressed row was never
+        sealed) and all rows decoded with one vectorised payload parse.
+        Every share is taken at this client's own Shamir point and at
+        the group's limb count — an envelope has nowhere to say
+        otherwise.
 
         Raises:
             AggregationError: If ``L`` is not the round's
-                :func:`sealed_share_length`.
+                :func:`sealed_share_length`, or a sender is not on the
+                roster.
         """
         expected = sealed_share_length(self._group)
         if ciphertexts.shape[1] != expected:
             raise AggregationError(
                 f"client {self.index} received {ciphertexts.shape[1]}-byte "
                 f"envelopes; this round's are {expected} bytes"
+            )
+        strangers = set(senders) - self._roster.keys()
+        if strangers:
+            raise AggregationError(
+                f"client {self.index} received envelopes from clients "
+                f"{sorted(strangers)}, who are not on the roster"
             )
         peer_rows = [
             row for row, sender in enumerate(senders)
@@ -467,7 +426,9 @@ class BonawitzClient:
                 [self._channel_key(senders[row]) for row in peer_rows],
                 expected,
             )
-        self._received.update(zip(senders, _decode_payload_matrix(plain)))
+        self._received.update(
+            zip(senders, _decode_payload_matrix(plain, self._point))
+        )
 
     def masked_input(self, participants: frozenset[int]) -> np.ndarray:
         """Round 2: upload the doubly masked input vector.
@@ -544,15 +505,10 @@ class BonawitzClient:
         self._unmasked = True
         survivors = sorted(request.survivors)
         received = self._received
-        count = len(survivors)
         return UnmaskResponse(
             responder=self.index,
             peers=np.asarray(survivors, dtype="<u4"),
-            xs=np.fromiter(
-                (received[v][0].x for v in survivors),
-                dtype="<u4",
-                count=count,
-            ),
+            xs=np.full(len(survivors), self._point, dtype="<u4"),
             ys=np.asarray(
                 [received[v][0].y for v in survivors], dtype=np.uint64
             ),
@@ -703,9 +659,9 @@ class BonawitzServer:
     def register_share_keys(self, senders: "Iterable[int]") -> frozenset[int]:
         """Round 1: record ``U1``, the clients that shared keys.
 
-        The wire layer routes the sealed envelopes itself as raw frame
-        spans (the server cannot read them anyway), so none reach the
-        crypto server; this owns the threshold check and the ``U1`` set
+        The wire layer routes the sealed envelopes itself as opaque
+        ciphertext matrices (the server cannot read them anyway), so
+        none reach the crypto server; this owns the threshold check and the ``U1`` set
         the later phases validate against.
 
         Raises:
@@ -726,14 +682,40 @@ class BonawitzServer:
         """``U1`` — clients that completed the key-sharing round."""
         return self._share_senders
 
+    def check_masked_input(self, sender: int, vector: np.ndarray) -> None:
+        """Refuse a masked input that is not a ``d``-vector over ``Z_m``.
+
+        Checked per upload — at ingest, where the sender can still be
+        named and evicted — so one malformed vector costs its sender the
+        round and nobody else.  The alphabet check is what a coordinate
+        width cannot give a modulus that is not a power of two.
+
+        Raises:
+            AggregationError: Naming the sender and what is off.
+        """
+        if vector.shape != (self._dimension,):
+            raise AggregationError(
+                f"client {sender} sent dimension {vector.shape[0]}, "
+                f"expected {self._dimension}"
+            )
+        if vector.size and not 0 <= vector.min() <= vector.max() < self._modulus:
+            raise AggregationError(
+                f"client {sender}'s masked input must lie in "
+                f"[0, {self._modulus}), got range "
+                f"[{vector.min()}, {vector.max()}]"
+            )
+
     def collect_masked_inputs(
         self, masked_by_sender: dict[int, np.ndarray]
     ) -> UnmaskRequest:
         """Round 2: gather masked vectors; announce survivors/dropouts.
 
+        The vectors themselves were held to :meth:`check_masked_input`
+        as they arrived.
+
         Raises:
             AggregationError: If fewer than ``threshold`` masked inputs
-                arrived, or a vector has the wrong shape or alphabet.
+                arrived, or one came from outside ``U1``.
         """
         if len(masked_by_sender) < self._threshold:
             raise AggregationError(
@@ -745,16 +727,7 @@ class BonawitzServer:
             raise AggregationError(
                 f"masked input from clients outside U1: {sorted(unknown)}"
             )
-        for sender, vector in masked_by_sender.items():
-            stacked = _validate_inputs(
-                np.asarray(vector)[np.newaxis, :], self._modulus
-            )
-            if stacked.shape[1] != self._dimension:
-                raise AggregationError(
-                    f"client {sender} sent dimension {stacked.shape[1]}, "
-                    f"expected {self._dimension}"
-                )
-            self._masked[sender] = stacked[0]
+        self._masked.update(masked_by_sender)
         survivors = frozenset(self._masked)
         dropouts = self._share_senders - survivors
         return UnmaskRequest(survivors=survivors, dropouts=frozenset(dropouts))

@@ -40,19 +40,20 @@ instead of crashing mid-round, and a server whose accepted roster falls
 below the Shamir threshold raises :class:`~repro.errors.NegotiationError`
 naming the rejections.
 
-There is one path per leg.  A share-keys upload is exactly one uniform
-sealed-shares datagram over the sorted roster at the envelope length
-the round's key-agreement group fixes; the server validates that at
-:meth:`ServerSession.receive` — against the roster and the computed
-length, never against another upload — keeps the bytes opaque, and
-routes the phase as one transpose.  Every other upload is parsed frame
-by frame by :func:`~repro.secagg.wire.iter_frames` and checked against
-what the round fixed (an unmask response by
-:meth:`~repro.secagg.bonawitz.BonawitzServer.check_unmask_response`).
+There is one path per leg: every upload is parsed by
+:func:`~repro.secagg.wire.iter_frames` and checked at
+:meth:`ServerSession.receive` against what the *round* fixed, never
+against another upload.  A share-keys upload is one frame — one
+envelope per member of the sorted roster at the length the round's
+key-agreement group fixes — whose ciphertext matrix the server keeps
+opaque and routes as one transpose; a masked input is held to the
+round's coordinate width, dimension and alphabet
+(:meth:`~repro.secagg.bonawitz.BonawitzServer.check_masked_input`), an
+unmask response to
+:meth:`~repro.secagg.bonawitz.BonawitzServer.check_unmask_response`.
 A datagram is taken whole or not at all: a refusal is a typed
 :class:`~repro.errors.AggregationError` that leaves the session as it
-found it, and a client handed a mailbox that is not one uniform
-sealed-shares datagram refuses it the same way.
+found it.
 
 The server session also keeps the round's wire ledger
 (:class:`~repro.secagg.wire.WireStats`): every frame it receives or
@@ -108,17 +109,16 @@ from repro.secagg.wire import (
     Message,
     NegotiatedHeader,
     Reject,
-    SealedShares,
+    SealedDelivery,
+    SealedUpload,
     UnmaskRequest,
     UnmaskResponse,
     WireStats,
     decode_frames,
-    decode_sealed_columns,
     encode_message,
-    encode_sealed_matrix,
     intern_header,
     iter_frames,
-    route_sealed_stack,
+    modulus_bits,
     split_suite,
 )
 from repro.telemetry.registry import MetricsRegistry
@@ -199,6 +199,8 @@ class ClientSession:
             mask_prg=mask_prg,
         )
         self.index = index
+        # The round's modulus fixes the width of a masked coordinate.
+        self._bits = modulus_bits(modulus)
         # Interned: decoded frames carrying the negotiated header
         # resolve to this very object, so hot-path comparisons are
         # identity checks.
@@ -256,9 +258,8 @@ class ClientSession:
         """Process one server datagram; returns the response frames.
 
         The datagram may hold several concatenated frames (the roster
-        broadcast, a mailbox of sealed envelopes); it must be
-        homogeneous, as the server's broadcasts are — a share delivery
-        in particular is one uniform sealed-shares datagram.
+        broadcast); it must be homogeneous, as the server's broadcasts
+        are.  A share delivery and an unmask request arrive alone.
 
         Raises:
             AggregationError: On a protocol violation — including the
@@ -272,28 +273,6 @@ class ClientSession:
                 f"client {self.index} was rejected at Hello and holds no "
                 "round state"
             )
-        # The routed mailbox is the quadratic inbound leg: one uniform
-        # sealed-shares datagram, bulk-decoded columnar.
-        columns = decode_sealed_columns(data)
-        if columns is not None:
-            header, senders, recipients, ciphertexts, _ = columns
-            if header is not self.header and header != self.header:
-                raise NegotiationError(
-                    f"client {self.index} negotiated {self.header} but "
-                    f"received a frame speaking {header}"
-                )
-            misdelivered = set(recipients) - {self.index}
-            if misdelivered:
-                raise AggregationError(
-                    f"client {self.index} received an envelope for "
-                    f"{misdelivered.pop()}"
-                )
-            self._crypto.receive_share_matrix(senders, ciphertexts)
-            # U1 is derivable from the delivery itself: the server routes
-            # one envelope per round-1 completer (self included).
-            masked = self._crypto.masked_input(frozenset(senders))
-            self._count_frames(len(senders), 1)
-            return [self._encode(MaskedInput(self.index, masked))]
         frames = decode_frames(data)
         if not frames:
             return []
@@ -320,23 +299,27 @@ class ClientSession:
                         "mixed message types in a roster broadcast"
                     )
                 roster[message.index] = message
-            recipients, sealed = self._crypto.share_keys_matrix(roster)
-            self._count_frames(len(frames), len(recipients))
-            return [
-                encode_sealed_matrix(
-                    self.index, recipients, sealed, self.header
-                )
-            ]
-        if isinstance(first, SealedShares):
+            _, sealed = self._crypto.share_keys_matrix(roster)
+            self._count_frames(len(frames), 1)
+            return [self._encode(SealedUpload(self.index, sealed))]
+        if len(frames) != 1:
             raise AggregationError(
-                f"client {self.index} was handed a share delivery that is "
-                "not one uniform sealed-shares datagram"
+                f"a {type(first).__name__} must arrive alone"
             )
-        if isinstance(first, UnmaskRequest):
-            if len(frames) != 1:
+        if isinstance(first, SealedDelivery):
+            if first.recipient != self.index:
                 raise AggregationError(
-                    "an unmask request must arrive alone"
+                    f"client {self.index} received the envelopes of "
+                    f"{first.recipient}"
                 )
+            senders = first.senders.tolist()
+            self._crypto.receive_share_matrix(senders, first.ciphertexts)
+            # U1 is the delivery's sender column: the server routes one
+            # envelope per round-1 completer (self included).
+            masked = self._crypto.masked_input(frozenset(senders))
+            self._count_frames(1, 1)
+            return [self._encode(MaskedInput(self.index, masked, self._bits))]
+        if isinstance(first, UnmaskRequest):
             response = self._crypto.unmask_columns(first)
             self._count_frames(1, 1)
             return [self._encode(response)]
@@ -408,6 +391,7 @@ class ServerSession:
         )
         self._threshold = threshold
         self._sealed_length = sealed_share_length(group)
+        self._bits = modulus_bits(modulus)
         self.header = intern_header(
             max(accept_versions),
             _suite_name(self._crypto._mask_prg.name, group),
@@ -421,12 +405,11 @@ class ServerSession:
         self._phase = ROUND_ADVERTISE
         self._hellos: dict[int, NegotiatedHeader] = {}
         self._advertisements: dict[int, Advertise] = {}
-        # The share-keys roster in sorted order — the recipient column
-        # every sealed upload must carry — and, per sender, the raw
-        # upload.  Frames stay bytes (the server forwards them verbatim
-        # and cannot read them) until routing transposes them wholesale.
+        # The share-keys roster in sorted order — whom the rows of every
+        # sealed upload are for — and, per sender, its ciphertext matrix
+        # (opaque to the server) until routing transposes them wholesale.
         self._share_roster: list[int] = []
-        self._sealed_uploads: dict[int, bytes] = {}
+        self._sealed_uploads: dict[int, np.ndarray] = {}
         self._masked: dict[int, np.ndarray] = {}
         self._responses: dict[int, UnmaskResponse] = {}
         self._expected: frozenset[int] = frozenset()
@@ -563,35 +546,25 @@ class ServerSession:
             )
         if self.resumable and self._guard_redelivery(sender, data):
             return
-        sealed = None
-        if self._phase == ROUND_SHARE_KEYS:
-            sealed = decode_sealed_columns(data)
-        if sealed is not None:
-            messages = self._store_sealed_upload(sender, data, sealed)
-        else:
-            # Everything that is not the bulk leg, and the place
-            # malformed input gets its typed error.
-            frames = iter_frames(data, keep_raw=False)
-            # Every frame is the sender's own and stores at most one
-            # entry under it, never over an earlier one — so the tables
-            # it is absent from now are exactly what a refusal undoes.
-            fresh = [
-                table
-                for table in (
-                    self._hellos, self.rejections, self._phase_table()
-                )
-                if sender not in table
-            ]
-            try:
-                for header, message, _ in frames:
-                    claimed = self._sender_of(message)
-                    self._check_claimed(claimed, sender)
-                    self._dispatch(header, message, claimed)
-            except AggregationError:
-                for table in fresh:
-                    table.pop(sender, None)
-                raise
-            messages = len(frames)
+        frames = iter_frames(data)
+        # Every frame is the sender's own and stores at most one entry
+        # under it, never over an earlier one — so the tables it is
+        # absent from now are exactly what a refusal undoes.
+        fresh = [
+            table
+            for table in (self._hellos, self.rejections, self._phase_table())
+            if sender not in table
+        ]
+        try:
+            for header, message in frames:
+                claimed = self._sender_of(message)
+                self._check_claimed(claimed, sender)
+                self._dispatch(header, message, claimed)
+        except AggregationError:
+            for table in fresh:
+                table.pop(sender, None)
+            raise
+        messages = len(frames)
         self.stats.record_upload(
             self.phase_tag, sender, len(data), messages=messages
         )
@@ -599,41 +572,6 @@ class ServerSession:
             self._m_frames_in.inc(messages)
         if self.resumable:
             self._upload_memo.setdefault(sender, {})[self._phase] = bytes(data)
-
-    def _store_sealed_upload(
-        self, sender: int, data: bytes, columns: tuple
-    ) -> int:
-        """Validate and stash one share-keys upload; returns its frames.
-
-        The upload must be what an honest :meth:`ClientSession.handle`
-        emits for the roster broadcast: one envelope per roster member
-        in sorted order, each of the round's fixed length.  Both are
-        checked against what the *round* fixed, never against an
-        earlier upload, so no sender can get honest uploads refused;
-        nothing is stored unless every check passes.
-        """
-        header, senders, recipients, ciphertexts, _ = columns
-        self._check_header(header, sender)
-        for claimed in set(senders):
-            self._check_claimed(claimed, sender)
-        self._require_expected(sender)
-        if sender in self._sealed_uploads:
-            raise AggregationError(
-                f"duplicate share-keys upload from client {sender}"
-            )
-        if recipients != self._share_roster:
-            raise AggregationError(
-                f"client {sender} addressed {len(recipients)} envelopes to "
-                f"something other than the phase's roster of "
-                f"{len(self._share_roster)} in sorted order"
-            )
-        if ciphertexts.shape[1] != self._sealed_length:
-            raise AggregationError(
-                f"client {sender} sent {ciphertexts.shape[1]}-byte "
-                f"envelopes; this round's are {self._sealed_length} bytes"
-            )
-        self._sealed_uploads[sender] = bytes(data)
-        return len(recipients)
 
     def _check_header(self, header: NegotiatedHeader, sender: int) -> None:
         """Post-negotiation frames must carry the round's exact header."""
@@ -704,7 +642,7 @@ class ServerSession:
 
     @staticmethod
     def _sender_of(message: Message) -> int:
-        if isinstance(message, (Hello, SealedShares, MaskedInput)):
+        if isinstance(message, (Hello, SealedUpload, MaskedInput)):
             return message.sender
         if isinstance(message, Advertise):
             return message.index
@@ -719,7 +657,9 @@ class ServerSession:
     ) -> None:
         if isinstance(message, Hello):
             if self._phase != ROUND_ADVERTISE:
-                raise AggregationError("Hello outside the advertise phase")
+                raise AggregationError(
+                    f"client {sender} sent a Hello outside the advertise phase"
+                )
             if sender in self._hellos or sender in self.rejections:
                 raise AggregationError(
                     f"duplicate Hello from client {sender}"
@@ -775,13 +715,28 @@ class ServerSession:
             self._advertisements[sender] = message
             return
         self._check_header(header, sender)
-        if isinstance(message, SealedShares):
-            # Sealed shares travel only on the bulk leg of receive();
-            # frames that reach the per-frame path failed its shape.
-            raise AggregationError(
-                f"client {sender} sent sealed shares that are not one "
-                "uniform share-keys datagram"
-            )
+        if isinstance(message, SealedUpload):
+            if self._phase != ROUND_SHARE_KEYS:
+                raise AggregationError(
+                    "SealedUpload outside the share-keys phase"
+                )
+            self._require_expected(sender)
+            if sender in self._sealed_uploads:
+                raise AggregationError(
+                    f"client {sender} sent a second share-keys upload"
+                )
+            # What an honest client emits for the roster broadcast is
+            # fixed by the round: one envelope per roster member, each
+            # of the group's length.
+            shape = (len(self._share_roster), self._sealed_length)
+            if message.ciphertexts.shape != shape:
+                count, length = message.ciphertexts.shape
+                raise AggregationError(
+                    f"client {sender} sent {count} envelopes of {length} "
+                    f"bytes; this round's uploads are {shape[0]} of {shape[1]}"
+                )
+            self._sealed_uploads[sender] = message.ciphertexts
+            return
         if isinstance(message, MaskedInput):
             if self._phase != ROUND_MASKED_INPUT:
                 raise AggregationError(
@@ -792,6 +747,15 @@ class ServerSession:
                 raise AggregationError(
                     f"duplicate masked input from client {sender}"
                 )
+            # Held to the round's width, dimension and alphabet here,
+            # where the sender can still be named and evicted, instead
+            # of failing everyone's phase at its close.
+            if message.bits != self._bits:
+                raise AggregationError(
+                    f"client {sender} sent {message.bits}-bit coordinates; "
+                    f"this round's are {self._bits} bits"
+                )
+            self._crypto.check_masked_input(sender, message.vector)
             self._masked[sender] = message.vector
             return
         if isinstance(message, UnmaskResponse):
@@ -906,28 +870,32 @@ class ServerSession:
         return out
 
     def _route_columns(self) -> dict[int, tuple[bytes, int]]:
-        """Route the share-keys phase straight from raw frame spans.
+        """Route the share-keys phase as one transpose.
 
-        Every stored upload targets the same sorted roster with the
-        same frame length (:meth:`_store_sealed_upload` admits nothing
-        else), so the whole phase is one ``(senders, recipients,
-        frame)`` uint8 stack; a recipient's mailbox is a plane of its
-        transpose, delivered only to clients that themselves completed
-        the phase.
+        Every stored upload is a ``(roster, L)`` ciphertext matrix
+        (:meth:`_dispatch` admits nothing else), so the whole phase is
+        one ``(senders, roster, L)`` uint8 stack; a recipient's mailbox
+        is a plane of its transpose — rows in sorted-sender order, named
+        by the delivery's sender column — and goes only to clients that
+        themselves completed the phase.
         """
         senders = sorted(self._sealed_uploads)
         survivors = self._crypto.register_share_keys(senders)
-        roster = self._share_roster
-        stack = np.frombuffer(
-            b"".join(self._sealed_uploads[sender] for sender in senders),
-            dtype=np.uint8,
-        ).reshape(len(senders), len(roster), -1)
-        routed = route_sealed_stack(stack)
-        # Senders are pre-sorted, so each plane is the sorted-by-sender
-        # join of the per-envelope frames.
+        routed = np.ascontiguousarray(
+            np.stack(
+                [self._sealed_uploads[sender] for sender in senders]
+            ).transpose(1, 0, 2)
+        )
+        column = np.asarray(senders, dtype="<u4")
         out = {
-            recipient: (routed[column].tobytes(), len(senders))
-            for column, recipient in enumerate(roster)
+            recipient: (
+                encode_message(
+                    SealedDelivery(recipient, column, routed[position]),
+                    self.header,
+                ),
+                1,
+            )
+            for position, recipient in enumerate(self._share_roster)
             if recipient in survivors
         }
         self._sealed_uploads.clear()

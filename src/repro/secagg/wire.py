@@ -5,19 +5,20 @@ frozen dataclass with a deterministic byte encoding, so the *same*
 message types flow through every transport — the synchronous in-memory
 driver (:func:`repro.secagg.bonawitz.run_bonawitz`), the
 simulated-clock mailbox transport
-(:class:`repro.simulation.rounds.AsyncSecAggRound`) and the
-sharded process backend — and recorded traffic can be replayed
-byte for byte.
+(:class:`repro.simulation.rounds.AsyncSecAggRound`), the sharded process
+backend and the socket service — and recorded traffic can be replayed
+byte for byte.  :func:`encode_message` and :func:`iter_frames` are the
+one encoder and the one decoder of every message.
 
-Frame layout (all integers little-endian)::
+Frame layout, format 2 (all integers little-endian)::
 
-    0..1   magic          b"SG"
-    2      format version  uint8  (the *encoding* layout, WIRE_FORMAT_VERSION)
-    3      message type    uint8
-    4..7   frame length    uint32 (whole frame, header included)
+    0..1   magic            b"SG"
+    2      format version   uint8  (the *encoding* layout, WIRE_FORMAT_VERSION)
+    3      message type     uint8
+    4..7   frame length     uint32 (whole frame, header included)
     8..9   protocol version uint16 — the negotiated header
-    10     PRG name length uint8     (protocol version + MaskPrg
-    11..   PRG name        ascii      backend name, on every frame)
+    10     suite name length uint8   (protocol version + backend
+    11..   suite name       ascii     string, on every frame)
     ...    message body
 
 The two-part header separates concerns deliberately: the *format
@@ -31,19 +32,40 @@ server checks each client's proposed header and answers with a typed
 :class:`Reject` (surfaced client-side as
 :class:`repro.errors.NegotiationError`) instead of crashing mid-round.
 
+Format 2 has one rule for the two legs that are a round's bill: **a
+frame carries only what the round has not already fixed.**  Bodies::
+
+    masked input      sender u32 | dimension u32 | bits u8
+                      | ceil(dimension * bits / 8) bytes: the coordinates,
+                        ``bits`` bits each, packed little-endian (bit k of
+                        the stream is bit k % 8 of byte k // 8), the
+                        padding bits of the last byte zero
+    share-keys upload sender u32 | count u32 | L u32
+                      | count * L bytes: one L-byte envelope per roster
+                        member, rows in sorted-roster order
+    share delivery    recipient u32 | count u32 | L u32
+                      | count * u32: who sealed each row
+                      | count * L bytes: the envelopes, rows in that order
+
+``bits`` is ``ceil(log2 m)`` (:func:`modulus_bits`) — what the paper's
+"bitwidth" axis counts.  It is a function of the round's modulus and
+**never of the values**: a width chosen from the coordinates would leak
+their magnitude and make a frame's length data-dependent.  The encoder
+refuses a coordinate outside ``[0, 2^bits)`` instead of wrapping it, and
+the server refuses a frame whose width is not the round's.  A
+share-keys datagram is one frame: an envelope's sender, recipient and
+length, and (inside it) the Shamir point and limb count, are all fixed
+by the roster and the key-agreement group, so the frame is the
+ciphertext matrix and three integers.  Format-1 frames (8 bytes per
+coordinate, one frame per envelope) are refused with the typed
+"speaks N" error; no decoder for them is kept.
+
 Frames are self-delimiting, so several messages concatenate into one
-transport datagram (a client's round-1 upload is one frame per sealed
-envelope); :func:`decode_frames` walks them back out.
-:func:`encode_message` and :func:`iter_frames` are the codec of every
-message.  The one leg with O(n²) frames a round — sealed shares — also
-has an array-at-a-time encoder, decoder and router
-(:func:`encode_sealed_matrix`, :func:`decode_sealed_columns`,
-:func:`route_sealed_stack`) whose bytes are pinned to the per-frame
-ones; a masked input and an unmask response are one frame per client
-and already arrays inside it.  Multi-byte integers that can exceed 64
-bits (DH public keys, Shamir share values) use a minimal-length,
-length-prefixed little-endian encoding, keeping the format
-deterministic: equal messages encode to equal bytes.
+transport datagram (the roster broadcast is one frame per advertised
+client); :func:`decode_frames` walks them back out.  Multi-byte integers
+that can exceed 64 bits (DH public keys, Shamir key-share values) use a
+minimal-length, length-prefixed little-endian encoding, keeping the
+format deterministic: equal messages encode to equal bytes.
 
 :class:`WireStats` is the per-round accounting ledger — message counts
 and serialized bytes per phase, per client, in both directions — that
@@ -54,7 +76,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -65,7 +87,7 @@ from repro.secagg.shamir import LimbShares
 WIRE_MAGIC = b"SG"
 
 #: Version of the byte *layout* (bump when the framing itself changes).
-WIRE_FORMAT_VERSION = 1
+WIRE_FORMAT_VERSION = 2
 
 #: Protocol semantics version 1: four-round Bonawitz, negotiated PRG.
 PROTOCOL_V1 = 1
@@ -76,17 +98,24 @@ SUPPORTED_PROTOCOL_VERSIONS = frozenset({PROTOCOL_V1})
 # Message type tags (uint8 in the frame header).
 MSG_HELLO = 1
 MSG_ADVERTISE = 2
-MSG_SEALED_SHARES = 3
+MSG_SEALED_UPLOAD = 3
 MSG_MASKED_INPUT = 4
 MSG_UNMASK_REQUEST = 5
 MSG_UNMASK_RESPONSE = 6
 MSG_REJECT = 7
 MSG_WELCOME = 8
 MSG_RESUME = 9
+MSG_SEALED_DELIVERY = 10
 
 _HEADER = struct.Struct("<2sBBIHB")  # magic, fmt, type, length, version, prg len
-_SEALED_BODY = struct.Struct("<III")  # sender, recipient, ciphertext length
-_MASKED_PREFIX = struct.Struct("<II")  # sender, dimension
+_SEALED_PREFIX = struct.Struct("<III")  # owner, envelope count, envelope length
+_MASKED_PREFIX = struct.Struct("<IIB")  # sender, dimension, bits
+
+#: Coordinate widths that are whole little-endian machine words: the
+#: same layout as the generic bit-packer, reached by one ``astype``.
+_WORD_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+#: Coordinates the generic unpacker expands at a time (a multiple of 8).
+_UNPACK_BLOCK = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,37 +219,75 @@ class Advertise:
     mask_public: int
 
 
-@dataclasses.dataclass(frozen=True)
-class SealedShares:
-    """A round-1 envelope: shares of ``(b_u, s_u^SK)`` sealed for one peer.
+class _ArrayMessage:
+    """Value equality for the messages that hold arrays.
 
-    The server forwards envelopes without the channel key, so the payload
-    is an opaque byte string from its point of view.
+    Two messages are equal when every field holds the same values —
+    array dtype and buffer do not matter (a decoded message and the one
+    a session built compare and hash alike), any differing value or
+    shape does.
     """
 
-    sender: int
-    recipient: int
-    ciphertext: bytes
+    def _values(self) -> tuple:
+        values = []
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value = (value.shape, tuple(value.ravel().tolist()))
+            elif isinstance(value, dict):
+                value = tuple(sorted(value.items()))
+            values.append(value)
+        return tuple(values)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class MaskedInput:
-    """A client's round-2 upload: the doubly masked vector over ``Z_m``."""
+class SealedUpload(_ArrayMessage):
+    """A client's whole round-1 upload: one envelope per roster member.
+
+    Row ``j`` of ``ciphertexts`` is the shares of ``(b_u, s_u^SK)``
+    sealed for the ``j``-th member of the sorted roster.  The server
+    forwards envelopes without the channel key, so the ``(n, L)`` uint8
+    matrix is opaque to it.
+    """
+
+    sender: int
+    ciphertexts: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class SealedDelivery(_ArrayMessage):
+    """A client's routed round-1 mailbox: the envelopes sealed for it.
+
+    ``senders`` names who sealed each row of ``ciphertexts`` (``U1``, in
+    sorted order) — the one thing about the mailbox the recipient cannot
+    derive from the roster.
+    """
+
+    recipient: int
+    senders: np.ndarray
+    ciphertexts: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class MaskedInput(_ArrayMessage):
+    """A client's round-2 upload: the doubly masked vector over ``Z_m``.
+
+    ``bits`` is the width of one coordinate on the wire.  A session
+    always states it, from the round's modulus (:func:`modulus_bits`);
+    the default is the widest there is.
+    """
 
     sender: int
     vector: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MaskedInput):
-            return NotImplemented
-        return self.sender == other.sender and np.array_equal(
-            self.vector, other.vector
-        )
-
-    def __hash__(self) -> int:
-        # Defining __eq__ suppresses the implicit hash; stay hashable
-        # (consistently with __eq__) like every other message type.
-        return hash((self.sender, self.vector.tobytes()))
+    bits: int = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,7 +306,7 @@ class UnmaskRequest:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class UnmaskResponse:
+class UnmaskResponse(_ArrayMessage):
     """One client's round-3 reply: the requested shares it holds.
 
     The seed section scales with the survivor count (one share per
@@ -257,26 +324,6 @@ class UnmaskResponse:
     xs: np.ndarray
     ys: np.ndarray
     key_shares: dict[int, LimbShares]
-
-    def _columns(self) -> tuple:
-        return tuple(
-            tuple(np.asarray(column).tolist())
-            for column in (self.peers, self.xs, self.ys)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnmaskResponse):
-            return NotImplemented
-        return (
-            self.responder == other.responder
-            and self._columns() == other._columns()
-            and self.key_shares == other.key_shares
-        )
-
-    def __hash__(self) -> int:
-        # Values, not buffers: a decoded response (uint32 columns) and
-        # the one a client built compare and hash alike.
-        return hash((self.responder, self._columns()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,7 +374,8 @@ class Resume:
 Message = (
     Hello
     | Advertise
-    | SealedShares
+    | SealedUpload
+    | SealedDelivery
     | MaskedInput
     | UnmaskRequest
     | UnmaskResponse
@@ -339,7 +387,8 @@ Message = (
 _TYPE_OF_MESSAGE = {
     Hello: MSG_HELLO,
     Advertise: MSG_ADVERTISE,
-    SealedShares: MSG_SEALED_SHARES,
+    SealedUpload: MSG_SEALED_UPLOAD,
+    SealedDelivery: MSG_SEALED_DELIVERY,
     MaskedInput: MSG_MASKED_INPUT,
     UnmaskRequest: MSG_UNMASK_REQUEST,
     UnmaskResponse: MSG_UNMASK_RESPONSE,
@@ -366,6 +415,121 @@ def _column_width(max_value: int) -> int:
     raise AggregationError(
         f"share value too wide for the wire: {max_value.bit_length()} bits"
     )
+
+
+def modulus_bits(modulus: int) -> int:
+    """Bits one coordinate over ``Z_m`` takes on the wire: ``ceil(log2 m)``."""
+    if modulus < 2:
+        raise AggregationError(f"modulus must be >= 2, got {modulus}")
+    return (modulus - 1).bit_length()
+
+
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= 64:
+        raise AggregationError(
+            f"malformed wire frame: coordinate width {bits} outside 1..64 bits"
+        )
+
+
+def _word_bits(bits: int) -> int:
+    """The narrowest machine word holding a ``bits``-bit coordinate."""
+    return next(word for word in _WORD_DTYPES if bits <= word)
+
+
+def _pack_bits(vector: np.ndarray, bits: int) -> bytes:
+    """The generic packer: any width, coordinates already in range."""
+    word = _word_bits(bits)
+    planes = np.unpackbits(
+        vector.astype(_WORD_DTYPES[word]).view(np.uint8).reshape(-1, word // 8),
+        axis=1,
+        bitorder="little",
+    )
+    return np.packbits(planes[:, :bits], bitorder="little").tobytes()
+
+
+def pack_coordinates(vector: np.ndarray, bits: int) -> bytes:
+    """Pack a vector over ``[0, 2^bits)`` at ``bits`` bits a coordinate.
+
+    Little-endian throughout, so the word-sized widths are a plain
+    ``astype`` — byte for byte what :func:`_pack_bits` emits for them.
+
+    Raises:
+        AggregationError: If a coordinate does not fit ``bits`` bits (it
+            is refused, never wrapped) or ``bits`` is outside ``1..64``.
+    """
+    _check_bits(bits)
+    vector = np.asarray(vector)
+    if vector.ndim != 1 or not np.issubdtype(vector.dtype, np.integer):
+        raise AggregationError(
+            f"masked input must be a 1-d integer vector, got shape "
+            f"{vector.shape} of {vector.dtype}"
+        )
+    if vector.size and (int(vector.min()) < 0 or int(vector.max()) >> bits):
+        raise AggregationError(
+            f"masked-input coordinates must lie in [0, 2^{bits}), got range "
+            f"[{vector.min()}, {vector.max()}]"
+        )
+    if bits in _WORD_DTYPES:
+        return vector.astype(_WORD_DTYPES[bits]).tobytes()
+    return _pack_bits(vector, bits)
+
+
+def unpack_coordinates(payload: memoryview, count: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`pack_coordinates`; an int64 vector.
+
+    ``payload`` must be exactly ``ceil(count * bits / 8)`` bytes — the
+    caller checks that against the frame before anything is allocated.
+
+    Raises:
+        AggregationError: On non-zero padding bits, or a 64-bit
+            coordinate no int64 (and so no modulus) holds.
+    """
+    if bits in _WORD_DTYPES:
+        values = np.frombuffer(payload, dtype=_WORD_DTYPES[bits])
+        if bits == 64 and values.size and int(values.max()) >> 63:
+            raise AggregationError(
+                "malformed wire frame: masked-input coordinate above 2^63"
+            )
+        return values.astype(np.int64)
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    spare = 8 * raw.shape[0] - count * bits
+    if spare and raw[-1] >> (8 - spare):
+        raise AggregationError(
+            "malformed wire frame: non-zero masked-input padding bits"
+        )
+    values = np.empty(count, dtype=np.int64)
+    weights = np.left_shift(1, np.arange(bits, dtype=np.int64))
+    # A bit is a whole word while it is being weighed, so go block by
+    # block (a block of 8k coordinates starts on a byte): the scratch
+    # space stays a constant whatever the frame declares.
+    for at in range(0, count, _UNPACK_BLOCK):
+        size = min(_UNPACK_BLOCK, count - at)
+        planes = np.unpackbits(
+            raw[at * bits // 8 :], count=size * bits, bitorder="little"
+        ).reshape(size, bits)
+        values[at : at + size] = planes.astype(np.int64) @ weights
+    return values
+
+
+def _encode_sealed(
+    owner: int, ciphertexts: np.ndarray, senders: np.ndarray | None = None
+) -> bytes:
+    """A share-keys body: upload (no sender column) or delivery."""
+    matrix = np.ascontiguousarray(ciphertexts, dtype=np.uint8)
+    if matrix.ndim != 2:
+        raise AggregationError(
+            f"share-keys envelopes must be a 2-d matrix, got {matrix.shape}"
+        )
+    parts = [_SEALED_PREFIX.pack(owner, *matrix.shape)]
+    if senders is not None:
+        column = np.ascontiguousarray(senders, dtype="<u4")
+        if column.shape != matrix.shape[:1]:
+            raise AggregationError(
+                f"{column.shape[0]} senders for {matrix.shape[0]} envelopes"
+            )
+        parts.append(column.tobytes())
+    parts.append(matrix.tobytes())
+    return b"".join(parts)
 
 
 def _encode_biguint(value: int) -> bytes:
@@ -409,17 +573,8 @@ class _Reader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
 
-    def biguint(self) -> int:
-        width = self.u16()
-        if width == 0:
-            raise AggregationError("malformed wire frame: zero-width integer")
-        return int.from_bytes(self.take(width), "little")
-
-    def done(self) -> bool:
-        return self._pos == self._end
-
     def require_done(self) -> None:
-        if not self.done():
+        if self._pos != self._end:
             raise AggregationError(
                 "malformed wire frame: "
                 f"{self._end - self._pos} trailing body bytes"
@@ -448,23 +603,19 @@ def _encode_body(message: Message) -> bytes:
             + _encode_biguint(message.channel_public)
             + _encode_biguint(message.mask_public)
         )
-    if isinstance(message, SealedShares):
-        return (
-            message.sender.to_bytes(4, "little")
-            + message.recipient.to_bytes(4, "little")
-            + len(message.ciphertext).to_bytes(4, "little")
-            + message.ciphertext
+    if isinstance(message, SealedUpload):
+        return _encode_sealed(message.sender, message.ciphertexts)
+    if isinstance(message, SealedDelivery):
+        return _encode_sealed(
+            message.recipient, message.ciphertexts, message.senders
         )
     if isinstance(message, MaskedInput):
-        vector = np.ascontiguousarray(message.vector, dtype="<i8")
-        if vector.ndim != 1:
-            raise AggregationError(
-                f"masked input must be 1-d, got shape {vector.shape}"
-            )
+        payload = pack_coordinates(message.vector, message.bits)
         return (
-            message.sender.to_bytes(4, "little")
-            + vector.shape[0].to_bytes(4, "little")
-            + vector.tobytes()
+            _MASKED_PREFIX.pack(
+                message.sender, np.shape(message.vector)[0], message.bits
+            )
+            + payload
         )
     if isinstance(message, UnmaskRequest):
         return _encode_index_set(message.survivors) + _encode_index_set(
@@ -599,38 +750,44 @@ def _decode_fast(
     has one decoder, and malformed frames end in the same typed errors
     on both.
     """
-    if msg_type == MSG_SEALED_SHARES:
-        if end - start < _SEALED_BODY.size:
+    if msg_type in (MSG_SEALED_UPLOAD, MSG_SEALED_DELIVERY):
+        body = start + _SEALED_PREFIX.size
+        if body > end:
             raise AggregationError(
                 "malformed wire frame: body truncated "
-                f"({end - start} bytes left, {_SEALED_BODY.size} needed)"
+                f"({end - start} bytes left, {_SEALED_PREFIX.size} needed)"
             )
-        sender, recipient, length = _SEALED_BODY.unpack_from(view, start)
-        if end - start - _SEALED_BODY.size != length:
+        owner, count, length = _SEALED_PREFIX.unpack_from(view, start)
+        delivery = msg_type == MSG_SEALED_DELIVERY
+        if end - body != count * (length + 4 * delivery):
             raise AggregationError(
-                "malformed wire frame: ciphertext length mismatch"
+                f"malformed wire frame: {count} envelopes of {length} bytes "
+                f"do not fill a {end - body}-byte share-keys body"
             )
-        return SealedShares(
-            sender=sender,
-            recipient=recipient,
-            ciphertext=bytes(view[start + _SEALED_BODY.size : end]),
-        )
+        # Zero-copy views into the datagram, which they keep alive.
+        ciphertexts = np.frombuffer(
+            view, dtype=np.uint8, count=count * length, offset=end - count * length
+        ).reshape(count, length)
+        if not delivery:
+            return SealedUpload(owner, ciphertexts)
+        senders = np.frombuffer(view, dtype="<u4", count=count, offset=body)
+        return SealedDelivery(owner, senders, ciphertexts)
     if msg_type == MSG_MASKED_INPUT:
-        if end - start < _MASKED_PREFIX.size:
+        body = start + _MASKED_PREFIX.size
+        if body > end:
             raise AggregationError(
                 "malformed wire frame: body truncated "
                 f"({end - start} bytes left, {_MASKED_PREFIX.size} needed)"
             )
-        sender, dimension = _MASKED_PREFIX.unpack_from(view, start)
-        if end - start - _MASKED_PREFIX.size != 8 * dimension:
+        sender, dimension, bits = _MASKED_PREFIX.unpack_from(view, start)
+        _check_bits(bits)
+        if end - body != -(-dimension * bits // 8):
             raise AggregationError(
-                "malformed wire frame: masked-input length mismatch"
+                f"malformed wire frame: {dimension} coordinates of {bits} "
+                f"bits do not fill a {end - body}-byte masked-input payload"
             )
         return MaskedInput(
-            sender=sender,
-            vector=np.frombuffer(
-                view[start + _MASKED_PREFIX.size : end], dtype="<i8"
-            ).astype(np.int64),
+            sender, unpack_coordinates(view[body:end], dimension, bits), bits
         )
     if msg_type == MSG_UNMASK_RESPONSE:
         from_bytes = int.from_bytes
@@ -732,129 +889,6 @@ def _decode_fast(
     return None
 
 
-def encode_sealed_matrix(
-    sender: int,
-    recipients: Sequence[int],
-    ciphertexts: np.ndarray,
-    header: NegotiatedHeader,
-) -> bytes:
-    """Encode one sender's whole envelope matrix as a frame stream.
-
-    Byte-identical to concatenating :func:`encode_message` over the
-    corresponding :class:`SealedShares` objects, built with a handful of
-    numpy assignments instead of quadratically many Python frames.
-
-    Args:
-        sender: The uploading client.
-        recipients: Row owner per matrix row.
-        ciphertexts: ``(n, L)`` uint8 envelope matrix.
-        header: The sender's negotiated header.
-    """
-    count, ciphertext_len = ciphertexts.shape
-    prg = header.mask_prg.encode("ascii")
-    header_size = _HEADER.size + len(prg)
-    frame_len = header_size + _SEALED_BODY.size + ciphertext_len
-    prefix = (
-        _HEADER.pack(
-            WIRE_MAGIC,
-            WIRE_FORMAT_VERSION,
-            MSG_SEALED_SHARES,
-            frame_len,
-            header.version,
-            len(prg),
-        )
-        + prg
-    )
-    frames = np.empty((count, frame_len), dtype=np.uint8)
-    frames[:, :header_size] = np.frombuffer(prefix, dtype=np.uint8)
-    fields = np.empty((count, 3), dtype="<u4")
-    fields[:, 0] = sender
-    fields[:, 1] = recipients
-    fields[:, 2] = ciphertext_len
-    frames[:, header_size : header_size + _SEALED_BODY.size] = fields.view(
-        np.uint8
-    ).reshape(count, _SEALED_BODY.size)
-    frames[:, header_size + _SEALED_BODY.size :] = ciphertexts
-    return frames.tobytes()
-
-
-def decode_sealed_columns(
-    data: bytes,
-) -> tuple[NegotiatedHeader, list[int], list[int], np.ndarray, int] | None:
-    """Columnar bulk-parse of a homogeneous sealed-shares datagram.
-
-    The protocol's quadratic leg is ``n`` equal-length
-    :class:`SealedShares` frames per datagram (one sender's envelopes to
-    the whole roster, or one recipient's routed mailbox — uniform
-    because the mask-key limb count is fixed per DH group).  When the
-    datagram has that exact shape, the fields are parsed with one numpy
-    pass instead of a per-frame Python loop.
-
-    Returns:
-        ``(header, senders, recipients, ciphertext_matrix, frame_len)``
-        where ``ciphertext_matrix`` is a zero-copy ``(n, L)`` uint8 view
-        into ``data`` — or ``None`` whenever the datagram does not have
-        the homogeneous shape (the sessions then refuse it).
-
-    Raises:
-        AggregationError: If the shape matches but a frame is corrupt.
-    """
-    total = len(data)
-    if total < _HEADER.size:
-        return None
-    magic, fmt, msg_type, length, version, prg_len = _HEADER.unpack_from(
-        data, 0
-    )
-    if (
-        magic != WIRE_MAGIC
-        or fmt != WIRE_FORMAT_VERSION
-        or msg_type != MSG_SEALED_SHARES
-        or length <= 0
-        or total % length != 0
-    ):
-        return None
-    header_size = _HEADER.size + prg_len
-    ciphertext_len = length - header_size - _SEALED_BODY.size
-    if ciphertext_len < 0 or length > total:
-        return None
-    count = total // length
-    table = np.frombuffer(data, dtype=np.uint8).reshape(count, length)
-    if count > 1 and not np.array_equal(
-        table[1:, :header_size],
-        np.broadcast_to(table[0, :header_size], (count - 1, header_size)),
-    ):
-        return None  # Heterogeneous headers: not one uniform stream.
-    header = intern_header(version, bytes(data[_HEADER.size : header_size]))
-    fields = np.ascontiguousarray(
-        table[:, header_size : header_size + _SEALED_BODY.size]
-    ).view("<u4")
-    if not (fields[:, 2] == ciphertext_len).all():
-        raise AggregationError(
-            "malformed wire frame: ciphertext length mismatch"
-        )
-    body = header_size + _SEALED_BODY.size
-    return (
-        header,
-        fields[:, 0].tolist(),
-        fields[:, 1].tolist(),
-        table[:, body:],
-        length,
-    )
-
-
-def route_sealed_stack(stack: np.ndarray) -> np.ndarray:
-    """Route a uniform sealed-shares tensor to per-recipient mailboxes.
-
-    ``stack[s, r]`` is sender ``s``'s raw frame bound for the recipient
-    in column ``r`` (senders in sorted order, the recipient order shared
-    by every sender).  The result's ``[r]`` plane is recipient ``r``'s
-    whole mailbox, frames already in sorted-sender order — ``tobytes()``
-    of a plane is the exact datagram joining the per-envelope frames
-    would produce.  Runs as one contiguous transpose.
-    """
-    return np.ascontiguousarray(stack.transpose(1, 0, 2))
-
-
 #: Broadcast-decode memo: the server sends *one* roster (and unmask
 #: request) byte string to every recipient, so each client would decode
 #: identical bytes — quadratically many advertise parses per round.
@@ -880,34 +914,28 @@ def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
     """
     memoised = _broadcast_memo.get(data)
     if memoised is None:
-        memoised = [
-            (header, message)
-            for header, message, _ in iter_frames(data, keep_raw=False)
-        ]
+        memoised = iter_frames(data)
         if len(_broadcast_memo) >= _BROADCAST_MEMO_MAX:
             _broadcast_memo.clear()
         _broadcast_memo[bytes(data)] = memoised
     return list(memoised)
 
 
-def iter_frames(
-    data: bytes, keep_raw: bool = True
-) -> list[tuple[NegotiatedHeader, Message, "memoryview | None"]]:
-    """Like :func:`decode_frames`, but keeps each frame's raw bytes.
+def iter_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
+    """:func:`decode_frames` without the memo: the decoder itself.
 
-    Transports that forward messages verbatim (the server routing sealed
-    envelopes) reuse the raw frame instead of re-encoding it.  ``raw``
-    is a zero-copy :class:`memoryview` into ``data`` (which it keeps
-    alive); pass ``keep_raw=False`` when the spans are not needed.
+    For datagrams no second party receives (a client's upload).  Array
+    fields of the decoded messages are zero-copy views into ``data``,
+    which they keep alive.
     """
     view = memoryview(data)
-    frames: list[tuple[NegotiatedHeader, Message, memoryview | None]] = []
+    frames: list[tuple[NegotiatedHeader, Message]] = []
     offset = 0
     total = len(view)
-    # Datagrams are homogeneous in practice (a roster broadcast, one
-    # sender's sealed envelopes), so after the first frame the header
-    # region differs only in the length field: two slice comparisons
-    # replace the full unpack + intern on the hot path.
+    # Datagrams are homogeneous in practice (the roster broadcast), so
+    # after the first frame the header region differs only in the
+    # length field: two slice comparisons replace the full unpack +
+    # intern on the hot path.
     known_front: bytes | None = None  # magic | fmt | type
     known_tail: bytes | None = None  # version | prg len | prg name
     known_type = -1
@@ -966,9 +994,7 @@ def iter_frames(
         if message is None:
             reader = _Reader(view, body_start, end)
             message = _decode_body(msg_type, reader)
-        frames.append(
-            (header, message, view[offset:end] if keep_raw else None)
-        )
+        frames.append((header, message))
         offset = end
     return frames
 
@@ -1035,100 +1061,54 @@ class WireStats:
         """Tally one server-to-client datagram."""
         self._cell(self.downloads, phase, client).add(nbytes, messages)
 
-    @staticmethod
-    def _totals(table: Mapping[str, Mapping[int, WireTally]]) -> WireTally:
-        total = WireTally()
-        for cells in table.values():
-            for tally in cells.values():
-                total.add(tally.bytes, tally.messages)
-        return total
+    def _cells(self) -> Iterator[tuple[str, str, int, WireTally]]:
+        """Every cell as ``(direction, phase, client, tally)``."""
+        for direction, table in (("up", self.uploads), ("down", self.downloads)):
+            for phase, cells in table.items():
+                for client, tally in cells.items():
+                    yield direction, phase, client, tally
+
+    def _summary(self, column: int) -> dict:
+        """Messages and bytes each direction, grouped by one column of
+        :meth:`_cells` (1: phase, 2: client)."""
+        summary: dict = {}
+        for cell in self._cells():
+            direction, tally = cell[0], cell[3]
+            entry = summary.setdefault(
+                cell[column],
+                {"up_messages": 0, "up_bytes": 0,
+                 "down_messages": 0, "down_bytes": 0},
+            )
+            entry[f"{direction}_messages"] += tally.messages
+            entry[f"{direction}_bytes"] += tally.bytes
+        return summary
 
     @property
     def total_messages(self) -> int:
         """Messages moved in either direction across all phases."""
-        return (
-            self._totals(self.uploads).messages
-            + self._totals(self.downloads).messages
-        )
+        return sum(tally.messages for *_, tally in self._cells())
 
     @property
     def total_bytes(self) -> int:
         """Serialized bytes moved in either direction across all phases."""
-        return (
-            self._totals(self.uploads).bytes
-            + self._totals(self.downloads).bytes
-        )
+        return sum(tally.bytes for *_, tally in self._cells())
 
     def phase_totals(self) -> dict[str, dict[str, int]]:
         """Aggregate view per phase: messages and bytes each direction."""
-        summary: dict[str, dict[str, int]] = {}
-        for direction, table in (
-            ("up", self.uploads),
-            ("down", self.downloads),
-        ):
-            for phase, cells in table.items():
-                entry = summary.setdefault(
-                    phase,
-                    {
-                        "up_messages": 0,
-                        "up_bytes": 0,
-                        "down_messages": 0,
-                        "down_bytes": 0,
-                    },
-                )
-                for tally in cells.values():
-                    entry[f"{direction}_messages"] += tally.messages
-                    entry[f"{direction}_bytes"] += tally.bytes
-        return summary
+        return self._summary(1)
 
     def phase_summary(self, phase: str) -> dict[str, int] | None:
         """Totals for one phase tag, or ``None`` if it has no cells.
 
         Cells are keyed by phase and a round's phases never revisit, so
-        once a phase's span closes this is that phase's traffic — one
-        pass over one tag's cells.  The transports meter from it.
+        once a phase's span closes this is that phase's traffic.  The
+        transports meter from it.
         """
-        up = self.uploads.get(phase)
-        down = self.downloads.get(phase)
-        if not up and not down:
-            return None
-        entry = {
-            "up_messages": 0,
-            "up_bytes": 0,
-            "down_messages": 0,
-            "down_bytes": 0,
-        }
-        if up:
-            for tally in up.values():
-                entry["up_messages"] += tally.messages
-                entry["up_bytes"] += tally.bytes
-        if down:
-            for tally in down.values():
-                entry["down_messages"] += tally.messages
-                entry["down_bytes"] += tally.bytes
-        return entry
+        return self.phase_totals().get(phase)
 
     def client_totals(self) -> dict[int, dict[str, int]]:
         """Aggregate view per client: messages and bytes each direction."""
-        summary: dict[int, dict[str, int]] = {}
-        for direction, table in (
-            ("up", self.uploads),
-            ("down", self.downloads),
-        ):
-            for cells in table.values():
-                for client, tally in cells.items():
-                    entry = summary.setdefault(
-                        client,
-                        {
-                            "up_messages": 0,
-                            "up_bytes": 0,
-                            "down_messages": 0,
-                            "down_bytes": 0,
-                        },
-                    )
-                    entry[f"{direction}_messages"] += tally.messages
-                    entry[f"{direction}_bytes"] += tally.bytes
-        return summary
+        return self._summary(2)
 
     def merge(self, others: Iterable["WireStats"]) -> "WireStats":
         """Fold other ledgers into this one (sharded-round composition)."""

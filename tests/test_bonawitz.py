@@ -23,8 +23,9 @@ from repro.secagg.bonawitz import (
     _open_sealed,
     _seal,
     run_bonawitz,
+    sealed_share_length,
 )
-from repro.secagg.keys import TOY_GROUP
+from repro.secagg.keys import TOY_GROUP, DhGroup
 from repro.secagg.shamir import LimbShares, Share
 from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import UnmaskRequest
@@ -324,9 +325,14 @@ class TestValidation:
             u: clients[u].masked_input(server.share_participants)
             for u in clients
         }
-        masked[1] = masked[1][:-1]
-        with pytest.raises(AggregationError, match="dimension"):
-            server.collect_masked_inputs(masked)
+        with pytest.raises(AggregationError, match="client 1 sent dimension"):
+            server.check_masked_input(1, masked[1][:-1])
+        with pytest.raises(AggregationError, match="client 2's masked input"):
+            server.check_masked_input(2, masked[2] + MODULUS)
+        # Held to the round at ingest, the phase closes on what is left.
+        for sender, vector in masked.items():
+            server.check_masked_input(sender, vector)
+        assert server.collect_masked_inputs(masked).survivors == {1, 2, 3}
 
     def test_masked_input_from_outside_u1_rejected(self, rng):
         server = BonawitzServer(MODULUS, DIMENSION, threshold=2)
@@ -466,11 +472,74 @@ class TestPayloadCodec:
         seed_share = Share(x=7, y=(1 << 60) - 1)
         key_share = LimbShares(x=7, ys=((1 << 60) - 1, 0, 12345))
         encoded = _encode_payload(seed_share, key_share)
-        decoded_seed, decoded_key = _decode_payload(encoded)
+        assert len(encoded) == 8 * (1 + 3)
+        decoded_seed, decoded_key = _decode_payload(encoded, 7)
         assert decoded_seed == seed_share
         assert decoded_key == key_share
 
     def test_truncated_payload_rejected(self):
         encoded = _encode_payload(Share(x=1, y=2), LimbShares(x=1, ys=(3,)))
         with pytest.raises(AggregationError, match="malformed"):
-            _decode_payload(encoded[:-1])
+            _decode_payload(encoded[:-1], 1)
+
+
+class TestBlame:
+    """Who can be blamed for what an envelope says — and what an
+    envelope can no longer say."""
+
+    def test_envelope_is_share_values_and_nothing_else(self):
+        """A seed share and one share per limb of the group's mask key,
+        8 bytes each: no Shamir point, no limb count (30 -> 24 bytes on
+        the toy group)."""
+        assert sealed_share_length(TOY_GROUP) == 24
+        assert sealed_share_length(DhGroup()) == 8 * (1 + 18)
+
+    def test_relayed_shares_sit_at_the_relayers_own_point(self, rng):
+        """Client 1 relays at unmask what client 2 sealed for it.  Under
+        wire format 1 an envelope named its own Shamir point and limb
+        count, so a peer sealing *a neighbour's* x (or a short limb
+        tuple) got the honest relayer refused — and, since PR 17,
+        evicted — at unmask: the scenario was constructible at the
+        parent of this change.  Now it is unrepresentable: whatever
+        bytes a peer seals, the recipient reads them as values at its
+        own roster position and at the group's limb count, so its
+        response passes ``check_unmask_response``'s point and
+        limb-count checks by construction.  (What a peer can still do
+        is seal an out-of-field *value*; that half of ROADMAP 3a needs
+        the authentication tag.)"""
+        inputs = make_inputs(rng, n=4)
+        clients = [
+            BonawitzClient(
+                u, inputs[u - 1], MODULUS, 2, np.random.default_rng(u),
+                TOY_GROUP,
+            )
+            for u in (1, 2, 3, 4)
+        ]
+        server = BonawitzServer(MODULUS, DIMENSION, threshold=2, group=TOY_GROUP)
+        roster = server.collect_advertisements(
+            [client.advertise_keys() for client in clients]
+        )
+        sealed = {c.index: c.share_keys_matrix(roster)[1] for c in clients}
+        # Client 2 seals for client 1 what format 1 would have parsed as
+        # "point 3, one limb": bytes chosen freely, in the field.
+        forged = _encode_payload(Share(3, 3), LimbShares(3, (1, 5)))
+        sealed[2][0] = np.frombuffer(
+            _seal(clients[1]._channel_key(1), forged), dtype=np.uint8
+        )
+        senders = sorted(server.register_share_keys(sealed))
+        for position, client in enumerate(clients):
+            client.receive_share_matrix(
+                senders, np.stack([sealed[s][position] for s in senders])
+            )
+        masked = {
+            c.index: c.masked_input(server.share_participants)
+            for c in clients
+            if c.index != 4  # drops: its key shares get revealed too
+        }
+        request = server.collect_masked_inputs(masked)
+        response = clients[0].unmask_columns(request)
+        assert response.xs.tolist() == [1, 1, 1]
+        assert response.ys[1] == 3  # client 2's forged seed value, relayed
+        assert {share.x for share in response.key_shares.values()} == {1}
+        assert all(len(share.ys) == 2 for share in response.key_shares.values())
+        server.check_unmask_response(response)  # the relayer is not blamed

@@ -438,14 +438,19 @@ class TestRebalancing:
         simulator) left ``abort_phase`` unset and stranded them."""
         import repro.simulation.rounds as rounds_module
         from repro.secagg.statemachine import ClientSession
-        from repro.secagg.wire import decode_sealed_columns, iter_frames
+        from repro.secagg.wire import (
+            SealedUpload,
+            decode_message,
+            encode_message,
+        )
 
         class ShortSharer(ClientSession):
             def handle(self, data):
                 (upload,) = super().handle(data)
-                if self.index in (1, 3) and decode_sealed_columns(upload):
-                    frames = [raw for _, _, raw in iter_frames(upload)]
-                    upload = b"".join(bytes(raw) for raw in frames[:-1])
+                header, message = decode_message(upload)
+                if self.index in (1, 3) and isinstance(message, SealedUpload):
+                    short = SealedUpload(self.index, message.ciphertexts[:-1])
+                    upload = encode_message(short, header)
                 return [upload]
 
         monkeypatch.setattr(rounds_module, "ClientSession", ShortSharer)

@@ -37,10 +37,10 @@ from repro.secagg.statemachine import ClientSession
 from repro.secagg.wire import (
     Hello,
     Reject,
+    SealedUpload,
     decode_frames,
     decode_message,
     encode_message,
-    iter_frames,
 )
 from repro.telemetry import parse_prometheus
 
@@ -414,8 +414,13 @@ class TestTransportBoundaries:
                     await asyncio.wait_for(read_datagram(reader), 10)
                     roster = await asyncio.wait_for(read_datagram(reader), 10)
                     (upload,) = session.handle(roster)
-                    frames = [bytes(raw) for _, _, raw in iter_frames(upload)]
-                    await write_datagram(writer, b"".join(frames[:-1]))
+                    header, message = decode_message(upload)
+                    short = SealedUpload(
+                        message.sender, message.ciphertexts[:-1]
+                    )
+                    await write_datagram(
+                        writer, encode_message(short, header)
+                    )
                     # The server evicts us: connection closes.
                     assert await asyncio.wait_for(
                         read_datagram(reader), 10

@@ -39,11 +39,10 @@ from repro.secagg.statemachine import (
 from repro.secagg.tree import run_composition_round
 from repro.secagg.wire import (
     MaskedInput,
-    decode_frames,
+    SealedUpload,
     UnmaskResponse,
-    decode_sealed_columns,
+    decode_frames,
     encode_message,
-    iter_frames,
 )
 from repro.simulation import (
     AsyncSecAggRound,
@@ -57,7 +56,9 @@ from repro.telemetry import (
     MetricsRegistry,
 )
 
-MODULUS = 2**16
+#: Not a power of two: a coordinate of the round's width (16 bits) can
+#: then lie outside the alphabet.
+MODULUS = 2**16 - 15
 DIMENSION = 16
 CLIENTS = 8
 THRESHOLD = 4
@@ -94,42 +95,75 @@ def digest(vector):
     return hashlib.sha256(np.asarray(vector).tobytes()).hexdigest()
 
 
-# -- the four refusals ------------------------------------------------------
+# -- the six refusals -------------------------------------------------------
+
+
+def sole_frame(upload, kind):
+    """``(header, message)`` if ``upload`` is one ``kind`` frame."""
+    frames = decode_frames(upload)
+    if len(frames) == 1 and isinstance(frames[0][1], kind):
+        return frames[0]
+    return None
 
 
 def short_share_keys(session, upload):
     """A share-keys upload one envelope short."""
-    if decode_sealed_columns(upload) is None:
+    frame = sole_frame(upload, SealedUpload)
+    if frame is None:
         return upload
-    frames = [bytes(raw) for _, _, raw in iter_frames(upload)]
-    return b"".join(frames[:-1])
+    header, message = frame
+    return encode_message(
+        SealedUpload(message.sender, message.ciphertexts[:-1]), header
+    )
 
 
 def spoofed_masked_input(session, upload):
     """A masked input whose frame claims another sender."""
-    frames = decode_frames(upload)
-    if len(frames) != 1 or not isinstance(frames[0][1], MaskedInput):
+    frame = sole_frame(upload, MaskedInput)
+    if frame is None:
         return upload
+    header, message = frame
     return encode_message(
-        MaskedInput(session.index + 1, frames[0][1].vector), session.header
+        dataclasses.replace(message, sender=session.index + 1), header
     )
 
 
 def doubled_masked_input(session, upload):
     """A masked input sent twice in one datagram: the first frame is
     valid on its own, the second is a duplicate."""
-    frames = decode_frames(upload)
-    if len(frames) != 1 or not isinstance(frames[0][1], MaskedInput):
+    if sole_frame(upload, MaskedInput) is None:
         return upload
     return upload + upload
 
 
+def out_of_alphabet_masked_input(session, upload):
+    """A masked input of the round's width and dimension with every
+    coordinate ``m + 5``: what only the alphabet check can refuse."""
+    frame = sole_frame(upload, MaskedInput)
+    if frame is None:
+        return upload
+    header, message = frame
+    beyond = np.full_like(message.vector, MODULUS + 5)
+    return encode_message(dataclasses.replace(message, vector=beyond), header)
+
+
+def wrong_width_masked_input(session, upload):
+    """The honest vector, at twice the round's coordinate width."""
+    frame = sole_frame(upload, MaskedInput)
+    if frame is None:
+        return upload
+    header, message = frame
+    return encode_message(
+        dataclasses.replace(message, bits=2 * message.bits), header
+    )
+
+
 def key_share_at_the_wrong_point(session, upload):
     """An unmask response whose key share sits at a neighbour's point."""
-    frames = decode_frames(upload)
-    if len(frames) != 1 or not isinstance(frames[0][1], UnmaskResponse):
+    frame = sole_frame(upload, UnmaskResponse)
+    if frame is None:
         return upload
-    header, response = frames[0]
+    header, response = frame
     assert response.key_shares, "the scenario needs a dropout to recover"
     moved = {
         peer: LimbShares(x=share.x + 1, ys=share.ys)
@@ -149,6 +183,8 @@ REFUSALS = {
     "short-share-keys": (short_share_keys, False),
     "spoofed-sender": (spoofed_masked_input, False),
     "doubled-masked-input": (doubled_masked_input, False),
+    "out-of-alphabet-masked-input": (out_of_alphabet_masked_input, False),
+    "wrong-width-masked-input": (wrong_width_masked_input, False),
     "wrong-point-key-share": (key_share_at_the_wrong_point, True),
 }
 

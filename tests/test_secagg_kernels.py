@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import (
+    BonawitzClient,
     _decode_payload,
     _decode_payload_matrix,
     _encode_payload,
@@ -22,6 +23,7 @@ from repro.secagg.kernels import (
     lagrange_weights_at_zero,
     sum_signed_masks,
 )
+from repro.secagg.keys import TOY_GROUP
 from repro.secagg.prg import expand_mask, pairwise_delta
 from repro.secagg.shamir import LimbShares, Share
 
@@ -253,7 +255,7 @@ class TestPayloadMatrixCodec:
         limb_ys = rng.integers(0, PRIME, size=(num_limbs, num),
                                dtype=np.uint64)
         matrix = _encode_payload_matrix(seed_ys, limb_ys)
-        assert matrix.shape == (num, 6 + width * (1 + num_limbs))
+        assert matrix.shape == (num, width * (1 + num_limbs))
         for position in range(num):
             scalar = _encode_payload(
                 Share(x=position + 1, y=int(seed_ys[position])),
@@ -272,22 +274,32 @@ class TestPayloadMatrixCodec:
         limb_ys = rng.integers(0, PRIME, size=(num_limbs, num),
                                dtype=np.uint64)
         matrix = _encode_payload_matrix(seed_ys, limb_ys)
-        assert matrix.shape[1] == 6 + width * (1 + num_limbs)
-        decoded = _decode_payload_matrix(matrix)
+        assert matrix.shape[1] == width * (1 + num_limbs)
+        # Every row of a mailbox is for one recipient: its point is the
+        # decoder's argument, not something an envelope says.
+        decoded = _decode_payload_matrix(matrix, 4)
         for position, (seed_share, key_share) in enumerate(decoded):
-            reference = _decode_payload(matrix[position].tobytes())
+            reference = _decode_payload(matrix[position].tobytes(), 4)
             assert (seed_share, key_share) == reference
-            assert seed_share.x == position + 1
+            assert seed_share.x == key_share.x == 4
             assert seed_share.y == int(seed_ys[position])
+            assert key_share.ys == tuple(limb_ys[:, position].tolist())
 
     def test_matrix_decode_rejects_limb_mismatch(self, rng):
+        """An envelope carries no limb count to get wrong: the count is
+        the group's, so a row of any other length is refused — by the
+        scalar oracle as malformed, by a client as not this round's."""
         matrix = _encode_payload_matrix(
             np.array([1, 2], dtype=np.uint64),
             np.array([[3, 4]], dtype=np.uint64),
-        ).copy()
-        matrix[1, 12] = 9  # claim 9 limbs in row 1
+        )
         with pytest.raises(AggregationError, match="malformed"):
-            _decode_payload_matrix(matrix)
+            _decode_payload(matrix[1, :-1].tobytes(), 1)
+        client = BonawitzClient(
+            1, np.zeros(4, dtype=np.int64), 2**8, 2, rng, TOY_GROUP
+        )
+        with pytest.raises(AggregationError, match="this round's are 24"):
+            client.receive_share_matrix([1, 2], matrix)
 
 
 class TestProtocolBackendKnob:

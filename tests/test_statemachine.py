@@ -35,13 +35,11 @@ from repro.secagg.wire import (
     PROTOCOL_V1,
     Hello,
     Reject,
-    SealedShares,
+    SealedDelivery,
+    SealedUpload,
     UnmaskRequest,
     decode_message,
-    decode_sealed_columns,
     encode_message,
-    encode_sealed_matrix,
-    iter_frames,
 )
 
 MODULUS = 2**12
@@ -94,26 +92,29 @@ def open_share_keys(clients, server):
     return open_phase(clients, server, ROUND_SHARE_KEYS)
 
 
-def _frames_of(upload):
-    return [bytes(raw) for _, _, raw in iter_frames(upload)]
+def _resized(upload, header, rows=slice(None), columns=slice(None)):
+    """The one-frame upload with some envelopes or bytes cut away."""
+    _, message = decode_message(upload)
+    return encode_message(
+        SealedUpload(message.sender, message.ciphertexts[rows, columns]),
+        header,
+    )
 
 
 def _truncated_roster(upload, sender, header):
-    return b"".join(_frames_of(upload)[:-1])
+    return _resized(upload, header, rows=slice(None, -1))
 
 
-def _reordered_recipients(upload, sender, header):
-    frames = _frames_of(upload)
-    return b"".join([frames[1], frames[0], *frames[2:]])
+def _one_envelope_only(upload, sender, header):
+    return _resized(upload, header, rows=slice(None, 1))
 
 
 def _wrong_ciphertext_length(upload, sender, header):
-    _, _, recipients, ciphertexts, _ = decode_sealed_columns(upload)
-    return encode_sealed_matrix(sender, recipients, ciphertexts[:, :-1], header)
+    return _resized(upload, header, columns=slice(None, -1))
 
 
-def _one_frame_at_a_time(upload, sender, header):
-    return _frames_of(upload)[0]
+def _upload_sent_twice(upload, sender, header):
+    return upload + upload
 
 
 def _mixed_message_types(upload, sender, header):
@@ -122,9 +123,9 @@ def _mixed_message_types(upload, sender, header):
 
 MALFORMED_SHARE_KEYS = [
     _truncated_roster,
-    _reordered_recipients,
+    _one_envelope_only,
     _wrong_ciphertext_length,
-    _one_frame_at_a_time,
+    _upload_sent_twice,
     _mixed_message_types,
 ]
 
@@ -486,9 +487,12 @@ class TestStrictValidation:
     def test_malformed_share_keys_upload_refused_before_any_state(
         self, malform
     ):
-        """A share-keys upload is one uniform datagram over the sorted
-        roster at the round's envelope length; anything else is refused
-        at receive(), naming the sender, with nothing stored."""
+        """A share-keys upload is one frame: an envelope per member of
+        the sorted roster at the round's envelope length, once; anything
+        else is refused at receive(), naming the sender, with nothing
+        stored.  (The rows are opaque, so their *order* is not the
+        server's to check: an upload has no recipient column to get
+        wrong.)"""
         _, clients, server = make_sessions(n=4, threshold=2)
         uploads = open_share_keys(clients, server)
         bad = malform(uploads[2], 2, clients[2].header)
@@ -504,7 +508,7 @@ class TestStrictValidation:
         _, clients, server = make_sessions(n=3, threshold=2)
         uploads = open_share_keys(clients, server)
         server.receive(uploads[1], sender=1)
-        with pytest.raises(AggregationError, match="duplicate.*client 1"):
+        with pytest.raises(AggregationError, match="client 1 sent a second"):
             server.receive(uploads[1], sender=1)
         assert server.received() == frozenset({1})
 
@@ -587,11 +591,15 @@ class TestStrictValidation:
             server.receive(upload, sender=u)
         mailbox = server.advance()[1]
         extra = (
-            SealedShares(sender=3, recipient=1, ciphertext=b"x")
+            SealedDelivery(
+                recipient=1,
+                senders=np.array([3]),
+                ciphertexts=np.zeros((1, 1), dtype=np.uint8),
+            )
             if tail == "short-envelope"
             else Hello(sender=3)
         )
-        with pytest.raises(AggregationError, match="not one uniform"):
+        with pytest.raises(AggregationError, match="must arrive alone"):
             clients[1].handle(mailbox + encode_message(extra, server.header))
 
     def test_sum_unavailable_before_recovery(self):
@@ -605,7 +613,9 @@ def _doubled(upload, sender, header):
 
 
 def _second_advertisement(upload, sender, header):
-    return upload + _frames_of(upload)[1]
+    # Hello + Advertise, then the Advertise frame once more.
+    hello = encode_message(Hello(sender=sender), header)
+    return upload + upload[len(hello) :]
 
 
 #: phase -> a datagram whose *first* frame(s) the phase would accept and
@@ -790,12 +800,12 @@ class TestWireAccounting:
         stats = server.stats
         phases = stats.phase_totals()
         assert set(phases) == set(PHASE_TAGS.values())
-        # Uploads: 2 hello+advertise frames, n share envelopes, 1 masked
-        # input and 1 unmask response per client.
+        # Uploads: 2 hello+advertise frames, 1 share-keys matrix, 1
+        # masked input and 1 unmask response per client.
         n = len(clients)
         assert phases["advertise"]["up_messages"] == 2 * n
-        assert phases["share-keys"]["up_messages"] == n * n
-        assert phases["share-keys"]["down_messages"] == n * n
+        assert phases["share-keys"]["up_messages"] == n
+        assert phases["share-keys"]["down_messages"] == n
         assert phases["masked-input"]["up_messages"] == n
         assert phases["unmask"]["up_messages"] == n
         assert phases["unmask"]["down_messages"] == 0

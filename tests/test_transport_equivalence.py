@@ -51,13 +51,15 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 #: composition round over the first four input rows (protocol rng seed
 #: 42), captured before both were moved onto ``drive_in_memory`` — per
 #: mask PRG suite: every frame carries the suite name, so the 8-byte
-#: ``"shake256"`` moves 2 B less per frame (488 and 68 frames) than the
-#: 10-byte ``"sha256-ctr"`` the counts were captured under.
-SYNC_WIRE_BYTES = {"sha256-ctr": 31129, "shake256": 31129 - 2 * 488}
+#: ``"shake256"`` moves 2 B less per frame (224 and 44 frames) than the
+#: 10-byte ``"sha256-ctr"`` the counts were captured under.  The byte
+#: counts are wire format 2's (format 1 moved 31 129 and 4 467 B in 488
+#: and 68 frames); the digests are older than both and unchanged.
+SYNC_WIRE_BYTES = {"sha256-ctr": 19692, "shake256": 19692 - 2 * 224}
 COMPOSITION_DIGEST = (
     "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
 )
-COMPOSITION_WIRE_BYTES = {"sha256-ctr": 4467, "shake256": 4467 - 2 * 68}
+COMPOSITION_WIRE_BYTES = {"sha256-ctr": 2975, "shake256": 2975 - 2 * 44}
 
 
 @pytest.fixture

@@ -1,15 +1,17 @@
 """Array-carrying wire messages: golden pins, one representation each.
 
-The sealed-share leg is the one with two codecs — the array-at-a-time
-trio and the per-frame reference :func:`~repro.secagg.wire.encode_message`
-— and their whole contract is *bit-identity*: golden vectors freeze the
-bytes and Hypothesis pins the equivalence on arbitrary inputs.  A masked
-input and an unmask response have one class and one codec each; here
-their golden bytes round-trip through it, and the refusals that guard
-the columnar seed section are pinned.
+A masked input, a share-keys datagram and an unmask response are each
+one class with one codec (:func:`~repro.secagg.wire.encode_message` /
+:func:`~repro.secagg.wire.iter_frames`).  Here their golden bytes
+round-trip through it; the coordinate packer is pinned at every width
+(the word-sized widths take an ``astype`` path whose bytes must be the
+generic packer's); and every refusal that guards a packed or columnar
+section is a typed :class:`~repro.errors.AggregationError`, raised from
+the declared sizes before anything is allocated.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,40 +19,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError
+from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares
+from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import (
+    MSG_MASKED_INPUT,
+    MSG_SEALED_DELIVERY,
+    MSG_SEALED_UPLOAD,
     MSG_UNMASK_RESPONSE,
     PROTOCOL_V1,
     MaskedInput,
     NegotiatedHeader,
-    SealedShares,
+    SealedDelivery,
+    SealedUpload,
     UnmaskResponse,
     decode_message,
-    decode_sealed_columns,
     encode_message,
-    encode_sealed_matrix,
-    route_sealed_stack,
+    modulus_bits,
+    pack_coordinates,
 )
-from repro.secagg.wire import _frame
+from repro.secagg.wire import _frame, _pack_bits
 
 HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
+#: Frame header under ``HEADER`` (11 + the suite name), then the fixed
+#: fields of a masked-input body (sender, dimension, bits) and of a
+#: share-keys body (owner, count, L).
+HEADER_BYTES = 11 + len("sha256-ctr")
+MASKED_PREFIX = HEADER_BYTES + 9
+SEALED_PREFIX = HEADER_BYTES + 12
 
 #: Frozen encoder outputs (same format contract as
-#: ``tests/test_wire.py``): the masked-input and unmask hexes are
-#: byte-identical to that module's golden vectors.
+#: ``tests/test_wire.py``, whose sealed-upload golden is the first one
+#: here and whose unmask hex is byte-identical to this module's).
 GOLDEN_SEALED_MATRIX = (
-    "534701032300000001000a7368613235362d637472"
-    "020000000500000002000000dead"
-    "534701032300000001000a7368613235362d637472"
-    "020000000600000002000000beef"
+    # Upload: sender 2, two 2-byte envelopes, the matrix.
+    "534702032500000001000a7368613235362d637472"
+    "020000000200000002000000deadbeef"
+    # The delivery of the same matrix to client 5, sealed by 2 and 6.
+    "5347020a2d00000001000a7368613235362d637472"
+    "0500000002000000020000000200000006000000deadbeef"
 )
 GOLDEN_MASKED = (
-    "534701043d00000001000a7368613235362d637472"
-    "0400000004000000000000000000000001000000000000"
-    "00ffff0000000000000000000000010000"
+    # A word-sized width: sender 4, dimension 4, 16 bits, 4 x <u2.
+    "534702042600000001000a7368613235362d637472"
+    "04000000040000001000000100ffff0201"
 )
 GOLDEN_UNMASK = (
-    "534701065100000001000a7368613235362d637472"
+    "534702065100000001000a7368613235362d637472"
     "060000000200000004"
     "02000000050000000600000006000000"
     "15cd5b0701000000"
@@ -97,11 +112,18 @@ def _unmask_frame(seed_count, width, columns, tail=(0).to_bytes(4, "little")):
 class TestGoldenVectors:
     def test_sealed_matrix_matches_golden(self):
         ciphertexts = np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8)
-        encoded = encode_sealed_matrix(2, [5, 6], ciphertexts, HEADER)
-        assert encoded.hex() == GOLDEN_SEALED_MATRIX
+        upload = SealedUpload(2, ciphertexts)
+        delivery = SealedDelivery(5, np.array([2, 6]), ciphertexts)
+        encoded = [encode_message(m, HEADER) for m in (upload, delivery)]
+        assert b"".join(encoded).hex() == GOLDEN_SEALED_MATRIX
+        assert [decode_message(frame)[1] for frame in encoded] == [
+            upload, delivery
+        ]
 
     def test_masked_input_round_trips_golden(self):
-        message = MaskedInput(4, np.array([0, 1, 65535, 2**40], dtype=np.int64))
+        message = MaskedInput(
+            4, np.array([0, 1, 65535, 258], dtype=np.int64), bits=16
+        )
         assert encode_message(message, HEADER).hex() == GOLDEN_MASKED
         header, decoded = decode_message(bytes.fromhex(GOLDEN_MASKED))
         assert header == HEADER and decoded == message
@@ -219,43 +241,260 @@ KEY_STRATEGY = st.dictionaries(
 )
 
 
-class TestScalarBatchedEquivalence:
-    @given(
-        sender=st.integers(min_value=1, max_value=2**32 - 1),
-        recipients=st.lists(
-            st.integers(min_value=1, max_value=2**32 - 1),
-            min_size=1,
-            max_size=12,
-            unique=True,
-        ),
-        width=st.integers(min_value=0, max_value=48),
-        data=st.data(),
+def _masked_frame(dimension, bits, payload, sender=4):
+    """A well-framed masked input with a hand-written body."""
+    body = (
+        sender.to_bytes(4, "little")
+        + dimension.to_bytes(4, "little")
+        + bits.to_bytes(1, "little")
+        + payload
     )
-    @settings(max_examples=50, deadline=None)
-    def test_sealed_matrix(self, sender, recipients, width, data):
-        raw = data.draw(
-            st.binary(
-                min_size=len(recipients) * width,
-                max_size=len(recipients) * width,
-            )
+    return _frame(MSG_MASKED_INPUT, body, HEADER)
+
+
+def _sealed_frame(msg_type, count, length, rest, owner=2):
+    """A well-framed share-keys body declaring ``count`` x ``length``."""
+    body = (
+        owner.to_bytes(4, "little")
+        + count.to_bytes(4, "little")
+        + length.to_bytes(4, "little")
+        + rest
+    )
+    return _frame(msg_type, body, HEADER)
+
+
+def _coordinates(seed, dimension, bits):
+    """``dimension`` values over ``[0, 2^bits)``, both ends included."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(
+        0, 1 << bits, size=dimension, dtype=np.uint64
+    ).astype(np.int64)
+    values[:1] = 0
+    values[-1:] = (1 << bits) - 1
+    return values
+
+
+class TestCoordinatePacking:
+    @given(
+        bits=st.integers(min_value=1, max_value=63),
+        dimension=st.integers(min_value=0, max_value=257),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_at_every_width(self, bits, dimension, seed):
+        """``ceil(d * bits / 8)`` payload bytes after the fixed prefix,
+        whatever the values are, and the same vector back."""
+        message = MaskedInput(9, _coordinates(seed, dimension, bits), bits)
+        frame = encode_message(message, HEADER)
+        assert len(frame) == MASKED_PREFIX + -(-dimension * bits // 8)
+        header, decoded = decode_message(frame)
+        assert header == HEADER and decoded == message
+        assert decoded.vector.dtype == np.int64 and decoded.bits == bits
+        assert encode_message(decoded, HEADER) == frame
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dimension", [0, 1, 7, 64])
+    def test_word_widths_are_the_generic_packers_bytes(self, bits, dimension):
+        """The ``astype`` shortcut is a shortcut, not a second layout."""
+        values = _coordinates(bits, dimension, min(bits, 63))
+        assert pack_coordinates(values, bits) == _pack_bits(values, bits)
+        assert pack_coordinates(values, bits) == values.astype(
+            f"<u{bits // 8}"
+        ).tobytes()
+
+    def test_width_is_a_function_of_the_modulus_not_the_values(self):
+        """All-zero and all-(m - 1) vectors make frames of one length,
+        at ``ceil(log2 m)`` bits a coordinate."""
+        for modulus, bits in (
+            (2, 1), (2**6, 6), (1000, 10), (2**16, 16), (2**16 + 1, 17),
+            (2**31 - 1, 31),
+        ):
+            assert modulus_bits(modulus) == bits
+            frames = {
+                len(encode_message(
+                    MaskedInput(1, np.full(33, value), bits), HEADER
+                ))
+                for value in (0, modulus - 1)
+            }
+            assert frames == {MASKED_PREFIX + -(-33 * bits // 8)}
+        with pytest.raises(AggregationError, match="modulus"):
+            modulus_bits(1)
+
+    def test_a_session_states_the_rounds_width(self):
+        vector = np.arange(8, dtype=np.int64)
+        client = ClientSession(
+            1, vector, 1000, 2, np.random.default_rng(0), TOY_GROUP
         )
-        ciphertexts = np.frombuffer(raw, dtype=np.uint8).reshape(
-            len(recipients), width
+        peer = ClientSession(
+            2, vector, 1000, 2, np.random.default_rng(1), TOY_GROUP
         )
-        assert encode_sealed_matrix(
-            sender, recipients, ciphertexts, HEADER
-        ) == b"".join(
-            encode_message(
-                SealedShares(
-                    sender=sender,
-                    recipient=recipient,
-                    ciphertext=ciphertexts[position].tobytes(),
-                ),
-                HEADER,
-            )
-            for position, recipient in enumerate(recipients)
+        server = ServerSession(1000, 8, 2, group=TOY_GROUP)
+        for session in (client, peer):
+            server.receive(b"".join(session.start()), sender=session.index)
+        roster = server.advance()
+        for session in (client, peer):
+            (upload,) = session.handle(roster[session.index])
+            server.receive(upload, sender=session.index)
+        (masked,) = client.handle(server.advance()[1])
+        _, message = decode_message(masked)
+        assert message.bits == 10 and len(masked) == len(
+            encode_message(MaskedInput(1, vector, 10), client.header)
         )
 
+    @pytest.mark.parametrize(
+        "vector, bits, match",
+        [
+            ([0, 256], 8, "must lie in"),
+            ([0, 1024], 10, "must lie in"),
+            ([-1, 3], 10, "must lie in"),
+            ([-1], 64, "must lie in"),
+            ([1, 2], 0, "outside 1..64"),
+            ([1, 2], 65, "outside 1..64"),
+            ([[1, 2]], 8, "1-d integer"),
+            ([0.5], 8, "1-d integer"),
+        ],
+    )
+    def test_encoder_refuses_instead_of_wrapping(self, vector, bits, match):
+        with pytest.raises(AggregationError, match=match):
+            encode_message(MaskedInput(1, np.asarray(vector), bits), HEADER)
+
+    @pytest.mark.parametrize("bits", [0, 65, 255])
+    def test_declared_width_outside_1_to_64_is_refused(self, bits):
+        with pytest.raises(AggregationError, match="outside 1..64"):
+            decode_message(_masked_frame(1, bits, b"\x00"))
+
+    def test_non_zero_padding_bits_are_refused(self):
+        frame = bytearray(
+            encode_message(MaskedInput(4, np.array([5, 1, 2]), 10), HEADER)
+        )
+        assert decode_message(bytes(frame))[1].vector.tolist() == [5, 1, 2]
+        # 30 bits in 4 bytes: the top two bits of the last byte are padding.
+        frame[-1] |= 0x40
+        with pytest.raises(AggregationError, match="padding bits"):
+            decode_message(bytes(frame))
+
+    @pytest.mark.parametrize("bits", [10, 16])
+    @pytest.mark.parametrize("change", [-1, +1])
+    def test_payload_of_the_wrong_length_is_refused(self, bits, change):
+        payload = pack_coordinates(np.arange(9), bits)
+        resized = payload[:-1] if change < 0 else payload + b"\x00"
+        with pytest.raises(AggregationError, match="do not fill"):
+            decode_message(_masked_frame(9, bits, resized))
+        with pytest.raises(AggregationError, match="body truncated"):
+            decode_message(_frame(MSG_MASKED_INPUT, b"\x01\x00", HEADER))
+
+    def test_coordinate_no_int64_holds_is_refused(self):
+        frame = _masked_frame(1, 64, (2**63).to_bytes(8, "little"))
+        with pytest.raises(AggregationError, match="above 2\\^63"):
+            decode_message(frame)
+
+
+class TestShareKeysFrame:
+    @pytest.mark.parametrize(
+        "msg_type", [MSG_SEALED_UPLOAD, MSG_SEALED_DELIVERY]
+    )
+    @pytest.mark.parametrize(
+        "count, length, rest",
+        [
+            (2, 3, bytes(5)),  # one byte short of the matrix
+            (2, 3, bytes(15)),  # one byte past the delivery
+            (2**32 - 1, 2**32 - 1, bytes(8)),  # absurd claim, tiny body
+            (0, 24, bytes(1)),  # nothing declared, something sent
+        ],
+    )
+    def test_count_times_length_must_fill_the_frame(
+        self, msg_type, count, length, rest
+    ):
+        with pytest.raises(AggregationError, match="do not fill"):
+            decode_message(_sealed_frame(msg_type, count, length, rest))
+
+    def test_truncated_prefix_is_refused(self):
+        with pytest.raises(AggregationError, match="body truncated"):
+            decode_message(_frame(MSG_SEALED_UPLOAD, bytes(11), HEADER))
+
+    def test_encoder_refuses_a_ragged_message(self):
+        with pytest.raises(AggregationError, match="2-d matrix"):
+            encode_message(SealedUpload(1, np.zeros(4, np.uint8)), HEADER)
+        with pytest.raises(AggregationError, match="senders for"):
+            encode_message(
+                SealedDelivery(1, np.array([1]), np.zeros((2, 3), np.uint8)),
+                HEADER,
+            )
+
+    def test_messages_compare_by_value(self):
+        matrix = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        upload = SealedUpload(2, matrix)
+        assert upload == SealedUpload(2, matrix.astype(np.int64))
+        assert hash(upload) == hash(SealedUpload(2, matrix.copy()))
+        assert upload != SealedUpload(2, matrix.reshape(3, 2))
+        assert upload != SealedUpload(3, matrix)
+        assert upload != SealedDelivery(2, np.array([1, 2]), matrix)
+        masked = MaskedInput(1, np.array([1, 2]), 8)
+        assert masked == MaskedInput(1, np.array([1, 2], dtype=np.uint8), 8)
+        assert masked != dataclasses.replace(masked, bits=16)
+
+
+class TestBoundedDecode:
+    """Decode never allocates more than a small multiple of what it was
+    handed: sizes are checked against the frame before any buffer is
+    made, and the array sections are ``frombuffer`` views."""
+
+    @staticmethod
+    def _peak(frame):
+        tracemalloc.start()
+        try:
+            decode_message(frame)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_declared_sizes_buy_no_memory(self):
+        for frame in (
+            _masked_frame(2**32 - 1, 64, bytes(16)),
+            _masked_frame(2**32 - 1, 1, bytes(16)),
+            _sealed_frame(MSG_SEALED_UPLOAD, 2**32 - 1, 2**32 - 1, bytes(16)),
+            _sealed_frame(MSG_SEALED_DELIVERY, 2**31, 0, bytes(16)),
+        ):
+            with pytest.raises(AggregationError, match="do not fill"):
+                self._peak(frame)
+            tracemalloc.start()
+            with pytest.raises(AggregationError):
+                decode_message(frame)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+            tracemalloc.stop()
+
+    def test_share_keys_frames_decode_in_place(self):
+        matrix = np.arange(128 * 24, dtype=np.uint8).reshape(128, 24)
+        for message in (
+            SealedUpload(1, matrix),
+            SealedDelivery(1, np.arange(128), matrix),
+        ):
+            frame = encode_message(message, HEADER)
+            assert self._peak(frame) < len(frame)
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_word_sized_masked_input_is_one_copy(self, bits):
+        """The payload is viewed in place; the one allocation is the
+        int64 vector the aggregator sums."""
+        frame = encode_message(
+            MaskedInput(1, np.arange(8192) % 251, bits), HEADER
+        )
+        assert self._peak(frame) < 8 * 8192 + 16 * 1024
+
+    @pytest.mark.parametrize("bits", [1, 6, 10, 18, 33])
+    def test_packed_masked_input_stays_a_small_multiple(self, bits):
+        """At a sub-word width the decoded int64 vector alone is
+        ``64 / bits`` times the payload, so the bound is against what
+        goes out: the vector, and a constant of scratch space (the
+        unpacker moves a block of coordinates at a time)."""
+        dimension = 65_536
+        frame = encode_message(
+            MaskedInput(1, np.arange(dimension) % (1 << bits), bits), HEADER
+        )
+        assert self._peak(frame) < 8 * dimension + 512 * 1024
+
+
+class TestUnmaskResponseRoundTrip:
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
         seeds=SEED_STRATEGY,
@@ -279,36 +518,55 @@ class TestScalarBatchedEquivalence:
 
 
 class TestColumnarRouting:
-    def test_route_matches_per_frame_transpose(self):
-        rng = np.random.default_rng(3)
-        stack = rng.integers(
-            0, 256, size=(5, 7, 33), dtype=np.uint8
-        )
-        routed = route_sealed_stack(stack)
-        assert routed.shape == (7, 5, 33)
-        for col in range(7):
-            expected = b"".join(
-                stack[row, col].tobytes() for row in range(5)
-            )
-            assert routed[col].tobytes() == expected
+    """The server routes a share-keys phase as one transpose of the
+    uploaded matrices; it never looks inside an envelope."""
 
-    def test_routed_mailbox_is_columnar_decodable(self):
-        ciphertexts = np.arange(24, dtype=np.uint8).reshape(3, 8)
-        datagrams = [
-            encode_sealed_matrix(s, [1, 2, 3], ciphertexts, HEADER)
-            for s in (1, 2, 3)
-        ]
-        frame_len = len(datagrams[0]) // 3
-        stack = np.stack(
-            [
-                np.frombuffer(d, dtype=np.uint8).reshape(3, frame_len)
-                for d in datagrams
-            ]
-        )
-        routed = route_sealed_stack(stack)
-        header, senders, recipients, _, _ = decode_sealed_columns(
-            routed[1].tobytes()
-        )
-        assert header == HEADER
-        assert senders == [1, 2, 3]
-        assert recipients == [2, 2, 2]
+    @staticmethod
+    def _routed(dropped=()):
+        rng = np.random.default_rng(3)
+        clients = {
+            u: ClientSession(
+                u, np.zeros(4, np.int64), 2**8, 2,
+                np.random.default_rng(u), TOY_GROUP,
+            )
+            for u in (1, 2, 3, 5)
+        }
+        server = ServerSession(2**8, 4, 2, group=TOY_GROUP)
+        for u, client in clients.items():
+            server.receive(b"".join(client.start()), sender=u)
+        server.advance()
+        uploads = {
+            u: rng.integers(0, 256, size=(4, 24), dtype=np.uint8)
+            for u in clients
+            if u not in dropped
+        }
+        for u, matrix in uploads.items():
+            server.receive(
+                encode_message(SealedUpload(u, matrix), server.header),
+                sender=u,
+            )
+        return uploads, {
+            u: decode_message(datagram)[1]
+            for u, datagram in server.advance().items()
+        }
+
+    def test_route_matches_per_frame_transpose(self):
+        uploads, deliveries = self._routed()
+        assert sorted(deliveries) == [1, 2, 3, 5]
+        for position, recipient in enumerate([1, 2, 3, 5]):
+            delivery = deliveries[recipient]
+            assert delivery.recipient == recipient
+            assert delivery.senders.tolist() == [1, 2, 3, 5]
+            for row, sender in enumerate(delivery.senders.tolist()):
+                assert np.array_equal(
+                    delivery.ciphertexts[row], uploads[sender][position]
+                )
+
+    def test_routed_mailbox_names_who_completed_the_phase(self):
+        """A client that did not share keys gets no mailbox and seals no
+        row of anyone else's: the sender column is ``U1``."""
+        _, deliveries = self._routed(dropped=(2,))
+        assert sorted(deliveries) == [1, 3, 5]
+        for delivery in deliveries.values():
+            assert delivery.senders.tolist() == [1, 3, 5]
+            assert delivery.ciphertexts.shape == (3, 24)
