@@ -111,7 +111,7 @@ def bonawitz_round_cost(
     num_clients: int,
     dimension: int,
     modulus: int,
-    group: KeyAgreementGroup = DhGroup(),
+    group: KeyAgreementGroup | None = None,
     mask_prg: MaskPrg | str | None = None,
     field: PrimeField = DEFAULT_FIELD,
 ) -> SecAggRoundCost:
@@ -127,7 +127,7 @@ def bonawitz_round_cost(
         num_clients: Participants ``n`` in the aggregation.
         dimension: Vector length ``d``.
         modulus: Group modulus ``m``.
-        group: Key-agreement group; the default is the 1024-bit Oakley
+        group: Key-agreement group; by default the 1024-bit Oakley
             group a deployment would use, not the simulations' toy one.
         mask_prg: Mask PRG suite (its name rides on every frame).
         field: Shamir sharing field.
@@ -141,6 +141,8 @@ def bonawitz_round_cost(
         raise ConfigurationError(
             f"num_clients must be >= 2, got {num_clients}"
         )
+    if group is None:
+        group = DhGroup()
     # The header a round with this suite negotiates.
     header = ServerSession(
         modulus, dimension, 2, field, group, mask_prg
