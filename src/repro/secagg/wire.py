@@ -459,12 +459,15 @@ def pack_coordinates(vector: np.ndarray, bits: int) -> bytes:
     """
     _check_bits(bits)
     vector = np.asarray(vector)
-    if vector.ndim != 1 or not np.issubdtype(vector.dtype, np.integer):
+    if vector.ndim != 1 or vector.dtype.kind not in "iu":
         raise AggregationError(
             f"masked input must be a 1-d integer vector, got shape "
             f"{vector.shape} of {vector.dtype}"
         )
-    if vector.size and (int(vector.min()) < 0 or int(vector.max()) >> bits):
+    # One pass checks both ends: read as uint64, a negative int64 (and a
+    # uint64 no int64 holds) is >= 2^63, past any width's top.
+    words = vector.astype(np.int64, copy=False).view(np.uint64)
+    if vector.size and int(words.max()) >> min(bits, 63):
         raise AggregationError(
             f"masked-input coordinates must lie in [0, 2^{bits}), got range "
             f"[{vector.min()}, {vector.max()}]"
@@ -480,17 +483,14 @@ def unpack_coordinates(payload: memoryview, count: int, bits: int) -> np.ndarray
     ``payload`` must be exactly ``ceil(count * bits / 8)`` bytes — the
     caller checks that against the frame before anything is allocated.
 
+    A 64-bit coordinate no int64 holds comes out negative, which no
+    round's alphabet admits.
+
     Raises:
-        AggregationError: On non-zero padding bits, or a 64-bit
-            coordinate no int64 (and so no modulus) holds.
+        AggregationError: On non-zero padding bits.
     """
     if bits in _WORD_DTYPES:
-        values = np.frombuffer(payload, dtype=_WORD_DTYPES[bits])
-        if bits == 64 and values.size and int(values.max()) >> 63:
-            raise AggregationError(
-                "malformed wire frame: masked-input coordinate above 2^63"
-            )
-        return values.astype(np.int64)
+        return np.frombuffer(payload, dtype=_WORD_DTYPES[bits]).astype(np.int64)
     raw = np.frombuffer(payload, dtype=np.uint8)
     spare = 8 * raw.shape[0] - count * bits
     if spare and raw[-1] >> (8 - spare):
@@ -613,7 +613,7 @@ def _encode_body(message: Message) -> bytes:
         payload = pack_coordinates(message.vector, message.bits)
         return (
             _MASKED_PREFIX.pack(
-                message.sender, np.shape(message.vector)[0], message.bits
+                message.sender, len(message.vector), message.bits
             )
             + payload
         )
