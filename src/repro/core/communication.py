@@ -21,22 +21,29 @@ the lengths of the frames a dropout-free round's client really sends
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.secagg.bonawitz import sealed_share_length
-from repro.secagg.field import DEFAULT_FIELD, PrimeField
-from repro.secagg.kernels import MaskPrg
-from repro.secagg.keys import DhGroup, KeyAgreementGroup, key_bits
-from repro.secagg.statemachine import ServerSession
+from repro.secagg.field import DEFAULT_FIELD
+from repro.secagg.kernels import DEFAULT_MASK_PRG
+from repro.secagg.keys import (
+    DhGroup,
+    KeyAgreementGroup,
+    key_bits,
+    suite_name,
+)
 from repro.secagg.wire import (
+    PROTOCOL_V1,
     Advertise,
     Hello,
     MaskedInput,
     SealedUpload,
     UnmaskResponse,
     encode_message,
+    intern_header,
     modulus_bits,
 )
 
@@ -107,21 +114,27 @@ class SecAggRoundCost:
         return protocol / self.total if self.total else 0.0
 
 
+@functools.cache
+def _deployment_group() -> DhGroup:
+    """The 1024-bit Oakley group: validated (a ~40 ms primality test)
+    once, on first use, never at import."""
+    return DhGroup()
+
+
 def bonawitz_round_cost(
     num_clients: int,
     dimension: int,
     modulus: int,
     group: KeyAgreementGroup | None = None,
-    mask_prg: MaskPrg | str | None = None,
-    field: PrimeField = DEFAULT_FIELD,
 ) -> SecAggRoundCost:
     """Per-client upload of one full, dropout-free Bonawitz round.
 
     Each phase is the length of the datagram a client of such a round
     sends, measured by encoding one: the frame layouts live in
-    :mod:`repro.secagg.wire` and nowhere else.  (Public keys and seed
-    shares are taken full-width; about one in 256 is a byte shorter on
-    the wire.)
+    :mod:`repro.secagg.wire` and nowhere else.  The round is a default
+    one — the default mask PRG suite and sharing field.  (Public keys
+    and seed shares are taken full-width; about one in 256 is a byte
+    shorter on the wire.)
 
     Args:
         num_clients: Participants ``n`` in the aggregation.
@@ -129,8 +142,6 @@ def bonawitz_round_cost(
         modulus: Group modulus ``m``.
         group: Key-agreement group; by default the 1024-bit Oakley
             group a deployment would use, not the simulations' toy one.
-        mask_prg: Mask PRG suite (its name rides on every frame).
-        field: Shamir sharing field.
 
     Returns:
         The per-round cost breakdown; the masked input is ``O(d log m)``
@@ -142,11 +153,11 @@ def bonawitz_round_cost(
             f"num_clients must be >= 2, got {num_clients}"
         )
     if group is None:
-        group = DhGroup()
-    # The header a round with this suite negotiates.
-    header = ServerSession(
-        modulus, dimension, 2, field, group, mask_prg
-    ).header
+        group = _deployment_group()
+    # The header such a round negotiates.
+    header = intern_header(
+        PROTOCOL_V1, suite_name(DEFAULT_MASK_PRG.name, group)
+    )
     public_key = (1 << key_bits(group)) - 1
     peers = np.arange(1, num_clients + 1)
 
@@ -174,7 +185,9 @@ def bonawitz_round_cost(
                 1,
                 peers=peers,
                 xs=peers,
-                ys=np.full(num_clients, field.prime - 1, dtype=np.uint64),
+                ys=np.full(
+                    num_clients, DEFAULT_FIELD.prime - 1, dtype=np.uint64
+                ),
                 key_shares={},
             )
         ),

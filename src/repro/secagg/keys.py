@@ -140,6 +140,17 @@ def kex_name(group: KeyAgreementGroup) -> str:
     return "mod-dh"
 
 
+def suite_name(mask_prg: str, group: KeyAgreementGroup) -> str:
+    """The negotiated backend string for a (PRG, key agreement) pair.
+
+    Classic modular DH keeps the bare PRG name — byte-for-byte what
+    every pre-x25519 round negotiated — so old transcripts and golden
+    vectors stay valid; other key agreements append ``+<kex>``.
+    """
+    kex = kex_name(group)
+    return mask_prg if kex == "mod-dh" else f"{mask_prg}+{kex}"
+
+
 def resolve_group(
     group: KeyAgreementGroup, fallback: DhGroup = TOY_GROUP
 ) -> KeyAgreementGroup:

@@ -46,8 +46,10 @@ There is one path per leg: every upload is parsed by
 against another upload.  A share-keys upload is one frame — one
 envelope per member of the sorted roster at the length the round's
 key-agreement group fixes — whose ciphertext matrix the server keeps
-opaque and routes as one transpose; a masked input is held to the
-round's coordinate width, dimension and alphabet
+opaque and routes as one transpose; a masked-input datagram is held
+to the round's length *before* it is decoded (its coordinates unpack to
+up to 64 times their bytes), then to the round's coordinate width,
+dimension and alphabet
 (:meth:`~repro.secagg.bonawitz.BonawitzServer.check_masked_input`), an
 unmask response to
 :meth:`~repro.secagg.bonawitz.BonawitzServer.check_unmask_response`.
@@ -97,8 +99,8 @@ from repro.secagg.kernels import MaskPrg
 from repro.secagg.keys import (
     DhGroup,
     KeyAgreementGroup,
-    kex_name,
     resolve_group,
+    suite_name,
 )
 from repro.secagg.wire import (
     PROTOCOL_V1,
@@ -135,17 +137,6 @@ PHASE_TAGS = {
 
 #: Phase reached once the aggregate sum is recovered.
 PHASE_DONE = ROUND_UNMASK + 1
-
-
-def _suite_name(mask_prg: str, group: KeyAgreementGroup) -> str:
-    """The negotiated backend string for a (PRG, key agreement) pair.
-
-    Classic modular DH keeps the bare PRG name — byte-for-byte what
-    every pre-x25519 round negotiated — so old transcripts and golden
-    vectors stay valid; other key agreements append ``+<kex>``.
-    """
-    kex = kex_name(group)
-    return mask_prg if kex == "mod-dh" else f"{mask_prg}+{kex}"
 
 
 class ClientSession:
@@ -205,7 +196,7 @@ class ClientSession:
         # resolve to this very object, so hot-path comparisons are
         # identity checks.
         self.header = intern_header(
-            version, _suite_name(self._crypto._mask_prg.name, group)
+            version, suite_name(self._crypto._mask_prg.name, group)
         )
         #: Terminal negotiation failure, set on receiving a Reject.
         self.rejected: NegotiationError | None = None
@@ -394,8 +385,11 @@ class ServerSession:
         self._bits = modulus_bits(modulus)
         self.header = intern_header(
             max(accept_versions),
-            _suite_name(self._crypto._mask_prg.name, group),
+            suite_name(self._crypto._mask_prg.name, group),
         )
+        # The round fixes a masked-input datagram's length to the byte.
+        blank = MaskedInput(0, np.zeros(dimension, dtype=np.int64), self._bits)
+        self._masked_length = len(encode_message(blank, self.header))
         self._tamper = tamper_unmask_request
         self.stats = WireStats()
         #: Clients refused at Hello, with the refusal reason.
@@ -546,6 +540,17 @@ class ServerSession:
             )
         if self.resumable and self._guard_redelivery(sender, data):
             return
+        if (
+            self._phase == ROUND_MASKED_INPUT
+            and len(data) != self._masked_length
+        ):
+            # Refused before it is decoded: a coordinate is up to 64
+            # times wider in memory than on the wire, so a frame must
+            # not get to declare how much the server unpacks.
+            raise AggregationError(
+                f"client {sender} sent a {len(data)}-byte datagram; this "
+                f"round's masked inputs are {self._masked_length} bytes"
+            )
         frames = iter_frames(data)
         # Every frame is the sender's own and stores at most one entry
         # under it, never over an earlier one — so the tables it is

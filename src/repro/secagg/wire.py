@@ -52,7 +52,9 @@ frame carries only what the round has not already fixed.**  Bodies::
 **never of the values**: a width chosen from the coordinates would leak
 their magnitude and make a frame's length data-dependent.  The encoder
 refuses a coordinate outside ``[0, 2^bits)`` instead of wrapping it, and
-the server refuses a frame whose width is not the round's.  A
+the server refuses a frame whose width is not the round's (and, since
+an int64 vector is ``64 / bits`` times its payload, decodes no
+masked-input datagram that is not the round's length).  A
 share-keys datagram is one frame: an envelope's sender, recipient and
 length, and (inside it) the Shamir point and limb count, are all fixed
 by the roster and the key-agreement group, so the frame is the
@@ -76,7 +78,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -896,6 +898,8 @@ def _decode_fast(
 #: to share; the memo is tiny and content-keyed (never identity-keyed).
 _BROADCAST_MEMO_MAX = 16
 _broadcast_memo: dict[bytes, list] = {}
+#: The type byte (offset 3) of a datagram that opens with a share delivery.
+_SEALED_DELIVERY_TAG = bytes([MSG_SEALED_DELIVERY])
 
 
 def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
@@ -903,7 +907,9 @@ def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
 
     Identical datagrams are memoised (broadcasts are decoded once per
     round, not once per recipient); callers receive a fresh list over
-    shared immutable messages.
+    shared immutable messages.  A share delivery is one recipient's
+    alone — no second party decodes those bytes — so it goes straight
+    to :func:`iter_frames` and the memo holds only broadcasts.
 
     Returns:
         ``(header, message)`` pairs in frame order.
@@ -912,6 +918,8 @@ def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
         AggregationError: On bad magic, an unknown format version or
             message type, truncation, or trailing garbage.
     """
+    if data[3:4] == _SEALED_DELIVERY_TAG:
+        return iter_frames(data)
     memoised = _broadcast_memo.get(data)
     if memoised is None:
         memoised = iter_frames(data)
@@ -1061,54 +1069,100 @@ class WireStats:
         """Tally one server-to-client datagram."""
         self._cell(self.downloads, phase, client).add(nbytes, messages)
 
-    def _cells(self) -> Iterator[tuple[str, str, int, WireTally]]:
-        """Every cell as ``(direction, phase, client, tally)``."""
-        for direction, table in (("up", self.uploads), ("down", self.downloads)):
-            for phase, cells in table.items():
-                for client, tally in cells.items():
-                    yield direction, phase, client, tally
-
-    def _summary(self, column: int) -> dict:
-        """Messages and bytes each direction, grouped by one column of
-        :meth:`_cells` (1: phase, 2: client)."""
-        summary: dict = {}
-        for cell in self._cells():
-            direction, tally = cell[0], cell[3]
-            entry = summary.setdefault(
-                cell[column],
-                {"up_messages": 0, "up_bytes": 0,
-                 "down_messages": 0, "down_bytes": 0},
-            )
-            entry[f"{direction}_messages"] += tally.messages
-            entry[f"{direction}_bytes"] += tally.bytes
-        return summary
+    @staticmethod
+    def _totals(table: Mapping[str, Mapping[int, WireTally]]) -> WireTally:
+        total = WireTally()
+        for cells in table.values():
+            for tally in cells.values():
+                total.add(tally.bytes, tally.messages)
+        return total
 
     @property
     def total_messages(self) -> int:
         """Messages moved in either direction across all phases."""
-        return sum(tally.messages for *_, tally in self._cells())
+        return (
+            self._totals(self.uploads).messages
+            + self._totals(self.downloads).messages
+        )
 
     @property
     def total_bytes(self) -> int:
         """Serialized bytes moved in either direction across all phases."""
-        return sum(tally.bytes for *_, tally in self._cells())
+        return (
+            self._totals(self.uploads).bytes
+            + self._totals(self.downloads).bytes
+        )
 
     def phase_totals(self) -> dict[str, dict[str, int]]:
         """Aggregate view per phase: messages and bytes each direction."""
-        return self._summary(1)
+        summary: dict[str, dict[str, int]] = {}
+        for direction, table in (
+            ("up", self.uploads),
+            ("down", self.downloads),
+        ):
+            for phase, cells in table.items():
+                entry = summary.setdefault(
+                    phase,
+                    {
+                        "up_messages": 0,
+                        "up_bytes": 0,
+                        "down_messages": 0,
+                        "down_bytes": 0,
+                    },
+                )
+                for tally in cells.values():
+                    entry[f"{direction}_messages"] += tally.messages
+                    entry[f"{direction}_bytes"] += tally.bytes
+        return summary
 
     def phase_summary(self, phase: str) -> dict[str, int] | None:
         """Totals for one phase tag, or ``None`` if it has no cells.
 
         Cells are keyed by phase and a round's phases never revisit, so
-        once a phase's span closes this is that phase's traffic.  The
-        transports meter from it.
+        once a phase's span closes this is that phase's traffic — one
+        pass over one tag's cells.  The transports meter from it.
         """
-        return self.phase_totals().get(phase)
+        up = self.uploads.get(phase)
+        down = self.downloads.get(phase)
+        if not up and not down:
+            return None
+        entry = {
+            "up_messages": 0,
+            "up_bytes": 0,
+            "down_messages": 0,
+            "down_bytes": 0,
+        }
+        if up:
+            for tally in up.values():
+                entry["up_messages"] += tally.messages
+                entry["up_bytes"] += tally.bytes
+        if down:
+            for tally in down.values():
+                entry["down_messages"] += tally.messages
+                entry["down_bytes"] += tally.bytes
+        return entry
 
     def client_totals(self) -> dict[int, dict[str, int]]:
         """Aggregate view per client: messages and bytes each direction."""
-        return self._summary(2)
+        summary: dict[int, dict[str, int]] = {}
+        for direction, table in (
+            ("up", self.uploads),
+            ("down", self.downloads),
+        ):
+            for cells in table.values():
+                for client, tally in cells.items():
+                    entry = summary.setdefault(
+                        client,
+                        {
+                            "up_messages": 0,
+                            "up_bytes": 0,
+                            "down_messages": 0,
+                            "down_bytes": 0,
+                        },
+                    )
+                    entry[f"{direction}_messages"] += tally.messages
+                    entry[f"{direction}_bytes"] += tally.bytes
+        return summary
 
     def merge(self, others: Iterable["WireStats"]) -> "WireStats":
         """Fold other ledgers into this one (sharded-round composition)."""

@@ -95,7 +95,7 @@ def digest(vector):
     return hashlib.sha256(np.asarray(vector).tobytes()).hexdigest()
 
 
-# -- the six refusals -------------------------------------------------------
+# -- the refusals -----------------------------------------------------------
 
 
 def sole_frame(upload, kind):
@@ -148,14 +148,30 @@ def out_of_alphabet_masked_input(session, upload):
 
 
 def wrong_width_masked_input(session, upload):
-    """The honest vector, at twice the round's coordinate width."""
+    """Half the honest vector at twice the round's coordinate width: a
+    frame of the round's length, which only its stated width gives
+    away."""
     frame = sole_frame(upload, MaskedInput)
     if frame is None:
         return upload
     header, message = frame
-    return encode_message(
-        dataclasses.replace(message, bits=2 * message.bits), header
+    wide = MaskedInput(
+        message.sender, message.vector[: DIMENSION // 2], 2 * message.bits
     )
+    corrupted = encode_message(wide, header)
+    assert len(corrupted) == len(upload)
+    return corrupted
+
+
+def oversize_masked_input(session, upload):
+    """64 KiB of one-bit coordinates, 4 MiB once unpacked: the server
+    refuses the datagram by its length and never unpacks it."""
+    frame = sole_frame(upload, MaskedInput)
+    if frame is None:
+        return upload
+    header, message = frame
+    flood = MaskedInput(message.sender, np.zeros(2**19, dtype=np.int64), 1)
+    return encode_message(flood, header)
 
 
 def key_share_at_the_wrong_point(session, upload):
@@ -185,6 +201,7 @@ REFUSALS = {
     "doubled-masked-input": (doubled_masked_input, False),
     "out-of-alphabet-masked-input": (out_of_alphabet_masked_input, False),
     "wrong-width-masked-input": (wrong_width_masked_input, False),
+    "oversize-masked-input": (oversize_masked_input, False),
     "wrong-point-key-share": (key_share_at_the_wrong_point, True),
 }
 

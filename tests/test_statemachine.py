@@ -11,6 +11,7 @@ and the wire accounting ledger.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from repro.secagg.statemachine import (
     ServerSession,
 )
 from repro.secagg.wire import (
+    MSG_MASKED_INPUT,
     PROTOCOL_V1,
     Hello,
+    MaskedInput,
     Reject,
     SealedDelivery,
     SealedUpload,
@@ -41,6 +44,7 @@ from repro.secagg.wire import (
     decode_message,
     encode_message,
 )
+from repro.secagg.wire import _frame
 
 MODULUS = 2**12
 DIMENSION = 8
@@ -606,6 +610,66 @@ class TestStrictValidation:
         _, _, server = make_sessions(n=3, threshold=2)
         with pytest.raises(AggregationError, match="not been recovered"):
             server.modular_sum
+
+
+def _one_bit_frame(header, sender, dimension):
+    """A well-formed masked input of ``dimension`` one-bit zeros,
+    written by hand: encoding one would need the unpacked vector."""
+    body = (
+        sender.to_bytes(4, "little")
+        + dimension.to_bytes(4, "little")
+        + (1).to_bytes(1, "little")
+        + bytes(-(-dimension // 8))
+    )
+    return _frame(MSG_MASKED_INPUT, body, header)
+
+
+class TestMaskedInputIngest:
+    """A masked input is the one upload that is wider in memory than on
+    the wire (an int64 per coordinate, ``64 / bits`` times the packed
+    payload), so the server holds the datagram to the length the round
+    fixes *before* it decodes it, and the decoded frame to the round's
+    width, dimension and alphabet before it stores it."""
+
+    def test_a_datagram_of_another_length_is_refused_undecoded(self):
+        """1 MiB of one-bit coordinates is 64 MiB once unpacked.  The
+        refusal costs nothing like the frame, let alone its expansion,
+        and leaves the sender free to deliver the honest upload."""
+        _, clients, server = make_sessions(n=3, threshold=2)
+        uploads = open_phase(clients, server, ROUND_MASKED_INPUT)
+        assert _one_bit_frame(server.header, 2, 21) == encode_message(
+            MaskedInput(2, np.zeros(21, dtype=np.int64), 1), server.header
+        )
+        frame = _one_bit_frame(server.header, 2, 8 * 2**20)
+        before = observable_state(server, 2, [uploads[2], frame])
+        tracemalloc.start()
+        try:
+            with pytest.raises(AggregationError, match="masked inputs are"):
+                server.receive(frame, sender=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(frame) // 16
+        assert observable_state(server, 2, [uploads[2], frame]) == before
+        server.receive(uploads[2], sender=2)
+        assert 2 in server.received()
+
+    def test_a_frame_of_the_rounds_length_at_another_width_is_refused(self):
+        """Half the coordinates at twice the width fill the same bytes:
+        what the length cannot tell apart, the stated width does."""
+        _, clients, server = make_sessions(n=3, threshold=2)
+        uploads = open_phase(clients, server, ROUND_MASKED_INPUT)
+        _, honest = decode_message(uploads[2])
+        wide = encode_message(
+            MaskedInput(
+                2, honest.vector[: DIMENSION // 2], 2 * honest.bits
+            ),
+            server.header,
+        )
+        assert len(wide) == len(uploads[2])
+        with pytest.raises(AggregationError, match="24-bit coordinates"):
+            server.receive(wide, sender=2)
+        assert 2 not in server.received()
 
 
 def _doubled(upload, sender, header):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import AggregationError
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares
+from repro.secagg import wire
 from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import (
     MSG_MASKED_INPUT,
@@ -28,11 +29,13 @@ from repro.secagg.wire import (
     MSG_SEALED_UPLOAD,
     MSG_UNMASK_RESPONSE,
     PROTOCOL_V1,
+    Advertise,
     MaskedInput,
     NegotiatedHeader,
     SealedDelivery,
     SealedUpload,
     UnmaskResponse,
+    decode_frames,
     decode_message,
     encode_message,
     modulus_bits,
@@ -425,6 +428,23 @@ class TestShareKeysFrame:
                 HEADER,
             )
 
+    def test_a_share_delivery_stays_out_of_the_broadcast_memo(self):
+        """The memo is for bytes several clients decode (the roster, the
+        unmask request).  A delivery is one recipient's: memoised, each
+        of a round's n unique mailboxes would be copied into a 16-entry
+        table it can never hit in, pushing the broadcasts out."""
+        matrix = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        delivery = encode_message(
+            SealedDelivery(2, np.array([1, 2]), matrix), HEADER
+        )
+        roster = encode_message(Advertise(1, 2, 3), HEADER)
+        wire._broadcast_memo.clear()
+        decode_frames(roster)
+        assert decode_frames(delivery)[0][1] == SealedDelivery(
+            2, np.array([1, 2]), matrix
+        )
+        assert list(wire._broadcast_memo) == [roster]
+
     def test_messages_compare_by_value(self):
         matrix = np.arange(6, dtype=np.uint8).reshape(2, 3)
         upload = SealedUpload(2, matrix)
@@ -441,7 +461,12 @@ class TestShareKeysFrame:
 class TestBoundedDecode:
     """Decode never allocates more than a small multiple of what it was
     handed: sizes are checked against the frame before any buffer is
-    made, and the array sections are ``frombuffer`` views."""
+    made, and the array sections are ``frombuffer`` views.  The one
+    exception is inherent — an int64 vector is ``64 / bits`` times its
+    packed payload — so there the decoder is bounded by what goes out,
+    and the server decodes no masked-input datagram that is not the
+    round's length to the byte (``tests/test_statemachine.py``,
+    ``TestMaskedInputIngest``)."""
 
     @staticmethod
     def _peak(frame):
