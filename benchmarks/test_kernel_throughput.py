@@ -43,6 +43,11 @@ MODULUS = 2**16
 SHAMIR_THRESHOLD = 48
 SHAMIR_SHARES = 96
 SHAMIR_BATCH = 6
+#: What one client of ``bench``'s ``secagg_quadratic`` splits in its
+#: share-keys leg: a seed and the toy group's two key limbs, over 128
+#: clients at threshold 77.
+ROUND_SPLIT_SHARES = 128
+ROUND_SPLIT_THRESHOLD = 77
 #: What one unmask phase of ``bench``'s ``secagg_recovery`` reconstructs:
 #: 96 clients, 28 silent after sharing keys, a quorum of 58.
 ROUND_CLIENTS = 96
@@ -174,7 +179,18 @@ def test_key_agreement_crossover(emit, bench_rng):
 
 
 def test_shamir_throughput(emit, bench_rng):
-    """Shares/sec: scalar split/reconstruct loops vs batched kernels."""
+    """Shares/sec: scalar split/reconstruct loops vs the matrix kernels.
+
+    The ``path=batched`` rows (t = 48, n = 96, six secrets) compare the
+    kernels — one exact modular matrix product each way — with the
+    per-coefficient Python loops.  The ``path=round`` rows are the
+    shapes a round really runs and the ones README "Performance"
+    quotes: the split one client makes on ``secagg_quadratic``
+    (3 secrets, t = 77, n = 128) and the reconstruction one unmask phase
+    makes on ``secagg_recovery``.  Regenerate them with ``PYTHONPATH=src
+    python -m pytest -q -s benchmarks/test_kernel_throughput.py -k
+    shamir``.
+    """
     field = DEFAULT_FIELD
     secrets = [
         int(bench_rng.integers(0, field.prime)) for _ in range(SHAMIR_BATCH)
@@ -205,6 +221,26 @@ def test_shamir_throughput(emit, bench_rng):
         f"shares_per_sec={total_shares / batched_split_time:10.1f}",
     )
     assert batched_split_time <= scalar_split_time * 1.5
+
+    round_secrets = secrets[: 1 + _key_limbs(TOY_GROUP)]
+    round_split_time = _best_of(
+        50,
+        lambda: split_secrets(
+            round_secrets,
+            ROUND_SPLIT_THRESHOLD,
+            ROUND_SPLIT_SHARES,
+            bench_rng,
+            field,
+        ),
+    )
+    emit(
+        f"kernel_shamir op=split     path=round     "
+        f"t={ROUND_SPLIT_THRESHOLD} n={ROUND_SPLIT_SHARES} "
+        f"secrets={len(round_secrets)} "
+        f"us_per_call={round_split_time * 1e6:7.1f} "
+        f"shares_per_sec="
+        f"{len(round_secrets) * ROUND_SPLIT_SHARES / round_split_time:10.1f}",
+    )
 
     share_matrix = split_secrets(
         secrets, SHAMIR_THRESHOLD, SHAMIR_SHARES, bench_rng, field
@@ -273,7 +309,7 @@ def test_shamir_throughput(emit, bench_rng):
     assert round_reconstruct() == (seeds, keys)
     round_rows = len(seeds) + ROUND_DROPOUTS * limbs
     emit(
-        f"kernel_shamir op=reconstruct path=quorum  t={ROUND_QUORUM} "
+        f"kernel_shamir op=reconstruct path=round   t={ROUND_QUORUM} "
         f"n={ROUND_CLIENTS} seeds={len(seeds)} dropouts={ROUND_DROPOUTS} "
         f"limbs={limbs} ms_per_phase={round_time * 1e3:7.2f} "
         f"shares_per_sec={round_rows * ROUND_QUORUM / round_time:10.1f}",

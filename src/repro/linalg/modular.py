@@ -31,9 +31,24 @@ At the few dozen lanes one SecAgg client carries a numpy call costs
 calls a multiply, 13 a squaring, and :func:`pow_mod` /
 :func:`pow_mod_elementwise` call them directly.  Any other modulus up
 to ``2^61`` takes the general shift-and-mod path (:func:`_shift32_mod`).
+
+A *matrix* product (:func:`matmul_mod` — Shamir split is coefficients
+times powers of the points, reconstruction is share rows times Lagrange
+weights) goes through BLAS instead.  Residues below ``2^63`` split into
+three 21-bit limbs held as float64; a product of two limbs is below
+``2^42``, so a sum of at most ``2^11`` of them is an integer below
+``2^53`` — as is every partial sum on the way, which is why float64 is
+exact here in *whatever* order (and with whatever fused multiply-adds)
+the library accumulates.  One ``@`` over the stacked limbs forms all
+nine limb products, contractions longer than ``2^11`` go in blocks of
+that many terms, and the limb products recombine in uint64: the at most
+three that share a weight ``2^21w`` add up below ``2^55`` and are folded
+by :func:`mul_mod`'s own kernel.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,6 +75,12 @@ _ONE = np.uint64(1)
 _SHIFT29, _MASK29 = np.uint64(29), np.uint64((1 << 29) - 1)
 _SHIFT30, _MASK30 = np.uint64(30), np.uint64((1 << 30) - 1)
 _SHIFT31, _MASK31 = np.uint64(31), np.uint64((1 << 31) - 1)
+
+# :func:`matmul_mod`: 21-bit limbs, and the longest contraction whose
+# limb products still sum below 2^53 (2^42 a product, 2^11 of them).
+_SHIFT21, _SHIFT42 = np.uint64(21), np.uint64(42)
+_MASK21 = np.uint64((1 << 21) - 1)
+_MATMUL_BLOCK = 1 << 11
 
 
 def _validate_field_modulus(modulus: int) -> np.uint64:
@@ -279,6 +300,105 @@ def inv_mod(values: np.ndarray | int, prime: int) -> np.ndarray:
     return pow_mod(values, prime - 2, prime)
 
 
+def _limbs21(values: np.ndarray) -> np.ndarray:
+    """``(r, c)`` residues below ``2^63`` as ``(r, 3, c)`` float64 limbs.
+
+    Limb ``i`` is bits ``21i .. 21i + 20``, lowest first; 21 bits is an
+    integer float64 holds exactly.
+    """
+    limbs = np.empty((values.shape[0], 3, values.shape[1]), dtype=np.float64)
+    limbs[:, 0] = values & _MASK21
+    limbs[:, 1] = (values >> _SHIFT21) & _MASK21
+    limbs[:, 2] = values >> _SHIFT42
+    return limbs
+
+
+def _matmul_limbs(
+    left: np.ndarray, right: np.ndarray, modulus: int
+) -> np.ndarray:
+    """:func:`matmul_mod` on operands already split by :func:`_limbs21`:
+    ``left`` is ``(k, 3, L)``, ``right`` is ``(L, 3, n)``."""
+    m = np.uint64(modulus)
+    rows, _, terms = left.shape
+    columns = right.shape[2]
+    multiply = _pow_kernels(modulus)[0]
+    weights = np.array(
+        [pow(2, 21 * w, modulus) for w in (1, 2, 3, 4)], dtype=np.uint64
+    ).reshape(4, 1, 1)
+    total = np.zeros((rows, columns), dtype=np.uint64)
+    classes = np.empty((4, rows, columns), dtype=np.uint64)
+    for start in range(0, terms, _MATMUL_BLOCK):
+        stop = min(start + _MATMUL_BLOCK, terms)
+        # One GEMM: entry [3a + i, 3b + j] is limb i of row a times limb
+        # j of column b, an exact integer below 2^53.
+        products = (
+            left[:, :, start:stop].reshape(3 * rows, stop - start)
+            @ right[start:stop].reshape(stop - start, 3 * columns)
+        ).astype(np.uint64).reshape(rows, 3, 3, columns)
+        # Limb products i, j weigh 2^(21(i + j)): classes 1..4 (at most
+        # three products each, < 2^55) fold through the multiply kernel.
+        np.add(products[:, 0, 1], products[:, 1, 0], out=classes[0])
+        np.add(products[:, 0, 2], products[:, 1, 1], out=classes[1])
+        classes[1] += products[:, 2, 0]
+        np.add(products[:, 1, 2], products[:, 2, 1], out=classes[2])
+        classes[3] = products[:, 2, 2]
+        # total < 2^61, class 0 < 2^53, four folded classes < 2^63.
+        total += products[:, 0, 0]
+        total += multiply(classes, weights).sum(axis=0)
+        total %= m
+    return total
+
+
+def matmul_mod(
+    left: np.ndarray, right: np.ndarray, modulus: int
+) -> np.ndarray:
+    """Exact ``(left @ right) mod m`` through one float64 BLAS product.
+
+    Args:
+        left: ``(k, L)`` residues (values at or above ``m`` are reduced
+            first).
+        right: ``(L, n)`` residues, likewise.
+        modulus: The modulus ``m``, at most :data:`LIMB_SPLIT_MAX_MODULUS`.
+
+    Returns:
+        The ``(k, n)`` uint64 product modulo ``m`` — exact for every
+        contraction length (see the module docstring for why float64
+        loses nothing here).
+
+    Raises:
+        ConfigurationError: If the modulus is outside ``[2, 2^61]`` or
+            the operands are not matrices whose shapes agree.
+    """
+    m = _validate_field_modulus(modulus)
+    left = np.asarray(left, dtype=np.uint64)
+    right = np.asarray(right, dtype=np.uint64)
+    if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[0]:
+        raise ConfigurationError(
+            f"cannot multiply shapes {left.shape} and {right.shape}"
+        )
+    return _matmul_limbs(_limbs21(left % m), _limbs21(right % m), modulus)
+
+
+@functools.lru_cache(maxsize=8)
+def _power_limbs(points: bytes, terms: int, modulus: int) -> np.ndarray:
+    """Limbs of the ``(terms, n)`` matrix ``x_j^i mod m``, memoised.
+
+    A round evaluates every polynomial at the same public points (the
+    roster positions ``1..n``), so each client after the first finds
+    the matrix — already split for :func:`_matmul_limbs`, read-only —
+    in the memo.  It holds no key material.  Rows double:
+    ``x^(r + i) = x^r · x^i``.
+    """
+    step = np.frombuffer(points, dtype=np.uint64) % np.uint64(modulus)
+    powers = np.ones((1, step.shape[0]), dtype=np.uint64)
+    while powers.shape[0] < terms:
+        powers = np.concatenate([powers, mul_mod(powers, step, modulus)])
+        step = mul_mod(step, step, modulus)
+    limbs = _limbs21(powers[:terms])
+    limbs.flags.writeable = False
+    return limbs
+
+
 def horner_mod(
     coefficients: np.ndarray, xs: np.ndarray, modulus: int
 ) -> np.ndarray:
@@ -292,73 +412,16 @@ def horner_mod(
         modulus: Modulus, at most :data:`LIMB_SPLIT_MAX_MODULUS`.
 
     Returns:
-        ``(num_polys, num_points)`` uint64 matrix ``f_k(x_j) mod m`` —
-        Horner's rule, one vectorised multiply-add per degree.
+        ``(num_polys, num_points)`` uint64 matrix ``f_k(x_j) mod m``.
+        The name is historical (``bench/`` times it): there is no
+        recurrence over the degree, only ``coefficients @ powers``
+        (:func:`matmul_mod`) against the memoised powers of the points.
     """
     m = _validate_field_modulus(modulus)
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=np.uint64))
-    xs = np.asarray(xs, dtype=np.uint64)
-    if modulus == _M61 and xs.size == 0:
-        return _horner_m61_small_x(coefficients % m, xs)
-    if modulus == _M61 and int(xs.max()) < (1 << 14):
-        # Even/odd split: f(x) = g(x²) + x·h(x²).  Stacking g and h into
-        # one coefficient matrix halves the (sequential) Horner steps by
-        # doubling the (vectorised) row count — a straight win while the
-        # per-step cost is numpy-call-bound.  Needs x² < 2^29 for the
-        # lazy-reduction kernel, hence x < 2^14.
-        num_polys, num_coeffs = coefficients.shape
-        even = coefficients[:, 0::2] % m
-        odd = coefficients[:, 1::2] % m
-        if odd.shape[1] < even.shape[1]:
-            odd = np.pad(odd, ((0, 0), (0, 1)))
-        stacked = _horner_m61_small_x(
-            np.concatenate([even, odd]), xs * xs
-        )
-        return (
-            stacked[:num_polys]
-            + mul_mod(stacked[num_polys:], xs[np.newaxis, :], modulus)
-        ) % m
-    if modulus == _M61 and int(xs.max()) < (1 << 29):
-        return _horner_m61_small_x(coefficients % m, xs)
-    result = np.zeros((coefficients.shape[0], xs.shape[0]), dtype=np.uint64)
-    for column in range(coefficients.shape[1] - 1, -1, -1):
-        result = mul_mod(result, xs[np.newaxis, :], modulus)
-        # result < m <= 2^61 and coefficient < m, so the sum fits uint64.
-        result = (result + coefficients[:, column : column + 1] % m) % m
-    return result
-
-
-def _horner_m61_small_x(
-    coefficients: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """Horner over ``GF(2^61 - 1)`` with lazy reduction for small points.
-
-    Shamir evaluation points are tiny (``x = 1..num_shares``), so the
-    accumulator can run *unreduced* below ``2^63``: with ``r = rh·2^32 +
-    rl`` the step ``r·x`` becomes ``(w >> 29) + ((w mod 2^29) << 32) +
-    rl·x`` for ``w = rh·x`` — exact modulo the Mersenne prime because
-    ``2^61 ≡ 1`` — and the invariant ``r < 2^63`` holds for ``x < 2^29``
-    with every intermediate inside uint64.  One final ``% p`` canonises
-    the result; no per-step division at all.
-    """
-    mask29 = np.uint64((1 << 29) - 1)
-    shift29 = np.uint64(29)
-    xs = xs[np.newaxis, :]
-    result = np.zeros((coefficients.shape[0], xs.shape[1]), dtype=np.uint64)
-    high = np.empty_like(result)
-    scratch = np.empty_like(result)
-    for column in range(coefficients.shape[1] - 1, -1, -1):
-        np.right_shift(result, _LIMB_SHIFT, out=high)
-        np.multiply(high, xs, out=high)
-        result &= _LIMB_MASK
-        result *= xs
-        np.right_shift(high, shift29, out=scratch)
-        result += scratch
-        high &= mask29
-        high <<= _LIMB_SHIFT
-        result += high
-        result += coefficients[:, column : column + 1]
-    return result % _M61_U64
+    points = np.ascontiguousarray(xs, dtype=np.uint64).tobytes()
+    powers = _power_limbs(points, coefficients.shape[1], modulus)
+    return _matmul_limbs(_limbs21(coefficients % m), powers, modulus)
 
 
 def sum_mod(values: np.ndarray, modulus: int, axis: int = 0) -> np.ndarray:

@@ -202,17 +202,13 @@ def _encode_payload_matrix(
     return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
 
 
-def _decode_payload_matrix(
-    plain: np.ndarray, point: int
-) -> list[tuple[Share, LimbShares]]:
-    """Vectorised :func:`_decode_payload` over equal-length payload rows,
-    all addressed to the recipient at ``point``."""
-    # tolist() hands back plain Python ints in one C pass.
-    rows = np.ascontiguousarray(plain).view("<u8").tolist()
-    return [
-        (Share(point, seed_y), LimbShares(point, tuple(ys)))
-        for seed_y, *ys in rows
-    ]
+def _decode_payload_matrix(plain: np.ndarray) -> list[list[int]]:
+    """Vectorised :func:`_decode_payload` over equal-length payload rows:
+    the word table, one ``[seed_y, limb_ys...]`` row of Python ints per
+    payload in one C pass.  No share object is built — of a round's
+    ``n²`` rows the unmask phase reads one seed value each and the limbs
+    of the dropouts' only."""
+    return np.ascontiguousarray(plain).view("<u8").tolist()
 
 
 class BonawitzClient:
@@ -258,12 +254,16 @@ class BonawitzClient:
         self._mask_keys = None  # type: KeyPair | None
         self._roster: dict[int, Advertise] = {}
         self._self_seed: int | None = None
-        self._received: dict[int, tuple[Share, LimbShares]] = {}
+        # Sender -> the [seed_y, limb_ys...] row it addressed to this
+        # client, as decoded; all of them sit at ``_point``.
+        self._received: dict[int, list[int]] = {}
         self._share_roster: tuple[int, ...] = ()
         # This client's Shamir point: every client shares over the
         # sorted roster at x = 1..n, so it is the 1-based position there.
         self._point = 0
         self._channel_key_cache: dict[int, bytes] = {}
+        # One masked input and one unmask answer a round.
+        self._masked = False
         self._unmasked = False
 
     def advertise_keys(self) -> Advertise:
@@ -308,10 +308,16 @@ class BonawitzClient:
 
         Raises:
             AggregationError: If the roster is smaller than the threshold
-                or does not contain this client.
+                or does not contain this client, or on a second roster
+                (one ``b_u`` a round; a refused roster does not use it up).
         """
         if self._channel_keys is None or self._mask_keys is None:
             raise AggregationError("share_keys called before advertise_keys")
+        if self._self_seed is not None:
+            raise AggregationError(
+                f"client {self.index} already shared this round's keys and "
+                "refuses another roster"
+            )
         if len(roster) < self._threshold:
             raise AggregationError(
                 f"roster of {len(roster)} cannot meet threshold "
@@ -397,20 +403,29 @@ class BonawitzClient:
         sealed) and all rows decoded with one vectorised payload parse.
         Every share is taken at this client's own Shamir point and at
         the group's limb count — an envelope has nowhere to say
-        otherwise.
+        otherwise.  The sender column is ``U1``, so it is held to what
+        :meth:`masked_input` needs before anything is stored.
 
         Raises:
             AggregationError: If ``L`` is not the round's
-                :func:`sealed_share_length`, or a sender is not on the
-                roster.
+                :func:`sealed_share_length`, a sender is repeated or not
+                on the roster, or :meth:`masked_input` would refuse the
+                senders as ``U1``.
         """
+        participants = frozenset(senders)
+        self._check_participants(participants)
         expected = sealed_share_length(self._group)
         if ciphertexts.shape[1] != expected:
             raise AggregationError(
                 f"client {self.index} received {ciphertexts.shape[1]}-byte "
                 f"envelopes; this round's are {expected} bytes"
             )
-        strangers = set(senders) - self._roster.keys()
+        if len(participants) != len(senders):
+            raise AggregationError(
+                f"client {self.index} received a delivery that names a "
+                "sender twice"
+            )
+        strangers = participants - self._roster.keys()
         if strangers:
             raise AggregationError(
                 f"client {self.index} received envelopes from clients "
@@ -426,9 +441,24 @@ class BonawitzClient:
                 [self._channel_key(senders[row]) for row in peer_rows],
                 expected,
             )
-        self._received.update(
-            zip(senders, _decode_payload_matrix(plain, self._point))
-        )
+        self._received = dict(zip(senders, _decode_payload_matrix(plain)))
+
+    def _check_participants(self, participants: frozenset[int]) -> None:
+        """What ``U1`` must satisfy for this client to mask over it."""
+        if self._masked:
+            raise AggregationError(
+                f"client {self.index} already uploaded this round's masked "
+                "input and refuses another: two over different participant "
+                "sets differ by bare pairwise masks"
+            )
+        if self.index not in participants:
+            raise AggregationError("client excluded from the participant set")
+        if len(participants) < self._threshold:
+            raise AggregationError(
+                f"client {self.index} refuses to mask over "
+                f"{len(participants)} participants; threshold is "
+                f"{self._threshold}"
+            )
 
     def masked_input(self, participants: frozenset[int]) -> np.ndarray:
         """Round 2: upload the doubly masked input vector.
@@ -443,11 +473,16 @@ class BonawitzClient:
 
         Returns:
             ``y_u`` over ``Z_m``.
+
+        Raises:
+            AggregationError: Before ``share_keys``; if ``participants``
+                leaves this client out or is smaller than the threshold
+                (below it the peers' unmask answers would hand the
+                server ``b_u``); or on a second call.
         """
         if self._self_seed is None or self._mask_keys is None:
             raise AggregationError("masked_input called before share_keys")
-        if self.index not in participants:
-            raise AggregationError("client excluded from the participant set")
+        self._check_participants(participants)
         dimension = self._vector.shape[0]
         peers = [peer for peer in sorted(participants) if peer != self.index]
         seeds = [self._self_seed.to_bytes(_SEED_WIDTH, "little")]
@@ -461,6 +496,7 @@ class BonawitzClient:
         total_mask = sum_signed_masks(
             seeds, signs, dimension, self._modulus, self._mask_prg
         )
+        self._masked = True
         return np.mod(
             np.mod(self._vector, self._modulus) + total_mask, self._modulus
         )
@@ -510,10 +546,12 @@ class BonawitzClient:
             peers=np.asarray(survivors, dtype="<u4"),
             xs=np.full(len(survivors), self._point, dtype="<u4"),
             ys=np.asarray(
-                [received[v][0].y for v in survivors], dtype=np.uint64
+                [received[v][0] for v in survivors], dtype=np.uint64
             ),
+            # The only share objects a client builds: one a dropout.
             key_shares={
-                v: received[v][1] for v in sorted(request.dropouts)
+                v: LimbShares(self._point, tuple(received[v][1:]))
+                for v in sorted(request.dropouts)
             },
         )
 

@@ -18,20 +18,21 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
 * **Shamir sharing.**  Each client splits its self-mask seed and every
   limb of its mask private key over the same ``n`` evaluation points,
   and the server reconstructs one secret per survivor from shares at the
-  same ``t`` points.  :func:`batched_split` evaluates all polynomials at
-  all points with one vectorised Horner recurrence
-  (:func:`repro.linalg.modular.horner_mod`), and
-  :func:`batched_reconstruct` applies one Lagrange weight vector to
-  every share row it is handed — a handful of uint64 array operations
-  using 128-bit-safe limb-split modular multiplication.  It computes
+  same ``t`` points.  Both are one exact modular matrix product
+  (:func:`repro.linalg.modular.matmul_mod`): :func:`batched_split`
+  multiplies the coefficient matrix by the memoised powers of the
+  round's public points (:func:`repro.linalg.modular.horner_mod`), and
+  :func:`batched_reconstruct` multiplies every share row it is handed
+  by one Lagrange weight vector.  It computes
   the weights once per *call*; "once per unmask phase" is enforced one
   layer up, where :meth:`BonawitzServer.recover_sum
   <repro.secagg.bonawitz.BonawitzServer.recover_sum>` stacks every
   survivor seed and every dropout key limb into a single
   :func:`repro.secagg.shamir.reconstruct_quorum` call.
 
-Both layers are exact — no floats, and the only wraparound is the one
-that is itself a reduction mod ``2^k`` — and the golden-vector and
+Both layers are exact — the only floats are 21-bit limbs whose products
+BLAS sums below ``2^53``, and the only wraparound is the one that is
+itself a reduction mod ``2^k`` — and the golden-vector and
 property-test suites (``tests/test_keys_prg.py``,
 ``tests/test_mask_prg_suites.py``, ``tests/test_shamir.py``) pin them
 against hashlib and the retained scalar reference paths.
@@ -49,7 +50,7 @@ import numpy as np
 from repro.errors import AggregationError, ConfigurationError
 from repro.linalg.modular import (
     horner_mod,
-    mul_mod,
+    matmul_mod,
     sum_mod,
 )
 
@@ -416,8 +417,11 @@ def batched_split(
     """Shamir-share many secrets over the same evaluation points at once.
 
     One independent uniform degree-``threshold - 1`` polynomial per
-    secret, all evaluated at ``x = 1..num_shares`` with a single
-    vectorised Horner recurrence.
+    secret, all evaluated at ``x = 1..num_shares`` as one matrix
+    product: the ``(k, t)`` coefficients times the ``(t, n)`` powers of
+    the points, which every split over the same ``(t, n)`` shares.  The
+    coefficients are one ``rng.integers`` draw of shape ``(k, t - 1)``,
+    so the shares are a function of the generator's state alone.
 
     Args:
         secrets: ``(k,)`` secrets, each in ``[0, prime)``.
@@ -510,6 +514,9 @@ def batched_reconstruct(
 ) -> np.ndarray:
     """Reconstruct many secrets whose shares sit at the same points.
 
+    One matrix product: the ``(k, t)`` share rows times the ``(t, 1)``
+    Lagrange weights of the points.
+
     Args:
         xs: ``(t,)`` distinct share points, shared by all secrets.
         ys: ``(k, t)`` share values; row ``i`` holds secret ``i``'s
@@ -533,5 +540,4 @@ def batched_reconstruct(
             f"share value {int(ys.max())} outside [0, {prime})"
         )
     weights = lagrange_weights_at_zero(xs, prime)
-    terms = mul_mod(ys, weights[np.newaxis, :], prime)
-    return sum_mod(terms, prime, axis=1)
+    return matmul_mod(ys, weights[:, np.newaxis], prime)[:, 0]

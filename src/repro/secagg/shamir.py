@@ -13,8 +13,10 @@ shares determine ``f`` (and hence the secret) by Lagrange interpolation;
 any ``t - 1`` shares are jointly uniform and reveal nothing.
 
 Everything runs on the **vectorised kernels**
-(:mod:`repro.secagg.kernels`) — batched Horner evaluation and
-shared-weight Lagrange interpolation over uint64 arrays; a
+(:mod:`repro.secagg.kernels`), where both directions are one exact
+modular matrix product (:func:`repro.linalg.modular.matmul_mod`):
+splitting is coefficients times the powers of the public points,
+reconstructing is share rows times one Lagrange weight vector; a
 :class:`~repro.secagg.field.PrimeField` they could not carry does not
 construct.  The **scalar references** (:func:`split_secret_scalar`,
 :func:`reconstruct_secret_scalar`) — the original per-share,
@@ -43,9 +45,12 @@ from repro.secagg.field import DEFAULT_FIELD, PrimeField
 class Share(NamedTuple):
     """One Shamir share ``(x, f(x))``.
 
-    A NamedTuple rather than a dataclass: the protocol constructs one
-    share object per (sender, recipient) pair — quadratically many per
-    round — and tuple construction is several times cheaper.
+    The one-secret API's currency (:func:`split_secret`,
+    :func:`reconstruct_secret`, the scalar references).  The protocol
+    builds none: a round's quadratically many shares travel as matrices
+    (:func:`split_secrets`), a client holds the rows it was sent as
+    decoded words, and the server reconstructs from columns
+    (:func:`reconstruct_quorum`).
 
     Attributes:
         x: The (nonzero) evaluation point identifying the recipient.

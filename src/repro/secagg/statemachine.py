@@ -255,7 +255,10 @@ class ClientSession:
         Raises:
             AggregationError: On a protocol violation — including the
                 core security rule (an unmask request naming a peer as
-                both survivor and dropout is refused).
+                both survivor and dropout is refused) and the
+                one-answer rules: a second roster, share delivery or
+                unmask request is refused, as is a delivery naming
+                fewer than ``threshold`` senders or one of them twice.
             NegotiationError: If a non-Reject frame carries a header
                 that does not match the negotiated one.
         """

@@ -13,6 +13,7 @@ from repro.linalg.modular import (
     encode_mod,
     horner_mod,
     inv_mod,
+    matmul_mod,
     mul_mod,
     pow_mod,
     pow_mod_elementwise,
@@ -175,7 +176,8 @@ class TestFieldKernels:
                 assert int(out[k, j]) == reference
 
     def test_horner_large_points_use_generic_path(self):
-        # Points >= 2^29 leave the lazy-reduction fast path but stay exact.
+        # The powers of a point near p are full-width residues like any
+        # coefficient: no point is special.
         p = MERSENNE_61
         rng = np.random.default_rng(5)
         coeffs = rng.integers(0, p, size=(2, 6), dtype=np.uint64)
@@ -343,3 +345,154 @@ class TestMersenneFoldKernels:
         assert pow_mod_elementwise(bases, exponents, prime).tolist() == [
             pow(int(b), int(e), prime) for b, e in zip(bases, exponents)
         ]
+
+
+def _matmul_reference(left, right, modulus):
+    """``left @ right mod m`` over Python integers."""
+    columns = list(zip(*right)) if right else []
+    return [
+        [sum(a * b for a, b in zip(row, column)) % modulus for column in columns]
+        for row in left
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMatmulMod:
+    """The float64-limb matrix product, pinned to Python integers: the
+    limb boundaries (bits 21 and 42), the ``2^11``-term block boundary,
+    every kind of modulus ``mul_mod`` serves, and no overflow anywhere
+    (``error::RuntimeWarning``: numpy scalars warn where arrays wrap)."""
+
+    P = MERSENNE_61
+    MODULI = [MERSENNE_61, 1 << 61, (1 << 31) - 1, 101]
+    EDGES = sorted(
+        {0, 1, MERSENNE_61 - 1}
+        | {(1 << k) + d for k in (21, 42) for d in (-1, 1)}
+    )
+
+    @given(
+        rows=st.integers(min_value=1, max_value=4),
+        terms=st.integers(min_value=1, max_value=6),
+        columns=st.integers(min_value=1, max_value=4),
+        modulus=st.sampled_from(MODULI),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_against_python_integers(
+        self, rows, terms, columns, modulus, data
+    ):
+        residues = st.integers(min_value=0, max_value=modulus - 1)
+        left = data.draw(
+            st.lists(
+                st.lists(residues, min_size=terms, max_size=terms),
+                min_size=rows, max_size=rows,
+            )
+        )
+        right = data.draw(
+            st.lists(
+                st.lists(residues, min_size=columns, max_size=columns),
+                min_size=terms, max_size=terms,
+            )
+        )
+        out = matmul_mod(
+            np.asarray(left, dtype=np.uint64),
+            np.asarray(right, dtype=np.uint64),
+            modulus,
+        )
+        assert out.dtype == np.uint64
+        assert out.tolist() == _matmul_reference(left, right, modulus)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_edge_operands_on_both_sides(self, modulus):
+        # Every edge against every edge, as an outer product (one term)
+        # and as a row of edges against a matrix of them (many terms).
+        # (Edges at or above a small modulus are reduced on the way in,
+        # which the integer reference is indifferent to.)
+        column = [[e] for e in self.EDGES]
+        row = [self.EDGES[::-1]]
+        assert matmul_mod(
+            np.asarray(column, dtype=np.uint64),
+            np.asarray(row, dtype=np.uint64),
+            modulus,
+        ).tolist() == _matmul_reference(column, row, modulus)
+        square = [self.EDGES[i:] + self.EDGES[:i] for i in range(len(row[0]))]
+        assert matmul_mod(
+            np.asarray(row, dtype=np.uint64),
+            np.asarray(square, dtype=np.uint64),
+            modulus,
+        ).tolist() == _matmul_reference(row, square, modulus)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    @pytest.mark.parametrize("terms", [1, 2, 1 << 11, (1 << 11) + 1, 5000])
+    def test_contraction_lengths_across_the_block_boundary(
+        self, terms, modulus
+    ):
+        # All-(m - 1) operands are the largest sums a block can form;
+        # random ones catch a misplaced limb.
+        rng = np.random.default_rng(terms)
+        worst = np.full((2, terms), modulus - 1, dtype=np.uint64)
+        assert matmul_mod(worst, worst.T, modulus).tolist() == [
+            [terms * (modulus - 1) ** 2 % modulus] * 2
+        ] * 2
+        left = rng.integers(0, modulus, size=(3, terms), dtype=np.uint64)
+        right = rng.integers(0, modulus, size=(terms, 2), dtype=np.uint64)
+        assert matmul_mod(left, right, modulus).tolist() == _matmul_reference(
+            left.tolist(), right.tolist(), modulus
+        )
+
+    def test_out_of_range_operands_are_reduced_first(self):
+        top = np.uint64((1 << 64) - 1)
+        left = np.asarray([[top, 5]], dtype=np.uint64)
+        right = np.asarray([[top], [7]], dtype=np.uint64)
+        for modulus in self.MODULI:
+            reduced = int(top) % modulus
+            assert matmul_mod(left, right, modulus).tolist() == [
+                [(reduced * reduced + 35) % modulus]
+            ]
+
+    def test_empty_operands(self):
+        p = self.P
+        empty = np.empty
+        assert matmul_mod(
+            empty((3, 0), np.uint64), empty((0, 2), np.uint64), p
+        ).tolist() == [[0, 0]] * 3
+        assert matmul_mod(
+            empty((0, 4), np.uint64), empty((4, 2), np.uint64), p
+        ).shape == (0, 2)
+        assert matmul_mod(
+            empty((2, 4), np.uint64), empty((4, 0), np.uint64), p
+        ).shape == (2, 0)
+
+    def test_operands_are_left_unmodified(self):
+        rng = np.random.default_rng(9)
+        left = rng.integers(0, 1 << 63, size=(3, 5), dtype=np.uint64)
+        right = rng.integers(0, 1 << 63, size=(5, 4), dtype=np.uint64)
+        before = left.tolist(), right.tolist()
+        matmul_mod(left, right, self.P)
+        assert (left.tolist(), right.tolist()) == before
+
+    def test_shape_and_modulus_refusals(self):
+        matrix = np.ones((2, 3), dtype=np.uint64)
+        with pytest.raises(ConfigurationError, match="cannot multiply"):
+            matmul_mod(matrix, matrix, self.P)
+        with pytest.raises(ConfigurationError, match="cannot multiply"):
+            matmul_mod(matrix[0], matrix.T, self.P)
+        with pytest.raises(ConfigurationError, match="modulus"):
+            matmul_mod(matrix, matrix.T, (1 << 61) + 1)
+
+    def test_horner_is_the_matrix_product_and_its_memo_is_read_only(self):
+        # horner_mod memoises the points' powers; the memo must be the
+        # same answer for every caller, whatever a caller does with it.
+        p = self.P
+        rng = np.random.default_rng(4)
+        coefficients = rng.integers(0, p, size=(3, 9), dtype=np.uint64)
+        points = np.asarray(self.EDGES[1:], dtype=np.uint64)
+        powers = [[pow(int(x), i, p) for x in points] for i in range(9)]
+        first = horner_mod(coefficients, points, p)
+        assert first.tolist() == matmul_mod(
+            coefficients, np.asarray(powers, dtype=np.uint64), p
+        ).tolist()
+        first[:] = 0
+        assert horner_mod(coefficients, points, p).tolist() == (
+            _matmul_reference(coefficients.tolist(), powers, p)
+        )

@@ -275,15 +275,20 @@ class TestPayloadMatrixCodec:
                                dtype=np.uint64)
         matrix = _encode_payload_matrix(seed_ys, limb_ys)
         assert matrix.shape[1] == width * (1 + num_limbs)
-        # Every row of a mailbox is for one recipient: its point is the
-        # decoder's argument, not something an envelope says.
-        decoded = _decode_payload_matrix(matrix, 4)
-        for position, (seed_share, key_share) in enumerate(decoded):
-            reference = _decode_payload(matrix[position].tobytes(), 4)
-            assert (seed_share, key_share) == reference
-            assert seed_share.x == key_share.x == 4
-            assert seed_share.y == int(seed_ys[position])
-            assert key_share.ys == tuple(limb_ys[:, position].tolist())
+        # The decoder hands back the word table — a [seed_y, limb_ys...]
+        # row of Python ints per envelope and no share object: every row
+        # of a mailbox sits at its one recipient's point, which the
+        # scalar oracle takes as an argument.
+        decoded = _decode_payload_matrix(matrix)
+        assert len(decoded) == num
+        for position, row in enumerate(decoded):
+            seed_share, key_share = _decode_payload(
+                matrix[position].tobytes(), 4
+            )
+            assert all(type(word) is int for word in row)
+            assert row == [seed_share.y, *key_share.ys]
+            assert row[0] == int(seed_ys[position])
+            assert row[1:] == limb_ys[:, position].tolist()
 
     def test_matrix_decode_rejects_limb_mismatch(self, rng):
         """An envelope carries no limb count to get wrong: the count is

@@ -1,5 +1,6 @@
 """Unit and property tests for Shamir secret sharing."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError, ConfigurationError
+from repro.linalg.modular import horner_mod
 from repro.secagg.field import PrimeField
 from repro.secagg.shamir import (
     LimbShares,
@@ -337,6 +339,68 @@ class TestScalarVectorEquivalence:
                 split(5, 4, 3, rng)
             with pytest.raises(ConfigurationError):
                 split(FIELD.prime, 2, 3, rng, FIELD)
+
+
+class TestMatrixSplitIsTheSameSplit:
+    """Split became ``coefficients @ powers``; the shares did not move.
+
+    The goldens were recorded at the parent commit (the sequential
+    Horner loop) *before* the change: secrets from the seeded generator,
+    then :func:`split_secrets` on the same generator — the SHA-256 of
+    the ``(k, n)`` share matrix as little-endian uint64 pins every
+    share, the corner values make a mismatch readable, and the next
+    draw pins that the split consumed exactly the same randomness.
+    """
+
+    GOLDEN = {
+        # (secrets, threshold, shares): the round's shape at n = 128 ...
+        (3, 77, 128): (
+            20220601,
+            "a2d7c93d85884c2e9812a9dbc98cdf03b1e3447d89c6d62be37c6bbb05f19a9d",
+            [932900539507581249, 592352809046561363],
+            [34106716675764793, 2198622052865438582],
+            3191417102203677523,
+        ),
+        # ... and an Oakley-sized one (a seed and 18 key limbs).
+        (19, 145, 240): (
+            20220602,
+            "0a5b17d64f3eac17c0ef5aa13d7e4bc6aff9364ebcc47546bee69f1dafcd63ce",
+            [1995166696026936029, 941911104071725279],
+            [557814153330885763, 1830717124223282287],
+            4180074313463427324,
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN))
+    def test_shares_equal_the_parent_commits(self, shape):
+        count, threshold, num_shares = shape
+        seed, digest, first, last, next_draw = self.GOLDEN[shape]
+        rng = np.random.default_rng(seed)
+        secrets = [int(v) for v in rng.integers(0, FIELD.prime, size=count)]
+        shares = split_secrets(secrets, threshold, num_shares, rng, FIELD)
+        assert shares.shape == (count, num_shares)
+        assert shares[0, :2].tolist() == first
+        assert shares[-1, -2:].tolist() == last
+        assert hashlib.sha256(
+            np.ascontiguousarray(shares, dtype="<u8").tobytes()
+        ).hexdigest() == digest
+        assert int(rng.integers(0, 2**62)) == next_draw
+
+    def test_points_near_the_prime(self):
+        """Points up to ``p - 1`` — the generic loop ``horner_mod`` used
+        to keep beside its small-``x`` kernel — against the field's own
+        scalar evaluation."""
+        p = FIELD.prime
+        rng = np.random.default_rng(11)
+        coefficients = rng.integers(0, p, size=(4, 12), dtype=np.uint64)
+        points = [p - 1, p - 2, p - (1 << 21), p - (1 << 42), 1 << 60, 1]
+        values = horner_mod(
+            coefficients, np.asarray(points, dtype=np.uint64), p
+        )
+        for row, polynomial in zip(values.tolist(), coefficients.tolist()):
+            assert row == [
+                FIELD.evaluate_polynomial(polynomial, x) for x in points
+            ]
 
 
 class TestBatchedRejection:

@@ -4,10 +4,11 @@ Drives :class:`~repro.secagg.statemachine.ClientSession` /
 :class:`~repro.secagg.statemachine.ServerSession` with a hand-rolled
 in-test pump — the smallest possible transport — and covers what the
 transports themselves don't: version/PRG negotiation rejection at Hello
-(the typed failure path), strict phase/sender validation, the two
+(the typed failure path), strict phase/sender validation, the
 session-level guarantees a transport cannot give (a refused datagram
-leaves nothing behind; a client answers one unmask request a round),
-and the wire accounting ledger.
+leaves nothing behind; a client shares keys once, masks once — over at
+least ``t`` participants — and answers one unmask request a round), and
+the wire accounting ledger.
 """
 
 import dataclasses
@@ -855,6 +856,105 @@ class TestOneUnmaskAnswer:
         # … and the honest one, sent afterwards, gets nothing.
         with pytest.raises(AggregationError, match="already answered"):
             clients[1].handle(_request(clients, {1, 2, 3, 4, 5}, set()))
+
+
+def _mailbox_rows(delivery, rows):
+    """A share delivery re-encoded with ``rows`` of its mailbox only."""
+    header, mailbox = decode_message(delivery)
+    return encode_message(
+        SealedDelivery(
+            mailbox.recipient, mailbox.senders[rows], mailbox.ciphertexts[rows]
+        ),
+        header,
+    )
+
+
+class TestOneMaskedInput:
+    """One share-keys upload and one masked input a round, the latter
+    over a ``U1`` of at least ``t`` — whatever the server sends.  A
+    client used to answer every roster and every delivery that named
+    it: a one-row delivery got ``x_u + PRG(b_u)`` (and the honest peers
+    then hand the server ``b_u``), two deliveries got two masked inputs
+    that differ by bare pairwise masks."""
+
+    @staticmethod
+    def open_deliveries():
+        inputs, clients, server = make_sessions(n=5, threshold=3)
+        uploads = open_share_keys(clients, server)
+        for u in sorted(uploads):
+            server.receive(uploads[u], sender=u)
+        return inputs, clients, server, server.advance()
+
+    @staticmethod
+    def open_rosters():
+        inputs, clients, server = make_sessions(n=5, threshold=3)
+        for u in sorted(clients):
+            server.receive(b"".join(clients[u].start()), sender=u)
+        return inputs, clients, server, server.advance()
+
+    @staticmethod
+    def finish(inputs, clients, server, uploads):
+        for _ in range(PHASE_DONE - server.phase):
+            uploads = close_phase(clients, server, uploads)
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs.sum(axis=0), MODULUS)
+        )
+
+    @pytest.mark.parametrize(
+        "rows, refusal",
+        [
+            ([0], "threshold is 3"),
+            ([0, 4], "threshold is 3"),
+            ([1, 2, 3, 4], "excluded from the participant set"),
+            ([0, 1, 2, 2, 4], "names a sender twice"),
+        ],
+        ids=["alone", "below-threshold", "without-itself", "duplicate-row"],
+    )
+    def test_a_delivery_it_cannot_mask_over_is_refused(self, rows, refusal):
+        inputs, clients, server, deliveries = self.open_deliveries()
+        with pytest.raises(AggregationError, match=refusal):
+            clients[1].handle(_mailbox_rows(deliveries[1], rows))
+        # Nothing was stored and the answer was not used up: the honest
+        # delivery is answered and the round completes.
+        assert clients[1].crypto._received == {}
+        self.finish(
+            inputs, clients, server,
+            {u: b"".join(clients[u].handle(deliveries[u])) for u in clients},
+        )
+
+    def test_second_delivery_is_refused(self):
+        inputs, clients, server, deliveries = self.open_deliveries()
+        uploads = {
+            u: b"".join(clients[u].handle(deliveries[u])) for u in clients
+        }
+        # Without sender 5 the second masked input would differ from the
+        # first by exactly the pairwise mask of (1, 5).
+        for rows in ([0, 1, 2, 3], slice(None)):
+            with pytest.raises(AggregationError, match="already uploaded"):
+                clients[1].handle(_mailbox_rows(deliveries[1], rows))
+        # The answer it did give still completes the round, its shares
+        # of all five peers intact.
+        assert sorted(clients[1].crypto._received) == [1, 2, 3, 4, 5]
+        self.finish(inputs, clients, server, uploads)
+
+    def test_second_roster_is_refused(self):
+        inputs, clients, server, rosters = self.open_rosters()
+        uploads = {u: b"".join(clients[u].handle(rosters[u])) for u in clients}
+        seed = clients[1].crypto._self_seed
+        with pytest.raises(AggregationError, match="already shared"):
+            clients[1].handle(rosters[1])
+        assert clients[1].crypto._self_seed == seed
+        self.finish(inputs, clients, server, uploads)
+
+    def test_a_refused_roster_does_not_use_the_upload_up(self):
+        inputs, clients, server, rosters = self.open_rosters()
+        frame = len(rosters[1]) // 5
+        with pytest.raises(AggregationError, match="cannot meet threshold"):
+            clients[1].handle(rosters[1][: 2 * frame])
+        self.finish(
+            inputs, clients, server,
+            {u: b"".join(clients[u].handle(rosters[u])) for u in clients},
+        )
 
 
 class TestWireAccounting:
