@@ -1,10 +1,9 @@
 """Kernel micro-benchmarks: mask PRG, Shamir and key-agreement throughput.
 
-Measures the vectorised SecAgg kernels against the retained scalar
-reference paths — masks/sec for the two PRG suites (SHAKE-256 and
-batched SHA-256 counter mode vs the pre-kernel scalar loop),
-shares/sec for batched Shamir split/reconstruct vs the per-coefficient
-Python loops, and the scalar-``pow`` / vectorised-sweep crossover that
+Measures the vectorised SecAgg kernels — masks/sec for the SHAKE-256
+mask PRG, cold and replayed from its memo; shares/sec for batched
+Shamir split/reconstruct vs the per-coefficient Python loops; and the
+scalar-``pow`` / vectorised-sweep crossover that
 ``repro.secagg.keys.SCALAR_BATCH_MAX`` records.  Rows are printed, not
 persisted: the committed performance ledger is ``bench/`` (``python3
 bench/run.py``).
@@ -12,7 +11,8 @@ bench/run.py``).
 The smoke assertions run in tier 1: they only require the vectorised
 kernels not to be *slower* than the scalar baselines (with generous
 slack for timer noise), guarding against a regression that silently
-reroutes the hot paths through scalar code.
+reroutes the hot paths through scalar code, and the memo not to be
+slower than expanding afresh.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import numpy as np
 
 from repro.secagg.bonawitz import _key_limbs
 from repro.secagg.field import DEFAULT_FIELD
-from repro.secagg.kernels import Sha256CounterPrg, Shake256Prg
+from repro.secagg.kernels import MaskPrg
 from repro.linalg.modular import pow_mod
 from repro.secagg.keys import SCALAR_BATCH_MAX, TOY_GROUP
-from repro.secagg.prg import expand_mask_reference
 from repro.secagg.shamir import (
     Share,
     reconstruct_quorum,
@@ -72,70 +71,31 @@ def _best_of(repeats: int, func) -> float:
 
 
 def test_mask_prg_throughput(emit):
-    """Masks/sec: scalar reference vs the two suites, cold and memo-warm."""
+    """Masks/sec: SHAKE-256 cold and replayed from the memo."""
     seeds = [bytes([i & 255, i >> 8]) * 16 for i in range(MASK_BATCH)]
 
-    def scalar():
-        for seed in seeds:
-            expand_mask_reference(seed, MASK_DIMENSION, MODULUS)
-
-    def cold(suite, dimension, batch=seeds):
+    def cold():
         # Fresh instance per repetition: measures the hash loop itself,
         # not the per-instance word memo.
-        return lambda: suite().expand_batch(batch, dimension, MODULUS)
+        MaskPrg().expand_batch(seeds, MASK_DIMENSION, MODULUS)
 
-    def warm(suite):
-        prg = suite()
-        prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)  # fill the memo
-        return lambda: prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)
+    prg = MaskPrg()
+    prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)  # fill the memo
 
-    scalar_time, sha_time, shake_time, sha_cached, shake_cached = (
-        _interleaved_best_of(
-            5,
-            scalar,
-            cold(Sha256CounterPrg, MASK_DIMENSION),
-            cold(Shake256Prg, MASK_DIMENSION),
-            warm(Sha256CounterPrg),
-            warm(Shake256Prg),
-        )
-    )
+    def warm():
+        prg.expand_batch(seeds, MASK_DIMENSION, MODULUS)
+
+    shake_time, shake_cached = _interleaved_best_of(5, cold, warm)
     for name, elapsed in [
-        ("scalar-reference", scalar_time),
-        ("sha256-ctr-batch", sha_time),
         ("shake256-batch", shake_time),
-        ("sha256-ctr-cached", sha_cached),
         ("shake256-cached", shake_cached),
     ]:
         emit(
             f"kernel_masks backend={name:17s} dimension={MASK_DIMENSION} "
             f"batch={MASK_BATCH} masks_per_sec={MASK_BATCH / elapsed:10.1f}",
         )
-    # The sha256-ctr batch kernel hashes exactly what the scalar loop
-    # hashes; it must not be slower (1.5x slack absorbs timer noise).
-    assert sha_time <= scalar_time * 1.5
-    # One XOF call per mask beats one hash call per four coordinates.
-    assert shake_time < sha_time
     # The memo makes re-expansion of the same seeds nearly free.
-    assert sha_cached <= sha_time
     assert shake_cached <= shake_time
-
-    # Narrow masks (the O(n^2) workloads): per-seed overhead dominates,
-    # so the default suite must at least not lose there.
-    narrow = [bytes([i & 255, i >> 8]) * 16 for i in range(2048)]
-    sha_narrow, shake_narrow = _interleaved_best_of(
-        5,
-        cold(Sha256CounterPrg, 16, narrow),
-        cold(Shake256Prg, 16, narrow),
-    )
-    for name, elapsed in [
-        ("sha256-ctr-batch", sha_narrow),
-        ("shake256-batch", shake_narrow),
-    ]:
-        emit(
-            f"kernel_masks backend={name:17s} dimension=16 "
-            f"batch={len(narrow)} masks_per_sec={len(narrow) / elapsed:10.1f}",
-        )
-    assert shake_narrow <= sha_narrow
 
 
 def test_key_agreement_crossover(emit, bench_rng):

@@ -37,7 +37,6 @@ from repro.mechanisms import (
     SkellamMechanism,
     SkellamMixtureMechanism,
 )
-from repro.secagg.kernels import DEFAULT_MASK_PRG, MASK_PRGS
 from repro.sumestimation import (
     format_results_table,
     run_sum_estimation,
@@ -400,7 +399,6 @@ def command_serve(args) -> int:
         rounds=args.rounds,
         phase_timeout=args.phase_timeout,
         join_timeout=args.join_timeout,
-        mask_prg=args.mask_prg,
         resume_grace=args.resume_grace,
         journal_path=args.journal,
         round_epsilon=args.round_epsilon,
@@ -472,7 +470,6 @@ def command_swarm(args) -> int:
         delay=args.delay,
         jitter=args.jitter,
         chaos_cancel=args.chaos_cancel,
-        mask_prg=args.mask_prg,
         client_timeout=args.timeout,
         connect_timeout=args.connect_timeout,
         max_retries=args.max_retries,
@@ -708,12 +705,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                               help="wall seconds before stragglers are "
                                    "evicted from a phase")
     serve_parser.add_argument("--join-timeout", type=float, default=30.0)
-    serve_parser.add_argument("--mask-prg", default=None,
-                              choices=sorted(MASK_PRGS),
-                              help="mask PRG suite (default: "
-                                   f"{DEFAULT_MASK_PRG.name}); must match "
-                                   "every client's, or the round refuses "
-                                   "the client at advertise")
     serve_parser.add_argument("--digest-out", metavar="PATH", default=None,
                               help="write one aggregate digest per round "
                                    "(CI compares against the in-memory "
@@ -763,12 +754,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                                    "delay (s)")
     swarm_parser.add_argument("--chaos-cancel", type=int, default=0,
                               help="client tasks cancelled mid-round")
-    swarm_parser.add_argument("--mask-prg", default=None,
-                              choices=sorted(MASK_PRGS),
-                              help="mask PRG suite (default: "
-                                   f"{DEFAULT_MASK_PRG.name}); must match "
-                                   "the server's, or the round refuses "
-                                   "the client at advertise")
     swarm_parser.add_argument("--timeout", type=float, default=60.0,
                               help="per-delivery client timeout (s)")
     swarm_parser.add_argument("--connect-timeout", type=float, default=10.0,

@@ -28,10 +28,9 @@ from repro.accounting.divergences import (
 from repro.config import ClipConfig, CompressionConfig
 from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.core.clipping import clip_gradient
-from repro.core.dgm import round_sigma_up
+from repro.core.dgm import dgm_perturb, round_sigma_up
 from repro.errors import CalibrationError, PrivacyAccountingError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
-from repro.sampling.fast import bernoulli_round, discrete_gaussian_noise
 
 _DELTA_INF_MARGIN = 1.0 - 1e-9
 
@@ -124,10 +123,8 @@ class DiscreteGaussianMixtureMechanism(DistributedSumEstimator):
             raise CalibrationError(
                 "DiscreteGaussianMixtureMechanism is not calibrated"
             )
-        clipped = clip_gradient(scaled, self.clip)
-        rounded = bernoulli_round(clipped, rng)
-        return rounded + discrete_gaussian_noise(
-            self.effective_sigma**2, rounded.shape, rng
+        return dgm_perturb(
+            clip_gradient(scaled, self.clip), self.effective_sigma**2, rng
         )
 
     def describe(self) -> dict[str, float | int | str]:

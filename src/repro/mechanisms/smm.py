@@ -25,9 +25,9 @@ from repro.accounting.divergences import smm_max_delta_inf, smm_rdp
 from repro.config import ClipConfig, CompressionConfig
 from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.core.clipping import clip_gradient
+from repro.core.skellam_mixture import smm_perturb
 from repro.errors import CalibrationError, PrivacyAccountingError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
-from repro.sampling.fast import bernoulli_round, skellam_noise
 
 #: Strict-inequality safety margin applied to the Eq. (3) maximum.
 _DELTA_INF_MARGIN = 1.0 - 1e-9
@@ -86,9 +86,7 @@ class SkellamMixtureMechanism(DistributedSumEstimator):
     ) -> np.ndarray:
         if self.lam is None or self.clip is None:
             raise CalibrationError("SkellamMixtureMechanism is not calibrated")
-        clipped = clip_gradient(scaled, self.clip)
-        rounded = bernoulli_round(clipped, rng)
-        return rounded + skellam_noise(self.lam, rounded.shape, rng)
+        return smm_perturb(clip_gradient(scaled, self.clip), self.lam, rng)
 
     def per_round_rdp_curve(self, num_participants: int | None = None):
         """Theorem-5 RDP curve of one round at the calibrated ``lambda``.

@@ -386,7 +386,6 @@ async def run_client(
     threshold: int,
     group: KeyAgreementGroup = TOY_GROUP,
     field: PrimeField = DEFAULT_FIELD,
-    mask_prg: str | None = None,
     timeout: float = 60.0,
     connect_timeout: float = 10.0,
     retry: RetryPolicy | None = None,
@@ -398,7 +397,7 @@ async def run_client(
         host/port: The server's TCP address.
         plan: Identity, seed and fault-injection schedule.
         vector: The client's private input over ``Z_modulus``.
-        modulus/threshold/group/field/mask_prg: Protocol parameters —
+        modulus/threshold/group/field: Protocol parameters —
             must match the server's.
         timeout: Wall seconds to wait for any single server delivery.
         connect_timeout: Wall seconds to wait for any single dial.
@@ -424,7 +423,6 @@ async def run_client(
         rng=np.random.default_rng(plan.seed),
         group=group,
         field=field,
-        mask_prg=mask_prg,
         version=plan.version,
     )
     runner = _Runner(

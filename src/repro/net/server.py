@@ -122,8 +122,6 @@ class ServerConfig:
             evicting the stragglers and moving on.
         join_timeout: Wall seconds after the first handshake to wait
             for the rest of the cohort.
-        mask_prg: Mask PRG backend name for the round's negotiated
-            header.
         group: DH group — defaults to the fast 61-bit toy group, the
             same default the in-memory drivers use.
         max_datagram_bytes: Upload size bound enforced by the framing
@@ -151,7 +149,6 @@ class ServerConfig:
     rounds: int = 1
     phase_timeout: float = 30.0
     join_timeout: float = 30.0
-    mask_prg: str | None = None
     group: KeyAgreementGroup = TOY_GROUP
     field: PrimeField = DEFAULT_FIELD
     max_datagram_bytes: int = MAX_DATAGRAM_BYTES
@@ -266,7 +263,7 @@ class SecAggServer:
         # negotiate their own header via their ServerSession.
         self._reject_header = ServerSession(
             config.modulus, config.dimension, config.threshold,
-            config.field, config.group, config.mask_prg,
+            config.field, config.group,
         ).header
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
@@ -547,7 +544,6 @@ class SecAggServer:
             self.config.threshold,
             self.config.field,
             self.config.group,
-            self.config.mask_prg,
             metrics=self.metrics,
             resumable=True,
         )
@@ -573,7 +569,7 @@ class SecAggServer:
         # dropout recovery memoised is dead weight in a long-lived
         # server, so the round opens on empty memos like every other
         # transport's.
-        forget_round_memos(self.config.group, self.config.mask_prg)
+        forget_round_memos(self.config.group)
         session = self._build_session()
         if self._journal is not None:
             self._journal.round_start(

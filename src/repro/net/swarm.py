@@ -69,7 +69,6 @@ class SwarmConfig:
         chaos_cancel: How many client tasks the swarm cancels at a
             deterministic mid-round delay — abnormal teardown injection;
             digests are not comparable in chaos mode.
-        mask_prg: Mask PRG backend name (must match the server's).
         client_timeout: Per-delivery wall timeout for every client.
         connect_timeout: Per-dial wall timeout for every client — no
             client hangs forever against a dead address.
@@ -99,7 +98,6 @@ class SwarmConfig:
     delay: float = 0.0
     jitter: float = 0.0
     chaos_cancel: int = 0
-    mask_prg: str | None = None
     client_timeout: float = 60.0
     connect_timeout: float = 10.0
     max_retries: int = 0
@@ -306,7 +304,6 @@ def expected_aggregate(
         group=group,
         dropouts=dropouts,
         field=field,
-        mask_prg=config.mask_prg,
     )
 
 
@@ -340,7 +337,7 @@ async def run_swarm(
     key-agreement and mask-PRG memos, as every other round driver does
     (:func:`~repro.secagg.bonawitz.forget_round_memos`).
     """
-    forget_round_memos(group, config.mask_prg)
+    forget_round_memos(group)
     inputs, _ = derive_population(config)
     plans = client_plans(config)
     retry = config.retry_policy
@@ -355,7 +352,6 @@ async def run_swarm(
                 config.resolved_threshold,
                 group=group,
                 field=field,
-                mask_prg=config.mask_prg,
                 timeout=config.client_timeout,
                 connect_timeout=config.connect_timeout,
                 retry=retry,

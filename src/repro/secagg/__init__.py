@@ -10,7 +10,7 @@ is the protocol that realises it.  Two layers:
   state machines (DH key agreement, Shamir-shared seeds, double
   masking, dropout recovery), built on :mod:`repro.secagg.field`,
   :mod:`repro.secagg.shamir`, :mod:`repro.secagg.keys` and
-  :mod:`repro.secagg.prg`.
+  :mod:`repro.secagg.kernels`.
 * :mod:`repro.secagg.wire` + :mod:`repro.secagg.statemachine` — the
   sans-I/O protocol core: typed, versioned, byte-serializable wire
   messages with first-class version/PRG negotiation (``encode_message``
@@ -66,10 +66,7 @@ from repro.secagg.tree import (
 )
 from repro.secagg.kernels import (
     DEFAULT_MASK_PRG,
-    MASK_PRGS,
     MaskPrg,
-    Sha256CounterPrg,
-    Shake256Prg,
     get_mask_prg,
     sum_signed_masks,
 )
@@ -81,7 +78,6 @@ from repro.secagg.keys import (
     agree,
     generate_keypair,
 )
-from repro.secagg.prg import expand_mask, pairwise_delta
 from repro.secagg.shamir import (
     LimbShares,
     Share,
@@ -107,7 +103,6 @@ __all__ = [
     "Hello",
     "KeyPair",
     "LimbShares",
-    "MASK_PRGS",
     "MERSENNE_61",
     "MaskPrg",
     "MaskedInput",
@@ -122,8 +117,6 @@ __all__ = [
     "SealedDelivery",
     "SealedUpload",
     "ServerSession",
-    "Sha256CounterPrg",
-    "Shake256Prg",
     "Share",
     "TOY_GROUP",
     "TreeNode",
@@ -139,10 +132,8 @@ __all__ = [
     "decode_message",
     "drive_in_memory",
     "encode_message",
-    "expand_mask",
     "generate_keypair",
     "get_mask_prg",
-    "pairwise_delta",
     "reconstruct_large_secret",
     "reconstruct_quorum",
     "reconstruct_secret",

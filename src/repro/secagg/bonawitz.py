@@ -39,10 +39,8 @@ Every quadratic inner loop — per-peer mask expansion and summation,
 per-recipient share generation and envelope sealing, per-survivor
 reconstruction — runs on the vectorised kernel layer
 (:mod:`repro.secagg.kernels`), so clients and the server share one code
-path for each primitive.  The ``mask_prg`` knob selects the mask PRG
-suite; all participants in a round must agree on it (``"shake256"``,
-the default, is one XOF call per mask; ``"sha256-ctr"`` is the
-compatibility suite, bit-identical to the original implementation).
+path for each primitive.  Masks are expanded by SHAKE-256
+(:class:`~repro.secagg.kernels.MaskPrg`), one XOF call per mask.
 
 Layering: this module holds the *crypto* state machines
 (:class:`BonawitzClient` / :class:`BonawitzServer`) operating on live
@@ -224,8 +222,8 @@ class BonawitzClient:
         rng: Client-local randomness.
         group: The DH group for both key pairs.
         field: The Shamir sharing field.
-        mask_prg: Mask PRG backend name or instance (protocol version);
-            must match the server's and every peer's.
+        mask_prg: The mask PRG instance whose memo this client fills
+            (default :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).
     """
 
     def __init__(
@@ -237,7 +235,7 @@ class BonawitzClient:
         rng: np.random.Generator,
         group: KeyAgreementGroup,
         field: PrimeField = DEFAULT_FIELD,
-        mask_prg: MaskPrg | str | None = None,
+        mask_prg: MaskPrg | None = None,
     ) -> None:
         if index < 1:
             raise ConfigurationError(f"client index must be >= 1, got {index}")
@@ -557,7 +555,7 @@ class BonawitzClient:
 
 
 def forget_round_memos(
-    group: KeyAgreementGroup, mask_prg: MaskPrg | str | None
+    group: KeyAgreementGroup, mask_prg: MaskPrg | None = None
 ) -> None:
     """Drop the previous round's key agreements and mask-PRG rows.
 
@@ -641,7 +639,8 @@ class BonawitzServer:
         threshold: Shamir threshold ``t``.
         field: Shamir sharing field (must match the clients').
         group: DH group (must match the clients').
-        mask_prg: Mask PRG backend (must match the clients').
+        mask_prg: The mask PRG instance whose memo recovery fills
+            (default :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).
     """
 
     def __init__(
@@ -651,7 +650,7 @@ class BonawitzServer:
         threshold: int,
         field: PrimeField = DEFAULT_FIELD,
         group: KeyAgreementGroup = DhGroup(),
-        mask_prg: MaskPrg | str | None = None,
+        mask_prg: MaskPrg | None = None,
     ) -> None:
         if threshold < 2:
             raise ConfigurationError(
@@ -929,7 +928,6 @@ def run_bonawitz(
     group: KeyAgreementGroup | None = None,
     dropouts: dict[int, int] | None = None,
     field: PrimeField = DEFAULT_FIELD,
-    mask_prg: MaskPrg | str | None = None,
 ) -> AggregationOutcome:
     """Execute the full four-round protocol over simulated clients.
 
@@ -949,7 +947,6 @@ def run_bonawitz(
         dropouts: Optional map from client index (1-based) to the first
             round (0-3) at which that client stops responding.
         field: Shamir sharing field.
-        mask_prg: Mask PRG backend shared by all participants.
 
     Returns:
         The aggregation outcome.
@@ -994,13 +991,10 @@ def run_bonawitz(
             rng=np.random.default_rng(rng.integers(0, 2**63 - 1)),
             group=group,
             field=field,
-            mask_prg=mask_prg,
         )
         for i in range(num_clients)
     }
-    server = ServerSession(
-        modulus, dimension, threshold, field, group, mask_prg
-    )
+    server = ServerSession(modulus, dimension, threshold, field, group)
 
     # A client that dropped at a phase neither receives nor responds
     # from then on (it stopped talking).

@@ -82,7 +82,6 @@ def compose(
     how: str = "clear",
     rng: np.random.Generator | None = None,
     level: int = 0,
-    mask_prg: str | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[np.ndarray, WireStats | None]:
     """Combine one interior tree node's child sums into one modular sum.
@@ -102,7 +101,6 @@ def compose(
             or more children, ignored by ``"clear"``).
         level: Tree depth of the composing node (0 = root), used only
             for telemetry labels.
-        mask_prg: Mask PRG backend name for the ``"secagg"`` round.
         metrics: Optional registry for composition-side instruments.
 
     Returns:
@@ -136,6 +134,4 @@ def compose(
         raise ConfigurationError(
             "the secagg composer needs node-local randomness (rng)"
         )
-    return run_composition_round(
-        child_sums, modulus, rng, mask_prg=mask_prg, metrics=metrics
-    )
+    return run_composition_round(child_sums, modulus, rng, metrics=metrics)

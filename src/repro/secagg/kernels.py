@@ -1,4 +1,4 @@
-"""Vectorised SecAgg kernels: mask PRG backends and batched Shamir.
+"""Vectorised SecAgg kernels: the mask PRG and batched Shamir.
 
 The Bonawitz protocol's two hot paths are embarrassingly batchable:
 
@@ -6,14 +6,10 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
   plus its self-mask seed; the server re-expands the same seeds during
   dropout recovery.  A full cohort of ``n`` clients expands ``Θ(n²)``
   masks per round, so a mask should cost about what streaming
-  ``d·log2(m)`` pseudorandom bits costs: :class:`Shake256Prg`, the
-  default suite, makes one native XOF call per mask and reads the stream
-  at the modulus' own word width, and :func:`sum_signed_masks` adds the
-  raw words in wrapping arithmetic.  :class:`Sha256CounterPrg` (one
-  Python-level hash call per four coordinates, *bit-identical* to the
-  seed implementation) stays negotiable by name as the compatibility
-  suite; both sit behind the small :class:`MaskPrg` interface, which
-  derives everything from one primitive.
+  ``d·log2(m)`` pseudorandom bits costs: :class:`MaskPrg` (SHAKE-256)
+  makes one native XOF call per mask and reads the stream at the
+  modulus' own word width, and :func:`sum_signed_masks` adds the raw
+  words in wrapping arithmetic.
 
 * **Shamir sharing.**  Each client splits its self-mask seed and every
   limb of its mask private key over the same ``n`` evaluation points,
@@ -35,12 +31,11 @@ BLAS sums below ``2^53``, and the only wraparound is the one that is
 itself a reduction mod ``2^k`` — and the golden-vector and
 property-test suites (``tests/test_keys_prg.py``,
 ``tests/test_mask_prg_suites.py``, ``tests/test_shamir.py``) pin them
-against hashlib and the retained scalar reference paths.
+against hashlib and the retained scalar Shamir paths.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import math
 from collections.abc import Sequence
@@ -54,12 +49,11 @@ from repro.linalg.modular import (
     sum_mod,
 )
 
-_BLOCK_WORDS = 4  # SHA-256 digest = 32 bytes = 4 uint64 words.
 _DIGEST_BYTES = 32
 
-#: Pre-cut 8-byte little-endian counters (lazily extended), so the hash
-#: loops reuse one bytes object per counter instead of building one per
-#: (seed, block).
+#: Pre-cut 8-byte little-endian counters (lazily extended), so the
+#: keystream loop reuses one bytes object per counter instead of building
+#: one per (key, block).
 _counter_slice_cache: list[bytes] = []
 
 
@@ -82,22 +76,30 @@ def _validate_mask_request(dimension: int, modulus: int) -> None:
         )
 
 
-class MaskPrg(abc.ABC):
-    """Strategy interface: expand a short seed to a vector over ``Z_m``.
+class MaskPrg:
+    """SHAKE-256 as an XOF: expand a short seed to a vector over ``Z_m``.
 
-    A backend supplies one primitive, :meth:`_squeeze` — raw unsigned
-    words off its keyed stream — and everything else derives from it.
-    For ``m = 2^k`` the residue is the low ``k`` bits of a word (exactly
-    uniform); for general ``m`` 64-bit words at or above the largest
-    multiple of ``m`` are rejected and a mask is the first ``d`` accepted
-    words of the stream, reduced mod ``m``.  Both rules are *pure* in
-    ``(seed, dimension, modulus)`` — dropout recovery depends on the
+    One hash call per mask.  The stream is ``SHAKE256(seed)`` read as
+    little-endian unsigned words of the narrowest width in {8, 16, 32,
+    64} bits that holds ``log2(m)`` bits (2 B of stream per coordinate at
+    ``m = 2^16``).  For ``m = 2^k`` the residue is the low ``k`` bits of a
+    word (exactly uniform); a general ``m`` reads 64-bit words, rejects
+    those at or above the largest multiple of ``m``, and a mask is the
+    first ``d`` accepted words reduced mod ``m``.  Both rules are *pure*
+    in ``(seed, dimension, modulus)`` — dropout recovery depends on the
     server regenerating bit-identical masks from reconstructed seeds —
     and prefix stable: a longer expansion extends the shorter one.
+
+    Instances differ only in their memo.  Rounds share
+    :data:`DEFAULT_MASK_PRG`; the round drivers and sessions still take
+    an optional instance because it says which memo a round fills — the
+    benchmark hands each simulated round a fresh one, so that it times
+    cold expansion rather than rows an earlier round left behind.
     """
 
-    #: Registry / wire-format identifier for backend negotiation.
-    name: str
+    #: The mask-PRG half of the suite string on every frame
+    #: (:func:`repro.secagg.keys.suite_name`).
+    name = "shake256"
 
     #: Memo budget in bytes.  Every pairwise mask is expanded once by
     #: *each* endpoint (and again by the server for dropout pairs), so
@@ -132,16 +134,21 @@ class MaskPrg(abc.ABC):
         self._memo.clear()
         self._memo_bytes = 0
 
-    @abc.abstractmethod
     def _squeeze(
         self, seeds: list[bytes], count: int, bits: int
     ) -> np.ndarray:
         """``(len(seeds), count)`` read-only little-endian unsigned words.
 
         Row ``i`` is the first ``count`` words of ``seeds[i]``'s stream,
-        each carrying at least ``bits`` uniform low bits; the word width
-        is the backend's choice per ``bits`` and 64 for ``bits == 64``.
+        each the narrowest width that carries ``bits`` bits.
         """
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= bits)
+        shake = hashlib.shake_256
+        nbytes = count * width
+        digest = b"".join([shake(seed).digest(nbytes) for seed in seeds])
+        return np.frombuffer(digest, dtype=f"<u{width}").reshape(
+            len(seeds), count
+        )
 
     def word_rows(
         self, seeds: Sequence[bytes], dimension: int, bits: int
@@ -188,7 +195,7 @@ class MaskPrg(abc.ABC):
         limit = np.uint64((1 << 64) - (1 << 64) % modulus)
         out = np.empty((len(seeds), dimension), dtype=np.int64)
         for row, seed in enumerate(seeds):
-            count = 2 * dimension + _BLOCK_WORDS
+            count = 2 * dimension + 4
             while True:
                 words = self._squeeze([bytes(seed)], count, 64)[0]
                 accepted = words[words < limit]
@@ -199,89 +206,13 @@ class MaskPrg(abc.ABC):
         return out
 
 
-class Shake256Prg(MaskPrg):
-    """SHAKE-256 as an XOF — the default suite: one hash call per mask.
-
-    The stream is ``SHAKE256(seed)`` read as little-endian unsigned
-    words of the narrowest width in {8, 16, 32, 64} bits that holds
-    ``log2(m)`` bits (2 B instead of 8 B of stream per coordinate at
-    ``m = 2^16``); general moduli read 64-bit words.
-    """
-
-    name = "shake256"
-
-    def _squeeze(
-        self, seeds: list[bytes], count: int, bits: int
-    ) -> np.ndarray:
-        width = next(w for w in (1, 2, 4, 8) if 8 * w >= bits)
-        shake = hashlib.shake_256
-        nbytes = count * width
-        digest = b"".join([shake(seed).digest(nbytes) for seed in seeds])
-        return np.frombuffer(digest, dtype=f"<u{width}").reshape(
-            len(seeds), count
-        )
+#: The instance every round fills unless handed its own.
+DEFAULT_MASK_PRG = MaskPrg()
 
 
-class Sha256CounterPrg(MaskPrg):
-    """SHA-256 counter mode — the compatibility suite.
-
-    ``block_i = SHA256(seed || i)`` with a little-endian 64-bit counter,
-    blocks concatenated and always read as little-endian uint64 words:
-    one Python-level hash call per four coordinates.  Bit-identical to
-    the seed implementation (see the golden vectors in
-    ``tests/test_keys_prg.py``), negotiable by name for rounds that must
-    interoperate with it.
-    """
-
-    name = "sha256-ctr"
-
-    def _squeeze(
-        self, seeds: list[bytes], count: int, bits: int
-    ) -> np.ndarray:
-        blocks = (count + _BLOCK_WORDS - 1) // _BLOCK_WORDS
-        counters = _counter_slices(blocks)
-        sha256 = hashlib.sha256
-        digest = b"".join(
-            [
-                sha256(seed + counter).digest()
-                for seed in seeds
-                for counter in counters
-            ]
-        )
-        return np.frombuffer(digest, dtype="<u8").reshape(
-            len(seeds), blocks * _BLOCK_WORDS
-        )[:, :count]
-
-
-#: Registered suites, keyed by wire name.
-MASK_PRGS: dict[str, MaskPrg] = {
-    prg.name: prg for prg in (Shake256Prg(), Sha256CounterPrg())
-}
-
-#: What a round speaks unless told otherwise.
-DEFAULT_MASK_PRG = MASK_PRGS["shake256"]
-
-
-def get_mask_prg(spec: str | MaskPrg | None) -> MaskPrg:
-    """Resolve a backend name (or pass an instance through).
-
-    Args:
-        spec: A registered name (``"shake256"``, ``"sha256-ctr"``), a
-            :class:`MaskPrg` instance, or None for the default.
-
-    Raises:
-        ConfigurationError: On an unknown backend name.
-    """
-    if spec is None:
-        return DEFAULT_MASK_PRG
-    if isinstance(spec, MaskPrg):
-        return spec
-    try:
-        return MASK_PRGS[spec]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown mask PRG {spec!r}; known: {sorted(MASK_PRGS)}"
-        ) from None
+def get_mask_prg(spec: MaskPrg | None = None) -> MaskPrg:
+    """``spec`` itself, or :data:`DEFAULT_MASK_PRG` when it is None."""
+    return DEFAULT_MASK_PRG if spec is None else spec
 
 
 def sum_signed_masks(
@@ -289,7 +220,7 @@ def sum_signed_masks(
     signs: Sequence[int],
     dimension: int,
     modulus: int,
-    prg: MaskPrg | str | None = None,
+    prg: MaskPrg | None = None,
 ) -> np.ndarray:
     """``Σ_k sign_k · PRG(seed_k) mod m`` in one batched pass.
 
@@ -305,7 +236,8 @@ def sum_signed_masks(
         signs: ``+1`` or ``-1`` per mask (lower/higher-indexed party).
         dimension: Mask vector length.
         modulus: Aggregation modulus ``m``, at most ``2**63``.
-        prg: Mask PRG backend (default: :data:`DEFAULT_MASK_PRG`).
+        prg: The instance whose memo to use (default:
+            :data:`DEFAULT_MASK_PRG`).
 
     Returns:
         The signed sum reduced into ``[0, m)``, int64.
@@ -343,10 +275,8 @@ def keystream_batch(
 ) -> np.ndarray:
     """SHA-256 counter-mode keystreams, full digest width, many keys.
 
-    Unlike mask expansion over ``Z_256`` — which reads one *byte* out of
-    each 64-bit word and therefore burns a whole SHA-256 block per four
-    output bytes — the envelope keystream consumes all 32 digest bytes,
-    an 8× reduction in hash invocations for the same stream length.
+    Every block contributes all 32 of its digest bytes, so a stream of
+    ``length`` bytes costs ``ceil(length / 32)`` hash calls.
 
     Args:
         keys: One symmetric key per stream.

@@ -155,8 +155,8 @@ class ClientSession:
         rng: Client-local randomness.
         group: DH group for both key pairs.
         field: Shamir sharing field.
-        mask_prg: Mask PRG backend name or instance; becomes part of the
-            proposed negotiated header.
+        mask_prg: The mask PRG instance whose memo this client fills
+            (default :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).
         version: Protocol version to propose at Hello.
         metrics: Optional registry for frame/rejection counters; the
             default collects nothing.
@@ -171,7 +171,7 @@ class ClientSession:
         rng: np.random.Generator,
         group: KeyAgreementGroup,
         field: PrimeField = DEFAULT_FIELD,
-        mask_prg: MaskPrg | str | None = None,
+        mask_prg: MaskPrg | None = None,
         version: int = PROTOCOL_V1,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -339,7 +339,8 @@ class ServerSession:
         threshold: Shamir threshold ``t``.
         field: Shamir sharing field (must match the clients').
         group: DH group (must match the clients').
-        mask_prg: Mask PRG backend this round speaks.
+        mask_prg: The mask PRG instance whose memo recovery fills
+            (default :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).
         accept_versions: Protocol versions the server may choose from;
             the round itself runs at the highest one (a round's shared
             broadcasts carry exactly one header, so every accepted
@@ -368,7 +369,7 @@ class ServerSession:
         threshold: int,
         field: PrimeField = DEFAULT_FIELD,
         group: KeyAgreementGroup = DhGroup(),
-        mask_prg: MaskPrg | str | None = None,
+        mask_prg: MaskPrg | None = None,
         accept_versions: frozenset[int] = SUPPORTED_PROTOCOL_VERSIONS,
         tamper_unmask_request: Callable[[UnmaskRequest], UnmaskRequest]
         | None = None,

@@ -250,7 +250,6 @@ def run_composition_round(
     rng: np.random.Generator,
     group: DhGroup | None = None,
     field: PrimeField = DEFAULT_FIELD,
-    mask_prg: str | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[np.ndarray, WireStats]:
     """One interior tree node's Bonawitz round over its children.
@@ -307,19 +306,12 @@ def run_composition_round(
             rng=np.random.default_rng(int(rng.integers(0, 2**63))),
             group=group,
             field=field,
-            mask_prg=mask_prg,
             metrics=metrics,
         )
         for position, array in enumerate(arrays)
     }
     server = ServerSession(
-        modulus,
-        dimension,
-        threshold,
-        field,
-        group,
-        mask_prg,
-        metrics=metrics,
+        modulus, dimension, threshold, field, group, metrics=metrics
     )
     drive_in_memory(server, clients, metrics=metrics)
     if server.included != frozenset(clients):

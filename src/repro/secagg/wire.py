@@ -25,9 +25,9 @@ The two-part header separates concerns deliberately: the *format
 version* says how to parse the bytes; the *negotiated header*
 (:class:`NegotiatedHeader`) says which protocol semantics the sender is
 speaking — the protocol version and the mask-PRG backend that all
-participants of a round must agree on (``"shake256"`` by default;
-``"sha256-ctr"`` is the compatibility suite, bit-identical to the
-original implementation).  Negotiation happens at :class:`Hello`: the
+participants of a round must agree on (``"shake256"``; a peer of an
+older release may propose another and is refused).  Negotiation
+happens at :class:`Hello`: the
 server checks each client's proposed header and answers with a typed
 :class:`Reject` (surfaced client-side as
 :class:`repro.errors.NegotiationError`) instead of crashing mid-round.
@@ -127,8 +127,8 @@ class NegotiatedHeader:
     Attributes:
         version: Protocol semantics version (``PROTOCOL_V1``).
         mask_prg: The negotiated backend string every participant of the
-            round must share.  A plain mask-PRG registry name
-            (:data:`repro.secagg.kernels.MASK_PRGS`) implies classic
+            round must share.  A plain mask-PRG name
+            (:attr:`repro.secagg.kernels.MaskPrg.name`) implies classic
             modular DH; ``"<prg>+<kex>"`` additionally selects a
             key-agreement backend (see :func:`split_suite`), keeping
             pre-existing byte streams unchanged.

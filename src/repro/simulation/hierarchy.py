@@ -119,8 +119,6 @@ class HierarchicalSecAggRound:
             closed here.
         trace: Optional parent event log; shard traces are merged into
             it, each event annotated with its shard index.
-        mask_prg: Mask PRG backend name shared by every shard (and by
-            the composition rounds).
         metrics: Optional :class:`~repro.telemetry.MetricsRegistry`.
             Leaf sub-rounds meter into private registries absorbed
             under a ``shard="<index>"`` label (unchanged from the flat
@@ -150,7 +148,6 @@ class HierarchicalSecAggRound:
         phase_timeout: float = 60.0,
         backend: ExecutionBackend | str | None = None,
         trace: SimulationTrace | None = None,
-        mask_prg: str | None = None,
         metrics: MetricsRegistry | None = None,
         rebalance: bool = False,
         max_shard_size: int | None = None,
@@ -177,7 +174,6 @@ class HierarchicalSecAggRound:
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self._backend = get_execution_backend(backend)
         self._trace = trace
-        self._mask_prg = mask_prg
         self._topology = TreeTopology.parse(topology)
         self._composer = composer if composer is not None else "clear"
         if self._composer not in COMPOSERS:
@@ -276,7 +272,6 @@ class HierarchicalSecAggRound:
             entropy=self._entropy,
             plans={u: self._plans[u] for u in members if u in self._plans},
             phase_timeout=self._phase_timeout,
-            mask_prg=self._mask_prg,
             collect_metrics=self._metrics is not None,
             attempt=attempt,
         )
@@ -486,7 +481,6 @@ class HierarchicalSecAggRound:
                 self._composer,
                 rng=rng,
                 level=node.level,
-                mask_prg=self._mask_prg,
                 metrics=compose_metrics,
             )
         if compose_metrics is not None:

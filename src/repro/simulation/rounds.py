@@ -66,7 +66,7 @@ from repro.secagg.bonawitz import (
     warm_pairwise_agreements,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
-from repro.secagg.kernels import MaskPrg, get_mask_prg
+from repro.secagg.kernels import MaskPrg
 from repro.secagg.keys import TOY_GROUP, KeyAgreementGroup
 from repro.secagg.statemachine import (
     PHASE_TAGS,
@@ -137,10 +137,12 @@ class AsyncSecAggRound:
         trace: Optional event log for observability.
         tamper_unmask_request: Test/adversary seam applied to the
             server's round-3 announcement before broadcast.
-        mask_prg: Mask PRG suite shared by the server and every cohort
-            member — ``"shake256"`` (default) or ``"sha256-ctr"``
-            (compatibility), or a
-            :class:`~repro.secagg.kernels.MaskPrg` instance.
+        mask_prg: The :class:`~repro.secagg.kernels.MaskPrg` instance
+            whose memo the server and every cohort member fill (default
+            :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).  There is
+            one mask PRG; the instance only says which memo the round
+            fills — the benchmark passes a fresh one per round to time
+            cold expansion.
         client_versions: Protocol version each client proposes at Hello
             (defaults to :data:`~repro.secagg.wire.PROTOCOL_V1`); the
             seam for exercising version-negotiation rejections.
@@ -171,7 +173,7 @@ class AsyncSecAggRound:
         trace: SimulationTrace | None = None,
         tamper_unmask_request: Callable[[UnmaskRequest], UnmaskRequest]
         | None = None,
-        mask_prg: MaskPrg | str | None = None,
+        mask_prg: MaskPrg | None = None,
         client_versions: Mapping[int, int] | None = None,
         metrics: MetricsRegistry | None = None,
         fail_at_phase: int | None = None,
@@ -206,7 +208,7 @@ class AsyncSecAggRound:
         self._field = field
         self._trace = trace
         self._tamper = tamper_unmask_request
-        self._mask_prg = get_mask_prg(mask_prg)
+        self._mask_prg = mask_prg
         self._client_versions = dict(client_versions or {})
         if fail_at_phase is not None and not (
             ROUND_ADVERTISE <= fail_at_phase <= ROUND_UNMASK

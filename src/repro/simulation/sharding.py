@@ -164,7 +164,6 @@ class ShardTask:
             ``default_rng(SeedSequence(entropy, spawn_key=(shard_index,)))``.
         plans: Behaviour plans for the shard's members.
         phase_timeout: Per-phase server deadline (simulated seconds).
-        mask_prg: Mask PRG backend *name* (instances may not pickle).
         collect_metrics: When true the worker meters its sub-round into
             a private registry and ships the (picklable) snapshot back
             on the report for the parent to absorb under a ``shard``
@@ -185,7 +184,6 @@ class ShardTask:
     entropy: int
     plans: dict[int, ClientPlan]
     phase_timeout: float
-    mask_prg: str | None = None
     collect_metrics: bool = False
     attempt: int = 0
 
@@ -262,7 +260,6 @@ def run_shard(task: ShardTask) -> ShardReport:
         plans=task.plans,
         phase_timeout=task.phase_timeout,
         trace=trace,
-        mask_prg=task.mask_prg,
         metrics=registry,
     )
     outcome: RoundOutcome | None = None

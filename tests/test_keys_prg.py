@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.secagg.kernels import (
-    DEFAULT_MASK_PRG,
-    MASK_PRGS,
-    Sha256CounterPrg,
-    Shake256Prg,
-    get_mask_prg,
-)
+from repro.secagg.kernels import DEFAULT_MASK_PRG, MaskPrg, get_mask_prg
 from repro.secagg.bonawitz import BonawitzClient, warm_pairwise_agreements
 from repro.secagg.keys import (
     OAKLEY_GROUP_2_PRIME,
@@ -27,7 +21,8 @@ from repro.secagg.keys import (
     generate_keypair,
     warm_agreement_cache,
 )
-from repro.secagg.prg import expand_mask, expand_mask_reference, pairwise_delta
+
+expand_mask = DEFAULT_MASK_PRG.expand
 
 
 @pytest.fixture
@@ -174,208 +169,46 @@ class TestExpandMask:
             assert mask.min() >= 0 and mask.max() < modulus
 
 
-class TestPairwiseDelta:
-    def test_signs_cancel(self):
-        plus = pairwise_delta(b"shared", 128, 2**12, sign=1)
-        minus = pairwise_delta(b"shared", 128, 2**12, sign=-1)
-        np.testing.assert_array_equal(np.mod(plus + minus, 2**12), 0)
-
-    def test_invalid_sign_rejected(self):
-        with pytest.raises(ConfigurationError, match="sign"):
-            pairwise_delta(b"s", 4, 256, sign=0)
-
-    def test_positive_delta_is_raw_mask(self):
-        np.testing.assert_array_equal(
-            pairwise_delta(b"s", 16, 256, sign=1), expand_mask(b"s", 16, 256)
-        )
-
-
-class TestGoldenVectors:
-    """Frozen expansions captured from the pre-kernel seed implementation.
-
-    These pin the SHA-256 counter-mode backend bit-for-bit: any change
-    to the counter encoding, word order, masking, or rejection sampling
-    breaks dropout recovery against recorded protocol transcripts.
-    Covers the power-of-two fast path, the general-modulus rejection
-    path (including a modulus with ~25% rejection probability), and the
-    degenerate dimensions.
-    """
-
-    GOLDEN = {
-        (b"golden-seed", 8, 2**16):
-            "99760000000000009333000000000000993100000000000015bc000000000000"
-            "2fae000000000000bb870000000000004bce0000000000002cf4000000000000",
-        (b"golden-seed", 17, 2**16):
-            "99760000000000009333000000000000993100000000000015bc000000000000"
-            "2fae000000000000bb870000000000004bce0000000000002cf4000000000000"
-            "c6f70000000000009501000000000000633b000000000000f122000000000000"
-            "87a6000000000000c6b4000000000000c0fe0000000000006a30000000000000"
-            "18f2000000000000",
-        (b"\x00" * 32, 8, 2**61):
-            "2c34ce1df23b830c5abf2a7f6437cc03d3067ed509ff25111df6b11b582b510b"
-            "19ea44be89eece0fd4ec7482049f470a11af19384bffb30a88e77b3b1dd54c19",
-        (b"golden-seed", 8, 1000):
-            "a103000000000000830200000000000029000000000000009d00000000000000"
-            "af0000000000000033030000000000001300000000000000c401000000000000",
-        (b"\xffEdge", 13, 3):
-            "0200000000000000010000000000000000000000000000000100000000000000"
-            "0000000000000000010000000000000002000000000000000200000000000000"
-            "0000000000000000020000000000000000000000000000000100000000000000"
-            "0100000000000000",
-        (b"golden-seed", 5, 2):
-            "0100000000000000010000000000000001000000000000000100000000000000"
-            "0100000000000000",
-        (b"reject-heavy", 9, 2**62 + 11):
-            "3df73f4276b5b13f0aa9684b6cca392a17f52aed394e612de5280b2731fb3733"
-            "cfa76c88937c23022ae5755da82c8d1d68dbc91c796496381fe64d5dc2af6b32"
-            "8147eb039cc56e00",
-    }
-
-    @pytest.mark.parametrize(
-        "seed,dimension,modulus", sorted(GOLDEN, key=repr)
-    )
-    def test_expand_mask_matches_golden(self, seed, dimension, modulus):
-        expected = np.frombuffer(
-            bytes.fromhex(self.GOLDEN[(seed, dimension, modulus)]),
-            dtype="<u8",
-        ).astype(np.int64)
-        np.testing.assert_array_equal(
-            expand_mask(seed, dimension, modulus, prg="sha256-ctr"), expected
-        )
-
-    @pytest.mark.parametrize(
-        "seed,dimension,modulus", sorted(GOLDEN, key=repr)
-    )
-    def test_reference_implementation_matches_golden(
-        self, seed, dimension, modulus
-    ):
-        """The retained scalar path and the goldens agree forever."""
-        expected = np.frombuffer(
-            bytes.fromhex(self.GOLDEN[(seed, dimension, modulus)]),
-            dtype="<u8",
-        ).astype(np.int64)
-        np.testing.assert_array_equal(
-            expand_mask_reference(seed, dimension, modulus), expected
-        )
-
-    @pytest.mark.parametrize(
-        "seed,dimension,modulus", sorted(GOLDEN, key=repr)
-    )
-    def test_kernel_backend_matches_golden(self, seed, dimension, modulus):
-        expected = np.frombuffer(
-            bytes.fromhex(self.GOLDEN[(seed, dimension, modulus)]),
-            dtype="<u8",
-        ).astype(np.int64)
-        np.testing.assert_array_equal(
-            Sha256CounterPrg().expand(seed, dimension, modulus), expected
-        )
-
-
-class TestKernelReferenceEquivalence:
-    """Vectorised backend == retained scalar reference, everywhere."""
-
-    @given(
-        modulus=st.integers(min_value=2, max_value=2**20),
-        dimension=st.integers(min_value=0, max_value=200),
-        seed=st.binary(min_size=0, max_size=48),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_expand_equivalence_property(self, modulus, dimension, seed):
-        np.testing.assert_array_equal(
-            expand_mask(seed, dimension, modulus, prg="sha256-ctr"),
-            expand_mask_reference(seed, dimension, modulus),
-        )
-
-    def test_batch_rows_equal_single_expansions(self):
-        prg = Sha256CounterPrg()
-        seeds = [bytes([i]) * 32 for i in range(12)] + [b"", b"\x00"]
-        for modulus in (2**16, 1000):
-            batch = prg.expand_batch(seeds, 40, modulus)
-            for row, seed in enumerate(seeds):
-                np.testing.assert_array_equal(
-                    batch[row], expand_mask_reference(seed, 40, modulus)
-                )
-
-    def test_batch_caching_is_transparent(self):
-        prg = Sha256CounterPrg()
-        seeds = [b"cached-seed" for _ in range(3)]
-        first = prg.expand_batch(seeds, 16, 2**16)
-        second = prg.expand_batch(seeds, 16, 2**16)
-        np.testing.assert_array_equal(first, second)
-        # Mutating a returned row must not poison later expansions.
-        first[0, :] = -1
-        np.testing.assert_array_equal(
-            prg.expand(b"cached-seed", 16, 2**16), second[0]
-        )
-
-
 class TestShake256Backend:
     def test_deterministic_per_seed(self):
-        prg = Shake256Prg()
+        prg = MaskPrg()
         np.testing.assert_array_equal(
             prg.expand(b"seed", 128, 2**16), prg.expand(b"seed", 128, 2**16)
         )
 
     def test_distinct_seeds_differ(self):
-        prg = Shake256Prg()
+        prg = MaskPrg()
         assert not np.array_equal(
             prg.expand(b"seed-a", 64, 2**16), prg.expand(b"seed-b", 64, 2**16)
         )
 
     def test_prefix_stability(self):
-        prg = Shake256Prg()
+        prg = MaskPrg()
         np.testing.assert_array_equal(
             prg.expand(b"s", 10, 2**20), prg.expand(b"s", 50, 2**20)[:10]
         )
 
     def test_range_general_modulus(self):
-        mask = Shake256Prg().expand(b"x", 2000, 1000)
+        mask = MaskPrg().expand(b"x", 2000, 1000)
         assert mask.min() >= 0 and mask.max() < 1000
 
     def test_uniformity(self):
-        mask = Shake256Prg().expand(b"uniformity", 200_000, 8)
+        mask = MaskPrg().expand(b"uniformity", 200_000, 8)
         counts = np.bincount(mask, minlength=8)
         expected = len(mask) / 8
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 30
-
-    def test_not_bit_compatible_with_sha_backend(self):
-        # Different suites really are different streams.
-        assert not np.array_equal(
-            Shake256Prg().expand(b"seed", 64, 2**16),
-            Sha256CounterPrg().expand(b"seed", 64, 2**16),
-        )
 
 
 class TestMaskPrgRegistry:
     def test_default_is_shake256(self):
         assert get_mask_prg(None) is DEFAULT_MASK_PRG
         assert DEFAULT_MASK_PRG.name == "shake256"
-        assert isinstance(DEFAULT_MASK_PRG, Shake256Prg)
-
-    def test_lookup_by_name(self):
-        assert sorted(MASK_PRGS) == ["sha256-ctr", "shake256"]
-        assert isinstance(get_mask_prg("shake256"), Shake256Prg)
-        assert isinstance(get_mask_prg("sha256-ctr"), Sha256CounterPrg)
+        assert isinstance(DEFAULT_MASK_PRG, MaskPrg)
 
     def test_instance_passthrough(self):
-        prg = Sha256CounterPrg()
+        prg = MaskPrg()
         assert get_mask_prg(prg) is prg
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
-            get_mask_prg("md5-ctr")
-
-    def test_removed_philox_backend_rejected(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_mask_prg("philox")
-        assert "['sha256-ctr', 'shake256']" in str(excinfo.value)
-
-    def test_expand_mask_accepts_backend_argument(self):
-        np.testing.assert_array_equal(
-            expand_mask(b"s", 32, 2**12, prg="sha256-ctr"),
-            Sha256CounterPrg().expand(b"s", 32, 2**12),
-        )
 
 
 class TestAgreementAcceleration:

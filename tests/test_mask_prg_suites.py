@@ -1,4 +1,4 @@
-"""The two mask PRG suites: ``"shake256"`` (default) and ``"sha256-ctr"``.
+"""The mask PRG: SHAKE-256 (``"shake256"``), the one suite rounds speak.
 
 The SHAKE-256 goldens here are computed straight from
 ``hashlib.shake_256`` with Python integers — not through
@@ -22,15 +22,8 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     run_bonawitz,
 )
-from repro.secagg.kernels import (
-    MASK_PRGS,
-    Sha256CounterPrg,
-    Shake256Prg,
-    sum_signed_masks,
-)
+from repro.secagg.kernels import MaskPrg, sum_signed_masks
 from repro.simulation import AsyncSecAggRound, ClientPlan, SimulatedClock
-
-SUITES = [Shake256Prg, Sha256CounterPrg]
 
 #: One power-of-two modulus per word width and per width boundary.
 POWER_OF_TWO_MODULI = [2, 2**8, 2**12, 2**16, 2**17, 2**32, 2**33, 2**61]
@@ -38,7 +31,7 @@ GENERAL_MODULI = [1001, 2**62 + 11]  # small odd; ~25 % of words rejected
 
 
 def shake_reference(seed: bytes, dimension: int, modulus: int) -> list[int]:
-    """``Shake256Prg.expand`` restated over Python ints and hashlib."""
+    """``MaskPrg.expand`` restated over Python ints and hashlib."""
     if modulus & (modulus - 1) == 0:
         bits = modulus.bit_length() - 1
         width = next(w for w in (1, 2, 4, 8) if 8 * w >= bits)
@@ -80,20 +73,20 @@ class TestShake256Goldens:
     @pytest.mark.parametrize("dimension", [0, 1, 9, 70])
     def test_expand_matches_hashlib(self, modulus, dimension):
         seed = b"golden-seed"
-        mask = Shake256Prg().expand(seed, dimension, modulus)
+        mask = MaskPrg().expand(seed, dimension, modulus)
         assert mask.dtype == np.int64 and mask.shape == (dimension,)
         assert mask.tolist() == shake_reference(seed, dimension, modulus)
 
     @pytest.mark.parametrize("modulus", POWER_OF_TWO_MODULI + GENERAL_MODULI)
     def test_batch_rows_match_hashlib(self, modulus):
         seeds = [bytes([i]) * 32 for i in range(7)] + [b"", b"\x00"]
-        batch = Shake256Prg().expand_batch(seeds, 33, modulus)
+        batch = MaskPrg().expand_batch(seeds, 33, modulus)
         assert batch.dtype == np.int64 and batch.shape == (len(seeds), 33)
         for row, seed in zip(batch, seeds):
             assert row.tolist() == shake_reference(seed, 33, modulus)
 
     def test_frozen_literals(self):
-        assert Shake256Prg().expand(b"golden-seed", 8, 2**16).tolist() == [
+        assert MaskPrg().expand(b"golden-seed", 8, 2**16).tolist() == [
             int.from_bytes(bytes.fromhex(word), "little")
             for word in FROZEN_STREAM_U16
         ]
@@ -101,24 +94,23 @@ class TestShake256Goldens:
             FROZEN_STREAM_U16
         )
         assert (
-            Shake256Prg().expand(b"golden-seed", 4, 1001).tolist()
+            MaskPrg().expand(b"golden-seed", 4, 1001).tolist()
             == FROZEN_MOD_1001
         )
 
     def test_empty_batch_and_zero_dimension(self):
-        for prg in (Shake256Prg(), Sha256CounterPrg()):
-            for modulus in (2**16, 1001):
-                assert prg.expand_batch([], 5, modulus).shape == (0, 5)
-                pair = prg.expand_batch([b"a", b"b"], 0, modulus)
-                assert pair.shape == (2, 0)
-                assert prg.expand(b"a", 0, modulus).shape == (0,)
+        prg = MaskPrg()
+        for modulus in (2**16, 1001):
+            assert prg.expand_batch([], 5, modulus).shape == (0, 5)
+            pair = prg.expand_batch([b"a", b"b"], 0, modulus)
+            assert pair.shape == (2, 0)
+            assert prg.expand(b"a", 0, modulus).shape == (0,)
 
 
 class TestPrefixStability:
-    @pytest.mark.parametrize("suite", SUITES)
     @pytest.mark.parametrize("modulus", POWER_OF_TWO_MODULI + GENERAL_MODULI)
-    def test_longer_expansion_extends_shorter(self, suite, modulus):
-        prg = suite()
+    def test_longer_expansion_extends_shorter(self, modulus):
+        prg = MaskPrg()
         for dimension, extra in [(0, 3), (1, 1), (10, 40), (37, 200)]:
             np.testing.assert_array_equal(
                 prg.expand(b"s", dimension + extra, modulus)[:dimension],
@@ -129,22 +121,21 @@ class TestPrefixStability:
 class TestModulusBounds:
     """Moduli the int64 contract cannot hold are refused, not wrapped."""
 
-    @pytest.mark.parametrize("name", sorted(MASK_PRGS))
-    def test_modulus_above_2_63_rejected(self, name):
+    def test_modulus_above_2_63_rejected(self):
+        prg = MaskPrg()
         for modulus in (2**63 + 1, 2**64, 2**64 + 7):
             with pytest.raises(ConfigurationError, match="modulus"):
-                MASK_PRGS[name].expand(b"a", 3, modulus)
+                prg.expand(b"a", 3, modulus)
             with pytest.raises(ConfigurationError, match="modulus"):
-                MASK_PRGS[name].expand_batch([b"a"], 3, modulus)
+                prg.expand_batch([b"a"], 3, modulus)
             with pytest.raises(ConfigurationError, match="modulus"):
-                sum_signed_masks([b"a", b"b"], [1, -1], 3, modulus, name)
+                sum_signed_masks([b"a", b"b"], [1, -1], 3, modulus, prg)
 
-    @pytest.mark.parametrize("suite", SUITES)
     @pytest.mark.parametrize(
         "modulus", [2**62, 2**63, 2**63 - 25, 2**62 + 11, 2**61 + 1]
     )
-    def test_huge_moduli_are_exact(self, suite, modulus):
-        prg = suite()
+    def test_huge_moduli_are_exact(self, modulus):
+        prg = MaskPrg()
         seeds = [bytes([i]) * 32 for i in range(9)]
         signs = [1, -1, -1, 1, 1, -1, 1, -1, -1]
         masks = prg.expand_batch(seeds, 6, modulus)
@@ -159,11 +150,10 @@ class TestModulusBounds:
 class TestSeedTypes:
     """``expand`` and ``expand_batch`` accept the same bytes-likes."""
 
-    @pytest.mark.parametrize("suite", SUITES)
     @pytest.mark.parametrize("modulus", [256, 1001])
-    def test_bytearray_and_memoryview_seeds(self, suite, modulus):
-        prg = suite()
-        expected = suite().expand(b"abc", 4, modulus)
+    def test_bytearray_and_memoryview_seeds(self, modulus):
+        prg = MaskPrg()
+        expected = MaskPrg().expand(b"abc", 4, modulus)
         for seed in (bytearray(b"abc"), memoryview(b"abc")):
             np.testing.assert_array_equal(
                 prg.expand(seed, 4, modulus), expected
@@ -176,10 +166,9 @@ class TestSeedTypes:
                 sum_signed_masks([seed], [1], 4, modulus, prg), expected
             )
 
-    @pytest.mark.parametrize("suite", SUITES)
-    def test_returned_arrays_do_not_alias_the_memo(self, suite):
-        prg = suite()
-        pristine = suite().expand(b"seed", 16, 2**16)
+    def test_returned_arrays_do_not_alias_the_memo(self):
+        prg = MaskPrg()
+        pristine = MaskPrg().expand(b"seed", 16, 2**16)
         first = prg.expand(b"seed", 16, 2**16)
         first[:] = -1
         batch = prg.expand_batch([b"seed", b"seed"], 16, 2**16)
@@ -194,7 +183,6 @@ class TestSeedTypes:
 
 class TestSumSignedMasksProperty:
     @given(
-        suite=st.sampled_from(SUITES),
         modulus=st.one_of(
             st.integers(min_value=1, max_value=63).map(lambda k: 2**k),
             st.integers(min_value=3, max_value=2**63 - 1),
@@ -210,13 +198,13 @@ class TestSumSignedMasksProperty:
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_python_int_sum_cold_and_warm(
-        self, suite, modulus, dimension, masks
+        self, modulus, dimension, masks
     ):
         seeds = [seed for seed, _ in masks]
         signs = [sign for _, sign in masks]
-        prg = suite()
+        prg = MaskPrg()
         expected = signed_sum_reference(
-            suite(), seeds, signs, dimension, modulus
+            MaskPrg(), seeds, signs, dimension, modulus
         )
         cold = sum_signed_masks(seeds, signs, dimension, modulus, prg)
         warm = sum_signed_masks(seeds, signs, dimension, modulus, prg)
@@ -225,13 +213,13 @@ class TestSumSignedMasksProperty:
         assert warm.tolist() == expected
 
     def test_memo_budget_eviction_is_transparent(self):
-        class TinyMemo(Shake256Prg):
+        class TinyMemo(MaskPrg):
             CACHE_BUDGET_BYTES = 100
 
         prg = TinyMemo()
         seeds = [bytes([i]) * 8 for i in range(20)]
         signs = [1, -1] * 10
-        expected = signed_sum_reference(Shake256Prg(), seeds, signs, 16, 2**16)
+        expected = signed_sum_reference(MaskPrg(), seeds, signs, 16, 2**16)
         for _ in range(3):
             assert (
                 sum_signed_masks(seeds, signs, 16, 2**16, prg).tolist()
@@ -244,7 +232,7 @@ class TestSumSignedMasksProperty:
         # counts words alone holds ~18x itself at d = 8.
         budget = 256 * 1024
 
-        class SmallMemo(Shake256Prg):
+        class SmallMemo(MaskPrg):
             CACHE_BUDGET_BYTES = budget
 
         prg = SmallMemo()
@@ -275,7 +263,7 @@ class TestSumSignedMasksProperty:
         assert peak_rows >= budget // 1024  # and it is still a memo
 
     def test_forget_empties_the_memo_and_its_account(self):
-        prg = Shake256Prg()
+        prg = MaskPrg()
         seeds = [bytes([i]) * 8 for i in range(5)]
         first = prg.expand_batch(seeds, 16, 2**16)
         assert len(prg._memo) == 5
@@ -286,32 +274,27 @@ class TestSumSignedMasksProperty:
         )
 
 
-class TestSuitesReleaseTheSameSum:
-    """Masks cancel, so the released sum cannot depend on the suite."""
+class TestReleasedSumIsTheSurvivorsSum:
+    """Masks cancel, and the instance a round is handed only picks the
+    memo it fills: the released sum is the survivors' sum either way."""
 
     @pytest.mark.parametrize("modulus", [2**16, 2**31 - 1])
     def test_run_bonawitz_with_dropouts(self, modulus):
         inputs = np.random.default_rng(5).integers(
             0, modulus, size=(9, 20), dtype=np.int64
         )
-        outcomes = [
-            run_bonawitz(
-                inputs,
-                modulus,
-                threshold=5,
-                rng=np.random.default_rng(42),
-                dropouts={2: ROUND_MASKED_INPUT, 7: ROUND_UNMASK},
-                mask_prg=name,
-            )
-            for name in ("sha256-ctr", "shake256", None)
-        ]
-        reference = np.mod(
-            inputs[[u - 1 for u in sorted(outcomes[0].included)]].sum(axis=0),
+        outcome = run_bonawitz(
+            inputs,
             modulus,
+            threshold=5,
+            rng=np.random.default_rng(42),
+            dropouts={2: ROUND_MASKED_INPUT, 7: ROUND_UNMASK},
         )
-        for outcome in outcomes:
-            assert outcome.included == frozenset(range(1, 10)) - {2}
-            np.testing.assert_array_equal(outcome.modular_sum, reference)
+        assert outcome.included == frozenset(range(1, 10)) - {2}
+        np.testing.assert_array_equal(
+            outcome.modular_sum,
+            np.mod(np.delete(inputs, 1, axis=0).sum(axis=0), modulus),
+        )
 
     @pytest.mark.parametrize("modulus", [2**16, 2**31 - 1])
     def test_async_round_with_dropouts(self, modulus):
@@ -321,7 +304,7 @@ class TestSuitesReleaseTheSameSum:
             for u in range(1, 10)
         }
         outcomes = []
-        for name in ("sha256-ctr", "shake256", None):
+        for prg in (None, MaskPrg()):
             clock = SimulatedClock()
             secagg_round = AsyncSecAggRound(
                 vectors=vectors,
@@ -334,7 +317,7 @@ class TestSuitesReleaseTheSameSum:
                     4: ClientPlan(drop_phase=ROUND_MASKED_INPUT),
                     8: ClientPlan(drop_phase=ROUND_UNMASK),
                 },
-                mask_prg=name,
+                mask_prg=prg,
             )
             outcomes.append(clock.run(secagg_round.run()))
         reference = np.zeros(20, dtype=np.int64)

@@ -13,6 +13,9 @@ import pytest
 
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import AccountingSpec
+from repro.core.clipping import clip_gradient
+from repro.core.dgm import dgm_perturb
+from repro.core.skellam_mixture import smm_perturb
 from repro.mechanisms import (
     CpSgdMechanism,
     DiscreteGaussianMixtureMechanism,
@@ -182,6 +185,38 @@ class TestCalibrationDetails:
             AccountingSpec(budget=PrivacyBudget(3.0)),
         )
         assert mechanism.rounded_l2_bound > WIDE.gamma
+
+    def test_smm_encoding_is_smm_perturb(self, sphere):
+        mechanism = SkellamMixtureMechanism(WIDE)
+        mechanism.calibrate(
+            InputSpec(num_participants=N, dimension=DIM),
+            AccountingSpec(budget=PrivacyBudget(3.0)),
+        )
+        scaled = WIDE.gamma * sphere[:4]
+        np.testing.assert_array_equal(
+            mechanism._encode_integer(scaled, np.random.default_rng(9)),
+            smm_perturb(
+                clip_gradient(scaled, mechanism.clip),
+                mechanism.lam,
+                np.random.default_rng(9),
+            ),
+        )
+
+    def test_dgm_encoding_is_dgm_perturb(self, sphere):
+        mechanism = DiscreteGaussianMixtureMechanism(WIDE)
+        mechanism.calibrate(
+            InputSpec(num_participants=N, dimension=DIM),
+            AccountingSpec(budget=PrivacyBudget(3.0)),
+        )
+        scaled = WIDE.gamma * sphere[:4]
+        np.testing.assert_array_equal(
+            mechanism._encode_integer(scaled, np.random.default_rng(9)),
+            dgm_perturb(
+                clip_gradient(scaled, mechanism.clip),
+                mechanism.effective_sigma**2,
+                np.random.default_rng(9),
+            ),
+        )
 
     def test_fl_style_accounting(self, sphere):
         # Calibrating for many subsampled rounds still meets the budget.

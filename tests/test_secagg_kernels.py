@@ -16,6 +16,7 @@ from repro.secagg.bonawitz import (
 )
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import (
+    DEFAULT_MASK_PRG,
     batched_reconstruct,
     batched_split,
     keystream,
@@ -24,7 +25,6 @@ from repro.secagg.kernels import (
     sum_signed_masks,
 )
 from repro.secagg.keys import TOY_GROUP
-from repro.secagg.prg import expand_mask, pairwise_delta
 from repro.secagg.shamir import LimbShares, Share
 
 PRIME = DEFAULT_FIELD.prime
@@ -42,10 +42,8 @@ class TestSumSignedMasks:
         modulus, dimension = 2**16, 48
         reference = np.zeros(dimension, dtype=np.int64)
         for seed, sign in zip(seeds, signs):
-            reference = np.mod(
-                reference + pairwise_delta(seed, dimension, modulus, sign),
-                modulus,
-            )
+            mask = DEFAULT_MASK_PRG.expand(seed, dimension, modulus)
+            reference = np.mod(reference + sign * mask, modulus)
         np.testing.assert_array_equal(
             sum_signed_masks(seeds, signs, dimension, modulus), reference
         )
@@ -76,16 +74,9 @@ class TestSumSignedMasks:
         total = sum_signed_masks(seeds, [1] * len(seeds), 8, modulus)
         reference = np.zeros(8, dtype=object)
         for seed in seeds:
-            reference = (reference + expand_mask(seed, 8, modulus)) % modulus
+            mask = DEFAULT_MASK_PRG.expand(seed, 8, modulus)
+            reference = (reference + mask) % modulus
         assert total.tolist() == [int(v) for v in reference]
-
-    def test_sha256_ctr_backend_selectable(self):
-        default = sum_signed_masks([b"s"], [1], 16, 2**10)
-        sha = sum_signed_masks([b"s"], [1], 16, 2**10, prg="sha256-ctr")
-        assert not np.array_equal(default, sha)
-        np.testing.assert_array_equal(
-            sha, expand_mask(b"s", 16, 2**10, prg="sha256-ctr")
-        )
 
 
 class TestKeystream:
@@ -305,38 +296,6 @@ class TestPayloadMatrixCodec:
         )
         with pytest.raises(AggregationError, match="this round's are 24"):
             client.receive_share_matrix([1, 2], matrix)
-
-
-class TestProtocolBackendKnob:
-    def test_run_bonawitz_sha256_ctr_backend(self, rng):
-        inputs = rng.integers(0, 2**12, size=(5, 16), dtype=np.int64)
-        outcome = run_bonawitz(
-            inputs, 2**12, threshold=3, rng=rng, mask_prg="sha256-ctr"
-        )
-        np.testing.assert_array_equal(
-            outcome.modular_sum, np.mod(inputs.sum(axis=0), 2**12)
-        )
-
-    def test_run_bonawitz_sha256_ctr_with_dropouts(self, rng):
-        inputs = rng.integers(0, 2**12, size=(6, 8), dtype=np.int64)
-        outcome = run_bonawitz(
-            inputs,
-            2**12,
-            threshold=3,
-            rng=rng,
-            dropouts={2: 2, 5: 3},
-            mask_prg="sha256-ctr",
-        )
-        included = sorted(outcome.included)
-        expected = np.mod(
-            inputs[[i - 1 for i in included]].sum(axis=0), 2**12
-        )
-        np.testing.assert_array_equal(outcome.modular_sum, expected)
-
-    def test_unknown_backend_rejected(self, rng):
-        inputs = rng.integers(0, 2**12, size=(3, 4), dtype=np.int64)
-        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
-            run_bonawitz(inputs, 2**12, threshold=2, rng=rng, mask_prg="zip")
 
 
 class TestSmallFieldGuard:

@@ -424,34 +424,3 @@ class TestVersionNegotiation:
         )
         with pytest.raises(NegotiationError, match="after rejecting"):
             clock.run(secagg_round.run())
-
-
-class TestMaskPrgKnob:
-    def test_sha256_ctr_round_sum_is_exact(self):
-        vectors = make_vectors(6)
-        clock = SimulatedClock()
-        secagg_round = AsyncSecAggRound(
-            vectors=vectors,
-            modulus=MODULUS,
-            threshold=4,
-            clock=clock,
-            rng=np.random.default_rng(3),
-            plans={2: ClientPlan(drop_phase=ROUND_SHARE_KEYS)},
-            phase_timeout=60.0,
-            mask_prg="sha256-ctr",
-        )
-        outcome = clock.run(secagg_round.run())
-        np.testing.assert_array_equal(
-            outcome.modular_sum, expected_sum(vectors, outcome.included)
-        )
-
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
-            AsyncSecAggRound(
-                vectors=make_vectors(3),
-                modulus=MODULUS,
-                threshold=2,
-                clock=SimulatedClock(),
-                rng=np.random.default_rng(0),
-                mask_prg="rot13",
-            )

@@ -44,16 +44,16 @@ from repro.secagg.wire import (
     UnmaskRequest,
     decode_message,
     encode_message,
+    intern_header,
 )
 from repro.secagg.wire import _frame
+from repro.telemetry import MetricsRegistry, MetricsReport
 
 MODULUS = 2**12
 DIMENSION = 8
 
 
-def make_sessions(
-    n=5, threshold=3, seed=0, versions=None, prgs=None, resumable=False
-):
+def make_sessions(n=5, threshold=3, seed=0, versions=None, resumable=False):
     rng = np.random.default_rng(seed)
     inputs = rng.integers(0, MODULUS, size=(n, DIMENSION), dtype=np.int64)
     clients = {
@@ -65,7 +65,6 @@ def make_sessions(
             rng=np.random.default_rng(seed + u),
             group=TOY_GROUP,
             version=(versions or {}).get(u, PROTOCOL_V1),
-            mask_prg=(prgs or {}).get(u),
         )
         for u in range(1, n + 1)
     }
@@ -356,19 +355,29 @@ class TestNegotiationFailurePath:
         assert server.included == frozenset({1, 3, 4, 5})
 
     def test_mismatched_prg_backend_rejected_at_hello(self):
-        # A client of an older release speaks "sha256-ctr" into a round on
-        # the default suite: refused at advertise, naming both.
-        _, clients, server = make_sessions(
-            n=4, threshold=2, prgs={3: "sha256-ctr"}
+        # A peer of an older release speaks "sha256-ctr" into a round on
+        # the one suite: refused at Hello, naming both, counted by reason.
+        registry = MetricsRegistry()
+        _, clients, _ = make_sessions(n=4, threshold=2)
+        server = ServerSession(
+            MODULUS, DIMENSION, 2, group=TOY_GROUP, metrics=registry
+        )
+        forged = encode_message(
+            Hello(sender=3), intern_header(PROTOCOL_V1, "sha256-ctr")
         )
         for u in sorted(clients):
-            server.receive(b"".join(clients[u].start()), sender=u)
-        assert 3 in server.rejections
+            server.receive(
+                forged if u == 3 else b"".join(clients[u].start()), sender=u
+            )
         assert "'sha256-ctr'" in server.rejections[3]
         assert f"{DEFAULT_MASK_PRG.name!r}" in server.rejections[3]
-        deliveries = server.advance()
-        clients[3].handle(deliveries[3])
-        assert isinstance(clients[3].rejected, NegotiationError)
+        report = MetricsReport(snapshot=registry.snapshot())
+        assert report.counter(
+            "secagg_negotiation_rejects_total", reason="mask-prg"
+        ) == 1
+        _, reject = decode_message(server.advance()[3])
+        assert isinstance(reject, Reject)
+        assert "'sha256-ctr'" in reject.reason
 
     def test_rejections_below_threshold_raise_negotiation_error(self):
         _, clients, server = make_sessions(

@@ -49,17 +49,16 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 
 #: Wire bytes ``run_sync`` moved, and the sum digest and wire bytes of a
 #: composition round over the first four input rows (protocol rng seed
-#: 42), captured before both were moved onto ``drive_in_memory`` — per
-#: mask PRG suite: every frame carries the suite name, so the 8-byte
-#: ``"shake256"`` moves 2 B less per frame (224 and 44 frames) than the
-#: 10-byte ``"sha256-ctr"`` the counts were captured under.  The byte
-#: counts are wire format 2's (format 1 moved 31 129 and 4 467 B in 488
-#: and 68 frames); the digests are older than both and unchanged.
-SYNC_WIRE_BYTES = {"sha256-ctr": 19692, "shake256": 19692 - 2 * 224}
+#: 42), captured before both were moved onto ``drive_in_memory``.  Every
+#: frame carries the suite name ``"shake256"`` (224 and 44 frames).  The
+#: byte counts are wire format 2's (format 1 moved 31 129 and 4 467 B in
+#: 488 and 68 frames, under a suite name 2 B longer); the digests are
+#: older than both and unchanged.
+SYNC_WIRE_BYTES = 19244
 COMPOSITION_DIGEST = (
     "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
 )
-COMPOSITION_WIRE_BYTES = {"sha256-ctr": 2975, "shake256": 2975 - 2 * 44}
+COMPOSITION_WIRE_BYTES = 2887
 
 
 @pytest.fixture
@@ -74,14 +73,13 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def run_sync(inputs, mask_prg=None):
+def run_sync(inputs):
     return run_bonawitz(
         inputs,
         MODULUS,
         threshold=7,
         rng=np.random.default_rng(42),
         dropouts={3: ROUND_MASKED_INPUT, 9: ROUND_UNMASK},
-        mask_prg=mask_prg,
     )
 
 
@@ -126,20 +124,12 @@ class TestPreRefactorGoldens:
         """The two callers of the shared in-memory loop build their
         sessions from the same RNG draws as before it was shared."""
         assert DEFAULT_MASK_PRG.name == "shake256"
-        for suite in ("sha256-ctr", None):
-            name = suite or DEFAULT_MASK_PRG.name
-            assert (
-                run_sync(inputs, suite).wire.total_bytes
-                == SYNC_WIRE_BYTES[name]
-            )
-            total, wire = run_composition_round(
-                list(inputs[:4]),
-                MODULUS,
-                np.random.default_rng(42),
-                mask_prg=suite,
-            )
-            assert digest(total) == COMPOSITION_DIGEST
-            assert wire.total_bytes == COMPOSITION_WIRE_BYTES[name]
+        assert run_sync(inputs).wire.total_bytes == SYNC_WIRE_BYTES
+        total, wire = run_composition_round(
+            list(inputs[:4]), MODULUS, np.random.default_rng(42)
+        )
+        assert digest(total) == COMPOSITION_DIGEST
+        assert wire.total_bytes == COMPOSITION_WIRE_BYTES
 
     def test_mailbox_transport_matches_pre_refactor_bits(self, inputs):
         outcome = run_mailbox(inputs)
