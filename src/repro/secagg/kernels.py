@@ -211,8 +211,20 @@ DEFAULT_MASK_PRG = MaskPrg()
 
 
 def get_mask_prg(spec: MaskPrg | None = None) -> MaskPrg:
-    """``spec`` itself, or :data:`DEFAULT_MASK_PRG` when it is None."""
-    return DEFAULT_MASK_PRG if spec is None else spec
+    """``spec`` itself, or :data:`DEFAULT_MASK_PRG` when it is None.
+
+    Raises:
+        ConfigurationError: When ``spec`` is anything else — a suite
+            name included: there is one suite, and no name selects it.
+    """
+    if spec is None:
+        return DEFAULT_MASK_PRG
+    if not isinstance(spec, MaskPrg):
+        raise ConfigurationError(
+            f"unknown mask PRG {spec!r}: pass a MaskPrg instance or None; "
+            f"rounds speak only {MaskPrg.name!r}"
+        )
+    return spec
 
 
 def sum_signed_masks(

@@ -66,7 +66,7 @@ from repro.secagg.bonawitz import (
     warm_pairwise_agreements,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
-from repro.secagg.kernels import MaskPrg
+from repro.secagg.kernels import MaskPrg, get_mask_prg
 from repro.secagg.keys import TOY_GROUP, KeyAgreementGroup
 from repro.secagg.statemachine import (
     PHASE_TAGS,
@@ -208,7 +208,7 @@ class AsyncSecAggRound:
         self._field = field
         self._trace = trace
         self._tamper = tamper_unmask_request
-        self._mask_prg = mask_prg
+        self._mask_prg = get_mask_prg(mask_prg)
         self._client_versions = dict(client_versions or {})
         if fail_at_phase is not None and not (
             ROUND_ADVERTISE <= fail_at_phase <= ROUND_UNMASK

@@ -1,12 +1,19 @@
 """Tests for DH key agreement and the deterministic mask PRG."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.secagg.kernels import DEFAULT_MASK_PRG, MaskPrg, get_mask_prg
+from repro.secagg.kernels import (
+    DEFAULT_MASK_PRG,
+    MaskPrg,
+    get_mask_prg,
+    sum_signed_masks,
+)
 from repro.secagg.bonawitz import BonawitzClient, warm_pairwise_agreements
 from repro.secagg.keys import (
     OAKLEY_GROUP_2_PRIME,
@@ -23,6 +30,31 @@ from repro.secagg.keys import (
 )
 
 expand_mask = DEFAULT_MASK_PRG.expand
+
+
+def expand_mask_reference(seed: bytes, dimension: int, modulus: int):
+    """``MaskPrg.expand`` restated one word at a time over Python ints."""
+    if modulus & (modulus - 1) == 0:
+        bits = modulus.bit_length() - 1
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= bits)
+        stream = hashlib.shake_256(seed).digest(dimension * width)
+        words = [
+            int.from_bytes(stream[i * width : (i + 1) * width], "little")
+            for i in range(dimension)
+        ]
+        return np.array([w % modulus for w in words], dtype=np.int64)
+    limit = 2**64 - 2**64 % modulus
+    accepted: list[int] = []
+    stream, position = b"", 0
+    while len(accepted) < dimension:
+        if position + 8 > len(stream):
+            # SHAKE is an XOF: a longer digest extends the shorter one.
+            stream = hashlib.shake_256(seed).digest(2 * len(stream) + 64)
+        word = int.from_bytes(stream[position : position + 8], "little")
+        position += 8
+        if word < limit:
+            accepted.append(word % modulus)
+    return np.array(accepted, dtype=np.int64)
 
 
 @pytest.fixture
@@ -169,6 +201,146 @@ class TestExpandMask:
             assert mask.min() >= 0 and mask.max() < modulus
 
 
+class TestPairwiseDelta:
+    """A pairwise mask enters one endpoint with ``+`` and the other with
+    ``-``; :func:`sum_signed_masks` is where the sign is applied."""
+
+    def test_signs_cancel(self):
+        total = sum_signed_masks([b"shared", b"shared"], [1, -1], 128, 2**12)
+        np.testing.assert_array_equal(total, 0)
+        general = sum_signed_masks([b"shared", b"shared"], [-1, 1], 64, 1001)
+        np.testing.assert_array_equal(general, 0)
+
+    def test_invalid_sign_rejected(self):
+        with pytest.raises(ConfigurationError, match="sign"):
+            sum_signed_masks([b"s"], [0], 4, 256)
+
+    def test_positive_delta_is_raw_mask(self):
+        np.testing.assert_array_equal(
+            sum_signed_masks([b"s"], [1], 16, 256), expand_mask(b"s", 16, 256)
+        )
+        np.testing.assert_array_equal(
+            sum_signed_masks([b"s"], [-1], 16, 256),
+            np.mod(-expand_mask(b"s", 16, 256), 256),
+        )
+
+
+class TestGoldenVectors:
+    """Frozen SHAKE-256 expansions, as little-endian uint64 hex.
+
+    Any change to the word width per modulus, byte order, masking or
+    rejection sampling breaks dropout recovery against recorded round
+    transcripts.  Covers the power-of-two path at 1-, 2- and 8-byte
+    words, the general-modulus rejection path (including a modulus
+    with ~25% rejection probability), and the degenerate moduli 2 and 3.
+    """
+
+    GOLDEN = {
+        (b"golden-seed", 8, 2**16):
+            "ccf600000000000001d10000000000003c54000000000000087b000000000000"
+            "dd8d000000000000fa380000000000003c270000000000002068000000000000",
+        (b"golden-seed", 17, 2**16):
+            "ccf600000000000001d10000000000003c54000000000000087b000000000000"
+            "dd8d000000000000fa380000000000003c270000000000002068000000000000"
+            "1de500000000000037ec0000000000009c21000000000000e87d000000000000"
+            "b7d2000000000000adb30000000000008bf400000000000015d9000000000000"
+            "e761000000000000",
+        (b"\x00" * 32, 8, 2**61):
+            "f5977c8283546a03723bc31d2619120f11db4658643336141df81757d5ad3002"
+            "221e124311ec7f1181568de7938df805d894f5fded465001a04e260a49482c15",
+        (b"golden-seed", 8, 1000):
+            "b40000000000000005030000000000005500000000000000c702000000000000"
+            "0f020000000000003f03000000000000c4020000000000001d00000000000000",
+        (b"\xffEdge", 13, 3):
+            "0100000000000000020000000000000002000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000200000000000000"
+            "0200000000000000000000000000000002000000000000000200000000000000"
+            "0100000000000000",
+        (b"golden-seed", 5, 2):
+            "0000000000000000000000000000000001000000000000000100000000000000"
+            "0000000000000000",
+        (b"reject-heavy", 9, 2**62 + 11):
+            "2fd2fcf7e977ce026ffcdb95d5c7a52f386f57e615b576340b03a122e4054c3d"
+            "5f112be3ec3115183a9cd0af577cd301a0c690a1a2fb55063377231d9e9c173b"
+            "d9080a98c3f9282d",
+    }
+
+    def golden(self, seed, dimension, modulus):
+        return np.frombuffer(
+            bytes.fromhex(self.GOLDEN[(seed, dimension, modulus)]),
+            dtype="<u8",
+        ).astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "seed,dimension,modulus", sorted(GOLDEN, key=repr)
+    )
+    def test_expand_mask_matches_golden(self, seed, dimension, modulus):
+        np.testing.assert_array_equal(
+            expand_mask(seed, dimension, modulus),
+            self.golden(seed, dimension, modulus),
+        )
+
+    @pytest.mark.parametrize(
+        "seed,dimension,modulus", sorted(GOLDEN, key=repr)
+    )
+    def test_reference_implementation_matches_golden(
+        self, seed, dimension, modulus
+    ):
+        """The word-at-a-time restatement and the goldens agree forever."""
+        np.testing.assert_array_equal(
+            expand_mask_reference(seed, dimension, modulus),
+            self.golden(seed, dimension, modulus),
+        )
+
+    @pytest.mark.parametrize(
+        "seed,dimension,modulus", sorted(GOLDEN, key=repr)
+    )
+    def test_kernel_backend_matches_golden(self, seed, dimension, modulus):
+        """The signed-sum kernel's raw-word path reproduces a lone mask."""
+        np.testing.assert_array_equal(
+            sum_signed_masks([seed], [1], dimension, modulus, MaskPrg()),
+            self.golden(seed, dimension, modulus),
+        )
+
+
+class TestKernelReferenceEquivalence:
+    """Vectorised expansion == word-at-a-time reference, everywhere."""
+
+    @given(
+        modulus=st.integers(min_value=2, max_value=2**20),
+        dimension=st.integers(min_value=0, max_value=200),
+        seed=st.binary(min_size=0, max_size=48),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_expand_equivalence_property(self, modulus, dimension, seed):
+        np.testing.assert_array_equal(
+            expand_mask(seed, dimension, modulus),
+            expand_mask_reference(seed, dimension, modulus),
+        )
+
+    def test_batch_rows_equal_single_expansions(self):
+        prg = MaskPrg()
+        seeds = [bytes([i]) * 32 for i in range(12)] + [b"", b"\x00"]
+        for modulus in (2**16, 1000):
+            batch = prg.expand_batch(seeds, 40, modulus)
+            for row, seed in enumerate(seeds):
+                np.testing.assert_array_equal(
+                    batch[row], expand_mask_reference(seed, 40, modulus)
+                )
+
+    def test_batch_caching_is_transparent(self):
+        prg = MaskPrg()
+        seeds = [b"cached-seed" for _ in range(3)]
+        first = prg.expand_batch(seeds, 16, 2**16)
+        second = prg.expand_batch(seeds, 16, 2**16)
+        np.testing.assert_array_equal(first, second)
+        # Mutating a returned row must not poison later expansions.
+        first[0, :] = -1
+        np.testing.assert_array_equal(
+            prg.expand(b"cached-seed", 16, 2**16), second[0]
+        )
+
+
 class TestShake256Backend:
     def test_deterministic_per_seed(self):
         prg = MaskPrg()
@@ -209,6 +381,19 @@ class TestMaskPrgRegistry:
     def test_instance_passthrough(self):
         prg = MaskPrg()
         assert get_mask_prg(prg) is prg
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
+            get_mask_prg("md5-ctr")
+
+    @pytest.mark.parametrize("name", ["philox", "sha256-ctr", "shake256"])
+    def test_removed_suite_names_rejected(self, name):
+        # No name selects a suite, not even the one rounds speak: a
+        # caller still passing one fails here, not deep inside a round.
+        with pytest.raises(ConfigurationError) as excinfo:
+            get_mask_prg(name)
+        assert repr(name) in str(excinfo.value)
+        assert "only 'shake256'" in str(excinfo.value)
 
 
 class TestAgreementAcceleration:

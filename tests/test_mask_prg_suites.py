@@ -30,6 +30,16 @@ POWER_OF_TWO_MODULI = [2, 2**8, 2**12, 2**16, 2**17, 2**32, 2**33, 2**61]
 GENERAL_MODULI = [1001, 2**62 + 11]  # small odd; ~25 % of words rejected
 
 
+class EvictingMemoPrg(MaskPrg):
+    """A memo too small for one row: every batch clears it first."""
+
+    CACHE_BUDGET_BYTES = 1
+
+
+#: The stream may not depend on whether the memo keeps rows or drops them.
+MEMOS = [MaskPrg, EvictingMemoPrg]
+
+
 def shake_reference(seed: bytes, dimension: int, modulus: int) -> list[int]:
     """``MaskPrg.expand`` restated over Python ints and hashlib."""
     if modulus & (modulus - 1) == 0:
@@ -108,9 +118,10 @@ class TestShake256Goldens:
 
 
 class TestPrefixStability:
+    @pytest.mark.parametrize("memo", MEMOS)
     @pytest.mark.parametrize("modulus", POWER_OF_TWO_MODULI + GENERAL_MODULI)
-    def test_longer_expansion_extends_shorter(self, modulus):
-        prg = MaskPrg()
+    def test_longer_expansion_extends_shorter(self, memo, modulus):
+        prg = memo()
         for dimension, extra in [(0, 3), (1, 1), (10, 40), (37, 200)]:
             np.testing.assert_array_equal(
                 prg.expand(b"s", dimension + extra, modulus)[:dimension],
@@ -121,8 +132,9 @@ class TestPrefixStability:
 class TestModulusBounds:
     """Moduli the int64 contract cannot hold are refused, not wrapped."""
 
-    def test_modulus_above_2_63_rejected(self):
-        prg = MaskPrg()
+    @pytest.mark.parametrize("memo", MEMOS)
+    def test_modulus_above_2_63_rejected(self, memo):
+        prg = memo()
         for modulus in (2**63 + 1, 2**64, 2**64 + 7):
             with pytest.raises(ConfigurationError, match="modulus"):
                 prg.expand(b"a", 3, modulus)
@@ -131,11 +143,12 @@ class TestModulusBounds:
             with pytest.raises(ConfigurationError, match="modulus"):
                 sum_signed_masks([b"a", b"b"], [1, -1], 3, modulus, prg)
 
+    @pytest.mark.parametrize("memo", MEMOS)
     @pytest.mark.parametrize(
         "modulus", [2**62, 2**63, 2**63 - 25, 2**62 + 11, 2**61 + 1]
     )
-    def test_huge_moduli_are_exact(self, modulus):
-        prg = MaskPrg()
+    def test_huge_moduli_are_exact(self, memo, modulus):
+        prg = memo()
         seeds = [bytes([i]) * 32 for i in range(9)]
         signs = [1, -1, -1, 1, 1, -1, 1, -1, -1]
         masks = prg.expand_batch(seeds, 6, modulus)
@@ -150,9 +163,10 @@ class TestModulusBounds:
 class TestSeedTypes:
     """``expand`` and ``expand_batch`` accept the same bytes-likes."""
 
+    @pytest.mark.parametrize("memo", MEMOS)
     @pytest.mark.parametrize("modulus", [256, 1001])
-    def test_bytearray_and_memoryview_seeds(self, modulus):
-        prg = MaskPrg()
+    def test_bytearray_and_memoryview_seeds(self, memo, modulus):
+        prg = memo()
         expected = MaskPrg().expand(b"abc", 4, modulus)
         for seed in (bytearray(b"abc"), memoryview(b"abc")):
             np.testing.assert_array_equal(
@@ -166,8 +180,9 @@ class TestSeedTypes:
                 sum_signed_masks([seed], [1], 4, modulus, prg), expected
             )
 
-    def test_returned_arrays_do_not_alias_the_memo(self):
-        prg = MaskPrg()
+    @pytest.mark.parametrize("memo", MEMOS)
+    def test_returned_arrays_do_not_alias_the_memo(self, memo):
+        prg = memo()
         pristine = MaskPrg().expand(b"seed", 16, 2**16)
         first = prg.expand(b"seed", 16, 2**16)
         first[:] = -1

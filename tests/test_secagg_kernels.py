@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import (
     BonawitzClient,
+    BonawitzServer,
     _decode_payload,
     _decode_payload_matrix,
     _encode_payload,
     _encode_payload_matrix,
+    forget_round_memos,
     run_bonawitz,
 )
 from repro.secagg.field import DEFAULT_FIELD
@@ -26,6 +28,7 @@ from repro.secagg.kernels import (
 )
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.statemachine import ClientSession, ServerSession
 
 PRIME = DEFAULT_FIELD.prime
 
@@ -77,6 +80,10 @@ class TestSumSignedMasks:
             mask = DEFAULT_MASK_PRG.expand(seed, 8, modulus)
             reference = (reference + mask) % modulus
         assert total.tolist() == [int(v) for v in reference]
+
+    def test_suite_name_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
+            sum_signed_masks([b"s"], [1], 16, 2**10, prg="sha256-ctr")
 
 
 class TestKeystream:
@@ -296,6 +303,42 @@ class TestPayloadMatrixCodec:
         )
         with pytest.raises(AggregationError, match="this round's are 24"):
             client.receive_share_matrix([1, 2], matrix)
+
+
+class TestProtocolBackendKnob:
+    """Every party that takes a mask-PRG instance refuses a suite name
+    when it is built, not at its first expansion."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda prg: BonawitzClient(
+                1, np.zeros(4, dtype=np.int64), 2**12, 2,
+                np.random.default_rng(0), TOY_GROUP, mask_prg=prg,
+            ),
+            lambda prg: BonawitzServer(
+                2**12, 4, 2, group=TOY_GROUP, mask_prg=prg
+            ),
+            lambda prg: ClientSession(
+                1, np.zeros(4, dtype=np.int64), 2**12, 2,
+                np.random.default_rng(0), TOY_GROUP, mask_prg=prg,
+            ),
+            lambda prg: ServerSession(
+                2**12, 4, 2, group=TOY_GROUP, mask_prg=prg
+            ),
+            lambda prg: forget_round_memos(TOY_GROUP, prg),
+        ],
+        ids=[
+            "BonawitzClient",
+            "BonawitzServer",
+            "ClientSession",
+            "ServerSession",
+            "forget_round_memos",
+        ],
+    )
+    def test_suite_name_rejected(self, build):
+        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
+            build("sha256-ctr")
 
 
 class TestSmallFieldGuard:

@@ -424,3 +424,41 @@ class TestVersionNegotiation:
         )
         with pytest.raises(NegotiationError, match="after rejecting"):
             clock.run(secagg_round.run())
+
+
+class TestMaskPrgKnob:
+    def test_round_fills_the_instance_it_is_handed(self):
+        from repro.secagg.kernels import DEFAULT_MASK_PRG, MaskPrg
+
+        vectors = make_vectors(6)
+        prg = MaskPrg()
+        DEFAULT_MASK_PRG.forget()
+        clock = SimulatedClock()
+        secagg_round = AsyncSecAggRound(
+            vectors=vectors,
+            modulus=MODULUS,
+            threshold=4,
+            clock=clock,
+            rng=np.random.default_rng(3),
+            plans={2: ClientPlan(drop_phase=ROUND_SHARE_KEYS)},
+            phase_timeout=60.0,
+            mask_prg=prg,
+        )
+        outcome = clock.run(secagg_round.run())
+        np.testing.assert_array_equal(
+            outcome.modular_sum, expected_sum(vectors, outcome.included)
+        )
+        assert len(prg._memo) > 0
+        assert len(DEFAULT_MASK_PRG._memo) == 0
+
+    @pytest.mark.parametrize("name", ["rot13", "sha256-ctr"])
+    def test_unknown_backend_rejected_at_construction(self, name):
+        with pytest.raises(ConfigurationError, match="unknown mask PRG"):
+            AsyncSecAggRound(
+                vectors=make_vectors(3),
+                modulus=MODULUS,
+                threshold=2,
+                clock=SimulatedClock(),
+                rng=np.random.default_rng(0),
+                mask_prg=name,
+            )
