@@ -9,7 +9,7 @@ overhead at fixed protocol cost.  The slow tier additionally runs
 full-cohort rounds (cohort == population), where the Bonawitz
 protocol's quadratic pairwise-mask and Shamir-sharing work dominates.
 
-The ``--shards`` axis records sharded vs flat throughput: a sharded
+The ``shards`` axis records sharded vs flat throughput: a sharded
 round runs ``k`` hierarchical Bonawitz sub-rounds (``O(n^2/k)`` total
 work) on the ``inline`` or ``process`` execution backend, and its
 composed sum is verified exact against the survivors' direct modular

@@ -9,7 +9,8 @@ the flat sum over the same survivors, at O(n^2 / k) total work, with
 the shards embarrassingly parallel.
 
 This example trains the same Skellam-mixture pipeline as
-``async_simulation.py`` but with ``shards=4``, twice: once on the
+``async_simulation.py`` but with ``tree="4"`` (a one-level tree of 4
+shards), twice: once on the
 ``"inline"`` backend (shards run sequentially in this process) and once
 on the ``"process"`` backend (shards fan out over an OS process pool).
 It demonstrates:
@@ -45,7 +46,7 @@ CONFIG = SimulationConfig(
     phase_timeout=30.0,
     seed=7,
     verify_aggregate=True,
-    shards=4,
+    tree="4",
 )
 
 
@@ -61,7 +62,7 @@ def main() -> None:
 
         print(f"population: {CONFIG.population_size} clients, "
               f"expected cohort {CONFIG.expected_cohort}, "
-              f"{CONFIG.rounds} rounds, {CONFIG.shards} shards/round")
+              f"{CONFIG.rounds} rounds, {CONFIG.tree} shards/round")
         inline = run("inline")
         for record in inline.records:
             print(f"  round {record.index}: cohort={len(record.cohort):2d} "

@@ -230,7 +230,6 @@ def command_simulate(args) -> int:
             dataset=args.dataset,
             seed=args.seed,
             verify_aggregate=args.verify,
-            shards=args.shards,
             backend=args.backend,
             tree=args.tree,
             compose=args.compose,
@@ -247,17 +246,10 @@ def command_simulate(args) -> int:
         result = engine.run()
     topology = config.aggregation_topology()
     if topology is not None:
-        # The partition caps the effective count per level so every
-        # shard keeps at least two clients.
-        shape = (
-            f"tree {topology.describe()}"
-            if args.tree is not None
-            else f"up to {args.shards} shards per round"
-        )
         extras = f"{args.backend} backend, {config.compose} compose"
         if config.rebalance:
             extras += ", rebalance on"
-        print(f"sharding: {shape} ({extras})", flush=True)
+        print(f"sharding: tree {topology.describe()} ({extras})", flush=True)
     for record in result.records:
         status = "aborted" if record.aborted else (
             f"included={len(record.included):3d} "
@@ -607,10 +599,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     simulate_parser.add_argument("--verify", action="store_true",
                                  help="check each aggregate against the "
                                       "survivors' direct modular sum")
-    simulate_parser.add_argument("--shards", type=int, default=1,
-                                 help="SecAgg shards per round (1 = flat "
-                                      "protocol; k > 1 composes k Bonawitz "
-                                      "sub-rounds modularly)")
     simulate_parser.add_argument("--backend",
                                  choices=["inline", "process"],
                                  default="inline",
@@ -619,9 +607,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                                       "vectors shipped in the task pickle)")
     simulate_parser.add_argument("--tree", metavar="SHAPE", default=None,
                                  help="aggregation-tree topology, root level "
-                                      "first (e.g. '8' or '4x4'); overrides "
-                                      "--shards with an N-level "
-                                      "region-to-global tree")
+                                      "first: '8' composes 8 Bonawitz "
+                                      "sub-rounds, '4x4' is an N-level "
+                                      "region-to-global tree (default: one "
+                                      "flat round)")
     simulate_parser.add_argument("--compose", choices=["clear", "secagg"],
                                  default="clear",
                                  help="how interior tree nodes combine child "

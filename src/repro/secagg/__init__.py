@@ -19,8 +19,8 @@ is the protocol that realises it.  Two layers:
   :class:`~repro.secagg.statemachine.RoundDriver` through which every
   transport (the
   :func:`~repro.secagg.statemachine.drive_in_memory` synchronous loop
-  behind :func:`~repro.secagg.bonawitz.run_bonawitz` and the tree's
-  composition rounds, the
+  behind :func:`~repro.secagg.bonawitz.run_bonawitz`, which is also
+  every composition round of an aggregation tree, the
   :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox and its
   sharded process backend, the :mod:`repro.net` socket server) feeds
   the server session and closes its phases.
@@ -57,7 +57,7 @@ from repro.secagg.wire import (
     decode_message,
     encode_message,
 )
-from repro.secagg.compose import COMPOSERS, compose, compose_shard_sums
+from repro.secagg.compose import COMPOSERS, compose
 from repro.secagg.field import DEFAULT_FIELD, MERSENNE_61, PrimeField
 from repro.secagg.tree import (
     TreeNode,
@@ -127,7 +127,6 @@ __all__ = [
     "WireStats",
     "agree",
     "compose",
-    "compose_shard_sums",
     "decode_frames",
     "decode_message",
     "drive_in_memory",

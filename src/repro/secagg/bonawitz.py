@@ -96,6 +96,7 @@ from repro.secagg.wire import (
     UnmaskResponse,
     WireStats,
 )
+from repro.telemetry.registry import MetricsRegistry
 
 #: Protocol round identifiers, for dropout schedules and error messages.
 ROUND_ADVERTISE = 0
@@ -928,6 +929,7 @@ def run_bonawitz(
     group: KeyAgreementGroup | None = None,
     dropouts: dict[int, int] | None = None,
     field: PrimeField = DEFAULT_FIELD,
+    metrics: MetricsRegistry | None = None,
 ) -> AggregationOutcome:
     """Execute the full four-round protocol over simulated clients.
 
@@ -947,6 +949,8 @@ def run_bonawitz(
         dropouts: Optional map from client index (1-based) to the first
             round (0-3) at which that client stops responding.
         field: Shamir sharing field.
+        metrics: Registry the sessions and the driver meter the round
+            into; by default nothing is metered.
 
     Returns:
         The aggregation outcome.
@@ -991,14 +995,17 @@ def run_bonawitz(
             rng=np.random.default_rng(rng.integers(0, 2**63 - 1)),
             group=group,
             field=field,
+            metrics=metrics,
         )
         for i in range(num_clients)
     }
-    server = ServerSession(modulus, dimension, threshold, field, group)
+    server = ServerSession(
+        modulus, dimension, threshold, field, group, metrics=metrics
+    )
 
     # A client that dropped at a phase neither receives nor responds
     # from then on (it stopped talking).
-    drive_in_memory(server, sessions, responds=alive)
+    drive_in_memory(server, sessions, responds=alive, metrics=metrics)
 
     included = server.included
     return AggregationOutcome(

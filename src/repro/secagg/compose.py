@@ -7,9 +7,11 @@ outputs are combined at each interior node of the aggregation tree.
 (:data:`COMPOSERS`):
 
 * ``"clear"`` — the outer modular addition of the hybrid approach
-  (Truex et al., DDP-SA): free, but the composing server sees every
-  intermediate shard sum in plaintext.  Because modular addition over
-  the same ``Z_m`` is associative and commutative,
+  (Truex et al., DDP-SA), i.e. the ideal SecAgg functionality
+  :func:`repro.linalg.modular.sum_mod` over the child sums: free, but
+  the composing server sees every intermediate shard sum in plaintext.
+  Because modular addition over the same ``Z_m`` is associative and
+  commutative,
 
   ``(Σ_{u ∈ S_1} x_u mod m) + ... + (Σ_{u ∈ S_k} x_u mod m)  mod m``
 
@@ -32,48 +34,31 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.linalg.modular import sum_mod
 from repro.secagg.tree import run_composition_round
 from repro.secagg.wire import WireStats
 from repro.telemetry.registry import MetricsRegistry
 
-
-def compose_shard_sums(
-    shard_sums: Sequence[np.ndarray], modulus: int
-) -> np.ndarray:
-    """Outer modular addition of per-shard secure aggregates.
-
-    Args:
-        shard_sums: One modular sum per (successful) shard, all of the
-            same 1-d shape over ``Z_m``.
-        modulus: The shared aggregation modulus ``m``.
-
-    Returns:
-        ``Σ_shards shard_sum mod m`` as a length-``d`` int64 array —
-        equal to the flat modular sum over the union of the shards'
-        included clients.
-
-    Raises:
-        ConfigurationError: If no sums are given or shapes disagree.
-    """
-    if modulus < 2:
-        raise ConfigurationError(f"modulus must be >= 2, got {modulus}")
-    if not shard_sums:
-        raise ConfigurationError("need at least one shard sum to compose")
-    arrays = [np.asarray(shard_sum, dtype=np.int64) for shard_sum in shard_sums]
-    shapes = {array.shape for array in arrays}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-        raise ConfigurationError(
-            f"shard sums must share one 1-d shape, got {shapes}"
-        )
-    total = np.zeros_like(arrays[0])
-    for array in arrays:
-        total = np.mod(total + array, modulus)
-    return total
-
-
 #: How an interior node may combine its children's sums — the values
 #: of the ``--compose`` / ``composer=`` / config knob.
 COMPOSERS = ("clear", "secagg")
+
+
+def validate_composer(how: str) -> str:
+    """Validate a composer name; returns it unchanged.
+
+    The single check (and single error message) shared by
+    :func:`compose`, the hierarchical round and the simulation config,
+    so every layer refuses an unknown composer the same way.
+
+    Raises:
+        ConfigurationError: If ``how`` is not one of :data:`COMPOSERS`.
+    """
+    if how not in COMPOSERS:
+        raise ConfigurationError(
+            f"unknown composer {how!r}; expected one of {sorted(COMPOSERS)}"
+        )
+    return how
 
 
 def compose(
@@ -112,12 +97,17 @@ def compose(
         ConfigurationError: For an unknown ``how``, no child sums,
             mismatched shapes, or ``"secagg"`` without ``rng``.
     """
-    if how not in COMPOSERS:
+    validate_composer(how)
+    if not child_sums:
+        raise ConfigurationError("need at least one shard sum to compose")
+    shapes = {np.shape(child) for child in child_sums}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise ConfigurationError(
-            f"unknown composer {how!r}; expected one of {sorted(COMPOSERS)}"
+            f"shard sums must share one 1-d shape, got {shapes}"
         )
+    stacked = np.stack(child_sums)
     if how == "clear":
-        total = compose_shard_sums(child_sums, modulus)
+        total = sum_mod(stacked, modulus).astype(np.int64)
         if metrics is not None:
             metrics.counter(
                 "compose_clear_total",
@@ -125,11 +115,8 @@ def compose(
                 "(intermediate sums visible to the composing node).",
             ).labels(level=str(level)).inc()
         return total, None
-    if not child_sums:
-        raise ConfigurationError("need at least one shard sum to compose")
     if len(child_sums) == 1:
-        only = np.asarray(child_sums[0], dtype=np.int64)
-        return np.mod(only, modulus), None
+        return np.mod(stacked[0].astype(np.int64), modulus), None
     if rng is None:
         raise ConfigurationError(
             "the secagg composer needs node-local randomness (rng)"

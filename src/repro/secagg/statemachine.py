@@ -15,9 +15,9 @@ each written once.  The callers keep only what is genuinely theirs —
 *when* a phase is over and how bytes move:
 
 * :func:`drive_in_memory` (which
-  :func:`repro.secagg.bonawitz.run_bonawitz` and the tree's
-  :func:`repro.secagg.tree.run_composition_round` both call) closes a
-  phase when every live client has answered;
+  :func:`repro.secagg.bonawitz.run_bonawitz` calls, and through it every
+  composition round of an aggregation tree) closes a phase when every
+  live client has answered;
 * :class:`repro.simulation.rounds.AsyncSecAggRound` — mailboxes on the
   simulated clock, one per shard under the sharded backends — closes it
   at the earlier of "everyone delivered" and the phase deadline;

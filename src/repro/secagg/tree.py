@@ -10,21 +10,15 @@ supplies the protocol-level pieces that close it:
 
 * :class:`TreeTopology` — the shape of an N-level region→…→global
   aggregation tree (branching factors from the root down), with the
-  recursive cohort partition that reuses the flat round-robin rule at
-  every level, so a one-level tree is *bit-identical* to the legacy
-  sharded partition.
+  recursive cohort partition that applies the one round-robin rule
+  (:func:`partition_members`) at every level.
 * :func:`run_composition_round` — one interior node's Bonawitz round
-  over its children.  Each shard (or region) coordinator is a *virtual
-  client* of its parent's round: a sans-I/O
-  :class:`~repro.secagg.statemachine.ClientSession` fed the subtree's
-  modular sum as its private input.  The round is not a transport of
-  its own: it goes through
-  :func:`~repro.secagg.statemachine.drive_in_memory`, the in-memory
-  caller of the one :class:`~repro.secagg.statemachine.RoundDriver`
-  (:func:`~repro.secagg.bonawitz.run_bonawitz` is the same call), so it
-  is refused, metered and aborted like every other round.  The node's
-  server therefore sees only *masked* child sums and recovers exactly
-  ``Σ child_sums mod m``.
+  over its children: :func:`~repro.secagg.bonawitz.run_bonawitz` with
+  each shard (or region) coordinator as a *virtual client* whose
+  private input is its subtree's modular sum.  The tree has no round
+  loop of its own, so a composition round is refused, metered and
+  aborted like every other in-memory round, and the node's server sees
+  only *masked* child sums.
 
 Because pairwise masks cancel over the full survivor set and every
 virtual client is an in-process coordinator that never drops, the
@@ -40,14 +34,8 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.field import DEFAULT_FIELD, PrimeField
-from repro.secagg.keys import TOY_GROUP, DhGroup
-from repro.secagg.statemachine import (
-    ClientSession,
-    ServerSession,
-    drive_in_memory,
-)
+from repro.errors import ConfigurationError
+from repro.secagg.bonawitz import run_bonawitz
 from repro.secagg.wire import WireStats
 from repro.telemetry.registry import MetricsRegistry
 
@@ -70,8 +58,7 @@ class TreeNode:
         children: Child nodes; empty for a leaf shard.
         leaf_index: Flat depth-first leaf position (``None`` for
             interior nodes) — the spawn key selecting the leaf's RNG
-            stream, identical to the legacy shard index for a
-            one-level tree.
+            stream.
     """
 
     level: int
@@ -106,9 +93,9 @@ def partition_members(
 ) -> list[tuple[int, ...]]:
     """Deterministically partition members into balanced groups.
 
-    Round-robin over the sorted member list — the single partition rule
-    shared by every level of the tree (and by the legacy flat sharding
-    path): group ``i`` receives every ``k``-th member starting at
+    Round-robin over the sorted member list — the single partition rule,
+    applied at every level of the tree: group ``i`` receives every
+    ``k``-th member starting at
     offset ``i``, so group sizes differ by at most one and the
     assignment depends only on the members and ``k``.  The effective
     group count is capped so every group keeps at least
@@ -143,8 +130,7 @@ class TreeTopology:
 
     Attributes:
         branching: Requested fan-out per level, root first; every
-            entry must be >= 1 and the root entry is the legacy
-            ``shards`` knob for a single-level tree.
+            entry must be >= 1 (``(k,)`` is the flat ``k``-shard round).
     """
 
     branching: tuple[int, ...]
@@ -181,7 +167,7 @@ class TreeTopology:
 
     @property
     def levels(self) -> int:
-        """Number of aggregation levels (1 = the legacy flat sharding)."""
+        """Number of aggregation levels (1 = flat ``k``-shard sharding)."""
         return len(self.branching)
 
     def describe(self) -> str:
@@ -192,9 +178,10 @@ class TreeTopology:
         """Partition a cohort into this topology's concrete tree.
 
         Recursively applies :func:`partition_members` level by level;
-        leaf shards receive depth-first ``leaf_index`` values, so a
-        one-level tree reproduces the legacy flat shard indices
-        exactly.
+        leaf shards receive depth-first ``leaf_index`` values.  A
+        single-child interior node is kept: path determinism matters
+        more than tree minimality, and composition passes one child
+        straight through.
         """
         members = tuple(sorted(cohort))
         counter = {"next_leaf": 0}
@@ -227,12 +214,6 @@ class TreeTopology:
                 )
                 for child_index, group in enumerate(groups)
             )
-            if len(children) == 1 and not children[0].is_leaf:
-                # A degenerate single-child interior node adds nothing;
-                # keep it anyway — path determinism matters more than
-                # tree minimality, and composition passes one child
-                # straight through.
-                pass
             return TreeNode(
                 level=level,
                 index=index,
@@ -248,25 +229,16 @@ def run_composition_round(
     child_sums: Sequence[np.ndarray],
     modulus: int,
     rng: np.random.Generator,
-    group: DhGroup | None = None,
-    field: PrimeField = DEFAULT_FIELD,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[np.ndarray, WireStats]:
     """One interior tree node's Bonawitz round over its children.
 
-    Each child coordinator is a virtual client of this node: a
-    :class:`~repro.secagg.statemachine.ClientSession` whose private
-    input is the child's modular sum.  The node runs the complete
-    four-phase round through
-    :func:`~repro.secagg.statemachine.drive_in_memory` — the loop
-    :func:`~repro.secagg.bonawitz.run_bonawitz` runs — so its server
-    only ever receives masked frames, and the recovered aggregate
-    equals ``Σ child_sums mod m`` bit-identically (all virtual clients
-    survive, so every pairwise mask cancels).
-
-    The Shamir threshold is the full child count: coordinators are
-    in-process and never drop, so the round tolerates no dropout and
-    fails loudly on any protocol defect instead of silently recovering.
+    Child ``i`` (0-based) is protocol client ``i + 1`` of
+    :func:`~repro.secagg.bonawitz.run_bonawitz`, its private input the
+    child's modular sum, so the node's server only ever receives masked
+    frames and recovers ``Σ child_sums mod m``.  The Shamir threshold is
+    the full child count: coordinators are in-process and never drop,
+    so any protocol defect aborts the round instead of being recovered.
 
     With ``metrics``, the round is metered into the same ``secagg_*``
     round families as any other (the caller adds the per-level label
@@ -285,38 +257,11 @@ def run_composition_round(
             "a composition round needs at least two child sums, got "
             f"{len(child_sums)}"
         )
-    arrays = [np.asarray(child, dtype=np.int64) for child in child_sums]
-    shapes = {array.shape for array in arrays}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-        raise ConfigurationError(
-            f"child sums must share one 1-d shape, got {shapes}"
-        )
-    dimension = arrays[0].shape[0]
-    threshold = len(arrays)
-    group = group if group is not None else TOY_GROUP
-    # Per-child generators spawn in child order, mirroring the leaf
-    # transports' sorted-index convention.
-    clients = {
-        position
-        + 1: ClientSession(
-            index=position + 1,
-            vector=array,
-            modulus=modulus,
-            threshold=threshold,
-            rng=np.random.default_rng(int(rng.integers(0, 2**63))),
-            group=group,
-            field=field,
-            metrics=metrics,
-        )
-        for position, array in enumerate(arrays)
-    }
-    server = ServerSession(
-        modulus, dimension, threshold, field, group, metrics=metrics
+    outcome = run_bonawitz(
+        np.stack(child_sums),
+        modulus,
+        len(child_sums),
+        rng,
+        metrics=metrics,
     )
-    drive_in_memory(server, clients, metrics=metrics)
-    if server.included != frozenset(clients):
-        raise AggregationError(
-            "a composition round lost a virtual client — coordinators "
-            "are in-process and must never drop"
-        )
-    return server.modular_sum, server.stats
+    return outcome.modular_sum, outcome.wire

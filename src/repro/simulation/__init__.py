@@ -18,13 +18,14 @@ Layering (each module only depends on the ones above it):
 * :mod:`~repro.simulation.rounds` — dropout-tolerant async SecAgg round
   driver over the ``secagg.bonawitz`` state machines.
 * :mod:`~repro.simulation.sharding` — level-agnostic sharding
-  primitives: partition/threshold rules, picklable shard tasks, the
+  primitives: the threshold rule, picklable shard tasks, the
   inline/process execution backends.
 * :mod:`~repro.simulation.hierarchy` — N-level aggregation-tree
-  orchestration: leaf Bonawitz sub-rounds composed bottom-up in the
-  clear or by an outer SecAgg round, with optional cross-shard
-  straggler rebalancing.  The flat ``k``-shard round is
-  ``HierarchicalSecAggRound(topology=str(k))``.
+  orchestration: leaf Bonawitz sub-rounds over
+  :meth:`~repro.secagg.tree.TreeTopology.partition`, composed bottom-up
+  by :func:`~repro.secagg.compose.compose`, with optional cross-shard
+  straggler rebalancing.  ``tree="k"`` (one level) is the flat
+  ``k``-shard round.
 * :mod:`~repro.simulation.engine` — the training orchestrator wiring
   encoder/decoder, the Skellam mixture noise, the federated trainer and
   the accounting ledger into the round loop.
@@ -57,7 +58,6 @@ from repro.simulation.sharding import (
     ShardReport,
     ShardTask,
     get_execution_backend,
-    partition_cohort,
     shamir_threshold,
     validate_threshold_fraction,
 )
@@ -89,7 +89,6 @@ __all__ = [
     "TimerHandle",
     "TraceEvent",
     "get_execution_backend",
-    "partition_cohort",
     "shamir_threshold",
     "validate_threshold_fraction",
 ]

@@ -82,12 +82,14 @@ from repro.simulation.population import (
     ClientPlan,
     Population,
 )
-from repro.secagg.compose import COMPOSERS
+from repro.linalg.modular import sum_mod
+from repro.secagg.compose import validate_composer
 from repro.secagg.tree import TreeTopology
 from repro.simulation.hierarchy import HierarchicalSecAggRound
 from repro.simulation.rounds import AsyncSecAggRound
 from repro.simulation.sharding import (
-    EXECUTION_BACKENDS,
+    InlineBackend,
+    ProcessBackend,
     get_execution_backend,
     shamir_threshold,
     validate_threshold_fraction,
@@ -106,6 +108,9 @@ _SETUP_ROTATION = 12
 _SETUP_TRAINING = 13
 
 _DATASETS = {"mnist": mnist_surrogate, "fashion": fashion_mnist_surrogate}
+
+#: Backends a config may name — what ``simulate --backend`` offers.
+_CONFIG_BACKENDS = (InlineBackend.name, ProcessBackend.name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,17 +142,15 @@ class SimulationConfig:
             exactly equals the survivors' direct modular sum (a
             simulation-side correctness oracle, not something a real
             server could compute).
-        shards: Number of SecAgg shards per round; ``1`` (default) runs
-            the flat single-instance protocol, ``k > 1`` partitions
-            each cohort into ``k`` hierarchical Bonawitz sub-rounds
-            whose sums compose modularly (bit-identical to the flat sum
-            over the same survivors, ``O(n^2/k)`` total protocol work).
-        tree: Aggregation-tree topology string (e.g. ``"8"`` or
-            ``"4x4"``, root level first); overrides ``shards`` with an
-            N-level region→…→global tree.  ``None`` (default) keeps the
-            flat/``shards`` behaviour.
+        tree: Aggregation-tree topology string, root level first.
+            ``"k"`` partitions each cohort into ``k`` Bonawitz
+            sub-rounds whose sums compose modularly (bit-identical to
+            the flat sum over the same survivors, ``O(n^2/k)`` total
+            protocol work); ``"4x4"`` is a 3-level region→…→global
+            tree.  ``None`` (default) runs the flat single-instance
+            protocol.
         compose: How interior tree nodes combine child sums —
-            ``"clear"`` (default, legacy outer modular addition; the
+            ``"clear"`` (default, outer modular addition; the
             composing node sees every intermediate sum) or ``"secagg"``
             (an outer Bonawitz round over virtual clients; every
             intermediate sum stays masked).  Sums are bit-identical
@@ -181,7 +184,7 @@ class SimulationConfig:
             simulated server at the phase — restarted (``kill@``) the
             round is retried once and recorded ``recovered``; without
             restart (``abort@``) the round aborts cleanly.  Kills
-            require the flat topology (no ``shards``/``tree``).
+            require the flat topology (no ``tree``).
             ``None`` (default) injects nothing.
     """
 
@@ -203,7 +206,6 @@ class SimulationConfig:
     dataset: str = "mnist"
     seed: int = 0
     verify_aggregate: bool = False
-    shards: int = 1
     backend: str = "inline"
     tree: str | None = None
     compose: str = "clear"
@@ -213,25 +215,17 @@ class SimulationConfig:
     chaos: str | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
         if self.tree is not None:
             TreeTopology.parse(self.tree)  # Raises on a malformed shape.
-        if self.compose not in COMPOSERS:
-            raise ConfigurationError(
-                f"compose must be one of {sorted(COMPOSERS)}, "
-                f"got {self.compose!r}"
-            )
+        validate_composer(self.compose)
         if self.trace_max_events is not None and self.trace_max_events < 1:
             raise ConfigurationError(
                 "trace_max_events must be >= 1 or None, got "
                 f"{self.trace_max_events}"
             )
-        if self.backend not in EXECUTION_BACKENDS:
+        if self.backend not in _CONFIG_BACKENDS:
             raise ConfigurationError(
-                f"backend must be one of {sorted(EXECUTION_BACKENDS)}, "
+                f"backend must be one of {sorted(_CONFIG_BACKENDS)}, "
                 f"got {self.backend!r}"
             )
         if self.expected_cohort > self.population_size:
@@ -254,7 +248,7 @@ class SimulationConfig:
             if has_kill and self.aggregation_topology() is not None:
                 raise ConfigurationError(
                     "kill/abort chaos faults require the flat topology "
-                    "(no shards/tree): hierarchical rounds have no "
+                    "(no tree): hierarchical rounds have no "
                     "single server to crash"
                 )
         if self.dataset not in _DATASETS:
@@ -264,16 +258,10 @@ class SimulationConfig:
             )
 
     def aggregation_topology(self) -> TreeTopology | None:
-        """The aggregation tree this run uses, or ``None`` for flat.
-
-        ``tree`` wins over ``shards``; ``shards == 1`` with no tree is
-        the flat single-instance protocol.
-        """
-        if self.tree is not None:
-            return TreeTopology.parse(self.tree)
-        if self.shards > 1:
-            return TreeTopology((self.shards,))
-        return None
+        """The aggregation tree this run uses, or ``None`` for flat."""
+        if self.tree is None:
+            return None
+        return TreeTopology.parse(self.tree)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -787,11 +775,12 @@ class SimulationEngine:
             return self._abort_round(round_index, cohort, started_at)
         matches: bool | None = None
         if self.config.verify_aggregate:
-            reference = np.zeros_like(outcome.modular_sum)
-            for client in outcome.included:
-                reference = np.mod(
-                    reference + vectors[client], self.config.modulus
-                )
+            reference = sum_mod(
+                np.array(
+                    [vectors[client] for client in sorted(outcome.included)]
+                ),
+                self.config.modulus,
+            ).astype(np.int64)
             matches = bool(np.array_equal(reference, outcome.modular_sum))
         self._count_sim_round("completed", len(cohort))
         # Charge dropout (lost noise shares) honestly while keeping the

@@ -1,22 +1,25 @@
 """Hierarchical secure aggregation: N-level trees of SecAgg rounds.
 
-:class:`HierarchicalSecAggRound` generalises the flat sharded round to
-an arbitrary region→…→global aggregation tree described by a
-:class:`~repro.secagg.tree.TreeTopology`.  Leaf shards run independent
-dropout-tolerant :class:`~repro.simulation.rounds.AsyncSecAggRound`
-sub-rounds on an :class:`~repro.simulation.sharding.ExecutionBackend`
-exactly as before; every *interior* node then combines its children's
-sums through :func:`repro.secagg.compose.compose`:
+:class:`HierarchicalSecAggRound` runs one cohort round over an
+arbitrary region→…→global aggregation tree described by a
+:class:`~repro.secagg.tree.TreeTopology` (a one-level ``"k"`` is the
+flat ``k``-shard round).  Leaf shards run independent dropout-tolerant
+:class:`~repro.simulation.rounds.AsyncSecAggRound` sub-rounds on an
+:class:`~repro.simulation.sharding.ExecutionBackend`; every *interior*
+node then combines its children's sums through
+:func:`repro.secagg.compose.compose`:
 
-* ``"clear"`` — the legacy outer modular addition.  Cheap, but the
-  composing node sees each child's intermediate sum in plaintext.
+* ``"clear"`` — the outer modular addition
+  (:func:`~repro.linalg.modular.sum_mod`).  Cheap, but the composing
+  node sees each child's intermediate sum in plaintext.
 * ``"secagg"`` — an outer Bonawitz round
-  (:func:`~repro.secagg.tree.run_composition_round`) in which each
-  child coordinator participates as a virtual client whose private
-  input is its subtree's sum.  The composing node only ever receives
-  masked frames, so no intermediate aggregate is exposed anywhere in
-  the tree — and because masks cancel over the complete virtual-client
-  set, the result is **bit-identical** to the clear composition.
+  (:func:`~repro.secagg.tree.run_composition_round`, i.e.
+  :func:`~repro.secagg.bonawitz.run_bonawitz`) in which each child
+  coordinator participates as a virtual client whose private input is
+  its subtree's sum.  The composing node only ever receives masked
+  frames, so no intermediate aggregate is exposed anywhere in the tree
+  — and because masks cancel over the complete virtual-client set, the
+  result is **bit-identical** to the clear composition.
 
 Cross-shard straggler rebalancing (``rebalance=True``) closes the
 remaining availability gap: a leaf shard whose survivor count falls
@@ -45,7 +48,7 @@ import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import ROUND_MASKED_INPUT
-from repro.secagg.compose import COMPOSERS, compose
+from repro.secagg.compose import compose, validate_composer
 from repro.secagg.tree import MIN_SHARD_SIZE, TreeNode, TreeTopology
 from repro.secagg.wire import WireStats
 from repro.simulation.clock import SimulatedClock
@@ -103,13 +106,13 @@ class HierarchicalSecAggRound:
             the composition streams when the composer is
             cryptographic).
         topology: Tree shape (or a parseable string like ``"4x4"``);
-            ``TreeTopology((k,))`` is the legacy flat ``k``-shard case.
+            ``TreeTopology((k,))`` is the flat ``k``-shard case.
         threshold_fraction: Per-shard Shamir threshold as a fraction of
             the shard's size (``max(2, ceil(fraction * len(shard)))``).
         composer: How interior nodes combine child sums — ``"clear"``
-            (legacy outer modular addition, intermediate sums visible;
-            the default) or ``"secagg"`` (outer Bonawitz round over
-            virtual clients, intermediate sums masked).
+            (outer modular addition, intermediate sums visible; the
+            default) or ``"secagg"`` (outer Bonawitz round over virtual
+            clients, intermediate sums masked).
         plans: Behaviour plan per cohort member.
         phase_timeout: Per-phase server deadline (simulated seconds).
         backend: ``"inline"``, ``"process"``, or an
@@ -175,12 +178,9 @@ class HierarchicalSecAggRound:
         self._backend = get_execution_backend(backend)
         self._trace = trace
         self._topology = TreeTopology.parse(topology)
-        self._composer = composer if composer is not None else "clear"
-        if self._composer not in COMPOSERS:
-            raise ConfigurationError(
-                f"unknown composer {composer!r}; expected one of "
-                f"{sorted(COMPOSERS)}"
-            )
+        self._composer = validate_composer(
+            composer if composer is not None else "clear"
+        )
         self._root = self._topology.partition(self._vectors)
         self._leaves = self._root.leaves()
         self._rebalance = rebalance

@@ -4,12 +4,12 @@ A flat Bonawitz round costs ``O(n^2)`` in pairwise masks and Shamir
 shares, which caps the cohort size a single round can afford.  This
 module opens the next scaling axis the way production federations do
 (DDP-SA, Wei et al.; the hybrid approach of Truex et al.): partition
-the round's cohort into ``k`` shards, run one *independent*
+the round's cohort into ``k`` shards
+(:func:`repro.secagg.tree.partition_members`), run one *independent*
 dropout-tolerant :class:`~repro.simulation.rounds.AsyncSecAggRound` per
 shard — each with its own Shamir threshold, phase deadlines, and
 private :class:`~repro.simulation.clock.SimulatedClock` — and compose
-the shard sums with an outer modular addition
-(:func:`repro.secagg.compose.compose_shard_sums`), which is
+the shard sums (:func:`repro.secagg.compose.compose`), which is
 bit-identical to the flat sum over the union of the shards' survivors.
 
 Cost: ``k`` shards of ``n/k`` clients do ``O(n^2 / k)`` total protocol
@@ -45,9 +45,9 @@ survivors are re-homed to sibling shards first).  Only if every shard
 aborts does the round raise :class:`~repro.errors.AggregationError`,
 mirroring the flat driver.
 
-This module holds the level-agnostic primitives — partition rule,
-threshold rule, picklable shard tasks/reports, and the execution
-backends.  Orchestration lives in :mod:`repro.simulation.hierarchy`
+This module holds the level-agnostic primitives — threshold rule,
+picklable shard tasks/reports, and the execution backends.
+Orchestration lives in :mod:`repro.simulation.hierarchy`
 (:class:`~repro.simulation.hierarchy.HierarchicalSecAggRound`; the flat
 ``k``-shard round is its ``topology=str(k)`` case).
 """
@@ -58,14 +58,14 @@ import abc
 import dataclasses
 import math
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.tree import MIN_SHARD_SIZE, partition_members
+from repro.secagg.tree import MIN_SHARD_SIZE
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.events import SimulationTrace, TraceEvent
 from repro.simulation.population import ClientPlan
@@ -82,7 +82,6 @@ __all__ = [
     "ShardReport",
     "ShardTask",
     "get_execution_backend",
-    "partition_cohort",
     "run_shard",
     "shamir_threshold",
     "validate_threshold_fraction",
@@ -120,31 +119,6 @@ def shamir_threshold(threshold_fraction: float, cohort_size: int) -> int:
     """
     validate_threshold_fraction(threshold_fraction)
     return max(2, math.ceil(threshold_fraction * cohort_size))
-
-
-def partition_cohort(
-    cohort: Iterable[int], shards: int
-) -> list[tuple[int, ...]]:
-    """Deterministically partition a cohort into balanced shards.
-
-    Round-robin over the sorted member list: shard ``i`` receives every
-    ``k``-th member starting at offset ``i``, so shard sizes differ by
-    at most one and the assignment depends only on the cohort and ``k``.
-    The effective shard count is capped so every shard keeps at least
-    :data:`MIN_SHARD_SIZE` members (a smaller cohort simply gets fewer
-    shards, down to one).
-
-    Args:
-        cohort: Client indices (1-based, any order, no duplicates).
-        shards: Requested shard count ``k >= 1``.
-
-    Returns:
-        Non-empty member tuples, sorted within and across shards.
-
-    Raises:
-        ConfigurationError: If ``shards < 1`` or the cohort is empty.
-    """
-    return partition_members(cohort, shards)
 
 
 @dataclasses.dataclass(frozen=True)

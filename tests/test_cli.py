@@ -161,15 +161,14 @@ class TestNewCommands:
                 "--hidden", "2",
                 "--test-records", "32",
                 "--dropout-rate", "0.1",
-                "--shards", "2",
+                "--tree", "2",
                 "--verify",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert (
-            "sharding: up to 2 shards per round (inline backend, "
-            "clear compose)"
+            "sharding: tree 2 (inline backend, clear compose)"
             in captured.out
         )
         assert "exact=True" in captured.out

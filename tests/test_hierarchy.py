@@ -39,7 +39,6 @@ from repro.simulation import (
     HierarchicalSecAggRound,
     SimulatedClock,
     SimulationTrace,
-    partition_cohort,
     validate_threshold_fraction,
 )
 from repro.simulation.engine import SimulationConfig
@@ -114,19 +113,16 @@ class TestTreeTopology:
         with pytest.raises(ConfigurationError):
             TreeTopology.parse("0")
 
-    def test_one_level_matches_legacy_partition(self):
-        """A (k,) tree is bit-identical to the flat sharded partition:
-        same groups, same order, same leaf indices."""
+    def test_one_level_matches_flat_partition(self):
+        """A (k,) tree's leaves are the flat round-robin partition:
+        same groups, same order, leaf indices 0..k-1."""
         cohort = tuple(range(1, 23))
         root = TreeTopology((4,)).partition(cohort)
         leaves = root.leaves()
-        legacy = partition_cohort(cohort, 4)
-        assert [leaf.members for leaf in leaves] == legacy
+        assert [leaf.members for leaf in leaves] == partition_members(
+            cohort, 4
+        )
         assert [leaf.leaf_index for leaf in leaves] == [0, 1, 2, 3]
-
-    def test_partition_members_is_the_shared_rule(self):
-        cohort = tuple(range(1, 23))
-        assert partition_cohort(cohort, 4) == partition_members(cohort, 4)
 
     def test_multi_level_partition_covers_cohort(self):
         cohort = tuple(range(1, 33))
@@ -229,17 +225,17 @@ class TestVirtualClientPrivacy:
         """Wire accounting: every datagram the composing server ingests
         is captured, and no child sum's raw bytes appear in any of
         them — the parent's inputs are masked frames only."""
-        import repro.secagg.tree as tree_module
+        import repro.secagg.statemachine as statemachine
 
         received = []
-        real_server = tree_module.ServerSession
+        real_server = statemachine.ServerSession
 
         class RecordingServer(real_server):
             def receive(self, data, sender=None):
                 received.append(bytes(data))
                 return super().receive(data, sender=sender)
 
-        monkeypatch.setattr(tree_module, "ServerSession", RecordingServer)
+        monkeypatch.setattr(statemachine, "ServerSession", RecordingServer)
         rng = np.random.default_rng(11)
         child_sums = [
             rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
@@ -267,30 +263,29 @@ class TestVirtualClientPrivacy:
 
     def test_composition_round_is_the_flat_protocol(self):
         """A composition round is ``run_bonawitz`` at the full-count
-        threshold over the child sums — same loop, same protocol: the
-        same released sum and the same messages per phase."""
-        rng = np.random.default_rng(17)
-        child_sums = [
-            rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
-            for _ in range(5)
-        ]
-        total, wire = run_composition_round(
-            child_sums, MODULUS, np.random.default_rng(19)
-        )
-        flat = run_bonawitz(
-            np.stack(child_sums),
-            MODULUS,
-            threshold=len(child_sums),
-            rng=np.random.default_rng(19),
-        )
-        assert flat.included == frozenset(range(1, len(child_sums) + 1))
-        assert np.array_equal(total, flat.modular_sum)
-        composed_phases = wire.phase_totals()
-        flat_phases = flat.wire.phase_totals()
-        assert set(composed_phases) == set(flat_phases)
-        for phase, totals in flat_phases.items():
-            for direction in ("up_messages", "down_messages"):
-                assert composed_phases[phase][direction] == totals[direction]
+        threshold over the child sums, to the byte: the same released
+        sum and the same messages and bytes per phase and direction.
+        Several seeds, because public keys are variable-width: a round
+        that drew its per-client seeds differently would differ in a
+        byte on some seeds only."""
+        for seed in range(8):
+            rng = np.random.default_rng(17 + seed)
+            child_sums = [
+                rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
+                for _ in range(5)
+            ]
+            total, wire = run_composition_round(
+                child_sums, MODULUS, np.random.default_rng(19 + seed)
+            )
+            flat = run_bonawitz(
+                np.stack(child_sums),
+                MODULUS,
+                threshold=len(child_sums),
+                rng=np.random.default_rng(19 + seed),
+            )
+            assert flat.included == frozenset(range(1, len(child_sums) + 1))
+            assert np.array_equal(total, flat.modular_sum)
+            assert wire.phase_totals() == flat.wire.phase_totals()
 
     def test_secagg_tree_wire_includes_composition_traffic(self):
         vectors = make_vectors(16, seed=2)
@@ -694,9 +689,9 @@ class TestTelemetryAndConfig:
         config = SimulationConfig(tree="4x2", compose="secagg")
         assert config.aggregation_topology().branching == (4, 2)
         assert SimulationConfig().aggregation_topology() is None
-        sharded = SimulationConfig(shards=4)
+        sharded = SimulationConfig(tree="4")
         assert sharded.aggregation_topology().branching == (4,)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown composer"):
             SimulationConfig(compose="homomorphic")
         with pytest.raises(ConfigurationError):
             SimulationConfig(tree="4x")

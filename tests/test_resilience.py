@@ -891,7 +891,7 @@ class TestSimulationChaos:
 
         with pytest.raises(ConfigurationError, match="flat topology"):
             SimulationConfig(
-                **{**self.CONFIG, "shards": 2, "chaos": "kill@unmask"}
+                **{**self.CONFIG, "tree": "2", "chaos": "kill@unmask"}
             )
 
     def test_chaos_requires_the_secagg_path(self):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-import repro.secagg.tree as tree_module
+import repro.secagg.statemachine as statemachine_module
 import repro.simulation.rounds as rounds_module
 from repro.errors import AggregationError
 from repro.net import SecAggServer, ServerConfig
@@ -496,7 +496,7 @@ class TestOneOffenderThreeTransports:
         client takes the phase under threshold, so a protocol defect
         there is an error, never a silently smaller sum."""
         monkeypatch.setattr(
-            tree_module,
+            statemachine_module,
             "ClientSession",
             session_factory(short_share_keys, offenders=(2,)),
         )

@@ -19,8 +19,10 @@ from repro.simulation import (
     AvailabilityModel,
     BernoulliDropout,
     ClientPlan,
+    ProcessBackend,
     SimulationConfig,
     SimulationEngine,
+    get_execution_backend,
 )
 from repro.simulation.population import PURPOSE_ENCODING
 
@@ -130,7 +132,7 @@ class TestAggregateMatchesSyncPipeline:
 
 class TestShardedEngine:
     def test_sharded_rounds_pass_the_oracle(self):
-        engine, result = run_acceptance(0.1, shards=3)
+        engine, result = run_acceptance(0.1, tree="3")
         executed = [r for r in result.records if r.cohort and not r.aborted]
         assert executed
         for record in executed:
@@ -140,17 +142,31 @@ class TestShardedEngine:
         assert engine.trace.count("sharded-round-complete") == len(executed)
 
     def test_backends_are_bit_identical(self):
-        _, inline = run_acceptance(0.1, rounds=2, shards=2)
-        _, process = run_acceptance(0.1, rounds=2, shards=2, backend="process")
+        _, inline = run_acceptance(0.1, rounds=2, tree="2")
+        _, process = run_acceptance(0.1, rounds=2, tree="2", backend="process")
         assert inline.parameters_digest == process.parameters_digest
         assert inline.records == process.records
         assert inline.epsilon == process.epsilon
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(shards=0)
+            SimulationConfig(tree="0")
         with pytest.raises(ConfigurationError):
             SimulationConfig(backend="thread")
+
+    def test_config_offers_the_cli_backends_only(self):
+        """A config names what ``simulate --backend`` offers; the
+        benchmark-only ``"process-pickle"`` alias resolves through
+        ``get_execution_backend`` but no config accepts it."""
+        for name in ("inline", "process"):
+            assert SimulationConfig(backend=name).backend == name
+        with pytest.raises(ConfigurationError, match="process-pickle"):
+            SimulationConfig(backend="process-pickle")
+        backend = get_execution_backend("process-pickle")
+        try:
+            assert isinstance(backend, ProcessBackend)
+        finally:
+            backend.close()
 
 
 class _EveryoneOffline(AvailabilityModel):

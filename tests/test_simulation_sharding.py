@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.secagg import compose_shard_sums
+from repro.secagg import compose
 from repro.secagg.bonawitz import ROUND_ADVERTISE, ROUND_UNMASK
+from repro.secagg.tree import partition_members
 from repro.simulation import (
     ClientPlan,
     InlineBackend,
@@ -28,7 +29,6 @@ from repro.simulation import (
     SimulatedClock,
     SimulationTrace,
     get_execution_backend,
-    partition_cohort,
 )
 from repro.simulation.sharding import MIN_SHARD_SIZE, ShardTask, run_shard
 
@@ -64,7 +64,7 @@ def make_tasks(num_clients=6, shards=2):
             plans={},
             phase_timeout=10.0,
         )
-        for index, members in enumerate(partition_cohort(vectors, shards))
+        for index, members in enumerate(partition_members(vectors, shards))
     ]
 
 
@@ -98,59 +98,64 @@ def run_sharded(vectors, shards, plans=None, backend="inline", seed=1,
 class TestPartition:
     def test_covers_cohort_exactly(self):
         cohort = tuple(range(1, 23))
-        shards = partition_cohort(cohort, 4)
+        shards = partition_members(cohort, 4)
         flattened = sorted(u for shard in shards for u in shard)
         assert flattened == sorted(cohort)
 
     def test_balanced_within_one(self):
-        sizes = {len(s) for s in partition_cohort(range(1, 23), 4)}
+        sizes = {len(s) for s in partition_members(range(1, 23), 4)}
         assert max(sizes) - min(sizes) <= 1
 
     def test_deterministic_and_order_insensitive(self):
         cohort = [9, 3, 14, 1, 7, 2]
-        assert partition_cohort(cohort, 2) == partition_cohort(
+        assert partition_members(cohort, 2) == partition_members(
             tuple(reversed(cohort)), 2
         )
 
     def test_caps_shards_at_min_size(self):
         # 5 members cannot form 4 shards of >= 2: capped to 2 shards.
-        shards = partition_cohort(range(1, 6), 4)
+        shards = partition_members(range(1, 6), 4)
         assert len(shards) == 2
         assert all(len(s) >= MIN_SHARD_SIZE for s in shards)
 
     def test_single_shard_identity(self):
-        assert partition_cohort((1, 2, 3), 1) == [(1, 2, 3)]
+        assert partition_members((1, 2, 3), 1) == [(1, 2, 3)]
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
-            partition_cohort((1, 2, 3), 0)
+            partition_members((1, 2, 3), 0)
         with pytest.raises(ConfigurationError):
-            partition_cohort((), 2)
+            partition_members((), 2)
         with pytest.raises(ConfigurationError):
-            partition_cohort((1, 1, 2), 2)
+            partition_members((1, 1, 2), 2)
 
 
-class TestComposeShardSums:
+class TestClearCompose:
     def test_matches_flat_modular_sum(self):
         rng = np.random.default_rng(3)
         chunks = [
             rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
             for _ in range(5)
         ]
-        composed = compose_shard_sums(
-            [np.mod(c, MODULUS) for c in chunks], MODULUS
+        composed, wire = compose(
+            [np.mod(c, MODULUS) for c in chunks], MODULUS, "clear"
         )
+        assert wire is None and composed.dtype == np.int64
         assert np.array_equal(
             composed, np.mod(np.sum(chunks, axis=0), MODULUS)
         )
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            compose_shard_sums([], MODULUS)
-        with pytest.raises(ConfigurationError):
-            compose_shard_sums(
+    @pytest.mark.parametrize("how", ["clear", "secagg"])
+    def test_validation(self, how):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            compose([], MODULUS, how, rng=rng)
+        with pytest.raises(ConfigurationError, match="one 1-d shape"):
+            compose(
                 [np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)],
                 MODULUS,
+                how,
+                rng=rng,
             )
 
 
