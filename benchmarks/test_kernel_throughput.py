@@ -29,11 +29,13 @@ from repro.secagg.keys import SCALAR_BATCH_MAX, TOY_GROUP
 from repro.secagg.shamir import (
     Share,
     reconstruct_quorum,
-    reconstruct_secret_scalar,
     reconstruct_secrets,
     split_large_secret,
-    split_secret_scalar,
     split_secrets,
+)
+from tests.secagg_reference import (
+    reconstruct_secret_scalar,
+    split_secret_scalar,
 )
 
 MASK_DIMENSION = 512

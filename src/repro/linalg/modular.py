@@ -14,10 +14,10 @@ Decoding recovers the true integer sum exactly when it lies in the centred
 interval; otherwise it wraps around — the overflow failure mode that
 dominates the baselines' error at small bitwidths (Section 6).
 
-*Field kernels.* The vectorised SecAgg kernels
-(:mod:`repro.secagg.kernels`) run Shamir share generation and Lagrange
-reconstruction, and :mod:`repro.secagg.keys` its batched Diffie-Hellman
-exponentiations, as numpy array programs over the 61-bit prime field.
+*Field kernels.* SecAgg runs Shamir share generation and Lagrange
+reconstruction (:mod:`repro.secagg.shamir`), and its batched
+Diffie-Hellman exponentiations (:mod:`repro.secagg.keys`), as numpy
+array programs over the 61-bit prime field.
 Products of two 61-bit residues need 122 bits, which uint64 cannot hold,
 so :func:`mul_mod` splits each operand into two limbs and recombines the
 partial products without ever leaving uint64 — exact modular

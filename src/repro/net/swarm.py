@@ -228,18 +228,25 @@ def bad_version_indices(config: SwarmConfig) -> frozenset[int]:
     return frozenset(range(1, config.bad_version + 1))
 
 
+def _eligible_indices(config: SwarmConfig) -> list[int]:
+    """Clients that neither drop out nor propose a bad version, in
+    index order: the pool chaos victims and transient disconnects are
+    drawn from."""
+    immune = set(dropout_schedule(config)) | bad_version_indices(config)
+    return [
+        index
+        for index in range(1, config.clients + 1)
+        if index not in immune
+    ]
+
+
 def transient_indices(config: SwarmConfig) -> frozenset[int]:
     """Which clients inject a transient disconnect+resume: the first
     eligible indices after the chaos victims (so no client is both
     cancelled and resumed)."""
     if not config.transient_disconnects:
         return frozenset()
-    immune = set(dropout_schedule(config)) | bad_version_indices(config)
-    eligible = [
-        index
-        for index in range(1, config.clients + 1)
-        if index not in immune
-    ]
+    eligible = _eligible_indices(config)
     start = config.chaos_cancel
     return frozenset(
         eligible[start:start + config.transient_disconnects]
@@ -384,13 +391,7 @@ async def run_swarm(
 def _chaos_victims(config: SwarmConfig) -> list[int]:
     """Deterministic choice of chaos targets: the first eligible
     (non-dropout, non-rejected) indices."""
-    immune = set(dropout_schedule(config)) | bad_version_indices(config)
-    eligible = [
-        index
-        for index in range(1, config.clients + 1)
-        if index not in immune
-    ]
-    return eligible[: config.chaos_cancel]
+    return _eligible_indices(config)[: config.chaos_cancel]
 
 
 async def _chaos(tasks: list[asyncio.Task], victims: list[int]) -> None:

@@ -9,8 +9,10 @@ is the protocol that realises it.  Two layers:
 * :mod:`repro.secagg.bonawitz` — the four-round Bonawitz et al. crypto
   state machines (DH key agreement, Shamir-shared seeds, double
   masking, dropout recovery), built on :mod:`repro.secagg.field`,
-  :mod:`repro.secagg.shamir`, :mod:`repro.secagg.keys` and
-  :mod:`repro.secagg.kernels`.
+  :mod:`repro.secagg.shamir` (the one Shamir implementation: matrix
+  split and reconstruction), :mod:`repro.secagg.keys` and
+  :mod:`repro.secagg.kernels` (the mask PRG and the envelope
+  keystream).
 * :mod:`repro.secagg.wire` + :mod:`repro.secagg.statemachine` — the
   sans-I/O protocol core: typed, versioned, byte-serializable wire
   messages with first-class version/PRG negotiation (``encode_message``

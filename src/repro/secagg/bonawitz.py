@@ -35,11 +35,11 @@ Dropouts are injected via a schedule mapping client index to the first
 round in which it stops responding; recovery succeeds whenever at least
 ``threshold`` clients reach round 3.
 
-Every quadratic inner loop — per-peer mask expansion and summation,
-per-recipient share generation and envelope sealing, per-survivor
-reconstruction — runs on the vectorised kernel layer
-(:mod:`repro.secagg.kernels`), so clients and the server share one code
-path for each primitive.  Masks are expanded by SHAKE-256
+Every quadratic inner loop is one batched call, shared by clients and
+the server: per-peer mask expansion and summation and per-recipient
+envelope sealing run on :mod:`repro.secagg.kernels`, per-recipient share
+generation and per-survivor reconstruction on
+:mod:`repro.secagg.shamir`.  Masks are expanded by SHAKE-256
 (:class:`~repro.secagg.kernels.MaskPrg`), one XOF call per mask.
 
 Layering: this module holds the *crypto* state machines
@@ -84,7 +84,6 @@ from repro.secagg.keys import (
 from repro.secagg.shamir import (
     DEFAULT_LIMB_BITS,
     LimbShares,
-    Share,
     _secret_limbs,
     reconstruct_quorum,
     split_secrets,
@@ -150,59 +149,26 @@ def sealed_share_length(group: KeyAgreementGroup) -> int:
     return _SHARE_VALUE_BYTES * (1 + _key_limbs(group))
 
 
-def _encode_payload(seed_share: Share, key_share: LimbShares) -> bytes:
-    """Serialise one recipient's share values: seed, then each limb."""
-    return b"".join(
-        y.to_bytes(_SHARE_VALUE_BYTES, "little")
-        for y in (seed_share.y, *key_share.ys)
-    )
-
-
-def _decode_payload(payload: bytes, point: int) -> tuple[Share, LimbShares]:
-    """Inverse of :func:`_encode_payload` for the recipient at ``point``."""
-    width = _SHARE_VALUE_BYTES
-    if len(payload) < width or len(payload) % width:
-        raise AggregationError(
-            f"malformed share payload: {len(payload)} bytes is not a seed "
-            f"share and whole {width}-byte limbs"
-        )
-    seed_y, *ys = (
-        int.from_bytes(payload[at : at + width], "little")
-        for at in range(0, len(payload), width)
-    )
-    return Share(x=point, y=seed_y), LimbShares(x=point, ys=tuple(ys))
-
-
-def _seal(channel_key: bytes, payload: bytes) -> bytes:
-    """XOR-encrypt ``payload`` under a keystream derived from the key."""
-    stream = keystream_batch([channel_key], len(payload))[0]
-    return bytes(np.bitwise_xor(np.frombuffer(payload, dtype=np.uint8), stream))
-
-
-def _open_sealed(channel_key: bytes, ciphertext: bytes) -> bytes:
-    """Decrypt a :func:`_seal` envelope (XOR streams are involutions)."""
-    return _seal(channel_key, ciphertext)
-
-
 def _encode_payload_matrix(
     seed_ys: np.ndarray, limb_ys: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`_encode_payload` for one sender's whole roster.
+    """One sender's plaintext envelopes for its whole roster.
 
     Args:
         seed_ys: ``(n,)`` uint64 seed-share values, recipient order.
         limb_ys: ``(num_limbs, n)`` uint64 key-share values.
 
     Returns:
-        ``(n, 8 * (1 + num_limbs))`` uint8 matrix; row ``j`` is exactly
-        ``_encode_payload`` of recipient ``j``'s shares.
+        ``(n, 8 * (1 + num_limbs))`` uint8 matrix; row ``j`` is
+        recipient ``j``'s seed share value, then each of its key-share
+        limb values, every one :data:`_SHARE_VALUE_BYTES` little-endian.
     """
     words = np.vstack([seed_ys[np.newaxis], limb_ys]).T
     return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
 
 
 def _decode_payload_matrix(plain: np.ndarray) -> list[list[int]]:
-    """Vectorised :func:`_decode_payload` over equal-length payload rows:
+    """Inverse of :func:`_encode_payload_matrix` over equal-length rows:
     the word table, one ``[seed_y, limb_ys...]`` row of Python ints per
     payload in one C pass.  No share object is built — of a round's
     ``n²`` rows the unmask phase reads one seed value each and the limbs
@@ -329,17 +295,10 @@ class BonawitzClient:
         self._point = self._share_roster.index(self.index) + 1
         self._self_seed = int(self._rng.integers(0, self._field.prime))
         recipients = self._share_roster
-        # One vectorised split covers the self-mask seed and every limb
-        # of the mask private key: all polynomials share the evaluation
-        # points, so they batch into a single Horner kernel call.  The
-        # limb width must fit the field (split_large_secret's guard,
-        # preserved here since the limbs are split directly).
-        if (1 << DEFAULT_LIMB_BITS) > self._field.prime:
-            raise ConfigurationError(
-                f"limb width {DEFAULT_LIMB_BITS} does not fit "
-                f"GF({self._field.prime})"
-            )
-        limbs = _secret_limbs(self._mask_keys.private, DEFAULT_LIMB_BITS)
+        # One split covers the self-mask seed and every limb of the mask
+        # private key: all polynomials share the evaluation points, so
+        # they batch into a single Horner kernel call.
+        limbs = _secret_limbs(self._mask_keys.private, self._field)
         # Pad to the group's fixed limb count: every client's envelopes
         # then share one byte length, so an upload is one matrix and a
         # recipient needs no limb count.  (Zero limbs share and

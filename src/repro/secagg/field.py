@@ -2,11 +2,13 @@
 
 Shamir secret sharing (:mod:`repro.secagg.shamir`) and the simulated
 Diffie-Hellman key agreement (:mod:`repro.secagg.keys`) both operate over
-``GF(p)`` for a public prime ``p``.  This module provides a small
-field abstraction over Python integers for the scalar references; the
-protocol's share arithmetic runs on the limb-split uint64 kernels
-(:mod:`repro.linalg.modular`), so a field is refused unless they can
-carry it — there is no second, wide-field code path.
+``GF(p)`` for a public prime ``p``.  A :class:`PrimeField` names that
+prime; the protocol's share arithmetic runs on the limb-split uint64
+kernels (:mod:`repro.linalg.modular`), so a field is refused unless they
+can carry it — there is no second, wide-field code path.  Its
+Python-integer arithmetic (:meth:`PrimeField.mul`,
+:meth:`PrimeField.evaluate_polynomial`, ...) is what the scalar Shamir
+oracles of the test suite (``tests/secagg_reference.py``) compute with.
 
 The default prime is the Mersenne prime ``2^61 - 1``: large enough to
 embed 32-bit mask seeds and SecAgg moduli up to ``2^60`` with room to
@@ -123,7 +125,9 @@ class PrimeField:
     def evaluate_polynomial(self, coefficients: list[int], x: int) -> int:
         """Evaluate a polynomial (lowest-degree coefficient first) at ``x``.
 
-        Horner's rule over the field; used by Shamir share generation.
+        Horner's rule over the field, one share at a time: the scalar
+        oracle that :func:`repro.linalg.modular.horner_mod` is tested
+        against.
         """
         result = 0
         for coefficient in reversed(coefficients):

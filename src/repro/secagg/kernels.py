@@ -1,6 +1,4 @@
-"""Vectorised SecAgg kernels: the mask PRG and batched Shamir.
-
-The Bonawitz protocol's two hot paths are embarrassingly batchable:
+"""Vectorised SecAgg kernels: the mask PRG and the envelope keystream.
 
 * **Mask expansion.**  Every client expands one pairwise seed per peer
   plus its self-mask seed; the server re-expands the same seeds during
@@ -11,43 +9,27 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
   modulus' own word width, and :func:`sum_signed_masks` adds the raw
   words in wrapping arithmetic.
 
-* **Shamir sharing.**  Each client splits its self-mask seed and every
-  limb of its mask private key over the same ``n`` evaluation points,
-  and the server reconstructs one secret per survivor from shares at the
-  same ``t`` points.  Both are one exact modular matrix product
-  (:func:`repro.linalg.modular.matmul_mod`): :func:`batched_split`
-  multiplies the coefficient matrix by the memoised powers of the
-  round's public points (:func:`repro.linalg.modular.horner_mod`), and
-  :func:`batched_reconstruct` multiplies every share row it is handed
-  by one Lagrange weight vector.  It computes
-  the weights once per *call*; "once per unmask phase" is enforced one
-  layer up, where :meth:`BonawitzServer.recover_sum
-  <repro.secagg.bonawitz.BonawitzServer.recover_sum>` stacks every
-  survivor seed and every dropout key limb into a single
-  :func:`repro.secagg.shamir.reconstruct_quorum` call.
+* **Envelope sealing.**  Every client seals one share-keys envelope per
+  peer and opens one per peer: :func:`keystream_batch` derives all of a
+  client's SHA-256 counter-mode streams in one call.
 
-Both layers are exact — the only floats are 21-bit limbs whose products
-BLAS sums below ``2^53``, and the only wraparound is the one that is
-itself a reduction mod ``2^k`` — and the golden-vector and
-property-test suites (``tests/test_keys_prg.py``,
-``tests/test_mask_prg_suites.py``, ``tests/test_shamir.py``) pin them
-against hashlib and the retained scalar Shamir paths.
+Shamir sharing, the round's other batched leg, is
+:mod:`repro.secagg.shamir`.  Mask arithmetic is exact — the only
+wraparound is the one that is itself a reduction mod ``2^k`` — and the
+golden-vector suites (``tests/test_keys_prg.py``,
+``tests/test_mask_prg_suites.py``) pin the PRG against hashlib;
+``tests/test_secagg_kernels.py`` pins the keystream.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import AggregationError, ConfigurationError
-from repro.linalg.modular import (
-    horner_mod,
-    matmul_mod,
-    sum_mod,
-)
+from repro.errors import ConfigurationError
+from repro.linalg.modular import sum_mod
 
 _DIGEST_BYTES = 32
 
@@ -315,171 +297,3 @@ def keystream_batch(
     return np.frombuffer(digest, dtype=np.uint8).reshape(
         len(keys), blocks * _DIGEST_BYTES
     )[:, :length]
-
-
-def keystream(key: bytes, length: int) -> np.ndarray:
-    """Single-key convenience wrapper around :func:`keystream_batch`."""
-    return keystream_batch([key], length)[0]
-
-
-# ---------------------------------------------------------------------------
-# Batched Shamir over GF(p), p <= 2^61.
-# ---------------------------------------------------------------------------
-
-
-def _validate_split(
-    secrets: np.ndarray, threshold: int, num_shares: int, prime: int
-) -> None:
-    if secrets.size and (
-        int(secrets.min()) < 0 or int(secrets.max()) >= prime
-    ):
-        raise ConfigurationError(
-            f"secrets must lie in [0, {prime}), got range "
-            f"[{secrets.min()}, {secrets.max()}]"
-        )
-    if threshold < 1:
-        raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
-    if num_shares < threshold:
-        raise ConfigurationError(
-            f"cannot issue {num_shares} shares with threshold {threshold}"
-        )
-    if num_shares >= prime:
-        raise ConfigurationError(
-            f"at most {prime - 1} shares exist over GF({prime})"
-        )
-
-
-def batched_split(
-    secrets: Sequence[int] | np.ndarray,
-    threshold: int,
-    num_shares: int,
-    rng: np.random.Generator,
-    prime: int,
-) -> np.ndarray:
-    """Shamir-share many secrets over the same evaluation points at once.
-
-    One independent uniform degree-``threshold - 1`` polynomial per
-    secret, all evaluated at ``x = 1..num_shares`` as one matrix
-    product: the ``(k, t)`` coefficients times the ``(t, n)`` powers of
-    the points, which every split over the same ``(t, n)`` shares.  The
-    coefficients are one ``rng.integers`` draw of shape ``(k, t - 1)``,
-    so the shares are a function of the generator's state alone.
-
-    Args:
-        secrets: ``(k,)`` secrets, each in ``[0, prime)``.
-        threshold: Reconstruction threshold ``t``.
-        num_shares: Number of evaluation points ``n``.
-        rng: Source of the polynomial coefficients.
-        prime: Field modulus, at most ``2^61``.
-
-    Returns:
-        ``(k, num_shares)`` uint64 matrix; row ``i``, column ``j`` is
-        secret ``i``'s share value at ``x = j + 1``.
-
-    Raises:
-        ConfigurationError: On inconsistent parameters (mirrors the
-            scalar :func:`repro.secagg.shamir.split_secret_scalar`).
-    """
-    secrets = np.asarray(secrets, dtype=np.uint64)
-    if secrets.ndim != 1:
-        raise ConfigurationError(
-            f"secrets must be a 1-d sequence, got shape {secrets.shape}"
-        )
-    _validate_split(secrets, threshold, num_shares, prime)
-    coefficients = np.empty((secrets.shape[0], threshold), dtype=np.uint64)
-    coefficients[:, 0] = secrets
-    if threshold > 1:
-        coefficients[:, 1:] = rng.integers(
-            0, prime, size=(secrets.shape[0], threshold - 1), dtype=np.uint64
-        )
-    xs = np.arange(1, num_shares + 1, dtype=np.uint64)
-    return horner_mod(coefficients, xs, prime)
-
-
-def lagrange_weights_at_zero(
-    xs: Sequence[int] | np.ndarray, prime: int
-) -> np.ndarray:
-    """Lagrange weights ``l_i(0)`` for distinct points ``xs``.
-
-    ``l_i(0) = Π_{j≠i} x_j / (x_j - x_i) = (Π_j x_j) / (x_i Π_{j≠i}
-    (x_j - x_i)) mod p``.  Plain Python integers: each denominator is
-    one unreduced product and one ``pow(·, -1, p)``, which for a quorum
-    of tens of points beats the ``2t`` uint64 array passes and two
-    61-step Fermat ladders it replaces several times over.  This
-    function computes what it is asked every time; sharing one weight
-    vector across every secret a quorum reveals is the callers' job —
-    :func:`batched_reconstruct` per call, and
-    :func:`repro.secagg.shamir.reconstruct_quorum` once per unmask
-    phase.
-
-    Args:
-        xs: ``(t,)`` distinct nonzero points in ``(0, prime)``.
-        prime: Field modulus, at most ``2^61``.
-
-    Returns:
-        ``(t,)`` uint64 weights such that ``f(0) = Σ_i w_i f(x_i)``.
-
-    Raises:
-        AggregationError: On duplicate, zero, or out-of-field points.
-    """
-    xs = np.asarray(xs, dtype=np.uint64)
-    if xs.size == 0:
-        raise AggregationError("cannot reconstruct from zero shares")
-    if len(np.unique(xs)) != len(xs):
-        raise AggregationError(
-            f"duplicate share points: {sorted(int(x) for x in xs)}"
-        )
-    if int(xs.min()) <= 0 or int(xs.max()) >= prime:
-        raise AggregationError(
-            f"share points must lie in (0, {prime}), got range "
-            f"[{xs.min()}, {xs.max()}]"
-        )
-    points = xs.tolist()
-    product_all = math.prod(points) % prime
-    weights = [
-        product_all
-        * pow(
-            x_i * math.prod([x_j - x_i for x_j in points if x_j != x_i]),
-            -1,
-            prime,
-        )
-        % prime
-        for x_i in points
-    ]
-    return np.asarray(weights, dtype=np.uint64)
-
-
-def batched_reconstruct(
-    xs: Sequence[int] | np.ndarray,
-    ys: Sequence[Sequence[int]] | np.ndarray,
-    prime: int,
-) -> np.ndarray:
-    """Reconstruct many secrets whose shares sit at the same points.
-
-    One matrix product: the ``(k, t)`` share rows times the ``(t, 1)``
-    Lagrange weights of the points.
-
-    Args:
-        xs: ``(t,)`` distinct share points, shared by all secrets.
-        ys: ``(k, t)`` share values; row ``i`` holds secret ``i``'s
-            values at ``xs``.
-        prime: Field modulus, at most ``2^61``.
-
-    Returns:
-        ``(k,)`` uint64 secrets ``f_i(0)``.
-
-    Raises:
-        AggregationError: On malformed points or out-of-field values.
-    """
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.uint64))
-    xs = np.asarray(xs, dtype=np.uint64)
-    if ys.shape[1] != xs.shape[0]:
-        raise AggregationError(
-            f"{ys.shape[1]} share values per secret but {xs.shape[0]} points"
-        )
-    if ys.size and int(ys.max()) >= prime:
-        raise AggregationError(
-            f"share value {int(ys.max())} outside [0, {prime})"
-        )
-    weights = lagrange_weights_at_zero(xs, prime)
-    return matmul_mod(ys, weights[:, np.newaxis], prime)[:, 0]

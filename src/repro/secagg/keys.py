@@ -313,6 +313,27 @@ def _group_cache(group: KeyAgreementGroup) -> dict[tuple[int, int], bytes]:
     return _pair_caches.setdefault((group.prime, group.generator), {})
 
 
+def _pair_key(a: int, b: int) -> tuple[int, int]:
+    """The memo key of an unordered pair of public keys."""
+    return (a, b) if a <= b else (b, a)
+
+
+def _remember(
+    cache: dict[tuple[int, int], bytes], a: int, b: int, derived: bytes
+) -> None:
+    """Memoise ``derived`` under the pair ``{a, b}``; a full cache is
+    cleared outright first (see :data:`_PAIR_CACHE_MAX`)."""
+    if len(cache) >= _PAIR_CACHE_MAX:
+        cache.clear()
+    cache[_pair_key(a, b)] = derived
+
+
+def _dh_digest(shared: int, prime: int) -> bytes:
+    """SHA-256 of the shared element, big-endian at the prime's width."""
+    width = (prime.bit_length() + 7) // 8
+    return hashlib.sha256(shared.to_bytes(width, "big")).digest()
+
+
 def forget_agreements(group: KeyAgreementGroup) -> None:
     """Drop every memoised agreement of ``group``.
 
@@ -349,26 +370,19 @@ def agree(
             (small-subgroup/identity elements are rejected).
     """
     _check_public(peer_public, group)
-    cache = cache_key = None
+    cache = None
     if own_public is not None:
         cache = _group_cache(group)
-        if own_public <= peer_public:
-            cache_key = (own_public, peer_public)
-        else:
-            cache_key = (peer_public, own_public)
-        cached = cache.get(cache_key)
+        cached = cache.get(_pair_key(own_public, peer_public))
         if cached is not None:
             return cached
     if isinstance(group, X25519Group):
         derived = _x25519_derive(_x25519_private(private), peer_public)
     else:
         shared = pow(peer_public, private, group.prime)
-        width = (group.prime.bit_length() + 7) // 8
-        derived = hashlib.sha256(shared.to_bytes(width, "big")).digest()
+        derived = _dh_digest(shared, group.prime)
     if cache is not None:
-        if len(cache) >= _PAIR_CACHE_MAX:
-            cache.clear()
-        cache[cache_key] = derived
+        _remember(cache, own_public, peer_public, derived)
     return derived
 
 
@@ -426,12 +440,7 @@ def warm_agreement_cache(
                 derived = sha256(
                     private_keys[lo].exchange(peer_keys[hi])
                 ).digest()
-                a, b = pub_lo, publics[indices[hi]]
-                if a > b:
-                    a, b = b, a
-                if len(cache) >= _PAIR_CACHE_MAX:
-                    cache.clear()
-                cache[(a, b)] = derived
+                _remember(cache, pub_lo, publics[indices[hi]], derived)
                 count += 1
         return count
     if group.prime > LIMB_SPLIT_MAX_MODULUS:
@@ -446,17 +455,9 @@ def warm_agreement_cache(
     ).tolist()
     pub_lo = public_array[lo_lane].tolist()
     pub_hi = public_array[hi_lane].tolist()
-    width = (group.prime.bit_length() + 7) // 8
-    sha256 = hashlib.sha256
     cache = _group_cache(group)
-    for pair, value in enumerate(shared):
-        derived = sha256(value.to_bytes(width, "big")).digest()
-        a, b = pub_lo[pair], pub_hi[pair]
-        if a > b:
-            a, b = b, a
-        if len(cache) >= _PAIR_CACHE_MAX:
-            cache.clear()
-        cache[(a, b)] = derived
+    for a, b, value in zip(pub_lo, pub_hi, shared):
+        _remember(cache, a, b, _dh_digest(value, group.prime))
     return len(shared)
 
 
@@ -504,11 +505,7 @@ def agree_batch(
         cache = _group_cache(group)
         cache_get = cache.get
         for position, peer_public in enumerate(peer_publics):
-            cached = cache_get(
-                (own_public, peer_public)
-                if own_public <= peer_public
-                else (peer_public, own_public)
-            )
+            cached = cache_get(_pair_key(own_public, peer_public))
             if cached is not None:
                 results[position] = cached
             else:
@@ -523,7 +520,6 @@ def agree_batch(
             ]
         else:
             prime = group.prime
-            width = (prime.bit_length() + 7) // 8
             if (
                 prime <= LIMB_SPLIT_MAX_MODULUS
                 and len(missing) > SCALAR_BATCH_MAX
@@ -538,21 +534,12 @@ def agree_batch(
                     pow(peer_publics[position], private, prime)
                     for position in missing
                 ]
-            sha256 = hashlib.sha256
             derived_values = [
-                sha256(int(shared).to_bytes(width, "big")).digest()
-                for shared in shared_values
+                _dh_digest(shared, prime) for shared in shared_values
             ]
         cache = _group_cache(group) if own_public is not None else None
         for position, derived in zip(missing, derived_values):
             results[position] = derived
             if cache is not None:
-                peer_public = peer_publics[position]
-                if len(cache) >= _PAIR_CACHE_MAX:
-                    cache.clear()
-                cache[
-                    (own_public, peer_public)
-                    if own_public <= peer_public
-                    else (peer_public, own_public)
-                ] = derived
+                _remember(cache, own_public, peer_publics[position], derived)
     return results  # type: ignore[return-value]

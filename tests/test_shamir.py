@@ -14,18 +14,22 @@ from repro.secagg.field import PrimeField
 from repro.secagg.shamir import (
     LimbShares,
     Share,
+    lagrange_weights_at_zero,
     reconstruct_large_secret,
     reconstruct_quorum,
     reconstruct_secret,
-    reconstruct_secret_scalar,
     reconstruct_secrets,
     split_large_secret,
     split_secret,
-    split_secret_scalar,
     split_secrets,
+)
+from tests.secagg_reference import (
+    reconstruct_secret_scalar,
+    split_secret_scalar,
 )
 
 FIELD = PrimeField(prime=(1 << 61) - 1)
+PRIME = FIELD.prime
 
 
 @pytest.fixture
@@ -201,8 +205,8 @@ class TestLargeSecrets:
 
 
 class TestScalarVectorEquivalence:
-    """The retained scalar reference path and the vectorised kernels
-    must agree share-for-share and secret-for-secret."""
+    """The scalar oracles (``tests/secagg_reference.py``) and the matrix
+    implementation must agree share-for-share and secret-for-secret."""
 
     @given(
         secret=st.integers(min_value=0, max_value=FIELD.prime - 1),
@@ -403,6 +407,124 @@ class TestMatrixSplitIsTheSameSplit:
             ]
 
 
+class TestBatchedShamirKernels:
+    def test_split_shape_and_roundtrip(self, rng):
+        secrets = rng.integers(0, PRIME, size=7, dtype=np.uint64)
+        ys = split_secrets(secrets, threshold=4, num_shares=9, rng=rng)
+        assert ys.shape == (7, 9)
+        xs = np.arange(1, 10, dtype=np.uint64)
+        subset = [0, 3, 5, 8]
+        np.testing.assert_array_equal(
+            reconstruct_secrets(xs[subset], ys[:, subset]), secrets
+        )
+
+    def test_threshold_one_is_constant(self, rng):
+        ys = split_secrets([123], 1, 5, rng)
+        assert ys.tolist() == [[123] * 5]
+
+    def test_secret_out_of_field_rejected(self, rng):
+        with pytest.raises(ConfigurationError, match="secret"):
+            split_secrets([PRIME], 2, 3, rng)
+
+    def test_weights_interpolate_known_polynomial(self):
+        # f(x) = 5 + 3x + 2x^2 over GF(p): weights at 0 recover f(0).
+        xs = np.array([2, 7, 11], dtype=np.uint64)
+        f = lambda x: (5 + 3 * x + 2 * x * x) % PRIME
+        weights = lagrange_weights_at_zero(xs, PRIME)
+        acc = sum(int(w) * f(int(x)) for w, x in zip(weights, xs)) % PRIME
+        assert acc == 5
+
+    @pytest.mark.parametrize(
+        "xs, prime, golden",
+        [
+            # Frozen from the uint64 array implementation (pairwise
+            # difference matrix, row products, Fermat ladders) that the
+            # plain-integer one replaced: same weights, bit for bit.
+            (
+                [1, 2, 3, 5, 8, 13],
+                PRIME,
+                [
+                    823515360433462130, 2026346886884761343,
+                    1844674407370955166, 1345075088707988137,
+                    2020357684263427081, 1163402609194181948,
+                ],
+            ),
+            (
+                [96, 7, 41, 1, 58],
+                PRIME,
+                [
+                    1517162349225608944, 1130135904066102815,
+                    112833261564417185, 1220670280740900293,
+                    630884222830358666,
+                ],
+            ),
+            (
+                [PRIME - 1, 1, 1 << 60, 123456789012345678, 2],
+                PRIME,
+                [
+                    1052772513245848679, 520874216939826426,
+                    1509381587828000146, 1740137647033894613,
+                    2094363062593511990,
+                ],
+            ),
+            ([5], PRIME, [1]),
+            ([3, 1, 100, 57], 101, [16, 95, 18, 74]),
+        ],
+    )
+    def test_weights_match_frozen_goldens(self, xs, prime, golden):
+        weights = lagrange_weights_at_zero(xs, prime)
+        assert weights.dtype == np.uint64
+        assert weights.tolist() == golden
+
+    def test_duplicate_points_rejected(self):
+        with pytest.raises(
+            AggregationError, match=r"duplicate share points: \[1, 1\]"
+        ):
+            lagrange_weights_at_zero(np.array([1, 1], dtype=np.uint64), PRIME)
+
+    def test_zero_point_rejected(self):
+        with pytest.raises(
+            AggregationError, match=rf"share point 0 outside \(0, {PRIME}\)"
+        ):
+            lagrange_weights_at_zero(np.array([0, 1], dtype=np.uint64), PRIME)
+
+    def test_out_of_field_point_rejected(self):
+        with pytest.raises(
+            AggregationError,
+            match=rf"share point {PRIME} outside \(0, {PRIME}\)",
+        ):
+            lagrange_weights_at_zero([1, PRIME], PRIME)
+
+    def test_empty_points_rejected(self):
+        with pytest.raises(
+            AggregationError, match="cannot reconstruct from zero shares"
+        ):
+            lagrange_weights_at_zero(np.array([], dtype=np.uint64), PRIME)
+
+    def test_mismatched_row_width_rejected(self):
+        with pytest.raises(AggregationError, match="points"):
+            reconstruct_secrets(
+                np.array([1, 2], dtype=np.uint64),
+                np.array([[1, 2, 3]], dtype=np.uint64),
+            )
+
+    @given(
+        threshold=st.integers(min_value=1, max_value=6),
+        num_secrets=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_roundtrip_property(self, threshold, num_secrets, seed):
+        rng = np.random.default_rng(seed)
+        secrets = rng.integers(0, PRIME, size=num_secrets, dtype=np.uint64)
+        ys = split_secrets(secrets, threshold, threshold + 2, rng)
+        xs = np.arange(1, threshold + 3, dtype=np.uint64)
+        chosen = rng.choice(threshold + 2, size=threshold, replace=False)
+        np.testing.assert_array_equal(
+            reconstruct_secrets(xs[chosen], ys[:, chosen]), secrets
+        )
+
+
 class TestBatchedRejection:
     """The batched paths keep the scalar paths' failure modes."""
 
@@ -468,3 +590,35 @@ class TestBatchedRejection:
     def test_split_secrets_validates_every_secret(self, rng):
         with pytest.raises(ConfigurationError, match="secret"):
             split_secrets([1, FIELD.prime], 2, 3, rng)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda rng: split_secrets([1.5], 2, 3, rng), ConfigurationError),
+            (
+                lambda rng: split_secrets([[1, 2]], 2, 3, rng),
+                ConfigurationError,
+            ),
+            (
+                lambda rng: reconstruct_secrets([1.5, 2], [[1, 2]]),
+                AggregationError,
+            ),
+            (
+                lambda rng: reconstruct_secrets([1, 2], [[1.5, 2]]),
+                AggregationError,
+            ),
+            (lambda rng: reconstruct_secrets([1, 1], []), AggregationError),
+        ],
+        ids=[
+            "float-secret",
+            "nested-secret",
+            "float-point",
+            "float-value",
+            "duplicate-points-without-rows",
+        ],
+    )
+    def test_malformed_input_refused_typed(self, rng, call, error):
+        """Checked as Python values before any uint64 cast: nothing is
+        truncated into a share, and no bare TypeError escapes."""
+        with pytest.raises(error):
+            call(rng)
