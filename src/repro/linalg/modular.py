@@ -28,9 +28,12 @@ weighted ``2^k`` is brought back under ``2^61`` by one shift and one
 mask, no carry is ever formed and one final ``% p`` canonises the sum.
 At the few dozen lanes one SecAgg client carries a numpy call costs
 ~0.6 us whatever it does, so the kernels are written for call count: 17
-calls a multiply, 13 a squaring, and :func:`pow_mod` /
-:func:`pow_mod_elementwise` call them directly.  Any other modulus up
-to ``2^61`` takes the general shift-and-mod path (:func:`_shift32_mod`).
+calls a multiply, 13 a squaring, and :func:`pow_mod` calls them
+directly.  Any other modulus up to ``2^61`` takes the general
+shift-and-mod path (:func:`_shift32_mod`).  A *fixed* base (the
+Diffie-Hellman generator) takes one table entry per 11-bit window of a
+128-bit exponent (:func:`fixed_base_pow`), so the exact product of two
+private keys (:func:`mul_wide`) needs no reduction.
 
 A *matrix* product (:func:`matmul_mod` — Shamir split is coefficients
 times powers of the points, reconstruction is share rows times Lagrange
@@ -49,6 +52,7 @@ by :func:`mul_mod`'s own kernel.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -81,6 +85,10 @@ _SHIFT31, _MASK31 = np.uint64(31), np.uint64((1 << 31) - 1)
 _SHIFT21, _SHIFT42 = np.uint64(21), np.uint64(42)
 _MASK21 = np.uint64((1 << 21) - 1)
 _MATMUL_BLOCK = 1 << 11
+
+# :func:`fixed_base_table` / :func:`fixed_base_pow`: 11-bit windows.
+_WINDOW = 11
+_WINDOW_MASK = np.uint64((1 << _WINDOW) - 1)
 
 
 def _validate_field_modulus(modulus: int) -> np.uint64:
@@ -248,36 +256,61 @@ def pow_mod(
     return result
 
 
-def pow_mod_elementwise(
-    bases: np.ndarray, exponents: np.ndarray, modulus: int
+def mul_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``a * b`` as ``(low, high)`` uint64 words, operands below
+    ``2^63``: with 32-bit halves every partial product and carry fits
+    (``a1·b0 + a0·b1 + carry < 2^64``), so nothing overflows and 0-d
+    operands stay warning-free."""
+    a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    a1, a0 = a >> _LIMB_SHIFT, a & _LIMB_MASK
+    b1, b0 = b >> _LIMB_SHIFT, b & _LIMB_MASK
+    low = a0 * b0
+    mid = a1 * b0 + a0 * b1 + (low >> _LIMB_SHIFT)
+    high = a1 * b1 + (mid >> _LIMB_SHIFT)
+    return (low & _LIMB_MASK) | (mid << _LIMB_SHIFT), high
+
+
+@functools.lru_cache(maxsize=4)
+def fixed_base_table(base: int, modulus: int) -> np.ndarray:
+    """Window table of ``base`` for :func:`fixed_base_pow`, memoised and
+    read-only: row ``k``, column ``w`` is ``base^(w·2^(11k)) mod m``,
+    twelve rows for any exponent below ``2^128`` (192 KiB).  Columns
+    double eleven times: ``b^(w + j) = b^w · b^j``."""
+    _validate_field_modulus(modulus)
+    multiply = _pow_kernels(modulus)[0]
+    rows = -(-128 // _WINDOW)
+    step = np.asarray(
+        [[pow(base, 1 << (_WINDOW * k), modulus)] for k in range(rows)],
+        dtype=np.uint64,
+    )
+    table = np.ones((rows, 1), dtype=np.uint64)
+    while table.shape[1] < 1 << _WINDOW:
+        table = np.hstack([table, multiply(table, step)])
+        step = multiply(step, step)
+    table.flags.writeable = False
+    return table
+
+
+def fixed_base_pow(
+    table: np.ndarray, words: Sequence[np.ndarray], modulus: int
 ) -> np.ndarray:
-    """Lane-wise ``bases[i] ** exponents[i] mod m`` in one batched sweep.
+    """Lane-wise ``base^e mod m`` from the base's :func:`fixed_base_table`,
+    ``e = words[0] + words[1]·2^64`` (one or two uint64 words).
 
-    Branchless square-and-multiply: every iteration squares all lanes
-    and multiplies the lanes whose current exponent bit is set.  The
-    entire sweep is ``O(max_bits)`` *vectorised* multiplications, so a
-    batch of 100k exponentiations costs a few dozen array passes — the
-    kernel behind the simulation's all-pairs Diffie-Hellman warm-up.
-
-    Args:
-        bases: Residues in ``[0, m)``.
-        exponents: Non-negative 64-bit exponents, one per base.
-        modulus: Modulus, at most :data:`LIMB_SPLIT_MAX_MODULUS`.
-
-    Returns:
-        Element-wise modular power as a uint64 array.
+    Each 11-bit window of ``e`` picks an entry of its row and the picks
+    multiply: a 128-bit exponent is 12 gathers and 11 multiplies, where
+    square-and-multiply pays up to two multiplies a bit.
     """
-    m = _validate_field_modulus(modulus)
-    multiply, square = _pow_kernels(modulus)
-    bases = np.asarray(bases, dtype=np.uint64) % m
-    exponents = np.asarray(exponents, dtype=np.uint64)
-    result = np.ones_like(bases)
-    bits = int(exponents.max(initial=0)).bit_length()
-    for bit in range(bits):
-        bit_set = exponents & np.uint64(1 << bit)
-        result = np.where(bit_set, multiply(result, bases), result)
-        if bit + 1 < bits:
-            bases = square(bases)
+    multiply = _pow_kernels(modulus)[0]
+    words = [np.asarray(word, dtype=np.uint64) for word in words]
+    result = None
+    for start in range(0, 64 * len(words), _WINDOW):
+        index, offset = divmod(start, 64)
+        window = words[index] >> np.uint64(offset)
+        if offset + _WINDOW > 64 and index + 1 < len(words):
+            window = window | (words[index + 1] << np.uint64(64 - offset))
+        entry = table[start // _WINDOW, window & _WINDOW_MASK]
+        result = entry if result is None else multiply(result, entry)
     return result
 
 

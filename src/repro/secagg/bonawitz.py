@@ -56,6 +56,7 @@ simulated-clock mailbox transport is
 from __future__ import annotations
 
 import dataclasses
+import struct
 from collections.abc import Iterable
 
 import numpy as np
@@ -69,7 +70,6 @@ from repro.secagg.kernels import (
     sum_signed_masks,
 )
 from repro.secagg.keys import (
-    SCALAR_BATCH_MAX,
     DhGroup,
     KeyAgreementGroup,
     KeyPair,
@@ -147,6 +147,14 @@ def sealed_share_length(group: KeyAgreementGroup) -> int:
     shape no participant gets to choose.
     """
     return _SHARE_VALUE_BYTES * (1 + _key_limbs(group))
+
+
+#: Keystream key of the ``sender -> recipient`` envelope: the 32-byte
+#: channel key, then both ids.  The channel key is symmetric: alone it
+#: would seal ``u -> v`` and ``v -> u`` under one stream, whose two
+#: ciphertexts XOR to the two plaintexts' XOR.  With the counter a block
+#: input is 48 bytes, one SHA-256 compression.
+_stream_key = struct.Struct("<32sII").pack
 
 
 def _encode_payload_matrix(
@@ -341,7 +349,11 @@ class BonawitzClient:
                 )
             )
         streams = keystream_batch(
-            [self._channel_key_cache[recipients[p]] for p in peer_positions],
+            [
+                _stream_key(self._channel_key_cache[v], self.index, v)
+                for v in recipients
+                if v != self.index
+            ],
             payloads.shape[1],
         )
         sealed = payloads.copy()
@@ -396,7 +408,10 @@ class BonawitzClient:
         plain = np.array(ciphertexts)
         if peer_rows:
             plain[peer_rows] ^= keystream_batch(
-                [self._channel_key(senders[row]) for row in peer_rows],
+                [
+                    _stream_key(self._channel_key(u), u, self.index)
+                    for u in (senders[row] for row in peer_rows)
+                ],
                 expected,
             )
         self._received = dict(zip(senders, _decode_payload_matrix(plain)))
@@ -544,11 +559,12 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
     shared memo, so the per-client protocol code — unchanged, still one
     code path with the server — finds every agreement precomputed.
     Purely an optimisation: derived keys are byte-identical.  A roster
-    whose ``n(n-1)/2`` pairs are no more lanes than
-    :data:`~repro.secagg.keys.SCALAR_BATCH_MAX` (a tree's composition
-    rounds have two to a handful of parties) is left to the on-demand
-    scalar path: two fixed-cost sweeps would cost it more than its
-    whole key agreement.
+    of at most 15 pairs (six parties; a tree's composition rounds have
+    two to a handful) is left on demand, where the two near-fixed-cost
+    table sweeps lose: sweep vs on-demand agreement of both key sets
+    (``TOY_GROUP``, 2 vCPUs, best of 400) at 2 / 4 / 6 / 7 / 8 / 10
+    parties is 666 / 603 / 624 / 675 / 694 / 792 us vs 57 / 260 / 609 /
+    861 / 1 100 / 1 770 us.
 
     A round's keys and seeds are fresh, so the call first drops whatever
     earlier rounds left in the memos (:func:`forget_round_memos`): they
@@ -571,7 +587,7 @@ def warm_pairwise_agreements(clients: "list[BonawitzClient]") -> int:
         return 0
     group = advertised[0]._group
     forget_round_memos(group, advertised[0]._mask_prg)
-    if len(advertised) * (len(advertised) - 1) // 2 <= SCALAR_BATCH_MAX:
+    if len(advertised) * (len(advertised) - 1) // 2 <= 15:
         return 0
     warmed = warm_agreement_cache(
         {c.index: c._channel_keys.private for c in advertised},

@@ -273,7 +273,8 @@ def keystream_batch(
     ``length`` bytes costs ``ceil(length / 32)`` hash calls.
 
     Args:
-        keys: One symmetric key per stream.
+        keys: One key per stream (an envelope's names its direction:
+            :func:`repro.secagg.bonawitz._stream_key`).
         length: Stream length in bytes (shared by all streams).
 
     Returns:

@@ -12,6 +12,7 @@ root on ``sys.path``).
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.errors import AggregationError
 from repro.secagg.bonawitz import _SHARE_VALUE_BYTES
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import keystream_batch
+from repro.secagg.keys import KeyAgreementGroup, _group_cache
 from repro.secagg.shamir import LimbShares, Share, _check_shares, _check_split
 
 
@@ -78,6 +80,16 @@ def keystream(key: bytes, length: int) -> np.ndarray:
     return keystream_batch([key], length)[0]
 
 
+def memoised_pairs(group: KeyAgreementGroup) -> int:
+    """Pairs held in ``group``'s process-wide agreement memo.
+
+    The memo is one row per public key with every pair in both of its
+    endpoints' rows, so the pair count is half the row entries — not
+    the number of rows, which counts keys.
+    """
+    return sum(len(row) for row in _group_cache(group).values()) // 2
+
+
 def encode_payload(seed_share: Share, key_share: LimbShares) -> bytes:
     """One recipient's envelope plaintext: seed value, then each limb."""
     return b"".join(
@@ -101,12 +113,21 @@ def decode_payload(payload: bytes, point: int) -> tuple[Share, LimbShares]:
     return Share(x=point, y=seed_y), LimbShares(x=point, ys=tuple(ys))
 
 
-def seal(channel_key: bytes, payload: bytes) -> bytes:
-    """XOR-encrypt ``payload`` under the channel key's keystream."""
-    stream = keystream(channel_key, len(payload))
+def seal(
+    channel_key: bytes, payload: bytes, sender: int, recipient: int
+) -> bytes:
+    """XOR-encrypt the ``sender -> recipient`` envelope ``payload``.
+
+    Block ``i`` of the stream is ``SHA256(key || sender || recipient ||
+    i)``, the ids as 4-byte and the counter as 8-byte little-endian.
+    """
+    prefix = channel_key + struct.pack("<II", sender, recipient)
+    stream = keystream(prefix, len(payload))
     return bytes(np.bitwise_xor(np.frombuffer(payload, dtype=np.uint8), stream))
 
 
-def open_sealed(channel_key: bytes, ciphertext: bytes) -> bytes:
+def open_sealed(
+    channel_key: bytes, ciphertext: bytes, sender: int, recipient: int
+) -> bytes:
     """Decrypt a :func:`seal` envelope (XOR streams are involutions)."""
-    return seal(channel_key, ciphertext)
+    return seal(channel_key, ciphertext, sender, recipient)

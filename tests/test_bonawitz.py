@@ -21,7 +21,12 @@ from repro.secagg.bonawitz import (
     run_bonawitz,
     sealed_share_length,
 )
-from repro.secagg.keys import TOY_GROUP, DhGroup
+from repro.secagg.keys import (
+    TOY_GROUP,
+    X25519_GROUP,
+    DhGroup,
+    x25519_available,
+)
 from repro.secagg.shamir import LimbShares, Share
 from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import UnmaskRequest
@@ -374,6 +379,64 @@ class TestValidation:
 
 
 class TestSecurityInvariants:
+    @pytest.mark.parametrize(
+        "group",
+        [
+            TOY_GROUP,
+            pytest.param(
+                X25519_GROUP,
+                marks=pytest.mark.skipif(
+                    not x25519_available(), reason="cryptography missing"
+                ),
+            ),
+        ],
+        ids=["toy-dh", "x25519"],
+    )
+    def test_envelope_streams_differ_by_direction(self, rng, group):
+        """The channel key is symmetric, so a stream keyed by it alone
+        seals u -> v and v -> u under the same bytes, and the server's
+        XOR of the two ciphertexts is the XOR of the two plaintexts —
+        a share of ``b_d`` leaked once ``b_u`` is reconstructed.  The
+        direction goes into every keystream block."""
+        inputs = make_inputs(rng, n=5)
+        clients = [
+            BonawitzClient(
+                u, inputs[u - 1], MODULUS, 3, np.random.default_rng(u), group
+            )
+            for u in range(1, 6)
+        ]
+        server = BonawitzServer(MODULUS, DIMENSION, threshold=3, group=group)
+        roster = server.collect_advertisements(
+            [client.advertise_keys() for client in clients]
+        )
+        sealed = {c.index: c.share_keys_matrix(roster)[1] for c in clients}
+        senders = sorted(server.register_share_keys(sealed))
+        for position, client in enumerate(clients):
+            client.receive_share_matrix(
+                senders, np.stack([sealed[s][position] for s in senders])
+            )
+
+        def plain(sender, recipient):
+            words = clients[recipient - 1]._received[sender]
+            return np.asarray(words, dtype="<u8").view(np.uint8)
+
+        for u in range(1, 6):
+            for v in range(u + 1, 6):
+                assert not np.array_equal(
+                    sealed[u][v - 1] ^ sealed[v][u - 1],
+                    plain(u, v) ^ plain(v, u),
+                ), (u, v)
+        # The tests-side seal oracle restates the same stream.
+        for u in range(1, 6):
+            for v in range(1, 6):
+                if u != v:
+                    assert bytes(sealed[u][v - 1]) == seal(
+                        clients[u - 1]._channel_key(v),
+                        plain(u, v).tobytes(),
+                        u,
+                        v,
+                    )
+
     def test_client_refuses_overlapping_unmask_request(self, rng):
         """The same peer named as survivor and dropout would reveal both
         b_v and s_v^SK — the client must refuse."""
@@ -456,16 +519,18 @@ class TestSecurityInvariants:
         payload = encode_payload(
             Share(x=1, y=123456), LimbShares(x=1, ys=(9, 8, 7))
         )
-        sealed = seal(b"\x01" * 32, payload)
+        sealed = seal(b"\x01" * 32, payload, 1, 2)
         assert sealed != payload
-        assert open_sealed(b"\x01" * 32, sealed) == payload
+        assert open_sealed(b"\x01" * 32, sealed, 1, 2) == payload
+        # The reverse direction's stream is another stream.
+        assert open_sealed(b"\x01" * 32, sealed, 2, 1) != payload
 
     def test_envelope_wrong_key_garbles(self):
         payload = encode_payload(
             Share(x=2, y=42), LimbShares(x=2, ys=(1,))
         )
-        sealed = seal(b"\x01" * 32, payload)
-        garbled = open_sealed(b"\x02" * 32, sealed)
+        sealed = seal(b"\x01" * 32, payload, 1, 2)
+        garbled = open_sealed(b"\x02" * 32, sealed, 1, 2)
         assert garbled != payload
 
 
@@ -526,7 +591,7 @@ class TestBlame:
         # "point 3, one limb": bytes chosen freely, in the field.
         forged = encode_payload(Share(3, 3), LimbShares(3, (1, 5)))
         sealed[2][0] = np.frombuffer(
-            seal(clients[1]._channel_key(1), forged), dtype=np.uint8
+            seal(clients[1]._channel_key(1), forged, 2, 1), dtype=np.uint8
         )
         senders = sorted(server.register_share_keys(sealed))
         for position, client in enumerate(clients):

@@ -21,6 +21,7 @@ from repro.secagg.keys import (
     TOY_GROUP,
     DhGroup,
     KeyPair,
+    _generator_pow,
     _group_cache,
     agree,
     agree_batch,
@@ -28,6 +29,7 @@ from repro.secagg.keys import (
     generate_keypair,
     warm_agreement_cache,
 )
+from tests.secagg_reference import memoised_pairs
 
 expand_mask = DEFAULT_MASK_PRG.expand
 
@@ -440,7 +442,7 @@ class TestAgreementAcceleration:
             TOY_GROUP,
             own_public=alice.public if memoised else None,
         )
-        assert len(_group_cache(TOY_GROUP)) == (lanes if memoised else 0)
+        assert memoised_pairs(TOY_GROUP) == (lanes if memoised else 0)
         assert batched == [
             agree(alice.private, peer, TOY_GROUP) for peer in peers
         ]
@@ -466,11 +468,16 @@ class TestAgreementAcceleration:
         # far above the crossover, though its 31 peers per client are
         # below it.
         assert warm_pairwise_agreements(advertised(32)) == 2 * 496
-        assert len(_group_cache(TOY_GROUP)) == 2 * 496
+        assert memoised_pairs(TOY_GROUP) == 2 * 496
         # A composition round's handful of parties stays on demand, and
         # the previous round's entries are gone either way.
         assert warm_pairwise_agreements(advertised(4)) == 0
-        assert len(_group_cache(TOY_GROUP)) == 0
+        assert memoised_pairs(TOY_GROUP) == 0
+        # The measured cut-off: six parties (15 pairs) stay on demand,
+        # seven (21 pairs) take the table sweeps.
+        assert warm_pairwise_agreements(advertised(6)) == 0
+        assert warm_pairwise_agreements(advertised(7)) == 2 * 21
+        assert memoised_pairs(TOY_GROUP) == 2 * 21
 
     def test_agree_batch_validates_publics(self, rng):
         alice = generate_keypair(rng, TOY_GROUP)
@@ -495,3 +502,70 @@ class TestAgreementAcceleration:
                     TOY_GROUP,
                     own_public=pairs[i].public,
                 ) == agree(pairs[i].private, pairs[j].public, TOY_GROUP)
+
+
+#: The three group shapes the tables serve: the Mersenne-fold kernels,
+#: the generic ``mul_mod`` path, and a group beyond the limb split
+#: (scalar table only).
+MERSENNE_31_GROUP = DhGroup(prime=(1 << 31) - 1, generator=7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGeneratorTables:
+    """Fixed-base exponentiation from the generator's window tables,
+    pinned to ``pow``."""
+
+    @pytest.mark.parametrize(
+        "group",
+        [TOY_GROUP, MERSENNE_31_GROUP, DhGroup()],
+        ids=["toy", "2^31-1", "oakley-2"],
+    )
+    def test_scalar_table_equals_pow(self, group, rng):
+        p, g = group.prime, group.generator
+        random = generate_keypair(rng, group).private
+        for private in (2, p - 2, random):
+            assert _generator_pow(group, private) == pow(g, private, p)
+        # Exponents outside [2, p - 2] reduce mod p - 1, as pow does.
+        for exponent in (0, 1, p - 1, p, 3 * p + 5, -1, -random):
+            assert _generator_pow(group, exponent) == pow(g, exponent, p)
+        keys = generate_keypair(rng, group)
+        assert keys.public == pow(g, keys.private, p)
+
+    @pytest.mark.parametrize(
+        "group", [TOY_GROUP, MERSENNE_31_GROUP], ids=["toy", "2^31-1"]
+    )
+    @pytest.mark.parametrize("n", [2, 11, 32, 128])
+    def test_warm_sweep_equals_per_pair_agree(self, group, n):
+        rng = np.random.default_rng(n)
+        keys = [generate_keypair(rng, group) for _ in range(n)]
+        forget_agreements(group)
+        warmed = warm_agreement_cache(
+            {u: k.private for u, k in enumerate(keys)},
+            {u: k.public for u, k in enumerate(keys)},
+            group,
+        )
+        assert warmed == memoised_pairs(group) == n * (n - 1) // 2
+        memo = _group_cache(group)
+        assert sorted(memo) == sorted(k.public for k in keys)
+        for u in keys:
+            row = memo[u.public]
+            assert sorted(row) == sorted(
+                v.public for v in keys if v is not u
+            )
+            for v in keys:
+                if v is not u:
+                    assert row[v.public] == agree(u.private, v.public, group)
+        forget_agreements(group)
+
+    def test_swapped_public_key_is_refused(self, rng):
+        keys = [generate_keypair(rng, TOY_GROUP) for _ in range(6)]
+        publics = {u: k.public for u, k in enumerate(keys)}
+        publics[2], publics[4] = publics[4], publics[2]
+        forget_agreements(TOY_GROUP)
+        with pytest.raises(ConfigurationError, match=r"\[2, 4\] are not"):
+            warm_agreement_cache(
+                {u: k.private for u, k in enumerate(keys)},
+                publics,
+                TOY_GROUP,
+            )
+        assert memoised_pairs(TOY_GROUP) == 0

@@ -11,12 +11,14 @@ from repro.linalg.modular import (
     _sqr_mod_m61,
     decode_centered,
     encode_mod,
+    fixed_base_pow,
+    fixed_base_table,
     horner_mod,
     inv_mod,
     matmul_mod,
     mul_mod,
+    mul_wide,
     pow_mod,
-    pow_mod_elementwise,
     sum_mod,
     wraps_around,
 )
@@ -142,15 +144,15 @@ class TestFieldKernels:
         with pytest.raises(ConfigurationError, match="exponent"):
             pow_mod(np.uint64(2), -1, 101)
 
-    def test_pow_mod_elementwise_matches_python_pow(self):
+    def test_fixed_base_pow_matches_python_pow(self):
         p = MERSENNE_61
         rng = np.random.default_rng(11)
-        bases = rng.integers(1, p, size=200, dtype=np.uint64)
-        exponents = rng.integers(0, p, size=200, dtype=np.uint64)
-        got = pow_mod_elementwise(bases, exponents, p)
-        assert got.tolist() == [
-            pow(int(b), int(e), p) for b, e in zip(bases, exponents)
-        ]
+        for base in rng.integers(1, p, size=4).tolist():
+            table = fixed_base_table(base, p)
+            exponents = rng.integers(0, p, size=200, dtype=np.uint64)
+            assert fixed_base_pow(table, (exponents,), p).tolist() == [
+                pow(base, int(e), p) for e in exponents
+            ]
 
     @pytest.mark.parametrize("prime", [MERSENNE_61, 101])
     def test_inv_mod_inverts(self, prime):
@@ -270,8 +272,11 @@ class TestMersenneFoldKernels:
                 assert int(mul_mod(wrap(x), wrap(y), p)) == x * y % p
             assert int(pow_mod(wrap(x), p - 2, p)) == pow(x, p - 2, p)
             assert int(
-                pow_mod_elementwise(wrap(x), wrap(p - 2), p)
+                fixed_base_pow(fixed_base_table(x, p), (wrap(p - 2),), p)
             ) == pow(x, p - 2, p)
+            for y in self.EDGES:
+                low, high = mul_wide(wrap(x), wrap(y))
+                assert int(high) << 64 | int(low) == x * y
 
     def test_broadcast_operands(self):
         # The (k, 1) x (1, n) product horner_mod forms, and a scalar
@@ -310,29 +315,57 @@ class TestMersenneFoldKernels:
         for exponent in exponents:
             expected = [pow(x, exponent, p) for x in bases]
             assert pow_mod(array, exponent, p).tolist() == expected
-            assert pow_mod_elementwise(
-                array, np.full(len(bases), exponent, dtype=np.uint64), p
-            ).tolist() == expected
+        # The fixed-base kernel at the same exponents, one table a base.
+        lanes = np.asarray(exponents, dtype=np.uint64)
+        for x in bases:
+            assert fixed_base_pow(
+                fixed_base_table(x, p), (lanes,), p
+            ).tolist() == [pow(x, exponent, p) for exponent in exponents]
 
-    def test_pow_mod_elementwise_mixed_and_zero_exponents(self):
+    def test_fixed_base_pow_mixed_and_zero_exponents(self):
         p = self.P
         rng = np.random.default_rng(62)
-        bases = rng.integers(0, p, size=64, dtype=np.uint64)
-        exponents = rng.integers(0, 1 << 61, size=64, dtype=np.uint64)
-        exponents[::5] = 0
-        exponents[1::7] = 1
-        before = bases.tolist(), exponents.tolist()
-        assert pow_mod_elementwise(bases, exponents, p).tolist() == [
-            pow(int(b), int(e), p) for b, e in zip(bases, exponents)
-        ]
-        assert (bases.tolist(), exponents.tolist()) == before
-        # Every lane's exponent zero: x^0 = 1, also for x = 0.
-        assert pow_mod_elementwise(
-            bases, np.zeros(64, dtype=np.uint64), p
-        ).tolist() == [1] * 64
-        assert pow_mod_elementwise(
-            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64), p
-        ).tolist() == []
+        for base in [0, 1, 3] + rng.integers(2, p, size=3).tolist():
+            table = fixed_base_table(base, p)
+            exponents = rng.integers(0, 1 << 61, size=64, dtype=np.uint64)
+            exponents[::5] = 0
+            exponents[1::7] = 1
+            before = table.copy(), exponents.tolist()
+            assert fixed_base_pow(table, (exponents,), p).tolist() == [
+                pow(base, int(e), p) for e in exponents
+            ]
+            assert np.array_equal(table, before[0])
+            assert exponents.tolist() == before[1]
+            # Every lane's exponent zero: x^0 = 1, also for x = 0.
+            assert fixed_base_pow(
+                table, (np.zeros(64, dtype=np.uint64),), p
+            ).tolist() == [1] * 64
+            assert fixed_base_pow(
+                table, (np.empty(0, dtype=np.uint64),), p
+            ).tolist() == []
+
+    def test_fixed_base_pow_two_word_exponents(self):
+        # The warm sweep's exponent: the exact product of two private
+        # keys, 122 bits, with the edges of both words and of the
+        # window straddling them (bits 55..65).
+        p = self.P
+        rng = np.random.default_rng(64)
+        factors = self.EDGES + rng.integers(0, p, size=12).tolist()
+        a, b = (np.asarray(v, dtype=np.uint64) for v in zip(*[
+            (x, y) for x in factors for y in factors
+        ]))
+        low, high = mul_wide(a, b)
+        assert [
+            int(h) << 64 | int(lo) for lo, h in zip(low, high)
+        ] == [int(x) * int(y) for x, y in zip(a, b)]
+        for base in (3, p - 1):
+            assert fixed_base_pow(
+                fixed_base_table(base, p), (low, high), p
+            ).tolist() == [pow(base, int(x) * int(y), p) for x, y in zip(a, b)]
+        words = [np.uint64(1 << 63), np.uint64((1 << 64) - 1)]
+        assert int(
+            fixed_base_pow(fixed_base_table(3, p), words, p)
+        ) == pow(3, (1 << 63) + ((1 << 64) - 1 << 64), p)
 
     @pytest.mark.parametrize("prime", [(1 << 31) - 1, 101, 1 << 61])
     def test_other_moduli_keep_the_generic_path(self, prime):
@@ -342,9 +375,10 @@ class TestMersenneFoldKernels:
         assert pow_mod(bases, prime - 2, prime).tolist() == [
             pow(int(b), prime - 2, prime) for b in bases
         ]
-        assert pow_mod_elementwise(bases, exponents, prime).tolist() == [
-            pow(int(b), int(e), prime) for b, e in zip(bases, exponents)
-        ]
+        for base in bases[:3].tolist():
+            assert fixed_base_pow(
+                fixed_base_table(base, prime), (exponents,), prime
+            ).tolist() == [pow(base, int(e), prime) for e in exponents]
 
 
 def _matmul_reference(left, right, modulus):

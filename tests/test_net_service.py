@@ -32,7 +32,7 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
 )
 from repro.secagg.kernels import DEFAULT_MASK_PRG
-from repro.secagg.keys import TOY_GROUP, _group_cache
+from repro.secagg.keys import TOY_GROUP
 from repro.secagg.statemachine import ClientSession
 from repro.secagg.wire import (
     Hello,
@@ -43,6 +43,7 @@ from repro.secagg.wire import (
     encode_message,
 )
 from repro.telemetry import parse_prometheus
+from tests.secagg_reference import memoised_pairs
 
 
 def run_round(server_config, swarm_config, timeout=60.0):
@@ -150,7 +151,7 @@ class TestSwarmEquivalence:
                     await run_swarm("127.0.0.1", server.port, config)
                     sizes.append(
                         (
-                            len(_group_cache(TOY_GROUP)),
+                            memoised_pairs(TOY_GROUP),
                             len(DEFAULT_MASK_PRG._memo),
                         )
                     )
