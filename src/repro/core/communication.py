@@ -26,15 +26,9 @@ import functools
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.secagg.bonawitz import sealed_share_length
-from repro.secagg.field import DEFAULT_FIELD
+from repro.secagg.bonawitz import public_key_length, sealed_share_length
 from repro.secagg.kernels import DEFAULT_MASK_PRG
-from repro.secagg.keys import (
-    DhGroup,
-    KeyAgreementGroup,
-    key_bits,
-    suite_name,
-)
+from repro.secagg.keys import DhGroup, KeyAgreementGroup, suite_name
 from repro.secagg.wire import (
     PROTOCOL_V1,
     Advertise,
@@ -91,7 +85,8 @@ class SecAggRoundCost:
         advertise: Round 0 — the Hello and two public keys.
         share_keys: Round 1 — one sealed envelope per roster member.
         masked_input: Round 2 — the ``d``-vector over ``Z_m``.
-        unmask: Round 3 — one revealed seed share per survivor.
+        unmask: Round 3 — one revealed seed share per survivor (a
+            dropout-free round reveals no key share).
     """
 
     advertise: int
@@ -132,9 +127,9 @@ def bonawitz_round_cost(
     Each phase is the length of the datagram a client of such a round
     sends, measured by encoding one: the frame layouts live in
     :mod:`repro.secagg.wire` and nowhere else.  The round is a default
-    one — the default mask PRG suite and sharing field.  (Public keys
-    and seed shares are taken full-width; about one in 256 is a byte
-    shorter on the wire.)
+    one — the default mask PRG suite and sharing field.  Every width on
+    the wire is the round's, never the values', so this is every
+    client's upload to the byte.
 
     Args:
         num_clients: Participants ``n`` in the aggregation.
@@ -158,15 +153,13 @@ def bonawitz_round_cost(
     header = intern_header(
         PROTOCOL_V1, suite_name(DEFAULT_MASK_PRG.name, group)
     )
-    public_key = (1 << key_bits(group)) - 1
-    peers = np.arange(1, num_clients + 1)
+    width = public_key_length(group)
 
     def frame(message) -> int:
         return len(encode_message(message, header))
 
     return SecAggRoundCost(
-        advertise=frame(Hello(1))
-        + frame(Advertise(1, public_key, public_key)),
+        advertise=frame(Hello(1)) + frame(Advertise(1, 0, 0, width)),
         share_keys=frame(
             SealedUpload(
                 1,
@@ -183,12 +176,8 @@ def bonawitz_round_cost(
         unmask=frame(
             UnmaskResponse(
                 1,
-                peers=peers,
-                xs=peers,
-                ys=np.full(
-                    num_clients, DEFAULT_FIELD.prime - 1, dtype=np.uint64
-                ),
-                key_shares={},
+                seed_shares=np.zeros(num_clients, dtype=np.uint64),
+                key_shares=np.zeros((0, 0), dtype=np.uint64),
             )
         ),
     )

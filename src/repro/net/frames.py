@@ -2,8 +2,8 @@
 
 The sans-I/O sessions (:mod:`repro.secagg.statemachine`) exchange
 *datagrams*: byte strings holding one or more concatenated wire frames
-that must be delivered as a unit (a client's whole envelope upload, the
-server's roster broadcast).  TCP is a byte stream with no such
+that must be delivered as a unit (a client's Hello and Advertise, a
+share-keys matrix, the roster).  TCP is a byte stream with no such
 boundaries, so every datagram on the socket is preceded by a 4-byte
 little-endian length prefix::
 

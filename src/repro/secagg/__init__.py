@@ -50,6 +50,7 @@ from repro.secagg.wire import (
     MaskedInput,
     NegotiatedHeader,
     Reject,
+    Roster,
     SealedDelivery,
     SealedUpload,
     UnmaskRequest,
@@ -114,6 +115,7 @@ __all__ = [
     "PROTOCOL_V1",
     "PrimeField",
     "Reject",
+    "Roster",
     "RoundDriver",
     "SUPPORTED_PROTOCOL_VERSIONS",
     "SealedDelivery",

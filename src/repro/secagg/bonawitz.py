@@ -91,6 +91,7 @@ from repro.secagg.shamir import (
 
 from repro.secagg.wire import (
     Advertise,
+    Roster,
     UnmaskRequest,
     UnmaskResponse,
     WireStats,
@@ -133,6 +134,13 @@ def _validate_inputs(inputs: np.ndarray, modulus: int) -> np.ndarray:
 def _key_limbs(group: KeyAgreementGroup) -> int:
     """Limbs every mask key of ``group`` is padded to."""
     return -(-key_bits(group) // DEFAULT_LIMB_BITS)
+
+
+def public_key_length(group: KeyAgreementGroup) -> int:
+    """Bytes one public key of ``group`` takes on the wire: the group's
+    width (8 on the toy group, 32 on x25519, 128 on Oakley-2), whatever
+    the key's value."""
+    return -(-key_bits(group) // 8)
 
 
 def sealed_share_length(group: KeyAgreementGroup) -> int:
@@ -225,12 +233,14 @@ class BonawitzClient:
         self._group_limbs = _key_limbs(group)
         self._channel_keys = None  # type: KeyPair | None
         self._mask_keys = None  # type: KeyPair | None
-        self._roster: dict[int, Advertise] = {}
+        # The roster as broadcast — members in sorted order, the two key
+        # columns in that order — and each member's position in it.
+        self._roster: Roster | None = None
+        self._positions: dict[int, int] = {}
         self._self_seed: int | None = None
         # Sender -> the [seed_y, limb_ys...] row it addressed to this
         # client, as decoded; all of them sit at ``_point``.
         self._received: dict[int, list[int]] = {}
-        self._share_roster: tuple[int, ...] = ()
         # This client's Shamir point: every client shares over the
         # sorted roster at x = 1..n, so it is the 1-based position there.
         self._point = 0
@@ -247,6 +257,7 @@ class BonawitzClient:
             index=self.index,
             channel_public=self._channel_keys.public,
             mask_public=self._mask_keys.public,
+            width=public_key_length(self._group),
         )
 
     def _channel_key(self, peer: int) -> bytes:
@@ -254,10 +265,9 @@ class BonawitzClient:
         assert self._channel_keys is not None
         key = self._channel_key_cache.get(peer)
         if key is None:
-            peer_keys = self._roster[peer]
             key = agree(
                 self._channel_keys.private,
-                peer_keys.channel_public,
+                self._roster.channel_keys[self._positions[peer]],
                 self._group,
                 own_public=self._channel_keys.public,
             )
@@ -265,12 +275,14 @@ class BonawitzClient:
         return key
 
     def share_keys_matrix(
-        self, roster: dict[int, Advertise]
+        self, roster: Roster
     ) -> tuple[tuple[int, ...], np.ndarray]:
         """Round 1: sample ``b_u`` and seal its shares for the roster.
 
         Args:
-            roster: The server's broadcast of all round-0 messages.
+            roster: The server's broadcast of every member's keys, in
+                sorted order (the wire refuses any other); its columns
+                are read as they are.
 
         Returns:
             ``(recipients, sealed)`` where row ``i`` of the ``(n, L)``
@@ -291,18 +303,19 @@ class BonawitzClient:
                 f"client {self.index} already shared this round's keys and "
                 "refuses another roster"
             )
-        if len(roster) < self._threshold:
+        recipients = roster.indices
+        if len(recipients) < self._threshold:
             raise AggregationError(
-                f"roster of {len(roster)} cannot meet threshold "
+                f"roster of {len(recipients)} cannot meet threshold "
                 f"{self._threshold}"
             )
-        if self.index not in roster:
+        positions = dict(zip(recipients, range(len(recipients))))
+        if self.index not in positions:
             raise AggregationError("client missing from its own roster")
-        self._roster = dict(roster)
-        self._share_roster = tuple(sorted(roster))
-        self._point = self._share_roster.index(self.index) + 1
+        self._roster = roster
+        self._positions = positions
+        self._point = positions[self.index] + 1
         self._self_seed = int(self._rng.integers(0, self._field.prime))
-        recipients = self._share_roster
         # One split covers the self-mask seed and every limb of the mask
         # private key: all polynomials share the evaluation points, so
         # they batch into a single Horner kernel call.
@@ -329,20 +342,17 @@ class BonawitzClient:
             if recipient != self.index
         ]
         missing = [
-            recipients[position]
+            position
             for position in peer_positions
             if recipients[position] not in self._channel_key_cache
         ]
         if missing:
             self._channel_key_cache.update(
                 zip(
-                    missing,
+                    [recipients[position] for position in missing],
                     agree_batch(
                         self._channel_keys.private,
-                        [
-                            self._roster[peer].channel_public
-                            for peer in missing
-                        ],
+                        [roster.channel_keys[position] for position in missing],
                         self._group,
                         own_public=self._channel_keys.public,
                     ),
@@ -395,7 +405,7 @@ class BonawitzClient:
                 f"client {self.index} received a delivery that names a "
                 "sender twice"
             )
-        strangers = participants - self._roster.keys()
+        strangers = participants - self._positions.keys()
         if strangers:
             raise AggregationError(
                 f"client {self.index} received envelopes from clients "
@@ -461,7 +471,7 @@ class BonawitzClient:
         seeds = [self._self_seed.to_bytes(_SEED_WIDTH, "little")]
         seeds += agree_batch(
             self._mask_keys.private,
-            [self._roster[peer].mask_public for peer in peers],
+            [self._roster.mask_keys[self._positions[peer]] for peer in peers],
             self._group,
             own_public=self._mask_keys.public,
         )
@@ -501,9 +511,9 @@ class BonawitzClient:
         because revealing both ``b_v`` and ``s_v^SK`` would let the server
         unmask ``v``'s individual input — and, for the same reason, any
         request after the one it answered (a refused request does not
-        use the answer up).  The reply is parallel arrays (encoded, and
-        recovered by the server, without per-survivor ``Share``
-        objects).
+        use the answer up).  The reply is the requested share values
+        alone, as arrays in the request's sorted order (encoded, and
+        recovered by the server, without per-share objects).
 
         Raises:
             AggregationError: On an overlapping (malicious) request, a
@@ -512,20 +522,17 @@ class BonawitzClient:
         """
         self._check_unmask_request(request)
         self._unmasked = True
-        survivors = sorted(request.survivors)
         received = self._received
+        dropouts = sorted(request.dropouts)
         return UnmaskResponse(
             responder=self.index,
-            peers=np.asarray(survivors, dtype="<u4"),
-            xs=np.full(len(survivors), self._point, dtype="<u4"),
-            ys=np.asarray(
-                [received[v][0] for v in survivors], dtype=np.uint64
+            seed_shares=np.asarray(
+                [received[v][0] for v in sorted(request.survivors)],
+                dtype=np.uint64,
             ),
-            # The only share objects a client builds: one a dropout.
-            key_shares={
-                v: LimbShares(self._point, tuple(received[v][1:]))
-                for v in sorted(request.dropouts)
-            },
+            key_shares=np.asarray(
+                [received[v][1:] for v in dropouts], dtype=np.uint64
+            ).reshape(len(dropouts), self._group_limbs),
         )
 
 
@@ -638,7 +645,8 @@ class BonawitzServer:
         self._field = field
         self._group = group
         self._mask_prg = get_mask_prg(mask_prg)
-        self._roster: dict[int, Advertise] = {}
+        self._group_limbs = _key_limbs(group)
+        self._mask_publics: dict[int, int] = {}
         # Client index -> its Shamir point: every client shares over the
         # sorted roster at x = 1..n, so a recipient's point is its
         # 1-based position there.
@@ -648,7 +656,7 @@ class BonawitzServer:
 
     def collect_advertisements(
         self, advertisements: list[Advertise]
-    ) -> dict[int, Advertise]:
+    ) -> Roster:
         """Round 0: gather public keys and broadcast the roster."""
         roster: dict[int, Advertise] = {}
         for message in advertisements:
@@ -662,12 +670,19 @@ class BonawitzServer:
                 f"only {len(roster)} clients advertised keys; "
                 f"threshold is {self._threshold}"
             )
-        self._roster = roster
+        members = tuple(sorted(roster))
         self._points = {
-            index: position
-            for position, index in enumerate(sorted(roster), start=1)
+            index: position for position, index in enumerate(members, start=1)
         }
-        return dict(roster)
+        self._mask_publics = {
+            index: roster[index].mask_public for index in members
+        }
+        return Roster(
+            members,
+            tuple(roster[index].channel_public for index in members),
+            tuple(self._mask_publics.values()),
+            public_key_length(self._group),
+        )
 
     def register_share_keys(self, senders: "Iterable[int]") -> frozenset[int]:
         """Round 1: record ``U1``, the clients that shared keys.
@@ -749,61 +764,48 @@ class BonawitzServer:
         """Refuse a round-3 response that is not what the round fixed.
 
         An honest response is determined in shape by the round alone:
-        one seed share per survivor in sorted order, one key share per
-        announced dropout at the group's limb count, every share at the
-        responder's own Shamir point (its 1-based position in the sorted
-        roster) and every value in the field.  Checking that per
-        response — at ingest, where the sender can still be named and
-        evicted — is what lets :meth:`recover_sum` treat the quorum as
-        one point set.
+        one seed share per survivor, one key share per announced dropout
+        at the group's limb count, every value in the field.  Whose
+        share each value is and where it sits are not on the wire — the
+        request's sorted order and the responder's Shamir point (its
+        1-based position in the sorted roster) — so there is nothing
+        else to get wrong.  Checking that per response — at ingest,
+        where the sender can still be named and evicted — is what lets
+        :meth:`recover_sum` treat the quorum as one point set.
 
         Raises:
             AggregationError: Naming the responder and the first thing
                 that is off.
         """
         who = f"client {response.responder}"
-        point = self._points.get(response.responder)
-        if point is None:
+        if response.responder not in self._points:
             raise AggregationError(f"{who} is not on the round's roster")
-        survivors = np.asarray(sorted(self._masked), dtype=np.uint32)
-        if not np.array_equal(response.peers, survivors):
+        survivors = len(self._masked)
+        if response.seed_shares.shape != (survivors,):
             raise AggregationError(
-                f"{who} sent seed shares for something other than the "
-                f"round's {len(survivors)} survivors in sorted order"
+                f"{who} sent {len(response.seed_shares)} seed shares; the "
+                f"round has {survivors} survivors"
             )
-        dropouts = self._share_senders - set(self._masked)
-        if response.key_shares.keys() != dropouts:
+        dropouts = sorted(self._share_senders - set(self._masked))
+        count, limbs = response.key_shares.shape
+        if count != len(dropouts):
             raise AggregationError(
-                f"{who} sent key shares for "
-                f"{sorted(response.key_shares)}; the announced dropouts "
-                f"are {sorted(dropouts)}"
+                f"{who} sent {count} key shares; the announced dropouts "
+                f"are {dropouts}"
+            )
+        if limbs != self._group_limbs:
+            raise AggregationError(
+                f"{who} sent key shares of {limbs} limbs; the group's keys "
+                f"have {self._group_limbs}"
             )
         prime = self._field.prime
-        limbs = _key_limbs(self._group)
-        if np.any(response.xs != point):
-            raise AggregationError(
-                f"{who} sent seed shares at a point other than its own "
-                f"({point})"
-            )
-        if response.ys.size and int(response.ys.max()) >= prime:
-            raise AggregationError(
-                f"{who} sent a seed share value outside [0, {prime})"
-            )
-        for peer, share in response.key_shares.items():
-            if share.x != point:
+        for what, values in (
+            ("seed", response.seed_shares),
+            ("key", response.key_shares),
+        ):
+            if values.size and int(values.max()) >= prime:
                 raise AggregationError(
-                    f"{who} sent client {peer}'s key share at point "
-                    f"{share.x}, not its own ({point})"
-                )
-            if len(share.ys) != limbs:
-                raise AggregationError(
-                    f"{who} sent client {peer}'s key share with "
-                    f"{len(share.ys)} limbs; the group's keys have {limbs}"
-                )
-            if max(share.ys) >= prime:
-                raise AggregationError(
-                    f"{who} sent client {peer}'s key share with a value "
-                    f"outside [0, {prime})"
+                    f"{who} sent a {what} share value outside [0, {prime})"
                 )
 
     def recover_sum(self, responses: "list[UnmaskResponse]") -> np.ndarray:
@@ -838,15 +840,19 @@ class BonawitzServer:
         total = np.zeros(self._dimension, dtype=np.int64)
         for vector in self._masked.values():
             total = np.mod(total + vector, self._modulus)
-        # Each response's seed column is already in sorted-survivor
-        # order, so the per-survivor share rows are one
-        # stack-and-transpose away.
+        # Each response's columns are already in sorted order, so the
+        # per-survivor share rows are one stack-and-transpose away, and
+        # every share sits at its responder's roster point.
+        points = [self._points[response.responder] for response in quorum]
+        key_shares = np.stack(
+            [response.key_shares for response in quorum], axis=1
+        ).tolist()
         seeds, privates = reconstruct_quorum(
-            [self._points[response.responder] for response in quorum],
-            np.stack([response.ys for response in quorum]).T.tolist(),
+            points,
+            np.stack([response.seed_shares for response in quorum]).T.tolist(),
             [
-                [response.key_shares[dropout] for response in quorum]
-                for dropout in dropouts
+                [LimbShares(x, tuple(ys)) for x, ys in zip(points, rows)]
+                for rows in key_shares
             ],
             self._field,
             DEFAULT_LIMB_BITS,
@@ -861,9 +867,9 @@ class BonawitzServer:
             # +PRG when s < d and -PRG when s > d.
             mask_seeds += agree_batch(
                 private,
-                [self._roster[s].mask_public for s in survivors],
+                [self._mask_publics[s] for s in survivors],
                 self._group,
-                own_public=self._roster[dropout].mask_public,
+                own_public=self._mask_publics[dropout],
             )
             mask_signs += [
                 1 if survivor < dropout else -1 for survivor in survivors

@@ -41,7 +41,7 @@ below the Shamir threshold raises :class:`~repro.errors.NegotiationError`
 naming the rejections.
 
 There is one path per leg: every upload is parsed by
-:func:`~repro.secagg.wire.iter_frames` and checked at
+:func:`~repro.secagg.wire.decode_frames` and checked at
 :meth:`ServerSession.receive` against what the *round* fixed, never
 against another upload.  A share-keys upload is one frame — one
 envelope per member of the sorted roster at the length the round's
@@ -91,6 +91,7 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     BonawitzClient,
     BonawitzServer,
+    public_key_length,
     sealed_share_length,
     warm_pairwise_agreements,
 )
@@ -111,6 +112,7 @@ from repro.secagg.wire import (
     Message,
     NegotiatedHeader,
     Reject,
+    Roster,
     SealedDelivery,
     SealedUpload,
     UnmaskRequest,
@@ -119,7 +121,6 @@ from repro.secagg.wire import (
     decode_frames,
     encode_message,
     intern_header,
-    iter_frames,
     modulus_bits,
     split_suite,
 )
@@ -190,8 +191,9 @@ class ClientSession:
             mask_prg=mask_prg,
         )
         self.index = index
-        # The round's modulus fixes the width of a masked coordinate.
+        # The round fixes the width of a masked coordinate and of a key.
         self._bits = modulus_bits(modulus)
+        self._key_width = public_key_length(group)
         # Interned: decoded frames carrying the negotiated header
         # resolve to this very object, so hot-path comparisons are
         # identity checks.
@@ -248,17 +250,17 @@ class ClientSession:
     def handle(self, data: bytes) -> list[bytes]:
         """Process one server datagram; returns the response frames.
 
-        The datagram may hold several concatenated frames (the roster
-        broadcast); it must be homogeneous, as the server's broadcasts
-        are.  A share delivery and an unmask request arrive alone.
+        Every server datagram is one frame: a roster, a share delivery,
+        an unmask request or a Reject.
 
         Raises:
             AggregationError: On a protocol violation — including the
                 core security rule (an unmask request naming a peer as
                 both survivor and dropout is refused) and the
                 one-answer rules: a second roster, share delivery or
-                unmask request is refused, as is a delivery naming
-                fewer than ``threshold`` senders or one of them twice.
+                unmask request is refused, as is a roster whose keys are
+                not the group's width and a delivery naming fewer than
+                ``threshold`` senders or one of them twice.
             NegotiationError: If a non-Reject frame carries a header
                 that does not match the negotiated one.
         """
@@ -285,21 +287,19 @@ class ClientSession:
                     f"client {self.index} negotiated {self.header} but "
                     f"received a frame speaking {header}"
                 )
-        if isinstance(first, Advertise):
-            roster = {}
-            for _, message in frames:
-                if not isinstance(message, Advertise):
-                    raise AggregationError(
-                        "mixed message types in a roster broadcast"
-                    )
-                roster[message.index] = message
-            _, sealed = self._crypto.share_keys_matrix(roster)
-            self._count_frames(len(frames), 1)
-            return [self._encode(SealedUpload(self.index, sealed))]
         if len(frames) != 1:
             raise AggregationError(
                 f"a {type(first).__name__} must arrive alone"
             )
+        if isinstance(first, Roster):
+            if first.width != self._key_width:
+                raise AggregationError(
+                    f"client {self.index} received {first.width}-byte keys; "
+                    f"this round's are {self._key_width} bytes"
+                )
+            _, sealed = self._crypto.share_keys_matrix(first)
+            self._count_frames(1, 1)
+            return [self._encode(SealedUpload(self.index, sealed))]
         if isinstance(first, SealedDelivery):
             if first.recipient != self.index:
                 raise AggregationError(
@@ -386,6 +386,7 @@ class ServerSession:
         )
         self._threshold = threshold
         self._sealed_length = sealed_share_length(group)
+        self._key_width = public_key_length(group)
         self._bits = modulus_bits(modulus)
         self.header = intern_header(
             max(accept_versions),
@@ -555,7 +556,7 @@ class ServerSession:
                 f"client {sender} sent a {len(data)}-byte datagram; this "
                 f"round's masked inputs are {self._masked_length} bytes"
             )
-        frames = iter_frames(data)
+        frames = decode_frames(data)
         # Every frame is the sender's own and stores at most one entry
         # under it, never over an earlier one — so the tables it is
         # absent from now are exactly what a refusal undoes.
@@ -721,6 +722,11 @@ class ServerSession:
                 raise AggregationError(
                     f"duplicate advertisement from client {sender}"
                 )
+            if message.width != self._key_width:
+                raise AggregationError(
+                    f"client {sender} advertised {message.width}-byte keys; "
+                    f"this round's are {self._key_width} bytes"
+                )
             self._advertisements[sender] = message
             return
         self._check_header(header, sender)
@@ -806,9 +812,9 @@ class ServerSession:
         """Close the current phase and emit the per-recipient datagrams.
 
         Returns:
-            Recipient index -> encoded frames (roster broadcast, routed
-            envelopes, unmask request, or Reject notices).  Empty after
-            the final phase.
+            Recipient index -> encoded frame (the roster, a routed
+            mailbox, the unmask request, or a Reject notice).  Empty
+            after the final phase.
 
         Raises:
             AggregationError: If the phase's deliveries fall below the
@@ -859,13 +865,10 @@ class ServerSession:
                     f"{sorted(self.rejections)} at Hello)"
                 ) from error
             raise
-        # One deterministic roster datagram, shared by every recipient.
-        broadcast = b"".join(
-            encode_message(roster[index], self.header)
-            for index in sorted(roster)
-        )
+        # One roster frame, shared by every recipient.
+        broadcast = encode_message(roster, self.header)
         out: dict[int, tuple[bytes, int]] = {
-            index: (broadcast, len(roster)) for index in roster
+            index: (broadcast, 1) for index in roster.indices
         }
         for client, reason in self.rejections.items():
             out[client] = (
@@ -874,8 +877,8 @@ class ServerSession:
                 ),
                 1,
             )
-        self._expected = frozenset(roster)
-        self._share_roster = sorted(roster)
+        self._expected = frozenset(roster.indices)
+        self._share_roster = list(roster.indices)
         return out
 
     def _route_columns(self) -> dict[int, tuple[bytes, int]]:

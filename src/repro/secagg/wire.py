@@ -7,10 +7,10 @@ driver (:func:`repro.secagg.bonawitz.run_bonawitz`), the
 simulated-clock mailbox transport
 (:class:`repro.simulation.rounds.AsyncSecAggRound`), the sharded process
 backend and the socket service — and recorded traffic can be replayed
-byte for byte.  :func:`encode_message` and :func:`iter_frames` are the
+byte for byte.  :func:`encode_message` and :func:`decode_frames` are the
 one encoder and the one decoder of every message.
 
-Frame layout, format 2 (all integers little-endian)::
+Frame layout, format 3 (all integers little-endian)::
 
     0..1   magic            b"SG"
     2      format version   uint8  (the *encoding* layout, WIRE_FORMAT_VERSION)
@@ -32,42 +32,58 @@ server checks each client's proposed header and answers with a typed
 :class:`Reject` (surfaced client-side as
 :class:`repro.errors.NegotiationError`) instead of crashing mid-round.
 
-Format 2 has one rule for the two legs that are a round's bill: **a
-frame carries only what the round has not already fixed.**  Bodies::
+Every frame follows one rule: **a frame carries only what the round has
+not already fixed.**  Bodies of the frames that are a round's bill::
 
-    masked input      sender u32 | dimension u32 | bits u8
-                      | ceil(dimension * bits / 8) bytes: the coordinates,
-                        ``bits`` bits each, packed little-endian (bit k of
-                        the stream is bit k % 8 of byte k // 8), the
-                        padding bits of the last byte zero
+    advertise         index u32 | width u8
+                      | width bytes: the channel key | width bytes: the mask key
+    roster            count u32 | width u8
+                      | count * u32: the indices, strictly increasing
+                      | count * width bytes: the channel keys, in that order
+                      | count * width bytes: the mask keys, in that order
     share-keys upload sender u32 | count u32 | L u32
                       | count * L bytes: one L-byte envelope per roster
                         member, rows in sorted-roster order
     share delivery    recipient u32 | count u32 | L u32
                       | count * u32: who sealed each row
                       | count * L bytes: the envelopes, rows in that order
+    masked input      sender u32 | dimension u32 | bits u8
+                      | ceil(dimension * bits / 8) bytes: the coordinates,
+                        ``bits`` bits each, packed little-endian (bit k of
+                        the stream is bit k % 8 of byte k // 8), the
+                        padding bits of the last byte zero
+    unmask response   responder u32 | seeds u32 | keys u32 | limbs u8
+                      | seeds * u64: a seed share per survivor, in the
+                        request's (sorted) survivor order
+                      | keys * limbs * u64: a key share per dropout, rows
+                        in sorted-dropout order, lowest limb first
 
-``bits`` is ``ceil(log2 m)`` (:func:`modulus_bits`) — what the paper's
-"bitwidth" axis counts.  It is a function of the round's modulus and
-**never of the values**: a width chosen from the coordinates would leak
+A key is ``width`` bytes whatever its value: the width is the
+key-agreement group's (8 on the toy group, 32 on x25519, 128 on
+Oakley-2).  ``bits`` is ``ceil(log2 m)`` (:func:`modulus_bits`) — what
+the paper's "bitwidth" axis counts.  A share value is 8 bytes, the
+width of every sharing field.  All of these are functions of the round
+and **never of the values**: a width chosen from the values would leak
 their magnitude and make a frame's length data-dependent.  The encoder
-refuses a coordinate outside ``[0, 2^bits)`` instead of wrapping it, and
+refuses a value that does not fit its width instead of wrapping it, and
 the server refuses a frame whose width is not the round's (and, since
 an int64 vector is ``64 / bits`` times its payload, decodes no
-masked-input datagram that is not the round's length).  A
-share-keys datagram is one frame: an envelope's sender, recipient and
-length, and (inside it) the Shamir point and limb count, are all fixed
-by the roster and the key-agreement group, so the frame is the
-ciphertext matrix and three integers.  Format-1 frames (8 bytes per
-coordinate, one frame per envelope) are refused with the typed
-"speaks N" error; no decoder for them is kept.
+masked-input datagram that is not the round's length).
+
+What the round fixes is not sent.  The roster is one frame of columns,
+not a frame per member.  A share-keys datagram is the ciphertext matrix
+and three integers: an envelope's sender, recipient and length, and
+(inside it) the Shamir point and limb count, are fixed by the roster
+and the key-agreement group.  An unmask response names neither the
+survivors (the request it answers just did) nor the responder's Shamir
+point (its 1-based position in the sorted roster).  Frames of formats 1
+and 2 are refused with the typed "speaks N" error; no decoder for them
+is kept.
 
 Frames are self-delimiting, so several messages concatenate into one
-transport datagram (the roster broadcast is one frame per advertised
-client); :func:`decode_frames` walks them back out.  Multi-byte integers
-that can exceed 64 bits (DH public keys, Shamir key-share values) use a
-minimal-length, length-prefixed little-endian encoding, keeping the
-format deterministic: equal messages encode to equal bytes.
+transport datagram (a client's Hello and Advertise);
+:func:`decode_frames` walks them back out.  The encoding is
+deterministic: equal messages encode to equal bytes.
 
 :class:`WireStats` is the per-round accounting ledger — message counts
 and serialized bytes per phase, per client, in both directions — that
@@ -83,13 +99,12 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from repro.errors import AggregationError
-from repro.secagg.shamir import LimbShares
 
 #: First bytes of every frame.
 WIRE_MAGIC = b"SG"
 
 #: Version of the byte *layout* (bump when the framing itself changes).
-WIRE_FORMAT_VERSION = 2
+WIRE_FORMAT_VERSION = 3
 
 #: Protocol semantics version 1: four-round Bonawitz, negotiated PRG.
 PROTOCOL_V1 = 1
@@ -108,10 +123,13 @@ MSG_REJECT = 7
 MSG_WELCOME = 8
 MSG_RESUME = 9
 MSG_SEALED_DELIVERY = 10
+MSG_ROSTER = 11
 
 _HEADER = struct.Struct("<2sBBIHB")  # magic, fmt, type, length, version, prg len
 _SEALED_PREFIX = struct.Struct("<III")  # owner, envelope count, envelope length
 _MASKED_PREFIX = struct.Struct("<IIB")  # sender, dimension, bits
+_KEYS_PREFIX = struct.Struct("<IB")  # advertise: index, width; roster: count, width
+_UNMASK_PREFIX = struct.Struct("<IIIB")  # responder, seeds, keys, limbs
 
 #: Coordinate widths that are whole little-endian machine words: the
 #: same layout as the generic bit-packer, reached by one ``astype``.
@@ -156,7 +174,7 @@ class NegotiatedHeader:
 
 
 #: Interned headers, keyed by (version, prg-name bytes).  Frames are
-#: decoded quadratically often per round and almost always carry the
+#: decoded O(n) times per round and almost always carry the
 #: round's one negotiated header; interning makes per-frame header
 #: "construction" a dict hit and header comparison an identity check.
 #: Bounded defensively (adversarial streams could mint names).
@@ -214,11 +232,32 @@ class Hello:
 
 @dataclasses.dataclass(frozen=True)
 class Advertise:
-    """A client's round-0 message: its two DH public keys."""
+    """A client's round-0 message: its two DH public keys.
+
+    ``width`` is the bytes one key takes on the wire — the
+    key-agreement group's, never the values' (a session states it,
+    :func:`repro.secagg.bonawitz.public_key_length`).
+    """
 
     index: int
     channel_public: int
     mask_public: int
+    width: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Roster:
+    """The server's round-0 broadcast: every accepted client's keys.
+
+    One frame of three columns, aligned: ``indices`` strictly
+    increasing, and the two public keys of each, ``width`` bytes apiece
+    on the wire.
+    """
+
+    indices: tuple[int, ...]
+    channel_keys: tuple[int, ...]
+    mask_keys: tuple[int, ...]
+    width: int
 
 
 class _ArrayMessage:
@@ -309,23 +348,25 @@ class UnmaskRequest:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class UnmaskResponse(_ArrayMessage):
-    """One client's round-3 reply: the requested shares it holds.
+    """One client's round-3 reply: the requested share values it holds.
 
-    The seed section scales with the survivor count (one share per
-    survivor, in every response), so it is columnar in memory as it is
-    on the wire: ``peers`` holds the survivor ids, ``xs`` / ``ys`` the
-    matching share columns (``ys`` is uint64 — every sharing field fits
-    it).  The key section scales with the (few) dropouts and stays a
-    per-peer dict.  The server consumes the columns as they are — one
-    transpose at recovery instead of O(survivors × threshold) dict
-    lookups.
+    Only values: whose share each is follows from the request it
+    answers, and where it sits from the responder's roster position.
+    Both sections are uint64 (every sharing field fits it), in memory
+    as on the wire, so the server recovers with one transpose.
+
+    Attributes:
+        responder: Who answers.
+        seed_shares: ``(survivors,)`` — a share of each survivor's
+            self-mask seed, in sorted-survivor order.
+        key_shares: ``(dropouts, limbs)`` — a share of each dropout's
+            mask private key, rows in sorted-dropout order, one column
+            per limb of the group's keys.
     """
 
     responder: int
-    peers: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    key_shares: dict[int, LimbShares]
+    seed_shares: np.ndarray
+    key_shares: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -376,6 +417,7 @@ class Resume:
 Message = (
     Hello
     | Advertise
+    | Roster
     | SealedUpload
     | SealedDelivery
     | MaskedInput
@@ -389,6 +431,7 @@ Message = (
 _TYPE_OF_MESSAGE = {
     Hello: MSG_HELLO,
     Advertise: MSG_ADVERTISE,
+    Roster: MSG_ROSTER,
     SealedUpload: MSG_SEALED_UPLOAD,
     SealedDelivery: MSG_SEALED_DELIVERY,
     MaskedInput: MSG_MASKED_INPUT,
@@ -398,25 +441,6 @@ _TYPE_OF_MESSAGE = {
     Welcome: MSG_WELCOME,
     Resume: MSG_RESUME,
 }
-
-
-_COLUMN_WIDTHS = (1, 2, 4, 8)
-
-
-def _column_width(max_value: int) -> int:
-    """Smallest power-of-two byte width holding ``max_value``.
-
-    Power-of-two widths keep the columnar sections numpy-decodable;
-    the choice is a pure function of the values, so the encoding stays
-    deterministic.  Share values live in a field that fits uint64, so 8
-    is the widest column there is.
-    """
-    for width in _COLUMN_WIDTHS:
-        if max_value < 1 << (8 * width):
-            return width
-    raise AggregationError(
-        f"share value too wide for the wire: {max_value.bit_length()} bits"
-    )
 
 
 def modulus_bits(modulus: int) -> int:
@@ -534,18 +558,66 @@ def _encode_sealed(
     return b"".join(parts)
 
 
-def _encode_biguint(value: int) -> bytes:
-    """Length-prefixed minimal little-endian encoding of a non-negative int.
+def _check_width(width: int) -> None:
+    if not 1 <= width <= 255:
+        raise AggregationError(
+            f"malformed wire frame: key width {width} outside 1..255 bytes"
+        )
 
-    Deterministic: every integer has exactly one encoding (minimal byte
-    length; zero encodes as a single zero byte).
+
+def _encode_keys(values: Iterable[int], width: int) -> bytes:
+    """Public keys at the round's byte width, little-endian.
+
+    Raises:
+        AggregationError: If a key is negative or wider than ``width``
+            bytes (refused, never truncated), or ``width`` is outside
+            ``1..255``.
     """
-    if value < 0:
-        raise AggregationError(f"wire integers must be >= 0, got {value}")
-    width = max(1, (value.bit_length() + 7) // 8)
-    if width >= (1 << 16):
-        raise AggregationError(f"integer too wide for the wire: {width} bytes")
-    return width.to_bytes(2, "little") + value.to_bytes(width, "little")
+    _check_width(width)
+    try:
+        return b"".join(value.to_bytes(width, "little") for value in values)
+    except OverflowError:
+        raise AggregationError(
+            f"public keys must lie in [0, 2^{8 * width}) to travel at "
+            f"{width} bytes"
+        ) from None
+
+
+def _read_keys(
+    view: memoryview, offset: int, count: int, width: int
+) -> tuple[int, ...]:
+    """``count`` keys of ``width`` bytes from ``offset``; one C pass at a
+    machine-word width (the toy group's 8 bytes)."""
+    dtype = _WORD_DTYPES.get(8 * width)
+    if dtype is not None:
+        return tuple(
+            np.frombuffer(view, dtype, count=count, offset=offset).tolist()
+        )
+    return tuple(
+        int.from_bytes(view[at : at + width], "little")
+        for at in range(offset, offset + count * width, width)
+    )
+
+
+def _share_matrix(values: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """Share values as a little-endian uint64 array of ``ndim`` axes;
+    a value outside ``[0, 2^64)`` is refused, never wrapped."""
+    values = np.asarray(values)
+    try:
+        words = values.astype("<u8")
+        wrapped = bool(values.size) and bool((values < 0).any())
+    except OverflowError:
+        wrapped = True
+    if wrapped:
+        raise AggregationError(
+            f"{what} values must lie in [0, 2^64): every sharing field "
+            "fits 8 bytes"
+        )
+    if words.ndim != ndim:
+        raise AggregationError(
+            f"{what} must have {ndim} axes, got shape {words.shape}"
+        )
+    return words
 
 
 class _Reader:
@@ -583,27 +655,70 @@ class _Reader:
             )
 
 
+def _unpack_prefix(
+    prefix: struct.Struct, view: memoryview, start: int, end: int
+) -> tuple:
+    """The fixed fields that open a body, which must hold them."""
+    if start + prefix.size > end:
+        raise AggregationError(
+            "malformed wire frame: body truncated "
+            f"({end - start} bytes left, {prefix.size} needed)"
+        )
+    return prefix.unpack_from(view, start)
+
+
+def _require_body(have: int, need: int) -> None:
+    """A body whose prefix fixes its length must be that long: checked
+    before anything is read or allocated."""
+    if have < need:
+        raise AggregationError(
+            "malformed wire frame: body truncated "
+            f"({have} bytes left, {need} needed)"
+        )
+    if have > need:
+        raise AggregationError(
+            f"malformed wire frame: {have - need} trailing body bytes"
+        )
+
+
 def _encode_index_set(values: frozenset[int]) -> bytes:
     ordered = sorted(values)
-    return b"".join(
-        [len(ordered).to_bytes(4, "little")]
-        + [value.to_bytes(4, "little") for value in ordered]
-    )
+    return len(ordered).to_bytes(4, "little") + np.asarray(
+        ordered, dtype="<u4"
+    ).tobytes()
 
 
 def _decode_index_set(reader: _Reader) -> frozenset[int]:
     count = reader.u32()
-    return frozenset(reader.u32() for _ in range(count))
+    return frozenset(np.frombuffer(reader.take(4 * count), "<u4").tolist())
 
 
 def _encode_body(message: Message) -> bytes:
     if isinstance(message, Hello):
         return message.sender.to_bytes(4, "little")
     if isinstance(message, Advertise):
+        keys = _encode_keys(
+            (message.channel_public, message.mask_public), message.width
+        )
+        return _KEYS_PREFIX.pack(message.index, message.width) + keys
+    if isinstance(message, Roster):
+        count = len(message.indices)
+        if not count == len(message.channel_keys) == len(message.mask_keys):
+            raise AggregationError(
+                f"a roster of {count} members needs {count} keys of each "
+                "kind"
+            )
+        if list(message.indices) != sorted(set(message.indices)):
+            raise AggregationError(
+                "roster indices must be strictly increasing"
+            )
+        keys = _encode_keys(
+            message.channel_keys + message.mask_keys, message.width
+        )
         return (
-            message.index.to_bytes(4, "little")
-            + _encode_biguint(message.channel_public)
-            + _encode_biguint(message.mask_public)
+            _KEYS_PREFIX.pack(count, message.width)
+            + np.asarray(message.indices, dtype="<u4").tobytes()
+            + keys
         )
     if isinstance(message, SealedUpload):
         return _encode_sealed(message.sender, message.ciphertexts)
@@ -624,35 +739,17 @@ def _encode_body(message: Message) -> bytes:
             message.dropouts
         )
     if isinstance(message, UnmaskResponse):
-        # The seed columns go out as they are, at the one fixed byte
-        # width their largest value needs; the key section is per peer.
-        count = int(message.peers.shape[0])
-        parts = [
-            message.responder.to_bytes(4, "little"),
-            count.to_bytes(4, "little"),
-        ]
-        if count:
-            width = _column_width(int(message.ys.max()))
-            parts.append(width.to_bytes(1, "little"))
-            parts.extend(
-                np.ascontiguousarray(column, dtype="<u4").tobytes()
-                for column in (message.peers, message.xs)
+        seeds = _share_matrix(message.seed_shares, 1, "seed shares")
+        keys = _share_matrix(message.key_shares, 2, "key shares")
+        if keys.shape[1] > 255:
+            raise AggregationError(
+                f"key shares of {keys.shape[1]} limbs do not fit the wire"
             )
-            parts.append(
-                np.asarray(message.ys, dtype="<u8")
-                .astype(f"<u{width}")
-                .tobytes()
-            )
-        else:
-            parts.append((1).to_bytes(1, "little"))
-        parts.append(len(message.key_shares).to_bytes(4, "little"))
-        for peer in sorted(message.key_shares):
-            limb_shares = message.key_shares[peer]
-            parts.append(peer.to_bytes(4, "little"))
-            parts.append(limb_shares.x.to_bytes(4, "little"))
-            parts.append(len(limb_shares.ys).to_bytes(2, "little"))
-            parts.extend(_encode_biguint(y) for y in limb_shares.ys)
-        return b"".join(parts)
+        return (
+            _UNMASK_PREFIX.pack(message.responder, *seeds.shape, *keys.shape)
+            + seeds.tobytes()
+            + keys.tobytes()
+        )
     if isinstance(message, Reject):
         reason = message.reason.encode("utf-8")
         return (
@@ -678,8 +775,80 @@ def _encode_body(message: Message) -> bytes:
     raise AggregationError(f"cannot encode {type(message).__name__} frames")
 
 
-def _decode_body(msg_type: int, reader: _Reader) -> Message:
-    """Generic decoder for the types without a :func:`_decode_fast` path."""
+def _decode_body(
+    msg_type: int, view: memoryview, start: int, end: int
+) -> Message:
+    """Decode the body ``view[start:end]`` of one ``msg_type`` frame.
+
+    A body whose prefix declares its length is held to it before
+    anything is read; array fields are zero-copy views into ``view``.
+    """
+    if msg_type in (MSG_SEALED_UPLOAD, MSG_SEALED_DELIVERY):
+        owner, count, length = _unpack_prefix(_SEALED_PREFIX, view, start, end)
+        body = start + _SEALED_PREFIX.size
+        delivery = msg_type == MSG_SEALED_DELIVERY
+        if end - body != count * (length + 4 * delivery):
+            raise AggregationError(
+                f"malformed wire frame: {count} envelopes of {length} bytes "
+                f"do not fill a {end - body}-byte share-keys body"
+            )
+        ciphertexts = np.frombuffer(
+            view, dtype=np.uint8, count=count * length, offset=end - count * length
+        ).reshape(count, length)
+        if not delivery:
+            return SealedUpload(owner, ciphertexts)
+        senders = np.frombuffer(view, dtype="<u4", count=count, offset=body)
+        return SealedDelivery(owner, senders, ciphertexts)
+    if msg_type == MSG_MASKED_INPUT:
+        sender, dimension, bits = _unpack_prefix(
+            _MASKED_PREFIX, view, start, end
+        )
+        body = start + _MASKED_PREFIX.size
+        _check_bits(bits)
+        if end - body != -(-dimension * bits // 8):
+            raise AggregationError(
+                f"malformed wire frame: {dimension} coordinates of {bits} "
+                f"bits do not fill a {end - body}-byte masked-input payload"
+            )
+        return MaskedInput(
+            sender, unpack_coordinates(view[body:end], dimension, bits), bits
+        )
+    if msg_type == MSG_ROSTER:
+        count, width = _unpack_prefix(_KEYS_PREFIX, view, start, end)
+        _check_width(width)
+        body = start + _KEYS_PREFIX.size
+        _require_body(end - body, count * (4 + 2 * width))
+        indices = np.frombuffer(view, dtype="<u4", count=count, offset=body)
+        if np.any(indices[1:] <= indices[:-1]):
+            raise AggregationError(
+                "malformed wire frame: roster indices are not strictly "
+                "increasing"
+            )
+        keys = _read_keys(view, body + 4 * count, 2 * count, width)
+        return Roster(
+            tuple(indices.tolist()), keys[:count], keys[count:], width
+        )
+    if msg_type == MSG_ADVERTISE:
+        index, width = _unpack_prefix(_KEYS_PREFIX, view, start, end)
+        _check_width(width)
+        body = start + _KEYS_PREFIX.size
+        _require_body(end - body, 2 * width)
+        channel, mask = _read_keys(view, body, 2, width)
+        return Advertise(index, channel, mask, width)
+    if msg_type == MSG_UNMASK_RESPONSE:
+        responder, seeds, keys, limbs = _unpack_prefix(
+            _UNMASK_PREFIX, view, start, end
+        )
+        body = start + _UNMASK_PREFIX.size
+        _require_body(end - body, 8 * (seeds + keys * limbs))
+        return UnmaskResponse(
+            responder,
+            np.frombuffer(view, dtype="<u8", count=seeds, offset=body),
+            np.frombuffer(
+                view, dtype="<u8", count=keys * limbs, offset=body + 8 * seeds
+            ).reshape(keys, limbs),
+        )
+    reader = _Reader(view, start, end)
     if msg_type == MSG_HELLO:
         message: Message = Hello(sender=reader.u32())
     elif msg_type == MSG_UNMASK_REQUEST:
@@ -732,7 +901,8 @@ def encode_message(message: Message, header: NegotiatedHeader) -> bytes:
     """Serialise one message into a self-delimiting frame.
 
     Deterministic: equal ``(message, header)`` pairs always produce
-    identical bytes (sets are sorted, integers minimally encoded).
+    identical bytes (sets are sorted, every width is fixed by the
+    round).
     """
     try:
         msg_type = _TYPE_OF_MESSAGE[type(message)]
@@ -743,173 +913,11 @@ def encode_message(message: Message, header: NegotiatedHeader) -> bytes:
     return _frame(msg_type, _encode_body(message), header)
 
 
-def _decode_fast(
-    msg_type: int, view: memoryview, start: int, end: int
-) -> Message | None:
-    """Allocation-light decoders for the quadratically frequent types.
-
-    Returns ``None`` for the types :func:`_decode_body` covers; a type
-    has one decoder, and malformed frames end in the same typed errors
-    on both.
-    """
-    if msg_type in (MSG_SEALED_UPLOAD, MSG_SEALED_DELIVERY):
-        body = start + _SEALED_PREFIX.size
-        if body > end:
-            raise AggregationError(
-                "malformed wire frame: body truncated "
-                f"({end - start} bytes left, {_SEALED_PREFIX.size} needed)"
-            )
-        owner, count, length = _SEALED_PREFIX.unpack_from(view, start)
-        delivery = msg_type == MSG_SEALED_DELIVERY
-        if end - body != count * (length + 4 * delivery):
-            raise AggregationError(
-                f"malformed wire frame: {count} envelopes of {length} bytes "
-                f"do not fill a {end - body}-byte share-keys body"
-            )
-        # Zero-copy views into the datagram, which they keep alive.
-        ciphertexts = np.frombuffer(
-            view, dtype=np.uint8, count=count * length, offset=end - count * length
-        ).reshape(count, length)
-        if not delivery:
-            return SealedUpload(owner, ciphertexts)
-        senders = np.frombuffer(view, dtype="<u4", count=count, offset=body)
-        return SealedDelivery(owner, senders, ciphertexts)
-    if msg_type == MSG_MASKED_INPUT:
-        body = start + _MASKED_PREFIX.size
-        if body > end:
-            raise AggregationError(
-                "malformed wire frame: body truncated "
-                f"({end - start} bytes left, {_MASKED_PREFIX.size} needed)"
-            )
-        sender, dimension, bits = _MASKED_PREFIX.unpack_from(view, start)
-        _check_bits(bits)
-        if end - body != -(-dimension * bits // 8):
-            raise AggregationError(
-                f"malformed wire frame: {dimension} coordinates of {bits} "
-                f"bits do not fill a {end - body}-byte masked-input payload"
-            )
-        return MaskedInput(
-            sender, unpack_coordinates(view[body:end], dimension, bits), bits
-        )
-    if msg_type == MSG_UNMASK_RESPONSE:
-        from_bytes = int.from_bytes
-        cursor = start
-
-        def read_uint(width: int) -> int:
-            nonlocal cursor
-            if cursor + width > end:
-                raise AggregationError(
-                    "malformed wire frame: body truncated "
-                    f"({end - cursor} bytes left, {width} needed)"
-                )
-            value = from_bytes(view[cursor : cursor + width], "little")
-            cursor += width
-            return value
-
-        def read_biguint() -> int:
-            width = read_uint(2)
-            if width == 0:
-                raise AggregationError(
-                    "malformed wire frame: zero-width integer"
-                )
-            return read_uint(width)
-
-        responder = read_uint(4)
-        seed_count = read_uint(4)
-        seed_width = read_uint(1)
-        if seed_width not in _COLUMN_WIDTHS:
-            raise AggregationError(
-                f"malformed wire frame: seed column width {seed_width}"
-            )
-        # The seed section stays columnar — zero per-survivor objects.
-        peers = xs = ys = np.empty(0, dtype=np.uint64)
-        if seed_count:
-            columns = 8 + seed_width
-            if cursor + seed_count * columns > end:
-                raise AggregationError(
-                    "malformed wire frame: body truncated "
-                    f"({end - cursor} bytes left, "
-                    f"{seed_count * columns} needed)"
-                )
-            peers = np.frombuffer(
-                view, dtype="<u4", count=seed_count, offset=cursor
-            )
-            cursor += 4 * seed_count
-            xs = np.frombuffer(
-                view, dtype="<u4", count=seed_count, offset=cursor
-            )
-            cursor += 4 * seed_count
-            ys = np.frombuffer(
-                view, dtype=f"<u{seed_width}", count=seed_count, offset=cursor
-            ).astype(np.uint64)
-            cursor += seed_width * seed_count
-        key_shares: dict[int, LimbShares] = {}
-        for _ in range(read_uint(4)):
-            peer = read_uint(4)
-            x = read_uint(4)
-            num_limbs = read_uint(2)
-            key_shares[peer] = LimbShares(
-                x=x, ys=tuple(read_biguint() for _ in range(num_limbs))
-            )
-        if cursor != end:
-            raise AggregationError(
-                f"malformed wire frame: {end - cursor} trailing body bytes"
-            )
-        return UnmaskResponse(responder, peers, xs, ys, key_shares)
-    if msg_type == MSG_ADVERTISE:
-        if end - start < 8:
-            raise AggregationError(
-                "malformed wire frame: body truncated "
-                f"({end - start} bytes left, 8 needed)"
-            )
-        index = int.from_bytes(view[start : start + 4], "little")
-        cursor = start + 4
-        values = []
-        for _ in range(2):
-            width = int.from_bytes(view[cursor : cursor + 2], "little")
-            cursor += 2
-            if width == 0:
-                raise AggregationError(
-                    "malformed wire frame: zero-width integer"
-                )
-            if cursor + width > end:
-                raise AggregationError(
-                    "malformed wire frame: body truncated "
-                    f"({end - cursor} bytes left, {width} needed)"
-                )
-            values.append(
-                int.from_bytes(view[cursor : cursor + width], "little")
-            )
-            cursor += width
-        if cursor != end:
-            raise AggregationError(
-                f"malformed wire frame: {end - cursor} trailing body bytes"
-            )
-        return Advertise(
-            index=index, channel_public=values[0], mask_public=values[1]
-        )
-    return None
-
-
-#: Broadcast-decode memo: the server sends *one* roster (and unmask
-#: request) byte string to every recipient, so each client would decode
-#: identical bytes — quadratically many advertise parses per round.
-#: Messages are immutable value objects, so the decoded frames are safe
-#: to share; the memo is tiny and content-keyed (never identity-keyed).
-_BROADCAST_MEMO_MAX = 16
-_broadcast_memo: dict[bytes, list] = {}
-#: The type byte (offset 3) of a datagram that opens with a share delivery.
-_SEALED_DELIVERY_TAG = bytes([MSG_SEALED_DELIVERY])
-
-
 def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
     """Parse a datagram of one or more concatenated frames.
 
-    Identical datagrams are memoised (broadcasts are decoded once per
-    round, not once per recipient); callers receive a fresh list over
-    shared immutable messages.  A share delivery is one recipient's
-    alone — no second party decodes those bytes — so it goes straight
-    to :func:`iter_frames` and the memo holds only broadcasts.
+    Array fields of the decoded messages are zero-copy views into
+    ``data``, which they keep alive.
 
     Returns:
         ``(header, message)`` pairs in frame order.
@@ -918,91 +926,41 @@ def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
         AggregationError: On bad magic, an unknown format version or
             message type, truncation, or trailing garbage.
     """
-    if data[3:4] == _SEALED_DELIVERY_TAG:
-        return iter_frames(data)
-    memoised = _broadcast_memo.get(data)
-    if memoised is None:
-        memoised = iter_frames(data)
-        if len(_broadcast_memo) >= _BROADCAST_MEMO_MAX:
-            _broadcast_memo.clear()
-        _broadcast_memo[bytes(data)] = memoised
-    return list(memoised)
-
-
-def iter_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
-    """:func:`decode_frames` without the memo: the decoder itself.
-
-    For datagrams no second party receives (a client's upload).  Array
-    fields of the decoded messages are zero-copy views into ``data``,
-    which they keep alive.
-    """
     view = memoryview(data)
     frames: list[tuple[NegotiatedHeader, Message]] = []
     offset = 0
     total = len(view)
-    # Datagrams are homogeneous in practice (the roster broadcast), so
-    # after the first frame the header region differs only in the
-    # length field: two slice comparisons replace the full unpack +
-    # intern on the hot path.
-    known_front: bytes | None = None  # magic | fmt | type
-    known_tail: bytes | None = None  # version | prg len | prg name
-    known_type = -1
-    known_header: NegotiatedHeader | None = None
-    tail_end = 0  # header size including the PRG name
     while offset < total:
         if offset + _HEADER.size > total:
             raise AggregationError(
                 "malformed wire frame: truncated header "
                 f"({total - offset} bytes)"
             )
-        if (
-            known_front is not None
-            and view[offset : offset + 4] == known_front
-            and view[offset + 8 : offset + tail_end] == known_tail
-        ):
-            msg_type = known_type
-            header = known_header
-            length = int.from_bytes(view[offset + 4 : offset + 8], "little")
-            if length < tail_end or offset + length > total:
-                raise AggregationError(
-                    f"malformed wire frame: declared length {length} does "
-                    f"not fit the datagram"
-                )
-            body_start = offset + tail_end
-        else:
-            magic, fmt, msg_type, length, version, prg_len = (
-                _HEADER.unpack_from(view, offset)
+        magic, fmt, msg_type, length, version, prg_len = _HEADER.unpack_from(
+            view, offset
+        )
+        if magic != WIRE_MAGIC:
+            raise AggregationError(
+                f"malformed wire frame: bad magic {bytes(magic)!r}"
             )
-            if magic != WIRE_MAGIC:
-                raise AggregationError(
-                    f"malformed wire frame: bad magic {bytes(magic)!r}"
-                )
-            if fmt != WIRE_FORMAT_VERSION:
-                raise AggregationError(
-                    f"unsupported wire format version {fmt} "
-                    f"(this implementation speaks {WIRE_FORMAT_VERSION})"
-                )
-            if length < _HEADER.size + prg_len or offset + length > total:
-                raise AggregationError(
-                    f"malformed wire frame: declared length {length} does "
-                    f"not fit the datagram"
-                )
-            prg_start = offset + _HEADER.size
-            header = intern_header(
-                version, bytes(view[prg_start : prg_start + prg_len])
+        if fmt != WIRE_FORMAT_VERSION:
+            raise AggregationError(
+                f"unsupported wire format version {fmt} "
+                f"(this implementation speaks {WIRE_FORMAT_VERSION})"
             )
-            body_start = prg_start + prg_len
-            tail_end = _HEADER.size + prg_len
-            known_front = bytes(view[offset : offset + 4])
-            known_tail = bytes(view[offset + 8 : offset + tail_end])
-            known_type = msg_type
-            known_header = header
+        if length < _HEADER.size + prg_len or offset + length > total:
+            raise AggregationError(
+                f"malformed wire frame: declared length {length} does "
+                f"not fit the datagram"
+            )
+        prg_start = offset + _HEADER.size
+        header = intern_header(
+            version, bytes(view[prg_start : prg_start + prg_len])
+        )
         end = offset + length
-        message = _decode_fast(msg_type, view, body_start, end)
-        if message is None:
-            reader = _Reader(view, body_start, end)
-            message = _decode_body(msg_type, reader)
-        frames.append((header, message))
+        frames.append(
+            (header, _decode_body(msg_type, view, prg_start + prg_len, end))
+        )
         offset = end
     return frames
 

@@ -60,7 +60,7 @@ def share_round(server, clients):
     sealed = {c.index: c.share_keys_matrix(roster)[1] for c in clients}
     senders = sorted(server.register_share_keys(sealed))
     for client in clients:
-        column = sorted(roster).index(client.index)
+        column = roster.indices.index(client.index)
         client.receive_share_matrix(
             senders, np.stack([sealed[s][column] for s in senders])
         )
@@ -605,8 +605,8 @@ class TestBlame:
         }
         request = server.collect_masked_inputs(masked)
         response = clients[0].unmask_columns(request)
-        assert response.xs.tolist() == [1, 1, 1]
-        assert response.ys[1] == 3  # client 2's forged seed value, relayed
-        assert {share.x for share in response.key_shares.values()} == {1}
-        assert all(len(share.ys) == 2 for share in response.key_shares.values())
+        # Format 3 sends no point at all: values only, at the group's
+        # limb count.
+        assert response.seed_shares[1] == 3  # 2's forged seed value, relayed
+        assert response.key_shares.shape == (1, 2)
         server.check_unmask_response(response)  # the relayer is not blamed

@@ -98,13 +98,13 @@ class TestBonawitzCost:
         assert cost.masked_input == 65_536 + 28
 
     def test_overhead_scales_with_clients(self):
-        """One envelope up and one 16-byte (peer, point, value) seed
-        share back per further client; the masked input does not care."""
+        """One envelope up and one 8-byte seed share value back per
+        further client; the masked input does not care."""
         small = bonawitz_round_cost(10, 1024, 2**8)
         large = bonawitz_round_cost(1000, 1024, 2**8)
         envelope = sealed_share_length(DhGroup())
         assert large.share_keys - small.share_keys == 990 * envelope
-        assert large.unmask - small.unmask == 990 * 16
+        assert large.unmask - small.unmask == 990 * 8
         assert large.masked_input == small.masked_input
         assert large.advertise == small.advertise
 
@@ -113,12 +113,10 @@ class TestBonawitzCost:
     )
     @pytest.mark.parametrize("modulus", [2**8, 1000])
     def test_model_equals_a_live_rounds_ledger(self, group, modulus):
-        """Phase by phase, the model is the per-client upload a
-        dropout-free ``run_bonawitz`` round's ``WireStats`` records.  A
-        public key or seed share with a zero top byte is a byte shorter
-        on the wire (minimal-length integers, about one value in 256),
-        so the model is the round's widest client — and, in the two
-        phases that carry no such integer, every client."""
+        """Phase by phase, the model is the upload a dropout-free
+        ``run_bonawitz`` round's ``WireStats`` records for every client:
+        every width on the wire is the round's, so no client's frames
+        are a byte shorter than another's."""
         clients, dimension = 16, 96
         rng = np.random.default_rng(11)
         outcome = run_bonawitz(
@@ -133,11 +131,12 @@ class TestBonawitzCost:
             phase: [tally.bytes for tally in cells.values()]
             for phase, cells in outcome.wire.uploads.items()
         }
-        assert set(uploads["share-keys"]) == {cost.share_keys}
-        assert set(uploads["masked-input"]) == {cost.masked_input}
-        assert max(uploads["advertise"]) == cost.advertise
-        assert max(uploads["unmask"]) == cost.unmask
-        assert cost.total == sum(max(sizes) for sizes in uploads.values())
+        assert {phase: set(sizes) for phase, sizes in uploads.items()} == {
+            "advertise": {cost.advertise},
+            "share-keys": {cost.share_keys},
+            "masked-input": {cost.masked_input},
+            "unmask": {cost.unmask},
+        }
         assert all(len(sizes) == clients for sizes in uploads.values())
 
     def test_total_is_sum_of_parts(self):

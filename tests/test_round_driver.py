@@ -28,8 +28,8 @@ from repro.secagg.bonawitz import (
     ROUND_SHARE_KEYS,
     ROUND_UNMASK,
 )
+from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.keys import TOY_GROUP
-from repro.secagg.shamir import LimbShares
 from repro.secagg.statemachine import (
     ClientSession,
     RoundDriver,
@@ -174,19 +174,18 @@ def oversize_masked_input(session, upload):
     return encode_message(flood, header)
 
 
-def key_share_at_the_wrong_point(session, upload):
-    """An unmask response whose key share sits at a neighbour's point."""
+def key_share_outside_the_field(session, upload):
+    """An unmask response whose key share is a uint64 but no field
+    element (format 3 has no point to put at a neighbour's)."""
     frame = sole_frame(upload, UnmaskResponse)
     if frame is None:
         return upload
     header, response = frame
-    assert response.key_shares, "the scenario needs a dropout to recover"
-    moved = {
-        peer: LimbShares(x=share.x + 1, ys=share.ys)
-        for peer, share in response.key_shares.items()
-    }
+    assert response.key_shares.size, "the scenario needs a dropout to recover"
+    keys = response.key_shares.copy()
+    keys[:, 0] = DEFAULT_FIELD.prime
     return encode_message(
-        dataclasses.replace(response, key_shares=moved), header
+        dataclasses.replace(response, key_shares=keys), header
     )
 
 
@@ -202,7 +201,7 @@ REFUSALS = {
     "out-of-alphabet-masked-input": (out_of_alphabet_masked_input, False),
     "wrong-width-masked-input": (wrong_width_masked_input, False),
     "oversize-masked-input": (oversize_masked_input, False),
-    "wrong-point-key-share": (key_share_at_the_wrong_point, True),
+    "out-of-field-key-share": (key_share_outside_the_field, True),
 }
 
 
@@ -693,7 +692,7 @@ class TestOneLoop:
         assert selectors == []
 
     def test_an_unmask_response_has_one_representation(self):
-        """One class, and ``encode_message`` / ``iter_frames`` its one
+        """One class, and ``encode_message`` / ``decode_frames`` its one
         encoder and decoder: the per-frame twins' names stay unused."""
         defined = {
             node.name

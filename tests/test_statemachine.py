@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from repro.errors import AggregationError, ConfigurationError, NegotiationError
+from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.keys import TOY_GROUP
-from repro.secagg.shamir import LimbShares
 from repro.secagg.bonawitz import (
     ROUND_ADVERTISE,
     ROUND_MASKED_INPUT,
@@ -39,6 +39,7 @@ from repro.secagg.wire import (
     Hello,
     MaskedInput,
     Reject,
+    Roster,
     SealedDelivery,
     SealedUpload,
     UnmaskRequest,
@@ -190,82 +191,51 @@ def _rewritten(upload, changes):
 
 
 def _missing_key_share(upload):
-    def drop_one(columns):
-        kept = dict(columns.key_shares)
-        del kept[max(kept)]
-        return {"key_shares": kept}
-
-    return _rewritten(upload, drop_one)
+    return _rewritten(
+        upload, lambda response: {"key_shares": response.key_shares[:-1]}
+    )
 
 
 def _extra_key_share(upload):
-    # A key share for a *survivor*: the share the security rule says
-    # must never travel together with that survivor's seed share.
-    def add_one(columns):
-        share = next(iter(columns.key_shares.values()))
-        return {
-            "key_shares": {**columns.key_shares, int(columns.peers[0]): share}
-        }
+    # One key-share row more than the announced dropouts: a key share of
+    # a *survivor*, the share the security rule says must never travel
+    # together with that survivor's seed share.
+    def add_one(response):
+        keys = response.key_shares
+        return {"key_shares": np.vstack([keys, keys[:1]])}
 
     return _rewritten(upload, add_one)
 
 
 def _wrong_peer_set(upload):
+    # Format 3 names no peers: a seed column for another survivor set
+    # is one of another length.
     return _rewritten(
-        upload,
-        lambda columns: {
-            "peers": columns.peers[:-1],
-            "xs": columns.xs[:-1],
-            "ys": columns.ys[:-1],
-        },
+        upload, lambda response: {"seed_shares": response.seed_shares[:-1]}
     )
 
 
-def _mixed_points(upload):
-    def shift_one(columns):
-        xs = columns.xs.copy()
-        xs[-1] += 1
-        return {"xs": xs}
-
-    return _rewritten(upload, shift_one)
-
-
-def _foreign_key_point(upload):
-    def move(columns):
-        peer, share = next(iter(columns.key_shares.items()))
-        return {
-            "key_shares": {
-                **columns.key_shares,
-                peer: LimbShares(x=share.x + 1, ys=share.ys),
-            }
-        }
-
-    return _rewritten(upload, move)
-
-
 def _wrong_limb_count(upload):
-    def shorten(columns):
-        peer, share = next(iter(columns.key_shares.items()))
-        return {
-            "key_shares": {
-                **columns.key_shares,
-                peer: LimbShares(x=share.x, ys=share.ys[:-1]),
-            }
-        }
-
-    return _rewritten(upload, shorten)
+    return _rewritten(
+        upload, lambda response: {"key_shares": response.key_shares[:, :-1]}
+    )
 
 
 def _out_of_field_value(upload):
-    # Wider than uint64: numpy would raise OverflowError on it.
-    def inflate(columns):
-        peer, share = next(iter(columns.key_shares.items()))
-        return {
-            "key_shares": {
-                **columns.key_shares,
-                peer: LimbShares(x=share.x, ys=(1 << 70,) + share.ys[1:]),
-            }
-        }
+    # A uint64 that is not a field element.
+    def inflate(response):
+        keys = response.key_shares.copy()
+        keys[0, 0] = DEFAULT_FIELD.prime
+        return {"key_shares": keys}
+
+    return _rewritten(upload, inflate)
+
+
+def _out_of_field_seed_value(upload):
+    def inflate(response):
+        seeds = response.seed_shares.copy()
+        seeds[-1] = 2**64 - 1
+        return {"seed_shares": seeds}
 
     return _rewritten(upload, inflate)
 
@@ -278,12 +248,61 @@ MALFORMED_UNMASK = [
     _missing_key_share,
     _extra_key_share,
     _wrong_peer_set,
-    _mixed_points,
-    _foreign_key_point,
     _wrong_limb_count,
     _out_of_field_value,
+    _out_of_field_seed_value,
     _two_frames,
 ]
+
+
+def _spliced(upload, at, extra, cut=0):
+    """The unmask upload with ``extra`` bytes in place of ``cut`` bytes
+    at body offset ``at``, its declared length grown to match: a
+    well-framed frame whose body no longer fits its own counts."""
+    _, response = decode_message(upload)
+    values = response.seed_shares.size + response.key_shares.size
+    start = len(upload) - (13 + 8 * values) + at
+    frame = bytearray(upload[:start] + extra + upload[start + cut :])
+    frame[4:8] = len(frame).to_bytes(4, "little")
+    return bytes(frame)
+
+
+def _mixed_points(upload):
+    # Format 2's ``xs`` column beside the seed shares, one point shifted:
+    # format 3 has no place for a point.
+    _, response = decode_message(upload)
+    points = np.full(response.seed_shares.size, 2, dtype="<u4")
+    points[-1] += 1
+    return _spliced(upload, 13, points.tobytes())
+
+
+def _foreign_key_point(upload):
+    # A point in front of the first key share, the way format 2 wrote
+    # one per dropout.
+    _, response = decode_message(upload)
+    return _spliced(
+        upload, 13 + 8 * response.seed_shares.size, (3).to_bytes(4, "little")
+    )
+
+
+def _wider_than_64_bit_value(upload):
+    # A 16-byte key-share value where the layout has eight.
+    _, response = decode_message(upload)
+    return _spliced(
+        upload,
+        13 + 8 * response.seed_shares.size,
+        (1 << 70).to_bytes(16, "little"),
+        cut=8,
+    )
+
+
+#: What format 2 could say and format 3 has no place for: the decoder
+#: refuses each as a body that does not fit its counts.
+INEXPRESSIBLE_UNMASK = {
+    _mixed_points: "24 trailing body bytes",
+    _foreign_key_point: "4 trailing body bytes",
+    _wider_than_64_bit_value: "8 trailing body bytes",
+}
 
 
 class TestPureProtocolPump:
@@ -560,11 +579,10 @@ class TestStrictValidation:
     ):
         """An unmask response is one lone frame whose shape the round
         fixed — a seed share per survivor, a key share per announced
-        dropout at the group's limb count, everything at the responder's
-        own point and in the field.  Anything else is refused at
-        receive(), naming the sender, with nothing stored; it used to
-        reach recover_sum and take the round (a bare KeyError for a
-        missing key share) with it."""
+        dropout at the group's limb count, every value in the field.
+        Anything else is refused at receive(), naming the sender, with
+        nothing stored; it used to reach recover_sum and take the round
+        (a bare KeyError for a missing key share) with it."""
         inputs, clients, server = make_sessions(n=8, threshold=4)
         uploads = open_unmask(clients, server, silent={6, 7})
         assert sorted(uploads) == [1, 2, 3, 4, 5, 8]
@@ -582,6 +600,27 @@ class TestStrictValidation:
             server.modular_sum,
             np.mod(inputs[survivors].sum(axis=0), MODULUS),
         )
+
+    @pytest.mark.parametrize("splice", sorted(INEXPRESSIBLE_UNMASK, key=str))
+    def test_inexpressible_unmask_fields_are_refused_by_the_decoder(
+        self, splice
+    ):
+        """A point beside the seed shares, a point on a key share, a
+        value wider than 64 bits: format 3 has no field for any of them,
+        so a frame carrying one does not fit its own counts and the
+        decoder refuses it with a typed error — before the server
+        stores anything."""
+        _, clients, server = make_sessions(n=8, threshold=4)
+        uploads = open_unmask(clients, server, silent={6, 7})
+        corrupted = splice(uploads[2])
+        with pytest.raises(
+            AggregationError, match=INEXPRESSIBLE_UNMASK[splice]
+        ):
+            decode_message(corrupted)
+        with pytest.raises(AggregationError, match="trailing body bytes"):
+            server.receive(corrupted, sender=2)
+        assert server.received() == frozenset()
+        assert server.stats.phase_summary("unmask") is None
 
     def test_unmask_quorum_recovers_without_the_malformed_responder(self):
         inputs, clients, server = make_sessions(n=8, threshold=4)
@@ -820,8 +859,13 @@ class TestOneUnmaskAnswer:
         requests = open_unmask_requests(clients, server, silent=silent)
         (answer,) = clients[1].handle(requests[1])
         _, response = decode_message(answer)
-        assert response.peers.tolist() == sorted(set(clients) - silent)
-        assert sorted(response.key_shares) == sorted(silent)
+        held = clients[1].crypto._received
+        assert response.seed_shares.tolist() == [
+            held[v][0] for v in sorted(set(clients) - silent)
+        ]
+        assert response.key_shares.tolist() == [
+            held[v][1:] for v in sorted(silent)
+        ]
         with pytest.raises(AggregationError, match="already answered"):
             clients[1].handle(_request(clients, survivors, dropouts))
         # The answer it did give still completes the round.
@@ -860,8 +904,11 @@ class TestOneUnmaskAnswer:
         (answer,) = clients[1].handle(requests[1])
         _, response = decode_message(answer)
         # The tampered request got 2's key share and not its seed share …
-        assert sorted(response.key_shares) == [2]
-        assert 2 not in response.peers.tolist()
+        held = clients[1].crypto._received
+        assert response.key_shares.tolist() == [held[2][1:]]
+        assert response.seed_shares.tolist() == [
+            held[v][0] for v in (1, 3, 4, 5)
+        ]
         # … and the honest one, sent afterwards, gets nothing.
         with pytest.raises(AggregationError, match="already answered"):
             clients[1].handle(_request(clients, {1, 2, 3, 4, 5}, set()))
@@ -957,9 +1004,15 @@ class TestOneMaskedInput:
 
     def test_a_refused_roster_does_not_use_the_upload_up(self):
         inputs, clients, server, rosters = self.open_rosters()
-        frame = len(rosters[1]) // 5
+        header, roster = decode_message(rosters[1])
+        short = Roster(
+            roster.indices[:2],
+            roster.channel_keys[:2],
+            roster.mask_keys[:2],
+            roster.width,
+        )
         with pytest.raises(AggregationError, match="cannot meet threshold"):
-            clients[1].handle(rosters[1][: 2 * frame])
+            clients[1].handle(encode_message(short, header))
         self.finish(
             inputs, clients, server,
             {u: b"".join(clients[u].handle(rosters[u])) for u in clients},

@@ -50,20 +50,32 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 #: Wire bytes ``run_sync`` moved, and the sum digest and wire bytes of a
 #: composition round over the first four input rows (protocol rng seed
 #: 42), captured before both were moved onto ``drive_in_memory``.  Every
-#: frame carries the suite name ``"shake256"`` (224 and 44 frames).  The
-#: byte counts are wire format 2's (format 1 moved 31 129 and 4 467 B in
-#: 488 and 68 frames, under a suite name 2 B longer); the digests are
-#: older than both and unchanged.  A composition round is now
-#: ``run_bonawitz`` itself, which draws each client's session seed from
-#: ``[0, 2**63 - 1)`` where the round's own copy drew from
-#: ``[0, 2**63)``: the keys differ, so one variable-width public key is
-#: wider and the round moves 2892 B instead of 2887 B; the sum cannot
-#: move and its digest did not.
-SYNC_WIRE_BYTES = 19244
+#: frame carries the suite name ``"shake256"``.  The digests are older
+#: than every wire format and unchanged; the byte counts are wire
+#: format 3's (format 1 moved 31 129 and 4 467 B, format 2 19 244 and
+#: 2 892 B).  Format 3 fixes every width on the wire, so the counts
+#: follow from the layout alone (19-byte frame header):
+#:
+#: * ``run_sync`` — 12 clients, 3 silent from masked-input, 9 from
+#:   unmask: 11 survivors, one dropout, 10 responders, d = 24 at 16 bits.
+#:   Advertise up 12 x 63, roster down 12 x (24 + 20 x 12), share-keys
+#:   up 12 x (31 + 12 x 24) and down 12 x (31 + 12 x 28), masked input
+#:   11 x (28 + 48), unmask request 11 x (27 + 4 x 12), unmask response
+#:   10 x (32 + 8 x 11 + 8 x 2): 15 177 B in 92 frames.  Format 2 sent
+#:   the roster as 144 frames of 43 B (-3 024 B), an advertisement 3 B
+#:   longer (-36 B) and a response of 238 B, its ``peers`` and ``xs``
+#:   columns and the key section's point, count and length prefixes
+#:   (-1 020 B); the last 13 B are keys and share values it happened to
+#:   encode a byte short.
+#: * The composition round — 4 clients, none silent: the roster is
+#:   4 x 104 B instead of 4 x 4 x 43 (-272 B), the advertisements
+#:   4 x 3 B shorter (-12 B) and the responses 4 x 64 B instead of
+#:   4 x 96 (-128 B): 2 480 B in 32 frames.
+SYNC_WIRE_BYTES = 15177
 COMPOSITION_DIGEST = (
     "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
 )
-COMPOSITION_WIRE_BYTES = 2892
+COMPOSITION_WIRE_BYTES = 2480
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError
-from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
     WIRE_FORMAT_VERSION,
@@ -26,6 +25,7 @@ from repro.secagg.wire import (
     NegotiatedHeader,
     Reject,
     Resume,
+    Roster,
     SealedDelivery,
     SealedUpload,
     UnmaskRequest,
@@ -42,20 +42,39 @@ HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
 #: One representative message per wire type, with its frozen encoding
 #: under ``HEADER``.  Regenerate only on a deliberate format-version
 #: bump — these bytes are the compatibility contract.  Recorded for
-#: format 2; the masked-input and share-keys entries were written out by
-#: hand from the layout table in ``repro.secagg.wire`` first (see
-#: ``TestGoldenVectors.test_masked_input_golden_by_hand``).
+#: format 3; the masked-input, advertise, roster and unmask-response
+#: entries were written out by hand from the layout table in
+#: ``repro.secagg.wire`` first (see ``TestGoldenVectors``'s
+#: ``*_by_hand`` tests).
 GOLDEN = {
     "hello": (
         Hello(sender=7),
-        "534702011900000001000a7368613235362d63747207000000",
+        "534703011900000001000a7368613235362d63747207000000",
     ),
     "advertise": (
         Advertise(
-            index=3, channel_public=0x1F2E3D4C5B6A7988, mask_public=2
+            index=3, channel_public=0x1F2E3D4C5B6A7988, mask_public=2, width=8
         ),
-        "534702022600000001000a7368613235362d637472"
-        "03000000080088796a5b4c3d2e1f010002",
+        # index, width; then both keys at 8 bytes, the small one too.
+        "534703022a00000001000a7368613235362d637472"
+        "0300000008"
+        "88796a5b4c3d2e1f"
+        "0200000000000000",
+    ),
+    "roster": (
+        Roster(
+            indices=(2, 5),
+            channel_keys=(0x1F2E3D4C5B6A7988, 7),
+            mask_keys=(2, 0x0102030405060708),
+            width=8,
+        ),
+        # count, width; the index column; the channel-key column; the
+        # mask-key column.
+        "5347030b4200000001000a7368613235362d637472"
+        "0200000008"
+        "0200000005000000"
+        "88796a5b4c3d2e1f" "0700000000000000"
+        "0200000000000000" "0807060504030201",
     ),
     "sealed-upload": (
         SealedUpload(
@@ -63,7 +82,7 @@ GOLDEN = {
             ciphertexts=np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8),
         ),
         # sender, count, L; then the (2, 2) matrix row by row.
-        "534702032500000001000a7368613235362d637472"
+        "534703032500000001000a7368613235362d637472"
         "020000000200000002000000deadbeef",
     ),
     "sealed-delivery": (
@@ -73,7 +92,7 @@ GOLDEN = {
             ciphertexts=np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8),
         ),
         # recipient, count, L; the sender column; the matrix.
-        "5347020a2d00000001000a7368613235362d637472"
+        "5347030a2d00000001000a7368613235362d637472"
         "0500000002000000020000000200000006000000deadbeef",
     ),
     "masked-input": (
@@ -83,47 +102,57 @@ GOLDEN = {
             bits=10,
         ),
         # sender, dimension, bits; then 5 x 10 bits in 7 bytes.
-        "534702042500000001000a7368613235362d637472"
+        "534703042500000001000a7368613235362d637472"
         "04000000050000000a0004f03f800500",
     ),
     "unmask-request": (
         UnmaskRequest(survivors=frozenset({1, 3, 2}), dropouts=frozenset({9})),
-        "534702052d00000001000a7368613235362d637472"
+        "534703052d00000001000a7368613235362d637472"
         "030000000100000002000000030000000100000009000000",
     ),
     "unmask-response": (
         UnmaskResponse(
             responder=6,
-            peers=np.array([2, 5], dtype="<u4"),
-            xs=np.array([6, 6], dtype="<u4"),
-            ys=np.array([123456789, 1], dtype=np.uint64),
-            key_shares={9: LimbShares(x=6, ys=(10, 2**61 - 2))},
+            seed_shares=np.array([123456789, 1], dtype=np.uint64),
+            key_shares=np.array([[10, 2**61 - 2]], dtype=np.uint64),
         ),
-        # Columnar seed section: count, width, peer/x/y columns; then
-        # the per-peer key section.
-        "534702065100000001000a7368613235362d637472"
-        "060000000200000004"
-        "02000000050000000600000006000000"
-        "15cd5b0701000000"
-        "010000000900000006000000020001000a0800feffffffffffff1f",
+        # responder, seeds, keys, limbs; the seed column; the key matrix.
+        "534703064200000001000a7368613235362d637472"
+        "06000000020000000100000002"
+        "15cd5b0700000000" "0100000000000000"
+        "0a00000000000000" "feffffffffffff1f",
     ),
     "reject": (
         Reject(client=8, reason="unsupported protocol version 9"),
-        "534702073900000001000a7368613235362d637472"
+        "534703073900000001000a7368613235362d637472"
         "080000001e00756e737570706f727465642070726f746f636f6c2076"
         "657273696f6e2039",
     ),
     "welcome": (
         Welcome(client=5, round_id=0x0102030405060708),
-        "534702082100000001000a7368613235362d637472"
+        "534703082100000001000a7368613235362d637472"
         "050000000807060504030201",
     ),
     "resume": (
         Resume(sender=9, round_id=3, deliveries=2),
-        "534702092200000001000a7368613235362d637472"
+        "534703092200000001000a7368613235362d637472"
         "09000000030000000000000002",
     ),
 }
+
+
+def _by_hand(msg_type: int, body: bytes) -> str:
+    """A format-3 frame under ``HEADER``, written out from the layout."""
+    prg = b"sha256-ctr"
+    header = (
+        WIRE_MAGIC
+        + bytes([WIRE_FORMAT_VERSION, msg_type])  # format 3, message type
+        + (11 + len(prg) + len(body)).to_bytes(4, "little")
+        + PROTOCOL_V1.to_bytes(2, "little")
+        + bytes([len(prg)])
+        + prg
+    )
+    return (header + body).hex()
 
 
 class TestGoldenVectors:
@@ -164,23 +193,53 @@ class TestGoldenVectors:
             + (10).to_bytes(1, "little")  # bits
             + payload
         )
-        prg = b"sha256-ctr"
-        header = (
-            WIRE_MAGIC
-            + bytes([WIRE_FORMAT_VERSION, 4])  # format 2, MSG_MASKED_INPUT
-            + (11 + len(prg) + len(body)).to_bytes(4, "little")
-            + PROTOCOL_V1.to_bytes(2, "little")
-            + bytes([len(prg)])
-            + prg
+        assert _by_hand(4, body) == GOLDEN["masked-input"][1]
+
+    def test_advertise_golden_by_hand(self):
+        """A key is the group's width whatever its value: the mask key
+        2 takes eight bytes like the channel key beside it."""
+        body = (
+            (3).to_bytes(4, "little")  # index
+            + (8).to_bytes(1, "little")  # width
+            + (0x1F2E3D4C5B6A7988).to_bytes(8, "little")  # channel key
+            + (2).to_bytes(8, "little")  # mask key
         )
-        assert (header + body).hex() == GOLDEN["masked-input"][1]
+        assert _by_hand(2, body) == GOLDEN["advertise"][1]
+
+    def test_roster_golden_by_hand(self):
+        """One frame: the count and width once, then three columns."""
+        body = (
+            (2).to_bytes(4, "little")  # count
+            + (8).to_bytes(1, "little")  # width
+            + b"".join(i.to_bytes(4, "little") for i in (2, 5))
+            + b"".join(
+                key.to_bytes(8, "little")
+                for key in (0x1F2E3D4C5B6A7988, 7, 2, 0x0102030405060708)
+            )
+        )
+        assert _by_hand(11, body) == GOLDEN["roster"][1]
+
+    def test_unmask_response_golden_by_hand(self):
+        """Share values only, 8 bytes each: no survivor ids, no points,
+        no per-peer limb counts or length prefixes."""
+        body = (
+            (6).to_bytes(4, "little")  # responder
+            + (2).to_bytes(4, "little")  # seed shares
+            + (1).to_bytes(4, "little")  # key shares
+            + (2).to_bytes(1, "little")  # limbs
+            + b"".join(
+                value.to_bytes(8, "little")
+                for value in (123456789, 1, 10, 2**61 - 2)
+            )
+        )
+        assert _by_hand(6, body) == GOLDEN["unmask-response"][1]
 
     def test_header_variants_are_pinned_too(self):
         frame = encode_message(
             Hello(sender=1), NegotiatedHeader(version=2, mask_prg="shake256")
         )
         assert frame.hex() == (
-            "5347020117000000020008" "7368616b65323536" "01000000"
+            "5347030117000000020008" "7368616b65323536" "01000000"
         )
 
     def test_encoding_is_deterministic_under_set_order(self):
@@ -196,7 +255,7 @@ class TestGoldenVectors:
 
 class TestFrameStream:
     def test_concatenated_frames_decode_in_order(self):
-        messages = [Hello(sender=1), Advertise(3, 17, 23), Hello(sender=2)]
+        messages = [Hello(sender=1), Advertise(3, 17, 23, 8), Hello(sender=2)]
         datagram = b"".join(encode_message(m, HEADER) for m in messages)
         decoded = decode_frames(datagram)
         assert [m for _, m in decoded] == messages
@@ -233,9 +292,27 @@ class TestMalformedFrames:
             "00ffff0000000000000000000000010000"
         )
         with pytest.raises(
-            AggregationError, match="format version 1 .*speaks 2"
+            AggregationError, match="format version 1 .*speaks 3"
         ):
             decode_frames(old)
+
+    def test_format_2_frame_is_refused_with_what_this_side_speaks(self):
+        """Format 2's advertise and unmask-response goldens (minimal-
+        length keys; survivor ids and points beside each seed share)
+        get the same typed refusal: no format-2 decoder is kept."""
+        for old in (
+            "534702022600000001000a7368613235362d637472"
+            "03000000080088796a5b4c3d2e1f010002",
+            "534702065100000001000a7368613235362d637472"
+            "060000000200000004"
+            "02000000050000000600000006000000"
+            "15cd5b0701000000"
+            "010000000900000006000000020001000a0800feffffffffffff1f",
+        ):
+            with pytest.raises(
+                AggregationError, match="format version 2 .*speaks 3"
+            ):
+                decode_frames(bytes.fromhex(old))
 
     def test_unknown_message_type_rejected(self):
         frame = bytearray(encode_message(Hello(1), HEADER))
@@ -244,7 +321,7 @@ class TestMalformedFrames:
             decode_frames(bytes(frame))
 
     def test_truncated_frame_rejected(self):
-        frame = encode_message(Advertise(3, 17, 23), HEADER)
+        frame = encode_message(Advertise(3, 17, 23, 8), HEADER)
         with pytest.raises(AggregationError, match="malformed|truncated"):
             decode_frames(frame[:-3])
 
@@ -260,9 +337,18 @@ class TestMalformedFrames:
         with pytest.raises(AggregationError, match="truncated header"):
             decode_frames(WIRE_MAGIC + b"\x01")
 
-    def test_negative_integers_unencodable(self):
-        with pytest.raises(AggregationError, match=">= 0"):
-            encode_message(Advertise(1, -5, 2), HEADER)
+    @pytest.mark.parametrize("key", [-5, 2**64])
+    def test_a_key_outside_its_width_is_unencodable(self, key):
+        """Refused, never wrapped or truncated to the width."""
+        with pytest.raises(AggregationError, match="must lie in"):
+            encode_message(Advertise(1, key, 2, 8), HEADER)
+        with pytest.raises(AggregationError, match="must lie in"):
+            encode_message(Roster((1,), (2,), (key,), 8), HEADER)
+
+    @pytest.mark.parametrize("width", [0, 256])
+    def test_a_key_width_outside_1_to_255_is_unencodable(self, width):
+        with pytest.raises(AggregationError, match="outside 1..255"):
+            encode_message(Advertise(1, 0, 0, width), HEADER)
 
 
 class TestHypothesisRoundTrips:
@@ -286,15 +372,48 @@ class TestHypothesisRoundTrips:
 
     @given(
         index=st.integers(min_value=1, max_value=2**32 - 1),
-        channel=st.integers(min_value=0, max_value=2**1100 - 1),
-        mask=st.integers(min_value=0, max_value=2**1100 - 1),
+        width=st.integers(min_value=1, max_value=255),
+        data=st.data(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_advertise_round_trip(self, index, channel, mask):
+    def test_advertise_round_trip(self, index, width, data):
+        key = st.integers(min_value=0, max_value=2 ** (8 * width) - 1)
         message = Advertise(
-            index=index, channel_public=channel, mask_public=mask
+            index=index,
+            channel_public=data.draw(key),
+            mask_public=data.draw(key),
+            width=width,
         )
-        assert decode_message(encode_message(message, HEADER))[1] == message
+        encoded = encode_message(message, HEADER)
+        assert decode_message(encoded)[1] == message
+        # header, (index, width), the two keys.
+        assert len(encoded) == 21 + 5 + 2 * width
+
+    @given(
+        indices=st.sets(
+            st.integers(min_value=0, max_value=2**32 - 1), max_size=12
+        ),
+        width=st.sampled_from([1, 8, 32, 128, 255]),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_roster_round_trip(self, indices, width, data):
+        count = len(indices)
+        keys = st.lists(
+            st.integers(min_value=0, max_value=2 ** (8 * width) - 1),
+            min_size=count,
+            max_size=count,
+        )
+        message = Roster(
+            tuple(sorted(indices)),
+            tuple(data.draw(keys)),
+            tuple(data.draw(keys)),
+            width,
+        )
+        encoded = encode_message(message, HEADER)
+        assert decode_message(encoded)[1] == message
+        # header, (count, width), the index column, two key columns.
+        assert len(encoded) == 21 + 5 + count * (4 + 2 * width)
 
     @given(
         owner=st.integers(min_value=1, max_value=2**32 - 1),
@@ -356,41 +475,36 @@ class TestHypothesisRoundTrips:
 
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
-        seeds=st.dictionaries(
-            st.integers(min_value=1, max_value=2**32 - 1),
-            st.tuples(
-                st.integers(min_value=1, max_value=2**32 - 1),
-                # Seed shares live in a field that fits uint64.
-                st.integers(min_value=0, max_value=2**64 - 1),
-            ),
-            max_size=8,
+        # Share values live in a field that fits uint64.
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=2**64 - 1), max_size=8
         ),
-        keys=st.dictionaries(
-            st.integers(min_value=1, max_value=2**32 - 1),
-            st.tuples(
-                st.integers(min_value=1, max_value=2**32 - 1),
-                st.lists(
-                    st.integers(min_value=0, max_value=2**128 - 1),
-                    max_size=5,
-                ),
-            ),
-            max_size=8,
-        ),
+        dropouts=st.integers(min_value=0, max_value=4),
+        limbs=st.integers(min_value=0, max_value=20),
+        data=st.data(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_unmask_response_round_trip(self, responder, seeds, keys):
-        peers = sorted(seeds)
+    def test_unmask_response_round_trip(
+        self, responder, seeds, dropouts, limbs, data
+    ):
+        values = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2**64 - 1),
+                min_size=dropouts * limbs,
+                max_size=dropouts * limbs,
+            )
+        )
         message = UnmaskResponse(
             responder=responder,
-            peers=np.array(peers, dtype="<u4"),
-            xs=np.array([seeds[peer][0] for peer in peers], dtype="<u4"),
-            ys=np.array([seeds[peer][1] for peer in peers], dtype=np.uint64),
-            key_shares={
-                peer: LimbShares(x=x, ys=tuple(ys))
-                for peer, (x, ys) in keys.items()
-            },
+            seed_shares=np.array(seeds, dtype=np.uint64),
+            key_shares=np.array(values, dtype=np.uint64).reshape(
+                dropouts, limbs
+            ),
         )
-        assert decode_message(encode_message(message, HEADER))[1] == message
+        encoded = encode_message(message, HEADER)
+        assert decode_message(encoded)[1] == message
+        # header, (responder, seeds, keys, limbs), 8 bytes a value.
+        assert len(encoded) == 21 + 13 + 8 * (len(seeds) + len(values))
 
     @given(
         client=st.integers(min_value=1, max_value=2**32 - 1),

@@ -1,11 +1,13 @@
 """Array-carrying wire messages: golden pins, one representation each.
 
-A masked input, a share-keys datagram and an unmask response are each
-one class with one codec (:func:`~repro.secagg.wire.encode_message` /
-:func:`~repro.secagg.wire.iter_frames`).  Here their golden bytes
+A roster, a masked input, a share-keys datagram and an unmask response
+are each one class with one codec
+(:func:`~repro.secagg.wire.encode_message` /
+:func:`~repro.secagg.wire.decode_frames`).  Here their golden bytes
 round-trip through it; the coordinate packer is pinned at every width
 (the word-sized widths take an ``astype`` path whose bytes must be the
-generic packer's); and every refusal that guards a packed or columnar
+generic packer's); every frame's length is a function of the round and
+not of the values; and every refusal that guards a packed or columnar
 section is a typed :class:`~repro.errors.AggregationError`, raised from
 the declared sizes before anything is allocated.
 """
@@ -19,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError
-from repro.secagg.keys import TOY_GROUP
-from repro.secagg.shamir import LimbShares
-from repro.secagg import wire
+from repro.secagg.bonawitz import public_key_length
+from repro.secagg.field import DEFAULT_FIELD
+from repro.secagg.keys import TOY_GROUP, X25519_GROUP, DhGroup
 from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import (
     MSG_MASKED_INPUT,
+    MSG_ROSTER,
     MSG_SEALED_DELIVERY,
     MSG_SEALED_UPLOAD,
     MSG_UNMASK_RESPONSE,
@@ -32,6 +35,7 @@ from repro.secagg.wire import (
     Advertise,
     MaskedInput,
     NegotiatedHeader,
+    Roster,
     SealedDelivery,
     SealedUpload,
     UnmaskResponse,
@@ -56,60 +60,49 @@ SEALED_PREFIX = HEADER_BYTES + 12
 #: here and whose unmask hex is byte-identical to this module's).
 GOLDEN_SEALED_MATRIX = (
     # Upload: sender 2, two 2-byte envelopes, the matrix.
-    "534702032500000001000a7368613235362d637472"
+    "534703032500000001000a7368613235362d637472"
     "020000000200000002000000deadbeef"
     # The delivery of the same matrix to client 5, sealed by 2 and 6.
-    "5347020a2d00000001000a7368613235362d637472"
+    "5347030a2d00000001000a7368613235362d637472"
     "0500000002000000020000000200000006000000deadbeef"
 )
 GOLDEN_MASKED = (
     # A word-sized width: sender 4, dimension 4, 16 bits, 4 x <u2.
-    "534702042600000001000a7368613235362d637472"
+    "534703042600000001000a7368613235362d637472"
     "04000000040000001000000100ffff0201"
 )
 GOLDEN_UNMASK = (
-    "534702065100000001000a7368613235362d637472"
-    "060000000200000004"
-    "02000000050000000600000006000000"
-    "15cd5b0701000000"
-    "010000000900000006000000020001000a0800feffffffffffff1f"
+    "534703064200000001000a7368613235362d637472"
+    "06000000020000000100000002"
+    "15cd5b0700000000" "0100000000000000"
+    "0a00000000000000" "feffffffffffff1f"
+)
+
+GOLDEN_RESPONSE = UnmaskResponse(
+    responder=6,
+    seed_shares=np.array([123456789, 1], dtype=np.uint64),
+    key_shares=np.array([[10, 2**61 - 2]], dtype=np.uint64),
 )
 
 
-def _response(responder, seeds, keys):
-    """Build an :class:`UnmaskResponse` the way the client session does:
-    ``seeds`` maps peer -> ``(x, y)``, columns in sorted-peer order."""
-    peers = sorted(seeds)
-    return UnmaskResponse(
-        responder=responder,
-        peers=np.asarray(peers, dtype="<u4"),
-        xs=np.fromiter(
-            (seeds[p][0] for p in peers), dtype="<u4", count=len(peers)
-        ),
-        ys=np.asarray([seeds[p][1] for p in peers], dtype=np.uint64),
-        key_shares=dict(sorted(keys.items())),
-    )
-
-
-GOLDEN_RESPONSE = _response(
-    6,
-    {2: (6, 123456789), 5: (6, 1)},
-    {9: LimbShares(x=6, ys=(10, 2**61 - 2))},
-)
-
-
-def _unmask_frame(seed_count, width, columns, tail=(0).to_bytes(4, "little")):
+def _unmask_frame(seeds, keys, limbs, values):
     """A well-framed unmask response with a hand-written body."""
     body = b"".join(
         [
             (6).to_bytes(4, "little"),  # responder
-            seed_count.to_bytes(4, "little"),
-            width.to_bytes(1, "little"),  # declared column width
-            columns,
-            tail,  # key section: none by default
+            seeds.to_bytes(4, "little"),
+            keys.to_bytes(4, "little"),
+            limbs.to_bytes(1, "little"),
+            values,
         ]
     )
     return _frame(MSG_UNMASK_RESPONSE, body, HEADER)
+
+
+def _roster_frame(count, width, rest):
+    """A well-framed roster declaring ``count`` keys of ``width`` bytes."""
+    body = count.to_bytes(4, "little") + width.to_bytes(1, "little") + rest
+    return _frame(MSG_ROSTER, body, HEADER)
 
 
 class TestGoldenVectors:
@@ -140,108 +133,82 @@ class TestGoldenVectors:
         assert hash(decoded) == hash(GOLDEN_RESPONSE)
 
     def test_golden_unmask_decodes_to_columns(self):
-        """The seed section stays arrays end to end — what the server's
-        one-transpose recovery consumes — and ``ys`` is uint64 whatever
-        width the frame chose."""
+        """Both sections stay arrays end to end — what the server's
+        one-transpose recovery consumes — and both are uint64."""
         _, decoded = decode_message(bytes.fromhex(GOLDEN_UNMASK))
         assert decoded.responder == 6
-        assert decoded.peers.tolist() == [2, 5]
-        assert decoded.xs.tolist() == [6, 6]
-        assert decoded.ys.tolist() == [123456789, 1]
-        assert decoded.ys.dtype == np.uint64
-        assert decoded.key_shares == {9: LimbShares(x=6, ys=(10, 2**61 - 2))}
+        assert decoded.seed_shares.tolist() == [123456789, 1]
+        assert decoded.key_shares.tolist() == [[10, 2**61 - 2]]
+        assert decoded.seed_shares.dtype == decoded.key_shares.dtype
+        assert decoded.key_shares.dtype == np.uint64
 
     def test_responses_compare_by_value(self):
         """Array-aware equality, the way ``MaskedInput`` has it: dtype
-        and buffer do not matter, any differing value does."""
+        and buffer do not matter, any differing value or shape does."""
         same = UnmaskResponse(
             responder=6,
-            peers=np.array([2, 5], dtype=np.int64),
-            xs=np.array([6, 6], dtype=np.int64),
-            ys=np.array([123456789, 1], dtype=np.int64),
-            key_shares=dict(GOLDEN_RESPONSE.key_shares),
+            seed_shares=np.array([123456789, 1], dtype=np.int64),
+            key_shares=np.array([[10, 2**61 - 2]], dtype=np.int64),
         )
         assert same == GOLDEN_RESPONSE and hash(same) == hash(GOLDEN_RESPONSE)
         for change in (
             {"responder": 7},
-            {"peers": np.array([2, 6], dtype="<u4")},
-            {"xs": np.array([6, 7], dtype="<u4")},
-            {"ys": np.array([123456789, 2], dtype=np.uint64)},
-            {"ys": np.array([123456789], dtype=np.uint64)},
-            {"key_shares": {}},
+            {"seed_shares": np.array([123456789, 2], dtype=np.uint64)},
+            {"seed_shares": np.array([123456789], dtype=np.uint64)},
+            {"key_shares": np.array([[10, 2**61 - 1]], dtype=np.uint64)},
+            {"key_shares": np.array([[10], [2**61 - 2]], dtype=np.uint64)},
+            {"key_shares": np.zeros((0, 2), dtype=np.uint64)},
         ):
             assert dataclasses.replace(GOLDEN_RESPONSE, **change) != (
                 GOLDEN_RESPONSE
             ), change
         assert GOLDEN_RESPONSE != "not a response"
 
-    def test_sixteen_byte_seed_column_is_refused_with_a_type(self):
-        """No sharing field is wider than uint64, so nothing honest
-        emits a 16-byte seed column; a well-formed frame *declaring*
-        one is outside input and ends in a typed error — and a value
-        that wide cannot be encoded either."""
-        frame = _unmask_frame(
-            1,
-            16,
-            (2).to_bytes(4, "little")  # peer
-            + (6).to_bytes(4, "little")  # x
-            + (2**100).to_bytes(16, "little"),  # y
-        )
-        with pytest.raises(AggregationError, match="seed column width 16"):
+    def test_a_value_wider_than_64_bits_has_no_place(self):
+        """No sharing field is wider than uint64, so a share value is 8
+        bytes and there is no width field to declare another: a 16-byte
+        value where the frame declares one seed share leaves 8 trailing
+        bytes — and a value that wide cannot be encoded either."""
+        frame = _unmask_frame(1, 0, 0, (2**100).to_bytes(16, "little"))
+        with pytest.raises(AggregationError, match="8 trailing body bytes"):
             decode_message(frame)
-        wide = UnmaskResponse(
-            responder=6,
-            peers=np.array([2]),
-            xs=np.array([6]),
-            ys=np.array([2**100], dtype=object),
-            key_shares={},
+        for value in (np.array([2**100], dtype=object), np.array([-1])):
+            wide = UnmaskResponse(
+                responder=6,
+                seed_shares=value,
+                key_shares=np.zeros((0, 2), dtype=np.uint64),
+            )
+            with pytest.raises(AggregationError, match=r"\[0, 2\^64\)"):
+                encode_message(wide, HEADER)
+
+    def test_the_key_section_must_be_a_matrix(self):
+        ragged = dataclasses.replace(
+            GOLDEN_RESPONSE, key_shares=np.array([10, 2], dtype=np.uint64)
         )
-        with pytest.raises(AggregationError, match="too wide for the wire"):
-            encode_message(wide, HEADER)
+        with pytest.raises(AggregationError, match="2 axes"):
+            encode_message(ragged, HEADER)
 
     @pytest.mark.parametrize("missing", [1, 8, 15])
-    def test_truncated_seed_columns_are_refused_before_any_read(
+    def test_truncated_share_values_are_refused_before_any_read(
         self, missing
     ):
-        """A frame declaring more seed shares than its body holds is
-        refused from the declared count alone, before a column is read
-        past the frame's end."""
-        columns = (
-            np.array([2, 5], dtype="<u4").tobytes()
-            + np.array([6, 6], dtype="<u4").tobytes()
-            + np.array([7, 9], dtype="<u8").tobytes()
-        )
-        whole = _unmask_frame(2, 8, columns)
-        assert decode_message(whole)[1].ys.tolist() == [7, 9]
-        # The key section's count is cut with the columns, so only the
-        # declared seed count says how much should have been there.
-        short = _unmask_frame(2, 8, columns[:-missing], tail=b"")
+        """A frame declaring more values than its body holds is refused
+        from the declared counts alone, before a value is read past the
+        frame's end."""
+        values = np.array([7, 9, 1, 2], dtype="<u8").tobytes()
+        whole = _unmask_frame(2, 1, 2, values)
+        decoded = decode_message(whole)[1]
+        assert decoded.seed_shares.tolist() == [7, 9]
+        assert decoded.key_shares.tolist() == [[1, 2]]
+        short = _unmask_frame(2, 1, 2, values[:-missing])
         with pytest.raises(AggregationError, match="body truncated"):
             decode_message(short)
+        with pytest.raises(AggregationError, match="body truncated"):
+            decode_message(_frame(MSG_UNMASK_RESPONSE, bytes(12), HEADER))
 
 
-SEED_STRATEGY = st.dictionaries(
-    st.integers(min_value=1, max_value=2**32 - 1),
-    st.tuples(
-        st.integers(min_value=1, max_value=2**32 - 1),
-        # Seed shares live in a field that fits uint64: 8 bytes is the
-        # widest seed column on the wire.
-        st.integers(min_value=0, max_value=2**64 - 1),
-    ),
-    max_size=12,
-)
-KEY_STRATEGY = st.dictionaries(
-    st.integers(min_value=1, max_value=2**32 - 1),
-    st.tuples(
-        st.integers(min_value=1, max_value=2**32 - 1),
-        st.lists(
-            st.integers(min_value=0, max_value=2**128 - 1),
-            min_size=1,
-            max_size=4,
-        ),
-    ),
-    max_size=6,
-)
+#: Share values live in a field that fits uint64: 8 bytes each.
+SHARE_VALUES = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def _masked_frame(dimension, bits, payload, sender=4):
@@ -428,22 +395,34 @@ class TestShareKeysFrame:
                 HEADER,
             )
 
-    def test_a_share_delivery_stays_out_of_the_broadcast_memo(self):
-        """The memo is for bytes several clients decode (the roster, the
-        unmask request).  A delivery is one recipient's: memoised, each
-        of a round's n unique mailboxes would be copied into a 16-entry
-        table it can never hit in, pushing the broadcasts out."""
-        matrix = np.arange(6, dtype=np.uint8).reshape(2, 3)
-        delivery = encode_message(
-            SealedDelivery(2, np.array([1, 2]), matrix), HEADER
-        )
-        roster = encode_message(Advertise(1, 2, 3), HEADER)
-        wire._broadcast_memo.clear()
-        decode_frames(roster)
-        assert decode_frames(delivery)[0][1] == SealedDelivery(
-            2, np.array([1, 2]), matrix
-        )
-        assert list(wire._broadcast_memo) == [roster]
+    def test_every_server_datagram_is_one_frame(self):
+        """The roster is one frame of columns, not a frame per member:
+        whatever phase the server closes, a recipient decodes exactly
+        one frame (so no decode is worth memoising across recipients)."""
+        clients = {
+            u: ClientSession(
+                u, np.zeros(4, np.int64), 2**8, 2,
+                np.random.default_rng(u), TOY_GROUP,
+            )
+            for u in (1, 2, 3)
+        }
+        server = ServerSession(2**8, 4, 2, group=TOY_GROUP)
+        uploads = {u: b"".join(c.start()) for u, c in clients.items()}
+        kinds = []
+        while uploads:
+            for u, upload in uploads.items():
+                server.receive(upload, sender=u)
+            deliveries = server.advance()
+            for datagram in deliveries.values():
+                (frame,) = decode_frames(datagram)
+                kinds.append(type(frame[1]).__name__)
+            uploads = {
+                u: b"".join(clients[u].handle(datagram))
+                for u, datagram in deliveries.items()
+            }
+        assert kinds == 3 * ["Roster"] + 3 * ["SealedDelivery"] + 3 * [
+            "UnmaskRequest"
+        ]
 
     def test_messages_compare_by_value(self):
         matrix = np.arange(6, dtype=np.uint8).reshape(2, 3)
@@ -491,6 +470,28 @@ class TestBoundedDecode:
                 decode_message(frame)
             assert tracemalloc.get_traced_memory()[1] < 64 * 1024
             tracemalloc.stop()
+        for frame in (
+            _roster_frame(2**32 - 1, 255, bytes(16)),
+            _unmask_frame(2**32 - 1, 2**32 - 1, 255, bytes(16)),
+        ):
+            with pytest.raises(AggregationError, match="body truncated"):
+                self._peak(frame)
+            tracemalloc.start()
+            with pytest.raises(AggregationError):
+                decode_message(frame)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+            tracemalloc.stop()
+
+    def test_a_responses_columns_decode_in_place(self):
+        frame = encode_message(
+            UnmaskResponse(
+                1,
+                np.arange(512, dtype=np.uint64),
+                np.arange(64 * 18, dtype=np.uint64).reshape(64, 18),
+            ),
+            HEADER,
+        )
+        assert self._peak(frame) < len(frame)
 
     def test_share_keys_frames_decode_in_place(self):
         matrix = np.arange(128 * 24, dtype=np.uint8).reshape(128, 24)
@@ -526,24 +527,202 @@ class TestBoundedDecode:
 class TestUnmaskResponseRoundTrip:
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
-        seeds=SEED_STRATEGY,
-        keys=KEY_STRATEGY,
+        seeds=st.lists(SHARE_VALUES, max_size=12),
+        dropouts=st.integers(min_value=0, max_value=6),
+        limbs=st.integers(min_value=1, max_value=4),
+        data=st.data(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_unmask_response_round_trip(self, responder, seeds, keys):
+    def test_unmask_response_round_trip(
+        self, responder, seeds, dropouts, limbs, data
+    ):
         """One class in, the same class out, columns intact — and the
         bytes are a function of the values alone."""
-        response = _response(
+        keys = data.draw(
+            st.lists(
+                SHARE_VALUES,
+                min_size=dropouts * limbs,
+                max_size=dropouts * limbs,
+            )
+        )
+        response = UnmaskResponse(
             responder,
-            seeds,
-            {p: LimbShares(x=x, ys=tuple(ys)) for p, (x, ys) in keys.items()},
+            np.array(seeds, dtype=np.uint64),
+            np.array(keys, dtype=np.uint64).reshape(dropouts, limbs),
         )
         encoded = encode_message(response, HEADER)
         header, decoded = decode_message(encoded)
         assert header == HEADER
         assert decoded == response
-        assert decoded.ys.dtype == np.uint64
+        assert decoded.seed_shares.dtype == np.uint64
+        assert decoded.key_shares.shape == (dropouts, limbs)
         assert encode_message(decoded, HEADER) == encoded
+
+
+#: The public-key width of each key-agreement group a round can use.
+KEY_WIDTHS = {"toy-dh": 8, "x25519": 32, "oakley-2": 128}
+
+
+class TestValueIndependentLengths:
+    """A frame's length is a function of the round, never of the values
+    in it — the rule the masked input's packed width already keeps.
+    Format 2 wrote keys and key-share values minimal-length, so an
+    all-zero advertisement was 14 bytes shorter than an all-ones one."""
+
+    def test_key_widths_are_the_groups(self):
+        assert {
+            name: public_key_length(group)
+            for name, group in (
+                ("toy-dh", TOY_GROUP),
+                ("x25519", X25519_GROUP),
+                ("oakley-2", DhGroup()),
+            )
+        } == KEY_WIDTHS
+
+    @given(
+        width=st.sampled_from(sorted(KEY_WIDTHS.values())),
+        count=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_keys_travel_at_the_groups_width(self, width, count):
+        lengths = set()
+        for key in (0, 2 ** (8 * width) - 1):
+            lengths.add(
+                (
+                    len(encode_message(Advertise(1, key, key, width), HEADER)),
+                    len(
+                        encode_message(
+                            Roster(
+                                tuple(range(1, count + 1)),
+                                (key,) * count,
+                                (key,) * count,
+                                width,
+                            ),
+                            HEADER,
+                        )
+                    ),
+                )
+            )
+        assert lengths == {
+            (HEADER_BYTES + 5 + 2 * width,
+             HEADER_BYTES + 5 + count * (4 + 2 * width))
+        }
+
+    @given(
+        seeds=st.integers(min_value=0, max_value=64),
+        dropouts=st.integers(min_value=0, max_value=8),
+        limbs=st.integers(min_value=1, max_value=18),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_share_values_travel_at_eight_bytes(self, seeds, dropouts, limbs):
+        lengths = {
+            len(
+                encode_message(
+                    UnmaskResponse(
+                        1,
+                        np.full(seeds, value, dtype=np.uint64),
+                        np.full((dropouts, limbs), value, dtype=np.uint64),
+                    ),
+                    HEADER,
+                )
+            )
+            for value in (0, DEFAULT_FIELD.prime - 1, 2**64 - 1)
+        }
+        assert lengths == {HEADER_BYTES + 13 + 8 * (seeds + dropouts * limbs)}
+
+
+class TestRosterFrame:
+    """A roster is one frame: ``count`` and ``width`` fix its length,
+    and its indices must be strictly increasing."""
+
+    @staticmethod
+    def _columns(indices, width=8):
+        return (
+            np.asarray(indices, dtype="<u4").tobytes()
+            + bytes(2 * width * len(indices))
+        )
+
+    def test_hand_written_roster_decodes(self):
+        roster = decode_message(_roster_frame(2, 8, self._columns([2, 5])))[1]
+        assert roster == Roster((2, 5), (0, 0), (0, 0), 8)
+
+    @pytest.mark.parametrize(
+        "frame, match",
+        [
+            (_frame(MSG_ROSTER, bytes(4), HEADER), "body truncated"),
+            (_roster_frame(2, 8, bytes(39)), "body truncated"),
+            (_roster_frame(2, 8, bytes(41)), "1 trailing body bytes"),
+            # A count the columns do not fill, either way.
+            (_roster_frame(3, 8, bytes(40)), "body truncated"),
+            (_roster_frame(1, 8, bytes(40)), "20 trailing body bytes"),
+            # 8-byte keys declared 9 or 7 bytes wide.
+            (_roster_frame(2, 9, bytes(40)), "body truncated"),
+            (_roster_frame(2, 7, bytes(40)), "4 trailing body bytes"),
+            (_roster_frame(0, 0, b""), "outside 1..255"),
+            (_roster_frame(2**32 - 1, 255, bytes(16)), "body truncated"),
+        ],
+        ids=[
+            "truncated-prefix", "truncated-body", "trailing-bytes",
+            "count-over", "count-under", "width-over", "width-under",
+            "zero-width", "absurd-claim",
+        ],
+    )
+    def test_a_roster_its_counts_do_not_fit_is_refused(self, frame, match):
+        with pytest.raises(AggregationError, match=match):
+            decode_message(frame)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[5, 2], [2, 2], [1, 3, 2]],
+        ids=["unsorted", "repeated", "out-of-order"],
+    )
+    def test_unsorted_or_repeated_indices_are_refused(self, indices):
+        frame = _roster_frame(len(indices), 8, self._columns(indices))
+        with pytest.raises(AggregationError, match="strictly increasing"):
+            decode_message(frame)
+        zeros = (0,) * len(indices)
+        with pytest.raises(AggregationError, match="strictly increasing"):
+            encode_message(Roster(tuple(indices), zeros, zeros, 8), HEADER)
+
+    def test_ragged_columns_are_unencodable(self):
+        with pytest.raises(AggregationError, match="2 keys of each kind"):
+            encode_message(Roster((1, 2), (0, 0), (0,), 8), HEADER)
+
+    def test_a_roster_at_another_width_is_refused_by_the_client(self):
+        """The decoder takes any width; the client holds it to its
+        group's, as the server holds an advertisement to it."""
+        clients = {
+            u: ClientSession(
+                u, np.zeros(4, np.int64), 2**8, 2,
+                np.random.default_rng(u), TOY_GROUP,
+            )
+            for u in (1, 2)
+        }
+        server = ServerSession(2**8, 4, 2, group=TOY_GROUP)
+        for u, client in clients.items():
+            server.receive(b"".join(client.start()), sender=u)
+        roster = decode_message(server.advance()[1])[1]
+        wide = dataclasses.replace(roster, width=9)
+        with pytest.raises(AggregationError, match="9-byte keys"):
+            clients[1].handle(encode_message(wide, server.header))
+        (upload,) = clients[1].handle(encode_message(roster, server.header))
+        assert isinstance(decode_message(upload)[1], SealedUpload)
+
+    def test_an_advertisement_at_another_width_is_refused(self):
+        client = ClientSession(
+            1, np.zeros(4, np.int64), 2**8, 2,
+            np.random.default_rng(1), TOY_GROUP,
+        )
+        server = ServerSession(2**8, 4, 2, group=TOY_GROUP)
+        hello, advertise = client.start()
+        keys = decode_message(advertise)[1]
+        wide = encode_message(
+            dataclasses.replace(keys, width=9), server.header
+        )
+        with pytest.raises(AggregationError, match="9-byte keys"):
+            server.receive(hello + wide, sender=1)
+        server.receive(hello + advertise, sender=1)
+        assert server.received() == frozenset({1})
 
 
 class TestColumnarRouting:
