@@ -33,8 +33,29 @@ def next_power_of_two(value: int) -> int:
     return 1 << (value - 1).bit_length()
 
 
+#: Stages that pair cells closer than this run on a transposed copy, where
+#: each stage is a few long contiguous loops instead of many ``half``-long ones.
+_SHORT_STRIDE = 64
+
+
+def _butterfly_stage(source: np.ndarray, target: np.ndarray, width: int) -> None:
+    """One butterfly stage: each pair of ``width``-long runs becomes its sum
+    and difference in ``target`` (both flat buffers of the same size)."""
+    pairs = source.reshape(-1, 2, width)
+    out = target.reshape(-1, 2, width)
+    np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+    np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+
+
 def fast_walsh_hadamard(matrix: np.ndarray) -> np.ndarray:
     """Apply the normalised Walsh-Hadamard transform to each row.
+
+    The ``log2 d`` butterfly stages ping-pong between two flat buffers.
+    Stages that pair cells fewer than 64 apart run on a transposed copy
+    (cell ``j`` of every 64-cell block in one contiguous row), so every
+    inner loop is long; the rest run on the rows.  Each stage is the
+    same additions and subtractions whatever the layout, so the output is
+    bit-for-bit that of the textbook in-place butterfly.
 
     Args:
         matrix: Array of shape ``(batch, d)`` or ``(d,)`` with ``d`` a
@@ -46,29 +67,35 @@ def fast_walsh_hadamard(matrix: np.ndarray) -> np.ndarray:
         the transform is orthonormal (applying it twice is the identity).
     """
     single_vector = matrix.ndim == 1
-    work = np.array(matrix, dtype=np.float64, copy=True)
-    if single_vector:
-        work = work[np.newaxis, :]
-    if work.ndim != 2:
+    if matrix.ndim not in (1, 2):
         raise ConfigurationError(
             f"expected a vector or a batch of rows, got ndim={matrix.ndim}"
         )
-    dimension = work.shape[1]
+    rows = np.atleast_2d(matrix)
+    batch, dimension = rows.shape
     if not is_power_of_two(dimension):
         raise ConfigurationError(
             f"Walsh-Hadamard dimension must be a power of two, got {dimension}"
         )
+    block = min(dimension, _SHORT_STRIDE)
+    columns = batch * dimension // block
+    work = np.empty(batch * dimension)
+    spare = np.empty_like(work)
+    np.copyto(work.reshape(block, columns), rows.reshape(columns, block).T)
     half = 1
+    while half < block:
+        _butterfly_stage(work, spare, half * columns)
+        work, spare = spare, work
+        half *= 2
+    np.copyto(spare.reshape(columns, block), work.reshape(block, columns).T)
+    work, spare = spare, work
     while half < dimension:
-        butterflies = work.reshape(work.shape[0], -1, 2, half)
-        top = butterflies[:, :, 0, :]
-        bottom = butterflies[:, :, 1, :]
-        difference = top - bottom
-        np.add(top, bottom, out=top)
-        bottom[...] = difference
+        _butterfly_stage(work, spare, half)
+        work, spare = spare, work
         half *= 2
     work /= np.sqrt(dimension)
-    return work[0] if single_vector else work
+    result = work.reshape(batch, dimension)
+    return result[0] if single_vector else result
 
 
 def naive_walsh_hadamard_matrix(dimension: int) -> np.ndarray:

@@ -15,6 +15,26 @@ from repro.linalg.hadamard import (
 )
 
 
+def reference_walsh_hadamard(matrix):
+    """The textbook in-place butterfly, one strided stage at a time (oracle)."""
+    single_vector = matrix.ndim == 1
+    work = np.array(matrix, dtype=np.float64, copy=True)
+    if single_vector:
+        work = work[np.newaxis, :]
+    dimension = work.shape[1]
+    half = 1
+    while half < dimension:
+        butterflies = work.reshape(work.shape[0], -1, 2, half)
+        top = butterflies[:, :, 0, :]
+        bottom = butterflies[:, :, 1, :]
+        difference = top - bottom
+        np.add(top, bottom, out=top)
+        bottom[...] = difference
+        half *= 2
+    work /= np.sqrt(dimension)
+    return work[0] if single_vector else work
+
+
 class TestPowerOfTwoHelpers:
     def test_is_power_of_two(self):
         assert is_power_of_two(1)
@@ -36,6 +56,33 @@ class TestPowerOfTwoHelpers:
 
 
 class TestFastWalshHadamard:
+    @pytest.mark.parametrize("log_dim", range(15))
+    def test_bit_identical_to_the_reference_butterfly(self, log_dim):
+        rng = np.random.default_rng(log_dim)
+        dimension = 2**log_dim
+        for shape in [(dimension,), (3, dimension)]:
+            values = rng.normal(size=shape)
+            assert np.array_equal(
+                fast_walsh_hadamard(values), reference_walsh_hadamard(values)
+            )
+
+    @pytest.mark.parametrize("dimension", [32, 1024])
+    def test_bit_identical_on_non_contiguous_views(self, dimension):
+        rng = np.random.default_rng(dimension)
+        strided = rng.normal(size=(4, 2 * dimension))[:, ::2]
+        transposed = rng.normal(size=(dimension, 5)).T
+        for view in (strided, transposed, strided[1]):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(
+                fast_walsh_hadamard(view), reference_walsh_hadamard(view)
+            )
+
+    def test_integer_input_is_transformed_as_float(self):
+        values = np.arange(16).reshape(2, 8)
+        assert np.array_equal(
+            fast_walsh_hadamard(values), reference_walsh_hadamard(values)
+        )
+
     @pytest.mark.parametrize("dimension", [1, 2, 4, 8, 16, 64, 256])
     def test_matches_naive_matrix(self, dimension):
         rng = np.random.default_rng(dimension)
