@@ -33,9 +33,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import PrivacyAccountingError
+from repro.sampling.skellam import symmetric_skellam_pmf
 
 #: Default discretisation step for privacy losses (natural-log units).
 DEFAULT_GRID_STEP = 1e-3
@@ -239,7 +239,7 @@ def skellam_pmf(support: np.ndarray, total_lambda: float) -> np.ndarray:
         raise PrivacyAccountingError(
             f"lambda must be positive, got {total_lambda}"
         )
-    return stats.skellam.pmf(support, total_lambda, total_lambda)
+    return symmetric_skellam_pmf(support, total_lambda)
 
 
 def skellam_pair_pmfs(

@@ -21,14 +21,13 @@ the lengths of the frames a dropout-free round's client really sends
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.secagg.bonawitz import public_key_length, sealed_share_length
 from repro.secagg.kernels import DEFAULT_MASK_PRG
-from repro.secagg.keys import DhGroup, KeyAgreementGroup, suite_name
+from repro.secagg.keys import KeyAgreementGroup, oakley_group, suite_name
 from repro.secagg.wire import (
     PROTOCOL_V1,
     Advertise,
@@ -109,13 +108,6 @@ class SecAggRoundCost:
         return protocol / self.total if self.total else 0.0
 
 
-@functools.cache
-def _deployment_group() -> DhGroup:
-    """The 1024-bit Oakley group: validated (a ~40 ms primality test)
-    once, on first use, never at import."""
-    return DhGroup()
-
-
 def bonawitz_round_cost(
     num_clients: int,
     dimension: int,
@@ -148,7 +140,7 @@ def bonawitz_round_cost(
             f"num_clients must be >= 2, got {num_clients}"
         )
     if group is None:
-        group = _deployment_group()
+        group = oakley_group()
     # The header such a round negotiates.
     header = intern_header(
         PROTOCOL_V1, suite_name(DEFAULT_MASK_PRG.name, group)

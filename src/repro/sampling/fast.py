@@ -85,9 +85,9 @@ class SkellamTable:
     :data:`TABLE_TAIL_MASS`.  Outcome ``i <= 2R`` is the value ``i - R``;
     outcome ``2R + 1`` carries the whole tail mass and reads as the
     sentinel value ``R + 1``, which :meth:`sample` replaces with an exact
-    draw from beyond ``R``.  Every mass is a sum of the pmf
-    (``stats.skellam.pmf`` through :class:`SkellamDistribution`), never
-    ``stats.skellam.sf``, which is wrong in the far tail.
+    draw from beyond ``R``.  Every mass is a sum of the Bessel pmf
+    (:func:`~repro.sampling.skellam.symmetric_skellam_pmf`), never a
+    library survival function (``sf``), which is wrong in the far tail.
 
     Attributes:
         radius: ``R``.

@@ -5,10 +5,11 @@ independent Poisson(lambda) variates (Section 2.1 of the paper), so the
 exact rational-Poisson sampler of Appendix A immediately yields an exact
 Skellam sampler.
 
-This module also provides the analytic pmf / moments of ``Sk(lambda,
-lambda)`` (via the modified Bessel function), which the test suite uses to
-validate both the exact and the fast samplers against their analytical
-form.
+This module also holds the one pmf of ``Sk(lambda, lambda)`` in this
+library, ``e^{-2 lambda} I_|k|(2 lambda)`` from the exponentially scaled
+modified Bessel function :func:`scipy.special.ive`.  The fast sampler's
+alias table and the PLD accountant both evaluate it through
+:func:`symmetric_skellam_pmf`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import fractions
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.errors import ConfigurationError
 from repro.sampling.exact_poisson import sample_poisson
@@ -34,6 +35,21 @@ def _as_rational(value: float | int | fractions.Fraction) -> fractions.Fraction:
     if not math.isfinite(value):
         raise ConfigurationError(f"parameter must be finite, got {value}")
     return fractions.Fraction(value).limit_denominator(10**9)
+
+
+def symmetric_skellam_pmf(
+    k: np.ndarray | int, lam: float
+) -> np.ndarray | float:
+    """``Pr[Z = k] = e^{-2 lam} I_|k|(2 lam)`` for ``Z ~ Sk(lam, lam)``.
+
+    ``ive(v, z) = e^{-z} I_v(z)`` stays finite where ``e^{-2 lam}`` and
+    ``I_|k|(2 lam)`` alone would under- and overflow; it flushes masses
+    below about 1e-304 to 0.  ``ive`` also takes non-integer orders, so a
+    non-integer ``k`` is masked to 0 here.
+    """
+    k = np.asarray(k, dtype=float)
+    mass = special.ive(np.abs(k), 2.0 * lam)
+    return np.where(k == np.floor(k), mass, 0.0)[()]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,11 +74,7 @@ class SkellamDistribution:
 
     def pmf(self, k: np.ndarray | int) -> np.ndarray | float:
         """Probability mass ``Pr[Z = k] = exp(-2 lam) I_|k|(2 lam)``."""
-        return stats.skellam.pmf(k, self.lam, self.lam)
-
-    def cdf(self, k: np.ndarray | int) -> np.ndarray | float:
-        """Cumulative distribution function of ``Sk(lambda, lambda)``."""
-        return stats.skellam.cdf(k, self.lam, self.lam)
+        return symmetric_skellam_pmf(k, self.lam)
 
 
 class ExactSkellamSampler:

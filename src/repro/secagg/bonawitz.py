@@ -70,7 +70,6 @@ from repro.secagg.kernels import (
     sum_signed_masks,
 )
 from repro.secagg.keys import (
-    DhGroup,
     KeyAgreementGroup,
     KeyPair,
     agree,
@@ -78,6 +77,7 @@ from repro.secagg.keys import (
     forget_agreements,
     generate_keypair,
     key_bits,
+    oakley_group,
     resolve_group,
     warm_agreement_cache,
 )
@@ -621,7 +621,8 @@ class BonawitzServer:
         dimension: Vector length ``d``.
         threshold: Shamir threshold ``t``.
         field: Shamir sharing field (must match the clients').
-        group: DH group (must match the clients').
+        group: DH group (must match the clients'; default
+            :func:`~repro.secagg.keys.oakley_group`).
         mask_prg: The mask PRG instance whose memo recovery fills
             (default :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).
     """
@@ -632,13 +633,15 @@ class BonawitzServer:
         dimension: int,
         threshold: int,
         field: PrimeField = DEFAULT_FIELD,
-        group: KeyAgreementGroup = DhGroup(),
+        group: KeyAgreementGroup | None = None,
         mask_prg: MaskPrg | None = None,
     ) -> None:
         if threshold < 2:
             raise ConfigurationError(
                 f"threshold must be >= 2 for any privacy, got {threshold}"
             )
+        if group is None:
+            group = oakley_group()
         self._modulus = modulus
         self._dimension = dimension
         self._threshold = threshold
@@ -922,7 +925,7 @@ def run_bonawitz(
         threshold: Shamir threshold ``t`` (``2 <= t <= n``).
         rng: Randomness for keys, seeds and share polynomials.
         group: Key-agreement backend; defaults to the fast 61-bit toy
-            group — pass :class:`repro.secagg.keys.DhGroup()` for the
+            group — pass :func:`repro.secagg.keys.oakley_group()` for the
             1024-bit Oakley group or
             :data:`repro.secagg.keys.X25519_GROUP` for native Curve25519
             (gracefully degrades to the toy group when the optional

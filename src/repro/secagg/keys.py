@@ -71,6 +71,13 @@ class DhGroup:
 TOY_GROUP = DhGroup(prime=(1 << 61) - 1, generator=3)
 
 
+@functools.cache
+def oakley_group() -> DhGroup:
+    """The 1024-bit Oakley group, every ``group=None`` default: validated
+    (a ~40 ms primality test) once, on first use, never at import."""
+    return DhGroup()
+
+
 #: Lazily imported ``cryptography`` x25519 module; ``False`` once the
 #: import has failed (tests monkeypatch this to force the fallback path).
 _x25519_module: object = None
@@ -265,17 +272,19 @@ def _generator_pow(group: DhGroup, exponent: int) -> int:
 
 
 def generate_keypair(
-    rng: np.random.Generator, group: KeyAgreementGroup = DhGroup()
+    rng: np.random.Generator, group: KeyAgreementGroup | None = None
 ) -> KeyPair:
     """Sample a fresh DH key pair.
 
     Args:
         rng: Randomness source for the private exponent.
-        group: The DH group to draw from.
+        group: The DH group to draw from (default :func:`oakley_group`).
 
     Returns:
         A consistent (private, public) pair.
     """
+    if group is None:
+        group = oakley_group()
     if isinstance(group, X25519Group):
         # Both ints are the little-endian view of the 32 raw curve
         # bytes; from_private_bytes round-trips them unchanged (clamping

@@ -98,8 +98,8 @@ from repro.secagg.bonawitz import (
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import MaskPrg
 from repro.secagg.keys import (
-    DhGroup,
     KeyAgreementGroup,
+    oakley_group,
     resolve_group,
     suite_name,
 )
@@ -338,7 +338,8 @@ class ServerSession:
         dimension: Vector length ``d``.
         threshold: Shamir threshold ``t``.
         field: Shamir sharing field (must match the clients').
-        group: DH group (must match the clients').
+        group: DH group (must match the clients'; default
+            :func:`~repro.secagg.keys.oakley_group`).
         mask_prg: The mask PRG instance whose memo recovery fills
             (default :data:`~repro.secagg.kernels.DEFAULT_MASK_PRG`).
         accept_versions: Protocol versions the server may choose from;
@@ -368,7 +369,7 @@ class ServerSession:
         dimension: int,
         threshold: int,
         field: PrimeField = DEFAULT_FIELD,
-        group: KeyAgreementGroup = DhGroup(),
+        group: KeyAgreementGroup | None = None,
         mask_prg: MaskPrg | None = None,
         accept_versions: frozenset[int] = SUPPORTED_PROTOCOL_VERSIONS,
         tamper_unmask_request: Callable[[UnmaskRequest], UnmaskRequest]
@@ -380,7 +381,7 @@ class ServerSession:
             raise ConfigurationError(
                 "the server must accept at least one protocol version"
             )
-        group = resolve_group(group)
+        group = resolve_group(oakley_group() if group is None else group)
         self._crypto = BonawitzServer(
             modulus, dimension, threshold, field, group, mask_prg
         )

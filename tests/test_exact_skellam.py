@@ -1,33 +1,96 @@
 """Tests for the exact Skellam sampler and distribution helpers."""
 
 import fractions
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from repro.accounting.pld import skellam_pmf
 from repro.errors import ConfigurationError
-from repro.sampling.skellam import ExactSkellamSampler, SkellamDistribution
+from repro.sampling.fast import TAIL_BLOCK, SkellamTable
+from repro.sampling.skellam import (
+    ExactSkellamSampler,
+    SkellamDistribution,
+    symmetric_skellam_pmf,
+)
+
+
+#: From a tiny lambda up past the alias table's bound (the PLD accountant
+#: evaluates the pmf at the aggregate ``n * lambda``): 0.636 and 81.04 are
+#: calibrated per-client lambdas, 107 728 the largest any experiment
+#: draws with, 2^18 ``MAX_SKELLAM_LAMBDA``.
+PMF_LAMBDAS = [0.05, 0.636, 1.5, 81.04, 107_728.0, 2.0**18, 1.08e7]
+
+#: ``scipy.special.ive`` flushes results below about 1e-304 to zero, where
+#: ``stats.skellam.pmf`` still returns the (sub)normal value; below this
+#: floor both sides only have to be negligible.
+UNDERFLOW_FLOOR = 1e-300
+
+
+def reach(lam: float) -> int:
+    """The farthest ``|k|`` the alias table of ``lam`` tabulates by its
+    fourth tail block."""
+    return SkellamTable(lam).radius + 4 * TAIL_BLOCK
 
 
 class TestSkellamDistribution:
+    """The Bessel pmf, with ``stats.skellam.pmf`` as the oracle."""
+
     def test_variance(self):
         assert SkellamDistribution(lam=4.0).variance == 8.0
 
-    def test_pmf_matches_scipy(self):
-        dist = SkellamDistribution(lam=2.0)
-        ks = np.arange(-10, 11)
-        assert np.allclose(dist.pmf(ks), stats.skellam.pmf(ks, 2.0, 2.0))
+    @pytest.mark.parametrize("lam", PMF_LAMBDAS)
+    def test_pmf_matches_scipy(self, lam):
+        ks = np.arange(reach(lam) + 1)
+        got = SkellamDistribution(lam).pmf(ks)
+        want = stats.skellam.pmf(ks, lam, lam)
+        above = want >= UNDERFLOW_FLOOR
+        np.testing.assert_allclose(got[above], want[above], rtol=1e-10, atol=0)
+        assert np.all(got[~above] < UNDERFLOW_FLOOR)
+        if lam < 1:
+            # The small-lambda runs reach far below 1e-200 inside the floor.
+            assert np.count_nonzero(above & (want < 1e-200)) > 10
 
-    def test_pmf_symmetric(self):
-        dist = SkellamDistribution(lam=3.0)
-        ks = np.arange(1, 8)
-        assert np.allclose(dist.pmf(ks), dist.pmf(-ks))
+    @pytest.mark.parametrize("lam", PMF_LAMBDAS)
+    def test_pmf_symmetric(self, lam):
+        dist = SkellamDistribution(lam)
+        ks = np.arange(1, reach(lam) + 1)
+        np.testing.assert_array_equal(dist.pmf(-ks), dist.pmf(ks))
 
-    def test_pmf_sums_to_one(self):
-        dist = SkellamDistribution(lam=1.5)
-        ks = np.arange(-60, 61)
-        assert abs(float(np.sum(dist.pmf(ks))) - 1.0) < 1e-12
+    @pytest.mark.parametrize("lam", PMF_LAMBDAS)
+    def test_pmf_sums_to_one(self, lam):
+        # Out to twice the table's radius, where the rest is far below 1e-12.
+        ks = np.arange(-2 * reach(lam), 2 * reach(lam) + 1)
+        total = math.fsum(SkellamDistribution(lam).pmf(ks))
+        assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.636, 2.0, 81.04])
+    def test_pmf_is_zero_at_non_integer_k(self, lam):
+        dist = SkellamDistribution(lam)
+        ks = np.array([1.5, -2.5, 0.25, 3.999])
+        np.testing.assert_array_equal(dist.pmf(ks), 0.0)
+        np.testing.assert_array_equal(stats.skellam.pmf(ks, lam, lam), 0.0)
+        assert dist.pmf(1.5) == 0.0
+        assert dist.pmf(2.0) > 0.0
+
+    def test_scalar_in_scalar_out(self):
+        mass = SkellamDistribution(lam=2.0).pmf(1)
+        assert np.ndim(mass) == 0
+        assert mass == pytest.approx(stats.skellam.pmf(1, 2.0, 2.0), rel=1e-12)
+
+    def test_table_and_accountant_share_the_pmf(self):
+        ks = np.arange(-40, 41)
+        want = SkellamDistribution(7.5).pmf(ks)
+        np.testing.assert_array_equal(symmetric_skellam_pmf(ks, 7.5), want)
+        np.testing.assert_array_equal(skellam_pmf(ks, 7.5), want)
+        table = SkellamTable(7.5)
+        tail = np.arange(table.radius + 1, table.radius + 1 + TAIL_BLOCK)
+        np.testing.assert_array_equal(
+            table._tail_pmf(tail[0], tail[-1] + 1),
+            symmetric_skellam_pmf(tail, 7.5),
+        )
 
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
