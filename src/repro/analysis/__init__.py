@@ -11,7 +11,6 @@ from repro.analysis.numerical import (
 )
 from repro.analysis.theory import (
     SensitivityComparison,
-    epsilon_curve,
     noise_variance_ratio,
     sensitivity_inflation,
     smm_expected_error,
@@ -21,7 +20,6 @@ from repro.analysis.theory import (
 __all__ = [
     "SensitivityComparison",
     "bound_tightness",
-    "epsilon_curve",
     "exact_skellam_divergence",
     "exact_smm_divergence",
     "gaussian_reference_divergence",

@@ -6,22 +6,20 @@ comparison against the conditional-rounding baselines — as executable
 formulas.  The test suite checks the *implementation* against these
 predictions, and the ablation benchmarks use them to annotate measured
 numbers with their theoretical expectations.
+
+A mechanism's epsilon at a given noise level is not restated here: it is
+``epsilon_for_curve(mechanism.rdp_curve(noise, n), AccountingSpec(...))``
+(:func:`repro.core.calibration.epsilon_for_curve`), the same curve its
+calibration inverts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from repro.accounting.divergences import (
-    gaussian_rdp,
-    skellam_mechanism_rdp,
-    smm_rdp,
-)
-from repro.accounting.rdp import rdp_to_dp
-from repro.errors import ConfigurationError, PrivacyAccountingError
+from repro.errors import ConfigurationError
 from repro.mechanisms.rounding import DEFAULT_BETA, conditional_rounding_bound
 
 
@@ -125,60 +123,3 @@ def noise_variance_ratio(
     return (alpha / 2.0) * comparison.rounded_l2_squared / (
         (1.2 * alpha + 1.0) / 2.0 * comparison.smm_c
     )
-
-
-def epsilon_curve(
-    mechanism: str,
-    noise_parameter: float,
-    gamma: float,
-    dimension: int,
-    num_participants: int,
-    delta: float = 1e-5,
-    l2_bound: float = 1.0,
-    orders: range = range(2, 101),
-) -> float:
-    """Single-release epsilon of a mechanism at a given noise level.
-
-    Supports ``"smm"``, ``"skellam"`` and ``"gaussian"`` — enough to plot
-    the bound-comparison curves the paper's Section 5 discussion implies.
-
-    Args:
-        mechanism: Mechanism short name.
-        noise_parameter: Per-participant ``lambda`` (Skellam mechanisms)
-            or ``sigma`` (Gaussian).
-        gamma: Scale parameter (ignored for Gaussian).
-        dimension: Padded dimension.
-        num_participants: Contributors per aggregation.
-        delta: DP delta.
-        l2_bound: Raw L2 bound.
-        orders: Renyi orders to optimise over.
-
-    Returns:
-        The best converted epsilon.
-    """
-    if mechanism not in ("gaussian", "smm", "skellam"):
-        raise ConfigurationError(f"unknown mechanism {mechanism!r}")
-    best = math.inf
-    for alpha in orders:
-        try:
-            if mechanism == "gaussian":
-                tau = gaussian_rdp(alpha, l2_bound, noise_parameter)
-            elif mechanism == "smm":
-                total = num_participants * noise_parameter
-                tau = smm_rdp(alpha, (gamma * l2_bound) ** 2, total, 1.0)
-            else:
-                comparison = sensitivity_inflation(gamma, dimension, l2_bound)
-                rounded_l2 = math.sqrt(comparison.rounded_l2_squared)
-                rounded_l1 = min(
-                    math.sqrt(dimension) * rounded_l2, rounded_l2**2
-                )
-                tau = skellam_mechanism_rdp(
-                    alpha,
-                    comparison.rounded_l2_squared,
-                    rounded_l1,
-                    num_participants * noise_parameter,
-                )
-            best = min(best, rdp_to_dp(alpha, tau, delta))
-        except PrivacyAccountingError:
-            continue
-    return best

@@ -60,11 +60,13 @@ class TrainingConfig:
             is the paper's setting.  Schedules act server-side only, so
             they never affect the privacy guarantee.
         dropout_rate: Probability that a sampled participant drops out
-            before her perturbed gradient reaches aggregation (models
+            before their perturbed gradient reaches aggregation (models
             SecAgg dropouts).  Calibration still targets
-            ``expected_batch`` contributors, so nonzero dropout trades a
-            slightly noisier-than-nominal aggregate for robustness —
-            the regime the Bonawitz protocol is designed to survive.
+            ``expected_batch`` contributors, but a dropped participant's
+            noise share never arrives: the aggregate carries *less*
+            noise than calibrated, and the reported epsilon does not
+            hold for such a run (nothing extra is charged).  ROADMAP
+            item 9 calibrates for the SecAgg threshold instead.
     """
 
     rounds: int

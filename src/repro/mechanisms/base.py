@@ -11,6 +11,18 @@ contract they all share:
    parameter and freeze all derived thresholds; then
 2. :meth:`estimate_sum` — run the full pipeline on a concrete batch.
 
+Each RDP mechanism (SMM, DGM, DDG, Skellam, Gaussian) states its
+accounting once, in :meth:`SumEstimator.rdp_curve`: the per-round curve
+``alpha -> tau`` of Theorem 5 / Corollary 1 (or the mechanism's
+counterpart) at a noise level and contributor count.  Everything else
+reads that one method — calibration inverts it through
+:func:`~repro.core.calibration.calibrate_noise`, a running ledger
+composes it through :meth:`SumEstimator.per_round_rdp_curve`, and
+analysis code converts it with
+:func:`~repro.core.calibration.epsilon_for_curve`.  cpSGD, whose binomial
+mechanism has no RDP curve, calibrates by ``(epsilon, delta)``
+composition instead.
+
 The distributed mechanisms additionally share the SecAgg wire pipeline
 (rotate -> scale -> mechanism-specific integer encode -> mod m -> secure
 sum -> unwrap -> un-scale -> un-rotate), factored into
@@ -29,8 +41,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.config import CompressionConfig
-from repro.core.calibration import AccountingSpec
+from repro.accounting.rdp import RdpCurve
+from repro.config import ClipConfig, CompressionConfig
+from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.errors import CalibrationError, ConfigurationError
 from repro.linalg.hadamard import RandomRotation, next_power_of_two
 from repro.linalg.modular import decode_centered, sum_mod
@@ -90,9 +103,20 @@ class SumEstimator(abc.ABC):
     #: Short identifier used in experiment tables (e.g. ``"smm"``).
     name: str = "base"
 
+    #: Attribute the calibrated noise parameter is stored under —
+    #: ``"lam"`` for the Skellam family, ``"sigma"`` for the Gaussian
+    #: family — and :meth:`per_round_rdp_curve` reads back.
+    noise_attribute: str = "sigma"
+
+    #: Mixture clipping thresholds (SMM, DGM); ``None`` for mechanisms
+    #: without an L-infinity clip.
+    clip: ClipConfig | None = None
+
     def __init__(self) -> None:
         self._spec: InputSpec | None = None
         self._accounting: AccountingSpec | None = None
+        self.order: int | None = None
+        self.achieved_epsilon: float | None = None
 
     @property
     def spec(self) -> InputSpec:
@@ -114,9 +138,57 @@ class SumEstimator(abc.ABC):
         self._accounting = accounting
         self._calibrate(spec, accounting)
 
-    @abc.abstractmethod
     def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
-        """Mechanism-specific calibration (noise parameter + thresholds)."""
+        """Invert :meth:`rdp_curve` at ``Delta_inf = 1`` and store the result.
+
+        Stores the smallest noise parameter meeting the budget under
+        :attr:`noise_attribute`, with the optimal order and the achieved
+        epsilon, then lets the mechanism derive its thresholds.
+        """
+        result = calibrate_noise(
+            lambda noise: self.rdp_curve(noise, spec.num_participants),
+            accounting,
+        )
+        setattr(self, self.noise_attribute, result.noise_parameter)
+        self.order = result.order
+        self.achieved_epsilon = result.epsilon
+        self._derive_thresholds(spec)
+
+    def _derive_thresholds(self, spec: InputSpec) -> None:
+        """Freeze what the calibrated noise and order imply (default: none)."""
+
+    def rdp_curve(
+        self, noise: float, contributors: int, delta_inf: float = 1.0
+    ) -> RdpCurve:
+        """The mechanism's per-round RDP curve at a given noise level.
+
+        The one place a mechanism states its accounting, for the
+        calibrated geometry (:attr:`spec` and the compression).
+
+        Args:
+            noise: Per-participant noise parameter (``lambda`` or
+                ``sigma``).
+            contributors: Participants whose noise reaches the
+                aggregate.
+            delta_inf: The transmitted L-infinity ceiling.  SMM and DGM
+                use it only to decide which orders Eq. (3) / Eq. (8)
+                admit — ``tau`` itself does not depend on it — so
+                calibration passes 1, the smallest ceiling that
+                transmits anything, and a ledger the calibrated
+                ``clip.delta_inf``.  The other mechanisms ignore it.
+
+        Returns:
+            An ``alpha -> tau`` callable raising
+            :class:`~repro.errors.PrivacyAccountingError` at infeasible
+            orders.
+
+        Raises:
+            CalibrationError: If the mechanism has no RDP curve (cpSGD
+                accounts via ``(epsilon, delta)`` composition instead).
+        """
+        raise CalibrationError(
+            f"{type(self).__name__} does not expose a per-round RDP curve"
+        )
 
     @abc.abstractmethod
     def estimate_sum(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -130,30 +202,52 @@ class SumEstimator(abc.ABC):
         """Human-readable calibration summary for experiment logs."""
         return {"name": self.name}
 
-    def per_round_rdp_curve(self, num_participants: int | None = None):
-        """RDP curve of one aggregation at the calibrated noise level.
+    def per_round_rdp_curve(
+        self, num_participants: int | None = None
+    ) -> RdpCurve:
+        """:meth:`rdp_curve` of one aggregation at the calibrated noise.
 
         Used by running privacy ledgers (the simulation engine's
         :class:`~repro.accounting.rdp.RdpAccountant`) to charge each
         executed round and report a cumulative ``(epsilon, delta)``.
+        Every RDP mechanism has this curve; only cpSGD raises.
 
         Args:
             num_participants: Contributors whose noise actually reached
                 the aggregate; ``None`` means the calibrated
-                expectation.
+                expectation.  A ledger passes the *realized* survivor
+                count, so a dropout round — which carries less total
+                noise than calibration assumed — is charged its true,
+                higher cost.
 
         Returns:
             An ``alpha -> tau`` callable raising
             :class:`~repro.errors.PrivacyAccountingError` at infeasible
-            orders.
+            orders.  Feasibility is judged at the transmitted
+            ``clip.delta_inf``, so a ledger composing this curve drops
+            exactly the orders the (possibly reduced) noise excludes.
 
         Raises:
             CalibrationError: If the mechanism is uncalibrated or does
-                not expose an RDP curve (cpSGD accounts via
-                ``(epsilon, delta)`` composition instead).
+                not expose an RDP curve.
         """
-        raise CalibrationError(
-            f"{type(self).__name__} does not expose a per-round RDP curve"
+        if self.order is None:
+            raise CalibrationError(
+                f"{type(self).__name__} has no calibrated per-round RDP curve"
+            )
+        contributors = (
+            num_participants
+            if num_participants is not None
+            else self.spec.num_participants
+        )
+        if contributors < 1:
+            raise CalibrationError(
+                f"num_participants must be >= 1, got {contributors}"
+            )
+        return self.rdp_curve(
+            getattr(self, self.noise_attribute),
+            contributors,
+            1.0 if self.clip is None else self.clip.delta_inf,
         )
 
 

@@ -47,7 +47,6 @@ class CpSgdMechanism(DistributedSumEstimator):
         super().__init__(compression)
         self.trials_per_participant: int | None = None
         self.total_trials: int | None = None
-        self.achieved_epsilon: float | None = None
 
     def _rounded_sensitivities(self, spec: InputSpec) -> tuple[float, float, float]:
         """Worst-case ``(Delta~_1, Delta~_2, Delta~_inf)`` after rounding.

@@ -20,8 +20,6 @@ the regime where SMM wins (Figures 1-3).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.accounting.divergences import (
@@ -29,14 +27,13 @@ from repro.accounting.divergences import (
     discrete_gaussian_sum_gap,
 )
 from repro.config import CompressionConfig
-from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.core.dgm import round_sigma_up
 from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 from repro.mechanisms.rounding import (
     DEFAULT_BETA,
     conditional_round,
-    conditional_rounding_bound,
+    rounded_sensitivities,
 )
 from repro.sampling.fast import discrete_gaussian_noise
 
@@ -66,48 +63,34 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
         self.sigma: float | None = None
         self.effective_sigma: float | None = None
         self.rounded_l2_bound: float | None = None
-        self.order: int | None = None
-        self.achieved_epsilon: float | None = None
 
-    def _rounded_sensitivities(self, spec: InputSpec) -> tuple[float, float]:
-        """``(Delta~_2, Delta~_1)`` of the conditionally rounded input."""
-        scaled_l2 = self.compression.gamma * spec.l2_bound
+    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+        """Theorem 7 at the rounded sensitivities (``delta_inf`` unused)."""
+        spec = self.spec
         dimension = spec.padded_dimension
-        rounded_l2 = conditional_rounding_bound(scaled_l2, dimension, self.beta)
-        rounded_l1 = min(math.sqrt(dimension) * rounded_l2, rounded_l2**2)
-        return rounded_l2, rounded_l1
+        rounded_l2, rounded_l1 = rounded_sensitivities(
+            self.compression.gamma * spec.l2_bound, dimension, self.beta
+        )
+        sigma_squared = noise**2
+        gap = discrete_gaussian_sum_gap(contributors, sigma_squared)
+        return lambda alpha: ddg_rdp(
+            alpha,
+            rounded_l2**2,
+            rounded_l1,
+            contributors,
+            sigma_squared,
+            dimension,
+            gap=gap,
+        )
 
-    def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
-        n = spec.num_participants
-        dimension = spec.padded_dimension
-        rounded_l2, rounded_l1 = self._rounded_sensitivities(spec)
-        self.rounded_l2_bound = rounded_l2
-
-        def curve_factory(sigma: float):
-            sigma_squared = sigma**2
-            gap = discrete_gaussian_sum_gap(n, sigma_squared)
-
-            def curve(alpha: int) -> float:
-                return ddg_rdp(
-                    alpha,
-                    rounded_l2**2,
-                    rounded_l1,
-                    n,
-                    sigma_squared,
-                    dimension,
-                    gap=gap,
-                )
-
-            return curve
-
-        result = calibrate_noise(curve_factory, accounting, initial=1.0)
-        self.sigma = result.noise_parameter
-        self.order = result.order
-        self.achieved_epsilon = result.epsilon
+    def _derive_thresholds(self, spec: InputSpec) -> None:
+        self.rounded_l2_bound, _ = rounded_sensitivities(
+            self.compression.gamma * spec.l2_bound,
+            spec.padded_dimension,
+            self.beta,
+        )
         self.effective_sigma = (
-            round_sigma_up(result.noise_parameter)
-            if self.integer_sigma
-            else result.noise_parameter
+            round_sigma_up(self.sigma) if self.integer_sigma else self.sigma
         )
 
     def _encode_integer(

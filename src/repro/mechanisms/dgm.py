@@ -26,10 +26,9 @@ from repro.accounting.divergences import (
     discrete_gaussian_sum_gap,
 )
 from repro.config import ClipConfig, CompressionConfig
-from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.core.clipping import clip_gradient
 from repro.core.dgm import dgm_perturb, round_sigma_up
-from repro.errors import CalibrationError, PrivacyAccountingError
+from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 
 _DELTA_INF_MARGIN = 1.0 - 1e-9
@@ -55,65 +54,39 @@ class DiscreteGaussianMixtureMechanism(DistributedSumEstimator):
         self.integer_sigma = integer_sigma
         self.sigma: float | None = None
         self.effective_sigma: float | None = None
-        self.clip: ClipConfig | None = None
-        self.order: int | None = None
-        self.achieved_epsilon: float | None = None
 
-    def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
+    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+        """Theorem 8 / Corollary 3 for ``contributors`` shares of ``noise``.
+
+        Orders at which Eq. (8) admits no ceiling as large as
+        ``delta_inf`` raise.
+        """
+        spec = self.spec
         c = (self.compression.gamma * spec.l2_bound) ** 2
-        n = spec.num_participants
         dimension = spec.padded_dimension
         l1_bound = math.sqrt(dimension) * self.compression.gamma * spec.l2_bound
-
-        def curve_factory(sigma: float):
-            sigma_squared = sigma**2
-            gap = discrete_gaussian_sum_gap(n, sigma_squared)
-
-            def curve(alpha: int) -> float:
-                delta_inf = (
-                    dgm_max_delta_inf(alpha, n, sigma_squared, gap=gap)
-                    * _DELTA_INF_MARGIN
-                )
-                if delta_inf < 1.0:
-                    # An order whose Eq. (8) ceiling is below 1 cannot
-                    # transmit any nonzero coordinate; exclude it.
-                    raise PrivacyAccountingError(
-                        f"Delta_inf < 1 at order {alpha}"
-                    )
-                return dgm_rdp(
-                    alpha,
-                    c,
-                    n,
-                    sigma_squared,
-                    delta_inf,
-                    l1_bound,
-                    dimension,
-                    gap=gap,
-                )
-
-            return curve
-
-        result = calibrate_noise(curve_factory, accounting, initial=1.0)
-        self.sigma = result.noise_parameter
-        self.order = result.order
-        self.achieved_epsilon = result.epsilon
-        self.effective_sigma = (
-            round_sigma_up(result.noise_parameter)
-            if self.integer_sigma
-            else result.noise_parameter
+        sigma_squared = noise**2
+        gap = discrete_gaussian_sum_gap(contributors, sigma_squared)
+        return lambda alpha: dgm_rdp(
+            alpha,
+            c,
+            contributors,
+            sigma_squared,
+            delta_inf,
+            l1_bound,
+            dimension,
+            gap=gap,
         )
-        sigma_squared = result.noise_parameter**2
-        gap = discrete_gaussian_sum_gap(n, sigma_squared)
+
+    def _derive_thresholds(self, spec: InputSpec) -> None:
+        self.effective_sigma = (
+            round_sigma_up(self.sigma) if self.integer_sigma else self.sigma
+        )
         delta_inf = (
-            dgm_max_delta_inf(result.order, n, sigma_squared, gap=gap)
+            dgm_max_delta_inf(self.order, spec.num_participants, self.sigma**2)
             * _DELTA_INF_MARGIN
         )
-        if delta_inf <= 0:
-            raise CalibrationError(
-                "DGM calibration produced an empty Delta_inf range; the "
-                "discrete Gaussian non-closure gap dominates at this noise "
-                "scale"
-            )
+        c = (self.compression.gamma * spec.l2_bound) ** 2
         self.clip = ClipConfig(c=c, delta_inf=delta_inf)
 
     def _encode_integer(

@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.divergences import gaussian_rdp
-from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.errors import CalibrationError
-from repro.mechanisms.base import InputSpec, SumEstimator, clip_l2
+from repro.mechanisms.base import SumEstimator, clip_l2
 
 
 class GaussianMechanism(SumEstimator):
@@ -28,17 +27,12 @@ class GaussianMechanism(SumEstimator):
     def __init__(self) -> None:
         super().__init__()
         self.sigma: float | None = None
-        self.order: int | None = None
-        self.achieved_epsilon: float | None = None
 
-    def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
-        def curve_factory(sigma: float):
-            return lambda alpha: gaussian_rdp(alpha, spec.l2_bound, sigma)
-
-        result = calibrate_noise(curve_factory, accounting, initial=1.0)
-        self.sigma = result.noise_parameter
-        self.order = result.order
-        self.achieved_epsilon = result.epsilon
+    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+        """The Gaussian mechanism's RDP (one curator draw: ``contributors``
+        and ``delta_inf`` unused)."""
+        l2_bound = self.spec.l2_bound
+        return lambda alpha: gaussian_rdp(alpha, l2_bound, noise)
 
     def estimate_sum(
         self, values: np.ndarray, rng: np.random.Generator

@@ -61,6 +61,21 @@ def conditional_rounding_bound(
     )
 
 
+def rounded_sensitivities(
+    scaled_l2: float, dimension: int, beta: float = DEFAULT_BETA
+) -> tuple[float, float]:
+    """``(Delta~_2, Delta~_1)`` of a conditionally rounded input.
+
+    ``Delta~_2`` is the Eq. (6) bound itself (conditional rounding
+    guarantees no rounded vector exceeds it) and
+    ``Delta~_1 = min(sqrt(d) Delta~_2, Delta~_2^2)``, automatic for
+    integer vectors — the sensitivities DDG and the Skellam mechanism
+    account with.
+    """
+    rounded_l2 = conditional_rounding_bound(scaled_l2, dimension, beta)
+    return rounded_l2, min(math.sqrt(dimension) * rounded_l2, rounded_l2**2)
+
+
 def conditional_round(
     values: np.ndarray,
     norm_bound: float,

@@ -12,19 +12,16 @@ limitations Section 5 contrasts against SMM.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.accounting.divergences import skellam_mechanism_rdp
 from repro.config import CompressionConfig
-from repro.core.calibration import AccountingSpec, calibrate_noise
 from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 from repro.mechanisms.rounding import (
     DEFAULT_BETA,
     conditional_round,
-    conditional_rounding_bound,
+    rounded_sensitivities,
 )
 from repro.sampling.fast import skellam_noise
 
@@ -39,6 +36,7 @@ class SkellamMechanism(DistributedSumEstimator):
     """
 
     name = "skellam"
+    noise_attribute = "lam"
 
     def __init__(
         self, compression: CompressionConfig, beta: float = DEFAULT_BETA
@@ -47,31 +45,27 @@ class SkellamMechanism(DistributedSumEstimator):
         self.beta = beta
         self.lam: float | None = None
         self.rounded_l2_bound: float | None = None
-        self.order: int | None = None
-        self.achieved_epsilon: float | None = None
 
-    def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
-        n = spec.num_participants
-        dimension = spec.padded_dimension
-        scaled_l2 = self.compression.gamma * spec.l2_bound
-        rounded_l2 = conditional_rounding_bound(scaled_l2, dimension, self.beta)
-        rounded_l1 = min(math.sqrt(dimension) * rounded_l2, rounded_l2**2)
-        self.rounded_l2_bound = rounded_l2
+    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+        """Agarwal et al.'s bound at the rounded sensitivities
+        (``delta_inf`` unused)."""
+        spec = self.spec
+        rounded_l2, rounded_l1 = rounded_sensitivities(
+            self.compression.gamma * spec.l2_bound,
+            spec.padded_dimension,
+            self.beta,
+        )
+        total_lam = contributors * noise
+        return lambda alpha: skellam_mechanism_rdp(
+            alpha, rounded_l2**2, rounded_l1, total_lam
+        )
 
-        def curve_factory(lam_per_participant: float):
-            total_lam = n * lam_per_participant
-
-            def curve(alpha: int) -> float:
-                return skellam_mechanism_rdp(
-                    alpha, rounded_l2**2, rounded_l1, total_lam
-                )
-
-            return curve
-
-        result = calibrate_noise(curve_factory, accounting, initial=1.0)
-        self.lam = result.noise_parameter
-        self.order = result.order
-        self.achieved_epsilon = result.epsilon
+    def _derive_thresholds(self, spec: InputSpec) -> None:
+        self.rounded_l2_bound, _ = rounded_sensitivities(
+            self.compression.gamma * spec.l2_bound,
+            spec.padded_dimension,
+            self.beta,
+        )
 
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator

@@ -78,7 +78,6 @@ from repro.secagg.keys import (
     generate_keypair,
     key_bits,
     oakley_group,
-    resolve_group,
     warm_agreement_cache,
 )
 from repro.secagg.shamir import (
@@ -546,12 +545,9 @@ def forget_round_memos(
     :func:`warm_pairwise_agreements` for the in-memory and simulated
     drivers, ``run_swarm`` and ``SecAggServer._run_round`` on sockets —
     calls this first, and both memos hold one round's entries whatever
-    the transport.  ``group`` is resolved the way a session resolves
-    it, so an x25519 request that degrades to modular DH forgets the
-    memo its round really filled.  Memos only: derived bytes cannot
-    change.
+    the transport.  Memos only: derived bytes cannot change.
     """
-    forget_agreements(resolve_group(group))
+    forget_agreements(group)
     get_mask_prg(mask_prg).forget()
 
 
@@ -928,8 +924,8 @@ def run_bonawitz(
             group — pass :func:`repro.secagg.keys.oakley_group()` for the
             1024-bit Oakley group or
             :data:`repro.secagg.keys.X25519_GROUP` for native Curve25519
-            (gracefully degrades to the toy group when the optional
-            ``cryptography`` package is absent).
+            (refused with :class:`~repro.errors.ConfigurationError` when
+            the optional ``cryptography`` package is absent).
         dropouts: Optional map from client index (1-based) to the first
             round (0-3) at which that client stops responding.
         field: Shamir sharing field.

@@ -79,7 +79,7 @@ def oakley_group() -> DhGroup:
 
 
 #: Lazily imported ``cryptography`` x25519 module; ``False`` once the
-#: import has failed (tests monkeypatch this to force the fallback path).
+#: import has failed (tests monkeypatch this to simulate a missing library).
 _x25519_module: object = None
 
 
@@ -118,8 +118,10 @@ class X25519Group:
     material still travels as Python ints on the existing wire format
     (32 raw curve bytes, little-endian), and :func:`agree` still derives
     ``SHA-256(shared)``.  Constructing the group never imports
-    ``cryptography`` — availability is checked at use time, so callers
-    can fall back gracefully via :func:`resolve_group`.
+    ``cryptography`` — availability is checked at use time, and a
+    session configured for it without the library refuses to start
+    (:class:`~repro.errors.ConfigurationError`) rather than fall back to
+    a weaker group.
 
     Attributes:
         name: The negotiated backend token (always ``"x25519"``).
@@ -164,21 +166,6 @@ def suite_name(mask_prg: str, group: KeyAgreementGroup) -> str:
     """
     kex = kex_name(group)
     return mask_prg if kex == "mod-dh" else f"{mask_prg}+{kex}"
-
-
-def resolve_group(
-    group: KeyAgreementGroup, fallback: DhGroup = TOY_GROUP
-) -> KeyAgreementGroup:
-    """Degrade an X25519 request to ``fallback`` when the lib is absent.
-
-    The graceful-fallback seam: sessions resolve their configured group
-    through this before advertising a suite at Hello, so a participant
-    without ``cryptography`` cleanly negotiates modular DH instead of
-    crashing mid-round.
-    """
-    if isinstance(group, X25519Group) and not x25519_available():
-        return fallback
-    return group
 
 
 def _check_public(peer_public: int, group: KeyAgreementGroup) -> None:

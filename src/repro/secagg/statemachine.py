@@ -99,8 +99,9 @@ from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import MaskPrg
 from repro.secagg.keys import (
     KeyAgreementGroup,
+    X25519Group,
+    _require_x25519,
     oakley_group,
-    resolve_group,
     suite_name,
 )
 from repro.secagg.wire import (
@@ -176,10 +177,10 @@ class ClientSession:
         version: int = PROTOCOL_V1,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        # A client configured for x25519 without the optional
-        # `cryptography` package degrades to the toy DH group *before*
-        # proposing a suite, so negotiation stays clean either way.
-        group = resolve_group(group)
+        # x25519 without the optional `cryptography` package is refused
+        # here, not swapped for a weaker group or failed mid-round.
+        if isinstance(group, X25519Group):
+            _require_x25519()
         self._crypto = BonawitzClient(
             index=index,
             vector=vector,
@@ -381,7 +382,10 @@ class ServerSession:
             raise ConfigurationError(
                 "the server must accept at least one protocol version"
             )
-        group = resolve_group(oakley_group() if group is None else group)
+        if group is None:
+            group = oakley_group()
+        elif isinstance(group, X25519Group):
+            _require_x25519()
         self._crypto = BonawitzServer(
             modulus, dimension, threshold, field, group, mask_prg
         )

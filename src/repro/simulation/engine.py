@@ -30,7 +30,10 @@ cohort size itself is *not* penalized — that randomness belongs to the
 amplification lemma, and following the paper's convention it is
 accounted at the expected batch size.  Rounds skipped for an empty
 cohort or aborted below the SecAgg threshold released nothing and are
-charged at the calibrated expectation.  Consequently the cumulative
+charged at the calibrated expectation.  Each charge is the mechanism's
+:meth:`~repro.mechanisms.base.SumEstimator.per_round_rdp_curve` at that
+count — the same ``rdp_curve`` calibration inverted, with feasibility
+judged at the transmitted ``Delta_inf``.  Consequently the cumulative
 epsilon equals the calibrated budget after ``T`` dropout-free rounds
 and visibly exceeds it under dropout, per round, in the
 :class:`RoundRecord` stream.

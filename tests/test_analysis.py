@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    epsilon_curve,
     noise_variance_ratio,
     sensitivity_inflation,
     smm_expected_error,
     smm_gaussian_error_ratio,
 )
+from repro.config import CompressionConfig, PrivacyBudget
+from repro.core.calibration import AccountingSpec, epsilon_for_curve
 from repro.core.skellam_mixture import smm_perturb
 from repro.errors import ConfigurationError
+from repro.mechanisms import (
+    GaussianMechanism,
+    InputSpec,
+    SkellamMechanism,
+    SkellamMixtureMechanism,
+)
 
 
 class TestSmmExpectedError:
@@ -91,23 +98,42 @@ class TestNoiseVarianceRatio:
         assert 0.5 < ratio < 1.1
 
 
-class TestEpsilonCurve:
+def single_release_epsilon(mechanism, noise, dimension, participants):
+    """One release's epsilon at ``noise``, from the mechanism's own curve.
+
+    ``rdp_curve`` reads the calibrated geometry, so the mechanism is
+    first calibrated on it (at an arbitrary budget).
+    """
+    accounting = AccountingSpec(budget=PrivacyBudget(epsilon=1.0, delta=1e-5))
+    mechanism.calibrate(InputSpec(participants, dimension), accounting)
+    epsilon, _ = epsilon_for_curve(
+        mechanism.rdp_curve(noise, participants), accounting
+    )
+    return epsilon
+
+
+class TestSingleReleaseEpsilon:
     def test_monotone_in_noise(self):
-        eps_small = epsilon_curve("gaussian", 1.0, 1.0, 128, 10)
-        eps_large = epsilon_curve("gaussian", 10.0, 1.0, 128, 10)
+        eps_small = single_release_epsilon(GaussianMechanism(), 1.0, 128, 10)
+        eps_large = single_release_epsilon(GaussianMechanism(), 10.0, 128, 10)
         assert eps_large < eps_small
 
     def test_smm_below_skellam_at_low_bitwidth(self):
         # Same per-participant lambda: SMM's bound (no rounding
         # inflation) gives a smaller epsilon.
-        kwargs = dict(gamma=8.0, dimension=16384, num_participants=100)
-        assert epsilon_curve("smm", 4.0, **kwargs) < epsilon_curve(
-            "skellam", 4.0, **kwargs
+        compression = CompressionConfig(modulus=2**8, gamma=8.0)
+        smm = single_release_epsilon(
+            SkellamMixtureMechanism(compression), 4.0, 16384, 100
         )
-
-    def test_unknown_mechanism_rejected(self):
-        with pytest.raises(ConfigurationError):
-            epsilon_curve("laplace", 1.0, 1.0, 128, 10)
+        skellam = single_release_epsilon(
+            SkellamMechanism(compression), 4.0, 16384, 100
+        )
+        assert smm < skellam
 
     def test_finite_for_reasonable_parameters(self):
-        assert math.isfinite(epsilon_curve("smm", 2.0, 64.0, 65536, 100))
+        compression = CompressionConfig(modulus=2**16, gamma=64.0)
+        assert math.isfinite(
+            single_release_epsilon(
+                SkellamMixtureMechanism(compression), 2.0, 65536, 100
+            )
+        )

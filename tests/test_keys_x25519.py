@@ -4,8 +4,8 @@ The native Curve25519 backend must be a drop-in peer of the toy
 ``DhGroup``: same ``agree``/``agree_batch``/``warm_agreement_cache``
 surface, same session drivers, and — because pairwise masks cancel —
 the same aggregate digest for the same inputs on every transport.  A
-client built without the optional ``cryptography`` package must degrade
-to the toy group *before* proposing a suite at Hello.
+session asked for x25519 without the optional ``cryptography`` package
+must refuse at construction, never fall back to the 61-bit toy group.
 """
 
 import asyncio
@@ -28,7 +28,6 @@ from repro.secagg.keys import (
     generate_keypair,
     kex_name,
     key_bits,
-    resolve_group,
     warm_agreement_cache,
     x25519_available,
 )
@@ -64,14 +63,28 @@ class TestGroupSurface:
             X25519Group(name="p256")
 
     @requires_x25519
-    def test_resolve_is_identity_when_available(self):
-        assert resolve_group(X25519_GROUP) is X25519_GROUP
-        assert resolve_group(TOY_GROUP) is TOY_GROUP
+    def test_sessions_keep_the_group_they_are_given(self):
+        rng = np.random.default_rng(1)
+        vector = np.zeros(4, dtype=np.int64)
+        for group, suite in (
+            (X25519_GROUP, f"{DEFAULT_MASK_PRG.name}+x25519"),
+            (TOY_GROUP, DEFAULT_MASK_PRG.name),
+        ):
+            client = ClientSession(1, vector, MODULUS, 2, rng, group)
+            server = ServerSession(MODULUS, 4, 2, group=group)
+            assert client.header.mask_prg == server.header.mask_prg == suite
 
-    def test_resolve_falls_back_without_cryptography(self, monkeypatch):
+    def test_sessions_refuse_x25519_without_cryptography(self, monkeypatch):
         monkeypatch.setattr(keys_module, "_x25519_module", False)
-        assert resolve_group(X25519_GROUP) is TOY_GROUP
-        assert resolve_group(TOY_GROUP) is TOY_GROUP
+        vector = np.zeros(4, dtype=np.int64)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ConfigurationError, match="cryptography"):
+            ClientSession(1, vector, MODULUS, 2, rng, X25519_GROUP)
+        with pytest.raises(ConfigurationError, match="cryptography"):
+            ServerSession(MODULUS, 4, 2, group=X25519_GROUP)
+        # The toy group is still served, and the refusal is not sticky.
+        ClientSession(1, vector, MODULUS, 2, rng, TOY_GROUP)
+        ServerSession(MODULUS, 4, 2, group=TOY_GROUP)
 
 
 @requires_x25519
@@ -173,22 +186,16 @@ class TestNegotiation:
             server.receive(frame, sender=1)
         assert "key-agreement backend 'x25519'" in server.rejections[1]
 
-    def test_client_without_cryptography_falls_back(self, monkeypatch):
+    def test_round_without_cryptography_refuses(self, monkeypatch):
         monkeypatch.setattr(keys_module, "_x25519_module", False)
-        rng = np.random.default_rng(3)
-        vectors = rng.integers(0, 100, size=(5, 8))
-        # Both sides configured for x25519 degrade to the toy group and
-        # the round completes — no Reject, bare suite on the wire.
-        outcome = run_bonawitz(
-            vectors, modulus=MODULUS, threshold=3,
-            rng=np.random.default_rng(4), group=X25519_GROUP,
-        )
-        assert len(outcome.included) == 5
-        rng2 = np.random.default_rng(5)
-        session = ClientSession(
-            1, vectors[0], MODULUS, 3, rng2, X25519_GROUP
-        )
-        assert session.header.mask_prg == DEFAULT_MASK_PRG.name
+        vectors = np.random.default_rng(3).integers(0, 100, size=(5, 8))
+        # A round asked for x25519 refuses before any frame is sent
+        # instead of running on the 61-bit toy group.
+        with pytest.raises(ConfigurationError, match="cryptography"):
+            run_bonawitz(
+                vectors, modulus=MODULUS, threshold=3,
+                rng=np.random.default_rng(4), group=X25519_GROUP,
+            )
 
     def test_requesting_x25519_explicitly_raises_without_lib(
         self, monkeypatch
