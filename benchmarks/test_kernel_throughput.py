@@ -3,7 +3,7 @@
 Measures the vectorised SecAgg kernels — masks/sec for the SHAKE-256
 mask PRG, cold and replayed from its memo; shares/sec for batched
 Shamir split/reconstruct vs the per-coefficient Python loops; and the
-scalar-``pow`` / vectorised-sweep crossover that
+scalar-``pow`` / window-table crossover that
 ``repro.secagg.keys.SCALAR_BATCH_MAX`` records.  Rows are printed, not
 persisted: the committed performance ledger is ``bench/`` (``python3
 bench/run.py``).
@@ -24,8 +24,12 @@ import numpy as np
 from repro.secagg.bonawitz import _key_limbs
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import MaskPrg
-from repro.linalg.modular import pow_mod
-from repro.secagg.keys import SCALAR_BATCH_MAX, TOY_GROUP
+from repro.secagg.keys import (
+    SCALAR_BATCH_MAX,
+    TOY_GROUP,
+    _KeyTables,
+    generate_keypair,
+)
 from repro.secagg.shamir import (
     Share,
     reconstruct_quorum,
@@ -101,43 +105,68 @@ def test_mask_prg_throughput(emit):
 
 
 def test_key_agreement_crossover(emit, bench_rng):
-    """Scalar ``pow`` per peer vs one vectorised sweep, by lane count.
+    """Scalar ``pow`` per peer vs window tables, by lane count.
 
-    The measurement ``SCALAR_BATCH_MAX`` is set from: a scalar ``pow``
-    costs the same per lane, the sweep nearly the same per call.
+    The measurement ``SCALAR_BATCH_MAX`` is set from.  ``batch`` prices
+    one batch of table-less peers either way: ``lanes`` scalar ``pow``
+    calls against building the tables of the peers and the caller's own
+    key, then evaluating the batch from them.  ``roster`` prices what
+    such a batch opens: a roster of ``lanes + 1`` parties agreeing
+    pairwise through the pair memo (party ``i`` raises the keys of the
+    parties after it), all on scalar ``pow`` against one build and an
+    evaluation a party.
     """
     prime = TOY_GROUP.prime
-    private = int(bench_rng.integers(1 << 60, prime))
     for lanes in (
         SCALAR_BATCH_MAX // 4, SCALAR_BATCH_MAX, 4 * SCALAR_BATCH_MAX
     ):
-        peers = [int(peer) for peer in bench_rng.integers(2, prime, lanes)]
+        keys = [generate_keypair(bench_rng, TOY_GROUP) for _ in range(lanes + 1)]
+        publics = [key.public for key in keys]
+        private = keys[0].private
 
-        def scalar():
-            return [pow(peer, private, prime) for peer in peers]
+        def batch_scalar():
+            return [pow(peer, private, prime) for peer in publics[1:]]
 
-        def sweep():
-            return pow_mod(
-                np.asarray(peers, dtype=np.uint64), private, prime
-            ).tolist()
+        def batch_tables():
+            tables = _KeyTables(prime)
+            tables.add(publics)
+            return tables.power(publics[1:], private).tolist()
 
-        assert scalar() == sweep()
-        scalar_time, sweep_time = _interleaved_best_of(9, scalar, sweep)
-        crossover = sweep_time / (scalar_time / lanes)
+        def roster_scalar():
+            return [
+                [pow(peer, key.private, prime) for peer in publics[i + 1 :]]
+                for i, key in enumerate(keys[:-1])
+            ]
+
+        def roster_tables():
+            tables = _KeyTables(prime)
+            tables.add(publics)
+            return [
+                tables.power(publics[i + 1 :], key.private).tolist()
+                for i, key in enumerate(keys[:-1])
+            ]
+
+        assert batch_scalar() == batch_tables()
+        assert roster_scalar() == roster_tables()
+        timings = _interleaved_best_of(
+            9, batch_scalar, batch_tables, roster_scalar, roster_tables
+        )
         emit(
             f"kernel_dh lanes={lanes:4d} "
-            f"scalar_pow_us={1e6 * scalar_time / lanes:6.2f} "
-            f"scalar_us={1e6 * scalar_time:8.1f} "
-            f"sweep_us={1e6 * sweep_time:8.1f} "
-            f"crossover_lanes={crossover:6.1f} "
+            f"scalar_pow_us={1e6 * timings[0] / lanes:6.2f} "
+            f"batch_scalar_us={1e6 * timings[0]:8.1f} "
+            f"batch_tables_us={1e6 * timings[1]:8.1f} "
+            f"roster_scalar_us={1e6 * timings[2]:9.1f} "
+            f"roster_tables_us={1e6 * timings[3]:8.1f} "
             f"(SCALAR_BATCH_MAX={SCALAR_BATCH_MAX})",
         )
-        # A factor of four to either side of the constant the choice
-        # must be clear, or the constant (or a kernel) has gone stale.
+        # A factor of four to either side of the constant the roster's
+        # choice must be clear, or the constant (or a kernel) has gone
+        # stale.
         if lanes < SCALAR_BATCH_MAX:
-            assert scalar_time < sweep_time
+            assert timings[2] < timings[3]
         elif lanes > SCALAR_BATCH_MAX:
-            assert sweep_time < scalar_time
+            assert timings[3] < timings[2]
 
 
 def test_shamir_throughput(emit, bench_rng):

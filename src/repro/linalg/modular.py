@@ -30,10 +30,14 @@ At the few dozen lanes one SecAgg client carries a numpy call costs
 ~0.6 us whatever it does, so the kernels are written for call count: 17
 calls a multiply, 13 a squaring, and :func:`pow_mod` calls them
 directly.  Any other modulus up to ``2^61`` takes the general
-shift-and-mod path (:func:`_shift32_mod`).  A *fixed* base (the
-Diffie-Hellman generator) takes one table entry per 11-bit window of a
-128-bit exponent (:func:`fixed_base_pow`), so the exact product of two
-private keys (:func:`mul_wide`) needs no reduction.
+shift-and-mod path (:func:`_shift32_mod`).  A base raised to many
+exponents, or many bases to one, pays its squaring chain once, into a
+window table (:func:`window_tables`): the Diffie-Hellman generator takes
+one entry per 11-bit window of a 128-bit exponent
+(:func:`fixed_base_pow`), so the exact product of two private keys
+(:func:`mul_wide`) needs no reduction, and a roster of public keys
+raised to one private key is one gather and a product tree
+(:func:`window_pow`).
 
 A *matrix* product (:func:`matmul_mod` — Shamir split is coefficients
 times powers of the points, reconstruction is share rows times Lagrange
@@ -270,23 +274,42 @@ def mul_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (low & _LIMB_MASK) | (mid << _LIMB_SHIFT), high
 
 
+def window_tables(
+    bases: Sequence[int], modulus: int, window: int, bits: int
+) -> np.ndarray:
+    """Window tables of many bases in one vectorised pass: entry ``[i,
+    k, w]`` is ``bases[i]^(w·2^(window·k)) mod m``, ``ceil(bits /
+    window)`` rows of ``2^window`` columns a base, enough for any
+    exponent below ``2^bits``.
+
+    Row ``k`` starts from ``b^(2^(window·k))`` — one squaring chain a
+    lane, shared by every later exponentiation of that base — and its
+    columns double ``window`` times: ``b^(w + j) = b^w · b^j``.
+    """
+    _validate_field_modulus(modulus)
+    multiply, square = _pow_kernels(modulus)
+    rows = -(-bits // window)
+    step = np.asarray([base % modulus for base in bases], dtype=np.uint64)
+    steps = [step]
+    for _ in range(rows - 1):
+        for _ in range(window):
+            step = square(step)
+        steps.append(step)
+    step = np.stack(steps, axis=-1)[..., np.newaxis]
+    table = np.ones_like(step)
+    for doubling in range(window):
+        if doubling:
+            step = square(step)
+        table = np.concatenate([table, multiply(table, step)], axis=-1)
+    return table
+
+
 @functools.lru_cache(maxsize=4)
 def fixed_base_table(base: int, modulus: int) -> np.ndarray:
     """Window table of ``base`` for :func:`fixed_base_pow`, memoised and
-    read-only: row ``k``, column ``w`` is ``base^(w·2^(11k)) mod m``,
-    twelve rows for any exponent below ``2^128`` (192 KiB).  Columns
-    double eleven times: ``b^(w + j) = b^w · b^j``."""
-    _validate_field_modulus(modulus)
-    multiply = _pow_kernels(modulus)[0]
-    rows = -(-128 // _WINDOW)
-    step = np.asarray(
-        [[pow(base, 1 << (_WINDOW * k), modulus)] for k in range(rows)],
-        dtype=np.uint64,
-    )
-    table = np.ones((rows, 1), dtype=np.uint64)
-    while table.shape[1] < 1 << _WINDOW:
-        table = np.hstack([table, multiply(table, step)])
-        step = multiply(step, step)
+    read-only: :func:`window_tables` at 11-bit windows, twelve rows for
+    any exponent below ``2^128`` (192 KiB)."""
+    table = window_tables([base], modulus, _WINDOW, 128)[0]
     table.flags.writeable = False
     return table
 
@@ -312,6 +335,39 @@ def fixed_base_pow(
         entry = table[start // _WINDOW, window & _WINDOW_MASK]
         result = entry if result is None else multiply(result, entry)
     return result
+
+
+def window_pow(
+    tables: np.ndarray, lanes: Sequence[int], exponent: int, modulus: int
+) -> np.ndarray:
+    """Lane-wise ``b_i^exponent mod m`` for many bases and one exponent,
+    base ``i`` read from ``tables[lanes[i]]`` (a :func:`window_tables`
+    stack whose rows cover ``exponent``).
+
+    Each window of the exponent names one column of its row, so every
+    lane's factors come out of one gather, and a product tree folds the
+    ``r`` rows in ``ceil(log2 r)`` multiplies whatever the lane count.
+    """
+    rows, columns = tables.shape[1:]
+    window = columns.bit_length() - 1
+    if not 0 <= exponent < 1 << (window * rows):
+        raise ConfigurationError(
+            f"exponent must lie in [0, 2^{window * rows}), got {exponent}"
+        )
+    digits = [(exponent >> (window * k)) & (columns - 1) for k in range(rows)]
+    factors = tables[
+        np.asarray(lanes, dtype=np.intp)[:, np.newaxis], np.arange(rows), digits
+    ]
+    multiply = _pow_kernels(modulus)[0]
+    width = rows
+    while width > 1:
+        # Fold the top half onto the bottom; an odd middle row stays.
+        half = width // 2
+        factors[:, :half] = multiply(
+            factors[:, :half], factors[:, width - half : width]
+        )
+        width -= half
+    return factors[:, 0]
 
 
 def inv_mod(values: np.ndarray | int, prime: int) -> np.ndarray:

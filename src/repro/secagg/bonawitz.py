@@ -334,7 +334,7 @@ class BonawitzClient:
         payloads = _encode_payload_matrix(share_matrix[0], share_matrix[1:])
         # Seal every peer-bound payload in one keystream batch; the
         # self-addressed envelope needs no sealing.  Channel keys for
-        # the whole roster are agreed in one vectorised sweep first.
+        # the whole roster are agreed in one batch first.
         peer_positions = [
             position
             for position, recipient in enumerate(recipients)

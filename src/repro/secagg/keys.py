@@ -12,6 +12,17 @@ modular-exponentiation DH over a published safe-prime group (RFC 2409
 Oakley Group 2) by default, and accepts a small toy group for fast tests.
 The derived key is the SHA-256 hash of the shared group element, giving a
 32-byte seed for the mask PRG.
+
+Every party of a round raises the same roster of public keys, each to
+its own private exponent.  In a group within the 61-bit limb split the
+squaring chain of a roster key is therefore paid once per process, into
+a window table of that key (:class:`_KeyTables`, public data), and each
+party's batch is then one gather and a product tree; a pair memo
+(:class:`_AgreementMemo`, derived secrets) makes the mirror-image
+agreement of a pair a dictionary hit.  Small batches of table-less keys
+(:data:`SCALAR_BATCH_MAX`), the 1024-bit Oakley group and X25519 take
+one scalar exchange a peer.  Every path hashes the same group element,
+so the derived bytes never depend on the route.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ from repro.linalg.modular import (
     fixed_base_pow,
     fixed_base_table,
     mul_wide,
-    pow_mod,
+    window_pow,
+    window_tables,
 )
 from repro.secagg.field import _is_probable_prime
 
@@ -316,7 +328,13 @@ _PAIR_CACHE_MAX = 300_000
 
 
 class _AgreementMemo(dict):
-    """One group's rows, and the pairs merged in since the last clear."""
+    """One group's rows, and the pairs merged in since the last clear.
+
+    The rows hold derived secrets, so they live only as long as a
+    round; the public keys' window tables (:class:`_KeyTables`) that
+    fill them on a miss are a separate memo, dropped with them by
+    :func:`forget_agreements`.
+    """
 
     pairs = 0
 
@@ -337,19 +355,78 @@ class _AgreementMemo(dict):
 
 _pair_caches: dict[tuple[object, object], _AgreementMemo] = {}
 
-#: Largest batch of exponentiations still done with scalar ``pow``.
-#: Measured on the Mersenne-fold kernels over ``TOY_GROUP`` (``python -m
-#: pytest benchmarks/test_kernel_throughput.py -k crossover -s``: best
-#: of 9 of ``[pow(peer, private, p) for peer in peers]`` against
-#: ``pow_mod(np.asarray(peers, uint64), private, p).tolist()`` with a
-#: 61-bit exponent, 2 vCPUs, numpy 2.4): a scalar ``pow`` costs
-#: 12.9-13.1 us (11 lanes 143 us, 45 lanes 589 us), the vectorised
-#: square-and-multiply a near-fixed 0.57-0.64 ms (11 lanes 617 us, 45
-#: lanes 638 us, 180 lanes 751 us), so they cross at 46-49 lanes.
-#: (Before the fold the sweep cost 1.5 ms and crossed at ~120, not at
-#: the 8 this constant then said.)  :func:`agree_batch` compares its
-#: cache-missing peers with it.
-SCALAR_BATCH_MAX = 45
+#: Window width of the roster keys' tables: row ``k``, column ``w`` of a
+#: key's table is ``pk^(w·2^(4k)) mod p``, 16 rows of 16 columns (2 KiB)
+#: for a 61-bit group, so one key raised to a private exponent is 16
+#: gathered entries folded in 4 multiplies.
+_TABLE_WINDOW = 4
+
+#: Bound on the window tables held per group, counted in keys: every key
+#: of one full-cohort 512-client round (two key sets) with headroom,
+#: 4 MiB on ``TOY_GROUP``.  Like the pair memo it is a backstop for a
+#: caller that opens no round, and it is cleared outright when passed.
+_TABLE_CACHE_MAX = 2_048
+
+
+class _KeyTables:
+    """One group's window tables, keyed by public key: public data only
+    (the pair memo beside it holds derived secrets).
+
+    The tables are stacked in one array, so raising any set of held keys
+    to one private exponent is one :func:`~repro.linalg.modular.window_pow`.
+    """
+
+    def __init__(self, prime: int) -> None:
+        self.prime = prime
+        self.clear()
+
+    def clear(self) -> None:
+        self.lanes: dict[int, int] = {}
+        self.stack: np.ndarray | None = None
+
+    def add(self, publics: list[int]) -> None:
+        """Hold the tables of ``publics``, building the missing ones (all
+        of them when the bound clears the memo first)."""
+        publics = list(dict.fromkeys(publics))
+        missing = [key for key in publics if key not in self.lanes]
+        if len(self.lanes) + len(missing) > _TABLE_CACHE_MAX:
+            self.clear()
+            missing = publics
+        built = window_tables(
+            missing, self.prime, _TABLE_WINDOW, (self.prime - 1).bit_length()
+        )
+        first = len(self.lanes)
+        self.lanes.update(zip(missing, range(first, first + len(missing))))
+        self.stack = (
+            built if self.stack is None else np.concatenate([self.stack, built])
+        )
+
+    def power(self, publics: list[int], private: int) -> np.ndarray:
+        """``pk^private mod p`` for held keys, one lane a key."""
+        return window_pow(
+            self.stack,
+            list(map(self.lanes.__getitem__, publics)),
+            private % (self.prime - 1),
+            self.prime,
+        )
+
+
+_table_caches: dict[int, _KeyTables] = {}
+
+#: Largest batch of table-less peers still raised with scalar ``pow``;
+#: more make :func:`agree_batch` build their tables first.  Measured on
+#: ``TOY_GROUP`` (``python -m pytest benchmarks/test_kernel_throughput.py
+#: -k crossover -s``, best of 9, 2 vCPUs, numpy 2.4): a scalar ``pow``
+#: costs 15-18 us, a build ~0.55 ms plus ~7 us a key, an evaluation
+#: from held tables 60-100 us whatever the lane count.  One batch alone
+#: pays its build back only at ~65 lanes (60 lanes: 0.94-1.07 ms scalar
+#: against 1.05-1.40 ms), but the batch opens a roster whose other
+#: members evaluate from the same tables: a roster of ``lanes + 1``
+#: parties agreeing through the pair memo costs 93-105 us against
+#: 0.75-1.14 ms at 3 lanes, 1.8-2.0 against 1.6-1.7 ms at 15 and 28-32
+#: against 5.8-8.3 ms at 60, so the roster crosses at 15-17 lanes.  A
+#: tree's two-to-six-party composition rounds stay on scalar ``pow``.
+SCALAR_BATCH_MAX = 15
 
 
 def _group_cache(group: KeyAgreementGroup) -> _AgreementMemo:
@@ -374,12 +451,18 @@ def _dh_keys(shared: np.ndarray | list[int], prime: int) -> list[bytes]:
     return [sha256(chunk).digest() for chunk in chunks]
 
 
+def _key_tables(group: DhGroup) -> _KeyTables:
+    return _table_caches.setdefault(group.prime, _KeyTables(group.prime))
+
+
 def forget_agreements(group: KeyAgreementGroup) -> None:
-    """Drop every memoised agreement of ``group``.
+    """Drop every memoised agreement of ``group``, and its key tables.
 
     Memo only: a later :func:`agree` re-derives byte-identical keys.
     """
     _group_cache(group).clear()
+    if isinstance(group, DhGroup):
+        _key_tables(group).clear()
 
 
 def agree(
@@ -495,15 +578,17 @@ def agree_batch(
     group: KeyAgreementGroup,
     own_public: int | None = None,
 ) -> list[bytes]:
-    """Derive shared seeds with many peers in one vectorised sweep.
+    """Derive shared seeds with many peers at once.
 
-    Byte-identical to calling :func:`agree` per peer, but the modular
-    exponentiations for cache-missing peers run as one batched
-    square-and-multiply over uint64 arrays
-    (:func:`repro.linalg.modular.pow_mod`) when the group fits the
-    limb-split kernels and more than :data:`SCALAR_BATCH_MAX` peers are
-    missing — a near-fixed cost whatever the lane count — and as scalar
-    ``pow`` for fewer peers or a big group.
+    Byte-identical to calling :func:`agree` per peer.  In a group that
+    fits the limb-split kernels, peers missing from the pair memo are
+    raised to ``private`` from their window tables, one gather and a
+    product tree for the whole batch, when every one of them has a
+    table; when more than :data:`SCALAR_BATCH_MAX` have none, those
+    tables are built first — with ``own_public``'s, so the rest of the
+    roster finds it — in one vectorised pass.  A batch with fewer
+    table-less peers, and every batch of a bigger group, takes scalar
+    ``pow``.
 
     Args:
         private: This party's secret exponent.
@@ -533,14 +618,13 @@ def agree_batch(
     if isinstance(group, X25519Group):
         private_key = _x25519_private(private)
         derived = [_x25519_derive(private_key, peer) for peer in peers]
+    elif group.prime > LIMB_SPLIT_MAX_MODULUS:
+        shared = [pow(peer, private, group.prime) for peer in peers]
+        derived = _dh_keys(shared, group.prime)
     else:
-        prime = group.prime
-        if prime <= LIMB_SPLIT_MAX_MODULUS and len(peers) > SCALAR_BATCH_MAX:
-            bases = np.asarray(peers, dtype=np.uint64)
-            shared = pow_mod(bases, private, prime)
-        else:
-            shared = [pow(peer, private, prime) for peer in peers]
-        derived = _dh_keys(shared, prime)
+        derived = _dh_keys(
+            _table_powers(private, peers, group, own_public), group.prime
+        )
     for at, key in zip(missing, derived):
         results[at] = key
     if own_public is not None:
@@ -548,3 +632,21 @@ def agree_batch(
         rows.setdefault(own_public, {}).update(zip(peers, derived))
         memo.merge(rows, len(derived))
     return results  # type: ignore[return-value]
+
+
+def _table_powers(
+    private: int, peers: list[int], group: DhGroup, own_public: int | None
+) -> np.ndarray | list[int]:
+    """``peer^private mod p`` per (range-checked) peer of a group within
+    the limb split: from the peers' window tables when all are held, or
+    after building them when more than :data:`SCALAR_BATCH_MAX` are
+    not; else by scalar ``pow``."""
+    tables, prime = _key_tables(group), group.prime
+    unheld = [peer for peer in peers if peer not in tables.lanes]
+    if len(unheld) > SCALAR_BATCH_MAX:
+        # The caller's own key too, for the rest of the roster.
+        roster = peers if own_public is None else peers + [own_public]
+        tables.add([key for key in roster if 1 < key < prime])
+    elif unheld:
+        return [pow(peer, private, prime) for peer in peers]
+    return tables.power(peers, private)

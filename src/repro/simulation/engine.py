@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from repro.accounting.rdp import RdpAccountant
+from repro.accounting.rdp import RdpAccountant, subsampled_rdp
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import _memoised
 from repro.core.client import GradientEncoder, skellam_encoder
@@ -489,7 +489,7 @@ class SimulationEngine:
         self.trace: SimulationTrace | None = None
         self._clock: SimulatedClock | None = None
         self._ledger: RdpAccountant | None = None
-        self._curves: dict[int, object] = {}  # survivor count -> RDP curve
+        self._curves: dict[int, object] = {}  # survivor count -> charged curve
         self._records: list[RoundRecord] = []
         self._backend = None  # ExecutionBackend, built per run()
         self._chaos: ChaosSchedule | None = (
@@ -618,10 +618,15 @@ class SimulationEngine:
         )
 
     def _round_curve(self, contributors: int):
-        """The (memoised) one-round RDP curve at a survivor count."""
+        """The one-round RDP curve the ledger charges at a survivor
+        count, Poisson-subsampled at :attr:`sampling_rate`: memoised per
+        count over the memoised base curve, so each (order, count) runs
+        ``subsampled_rdp`` once a run, not once a round."""
         if contributors not in self._curves:
+            base = _memoised(self.mechanism.per_round_rdp_curve(contributors))
+            rate = self.sampling_rate
             self._curves[contributors] = _memoised(
-                self.mechanism.per_round_rdp_curve(contributors)
+                lambda alpha: subsampled_rdp(alpha, rate, base)
             )
         return self._curves[contributors]
 
@@ -636,19 +641,14 @@ class SimulationEngine:
         if self._ledger is None:
             return float("nan")
         try:
-            self._ledger.step_subsampled(
-                self._round_curve(contributors), self.sampling_rate
-            )
+            self._ledger.step(self._round_curve(contributors))
         except PrivacyAccountingError:
             self.trace.record(
                 "ledger-fallback", contributors=contributors
             )
             if self._m_fallbacks is not None:
                 self._m_fallbacks.inc()
-            self._ledger.step_subsampled(
-                self._round_curve(self.config.expected_cohort),
-                self.sampling_rate,
-            )
+            self._ledger.step(self._round_curve(self.config.expected_cohort))
         epsilon = self._current_epsilon()
         if self._m_epsilon is not None and not math.isnan(epsilon):
             self._m_epsilon.set(epsilon)

@@ -66,6 +66,18 @@ class TestFastWalshHadamard:
                 fast_walsh_hadamard(values), reference_walsh_hadamard(values)
             )
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(8192,), (32, 8192), (100, 16384), (5, 64), (1, 2), (3, 1)],
+    )
+    def test_bit_identical_on_the_encoder_shapes(self, shape):
+        # One row at d = 8192 is what a smm_train_wide client rotates;
+        # (100, 16384) is a Fig. 2 cell's batch.
+        values = np.random.default_rng(sum(shape)).normal(size=shape)
+        assert np.array_equal(
+            fast_walsh_hadamard(values), reference_walsh_hadamard(values)
+        )
+
     @pytest.mark.parametrize("dimension", [32, 1024])
     def test_bit_identical_on_non_contiguous_views(self, dimension):
         rng = np.random.default_rng(dimension)

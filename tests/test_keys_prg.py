@@ -1,12 +1,15 @@
 """Tests for DH key agreement and the deterministic mask PRG."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.linalg.modular as modular
+import repro.secagg.keys as keys_module
 from repro.errors import ConfigurationError
 from repro.secagg.kernels import (
     DEFAULT_MASK_PRG,
@@ -14,7 +17,12 @@ from repro.secagg.kernels import (
     get_mask_prg,
     sum_signed_masks,
 )
-from repro.secagg.bonawitz import BonawitzClient, warm_pairwise_agreements
+from repro.secagg.bonawitz import (
+    BonawitzClient,
+    forget_round_memos,
+    run_bonawitz,
+    warm_pairwise_agreements,
+)
 from repro.secagg.keys import (
     OAKLEY_GROUP_2_PRIME,
     SCALAR_BATCH_MAX,
@@ -23,6 +31,7 @@ from repro.secagg.keys import (
     KeyPair,
     _generator_pow,
     _group_cache,
+    _key_tables,
     agree,
     agree_batch,
     forget_agreements,
@@ -428,14 +437,18 @@ class TestAgreementAcceleration:
         "lanes", [1, SCALAR_BATCH_MAX, SCALAR_BATCH_MAX + 1, 63, 127]
     )
     @pytest.mark.parametrize("memoised", [False, True])
+    @pytest.mark.parametrize("held", [False, True], ids=["built", "held"])
     def test_same_keys_on_both_sides_of_the_crossover(
-        self, rng, lanes, memoised
+        self, rng, lanes, memoised, held
     ):
-        # At most SCALAR_BATCH_MAX missing peers go through scalar pow,
-        # more through the vectorised sweep: the bytes must not tell.
+        # At most SCALAR_BATCH_MAX table-less peers go through scalar
+        # pow, more through tables built on the spot, and peers whose
+        # tables are already held through those: the bytes must not tell.
         alice = generate_keypair(rng, TOY_GROUP)
         peers = [generate_keypair(rng, TOY_GROUP).public for _ in range(lanes)]
         forget_agreements(TOY_GROUP)
+        if held:
+            _key_tables(TOY_GROUP).add(peers)
         batched = agree_batch(
             alice.private,
             peers,
@@ -502,6 +515,140 @@ class TestAgreementAcceleration:
                     TOY_GROUP,
                     own_public=pairs[i].public,
                 ) == agree(pairs[i].private, pairs[j].public, TOY_GROUP)
+
+
+def dh_key(peer: int, private: int, group: DhGroup = TOY_GROUP) -> bytes:
+    """The oracle: SHA-256 of ``peer^private mod p``, big-endian at the
+    prime's byte width."""
+    width = (group.prime.bit_length() + 7) // 8
+    return hashlib.sha256(
+        pow(peer, private, group.prime).to_bytes(width, "big")
+    ).digest()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the agreement kernels: table builds, evaluations from
+    held tables, and square-and-multiply sweeps."""
+    calls = Counter()
+
+    def counted(module, name):
+        kernel = getattr(module, name, None)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counted(keys_module, "window_tables")
+    counted(keys_module, "window_pow")
+    # A sweep through either namespace counts, re-imported or not.
+    counted(modular, "pow_mod")
+    counted(keys_module, "pow_mod")
+    return calls
+
+
+class TestKeyTables:
+    """Agreement from the roster keys' window tables."""
+
+    @given(
+        private=st.integers(min_value=2, max_value=TOY_GROUP.prime - 2),
+        peers=st.lists(
+            st.integers(min_value=2, max_value=TOY_GROUP.prime - 1),
+            min_size=1,
+            max_size=130,
+        ),
+        held=st.floats(min_value=0, max_value=1),
+        own_public=st.none()
+        | st.integers(min_value=2, max_value=TOY_GROUP.prime - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agree_batch_equals_the_hash_of_pow(
+        self, private, peers, held, own_public
+    ):
+        forget_agreements(TOY_GROUP)
+        tabled = list(dict.fromkeys(peers[: round(held * len(peers))]))
+        if tabled:
+            _key_tables(TOY_GROUP).add(tabled)
+        assert agree_batch(private, peers, TOY_GROUP, own_public) == [
+            dh_key(peer, private) for peer in peers
+        ]
+
+    def test_forget_round_memos_drops_the_tables(self, rng):
+        keys = [generate_keypair(rng, TOY_GROUP) for _ in range(40)]
+        forget_agreements(TOY_GROUP)
+        agree_batch(
+            keys[0].private,
+            [key.public for key in keys[1:]],
+            TOY_GROUP,
+            own_public=keys[0].public,
+        )
+        tables = _key_tables(TOY_GROUP)
+        assert sorted(tables.lanes) == sorted(key.public for key in keys)
+        forget_round_memos(TOY_GROUP)
+        assert tables.lanes == {} and tables.stack is None
+        assert memoised_pairs(TOY_GROUP) == 0
+
+    def test_table_memo_bound_holds(self, rng, monkeypatch):
+        monkeypatch.setattr(keys_module, "_TABLE_CACHE_MAX", 50)
+        forget_agreements(TOY_GROUP)
+        tables = _key_tables(TOY_GROUP)
+        held = []
+        for _ in range(6):
+            keys = [generate_keypair(rng, TOY_GROUP) for _ in range(21)]
+            peers = [key.public for key in keys[1:]]
+            assert agree_batch(
+                keys[0].private, peers, TOY_GROUP, own_public=keys[0].public
+            ) == [dh_key(peer, keys[0].private) for peer in peers]
+            held.append(len(tables.lanes))
+            assert len(tables.stack) == len(tables.lanes)
+        # 21 keys a batch: the third would pass 50, so the memo empties
+        # and starts again from that batch.
+        assert held == [21, 42, 21, 42, 21, 42]
+        # A batch that mixes held keys with enough new ones to pass the
+        # bound gets every table it needs from the rebuilt memo.
+        keys = [generate_keypair(rng, TOY_GROUP) for _ in range(21)]
+        peers = list(tables.lanes)[:10] + [key.public for key in keys[1:]]
+        assert agree_batch(
+            keys[0].private, peers, TOY_GROUP, own_public=keys[0].public
+        ) == [dh_key(peer, keys[0].private) for peer in peers]
+        assert len(tables.lanes) == len(tables.stack) == 31
+        forget_agreements(TOY_GROUP)
+
+    def test_swarm_sequence_builds_once_per_key_set(self, kernel_calls):
+        # 64 clients in one process, in the order a socket round runs
+        # them: every client's channel-key batch, then every client's
+        # mask-key batch, each with its own public key.
+        rng = np.random.default_rng(64)
+        key_sets = [
+            [generate_keypair(rng, TOY_GROUP) for _ in range(64)]
+            for _ in ("channel", "mask")
+        ]
+        forget_round_memos(TOY_GROUP)
+        for keys in key_sets:
+            publics = [key.public for key in keys]
+            for key in keys:
+                peers = [peer for peer in publics if peer != key.public]
+                assert agree_batch(
+                    key.private, peers, TOY_GROUP, own_public=key.public
+                ) == [dh_key(peer, key.private) for peer in peers]
+        # The first client's 63 misses build the roster's tables; every
+        # later client but the last (all pairs memoised) evaluates once.
+        assert kernel_calls == Counter(window_tables=2, window_pow=2 * 63)
+        forget_round_memos(TOY_GROUP)
+
+    def test_five_party_round_stays_on_scalar_pow(self, kernel_calls):
+        rng = np.random.default_rng(5)
+        inputs = rng.integers(0, 2**16, size=(5, 8))
+        outcome = run_bonawitz(
+            inputs, 2**16, threshold=3, rng=rng, dropouts={5: 2}
+        )
+        assert outcome.included == frozenset(range(1, 5))
+        assert outcome.modular_sum.tolist() == (
+            inputs[:4].sum(axis=0) % 2**16
+        ).tolist()
+        assert kernel_calls == Counter()
 
 
 #: The three group shapes the tables serve: the Mersenne-fold kernels,

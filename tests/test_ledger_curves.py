@@ -8,13 +8,17 @@ epsilon calibration reported — the simulation engine's ledger and the
 calibrator cannot disagree about what a round costs.
 """
 
+from collections import Counter
+
 import pytest
 
+import repro.simulation.engine as engine_module
 from repro.accounting.rdp import RdpAccountant
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import AccountingSpec
 from repro.errors import CalibrationError, PrivacyAccountingError
 from repro.mechanisms import InputSpec, SkellamMixtureMechanism
+from repro.simulation import BernoulliDropout, SimulationConfig, SimulationEngine
 
 from tests.test_calibration_golden import CELLS, MECHANISMS, calibrated
 
@@ -101,3 +105,71 @@ def test_recalibration_does_not_read_the_previous_clip():
     assert calibrate(reused, 1.0) == calibrate(
         SkellamMixtureMechanism(compression), 1.0
     )
+
+
+#: Fixed-seed engine runs — configuration, dropout rate, parameters
+#: digest, each round's cumulative epsilon — recorded while the ledger
+#: still re-derived the subsampled curve every round: ``smm_train_wide``'s
+#: configuration, and one whose charges follow the survivor count
+#: (q = 1/3, survivors 13, 12, 0, 13, 0).
+ENGINE_RUNS = {
+    "smm_train_wide": (
+        dict(
+            population_size=32, expected_cohort=32, rounds=6, hidden=8,
+            epsilon=5.0, seed=100,
+        ),
+        0.1,
+        "f92af72176dff2bf1b437d3347e231c78009bf797541046b6ad734835f76ade4",
+        [
+            "2.7282875505515287", "3.2038467642832344", "3.6952579518059974",
+            "4.170817165537703", "4.662228353060466", "5.153639540583229",
+        ],
+    ),
+    "survivor_charges": (
+        dict(
+            population_size=48, expected_cohort=16, rounds=5, hidden=4,
+            epsilon=3.0, seed=7,
+        ),
+        0.3,
+        "95d3cca7cfaa5a703509833ff1cf45d30f5cae93170384074fe35c31a4361f66",
+        [
+            "2.5180199798018776", "3.5700537662577365", "3.7093726590539893",
+            "3.8992684853689275", "4.038587378165181",
+        ],
+    ),
+}
+
+
+def run_engine(name):
+    config, dropout, _, _ = ENGINE_RUNS[name]
+    return SimulationEngine(
+        SimulationConfig(telemetry=False, verify_aggregate=True, **config),
+        availability=BernoulliDropout(dropout),
+    ).run()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_RUNS))
+def test_engine_ledger_charges_the_recorded_epsilons(name):
+    _, _, digest, epsilons = ENGINE_RUNS[name]
+    result = run_engine(name)
+    assert result.parameters_digest == digest
+    assert [repr(record.epsilon) for record in result.records] == epsilons
+
+
+def test_subsampled_curve_runs_once_per_order_and_survivor_count(
+    monkeypatch,
+):
+    calls = Counter()
+    subsampled_rdp = engine_module.subsampled_rdp
+
+    def counting(alpha, sampling_rate, curve):
+        calls[alpha, curve] += 1
+        return subsampled_rdp(alpha, sampling_rate, curve)
+
+    monkeypatch.setattr(engine_module, "subsampled_rdp", counting)
+    result = run_engine("survivor_charges")
+    curves = {curve for _, curve in calls}
+    # Five charged rounds at fewer distinct survivor counts: a memo
+    # that forgot between rounds would count some pair twice.
+    assert len(curves) < len(result.records)
+    assert set(calls.values()) == {1}

@@ -20,6 +20,8 @@ from repro.linalg.modular import (
     mul_wide,
     pow_mod,
     sum_mod,
+    window_pow,
+    window_tables,
     wraps_around,
 )
 from repro.secagg.field import MERSENNE_61
@@ -153,6 +155,48 @@ class TestFieldKernels:
             assert fixed_base_pow(table, (exponents,), p).tolist() == [
                 pow(base, int(e), p) for e in exponents
             ]
+
+    @pytest.mark.parametrize("prime", [MERSENNE_61, (1 << 31) - 1, 101])
+    def test_window_tables_of_many_bases(self, prime):
+        bases = [0, 1, 2, prime - 1, prime + 3, 12345 % prime]
+        for window, bits in [(1, 5), (4, 61), (5, 31), (11, 128)]:
+            tables = window_tables(bases, prime, window, bits)
+            rows = -(-bits // window)
+            assert tables.shape == (len(bases), rows, 1 << window)
+            assert tables.tolist() == [
+                [
+                    [
+                        pow(base, w << (window * k), prime)
+                        for w in range(1 << window)
+                    ]
+                    for k in range(rows)
+                ]
+                for base in bases
+            ]
+        # The generator's memoised table is the same builder's row.
+        assert np.array_equal(
+            fixed_base_table(7, prime), window_tables([7], prime, 11, 128)[0]
+        )
+
+    @pytest.mark.parametrize("prime", [MERSENNE_61, (1 << 31) - 1, 101])
+    @pytest.mark.parametrize("window", [1, 3, 4, 6])
+    def test_window_pow_matches_python_pow(self, prime, window):
+        rng = np.random.default_rng(window)
+        bits = (prime - 1).bit_length()
+        bases = [0, 1, prime - 1] + rng.integers(2, prime, size=9).tolist()
+        tables = window_tables(bases, prime, window, bits)
+        lanes = [4, 0, 4, 11, 2, 1]
+        top = (1 << (window * tables.shape[1])) - 1
+        for exponent in [0, 1, 2, prime - 2, prime - 1, top] + rng.integers(
+            0, prime, size=4
+        ).tolist():
+            assert window_pow(tables, lanes, exponent, prime).tolist() == [
+                pow(bases[lane], exponent, prime) for lane in lanes
+            ]
+        assert window_pow(tables, [], 5, prime).tolist() == []
+        for exponent in (-1, top + 1):
+            with pytest.raises(ConfigurationError, match="exponent"):
+                window_pow(tables, lanes, exponent, prime)
 
     @pytest.mark.parametrize("prime", [MERSENNE_61, 101])
     def test_inv_mod_inverts(self, prime):
