@@ -16,14 +16,16 @@ The :class:`RdpAccountant` tracks a vector of RDP parameters over integer
 orders, composes mechanisms, and reports the best (smallest) converted
 epsilon over the order grid — exactly the procedure the paper uses
 ("the optimal RDP order is chosen from integers from 2 to 100").
+
+Only the subsampled sum needs scipy (``gammaln`` and ``logsumexp``), and
+:func:`subsampled_rdp` imports it when it evaluates one, so importing the
+accountant loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-
-from scipy.special import gammaln, logsumexp
 
 from repro.errors import PrivacyAccountingError
 
@@ -81,6 +83,8 @@ def subsampled_rdp(alpha: int, sampling_rate: float, curve: RdpCurve) -> float:
         return 0.0
     if sampling_rate == 1:
         return curve(alpha)
+    from scipy.special import gammaln, logsumexp
+
     q = sampling_rate
     log_q = math.log(q)
     log_one_minus_q = math.log1p(-q)

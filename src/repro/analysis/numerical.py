@@ -10,7 +10,9 @@ benchmarks quantify how much of the bound is slack (the paper's future
 work: "further reduce the constant factor in the privacy analysis").
 
 All computations run in log space over a truncated support whose tail
-mass is far below double precision for the parameter ranges exercised.
+mass is far below double precision for the parameter ranges exercised;
+:func:`numerical_renyi_divergence` imports scipy's ``logsumexp`` when it
+sums, not at import.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.accounting.divergences import skellam_rdp, smm_rdp
 from repro.accounting.pld import (
@@ -59,6 +60,8 @@ def numerical_renyi_divergence(
     support = p > 0
     if (q[support] == 0).any():
         return math.inf
+    from scipy.special import logsumexp
+
     log_terms = alpha * np.log(p[support]) + (1.0 - alpha) * np.log(
         q[support]
     )

@@ -371,6 +371,7 @@ def command_attack(args) -> int:
 def command_serve(args) -> int:
     """Serve SecAgg rounds to real TCP clients (the repro.net server)."""
     import asyncio
+    import contextlib
     import signal
 
     from repro.net import SecAggServer, ServerConfig
@@ -397,7 +398,7 @@ def command_serve(args) -> int:
     )
     server = SecAggServer(config)
 
-    async def run():
+    async def run() -> bool:
         loop = asyncio.get_running_loop()
 
         def graceful(signame: str) -> None:
@@ -420,28 +421,45 @@ def command_serve(args) -> int:
                 banner += f" (/metrics on port {server.metrics_port})"
             print(banner)
             sys.stdout.flush()  # The CI smoke step tails this from a file.
-            return await server.serve_rounds()
+            # Each round is reported, and then dropped, as it ends: a
+            # long-lived server holds one round's state.  The digest is
+            # on disk before the round's line is printed, so a reader
+            # that sees the line can read the digest.  Round lines go
+            # to stderr: a parent that reads only the banner off a
+            # stdout pipe (as bench/ does) would otherwise block the
+            # server once the pipe fills, ~430 rounds in.
+            all_completed = True
+            with (
+                open(args.digest_out, "w", encoding="utf-8")
+                if args.digest_out
+                else contextlib.nullcontext()
+            ) as digests:
+                async for result in server.rounds():
+                    if digests is not None:
+                        digests.write(f"{result.digest or 'aborted'}\n")
+                        digests.flush()
+                    if result.aborted is not None:
+                        all_completed = False
+                        print(f"round {result.index}: ABORTED: "
+                              f"{result.aborted}", file=sys.stderr)
+                    else:
+                        print(f"round {result.index}: "
+                              f"{len(result.included)} included, "
+                              f"{len(result.dropped)} dropped "
+                              f"({len(result.evicted)} evicted, "
+                              f"{len(result.rejected)} rejected at Hello) "
+                              f"in {result.wall_duration:.3f}s  "
+                              f"digest={result.digest}", file=sys.stderr)
+            return all_completed
 
-    results = asyncio.run(run())
-    for result in results:
-        if result.aborted is not None:
-            print(f"round {result.index}: ABORTED: {result.aborted}")
-            continue
-        print(f"round {result.index}: {len(result.included)} included, "
-              f"{len(result.dropped)} dropped "
-              f"({len(result.evicted)} evicted, "
-              f"{len(result.rejected)} rejected at Hello) "
-              f"in {result.wall_duration:.3f}s  digest={result.digest}")
+    all_completed = asyncio.run(run())
     if args.digest_out:
-        with open(args.digest_out, "w", encoding="utf-8") as handle:
-            for result in results:
-                handle.write(f"{result.digest or 'aborted'}\n")
         print(f"digests written to {args.digest_out}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus(server.metrics.snapshot()))
         print(f"metrics written to {args.metrics_out}")
-    return 0 if all(r.aborted is None for r in results) else 1
+    return 0 if all_completed else 1
 
 
 def command_swarm(args) -> int:

@@ -63,6 +63,7 @@ import asyncio
 import contextlib
 import dataclasses
 import hashlib
+from collections.abc import AsyncIterator
 
 import numpy as np
 
@@ -116,8 +117,8 @@ class ServerConfig:
         cohort_size: Connections to admit into each round; the round
             starts once this many clients have completed the handshake
             (or ``join_timeout`` expires after the first join).
-        rounds: Rounds to serve before :meth:`SecAggServer.serve_rounds`
-            returns.
+        rounds: Rounds to serve before :meth:`SecAggServer.rounds` ends
+            (and :meth:`SecAggServer.serve_rounds` returns).
         phase_timeout: Wall seconds the server waits per phase before
             evicting the stragglers and moving on.
         join_timeout: Wall seconds after the first handshake to wait
@@ -245,6 +246,10 @@ class SecAggServer:
         results = await server.serve_rounds()
         await server.stop()
 
+    A long-lived server takes each result as its round ends instead
+    (``async for result in server.rounds(): ...``), so that nothing
+    accumulates.
+
     Args:
         config: The server configuration.
         metrics: Registry to report into (and to serve on ``/metrics``);
@@ -258,7 +263,8 @@ class SecAggServer:
     ) -> None:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.results: list[NetRoundResult] = []
+        #: Rounds served so far; the next round's index.
+        self._served = 0
         # Header for pre-round Reject notices (duplicate ids); rounds
         # negotiate their own header via their ServerSession.
         self._reject_header = ServerSession(
@@ -393,8 +399,8 @@ class SecAggServer:
 
         Safe to call from a signal handler on the loop thread: sets the
         stop flag and wakes the round driver, which finishes the
-        current round (phases stay deadline-bounded) and then returns
-        from :meth:`serve_rounds` instead of gathering the next cohort.
+        current round (phases stay deadline-bounded) and then ends
+        :meth:`rounds` instead of gathering the next cohort.
         """
         if not self._stop_requested:
             self._stop_requested = True
@@ -514,28 +520,34 @@ class SecAggServer:
 
     # -- round driving ----------------------------------------------------
 
-    async def serve_rounds(self) -> list[NetRoundResult]:
-        """Serve ``config.rounds`` rounds; returns their results.
+    async def rounds(self) -> AsyncIterator[NetRoundResult]:
+        """Serve ``config.rounds`` rounds, yielding each result as its
+        round ends.
 
-        A journal-recovered round (left in flight by a crash) is driven
+        The server keeps no result, so a long-lived ``repro serve``
+        holds one round's state however many it has served.  A
+        journal-recovered round (left in flight by a crash) is driven
         first and counts toward the round budget.  A
-        :meth:`request_stop` finishes the in-flight round, then returns
-        early.
+        :meth:`request_stop` finishes the in-flight round, then ends
+        the iteration early.
         """
-        index = len(self.results)
         if self._interrupted is not None:
             interrupted, self._interrupted = self._interrupted, None
-            result = await self._recover_round(index, interrupted)
+            result = await self._recover_round(self._served, interrupted)
             if result is not None:
-                self.results.append(result)
-                index += 1
-        while index < self.config.rounds and not self._stop_requested:
-            result = await self._run_round(index)
+                self._served += 1
+                yield result
+        while self._served < self.config.rounds and not self._stop_requested:
+            result = await self._run_round(self._served)
             if result is None:
                 break
-            self.results.append(result)
-            index += 1
-        return self.results
+            self._served += 1
+            yield result
+
+    async def serve_rounds(self) -> list[NetRoundResult]:
+        """Serve ``config.rounds`` rounds (see :meth:`rounds`); returns
+        their results."""
+        return [result async for result in self.rounds()]
 
     def _build_session(self) -> ServerSession:
         return ServerSession(

@@ -9,7 +9,9 @@ This module also holds the one pmf of ``Sk(lambda, lambda)`` in this
 library, ``e^{-2 lambda} I_|k|(2 lambda)`` from the exponentially scaled
 modified Bessel function :func:`scipy.special.ive`.  The fast sampler's
 alias table and the PLD accountant both evaluate it through
-:func:`symmetric_skellam_pmf`.
+:func:`symmetric_skellam_pmf`, which imports scipy on its first call: a
+process that never evaluates the pmf (every SecAgg-only process) never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import fractions
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.errors import ConfigurationError
 from repro.sampling.exact_poisson import sample_poisson
@@ -47,8 +48,10 @@ def symmetric_skellam_pmf(
     below about 1e-304 to 0.  ``ive`` also takes non-integer orders, so a
     non-integer ``k`` is masked to 0 here.
     """
+    from scipy.special import ive
+
     k = np.asarray(k, dtype=float)
-    mass = special.ive(np.abs(k), 2.0 * lam)
+    mass = ive(np.abs(k), 2.0 * lam)
     return np.where(k == np.floor(k), mass, 0.0)[()]
 
 

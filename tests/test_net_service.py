@@ -10,9 +10,16 @@ against a wall-clock deadline) and the live Prometheus endpoint.
 """
 
 import asyncio
+import gc
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import repro
 from repro.errors import AggregationError
 from repro.net import (
     ClientPlan,
@@ -167,6 +174,95 @@ class TestSwarmEquivalence:
         assert [r.digest for r in results] == [
             expected_digest(config) for config in configs
         ]
+
+
+class TestLongLivedServer:
+    """A server process holds one round's state however many it serves."""
+
+    def test_memory_retained_does_not_grow_with_rounds_served(self):
+        # Each result is taken as its round ends and dropped, as
+        # `repro serve` does.  Memory still held after round 50 stays
+        # within a few KiB of that after round 10; a server that kept
+        # its results would hold ~5.8 KiB more per round of 4 clients
+        # (~230 KiB over the 40 rounds between the two readings).
+        rounds, readings = 55, (10, 50)
+
+        async def scenario():
+            server = SecAggServer(
+                ServerConfig(
+                    cohort_size=4, threshold=2, dimension=8,
+                    rounds=rounds, metrics_port=None,
+                )
+            )
+            retained = {}
+            async with server:
+                async def swarm():
+                    for seed in range(rounds):
+                        await run_swarm(
+                            "127.0.0.1", server.port,
+                            SwarmConfig(
+                                clients=4, threshold=2, dimension=8,
+                                seed=seed,
+                            ),
+                        )
+
+                clients = asyncio.ensure_future(swarm())
+                async for result in server.rounds():
+                    assert result.aborted is None, result.aborted
+                    if result.index + 1 in readings:
+                        gc.collect()
+                        retained[result.index + 1] = (
+                            tracemalloc.get_traced_memory()[0]
+                        )
+                await asyncio.wait_for(clients, 60)
+            return retained
+
+        tracemalloc.start()
+        try:
+            retained = asyncio.run(asyncio.wait_for(scenario(), 120))
+        finally:
+            tracemalloc.stop()
+        first, last = (retained[reading] for reading in readings)
+        assert last - first < 32 * 1024, (first, last)
+
+    def test_cli_writes_each_digest_as_its_round_ends(self, tmp_path):
+        configs = [
+            SwarmConfig(clients=4, threshold=2, dimension=8, seed=seed)
+            for seed in (31, 32)
+        ]
+        digests = tmp_path / "digests.txt"
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--metrics-port", "-1",
+                "--cohort", "4", "--threshold", "2", "--dimension", "8",
+                "--rounds", "2", "--digest-out", str(digests),
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = server.stdout.readline()
+            port = int(banner.split("listening on ")[1].split(":")[1])
+            asyncio.run(run_swarm("127.0.0.1", port, configs[0]))
+            assert server.stderr.readline().startswith("round 0: 4 included")
+            # A round's digest is on disk before its line is printed,
+            # and before the next round is served.
+            assert digests.read_text() == expected_digest(configs[0]) + "\n"
+            asyncio.run(run_swarm("127.0.0.1", port, configs[1]))
+            _, rest = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert rest.startswith("round 1: 4 included")
+        assert digests.read_bytes() == b"".join(
+            f"{expected_digest(config)}\n".encode() for config in configs
+        )
 
 
 class TestNegotiationOverSockets:
