@@ -26,14 +26,7 @@ from repro.fl import (
     fashion_mnist_surrogate,
     mnist_surrogate,
 )
-from repro.mechanisms import (
-    CpSgdMechanism,
-    DiscreteGaussianMixtureMechanism,
-    DistributedDiscreteGaussian,
-    GaussianMechanism,
-    SkellamMechanism,
-    SkellamMixtureMechanism,
-)
+from repro.mechanisms import build_mechanism
 
 from benchmarks.conftest import FULL_SCALE
 
@@ -89,20 +82,6 @@ def load_dataset(name: str):
         maker = mnist_surrogate if name == "mnist" else fashion_mnist_surrogate
         _DATASETS[name] = maker(rng, SCALE.participants, SCALE.test_records)
     return _DATASETS[name]
-
-
-def build_mechanism(name: str, compression: CompressionConfig | None):
-    """Instantiate one of the paper's mechanisms by short name."""
-    if name == "dpsgd":
-        return GaussianMechanism()
-    factories = {
-        "smm": SkellamMixtureMechanism,
-        "skellam": SkellamMechanism,
-        "ddg": DistributedDiscreteGaussian,
-        "dgm": DiscreteGaussianMixtureMechanism,
-        "cpsgd": CpSgdMechanism,
-    }
-    return factories[name](compression)
 
 
 def train_point(

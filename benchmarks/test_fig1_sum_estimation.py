@@ -22,13 +22,7 @@ import pytest
 pytestmark = pytest.mark.slow  # figure reproduction: minutes of wall time
 
 from repro.config import CompressionConfig, PrivacyBudget
-from repro.mechanisms import (
-    CpSgdMechanism,
-    DistributedDiscreteGaussian,
-    GaussianMechanism,
-    SkellamMechanism,
-    SkellamMixtureMechanism,
-)
+from repro.mechanisms import build_mechanism
 from repro.sumestimation import run_sum_estimation, sample_sphere
 
 from benchmarks.conftest import FULL_SCALE
@@ -49,17 +43,6 @@ def sphere(bench_rng):
     return sample_sphere(NUM_POINTS, DIMENSION, bench_rng)
 
 
-def _build(name: str, compression: CompressionConfig):
-    factories = {
-        "gaussian": lambda: GaussianMechanism(),
-        "smm": lambda: SkellamMixtureMechanism(compression),
-        "skellam": lambda: SkellamMechanism(compression),
-        "ddg": lambda: DistributedDiscreteGaussian(compression),
-        "cpsgd": lambda: CpSgdMechanism(compression),
-    }
-    return factories[name]()
-
-
 @pytest.mark.parametrize("panel", list(PANELS))
 @pytest.mark.parametrize("mechanism_name", MECHANISMS)
 def test_fig1_panel(benchmark, emit, sphere, bench_rng, panel, mechanism_name):
@@ -70,7 +53,7 @@ def test_fig1_panel(benchmark, emit, sphere, bench_rng, panel, mechanism_name):
     def run_series():
         series = []
         for epsilon in EPSILONS:
-            mechanism = _build(mechanism_name, compression)
+            mechanism = build_mechanism(mechanism_name, compression)
             result = run_sum_estimation(
                 mechanism,
                 sphere,

@@ -13,16 +13,8 @@ import argparse
 
 import numpy as np
 
-from repro import (
-    CompressionConfig,
-    CpSgdMechanism,
-    DiscreteGaussianMixtureMechanism,
-    DistributedDiscreteGaussian,
-    GaussianMechanism,
-    PrivacyBudget,
-    SkellamMechanism,
-    SkellamMixtureMechanism,
-)
+from repro import CompressionConfig, PrivacyBudget
+from repro.mechanisms import build_mechanism
 from repro.sumestimation import (
     format_results_table,
     run_sum_estimation,
@@ -53,20 +45,11 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     values = sample_sphere(args.participants, args.dimension, rng)
 
-    factories = {
-        "gaussian": GaussianMechanism,
-        "smm": lambda: SkellamMixtureMechanism(compression),
-        "skellam": lambda: SkellamMechanism(compression),
-        "ddg": lambda: DistributedDiscreteGaussian(compression),
-        "dgm": lambda: DiscreteGaussianMixtureMechanism(compression),
-        "cpsgd": lambda: CpSgdMechanism(compression),
-    }
-
     results = []
     for epsilon in args.epsilons:
-        for name, factory in factories.items():
+        for name in ("gaussian", "smm", "skellam", "ddg", "dgm", "cpsgd"):
             result = run_sum_estimation(
-                factory(),
+                build_mechanism(name, compression),
                 values,
                 PrivacyBudget(epsilon=epsilon),
                 rng,

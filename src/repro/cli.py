@@ -26,17 +26,10 @@ import numpy as np
 
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import AccountingSpec
+from repro.errors import ConfigurationError
 from repro.fl.data import fashion_mnist_surrogate, mnist_surrogate
 from repro.fl.experiment import format_accuracy_table, run_fl_point
-from repro.mechanisms import (
-    CpSgdMechanism,
-    DiscreteGaussianMixtureMechanism,
-    DistributedDiscreteGaussian,
-    GaussianMechanism,
-    InputSpec,
-    SkellamMechanism,
-    SkellamMixtureMechanism,
-)
+from repro.mechanisms import InputSpec, build_mechanism
 from repro.sumestimation import (
     format_results_table,
     run_sum_estimation,
@@ -46,20 +39,13 @@ from repro.sumestimation import (
 MECHANISMS = ("gaussian", "smm", "skellam", "ddg", "dgm", "cpsgd")
 
 
-def build_mechanism(name: str, compression: CompressionConfig | None):
-    """Instantiate a mechanism by its short name."""
-    if name == "gaussian":
-        return GaussianMechanism()
-    if compression is None:
+def _mechanism(name: str, compression: CompressionConfig | None):
+    """:func:`~repro.mechanisms.build_mechanism`, exiting with the flags
+    a distributed mechanism needs."""
+    try:
+        return build_mechanism(name, compression)
+    except ConfigurationError:
         raise SystemExit(f"mechanism {name!r} needs --bits/--gamma")
-    factories = {
-        "smm": SkellamMixtureMechanism,
-        "skellam": SkellamMechanism,
-        "ddg": DistributedDiscreteGaussian,
-        "dgm": DiscreteGaussianMixtureMechanism,
-        "cpsgd": CpSgdMechanism,
-    }
-    return factories[name](compression)
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -88,7 +74,7 @@ def command_sum(args) -> int:
     results = []
     for epsilon in args.epsilons:
         for name in args.mechanisms:
-            mechanism = build_mechanism(name, compression)
+            mechanism = _mechanism(name, compression)
             result = run_sum_estimation(
                 mechanism,
                 values,
@@ -112,9 +98,7 @@ def command_fl(args) -> int:
     results = []
     for epsilon in args.epsilons:
         for name in args.mechanisms:
-            mechanism = build_mechanism(
-                name, None if name == "gaussian" else compression
-            )
+            mechanism = _mechanism(name, compression)
             result = run_fl_point(
                 mechanism,
                 train,
@@ -137,7 +121,7 @@ def command_fl(args) -> int:
 def command_calibrate(args) -> int:
     """Print one mechanism's calibration at the requested budget."""
     compression = _compression(args)
-    mechanism = build_mechanism(args.mechanism, compression)
+    mechanism = _mechanism(args.mechanism, compression)
     spec = InputSpec(
         num_participants=args.participants,
         dimension=args.dimension,
@@ -195,8 +179,6 @@ def command_simulate(args) -> int:
         SimulationEngine,
         StragglerLatency,
     )
-
-    from repro.errors import ConfigurationError
 
     if args.no_telemetry and args.metrics_out:
         raise SystemExit(

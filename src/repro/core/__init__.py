@@ -24,11 +24,7 @@ from repro.core.clipping import (
     mixture_sensitivity,
     sensitivity_helper,
 )
-from repro.core.dgm import (
-    dgm_perturb,
-    discrete_gaussian_encoder,
-    round_sigma_up,
-)
+from repro.core.dgm import dgm_perturb, round_sigma_up
 from repro.core.server import GradientDecoder
 from repro.core.skellam_mixture import (
     estimate_sum,
@@ -55,7 +51,6 @@ __all__ = [
     "clip_gradient",
     "clip_linf_ceiling",
     "dgm_perturb",
-    "discrete_gaussian_encoder",
     "epsilon_for_curve",
     "estimate_sum",
     "estimate_sum_1d",

@@ -6,15 +6,15 @@ message for SecAgg:
 1. **rotate** — ``g <- H_d D_xi g`` with the shared public rotation
    (flattens the vector so no coordinate dominates; bounds overflow),
 2. **scale** — ``g <- gamma * g`` (finer quantisation for larger gamma),
-3. **clip** — Algorithm 5 (bounds the mixture sensitivity ``c`` and the
-   per-coordinate ceiling ``Delta_inf``),
-4. **perturb** — the Skellam mixture (or, for DGM, the discrete Gaussian
-   mixture; the noise sampler is injected), and
-5. **wrap** — reduce each coordinate modulo ``m``.
+3. **integer step** — the mechanism's
+   :meth:`~repro.mechanisms.base.DistributedSumEstimator._encode_integer`:
+   for SMM, Algorithm 5's clip then the Skellam mixture; for the
+   baselines their rounding step plus their noise,
+4. **wrap** — reduce each coordinate modulo ``m``.
 
-The same class encodes a *batch* of participants' gradients at once (one
-row per participant), which is how the vectorised experiment pipelines
-call it; the per-row semantics are identical to Algorithm 4.
+The one implementation of these steps: the simulation engine encodes
+each participant with it, every distributed mechanism's ``estimate_sum``
+its batch (one row per participant, each row as in Algorithm 4).
 """
 
 from __future__ import annotations
@@ -26,49 +26,28 @@ import numpy as np
 
 from repro.config import ClipConfig, CompressionConfig
 from repro.core.clipping import clip_gradient
+from repro.core.skellam_mixture import smm_perturb
 from repro.errors import ConfigurationError
 from repro.linalg.hadamard import RandomRotation
 from repro.linalg.modular import encode_mod
-from repro.sampling.fast import bernoulli_round, skellam_noise
-
-#: A mixture noise sampler: (shape, rng) -> integer noise array.
-NoiseSampler = Callable[[tuple[int, ...], np.random.Generator], np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
 class GradientEncoder:
-    """Algorithm 4: rotate, scale, clip, mixture-perturb, wrap mod m.
+    """Algorithm 4: rotate, scale, integer step, wrap mod m.
 
     Attributes:
         rotation: The shared public random rotation (also held by the
             server for decoding).
         compression: Modulus ``m`` and scale ``gamma``.
-        clip: Mixture clipping thresholds ``c`` and ``Delta_inf``.
-        noise: Sampler for the integer noise added on top of the
-            Bernoulli-rounded value; defaults (via
-            :func:`skellam_encoder`) to ``Sk(lam, lam)``.
+        integer_step: ``(scaled, rng) -> ints``: maps the scaled rotated
+            batch to integers before the wrap (a mechanism's
+            ``_encode_integer``).
     """
 
     rotation: RandomRotation
     compression: CompressionConfig
-    clip: ClipConfig
-    noise: NoiseSampler
-
-    def prepare(self, gradients: np.ndarray) -> np.ndarray:
-        """Rotate, scale and clip (lines 1-3) without perturbing.
-
-        Exposed separately so tests and the error analysis can inspect the
-        exact pre-noise values.
-
-        Args:
-            gradients: ``(d,)`` or ``(n, d)`` real array (un-padded width).
-
-        Returns:
-            Clipped array of padded width.
-        """
-        rotated = self.rotation.forward(np.asarray(gradients, dtype=np.float64))
-        scaled = self.compression.gamma * rotated
-        return clip_gradient(scaled, self.clip)
+    integer_step: Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
     def encode(
         self, gradients: np.ndarray, rng: np.random.Generator
@@ -77,15 +56,22 @@ class GradientEncoder:
 
         Args:
             gradients: ``(d,)`` or ``(n, d)`` real array.
-            rng: Numpy random generator for the Bernoulli and noise draws.
+            rng: Numpy random generator for the integer step's draws.
 
         Returns:
             Integer array of padded width with entries in ``[0, m)``.
         """
-        clipped = self.prepare(gradients)
-        rounded = bernoulli_round(clipped, rng)
-        perturbed = rounded + self.noise(rounded.shape, rng)
-        return encode_mod(perturbed, self.compression.modulus)
+        rotated = self.rotation.forward(np.asarray(gradients, dtype=np.float64))
+        integers = self.integer_step(self.compression.gamma * rotated, rng)
+        return encode_mod(integers, self.compression.modulus)
+
+
+@dataclasses.dataclass(frozen=True)
+class _SkellamEncoder(GradientEncoder):
+    """A :class:`GradientEncoder` with SMM's integer step, which keeps
+    the Algorithm 5 thresholds that step clips to readable."""
+
+    clip: ClipConfig
 
 
 def skellam_encoder(
@@ -94,7 +80,9 @@ def skellam_encoder(
     clip: ClipConfig,
     lam: float,
 ) -> GradientEncoder:
-    """Build the SMM participant encoder with ``Sk(lam, lam)`` noise.
+    """The SMM participant encoder: Algorithm 5, then ``Sk(lam, lam)``
+    (:class:`~repro.mechanisms.smm.SkellamMixtureMechanism`'s integer
+    step at a given clip and ``lam``).
 
     Args:
         rotation: Shared public rotation.
@@ -107,9 +95,11 @@ def skellam_encoder(
     """
     if not lam > 0:
         raise ConfigurationError(f"lambda must be positive, got {lam}")
-    return GradientEncoder(
+    return _SkellamEncoder(
         rotation=rotation,
         compression=compression,
+        integer_step=lambda scaled, rng: smm_perturb(
+            clip_gradient(scaled, clip), lam, rng
+        ),
         clip=clip,
-        noise=lambda shape, rng: skellam_noise(lam, shape, rng),
     )

@@ -8,6 +8,13 @@ the sum of discrete Gaussians is *not* a discrete Gaussian (gap ``tau_n``,
 Eq. (7)) and the TensorFlow-Privacy implementation the paper mirrors
 rounds the per-participant ``sigma`` up to an integer — both of which
 surface at small bitwidths (Figures 4-5).
+
+This module holds DGM's two primitives: the sigma rounding and the
+mixture perturbation.  The mechanism that calibrates sigma and runs them
+inside Algorithm 14's rotate -> scale -> clip -> perturb -> mod m
+pipeline (:class:`~repro.core.client.GradientEncoder` and
+:class:`~repro.core.server.GradientDecoder`, as for SMM) is
+:class:`~repro.mechanisms.dgm.DiscreteGaussianMixtureMechanism`.
 """
 
 from __future__ import annotations
@@ -16,11 +23,7 @@ import math
 
 import numpy as np
 
-from repro.config import ClipConfig, CompressionConfig
-from repro.core.client import GradientEncoder
 from repro.errors import ConfigurationError
-from repro.linalg.hadamard import RandomRotation
-from repro.linalg.modular import decode_centered, encode_mod, sum_mod
 from repro.sampling.fast import bernoulli_round, discrete_gaussian_noise
 
 
@@ -57,68 +60,3 @@ def dgm_perturb(
     values = np.asarray(values, dtype=np.float64)
     rounded = bernoulli_round(values, rng)
     return rounded + discrete_gaussian_noise(sigma_squared, values.shape, rng)
-
-
-def estimate_sum(
-    values: np.ndarray,
-    sigma_squared: float,
-    modulus: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run dDGM end-to-end (Algorithm 12) and return the decoded sum.
-
-    As in :mod:`repro.core.skellam_mixture`, the SecAgg line is the ideal
-    functionality: the messages' sum mod ``m``.
-
-    Args:
-        values: ``(n, d)`` real array, one row per participant.
-        sigma_squared: Per-participant discrete Gaussian parameter.
-        modulus: SecAgg modulus ``m``.
-        rng: Numpy random generator (the noise; the sum draws nothing).
-
-    Returns:
-        Length-``d`` int64 estimate of the column sums.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ConfigurationError(f"expected an (n, d) array, got ndim={values.ndim}")
-    perturbed = dgm_perturb(values, sigma_squared, rng)
-    messages = encode_mod(perturbed, modulus)
-    residue = sum_mod(messages, modulus)
-    return decode_centered(residue, modulus)
-
-
-def discrete_gaussian_encoder(
-    rotation: RandomRotation,
-    compression: CompressionConfig,
-    clip: ClipConfig,
-    sigma: float,
-    integer_sigma: bool = True,
-) -> GradientEncoder:
-    """Build the DGM participant encoder (Algorithm 14).
-
-    Identical to Algorithm 4 except for the injected noise distribution.
-
-    Args:
-        rotation: Shared public rotation.
-        compression: Wire format (``m``, ``gamma``).
-        clip: Mixture clipping thresholds.
-        sigma: Per-participant noise standard deviation parameter.
-        integer_sigma: Mirror the TF-Privacy behaviour of rounding sigma
-            up to an integer before sampling (Appendix B.3).
-
-    Returns:
-        A ready-to-use :class:`GradientEncoder`.
-    """
-    if not sigma > 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    effective_sigma = round_sigma_up(sigma) if integer_sigma else sigma
-    sigma_squared = effective_sigma**2
-    return GradientEncoder(
-        rotation=rotation,
-        compression=compression,
-        clip=clip,
-        noise=lambda shape, rng: discrete_gaussian_noise(
-            sigma_squared, shape, rng
-        ),
-    )

@@ -8,7 +8,8 @@ and inverts the participant-side encoding:
 2. **un-scale / un-rotate** — ``g* <- (1/gamma) D_xi H^T z'`` (line 2).
 
 The result is an unbiased estimate of the sum of the participants' clipped
-gradients.
+gradients.  This is the one implementation of those steps, for every
+distributed mechanism's ``estimate_sum`` and for the simulation engine.
 """
 
 from __future__ import annotations

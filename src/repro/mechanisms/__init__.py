@@ -1,5 +1,9 @@
 """Calibrated sum estimators: SMM, DGM and the paper's four baselines."""
 
+from __future__ import annotations
+
+from repro.config import CompressionConfig
+from repro.errors import ConfigurationError
 from repro.mechanisms.base import (
     DistributedSumEstimator,
     InputSpec,
@@ -30,8 +34,36 @@ __all__ = [
     "SkellamMechanism",
     "SkellamMixtureMechanism",
     "SumEstimator",
+    "build_mechanism",
     "clip_l2",
     "conditional_round",
     "conditional_rounding_bound",
     "stochastic_round",
 ]
+
+_DISTRIBUTED = {
+    kind.name: kind
+    for kind in (
+        SkellamMixtureMechanism,
+        DiscreteGaussianMixtureMechanism,
+        DistributedDiscreteGaussian,
+        SkellamMechanism,
+        CpSgdMechanism,
+    )
+}
+
+
+def build_mechanism(
+    name: str, compression: CompressionConfig | None = None
+) -> SumEstimator:
+    """The mechanism called ``name``: a distributed mechanism's
+    :attr:`~repro.mechanisms.base.SumEstimator.name`, which needs
+    ``compression``, or ``"gaussian"`` (the figures' ``"dpsgd"``), which
+    ignores it.  Anything else is a :class:`ConfigurationError`."""
+    if name in (GaussianMechanism.name, "dpsgd"):
+        return GaussianMechanism()
+    if name not in _DISTRIBUTED:
+        raise ConfigurationError(f"unknown mechanism {name!r}")
+    if compression is None:
+        raise ConfigurationError(f"mechanism {name!r} needs a compression")
+    return _DISTRIBUTED[name](compression)

@@ -24,11 +24,13 @@ mechanism has no RDP curve, calibrates by ``(epsilon, delta)``
 composition instead.
 
 The distributed mechanisms additionally share the SecAgg wire pipeline
-(rotate -> scale -> mechanism-specific integer encode -> mod m -> secure
-sum -> unwrap -> un-scale -> un-rotate), factored into
-:class:`DistributedSumEstimator`.  The secure sum there is SecAgg's ideal
-functionality, :func:`repro.linalg.modular.sum_mod` — what the paper's
-analysis assumes of the black box; running the protocol that realises it
+in :class:`DistributedSumEstimator`: Algorithm 4's
+:class:`~repro.core.client.GradientEncoder` with the mechanism's integer
+step, the secure sum, then Algorithm 6's
+:class:`~repro.core.server.GradientDecoder`.  The secure sum there is
+SecAgg's ideal functionality, :func:`repro.linalg.modular.sum_mod` —
+what the paper's analysis assumes of the black box; running the protocol
+that realises it
 (:func:`repro.secagg.bonawitz.run_bonawitz`, or per round
 :class:`repro.simulation.engine.SimulationEngine`) is a separate,
 measured concern.
@@ -38,15 +40,18 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import operator
 
 import numpy as np
 
 from repro.accounting.rdp import RdpCurve
 from repro.config import ClipConfig, CompressionConfig
 from repro.core.calibration import AccountingSpec, calibrate_noise
+from repro.core.client import GradientEncoder
+from repro.core.server import GradientDecoder
 from repro.errors import CalibrationError, ConfigurationError
 from repro.linalg.hadamard import RandomRotation, next_power_of_two
-from repro.linalg.modular import decode_centered, sum_mod
+from repro.linalg.modular import sum_mod
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,6 +116,12 @@ class SumEstimator(abc.ABC):
     #: Mixture clipping thresholds (SMM, DGM); ``None`` for mechanisms
     #: without an L-infinity clip.
     clip: ClipConfig | None = None
+
+    #: ``(describe() key, attribute path)`` of the public parameters,
+    #: and of every value calibration sets (``estimate_sum`` refuses to
+    #: run until all of those are set).
+    summary_fields: tuple[tuple[str, str], ...] = ()
+    calibrated_fields: tuple[tuple[str, str], ...] = ()
 
     def __init__(self) -> None:
         self._spec: InputSpec | None = None
@@ -198,9 +209,27 @@ class SumEstimator(abc.ABC):
         the noise each participant adds was fixed at calibration time.
         """
 
+    def _is_calibrated(self) -> bool:
+        return self._spec is not None and all(
+            getattr(self, path.partition(".")[0]) is not None
+            for _, path in self.calibrated_fields
+        )
+
+    def _require_calibrated(self) -> None:
+        if not self._is_calibrated():
+            raise CalibrationError(f"{type(self).__name__} is not calibrated")
+
     def describe(self) -> dict[str, float | int | str]:
-        """Human-readable calibration summary for experiment logs."""
-        return {"name": self.name}
+        """Human-readable calibration summary for experiment logs: the
+        name, the public parameters and, once calibrated, the calibrated
+        values."""
+        fields = self.summary_fields
+        if self._is_calibrated():
+            fields += self.calibrated_fields
+        return {
+            "name": self.name,
+            **{key: operator.attrgetter(path)(self) for key, path in fields},
+        }
 
     def per_round_rdp_curve(
         self, num_participants: int | None = None
@@ -271,6 +300,11 @@ class DistributedSumEstimator(SumEstimator):
     #: Whether the raw input is L2-clipped to ``Delta_2`` before rotation.
     requires_l2_preclip: bool = True
 
+    summary_fields = (
+        ("modulus", "compression.modulus"),
+        ("gamma", "compression.gamma"),
+    )
+
     def __init__(self, compression: CompressionConfig) -> None:
         super().__init__()
         self.compression = compression
@@ -285,23 +319,15 @@ class DistributedSumEstimator(SumEstimator):
         self, values: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Run the full distributed pipeline on a concrete batch."""
+        self._require_calibrated()
         spec = self.spec
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if values.shape[1] != spec.dimension:
-            raise ConfigurationError(
-                f"expected width {spec.dimension}, got {values.shape[1]}"
-            )
-        clipped = (
-            clip_l2(values, spec.l2_bound)
-            if self.requires_l2_preclip
-            else values
-        )
+        if self.requires_l2_preclip:
+            values = clip_l2(values, spec.l2_bound)
         rotation = RandomRotation.create(spec.dimension, rng)
-        rotated = rotation.forward(clipped)
-        scaled = self.compression.gamma * rotated
-        integer_messages = self._encode_integer(scaled, rng)
-        wrapped = np.mod(integer_messages, self.compression.modulus)
-        residue = sum_mod(wrapped, self.compression.modulus)
-        centred = decode_centered(residue, self.compression.modulus)
-        unscaled = centred.astype(np.float64) / self.compression.gamma
-        return rotation.inverse(unscaled)
+        encoder = GradientEncoder(rotation, self.compression, self._encode_integer)
+        residue = sum_mod(encoder.encode(values, rng), self.compression.modulus)
+        decoder = GradientDecoder(
+            rotation, self.compression, warn_on_saturation=False
+        )
+        return decoder.decode(residue)

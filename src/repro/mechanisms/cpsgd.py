@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.accounting.binomial import binomial_mechanism_epsilon
 from repro.accounting.composition import best_composition
-from repro.config import CompressionConfig
 from repro.core.calibration import AccountingSpec
 from repro.errors import CalibrationError, PrivacyAccountingError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
@@ -42,11 +41,13 @@ class CpSgdMechanism(DistributedSumEstimator):
     """
 
     name = "cpsgd"
-
-    def __init__(self, compression: CompressionConfig) -> None:
-        super().__init__(compression)
-        self.trials_per_participant: int | None = None
-        self.total_trials: int | None = None
+    calibrated_fields = (
+        ("total_trials", "total_trials"),
+        ("trials_per_participant", "trials_per_participant"),
+        ("achieved_epsilon", "achieved_epsilon"),
+    )
+    total_trials: int | None = None
+    trials_per_participant: int | None = None
 
     def _rounded_sensitivities(self, spec: InputSpec) -> tuple[float, float, float]:
         """Worst-case ``(Delta~_1, Delta~_2, Delta~_inf)`` after rounding.
@@ -112,27 +113,7 @@ class CpSgdMechanism(DistributedSumEstimator):
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.trials_per_participant is None:
-            raise CalibrationError("CpSgdMechanism is not calibrated")
         rounded = stochastic_round(scaled, rng)
         return rounded + binomial_noise(
             self.trials_per_participant, rounded.shape, rng
         )
-
-    def describe(self) -> dict[str, float | int | str]:
-        summary: dict[str, float | int | str] = {
-            "name": self.name,
-            "modulus": self.compression.modulus,
-            "gamma": self.compression.gamma,
-        }
-        if self.total_trials is not None:
-            summary.update(
-                {
-                    "total_trials": int(self.total_trials),
-                    "trials_per_participant": int(
-                        self.trials_per_participant or 0
-                    ),
-                    "achieved_epsilon": float(self.achieved_epsilon or 0.0),
-                }
-            )
-        return summary

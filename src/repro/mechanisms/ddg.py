@@ -28,7 +28,6 @@ from repro.accounting.divergences import (
 )
 from repro.config import CompressionConfig
 from repro.core.dgm import round_sigma_up
-from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 from repro.mechanisms.rounding import (
     DEFAULT_BETA,
@@ -50,6 +49,20 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
     """
 
     name = "ddg"
+    summary_fields = (
+        *DistributedSumEstimator.summary_fields,
+        ("beta", "beta"),
+    )
+    calibrated_fields = (
+        ("sigma_per_participant", "sigma"),
+        ("effective_sigma", "effective_sigma"),
+        ("rounded_l2_bound", "rounded_l2_bound"),
+        ("order", "order"),
+        ("achieved_epsilon", "achieved_epsilon"),
+    )
+    sigma: float | None = None
+    effective_sigma: float | None = None
+    rounded_l2_bound: float | None = None
 
     def __init__(
         self,
@@ -60,9 +73,6 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
         super().__init__(compression)
         self.beta = beta
         self.integer_sigma = integer_sigma
-        self.sigma: float | None = None
-        self.effective_sigma: float | None = None
-        self.rounded_l2_bound: float | None = None
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """Theorem 7 at the rounded sensitivities (``delta_inf`` unused)."""
@@ -96,28 +106,7 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.effective_sigma is None or self.rounded_l2_bound is None:
-            raise CalibrationError("DistributedDiscreteGaussian is not calibrated")
         rounded = conditional_round(scaled, self.rounded_l2_bound, rng)
         return rounded + discrete_gaussian_noise(
             self.effective_sigma**2, rounded.shape, rng
         )
-
-    def describe(self) -> dict[str, float | int | str]:
-        summary: dict[str, float | int | str] = {
-            "name": self.name,
-            "modulus": self.compression.modulus,
-            "gamma": self.compression.gamma,
-            "beta": self.beta,
-        }
-        if self.sigma is not None:
-            summary.update(
-                {
-                    "sigma_per_participant": self.sigma,
-                    "effective_sigma": float(self.effective_sigma or 0.0),
-                    "rounded_l2_bound": float(self.rounded_l2_bound or 0.0),
-                    "order": int(self.order or 0),
-                    "achieved_epsilon": float(self.achieved_epsilon or 0.0),
-                }
-            )
-        return summary

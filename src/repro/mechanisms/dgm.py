@@ -28,7 +28,6 @@ from repro.accounting.divergences import (
 from repro.config import ClipConfig, CompressionConfig
 from repro.core.clipping import clip_gradient
 from repro.core.dgm import dgm_perturb, round_sigma_up
-from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 
 _DELTA_INF_MARGIN = 1.0 - 1e-9
@@ -46,14 +45,22 @@ class DiscreteGaussianMixtureMechanism(DistributedSumEstimator):
 
     name = "dgm"
     requires_l2_preclip = False
+    calibrated_fields = (
+        ("sigma_per_participant", "sigma"),
+        ("effective_sigma", "effective_sigma"),
+        ("c", "clip.c"),
+        ("delta_inf", "clip.delta_inf"),
+        ("order", "order"),
+        ("achieved_epsilon", "achieved_epsilon"),
+    )
+    sigma: float | None = None
+    effective_sigma: float | None = None
 
     def __init__(
         self, compression: CompressionConfig, integer_sigma: bool = True
     ) -> None:
         super().__init__(compression)
         self.integer_sigma = integer_sigma
-        self.sigma: float | None = None
-        self.effective_sigma: float | None = None
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """Theorem 8 / Corollary 3 for ``contributors`` shares of ``noise``.
@@ -92,29 +99,6 @@ class DiscreteGaussianMixtureMechanism(DistributedSumEstimator):
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.effective_sigma is None or self.clip is None:
-            raise CalibrationError(
-                "DiscreteGaussianMixtureMechanism is not calibrated"
-            )
         return dgm_perturb(
             clip_gradient(scaled, self.clip), self.effective_sigma**2, rng
         )
-
-    def describe(self) -> dict[str, float | int | str]:
-        summary: dict[str, float | int | str] = {
-            "name": self.name,
-            "modulus": self.compression.modulus,
-            "gamma": self.compression.gamma,
-        }
-        if self.sigma is not None and self.clip is not None:
-            summary.update(
-                {
-                    "sigma_per_participant": self.sigma,
-                    "effective_sigma": float(self.effective_sigma or 0.0),
-                    "c": self.clip.c,
-                    "delta_inf": self.clip.delta_inf,
-                    "order": int(self.order or 0),
-                    "achieved_epsilon": float(self.achieved_epsilon or 0.0),
-                }
-            )
-        return summary

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.divergences import gaussian_rdp
-from repro.errors import CalibrationError
 from repro.mechanisms.base import SumEstimator, clip_l2
 
 
@@ -23,10 +22,12 @@ class GaussianMechanism(SumEstimator):
     """Continuous Gaussian sum estimator (centralised DP baseline)."""
 
     name = "gaussian"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.sigma: float | None = None
+    calibrated_fields = (
+        ("sigma", "sigma"),
+        ("order", "order"),
+        ("achieved_epsilon", "achieved_epsilon"),
+    )
+    sigma: float | None = None
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """The Gaussian mechanism's RDP (one curator draw: ``contributors``
@@ -37,21 +38,8 @@ class GaussianMechanism(SumEstimator):
     def estimate_sum(
         self, values: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.sigma is None:
-            raise CalibrationError("GaussianMechanism is not calibrated")
+        self._require_calibrated()
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
         clipped = clip_l2(values, self.spec.l2_bound)
         noise = rng.normal(0.0, self.sigma, size=values.shape[1])
         return clipped.sum(axis=0) + noise
-
-    def describe(self) -> dict[str, float | int | str]:
-        summary: dict[str, float | int | str] = {"name": self.name}
-        if self.sigma is not None:
-            summary.update(
-                {
-                    "sigma": self.sigma,
-                    "order": int(self.order or 0),
-                    "achieved_epsilon": float(self.achieved_epsilon or 0.0),
-                }
-            )
-        return summary

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.accounting.divergences import skellam_mechanism_rdp
 from repro.config import CompressionConfig
-from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 from repro.mechanisms.rounding import (
     DEFAULT_BETA,
@@ -37,14 +36,24 @@ class SkellamMechanism(DistributedSumEstimator):
 
     name = "skellam"
     noise_attribute = "lam"
+    summary_fields = (
+        *DistributedSumEstimator.summary_fields,
+        ("beta", "beta"),
+    )
+    calibrated_fields = (
+        ("lambda_per_participant", "lam"),
+        ("rounded_l2_bound", "rounded_l2_bound"),
+        ("order", "order"),
+        ("achieved_epsilon", "achieved_epsilon"),
+    )
+    lam: float | None = None
+    rounded_l2_bound: float | None = None
 
     def __init__(
         self, compression: CompressionConfig, beta: float = DEFAULT_BETA
     ) -> None:
         super().__init__(compression)
         self.beta = beta
-        self.lam: float | None = None
-        self.rounded_l2_bound: float | None = None
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """Agarwal et al.'s bound at the rounded sensitivities
@@ -70,25 +79,5 @@ class SkellamMechanism(DistributedSumEstimator):
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.lam is None or self.rounded_l2_bound is None:
-            raise CalibrationError("SkellamMechanism is not calibrated")
         rounded = conditional_round(scaled, self.rounded_l2_bound, rng)
         return rounded + skellam_noise(self.lam, rounded.shape, rng)
-
-    def describe(self) -> dict[str, float | int | str]:
-        summary: dict[str, float | int | str] = {
-            "name": self.name,
-            "modulus": self.compression.modulus,
-            "gamma": self.compression.gamma,
-            "beta": self.beta,
-        }
-        if self.lam is not None:
-            summary.update(
-                {
-                    "lambda_per_participant": self.lam,
-                    "rounded_l2_bound": float(self.rounded_l2_bound or 0.0),
-                    "order": int(self.order or 0),
-                    "achieved_epsilon": float(self.achieved_epsilon or 0.0),
-                }
-            )
-        return summary

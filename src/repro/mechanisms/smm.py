@@ -23,10 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.divergences import smm_max_delta_inf, smm_rdp
-from repro.config import ClipConfig, CompressionConfig
+from repro.config import ClipConfig
 from repro.core.clipping import clip_gradient
 from repro.core.skellam_mixture import smm_perturb
-from repro.errors import CalibrationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 
 #: Strict-inequality safety margin applied to the Eq. (3) maximum.
@@ -43,10 +42,14 @@ class SkellamMixtureMechanism(DistributedSumEstimator):
     name = "smm"
     requires_l2_preclip = False
     noise_attribute = "lam"
-
-    def __init__(self, compression: CompressionConfig) -> None:
-        super().__init__(compression)
-        self.lam: float | None = None
+    calibrated_fields = (
+        ("lambda_per_participant", "lam"),
+        ("c", "clip.c"),
+        ("delta_inf", "clip.delta_inf"),
+        ("order", "order"),
+        ("achieved_epsilon", "achieved_epsilon"),
+    )
+    lam: float | None = None
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """Theorem 5 / Corollary 1 at ``contributors * noise`` total lambda.
@@ -70,24 +73,4 @@ class SkellamMixtureMechanism(DistributedSumEstimator):
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.lam is None or self.clip is None:
-            raise CalibrationError("SkellamMixtureMechanism is not calibrated")
         return smm_perturb(clip_gradient(scaled, self.clip), self.lam, rng)
-
-    def describe(self) -> dict[str, float | int | str]:
-        summary: dict[str, float | int | str] = {
-            "name": self.name,
-            "modulus": self.compression.modulus,
-            "gamma": self.compression.gamma,
-        }
-        if self.lam is not None and self.clip is not None:
-            summary.update(
-                {
-                    "lambda_per_participant": self.lam,
-                    "c": self.clip.c,
-                    "delta_inf": self.clip.delta_inf,
-                    "order": int(self.order or 0),
-                    "achieved_epsilon": float(self.achieved_epsilon or 0.0),
-                }
-            )
-        return summary

@@ -7,7 +7,9 @@ exists for.  Each training round it
    (the sampling the privacy accountant's amplification lemma assumes),
 2. computes each cohort member's per-record gradient and encodes it with
    the paper's Algorithm-4 pipeline (:class:`~repro.core.client.GradientEncoder`
-   with the calibrated Skellam mixture noise sampler),
+   whose integer step is the calibrated SMM's own — Algorithm 5's clip,
+   then the Skellam mixture — the same encoder its ``estimate_sum``
+   runs),
 3. drives the encoded vectors through a dropout-tolerant asynchronous
    Bonawitz round (:class:`~repro.simulation.rounds.AsyncSecAggRound`)
    on the deterministic simulated clock — crashes and stragglers
@@ -55,7 +57,7 @@ import numpy as np
 from repro.accounting.rdp import RdpAccountant, subsampled_rdp
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import _memoised
-from repro.core.client import GradientEncoder, skellam_encoder
+from repro.core.client import GradientEncoder
 from repro.core.server import GradientDecoder
 from repro.errors import (
     AggregationError,
@@ -601,12 +603,8 @@ class SimulationEngine:
         rotation = RandomRotation.create(
             self.model.num_parameters, self.population.setup_rng(_SETUP_ROTATION)
         )
-        assert self.mechanism.lam is not None  # Set by calibration.
-        self.encoder = skellam_encoder(
-            rotation=rotation,
-            compression=self.compression,
-            clip=self.mechanism.clip,
-            lam=self.mechanism.lam,
+        self.encoder = GradientEncoder(
+            rotation, self.compression, self.mechanism._encode_integer
         )
         self.decoder = GradientDecoder(
             rotation=rotation,

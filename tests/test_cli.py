@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import build_mechanism, main
+from repro import cli
+from repro.cli import main
 from repro.config import CompressionConfig
+from repro.errors import ConfigurationError
 from repro.mechanisms import (
     CpSgdMechanism,
     DiscreteGaussianMixtureMechanism,
@@ -11,6 +13,7 @@ from repro.mechanisms import (
     GaussianMechanism,
     SkellamMechanism,
     SkellamMixtureMechanism,
+    build_mechanism,
 )
 
 
@@ -19,6 +22,7 @@ class TestBuildMechanism:
         "name, expected_type",
         [
             ("gaussian", GaussianMechanism),
+            ("dpsgd", GaussianMechanism),
             ("smm", SkellamMixtureMechanism),
             ("skellam", SkellamMechanism),
             ("ddg", DistributedDiscreteGaussian),
@@ -31,8 +35,17 @@ class TestBuildMechanism:
         assert isinstance(build_mechanism(name, compression), expected_type)
 
     def test_distributed_mechanism_requires_compression(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError, match="needs a compression"):
             build_mechanism("smm", None)
+        with pytest.raises(SystemExit, match="needs --bits/--gamma"):
+            cli._mechanism("smm", None)
+
+    def test_gaussian_needs_no_compression(self):
+        assert isinstance(build_mechanism("gaussian"), GaussianMechanism)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown mechanism"):
+            build_mechanism("laplace", CompressionConfig(2**14, 64.0))
 
 
 class TestCommands:

@@ -1,21 +1,20 @@
 """Tests for the Algorithm 4 encoder and Algorithm 6 decoder."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.config import ClipConfig, CompressionConfig
+from repro.config import ClipConfig, CompressionConfig, PrivacyBudget
+from repro.core.calibration import AccountingSpec
 from repro.core.client import GradientEncoder, skellam_encoder
-from repro.core.dgm import discrete_gaussian_encoder
+from repro.core.clipping import clip_gradient
 from repro.core.server import GradientDecoder
 from repro.errors import ConfigurationError, OverflowWarning
 from repro.linalg.hadamard import RandomRotation
-
-
-def _zero_noise(shape, rng):
-    """A degenerate noise sampler for testing the deterministic pipeline."""
-    return np.zeros(shape, dtype=np.int64)
+from repro.mechanisms import DiscreteGaussianMixtureMechanism, InputSpec
+from repro.sampling.fast import bernoulli_round
 
 
 @pytest.fixture
@@ -24,8 +23,14 @@ def pipeline():
     rotation = RandomRotation.create(24, rng)
     compression = CompressionConfig(modulus=2**16, gamma=128.0)
     clip = ClipConfig(c=compression.gamma**2, delta_inf=1000.0)
+    # Algorithm 5 and the Bernoulli rounding with no noise on top: the
+    # deterministic part of the SMM integer step.
     encoder = GradientEncoder(
-        rotation=rotation, compression=compression, clip=clip, noise=_zero_noise
+        rotation=rotation,
+        compression=compression,
+        integer_step=lambda scaled, rng: bernoulli_round(
+            clip_gradient(scaled, clip), rng
+        ),
     )
     decoder = GradientDecoder(rotation=rotation, compression=compression)
     return rng, rotation, compression, clip, encoder, decoder
@@ -45,21 +50,22 @@ class TestGradientEncoder:
         gradients = rng.normal(size=(3, 24))
         assert encoder.encode(gradients, rng).shape == (3, rotation.padded_dim)
 
-    def test_prepare_respects_clip(self, pipeline):
+    def test_clipped_rotation_respects_clip(self, pipeline):
         from repro.core.clipping import mixture_sensitivity
 
-        rng, _, _, clip, encoder, _ = pipeline
+        rng, rotation, compression, clip, _, _ = pipeline
         gradients = rng.normal(size=(4, 24)) * 100
-        prepared = encoder.prepare(gradients)
-        for row in prepared:
+        clipped = clip_gradient(
+            compression.gamma * rotation.forward(gradients), clip
+        )
+        for row in clipped:
             assert mixture_sensitivity(row) <= clip.c * (1 + 1e-9)
 
-    def test_prepare_is_rotation_scale_for_small_inputs(self, pipeline):
-        rng, rotation, compression, _, encoder, _ = pipeline
+    def test_clip_is_rotation_scale_for_small_inputs(self, pipeline):
+        rng, rotation, compression, clip, _, _ = pipeline
         gradients = rng.normal(size=24) * 0.01
-        prepared = encoder.prepare(gradients)
-        expected = compression.gamma * rotation.forward(gradients)
-        assert np.allclose(prepared, expected)
+        scaled = compression.gamma * rotation.forward(gradients)
+        assert np.allclose(clip_gradient(scaled, clip), scaled)
 
     def test_skellam_encoder_rejects_bad_lambda(self, pipeline):
         _, rotation, compression, clip, _, _ = pipeline
@@ -110,36 +116,36 @@ class TestSkellamAndDgmEncoders:
         centred = np.where(samples > 2**19, samples - 2**20, samples)
         assert abs(centred.var() - 2 * lam) < 0.5
 
-    def test_dgm_encoder_integer_sigma_rounding(self):
+    @pytest.mark.parametrize("integer_sigma", [True, False])
+    def test_dgm_noise_variance_is_effective_sigma_squared(
+        self, integer_sigma
+    ):
+        """Appendix B.3's rounding lives in the mechanism: the encoder
+        built from its integer step adds ``N_Z(0, effective_sigma^2)``
+        at zero input, where ``effective_sigma`` is ``ceil(sigma)`` when
+        rounding and ``sigma`` otherwise."""
         rng = np.random.default_rng(2)
-        rotation = RandomRotation.create(16, rng)
         compression = CompressionConfig(modulus=2**20, gamma=32.0)
-        clip = ClipConfig(c=compression.gamma**2, delta_inf=500.0)
-        encoder = discrete_gaussian_encoder(
-            rotation, compression, clip, sigma=1.2, integer_sigma=True
+        mechanism = DiscreteGaussianMixtureMechanism(
+            compression, integer_sigma=integer_sigma
         )
-        zeros = np.zeros((1, 16))
-        samples = np.stack(
-            [encoder.encode(zeros, rng)[0] for _ in range(800)]
-        ).astype(float)
-        centred = np.where(samples > 2**19, samples - 2**20, samples)
-        # Sigma 1.2 rounds up to 2 -> variance ~4, not ~1.44.
-        assert abs(centred.var() - 4.0) < 0.6
-
-    def test_dgm_encoder_exact_sigma(self):
-        rng = np.random.default_rng(3)
-        rotation = RandomRotation.create(16, rng)
-        compression = CompressionConfig(modulus=2**20, gamma=32.0)
-        clip = ClipConfig(c=compression.gamma**2, delta_inf=500.0)
-        encoder = discrete_gaussian_encoder(
-            rotation, compression, clip, sigma=1.2, integer_sigma=False
+        mechanism.calibrate(
+            InputSpec(num_participants=100, dimension=16),
+            AccountingSpec(budget=PrivacyBudget(20.0)),
         )
-        zeros = np.zeros((1, 16))
-        samples = np.stack(
-            [encoder.encode(zeros, rng)[0] for _ in range(800)]
-        ).astype(float)
+        sigma = mechanism.sigma
+        assert sigma != math.ceil(sigma)
+        expected = float(math.ceil(sigma)) if integer_sigma else sigma
+        assert mechanism.effective_sigma == expected
+        encoder = GradientEncoder(
+            RandomRotation.create(16, rng),
+            compression,
+            mechanism._encode_integer,
+        )
+        zeros = np.zeros((800, 16))
+        samples = encoder.encode(zeros, rng).astype(float)
         centred = np.where(samples > 2**19, samples - 2**20, samples)
-        assert abs(centred.var() - 1.44) < 0.4
+        assert centred.var() == pytest.approx(expected**2, rel=0.05)
 
 
 class TestGradientDecoder:

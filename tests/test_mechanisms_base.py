@@ -6,6 +6,13 @@ import pytest
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import AccountingSpec
 from repro.errors import CalibrationError, ConfigurationError
+from repro.mechanisms import (
+    CpSgdMechanism,
+    DiscreteGaussianMixtureMechanism,
+    DistributedDiscreteGaussian,
+    SkellamMechanism,
+    SkellamMixtureMechanism,
+)
 from repro.mechanisms.base import (
     DistributedSumEstimator,
     InputSpec,
@@ -115,4 +122,46 @@ class TestDistributedPipeline:
 
     def test_describe_default(self):
         mech = _IdentityMechanism(CompressionConfig(2**16, 64.0))
-        assert mech.describe() == {"name": "base"} or "name" in mech.describe()
+        assert mech.describe() == {
+            "name": "identity",
+            "modulus": 2**16,
+            "gamma": 64.0,
+        }
+
+
+RDP_DISTRIBUTED = [
+    SkellamMixtureMechanism,
+    DiscreteGaussianMixtureMechanism,
+    DistributedDiscreteGaussian,
+    SkellamMechanism,
+]
+
+
+@pytest.mark.parametrize(
+    "mechanism_type",
+    [*RDP_DISTRIBUTED, CpSgdMechanism],
+    ids=lambda kind: kind.name,
+)
+def test_uncalibrated_distributed_mechanism_refuses_to_estimate(
+    mechanism_type,
+):
+    mechanism = mechanism_type(CompressionConfig(2**16, 64.0))
+    with pytest.raises(CalibrationError, match="is not calibrated"):
+        mechanism.estimate_sum(np.zeros((2, 4)), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "mechanism_type", RDP_DISTRIBUTED, ids=lambda kind: kind.name
+)
+def test_failed_calibration_leaves_the_mechanism_refusing(mechanism_type):
+    """A calibration that finds no noise level has already stored the
+    geometry; ``estimate_sum`` still refuses instead of running with no
+    noise parameter."""
+    mechanism = mechanism_type(CompressionConfig(2**4, 1.0))
+    with pytest.raises(CalibrationError, match="no noise parameter"):
+        mechanism.calibrate(
+            InputSpec(num_participants=1, dimension=4),
+            AccountingSpec(budget=PrivacyBudget(1e-4)),
+        )
+    with pytest.raises(CalibrationError, match="is not calibrated"):
+        mechanism.estimate_sum(np.zeros((1, 4)), np.random.default_rng(0))

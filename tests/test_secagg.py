@@ -15,13 +15,20 @@ import pytest
 
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import AccountingSpec
-from repro.core.client import skellam_encoder
-from repro.core.dgm import discrete_gaussian_encoder
+from repro.core.client import GradientEncoder, skellam_encoder
+from repro.core.server import GradientDecoder
 from repro.errors import AggregationError
 from repro.linalg.hadamard import RandomRotation
 from repro.linalg.modular import decode_centered, sum_mod
-from repro.mechanisms.base import InputSpec
-from repro.mechanisms.smm import SkellamMixtureMechanism
+from repro.mechanisms import (
+    CpSgdMechanism,
+    DiscreteGaussianMixtureMechanism,
+    DistributedDiscreteGaussian,
+    InputSpec,
+    SkellamMechanism,
+    SkellamMixtureMechanism,
+    clip_l2,
+)
 from repro.secagg import run_bonawitz
 
 N = 12
@@ -29,14 +36,27 @@ DIMENSION = 64
 COMPRESSION = CompressionConfig(modulus=2**10, gamma=8.0)
 
 
-@pytest.fixture(scope="module")
-def smm():
-    mechanism = SkellamMixtureMechanism(COMPRESSION)
+DISTRIBUTED = (
+    SkellamMixtureMechanism,
+    DiscreteGaussianMixtureMechanism,
+    DistributedDiscreteGaussian,
+    SkellamMechanism,
+    CpSgdMechanism,
+)
+
+
+def calibrated(mechanism_type):
+    mechanism = mechanism_type(COMPRESSION)
     mechanism.calibrate(
         InputSpec(num_participants=N, dimension=DIMENSION),
         AccountingSpec(budget=PrivacyBudget(3.0)),
     )
     return mechanism
+
+
+@pytest.fixture(scope="module")
+def smm():
+    return calibrated(SkellamMixtureMechanism)
 
 
 def unit_vectors(rng):
@@ -68,13 +88,12 @@ class TestIdealEqualsReal:
             decode_centered(ideal, COMPRESSION.modulus),
         )
 
-    def test_dgm_batch_sums_identically_through_both(self, smm):
+    def test_dgm_batch_sums_identically_through_both(self):
         """The same holds for the other mixture the pipeline encodes."""
+        dgm = calibrated(DiscreteGaussianMixtureMechanism)
         rng = np.random.default_rng(12)
         rotation = RandomRotation.create(DIMENSION, rng)
-        encoder = discrete_gaussian_encoder(
-            rotation, COMPRESSION, smm.clip, sigma=1.5
-        )
+        encoder = GradientEncoder(rotation, COMPRESSION, dgm._encode_integer)
         messages = encoder.encode(unit_vectors(rng), rng)
         real = run_bonawitz(
             messages, COMPRESSION.modulus, threshold=N, rng=rng
@@ -83,17 +102,43 @@ class TestIdealEqualsReal:
             real.modular_sum, sum_mod(messages, COMPRESSION.modulus)
         )
 
-    def test_estimate_sum_decodes_the_ideal_sum_of_its_messages(self, smm):
-        """``estimate_sum`` draws the rotation and the noise and nothing
-        else: replaying its generator reproduces the messages, and its
-        output is their ideal modular sum, decoded."""
+    @pytest.mark.parametrize(
+        "mechanism_type", DISTRIBUTED, ids=lambda kind: kind.name
+    )
+    def test_estimate_sum_decodes_the_ideal_sum_of_its_messages(
+        self, mechanism_type
+    ):
+        """``estimate_sum`` draws the rotation and the integer step's
+        randomness and nothing else: replaying its generator through the
+        encoder, the ideal sum and the decoder reproduces it bit for
+        bit."""
+        mechanism = calibrated(mechanism_type)
+        values = unit_vectors(np.random.default_rng(13))
+        estimate = mechanism.estimate_sum(values, np.random.default_rng(14))
+        if mechanism.requires_l2_preclip:
+            values = clip_l2(values, mechanism.spec.l2_bound)
+        replay = np.random.default_rng(14)
+        rotation = RandomRotation.create(DIMENSION, replay)
+        encoder = GradientEncoder(
+            rotation, COMPRESSION, mechanism._encode_integer
+        )
+        residue = sum_mod(encoder.encode(values, replay), COMPRESSION.modulus)
+        decoder = GradientDecoder(
+            rotation, COMPRESSION, warn_on_saturation=False
+        )
+        np.testing.assert_array_equal(estimate, decoder.decode(residue))
+
+    def test_smm_estimate_sum_is_the_per_client_encoder(self, smm):
+        """The SMM integer step is the engine's per-client encoder: the
+        batch ``estimate_sum`` encodes matches :func:`skellam_encoder`
+        sample for sample."""
         values = unit_vectors(np.random.default_rng(13))
         estimate = smm.estimate_sum(values, np.random.default_rng(14))
         replay = np.random.default_rng(14)
         rotation = RandomRotation.create(DIMENSION, replay)
         encoder = skellam_encoder(rotation, COMPRESSION, smm.clip, smm.lam)
         residue = sum_mod(encoder.encode(values, replay), COMPRESSION.modulus)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             estimate,
             rotation.inverse(
                 decode_centered(residue, COMPRESSION.modulus)
