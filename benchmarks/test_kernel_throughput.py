@@ -49,7 +49,7 @@ SHAMIR_THRESHOLD = 48
 SHAMIR_SHARES = 96
 SHAMIR_BATCH = 6
 #: What one client of ``bench``'s ``secagg_quadratic`` splits in its
-#: share-keys leg: a seed and the toy group's two key limbs, over 128
+#: share-keys leg: a seed and the toy group's one key digit, over 128
 #: clients at threshold 77.
 ROUND_SPLIT_SHARES = 128
 ROUND_SPLIT_THRESHOLD = 77
@@ -213,7 +213,7 @@ def test_shamir_throughput(emit, bench_rng):
     )
     assert batched_split_time <= scalar_split_time * 1.5
 
-    round_secrets = secrets[: 1 + _key_limbs(TOY_GROUP)]
+    round_secrets = secrets[: 1 + _key_limbs(TOY_GROUP, field)]
     round_split_time = _best_of(
         50,
         lambda: split_secrets(
@@ -270,15 +270,15 @@ def test_shamir_throughput(emit, bench_rng):
 
     # The row above reconstructs one secret set per call, which is not
     # what a round does.  The round-shaped case: every survivor's seed
-    # and every limb of every dropout's key, one quorum, one call.
-    limbs = _key_limbs(TOY_GROUP)
+    # and every digit of every dropout's key, one quorum, one call.
+    limbs = _key_limbs(TOY_GROUP, field)
     seeds = [
         int(bench_rng.integers(0, field.prime))
         for _ in range(ROUND_CLIENTS - ROUND_DROPOUTS)
     ]
-    top_limb = 1 << 60 * (limbs - 1)  # every key spans all the limbs
+    # Toy-group private keys, [2, p - 2].
     keys = [
-        top_limb | int(bench_rng.integers(0, 1 << 60))
+        int(bench_rng.integers(2, TOY_GROUP.prime - 1))
         for _ in range(ROUND_DROPOUTS)
     ]
     seed_matrix = split_secrets(

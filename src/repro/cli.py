@@ -40,12 +40,13 @@ MECHANISMS = ("gaussian", "smm", "skellam", "ddg", "dgm", "cpsgd")
 
 
 def _mechanism(name: str, compression: CompressionConfig | None):
-    """:func:`~repro.mechanisms.build_mechanism`, exiting with the flags
-    a distributed mechanism needs."""
+    """:func:`~repro.mechanisms.build_mechanism`, exiting with the
+    refusal's own message (an unknown name, a compression the mechanism
+    refuses)."""
     try:
         return build_mechanism(name, compression)
-    except ConfigurationError:
-        raise SystemExit(f"mechanism {name!r} needs --bits/--gamma")
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -384,9 +385,13 @@ def command_serve(args) -> int:
         loop = asyncio.get_running_loop()
 
         def graceful(signame: str) -> None:
-            print(f"{signame}: draining the in-flight round, then exiting",
-                  flush=True)
+            # Stop first: the notice cannot be allowed to fail before the
+            # stop is requested (a parent that read the banner may have
+            # closed the stdout pipe).
             server.request_stop()
+            with contextlib.suppress(OSError):
+                print(f"{signame}: draining the in-flight round, then "
+                      "exiting", file=sys.stderr, flush=True)
 
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
@@ -406,10 +411,11 @@ def command_serve(args) -> int:
             # Each round is reported, and then dropped, as it ends: a
             # long-lived server holds one round's state.  The digest is
             # on disk before the round's line is printed, so a reader
-            # that sees the line can read the digest.  Round lines go
-            # to stderr: a parent that reads only the banner off a
-            # stdout pipe (as bench/ does) would otherwise block the
-            # server once the pipe fills, ~430 rounds in.
+            # that sees the line can read the digest.  Everything after
+            # the banner goes to stderr: a parent that reads only the
+            # banner off a stdout pipe (as bench/ does) would otherwise
+            # block the server once the pipe fills, ~430 rounds in, and
+            # one that closed the pipe would fail the server's exit.
             all_completed = True
             with (
                 open(args.digest_out, "w", encoding="utf-8")
@@ -436,11 +442,11 @@ def command_serve(args) -> int:
 
     all_completed = asyncio.run(run())
     if args.digest_out:
-        print(f"digests written to {args.digest_out}")
+        print(f"digests written to {args.digest_out}", file=sys.stderr)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus(server.metrics.snapshot()))
-        print(f"metrics written to {args.metrics_out}")
+        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     return 0 if all_completed else 1
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.secagg.bonawitz import public_key_length, sealed_share_length
+from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import DEFAULT_MASK_PRG
 from repro.secagg.keys import KeyAgreementGroup, oakley_group, suite_name
 from repro.secagg.wire import (
@@ -156,7 +157,8 @@ def bonawitz_round_cost(
             SealedUpload(
                 1,
                 np.zeros(
-                    (num_clients, sealed_share_length(group)), dtype=np.uint8
+                    (num_clients, sealed_share_length(group, DEFAULT_FIELD)),
+                    dtype=np.uint8,
                 ),
             )
         ),

@@ -28,16 +28,15 @@ from repro.accounting.divergences import (
 )
 from repro.config import CompressionConfig
 from repro.core.dgm import round_sigma_up
-from repro.mechanisms.base import DistributedSumEstimator, InputSpec
+from repro.mechanisms.base import InputSpec
 from repro.mechanisms.rounding import (
     DEFAULT_BETA,
-    conditional_round,
-    rounded_sensitivities,
+    ConditionallyRoundedEstimator,
 )
 from repro.sampling.fast import discrete_gaussian_noise
 
 
-class DistributedDiscreteGaussian(DistributedSumEstimator):
+class DistributedDiscreteGaussian(ConditionallyRoundedEstimator):
     """DDG sum estimator (baseline of Kairouz et al. 2021).
 
     Args:
@@ -49,10 +48,6 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
     """
 
     name = "ddg"
-    summary_fields = (
-        *DistributedSumEstimator.summary_fields,
-        ("beta", "beta"),
-    )
     calibrated_fields = (
         ("sigma_per_participant", "sigma"),
         ("effective_sigma", "effective_sigma"),
@@ -62,7 +57,6 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
     )
     sigma: float | None = None
     effective_sigma: float | None = None
-    rounded_l2_bound: float | None = None
 
     def __init__(
         self,
@@ -70,17 +64,13 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
         beta: float = DEFAULT_BETA,
         integer_sigma: bool = True,
     ) -> None:
-        super().__init__(compression)
-        self.beta = beta
+        super().__init__(compression, beta)
         self.integer_sigma = integer_sigma
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """Theorem 7 at the rounded sensitivities (``delta_inf`` unused)."""
-        spec = self.spec
-        dimension = spec.padded_dimension
-        rounded_l2, rounded_l1 = rounded_sensitivities(
-            self.compression.gamma * spec.l2_bound, dimension, self.beta
-        )
+        dimension = self.spec.padded_dimension
+        rounded_l2, rounded_l1 = self.rounded_l2_bound, self.rounded_l1_bound
         sigma_squared = noise**2
         gap = discrete_gaussian_sum_gap(contributors, sigma_squared)
         return lambda alpha: ddg_rdp(
@@ -94,11 +84,6 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
         )
 
     def _derive_thresholds(self, spec: InputSpec) -> None:
-        self.rounded_l2_bound, _ = rounded_sensitivities(
-            self.compression.gamma * spec.l2_bound,
-            spec.padded_dimension,
-            self.beta,
-        )
         self.effective_sigma = (
             round_sigma_up(self.sigma) if self.integer_sigma else self.sigma
         )
@@ -106,7 +91,7 @@ class DistributedDiscreteGaussian(DistributedSumEstimator):
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        rounded = conditional_round(scaled, self.rounded_l2_bound, rng)
+        rounded = self._round(scaled, rng)
         return rounded + discrete_gaussian_noise(
             self.effective_sigma**2, rounded.shape, rng
         )

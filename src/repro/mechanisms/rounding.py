@@ -22,7 +22,10 @@ import math
 
 import numpy as np
 
+from repro.config import CompressionConfig
+from repro.core.calibration import AccountingSpec
 from repro.errors import CalibrationError, ConfigurationError
+from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 from repro.sampling.fast import bernoulli_round
 
 #: The bias/sensitivity trade-off parameter recommended by Kairouz et al.
@@ -116,3 +119,49 @@ def conditional_round(
         f"conditional rounding failed to meet bound {norm_bound:g} within "
         f"{max_attempts} attempts"
     )
+
+
+class ConditionallyRoundedEstimator(DistributedSumEstimator):
+    """What DDG and the Skellam mechanism share: conditional rounding
+    within the Eq. (6) bound, and accounting at its sensitivities.
+
+    The rounded sensitivities ``(Delta~_2, Delta~_1)``
+    (:func:`rounded_sensitivities`) depend only on the geometry, so they
+    are computed once per calibration, before the bisection builds its
+    curves, and every curve — calibration's and a ledger's — reads them.
+    A subclass states its noise: :meth:`rdp_curve` from
+    ``rounded_l2_bound`` and ``rounded_l1_bound``, and
+    :meth:`_encode_integer` as :meth:`_round` plus its noise draw.
+
+    Args:
+        compression: Modulus ``m`` and scale ``gamma``.
+        beta: Conditional-rounding failure probability (``e^-0.5`` in the
+            paper's experiments).
+    """
+
+    summary_fields = (
+        *DistributedSumEstimator.summary_fields,
+        ("beta", "beta"),
+    )
+    rounded_l2_bound: float | None = None
+    rounded_l1_bound: float | None = None
+
+    def __init__(
+        self, compression: CompressionConfig, beta: float = DEFAULT_BETA
+    ) -> None:
+        super().__init__(compression)
+        self.beta = beta
+
+    def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
+        self.rounded_l2_bound, self.rounded_l1_bound = rounded_sensitivities(
+            self.compression.gamma * spec.l2_bound,
+            spec.padded_dimension,
+            self.beta,
+        )
+        super()._calibrate(spec, accounting)
+
+    def _round(
+        self, scaled: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Conditionally round the scaled batch within ``Delta~_2``."""
+        return conditional_round(scaled, self.rounded_l2_bound, rng)

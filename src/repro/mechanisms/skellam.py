@@ -15,17 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.divergences import skellam_mechanism_rdp
-from repro.config import CompressionConfig
-from repro.mechanisms.base import DistributedSumEstimator, InputSpec
-from repro.mechanisms.rounding import (
-    DEFAULT_BETA,
-    conditional_round,
-    rounded_sensitivities,
-)
+from repro.mechanisms.rounding import ConditionallyRoundedEstimator
 from repro.sampling.fast import skellam_noise
 
 
-class SkellamMechanism(DistributedSumEstimator):
+class SkellamMechanism(ConditionallyRoundedEstimator):
     """Skellam-mechanism sum estimator (baseline of Agarwal et al. 2021).
 
     Args:
@@ -36,10 +30,6 @@ class SkellamMechanism(DistributedSumEstimator):
 
     name = "skellam"
     noise_attribute = "lam"
-    summary_fields = (
-        *DistributedSumEstimator.summary_fields,
-        ("beta", "beta"),
-    )
     calibrated_fields = (
         ("lambda_per_participant", "lam"),
         ("rounded_l2_bound", "rounded_l2_bound"),
@@ -47,37 +37,18 @@ class SkellamMechanism(DistributedSumEstimator):
         ("achieved_epsilon", "achieved_epsilon"),
     )
     lam: float | None = None
-    rounded_l2_bound: float | None = None
-
-    def __init__(
-        self, compression: CompressionConfig, beta: float = DEFAULT_BETA
-    ) -> None:
-        super().__init__(compression)
-        self.beta = beta
 
     def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
         """Agarwal et al.'s bound at the rounded sensitivities
         (``delta_inf`` unused)."""
-        spec = self.spec
-        rounded_l2, rounded_l1 = rounded_sensitivities(
-            self.compression.gamma * spec.l2_bound,
-            spec.padded_dimension,
-            self.beta,
-        )
+        rounded_l2, rounded_l1 = self.rounded_l2_bound, self.rounded_l1_bound
         total_lam = contributors * noise
         return lambda alpha: skellam_mechanism_rdp(
             alpha, rounded_l2**2, rounded_l1, total_lam
         )
 
-    def _derive_thresholds(self, spec: InputSpec) -> None:
-        self.rounded_l2_bound, _ = rounded_sensitivities(
-            self.compression.gamma * spec.l2_bound,
-            spec.padded_dimension,
-            self.beta,
-        )
-
     def _encode_integer(
         self, scaled: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        rounded = conditional_round(scaled, self.rounded_l2_bound, rng)
+        rounded = self._round(scaled, rng)
         return rounded + skellam_noise(self.lam, rounded.shape, rng)

@@ -16,9 +16,10 @@ Round structure (client set shrinks monotonically: ``U0 ⊇ U1 ⊇ U2 ⊇ U3``):
    keys: ``c_u`` (pairwise channel encryption) and ``s_u`` (pairwise mask
    agreement).
 1. **ShareKeys** — every client samples a self-mask seed ``b_u``,
-   Shamir-shares both ``b_u`` and its mask private key ``s_u^SK`` among
-   the round-0 roster, and uploads the shares sealed per recipient (the
-   server routes ciphertexts it cannot read).
+   Shamir-shares both ``b_u`` and its mask private key ``s_u^SK`` (as
+   its base-``p`` digits in the sharing field) among the round-0
+   roster, and uploads the shares sealed per recipient (the server
+   routes ciphertexts it cannot read).
 2. **MaskedInputCollection** — every client uploads
    ``y_u = x_u + PRG(b_u) + Σ_{v<u} -PRG(s_uv) + Σ_{v>u} +PRG(s_uv)
    mod m`` where ``s_uv`` is the DH-agreed pairwise seed over the
@@ -77,11 +78,11 @@ from repro.secagg.keys import (
     forget_agreements,
     generate_keypair,
     key_bits,
+    largest_private_key,
     oakley_group,
     warm_agreement_cache,
 )
 from repro.secagg.shamir import (
-    DEFAULT_LIMB_BITS,
     LimbShares,
     _secret_limbs,
     reconstruct_quorum,
@@ -130,9 +131,13 @@ def _validate_inputs(inputs: np.ndarray, modulus: int) -> np.ndarray:
     return inputs.astype(np.int64)
 
 
-def _key_limbs(group: KeyAgreementGroup) -> int:
-    """Limbs every mask key of ``group`` is padded to."""
-    return -(-key_bits(group) // DEFAULT_LIMB_BITS)
+def _key_limbs(group: KeyAgreementGroup, field: PrimeField) -> int:
+    """Base-``field.prime`` digits every mask key of ``group`` is padded
+    to: those of the group's largest private key
+    (:func:`~repro.secagg.keys.largest_private_key`).  On the default
+    field that is 1 on ``TOY_GROUP`` (its keys are field elements), 5 on
+    x25519 and 17 on Oakley-2."""
+    return len(_secret_limbs(largest_private_key(group), field))
 
 
 def public_key_length(group: KeyAgreementGroup) -> int:
@@ -142,18 +147,21 @@ def public_key_length(group: KeyAgreementGroup) -> int:
     return -(-key_bits(group) // 8)
 
 
-def sealed_share_length(group: KeyAgreementGroup) -> int:
+def sealed_share_length(group: KeyAgreementGroup, field: PrimeField) -> int:
     """Byte length of every sealed share-keys envelope of a round.
 
-    A seed share value plus one value per limb of the group's mask key,
-    each :data:`_SHARE_VALUE_BYTES` wide — and nothing else: the Shamir
-    point is the recipient's 1-based position in the sorted roster and
-    the limb count is the group's, so neither is sent.  Clients pad to
-    it (:meth:`BonawitzClient.share_keys_matrix`) and both sides
-    validate against it, so a share-keys upload is one matrix whose
-    shape no participant gets to choose.
+    A seed share value plus one value per base-``field.prime`` digit of
+    the group's mask key (:func:`_key_limbs`), each
+    :data:`_SHARE_VALUE_BYTES` wide — and nothing else: the Shamir point
+    is the recipient's 1-based position in the sorted roster and the
+    digit count is the group's and the field's, so neither is sent.  On
+    the default field that is 16 bytes on ``TOY_GROUP``, 48 on x25519
+    and 144 on Oakley-2.  Clients pad to it
+    (:meth:`BonawitzClient.share_keys_matrix`) and both sides validate
+    against it, so a share-keys upload is one matrix whose shape no
+    participant gets to choose.
     """
-    return _SHARE_VALUE_BYTES * (1 + _key_limbs(group))
+    return _SHARE_VALUE_BYTES * (1 + _key_limbs(group, field))
 
 
 #: Keystream key of the ``sender -> recipient`` envelope: the 32-byte
@@ -171,12 +179,14 @@ def _encode_payload_matrix(
 
     Args:
         seed_ys: ``(n,)`` uint64 seed-share values, recipient order.
-        limb_ys: ``(num_limbs, n)`` uint64 key-share values.
+        limb_ys: ``(num_limbs, n)`` uint64 key-share values, one row per
+            digit of the key.
 
     Returns:
         ``(n, 8 * (1 + num_limbs))`` uint8 matrix; row ``j`` is
-        recipient ``j``'s seed share value, then each of its key-share
-        limb values, every one :data:`_SHARE_VALUE_BYTES` little-endian.
+        recipient ``j``'s seed share value, then its share of each key
+        digit, lowest first, every one :data:`_SHARE_VALUE_BYTES`
+        little-endian.
     """
     words = np.vstack([seed_ys[np.newaxis], limb_ys]).T
     return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
@@ -229,7 +239,7 @@ class BonawitzClient:
         self._group = group
         self._field = field
         self._mask_prg = get_mask_prg(mask_prg)
-        self._group_limbs = _key_limbs(group)
+        self._group_limbs = _key_limbs(group, field)
         self._channel_keys = None  # type: KeyPair | None
         self._mask_keys = None  # type: KeyPair | None
         # The roster as broadcast — members in sorted order, the two key
@@ -315,13 +325,13 @@ class BonawitzClient:
         self._positions = positions
         self._point = positions[self.index] + 1
         self._self_seed = int(self._rng.integers(0, self._field.prime))
-        # One split covers the self-mask seed and every limb of the mask
-        # private key: all polynomials share the evaluation points, so
-        # they batch into a single Horner kernel call.
+        # One split covers the self-mask seed and every base-p digit of
+        # the mask private key: all polynomials share the evaluation
+        # points, so they batch into a single Horner kernel call.
         limbs = _secret_limbs(self._mask_keys.private, self._field)
-        # Pad to the group's fixed limb count: every client's envelopes
+        # Pad to the group's fixed digit count: every client's envelopes
         # then share one byte length, so an upload is one matrix and a
-        # recipient needs no limb count.  (Zero limbs share and
+        # recipient needs no digit count.  (Zero digits share and
         # reconstruct like any other value.)
         limbs += [0] * (self._group_limbs - len(limbs))
         share_matrix = split_secrets(
@@ -381,7 +391,7 @@ class BonawitzClient:
         in one batched keystream sweep (the self-addressed row was never
         sealed) and all rows decoded with one vectorised payload parse.
         Every share is taken at this client's own Shamir point and at
-        the group's limb count — an envelope has nowhere to say
+        the group's digit count — an envelope has nowhere to say
         otherwise.  The sender column is ``U1``, so it is held to what
         :meth:`masked_input` needs before anything is stored.
 
@@ -393,7 +403,7 @@ class BonawitzClient:
         """
         participants = frozenset(senders)
         self._check_participants(participants)
-        expected = sealed_share_length(self._group)
+        expected = sealed_share_length(self._group, self._field)
         if ciphertexts.shape[1] != expected:
             raise AggregationError(
                 f"client {self.index} received {ciphertexts.shape[1]}-byte "
@@ -644,7 +654,7 @@ class BonawitzServer:
         self._field = field
         self._group = group
         self._mask_prg = get_mask_prg(mask_prg)
-        self._group_limbs = _key_limbs(group)
+        self._group_limbs = _key_limbs(group, field)
         self._mask_publics: dict[int, int] = {}
         # Client index -> its Shamir point: every client shares over the
         # sorted roster at x = 1..n, so a recipient's point is its
@@ -764,7 +774,7 @@ class BonawitzServer:
 
         An honest response is determined in shape by the round alone:
         one seed share per survivor, one key share per announced dropout
-        at the group's limb count, every value in the field.  Whose
+        at the group's digit count, every value in the field.  Whose
         share each value is and where it sits are not on the wire — the
         request's sorted order and the responder's Shamir point (its
         1-based position in the sorted roster) — so there is nothing
@@ -794,7 +804,7 @@ class BonawitzServer:
             )
         if limbs != self._group_limbs:
             raise AggregationError(
-                f"{who} sent key shares of {limbs} limbs; the group's keys "
+                f"{who} sent key shares of {limbs} digits; the group's keys "
                 f"have {self._group_limbs}"
             )
         prime = self._field.prime
@@ -813,7 +823,7 @@ class BonawitzServer:
         The first ``threshold`` responses are the quorum.  Each is held
         to :meth:`check_unmask_response`, so the quorum is one point set
         and everything it reveals — every survivor's self-mask seed and
-        every limb of every dropout's mask key — is reconstructed in one
+        every digit of every dropout's mask key — is reconstructed in one
         :func:`~repro.secagg.shamir.reconstruct_quorum` call from one
         Lagrange weight vector, however many clients dropped.  All
         lingering masks are then removed with one batched signed-mask
@@ -854,7 +864,6 @@ class BonawitzServer:
                 for rows in key_shares
             ],
             self._field,
-            DEFAULT_LIMB_BITS,
         )
         # ``lingering`` is subtracted wholesale, so each queued mask
         # carries the sign it contributed to the aggregate with: +1 for

@@ -156,10 +156,21 @@ KeyAgreementGroup = DhGroup | X25519Group
 
 
 def key_bits(group: KeyAgreementGroup) -> int:
-    """Bit width of the secret scalar for Shamir limb padding."""
+    """Bit width of the group's keys, which fixes a public key's width
+    on the wire."""
     if isinstance(group, X25519Group):
         return 256
     return group.prime.bit_length()
+
+
+def largest_private_key(group: KeyAgreementGroup) -> int:
+    """The largest private key :func:`generate_keypair` can draw:
+    ``p - 2`` on a :class:`DhGroup` (exponents lie in ``[2, p - 2]``),
+    ``2^256 - 1`` on x25519 (any 32 raw bytes).  A mask key is
+    Shamir-shared as exactly as many field digits as this one has."""
+    if isinstance(group, X25519Group):
+        return (1 << 256) - 1
+    return group.prime - 2
 
 
 def kex_name(group: KeyAgreementGroup) -> str:

@@ -26,8 +26,13 @@ Python values before anything is cast to uint64; a
 :class:`~repro.secagg.field.PrimeField` the kernels could not carry does
 not construct.
 
+A secret wider than the field — a mask private key — is shared as its
+base-``p`` digits, one polynomial a digit (:class:`LimbShares`): a key
+that is already a field element, as on the 61-bit toy group, is one
+digit and one share.
+
 Dropout recovery reconstructs many secrets — a seed per survivor, every
-limb of every dropout's key — from one quorum; :func:`reconstruct_quorum`
+digit of every dropout's key — from one quorum; :func:`reconstruct_quorum`
 is the one routine for that (:func:`reconstruct_large_secret` is its
 one-secret case), so an unmask phase computes its Lagrange weights once.
 """
@@ -68,22 +73,19 @@ class LimbShares(NamedTuple):
     """One recipient's shares of a large (multi-limb) secret.
 
     Large secrets — e.g. 1024-bit Diffie-Hellman private keys — do not
-    fit in one field element, so they are decomposed into base-``2^b``
-    limbs and each limb is Shamir-shared independently.  All limbs use
-    the same evaluation point ``x``, so one recipient holds one
-    :class:`LimbShares` per secret.
+    fit in one field element, so they are written as their base-``p``
+    digits (the limbs, ``p`` the field's prime) and each digit is
+    Shamir-shared independently.  All limbs use the same evaluation
+    point ``x``, so one recipient holds one :class:`LimbShares` per
+    secret.
 
     Attributes:
         x: The recipient's evaluation point.
-        ys: Per-limb polynomial values, lowest limb first.
+        ys: Per-limb polynomial values, lowest digit first.
     """
 
     x: int
     ys: tuple[int, ...]
-
-
-#: Limb width used for large-secret sharing over the default 61-bit field.
-DEFAULT_LIMB_BITS = 60
 
 
 def _integers(
@@ -218,29 +220,32 @@ def split_secret(
     return [Share(x=x, y=y) for x, y in enumerate(ys.tolist(), start=1)]
 
 
-def _secret_limbs(
-    secret: int, field: PrimeField, limb_bits: int = DEFAULT_LIMB_BITS
-) -> list[int]:
-    """Base-``2^limb_bits`` decomposition, lowest limb first, >= 1 limb.
+def _secret_limbs(secret: int, field: PrimeField) -> list[int]:
+    """Base-``field.prime`` digits of ``secret``, lowest first, >= 1 digit.
+
+    Every digit is a field element, so each shares as it is, and a
+    secret below the prime is one digit.
 
     Raises:
-        ConfigurationError: On a negative secret or a limb width that
-            does not fit the field.
+        ConfigurationError: On a negative secret.
     """
     if secret < 0:
         raise ConfigurationError(f"secret must be >= 0, got {secret}")
-    if not 1 <= limb_bits or (1 << limb_bits) > field.prime:
-        raise ConfigurationError(
-            f"limb width {limb_bits} does not fit GF({field.prime})"
-        )
-    limbs: list[int] = []
+    digits: list[int] = []
     remaining = secret
     while True:
-        limbs.append(remaining & ((1 << limb_bits) - 1))
-        remaining >>= limb_bits
+        remaining, digit = divmod(remaining, field.prime)
+        digits.append(digit)
         if remaining == 0:
-            break
-    return limbs
+            return digits
+
+
+def _join_limbs(digits: Sequence[int], prime: int) -> int:
+    """Inverse of :func:`_secret_limbs`: ``Σ_i digits[i] · prime^i``."""
+    secret = 0
+    for digit in reversed(digits):
+        secret = secret * prime + digit
+    return secret
 
 
 def split_large_secret(
@@ -249,32 +254,30 @@ def split_large_secret(
     num_shares: int,
     rng: np.random.Generator,
     field: PrimeField = DEFAULT_FIELD,
-    limb_bits: int = DEFAULT_LIMB_BITS,
 ) -> list[LimbShares]:
     """Share a non-negative integer of arbitrary size.
 
-    The secret is decomposed into base-``2^limb_bits`` limbs; each limb is
-    shared with an independent random polynomial (all limbs in one
-    :func:`split_secrets` call).  At least one limb is always produced so
-    zero-valued secrets round-trip.
+    The secret is written as its base-``field.prime`` digits; each digit
+    is shared with an independent random polynomial (all digits in one
+    :func:`split_secrets` call).  At least one digit is always produced
+    so zero-valued secrets round-trip.
 
     Args:
         secret: Non-negative integer (any size).
         threshold: Reconstruction threshold ``t``.
         num_shares: Number of recipients ``n``.
         rng: Polynomial randomness.
-        field: Field for each limb; ``2^limb_bits`` must not exceed it.
-        limb_bits: Bits per limb.
+        field: Field the digits are written in and shared over.
 
     Returns:
         One :class:`LimbShares` per recipient (``x = 1..num_shares``).
 
     Raises:
-        ConfigurationError: On a negative secret or a limb width that does
-            not fit the field.
+        ConfigurationError: On a negative secret, or as
+            :func:`split_secrets`.
     """
-    limbs = _secret_limbs(secret, field, limb_bits)
-    # (num_limbs, num_shares): one row of share values per limb.
+    limbs = _secret_limbs(secret, field)
+    # (num_limbs, num_shares): one row of share values per digit.
     per_limb = split_secrets(limbs, threshold, num_shares, rng, field)
     return [
         LimbShares(x=x, ys=tuple(column))
@@ -328,7 +331,7 @@ def reconstruct_secrets(
     """Reconstruct many secrets whose shares sit at the same points.
 
     The dropout-recovery workhorse: the server holds shares from one
-    fixed responder set, so every secret (per-survivor seeds, per-limb
+    fixed responder set, so every secret (per-survivor seeds, per-digit
     key values) shares the evaluation points, and the reconstruction is
     one matrix product — the ``(k, t)`` share rows times the ``(t, 1)``
     Lagrange weights of the points.  The caller is responsible for
@@ -380,7 +383,6 @@ def reconstruct_quorum(
     scalar_rows: Sequence[Sequence[int]],
     limb_share_sets: Sequence[Sequence[LimbShares]],
     field: PrimeField = DEFAULT_FIELD,
-    limb_bits: int = DEFAULT_LIMB_BITS,
 ) -> tuple[list[int], list[int]]:
     """Everything one quorum reveals, from one Lagrange weight vector.
 
@@ -389,7 +391,8 @@ def reconstruct_quorum(
     :class:`LimbShares` of every dropout's mask key.  All of them sit at
     the responders' points, so every seed row and every limb row goes
     into a single :func:`reconstruct_secrets` call: the weights are
-    computed once however many clients dropped.
+    computed once however many clients dropped.  A large secret is then
+    its digits joined, ``Σ_i d_i · p^i``.
 
     Args:
         xs: The quorum's distinct nonzero share points.
@@ -398,7 +401,6 @@ def reconstruct_quorum(
         limb_share_sets: Per large secret, one :class:`LimbShares` per
             quorum member, aligned with ``xs``.
         field: Field everything was shared over.
-        limb_bits: Limb width used at split time.
 
     Returns:
         ``(scalars, large)``: one value per scalar row, one reassembled
@@ -431,10 +433,9 @@ def reconstruct_quorum(
     cursor = num_scalars
     large = []
     for num_limbs in limb_counts:
-        secret = 0
-        for limb in reversed(values[cursor : cursor + num_limbs]):
-            secret = (secret << limb_bits) | limb
-        large.append(secret)
+        large.append(
+            _join_limbs(values[cursor : cursor + num_limbs], field.prime)
+        )
         cursor += num_limbs
     return values[:num_scalars], large
 
@@ -442,7 +443,6 @@ def reconstruct_quorum(
 def reconstruct_large_secret(
     shares: Iterable[LimbShares],
     field: PrimeField = DEFAULT_FIELD,
-    limb_bits: int = DEFAULT_LIMB_BITS,
 ) -> int:
     """Recover a large secret from at least ``threshold`` limb-share sets:
     the one-secret case of :func:`reconstruct_quorum`.
@@ -450,8 +450,7 @@ def reconstruct_large_secret(
     Args:
         shares: :class:`LimbShares` from distinct recipients, all with the
             same number of limbs.
-        field: Field the limbs were shared over.
-        limb_bits: Limb width used at split time.
+        field: Field the digits were written in and shared over.
 
     Returns:
         The reassembled integer.
@@ -462,6 +461,6 @@ def reconstruct_large_secret(
     """
     shares = list(shares)
     _, (secret,) = reconstruct_quorum(
-        [share.x for share in shares], [], [shares], field, limb_bits
+        [share.x for share in shares], [], [shares], field
     )
     return secret

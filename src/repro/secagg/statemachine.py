@@ -390,7 +390,7 @@ class ServerSession:
             modulus, dimension, threshold, field, group, mask_prg
         )
         self._threshold = threshold
-        self._sealed_length = sealed_share_length(group)
+        self._sealed_length = sealed_share_length(group, field)
         self._key_width = public_key_length(group)
         self._bits = modulus_bits(modulus)
         self.header = intern_header(

@@ -10,7 +10,7 @@ backend and the socket service — and recorded traffic can be replayed
 byte for byte.  :func:`encode_message` and :func:`decode_frames` are the
 one encoder and the one decoder of every message.
 
-Frame layout, format 3 (all integers little-endian)::
+Frame layout, format 4 (all integers little-endian)::
 
     0..1   magic            b"SG"
     2      format version   uint8  (the *encoding* layout, WIRE_FORMAT_VERSION)
@@ -43,7 +43,10 @@ not already fixed.**  Bodies of the frames that are a round's bill::
                       | count * width bytes: the mask keys, in that order
     share-keys upload sender u32 | count u32 | L u32
                       | count * L bytes: one L-byte envelope per roster
-                        member, rows in sorted-roster order
+                        member, rows in sorted-roster order; an envelope
+                        is the recipient's seed share, then its share of
+                        each base-p digit of the mask key, lowest first
+                        (u64 each, sealed)
     share delivery    recipient u32 | count u32 | L u32
                       | count * u32: who sealed each row
                       | count * L bytes: the envelopes, rows in that order
@@ -52,17 +55,21 @@ not already fixed.**  Bodies of the frames that are a round's bill::
                         ``bits`` bits each, packed little-endian (bit k of
                         the stream is bit k % 8 of byte k // 8), the
                         padding bits of the last byte zero
-    unmask response   responder u32 | seeds u32 | keys u32 | limbs u8
+    unmask response   responder u32 | seeds u32 | keys u32 | digits u8
                       | seeds * u64: a seed share per survivor, in the
                         request's (sorted) survivor order
-                      | keys * limbs * u64: a key share per dropout, rows
-                        in sorted-dropout order, lowest limb first
+                      | keys * digits * u64: a key share per dropout, rows
+                        in sorted-dropout order, lowest digit first
 
 A key is ``width`` bytes whatever its value: the width is the
 key-agreement group's (8 on the toy group, 32 on x25519, 128 on
 Oakley-2).  ``bits`` is ``ceil(log2 m)`` (:func:`modulus_bits`) — what
 the paper's "bitwidth" axis counts.  A share value is 8 bytes, the
-width of every sharing field.  All of these are functions of the round
+width of every sharing field.  A mask key is shared as its base-``p``
+digits in the round's sharing field, as many as the group's largest
+key has: on the default field (``p = 2^61 - 1``) one on the toy group,
+whose keys are field elements, five on x25519 and 17 on Oakley-2 — so
+``L`` is 16, 48 and 144 bytes.  All of these are functions of the round
 and **never of the values**: a width chosen from the values would leak
 their magnitude and make a frame's length data-dependent.  The encoder
 refuses a value that does not fit its width instead of wrapping it, and
@@ -73,12 +80,14 @@ masked-input datagram that is not the round's length).
 What the round fixes is not sent.  The roster is one frame of columns,
 not a frame per member.  A share-keys datagram is the ciphertext matrix
 and three integers: an envelope's sender, recipient and length, and
-(inside it) the Shamir point and limb count, are fixed by the roster
-and the key-agreement group.  An unmask response names neither the
-survivors (the request it answers just did) nor the responder's Shamir
-point (its 1-based position in the sorted roster).  Frames of formats 1
-and 2 are refused with the typed "speaks N" error; no decoder for them
-is kept.
+(inside it) the Shamir point and digit count, are fixed by the roster,
+the key-agreement group and the sharing field.  An unmask response
+names neither the survivors (the request it answers just did) nor the
+responder's Shamir point (its 1-based position in the sorted roster).
+Frames of formats 1 to 3 are refused with the typed "speaks N" error;
+no decoder for them is kept.  Format 3 wrote a key as base-``2^60``
+limbs: its x25519 envelopes have format 4's length but not its
+meaning, which is why the layout's version moved with the digits.
 
 Frames are self-delimiting, so several messages concatenate into one
 transport datagram (a client's Hello and Advertise);
@@ -104,7 +113,7 @@ from repro.errors import AggregationError
 WIRE_MAGIC = b"SG"
 
 #: Version of the byte *layout* (bump when the framing itself changes).
-WIRE_FORMAT_VERSION = 3
+WIRE_FORMAT_VERSION = 4
 
 #: Protocol semantics version 1: four-round Bonawitz, negotiated PRG.
 PROTOCOL_V1 = 1
@@ -129,7 +138,7 @@ _HEADER = struct.Struct("<2sBBIHB")  # magic, fmt, type, length, version, prg le
 _SEALED_PREFIX = struct.Struct("<III")  # owner, envelope count, envelope length
 _MASKED_PREFIX = struct.Struct("<IIB")  # sender, dimension, bits
 _KEYS_PREFIX = struct.Struct("<IB")  # advertise: index, width; roster: count, width
-_UNMASK_PREFIX = struct.Struct("<IIIB")  # responder, seeds, keys, limbs
+_UNMASK_PREFIX = struct.Struct("<IIIB")  # responder, seeds, keys, digits
 
 #: Coordinate widths that are whole little-endian machine words: the
 #: same layout as the generic bit-packer, reached by one ``astype``.
@@ -359,9 +368,9 @@ class UnmaskResponse(_ArrayMessage):
         responder: Who answers.
         seed_shares: ``(survivors,)`` — a share of each survivor's
             self-mask seed, in sorted-survivor order.
-        key_shares: ``(dropouts, limbs)`` — a share of each dropout's
+        key_shares: ``(dropouts, digits)`` — a share of each dropout's
             mask private key, rows in sorted-dropout order, one column
-            per limb of the group's keys.
+            per base-``p`` digit of the group's keys.
     """
 
     responder: int
@@ -743,7 +752,7 @@ def _encode_body(message: Message) -> bytes:
         keys = _share_matrix(message.key_shares, 2, "key shares")
         if keys.shape[1] > 255:
             raise AggregationError(
-                f"key shares of {keys.shape[1]} limbs do not fit the wire"
+                f"key shares of {keys.shape[1]} digits do not fit the wire"
             )
         return (
             _UNMASK_PREFIX.pack(message.responder, *seeds.shape, *keys.shape)
@@ -836,17 +845,17 @@ def _decode_body(
         channel, mask = _read_keys(view, body, 2, width)
         return Advertise(index, channel, mask, width)
     if msg_type == MSG_UNMASK_RESPONSE:
-        responder, seeds, keys, limbs = _unpack_prefix(
+        responder, seeds, keys, digits = _unpack_prefix(
             _UNMASK_PREFIX, view, start, end
         )
         body = start + _UNMASK_PREFIX.size
-        _require_body(end - body, 8 * (seeds + keys * limbs))
+        _require_body(end - body, 8 * (seeds + keys * digits))
         return UnmaskResponse(
             responder,
             np.frombuffer(view, dtype="<u8", count=seeds, offset=body),
             np.frombuffer(
-                view, dtype="<u8", count=keys * limbs, offset=body + 8 * seeds
-            ).reshape(keys, limbs),
+                view, dtype="<u8", count=keys * digits, offset=body + 8 * seeds
+            ).reshape(keys, digits),
         )
     reader = _Reader(view, start, end)
     if msg_type == MSG_HELLO:

@@ -3,7 +3,8 @@
 Nothing in ``src/`` selects these.  They are the original per-share,
 per-coefficient and per-envelope loops over Python integers and bytes,
 kept as oracles for the batched code: :mod:`repro.secagg.shamir`'s
-matrix split and reconstruction, the envelope matrix codec of
+matrix split and reconstruction and its base-``p`` digits of a large
+secret, the envelope matrix codec of
 :mod:`repro.secagg.bonawitz`, and
 :func:`repro.secagg.kernels.keystream_batch`.  Import them as
 ``tests.secagg_reference`` (``python -m pytest`` puts the repository
@@ -75,6 +76,33 @@ def reconstruct_secret_scalar(
     return secret
 
 
+def secret_digits_scalar(
+    secret: int, field: PrimeField = DEFAULT_FIELD
+) -> list[int]:
+    """Digit ``k`` of ``secret`` in base ``p`` is ``secret // p^k mod p``,
+    for ``k`` up to the last nonzero one (one digit for zero)."""
+    prime = field.prime
+    count = 1
+    while prime**count <= secret:
+        count += 1
+    return [secret // prime**k % prime for k in range(count)]
+
+
+def reconstruct_large_secret_scalar(
+    shares: Iterable[LimbShares], field: PrimeField = DEFAULT_FIELD
+) -> int:
+    """Each digit by :func:`reconstruct_secret_scalar`, then
+    ``Σ_k d_k · p^k``."""
+    shares = list(shares)
+    digits = [
+        reconstruct_secret_scalar(
+            [Share(x=share.x, y=share.ys[k]) for share in shares], field
+        )
+        for k in range(len(shares[0].ys))
+    ]
+    return sum(digit * field.prime**k for k, digit in enumerate(digits))
+
+
 def keystream(key: bytes, length: int) -> np.ndarray:
     """One key's stream: row 0 of :func:`keystream_batch`."""
     return keystream_batch([key], length)[0]
@@ -91,7 +119,8 @@ def memoised_pairs(group: KeyAgreementGroup) -> int:
 
 
 def encode_payload(seed_share: Share, key_share: LimbShares) -> bytes:
-    """One recipient's envelope plaintext: seed value, then each limb."""
+    """One recipient's envelope plaintext: seed value, then each key
+    digit's share value, lowest first."""
     return b"".join(
         y.to_bytes(_SHARE_VALUE_BYTES, "little")
         for y in (seed_share.y, *key_share.ys)
@@ -104,7 +133,7 @@ def decode_payload(payload: bytes, point: int) -> tuple[Share, LimbShares]:
     if len(payload) < width or len(payload) % width:
         raise AggregationError(
             f"malformed share payload: {len(payload)} bytes is not a seed "
-            f"share and whole {width}-byte limbs"
+            f"share and whole {width}-byte key digits"
         )
     seed_y, *ys = (
         int.from_bytes(payload[at : at + width], "little")

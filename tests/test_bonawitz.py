@@ -21,6 +21,7 @@ from repro.secagg.bonawitz import (
     run_bonawitz,
     sealed_share_length,
 )
+from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.keys import (
     TOY_GROUP,
     X25519_GROUP,
@@ -555,23 +556,33 @@ class TestBlame:
     envelope can no longer say."""
 
     def test_envelope_is_share_values_and_nothing_else(self):
-        """A seed share and one share per limb of the group's mask key,
-        8 bytes each: no Shamir point, no limb count (30 -> 24 bytes on
-        the toy group)."""
-        assert sealed_share_length(TOY_GROUP) == 24
-        assert sealed_share_length(DhGroup()) == 8 * (1 + 18)
+        """A seed share and one share per base-p digit of the group's
+        largest mask key, 8 bytes each: no Shamir point, no digit count.
+        On GF(2^61 - 1): a toy-group key lies in [2, 2^61 - 3], one
+        digit (24 -> 16 bytes at format 4); an x25519 key reaches
+        2^256 - 1, and p^4 < 2^244 while p^5 > 2^304: five digits (48
+        bytes at both formats); an Oakley-2 key reaches its prime less
+        2, above 2^1023, and p^16 < 2^976 while p^17 > 2^1036: 17
+        digits (18 base-2^60 limbs at format 3: 152 -> 144 bytes)."""
+        assert sealed_share_length(TOY_GROUP, DEFAULT_FIELD) == 8 * (1 + 1)
+        assert sealed_share_length(X25519_GROUP, DEFAULT_FIELD) == 8 * (1 + 5)
+        assert sealed_share_length(DhGroup(), DEFAULT_FIELD) == 8 * (1 + 17)
+        assert [
+            sealed_share_length(group, DEFAULT_FIELD)
+            for group in (TOY_GROUP, X25519_GROUP, DhGroup())
+        ] == [16, 48, 144]
 
     def test_relayed_shares_sit_at_the_relayers_own_point(self, rng):
         """Client 1 relays at unmask what client 2 sealed for it.  Under
         wire format 1 an envelope named its own Shamir point and limb
-        count, so a peer sealing *a neighbour's* x (or a short limb
+        count, so a peer sealing *a neighbour's* x (or a short digit
         tuple) got the honest relayer refused — and, since PR 17,
         evicted — at unmask: the scenario was constructible at the
         parent of this change.  Now it is unrepresentable: whatever
         bytes a peer seals, the recipient reads them as values at its
-        own roster position and at the group's limb count, so its
+        own roster position and at the group's digit count, so its
         response passes ``check_unmask_response``'s point and
-        limb-count checks by construction.  (What a peer can still do
+        digit-count checks by construction.  (What a peer can still do
         is seal an out-of-field *value*; that half of ROADMAP 3a needs
         the authentication tag.)"""
         inputs = make_inputs(rng, n=4)
@@ -587,9 +598,10 @@ class TestBlame:
             [client.advertise_keys() for client in clients]
         )
         sealed = {c.index: c.share_keys_matrix(roster)[1] for c in clients}
-        # Client 2 seals for client 1 what format 1 would have parsed as
-        # "point 3, one limb": bytes chosen freely, in the field.
-        forged = encode_payload(Share(3, 3), LimbShares(3, (1, 5)))
+        # Client 2 seals for client 1 a seed value and a key digit of
+        # its choosing (format 1 would have parsed the first of them as
+        # a point): bytes chosen freely, in the field.
+        forged = encode_payload(Share(3, 3), LimbShares(3, (5,)))
         sealed[2][0] = np.frombuffer(
             seal(clients[1]._channel_key(1), forged, 2, 1), dtype=np.uint8
         )
@@ -605,8 +617,8 @@ class TestBlame:
         }
         request = server.collect_masked_inputs(masked)
         response = clients[0].unmask_columns(request)
-        # Format 3 sends no point at all: values only, at the group's
-        # limb count.
+        # Format 4 sends no point at all: values only, at the group's
+        # digit count (one on the toy group).
         assert response.seed_shares[1] == 3  # 2's forged seed value, relayed
-        assert response.key_shares.shape == (1, 2)
+        assert response.key_shares.shape == (1, 1)
         server.check_unmask_response(response)  # the relayer is not blamed

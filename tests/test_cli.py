@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import cli
+from repro import cli, mechanisms
 from repro.cli import main
 from repro.config import CompressionConfig
 from repro.errors import ConfigurationError
@@ -37,8 +37,25 @@ class TestBuildMechanism:
     def test_distributed_mechanism_requires_compression(self):
         with pytest.raises(ConfigurationError, match="needs a compression"):
             build_mechanism("smm", None)
-        with pytest.raises(SystemExit, match="needs --bits/--gamma"):
+        with pytest.raises(SystemExit, match="'smm' needs a compression"):
             cli._mechanism("smm", None)
+
+    def test_cli_exits_with_the_refusals_own_message(self, monkeypatch):
+        """An unknown name and a constructor refusing its compression
+        each exit with what was refused, not with a flag hint."""
+        compression = CompressionConfig(2**14, 64.0)
+        with pytest.raises(SystemExit, match="unknown mechanism 'laplace'"):
+            cli._mechanism("laplace", compression)
+
+        def refuse(compression):
+            raise ConfigurationError(
+                f"modulus {compression.modulus} is too wide for ddg"
+            )
+
+        monkeypatch.setitem(mechanisms._DISTRIBUTED, "ddg", refuse)
+        with pytest.raises(SystemExit) as caught:
+            cli._mechanism("ddg", compression)
+        assert str(caught.value) == "modulus 16384 is too wide for ddg"
 
     def test_gaussian_needs_no_compression(self):
         assert isinstance(build_mechanism("gaussian"), GaussianMechanism)

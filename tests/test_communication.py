@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.secagg.bonawitz import run_bonawitz, sealed_share_length
+from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.keys import TOY_GROUP, DhGroup
 from repro.secagg.wire import (
     PROTOCOL_V1,
@@ -102,7 +103,8 @@ class TestBonawitzCost:
         further client; the masked input does not care."""
         small = bonawitz_round_cost(10, 1024, 2**8)
         large = bonawitz_round_cost(1000, 1024, 2**8)
-        envelope = sealed_share_length(DhGroup())
+        envelope = sealed_share_length(DhGroup(), DEFAULT_FIELD)
+        assert envelope == 8 * (1 + 17)  # a seed share, 17 key digits
         assert large.share_keys - small.share_keys == 990 * envelope
         assert large.unmask - small.unmask == 990 * 8
         assert large.masked_input == small.masked_input
@@ -138,6 +140,50 @@ class TestBonawitzCost:
             "unmask": {cost.unmask},
         }
         assert all(len(sizes) == clients for sizes in uploads.values())
+
+    def test_full_cohort_round_moves_8972_bytes_a_client(self):
+        """``run_bonawitz`` at n = 128, d = 16, m = 2^16, t = 77 on the
+        toy group, both directions — ``secagg_quadratic``'s round.  A
+        frame is a 19-byte header (11 + ``shake256``) and its body; a
+        toy-group key is 8 bytes, and one base-p digit, so an envelope
+        is a seed share and one key share, 16 bytes:
+
+        ============= ==== ===================================== =====
+        phase         dir  frame(s)                              bytes
+        ============= ==== ===================================== =====
+        advertise     up   Hello 19 + 4; Advertise 19 + 5 + 2 x 8   63
+        advertise     down roster 19 + 5 + 128 x (4 + 2 x 8)      2584
+        share-keys    up   19 + 12 + 128 x 16                    2079
+        share-keys    down 19 + 12 + 128 x (4 + 16)              2591
+        masked-input  up   19 + 9 + 16 x 2                         60
+        masked-input  down request 19 + (4 + 128 x 4) + 4         539
+        unmask        up   19 + 13 + 128 x 8                     1056
+        ============= ==== ===================================== =====
+
+        8 972 bytes a client; format 3's two-limb envelopes (24 bytes)
+        made share-keys 3 103 up and 3 615 down, 11 020 in all."""
+        clients, dimension, modulus = 128, 16, 2**16
+        rng = np.random.default_rng(5)
+        outcome = run_bonawitz(
+            rng.integers(0, modulus, size=(clients, dimension)),
+            modulus,
+            threshold=77,
+            rng=rng,
+        )
+        per_client = {
+            phase: (
+                totals["up_bytes"] // clients,
+                totals["down_bytes"] // clients,
+            )
+            for phase, totals in outcome.wire.phase_totals().items()
+        }
+        assert per_client == {
+            "advertise": (63, 2584),
+            "share-keys": (2079, 2591),
+            "masked-input": (60, 539),
+            "unmask": (1056, 0),
+        }
+        assert outcome.wire.total_bytes == 8972 * clients
 
     def test_total_is_sum_of_parts(self):
         cost = bonawitz_round_cost(50, 256, 2**10)

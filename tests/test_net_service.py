@@ -13,6 +13,7 @@ import asyncio
 import gc
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -263,6 +264,38 @@ class TestLongLivedServer:
         assert digests.read_bytes() == b"".join(
             f"{expected_digest(config)}\n".encode() for config in configs
         )
+
+    def test_sigterm_stops_a_server_whose_stdout_reader_is_gone(
+        self, tmp_path
+    ):
+        """A parent that read the banner off a stdout pipe and closed it
+        can still stop the server: the signal handler requests the stop
+        before it writes its notice, and nothing after the banner —
+        the notice, the files-written lines — goes to stdout."""
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--metrics-port", "-1",
+                "--cohort", "4", "--threshold", "2", "--dimension", "8",
+                "--rounds", "5",
+                "--digest-out", str(tmp_path / "digests.txt"),
+                "--metrics-out", str(tmp_path / "metrics.prom"),
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            assert "listening on" in server.stdout.readline()
+            server.stdout.close()
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
 
 
 class TestNegotiationOverSockets:

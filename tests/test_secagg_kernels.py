@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import (
+    ROUND_MASKED_INPUT,
     BonawitzClient,
     BonawitzServer,
     _decode_payload_matrix,
@@ -162,19 +163,22 @@ class TestPayloadMatrixCodec:
             assert row[1:] == limb_ys[:, position].tolist()
 
     def test_matrix_decode_rejects_limb_mismatch(self, rng):
-        """An envelope carries no limb count to get wrong: the count is
+        """An envelope carries no digit count to get wrong: the count is
         the group's, so a row of any other length is refused — by the
-        scalar oracle as malformed, by a client as not this round's."""
+        scalar oracle as malformed, by a client as not this round's (a
+        two-digit key share where the toy group's keys have one)."""
         matrix = _encode_payload_matrix(
             np.array([1, 2], dtype=np.uint64),
-            np.array([[3, 4]], dtype=np.uint64),
+            np.array([[3, 4], [5, 6]], dtype=np.uint64),
         )
         with pytest.raises(AggregationError, match="malformed"):
             decode_payload(matrix[1, :-1].tobytes(), 1)
         client = BonawitzClient(
             1, np.zeros(4, dtype=np.int64), 2**8, 2, rng, TOY_GROUP
         )
-        with pytest.raises(AggregationError, match="this round's are 24"):
+        with pytest.raises(
+            AggregationError, match="received 24-byte .*this round's are 16"
+        ):
             client.receive_share_matrix([1, 2], matrix)
 
 
@@ -214,13 +218,26 @@ class TestProtocolBackendKnob:
             build("sha256-ctr")
 
 
-class TestSmallFieldGuard:
-    def test_share_keys_rejects_field_below_limb_width(self, rng):
-        # Regression: the batched split must keep split_large_secret's
-        # limb-width-vs-field fail-fast.
+class TestNarrowField:
+    def test_a_field_narrower_than_the_keys_shares_them_as_digits(self, rng):
+        """A key is written in the field's own base, so any sharing field
+        carries any group's keys: over GF(2^31 - 1) a toy-group key is
+        two digits (a 24-byte envelope), a dropout's key is rebuilt from
+        both, and the sum is exact.  (Base-2^60 limbs could not fit
+        this field, and such a round was refused.)"""
         from repro.secagg.field import PrimeField
 
-        tiny_field = PrimeField(prime=(1 << 31) - 1)
-        inputs = rng.integers(0, 2**8, size=(3, 4), dtype=np.int64)
-        with pytest.raises(ConfigurationError, match="limb width"):
-            run_bonawitz(inputs, 2**8, threshold=2, rng=rng, field=tiny_field)
+        narrow = PrimeField(prime=(1 << 31) - 1)
+        inputs = rng.integers(0, 2**8, size=(5, 4), dtype=np.int64)
+        outcome = run_bonawitz(
+            inputs, 2**8, threshold=3, rng=rng, field=narrow,
+            dropouts={2: ROUND_MASKED_INPUT},
+        )
+        kept = [u - 1 for u in sorted(outcome.included)]
+        assert outcome.dropped == frozenset({2})
+        np.testing.assert_array_equal(
+            outcome.modular_sum, inputs[kept].sum(axis=0) % 2**8
+        )
+        share_keys = outcome.wire.phase_totals()["share-keys"]
+        # Five 19 + 12 + 5 x 24 byte uploads.
+        assert share_keys["up_bytes"] == 5 * (19 + 12 + 5 * 24)

@@ -14,6 +14,8 @@ from repro.secagg.field import PrimeField
 from repro.secagg.shamir import (
     LimbShares,
     Share,
+    _join_limbs,
+    _secret_limbs,
     lagrange_weights_at_zero,
     reconstruct_large_secret,
     reconstruct_quorum,
@@ -24,7 +26,9 @@ from repro.secagg.shamir import (
     split_secrets,
 )
 from tests.secagg_reference import (
+    reconstruct_large_secret_scalar,
     reconstruct_secret_scalar,
+    secret_digits_scalar,
     split_secret_scalar,
 )
 
@@ -169,18 +173,33 @@ class TestLargeSecrets:
         assert len(shares[0].ys) == 1
         assert reconstruct_large_secret(shares[1:3]) == 12345
 
-    def test_limb_count_matches_bit_length(self, rng):
-        secret = (1 << 180) - 1  # 180 bits -> 3 limbs of 60 bits
-        shares = split_large_secret(secret, 2, 3, rng)
-        assert len(shares[0].ys) == 3
+    @pytest.mark.parametrize(
+        "secret, digits",
+        [
+            (0, 1),
+            (PRIME - 1, 1),  # every toy-group key: one share, not two
+            (PRIME, 2),
+            (PRIME**2 - 1, 2),
+            (PRIME**2, 3),
+            ((1 << 180) - 1, 3),  # p^2 < 2^122 < 2^180 < p^3
+        ],
+    )
+    def test_limb_count_is_the_base_p_digit_count(self, rng, secret, digits):
+        shares = split_large_secret(secret, 2, 3, rng, FIELD)
+        assert len(shares[0].ys) == digits
+        assert reconstruct_large_secret(shares[:2], FIELD) == secret
 
     def test_negative_secret_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             split_large_secret(-5, 2, 3, rng)
 
-    def test_oversized_limb_width_rejected(self, rng):
-        with pytest.raises(ConfigurationError, match="limb"):
-            split_large_secret(5, 2, 3, rng, limb_bits=62)
+    def test_digits_are_base_p_in_a_small_field(self, rng):
+        """The field's prime is the base: 12345 over GF(101) is
+        23 + 21 * 101 + 1 * 101^2, each digit shared on its own."""
+        field = PrimeField(prime=101)
+        assert _secret_limbs(12345, field) == [23, 21, 1]
+        shares = split_large_secret(12345, 3, 5, rng, field)
+        assert reconstruct_large_secret(shares[1:4], field) == 12345
 
     def test_mismatched_limb_counts_rejected(self, rng):
         a = split_large_secret(1 << 100, 2, 3, rng)
@@ -191,6 +210,31 @@ class TestLargeSecrets:
     def test_zero_shares_rejected(self):
         with pytest.raises(AggregationError):
             reconstruct_large_secret([])
+
+    @given(
+        secret=st.one_of(
+            st.sampled_from(
+                [0, PRIME - 1, PRIME]
+                + [
+                    PRIME**k + offset
+                    for k in range(2, 19)
+                    for offset in (-1, 0)
+                ]
+            ),
+            st.integers(min_value=0, max_value=1 << 1100),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_digit_decomposition_round_trips(self, secret):
+        """Base-p digits, lowest first, each in the field, the top one
+        nonzero (bar zero's single digit); joined back they are the
+        secret.  The edges — 0, p - 1, p, p^k - 1, p^k up to Oakley-2's
+        17 digits and one past — and integers up to 2^1100."""
+        digits = _secret_limbs(secret, FIELD)
+        assert digits == secret_digits_scalar(secret, FIELD)
+        assert all(0 <= digit < PRIME for digit in digits)
+        assert digits[-1] != 0 or digits == [0]
+        assert _join_limbs(digits, PRIME) == secret
 
     @given(
         bits=st.integers(min_value=0, max_value=400),
@@ -288,15 +332,18 @@ class TestScalarVectorEquivalence:
         self, threshold, extra, survivors, dropouts, limbs, seed
     ):
         """What an unmask phase reconstructs — a seed per survivor and
-        ``limbs`` limbs per dropout, all from one quorum subset and one
-        weight vector — equals the scalar reference on every row,
-        including no dropouts at all and one-limb keys."""
+        ``limbs`` base-p digits per dropout, all from one quorum subset
+        and one weight vector — equals the scalar reference on every
+        row, including no dropouts at all and one-digit keys."""
         rng = np.random.default_rng(seed)
         num_shares = threshold + extra
         seeds = [int(rng.integers(0, FIELD.prime)) for _ in range(survivors)]
+        # Keys of exactly ``limbs`` digits: in [p^(limbs-1), p^limbs).
+        low = PRIME ** (limbs - 1) if limbs > 1 else 0
         keys = [
-            int.from_bytes(rng.bytes(8 * limbs), "little") % (1 << 60 * limbs)
-            | ((1 << 60 * (limbs - 1)) if limbs > 1 else 0)
+            low
+            + int.from_bytes(rng.bytes(8 * limbs), "little")
+            % (PRIME**limbs - low)
             for _ in range(dropouts)
         ]
         seed_matrix = split_secrets(seeds, threshold, num_shares, rng)
@@ -321,12 +368,7 @@ class TestScalarVectorEquivalence:
             )
         for shares, value in zip(limb_sets, got_keys):
             assert len(shares[0].ys) == limbs
-            reference = 0
-            for k in reversed(range(limbs)):
-                reference = (reference << 60) | reconstruct_secret_scalar(
-                    [Share(x=share.x, y=share.ys[k]) for share in shares]
-                )
-            assert value == reference
+            assert value == reconstruct_large_secret_scalar(shares)
             assert value == reconstruct_large_secret(shares)
 
     def test_small_field_routes_through_kernels(self, rng):
@@ -365,7 +407,7 @@ class TestMatrixSplitIsTheSameSplit:
             [34106716675764793, 2198622052865438582],
             3191417102203677523,
         ),
-        # ... and an Oakley-sized one (a seed and 18 key limbs).
+        # ... and an Oakley-sized one (a seed and format 3's 18 key limbs).
         (19, 145, 240): (
             20220602,
             "0a5b17d64f3eac17c0ef5aa13d7e4bc6aff9364ebcc47546bee69f1dafcd63ce",

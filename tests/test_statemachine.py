@@ -579,7 +579,7 @@ class TestStrictValidation:
     ):
         """An unmask response is one lone frame whose shape the round
         fixed — a seed share per survivor, a key share per announced
-        dropout at the group's limb count, every value in the field.
+        dropout at the group's digit count, every value in the field.
         Anything else is refused at receive(), naming the sender, with
         nothing stored; it used to reach recover_sum and take the round
         (a bare KeyError for a missing key share) with it."""

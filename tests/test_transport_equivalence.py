@@ -52,30 +52,36 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 #: 42), captured before both were moved onto ``drive_in_memory``.  Every
 #: frame carries the suite name ``"shake256"``.  The digests are older
 #: than every wire format and unchanged; the byte counts are wire
-#: format 3's (format 1 moved 31 129 and 4 467 B, format 2 19 244 and
-#: 2 892 B).  Format 3 fixes every width on the wire, so the counts
-#: follow from the layout alone (19-byte frame header):
+#: format 4's (format 1 moved 31 129 and 4 467 B, format 2 19 244 and
+#: 2 892 B, format 3 15 177 and 2 480 B).  Format 3 fixed every width on
+#: the wire, so the counts follow from the layout alone (19-byte frame
+#: header); format 4 shares a toy-group key as its one base-p digit, not
+#: two base-2^60 limbs, so an envelope is 16 B, not 24:
 #:
 #: * ``run_sync`` — 12 clients, 3 silent from masked-input, 9 from
 #:   unmask: 11 survivors, one dropout, 10 responders, d = 24 at 16 bits.
 #:   Advertise up 12 x 63, roster down 12 x (24 + 20 x 12), share-keys
-#:   up 12 x (31 + 12 x 24) and down 12 x (31 + 12 x 28), masked input
+#:   up 12 x (31 + 12 x 16) and down 12 x (31 + 12 x 20), masked input
 #:   11 x (28 + 48), unmask request 11 x (27 + 4 x 12), unmask response
-#:   10 x (32 + 8 x 11 + 8 x 2): 15 177 B in 92 frames.  Format 2 sent
+#:   10 x (32 + 8 x 11 + 8 x 1): 12 793 B in 92 frames.  Format 3 was
+#:   8 B more per envelope each way (2 x 12 x 12 x 8 = 2 304 B) and 8 B
+#:   more per response (10 x 8 = 80 B): 15 177 B.  Format 2 sent
 #:   the roster as 144 frames of 43 B (-3 024 B), an advertisement 3 B
 #:   longer (-36 B) and a response of 238 B, its ``peers`` and ``xs``
 #:   columns and the key section's point, count and length prefixes
 #:   (-1 020 B); the last 13 B are keys and share values it happened to
 #:   encode a byte short.
-#: * The composition round — 4 clients, none silent: the roster is
-#:   4 x 104 B instead of 4 x 4 x 43 (-272 B), the advertisements
-#:   4 x 3 B shorter (-12 B) and the responses 4 x 64 B instead of
-#:   4 x 96 (-128 B): 2 480 B in 32 frames.
-SYNC_WIRE_BYTES = 15177
+#: * The composition round — 4 clients, none silent: share-keys up
+#:   4 x (31 + 4 x 16) and down 4 x (31 + 4 x 20), 2 x 4 x 4 x 8 = 256 B
+#:   under format 3's 2 480 B: 2 224 B in 32 frames.  Format 3's roster
+#:   was 4 x 104 B instead of format 2's 4 x 4 x 43 (-272 B), its
+#:   advertisements 4 x 3 B shorter (-12 B) and its responses 4 x 64 B
+#:   instead of 4 x 96 (-128 B).
+SYNC_WIRE_BYTES = 12793
 COMPOSITION_DIGEST = (
     "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
 )
-COMPOSITION_WIRE_BYTES = 2480
+COMPOSITION_WIRE_BYTES = 2224
 
 
 @pytest.fixture

@@ -45,18 +45,22 @@ HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
 #: format 3; the masked-input, advertise, roster and unmask-response
 #: entries were written out by hand from the layout table in
 #: ``repro.secagg.wire`` first (see ``TestGoldenVectors``'s
-#: ``*_by_hand`` tests).
+#: ``*_by_hand`` tests).  Format 4 moved the format byte from 3 to 4 and
+#: left every body as it was; the unmask response's key share went from
+#: format 3's two toy-group limbs to the toy group's one base-p digit
+#: (``digits`` 2 -> 1, one 8-byte value fewer, frame length 0x42 -> 0x3a),
+#: and format 3's bytes are kept as a refused frame below.
 GOLDEN = {
     "hello": (
         Hello(sender=7),
-        "534703011900000001000a7368613235362d63747207000000",
+        "534704011900000001000a7368613235362d63747207000000",
     ),
     "advertise": (
         Advertise(
             index=3, channel_public=0x1F2E3D4C5B6A7988, mask_public=2, width=8
         ),
         # index, width; then both keys at 8 bytes, the small one too.
-        "534703022a00000001000a7368613235362d637472"
+        "534704022a00000001000a7368613235362d637472"
         "0300000008"
         "88796a5b4c3d2e1f"
         "0200000000000000",
@@ -70,7 +74,7 @@ GOLDEN = {
         ),
         # count, width; the index column; the channel-key column; the
         # mask-key column.
-        "5347030b4200000001000a7368613235362d637472"
+        "5347040b4200000001000a7368613235362d637472"
         "0200000008"
         "0200000005000000"
         "88796a5b4c3d2e1f" "0700000000000000"
@@ -82,7 +86,7 @@ GOLDEN = {
             ciphertexts=np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8),
         ),
         # sender, count, L; then the (2, 2) matrix row by row.
-        "534703032500000001000a7368613235362d637472"
+        "534704032500000001000a7368613235362d637472"
         "020000000200000002000000deadbeef",
     ),
     "sealed-delivery": (
@@ -92,7 +96,7 @@ GOLDEN = {
             ciphertexts=np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8),
         ),
         # recipient, count, L; the sender column; the matrix.
-        "5347030a2d00000001000a7368613235362d637472"
+        "5347040a2d00000001000a7368613235362d637472"
         "0500000002000000020000000200000006000000deadbeef",
     ),
     "masked-input": (
@@ -102,51 +106,51 @@ GOLDEN = {
             bits=10,
         ),
         # sender, dimension, bits; then 5 x 10 bits in 7 bytes.
-        "534703042500000001000a7368613235362d637472"
+        "534704042500000001000a7368613235362d637472"
         "04000000050000000a0004f03f800500",
     ),
     "unmask-request": (
         UnmaskRequest(survivors=frozenset({1, 3, 2}), dropouts=frozenset({9})),
-        "534703052d00000001000a7368613235362d637472"
+        "534704052d00000001000a7368613235362d637472"
         "030000000100000002000000030000000100000009000000",
     ),
     "unmask-response": (
         UnmaskResponse(
             responder=6,
             seed_shares=np.array([123456789, 1], dtype=np.uint64),
-            key_shares=np.array([[10, 2**61 - 2]], dtype=np.uint64),
+            key_shares=np.array([[2**61 - 2]], dtype=np.uint64),
         ),
-        # responder, seeds, keys, limbs; the seed column; the key matrix.
-        "534703064200000001000a7368613235362d637472"
-        "06000000020000000100000002"
+        # responder, seeds, keys, digits; the seed column; the key matrix.
+        "534704063a00000001000a7368613235362d637472"
+        "06000000020000000100000001"
         "15cd5b0700000000" "0100000000000000"
-        "0a00000000000000" "feffffffffffff1f",
+        "feffffffffffff1f",
     ),
     "reject": (
         Reject(client=8, reason="unsupported protocol version 9"),
-        "534703073900000001000a7368613235362d637472"
+        "534704073900000001000a7368613235362d637472"
         "080000001e00756e737570706f727465642070726f746f636f6c2076"
         "657273696f6e2039",
     ),
     "welcome": (
         Welcome(client=5, round_id=0x0102030405060708),
-        "534703082100000001000a7368613235362d637472"
+        "534704082100000001000a7368613235362d637472"
         "050000000807060504030201",
     ),
     "resume": (
         Resume(sender=9, round_id=3, deliveries=2),
-        "534703092200000001000a7368613235362d637472"
+        "534704092200000001000a7368613235362d637472"
         "09000000030000000000000002",
     ),
 }
 
 
 def _by_hand(msg_type: int, body: bytes) -> str:
-    """A format-3 frame under ``HEADER``, written out from the layout."""
+    """A format-4 frame under ``HEADER``, written out from the layout."""
     prg = b"sha256-ctr"
     header = (
         WIRE_MAGIC
-        + bytes([WIRE_FORMAT_VERSION, msg_type])  # format 3, message type
+        + bytes([WIRE_FORMAT_VERSION, msg_type])  # format 4, message type
         + (11 + len(prg) + len(body)).to_bytes(4, "little")
         + PROTOCOL_V1.to_bytes(2, "little")
         + bytes([len(prg)])
@@ -221,15 +225,16 @@ class TestGoldenVectors:
 
     def test_unmask_response_golden_by_hand(self):
         """Share values only, 8 bytes each: no survivor ids, no points,
-        no per-peer limb counts or length prefixes."""
+        no per-peer digit counts or length prefixes.  A toy-group key is
+        one base-p digit, so a dropout costs one value."""
         body = (
             (6).to_bytes(4, "little")  # responder
             + (2).to_bytes(4, "little")  # seed shares
             + (1).to_bytes(4, "little")  # key shares
-            + (2).to_bytes(1, "little")  # limbs
+            + (1).to_bytes(1, "little")  # digits a key share
             + b"".join(
                 value.to_bytes(8, "little")
-                for value in (123456789, 1, 10, 2**61 - 2)
+                for value in (123456789, 1, 2**61 - 2)
             )
         )
         assert _by_hand(6, body) == GOLDEN["unmask-response"][1]
@@ -239,7 +244,7 @@ class TestGoldenVectors:
             Hello(sender=1), NegotiatedHeader(version=2, mask_prg="shake256")
         )
         assert frame.hex() == (
-            "5347030117000000020008" "7368616b65323536" "01000000"
+            "5347040117000000020008" "7368616b65323536" "01000000"
         )
 
     def test_encoding_is_deterministic_under_set_order(self):
@@ -292,7 +297,7 @@ class TestMalformedFrames:
             "00ffff0000000000000000000000010000"
         )
         with pytest.raises(
-            AggregationError, match="format version 1 .*speaks 3"
+            AggregationError, match="format version 1 .*speaks 4"
         ):
             decode_frames(old)
 
@@ -310,7 +315,27 @@ class TestMalformedFrames:
             "010000000900000006000000020001000a0800feffffffffffff1f",
         ):
             with pytest.raises(
-                AggregationError, match="format version 2 .*speaks 3"
+                AggregationError, match="format version 2 .*speaks 4"
+            ):
+                decode_frames(bytes.fromhex(old))
+
+    def test_format_3_frame_is_refused_with_what_this_side_speaks(self):
+        """Format 3's unmask-response golden — a key share as two
+        base-2^60 limbs, a layout format 4 would parse without error
+        and reconstruct into the wrong key — and its sealed upload get
+        the typed refusal: no format-3 decoder is kept."""
+        for old in (
+            "534703064200000001000a7368613235362d637472"
+            "06000000020000000100000002"
+            "15cd5b0700000000" "0100000000000000"
+            "0a00000000000000" "feffffffffffff1f",
+            "534703032500000001000a7368613235362d637472"
+            "020000000200000002000000deadbeef",
+        ):
+            with pytest.raises(
+                AggregationError,
+                match=r"unsupported wire format version 3 "
+                r"\(this implementation speaks 4\)",
             ):
                 decode_frames(bytes.fromhex(old))
 

@@ -60,28 +60,29 @@ SEALED_PREFIX = HEADER_BYTES + 12
 #: here and whose unmask hex is byte-identical to this module's).
 GOLDEN_SEALED_MATRIX = (
     # Upload: sender 2, two 2-byte envelopes, the matrix.
-    "534703032500000001000a7368613235362d637472"
+    "534704032500000001000a7368613235362d637472"
     "020000000200000002000000deadbeef"
     # The delivery of the same matrix to client 5, sealed by 2 and 6.
-    "5347030a2d00000001000a7368613235362d637472"
+    "5347040a2d00000001000a7368613235362d637472"
     "0500000002000000020000000200000006000000deadbeef"
 )
 GOLDEN_MASKED = (
     # A word-sized width: sender 4, dimension 4, 16 bits, 4 x <u2.
-    "534703042600000001000a7368613235362d637472"
+    "534704042600000001000a7368613235362d637472"
     "04000000040000001000000100ffff0201"
 )
 GOLDEN_UNMASK = (
-    "534703064200000001000a7368613235362d637472"
-    "06000000020000000100000002"
+    # A dropout's key share is one base-p digit on the toy group.
+    "534704063a00000001000a7368613235362d637472"
+    "06000000020000000100000001"
     "15cd5b0700000000" "0100000000000000"
-    "0a00000000000000" "feffffffffffff1f"
+    "feffffffffffff1f"
 )
 
 GOLDEN_RESPONSE = UnmaskResponse(
     responder=6,
     seed_shares=np.array([123456789, 1], dtype=np.uint64),
-    key_shares=np.array([[10, 2**61 - 2]], dtype=np.uint64),
+    key_shares=np.array([[2**61 - 2]], dtype=np.uint64),
 )
 
 
@@ -138,7 +139,7 @@ class TestGoldenVectors:
         _, decoded = decode_message(bytes.fromhex(GOLDEN_UNMASK))
         assert decoded.responder == 6
         assert decoded.seed_shares.tolist() == [123456789, 1]
-        assert decoded.key_shares.tolist() == [[10, 2**61 - 2]]
+        assert decoded.key_shares.tolist() == [[2**61 - 2]]
         assert decoded.seed_shares.dtype == decoded.key_shares.dtype
         assert decoded.key_shares.dtype == np.uint64
 
@@ -148,16 +149,17 @@ class TestGoldenVectors:
         same = UnmaskResponse(
             responder=6,
             seed_shares=np.array([123456789, 1], dtype=np.int64),
-            key_shares=np.array([[10, 2**61 - 2]], dtype=np.int64),
+            key_shares=np.array([[2**61 - 2]], dtype=np.int64),
         )
         assert same == GOLDEN_RESPONSE and hash(same) == hash(GOLDEN_RESPONSE)
         for change in (
             {"responder": 7},
             {"seed_shares": np.array([123456789, 2], dtype=np.uint64)},
             {"seed_shares": np.array([123456789], dtype=np.uint64)},
-            {"key_shares": np.array([[10, 2**61 - 1]], dtype=np.uint64)},
+            {"key_shares": np.array([[2**61 - 3]], dtype=np.uint64)},
+            {"key_shares": np.array([[10, 2**61 - 2]], dtype=np.uint64)},
             {"key_shares": np.array([[10], [2**61 - 2]], dtype=np.uint64)},
-            {"key_shares": np.zeros((0, 2), dtype=np.uint64)},
+            {"key_shares": np.zeros((0, 1), dtype=np.uint64)},
         ):
             assert dataclasses.replace(GOLDEN_RESPONSE, **change) != (
                 GOLDEN_RESPONSE
@@ -744,7 +746,8 @@ class TestColumnarRouting:
             server.receive(b"".join(client.start()), sender=u)
         server.advance()
         uploads = {
-            u: rng.integers(0, 256, size=(4, 24), dtype=np.uint8)
+            # A toy-group envelope: a seed share and one key digit.
+            u: rng.integers(0, 256, size=(4, 16), dtype=np.uint8)
             for u in clients
             if u not in dropped
         }
@@ -777,4 +780,4 @@ class TestColumnarRouting:
         assert sorted(deliveries) == [1, 3, 5]
         for delivery in deliveries.values():
             assert delivery.senders.tolist() == [1, 3, 5]
-            assert delivery.ciphertexts.shape == (3, 24)
+            assert delivery.ciphertexts.shape == (3, 16)
