@@ -4,7 +4,7 @@ Each benchmark regenerates one panel (or series) of a paper figure and
 prints the measured rows through the ``emit`` fixture, which bypasses
 pytest's output capture so the series tables appear in
 ``pytest benchmarks/ --benchmark-only`` output.  Results are also
-appended to ``benchmarks/results/*.txt`` for EXPERIMENTS.md.
+appended to ``benchmarks/results/*.txt`` when a test names a file.
 
 Scaled-down defaults (DESIGN.md §4): the accountant is exact at any
 scale, so mechanism orderings and bitwidth crossovers match the paper;

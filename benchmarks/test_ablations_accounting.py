@@ -23,6 +23,7 @@ from repro.accounting.divergences import smm_rdp
 from repro.accounting.pld import smm_pair_pmfs, tight_epsilon
 from repro.accounting.rdp import RdpAccountant, best_epsilon
 from repro.analysis.numerical import bound_tightness
+from repro.core.clipping import mixture_sensitivity
 from repro.core.communication import (
     bonawitz_round_cost,
     client_upload_bytes,
@@ -33,7 +34,7 @@ from repro.secagg.bonawitz import ROUND_MASKED_INPUT
 
 VALUE = 1.5
 DELTA = 1e-5
-_C = VALUE**2 + 0.5 - 0.25
+_C = mixture_sensitivity(VALUE)
 _DELTA_INF = 2
 
 

@@ -23,14 +23,10 @@ import math
 from repro.accounting.divergences import smm_rdp
 from repro.accounting.pld import smm_pair_pmfs, tight_epsilon
 from repro.accounting.rdp import RdpAccountant, best_epsilon
+from repro.core.clipping import mixture_sensitivity
 
 DELTA = 1e-5
 VALUE = 1.5  # the differing record's scaled value x_{n+1}
-
-
-def mixture_sensitivity(value: float) -> float:
-    frac = value - math.floor(value)
-    return value**2 + frac - frac**2
 
 
 def single_release(total_lambda: float) -> tuple[float, float]:

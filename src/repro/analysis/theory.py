@@ -8,9 +8,9 @@ predictions, and the ablation benchmarks use them to annotate measured
 numbers with their theoretical expectations.
 
 A mechanism's epsilon at a given noise level is not restated here: it is
-``epsilon_for_curve(mechanism.rdp_curve(noise, n), AccountingSpec(...))``
+``epsilon_for_curve(mechanism.rdp_curve(spec, noise, n), accounting)``
 (:func:`repro.core.calibration.epsilon_for_curve`), the same curve its
-calibration inverts.
+calibration inverts, and no calibration is needed first.
 """
 
 from __future__ import annotations

@@ -296,12 +296,12 @@ def command_account(args) -> int:
     from repro.accounting.pld import smm_pair_pmfs, tight_epsilon
     from repro.accounting.rdp import best_epsilon
     from repro.accounting.divergences import smm_rdp
+    from repro.core.clipping import mixture_sensitivity
     from repro.errors import PrivacyAccountingError
     import math
 
     value = args.value
-    frac = value - math.floor(value)
-    c = value**2 + frac - frac**2
+    c = mixture_sensitivity(value)
     delta_inf = max(1, math.ceil(value))
     print(f"record value x = {value}, mixture sensitivity c = {c:.4f}")
     print(f"{'n*lambda':>10s} {'RDP eps':>10s} {'PLD eps':>10s} {'ratio':>7s}")

@@ -15,9 +15,10 @@ solve for the noise parameter; this module provides that inversion:
 The calibrator works for any mechanism through a *curve factory*: a
 callable mapping the candidate noise parameter to that mechanism's
 per-round RDP curve.  Every RDP mechanism passes its one
-:meth:`~repro.mechanisms.base.SumEstimator.rdp_curve` at the expected
-contributor count (``lambda noise: mechanism.rdp_curve(noise, n)``), the
-same method the engine's ledger composes, so calibration and the ledger
+:meth:`~repro.mechanisms.base.SumEstimator.rdp_curve` at its geometry
+and the expected contributor count
+(``lambda noise: mechanism.rdp_curve(spec, noise, n)``), the same pure
+function the engine's ledger composes, so calibration and the ledger
 cannot disagree about a round's cost.  Parameters at which a curve is
 infeasible at every order (the feasibility constraints Eq. (3) /
 Eq. (8)) are treated as ``epsilon = inf``.

@@ -14,13 +14,16 @@ contract they all share:
 Each RDP mechanism (SMM, DGM, DDG, Skellam, Gaussian) states its
 accounting once, in :meth:`SumEstimator.rdp_curve`: the per-round curve
 ``alpha -> tau`` of Theorem 5 / Corollary 1 (or the mechanism's
-counterpart) at a noise level and contributor count.  Everything else
-reads that one method — calibration inverts it through
+counterpart) for a given geometry, noise level and contributor count.
+The curve is a pure function of its arguments and the constructor's
+public parameters — it reads nothing :meth:`calibrate` sets — so an
+uncalibrated mechanism prices any noise level.  Everything else reads
+that one method — calibration inverts it through
 :func:`~repro.core.calibration.calibrate_noise`, a running ledger
-composes it through :meth:`SumEstimator.per_round_rdp_curve`, and
-analysis code converts it with
-:func:`~repro.core.calibration.epsilon_for_curve`.  cpSGD, whose binomial
-mechanism has no RDP curve, calibrates by ``(epsilon, delta)``
+composes it at the calibrated noise through
+:meth:`SumEstimator.per_round_rdp_curve`, and analysis code converts it
+with :func:`~repro.core.calibration.epsilon_for_curve`.  cpSGD, whose
+binomial mechanism has no RDP curve, calibrates by ``(epsilon, delta)``
 composition instead.
 
 The distributed mechanisms additionally share the SecAgg wire pipeline
@@ -157,7 +160,7 @@ class SumEstimator(abc.ABC):
         epsilon, then lets the mechanism derive its thresholds.
         """
         result = calibrate_noise(
-            lambda noise: self.rdp_curve(noise, spec.num_participants),
+            lambda noise: self.rdp_curve(spec, noise, spec.num_participants),
             accounting,
         )
         setattr(self, self.noise_attribute, result.noise_parameter)
@@ -169,14 +172,21 @@ class SumEstimator(abc.ABC):
         """Freeze what the calibrated noise and order imply (default: none)."""
 
     def rdp_curve(
-        self, noise: float, contributors: int, delta_inf: float = 1.0
+        self,
+        spec: InputSpec,
+        noise: float,
+        contributors: int,
+        delta_inf: float = 1.0,
     ) -> RdpCurve:
         """The mechanism's per-round RDP curve at a given noise level.
 
-        The one place a mechanism states its accounting, for the
-        calibrated geometry (:attr:`spec` and the compression).
+        The one place a mechanism states its accounting: a pure function
+        of ``spec``, the arguments below and the constructor's public
+        parameters (the compression, ``beta``).  It reads no calibrated
+        state, so it needs no :meth:`calibrate` first.
 
         Args:
+            spec: The input geometry (``Delta_2``, the padded width).
             noise: Per-participant noise parameter (``lambda`` or
                 ``sigma``).
             contributors: Participants whose noise reaches the
@@ -234,7 +244,8 @@ class SumEstimator(abc.ABC):
     def per_round_rdp_curve(
         self, num_participants: int | None = None
     ) -> RdpCurve:
-        """:meth:`rdp_curve` of one aggregation at the calibrated noise.
+        """:meth:`rdp_curve` of one aggregation at the calibrated
+        geometry and noise.
 
         Used by running privacy ledgers (the simulation engine's
         :class:`~repro.accounting.rdp.RdpAccountant`) to charge each
@@ -274,6 +285,7 @@ class SumEstimator(abc.ABC):
                 f"num_participants must be >= 1, got {contributors}"
             )
         return self.rdp_curve(
+            self.spec,
             getattr(self, self.noise_attribute),
             contributors,
             1.0 if self.clip is None else self.clip.delta_inf,

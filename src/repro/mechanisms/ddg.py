@@ -67,10 +67,16 @@ class DistributedDiscreteGaussian(ConditionallyRoundedEstimator):
         super().__init__(compression, beta)
         self.integer_sigma = integer_sigma
 
-    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+    def rdp_curve(
+        self,
+        spec: InputSpec,
+        noise: float,
+        contributors: int,
+        delta_inf: float = 1.0,
+    ):
         """Theorem 7 at the rounded sensitivities (``delta_inf`` unused)."""
-        dimension = self.spec.padded_dimension
-        rounded_l2, rounded_l1 = self.rounded_l2_bound, self.rounded_l1_bound
+        dimension = spec.padded_dimension
+        rounded_l2, rounded_l1 = self._rounded_sensitivities(spec)
         sigma_squared = noise**2
         gap = discrete_gaussian_sum_gap(contributors, sigma_squared)
         return lambda alpha: ddg_rdp(

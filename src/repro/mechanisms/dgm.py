@@ -62,13 +62,18 @@ class DiscreteGaussianMixtureMechanism(DistributedSumEstimator):
         super().__init__(compression)
         self.integer_sigma = integer_sigma
 
-    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+    def rdp_curve(
+        self,
+        spec: InputSpec,
+        noise: float,
+        contributors: int,
+        delta_inf: float = 1.0,
+    ):
         """Theorem 8 / Corollary 3 for ``contributors`` shares of ``noise``.
 
         Orders at which Eq. (8) admits no ceiling as large as
         ``delta_inf`` raise.
         """
-        spec = self.spec
         c = (self.compression.gamma * spec.l2_bound) ** 2
         dimension = spec.padded_dimension
         l1_bound = math.sqrt(dimension) * self.compression.gamma * spec.l2_bound

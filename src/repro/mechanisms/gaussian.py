@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.divergences import gaussian_rdp
-from repro.mechanisms.base import SumEstimator, clip_l2
+from repro.mechanisms.base import InputSpec, SumEstimator, clip_l2
 
 
 class GaussianMechanism(SumEstimator):
@@ -29,10 +29,16 @@ class GaussianMechanism(SumEstimator):
     )
     sigma: float | None = None
 
-    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+    def rdp_curve(
+        self,
+        spec: InputSpec,
+        noise: float,
+        contributors: int,
+        delta_inf: float = 1.0,
+    ):
         """The Gaussian mechanism's RDP (one curator draw: ``contributors``
         and ``delta_inf`` unused)."""
-        l2_bound = self.spec.l2_bound
+        l2_bound = spec.l2_bound
         return lambda alpha: gaussian_rdp(alpha, l2_bound, noise)
 
     def estimate_sum(

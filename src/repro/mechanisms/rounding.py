@@ -18,12 +18,12 @@ to ``exp(-0.5)`` as recommended by Kairouz et al. and used in Section 6.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro.config import CompressionConfig
-from repro.core.calibration import AccountingSpec
 from repro.errors import CalibrationError, ConfigurationError
 from repro.mechanisms.base import DistributedSumEstimator, InputSpec
 from repro.sampling.fast import bernoulli_round
@@ -64,6 +64,7 @@ def conditional_rounding_bound(
     )
 
 
+@functools.lru_cache(maxsize=64)
 def rounded_sensitivities(
     scaled_l2: float, dimension: int, beta: float = DEFAULT_BETA
 ) -> tuple[float, float]:
@@ -73,7 +74,8 @@ def rounded_sensitivities(
     guarantees no rounded vector exceeds it) and
     ``Delta~_1 = min(sqrt(d) Delta~_2, Delta~_2^2)``, automatic for
     integer vectors — the sensitivities DDG and the Skellam mechanism
-    account with.
+    account with.  Memoised: calibration's bisection asks for the same
+    geometry's pair at every step.
     """
     rounded_l2 = conditional_rounding_bound(scaled_l2, dimension, beta)
     return rounded_l2, min(math.sqrt(dimension) * rounded_l2, rounded_l2**2)
@@ -126,12 +128,12 @@ class ConditionallyRoundedEstimator(DistributedSumEstimator):
     within the Eq. (6) bound, and accounting at its sensitivities.
 
     The rounded sensitivities ``(Delta~_2, Delta~_1)``
-    (:func:`rounded_sensitivities`) depend only on the geometry, so they
-    are computed once per calibration, before the bisection builds its
-    curves, and every curve — calibration's and a ledger's — reads them.
-    A subclass states its noise: :meth:`rdp_curve` from
-    ``rounded_l2_bound`` and ``rounded_l1_bound``, and
-    :meth:`_encode_integer` as :meth:`_round` plus its noise draw.
+    (:func:`rounded_sensitivities`, memoised) depend only on the
+    geometry and ``beta``, so every curve — calibration's and a
+    ledger's — derives them from the ``spec`` it is given.  A subclass
+    states its noise: :meth:`rdp_curve` from
+    :meth:`_rounded_sensitivities`, and :meth:`_encode_integer` as
+    :meth:`_round` plus its noise draw.
 
     Args:
         compression: Modulus ``m`` and scale ``gamma``.
@@ -143,8 +145,6 @@ class ConditionallyRoundedEstimator(DistributedSumEstimator):
         *DistributedSumEstimator.summary_fields,
         ("beta", "beta"),
     )
-    rounded_l2_bound: float | None = None
-    rounded_l1_bound: float | None = None
 
     def __init__(
         self, compression: CompressionConfig, beta: float = DEFAULT_BETA
@@ -152,13 +152,19 @@ class ConditionallyRoundedEstimator(DistributedSumEstimator):
         super().__init__(compression)
         self.beta = beta
 
-    def _calibrate(self, spec: InputSpec, accounting: AccountingSpec) -> None:
-        self.rounded_l2_bound, self.rounded_l1_bound = rounded_sensitivities(
+    def _rounded_sensitivities(self, spec: InputSpec) -> tuple[float, float]:
+        """``(Delta~_2, Delta~_1)`` of ``spec`` at this compression."""
+        return rounded_sensitivities(
             self.compression.gamma * spec.l2_bound,
             spec.padded_dimension,
             self.beta,
         )
-        super()._calibrate(spec, accounting)
+
+    @property
+    def rounded_l2_bound(self) -> float:
+        """``Delta~_2`` of the calibrated geometry: the bound
+        :meth:`_round` enforces."""
+        return self._rounded_sensitivities(self.spec)[0]
 
     def _round(
         self, scaled: np.ndarray, rng: np.random.Generator

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accounting.divergences import skellam_mechanism_rdp
+from repro.mechanisms.base import InputSpec
 from repro.mechanisms.rounding import ConditionallyRoundedEstimator
 from repro.sampling.fast import skellam_noise
 
@@ -38,10 +39,16 @@ class SkellamMechanism(ConditionallyRoundedEstimator):
     )
     lam: float | None = None
 
-    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+    def rdp_curve(
+        self,
+        spec: InputSpec,
+        noise: float,
+        contributors: int,
+        delta_inf: float = 1.0,
+    ):
         """Agarwal et al.'s bound at the rounded sensitivities
         (``delta_inf`` unused)."""
-        rounded_l2, rounded_l1 = self.rounded_l2_bound, self.rounded_l1_bound
+        rounded_l2, rounded_l1 = self._rounded_sensitivities(spec)
         total_lam = contributors * noise
         return lambda alpha: skellam_mechanism_rdp(
             alpha, rounded_l2**2, rounded_l1, total_lam

@@ -51,14 +51,20 @@ class SkellamMixtureMechanism(DistributedSumEstimator):
     )
     lam: float | None = None
 
-    def rdp_curve(self, noise: float, contributors: int, delta_inf: float = 1.0):
+    def rdp_curve(
+        self,
+        spec: InputSpec,
+        noise: float,
+        contributors: int,
+        delta_inf: float = 1.0,
+    ):
         """Theorem 5 / Corollary 1 at ``contributors * noise`` total lambda.
 
         Orders at which Eq. (3) admits no ceiling as large as
         ``delta_inf`` raise; as ``Delta_inf_max`` decreases with alpha,
         this truncates the order grid from above.
         """
-        c = (self.compression.gamma * self.spec.l2_bound) ** 2
+        c = (self.compression.gamma * spec.l2_bound) ** 2
         total_lam = contributors * noise
         return lambda alpha: smm_rdp(alpha, c, total_lam, delta_inf)
 

@@ -724,16 +724,19 @@ class SecAggServer:
             if modular_sum is not None
             else None
         )
+        if aborted is None:
+            # Exactly one charge per completed round id; an aborted
+            # round charges nothing (its noise never shipped).  The
+            # charge is durable before the round-end: a crash between
+            # the two leaves an interrupted round whose replayed charge
+            # the ledger refuses, never a completed round left uncharged.
+            self.ledger.charge(round_id, self.config.round_epsilon)
         if self._journal is not None:
             self._journal.round_end(
                 round_id,
                 "completed" if aborted is None else "aborted",
                 digest,
             )
-        if aborted is None:
-            # Exactly one charge per completed round id; an aborted
-            # round charges nothing (its noise never shipped).
-            self.ledger.charge(round_id, self.config.round_epsilon)
         self._round_state = None
         self._parked.clear()
         self._close_round_connections(list(round_connections.values()))

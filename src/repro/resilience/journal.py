@@ -15,11 +15,20 @@ line, fsync'd before the round proceeds:
     reconstructs the server state — and every emitted delivery —
     byte-identically.
 ``charge``
-    ``{"kind": "charge", "round": id, "epsilon": x}`` — at most one per
-    round id; :class:`DurableLedger` refuses duplicates, which is what
-    makes a killed-and-restarted server unable to double-charge.
+    ``{"kind": "charge", "round": id, "epsilon": x}`` — written once the
+    last phase commits, *before* the round's ``round-end``, and at most
+    one per round id; :class:`DurableLedger` refuses duplicates, which
+    is what makes a killed-and-restarted server unable to double-charge.
 ``round-end``
     ``{"kind": "round-end", "round": id, "outcome": ..., "digest": ...}``
+    — the round's last record.
+
+So a completed round journals ``round-start``, its ``phase`` commits,
+``charge``, ``round-end``, in that order, and an aborted one the same
+without the ``charge``.  A crash between ``charge`` and ``round-end``
+leaves an interrupted round whose replayed charge the ledger refuses:
+no round is ever recorded completed without its charge, and the worst
+a crash can do is charge a round that then aborts.
 
 Recovery (:func:`recover_journal`) scans the file, tolerates a torn
 final line (the crash may have landed mid-write; an uncommitted suffix
@@ -235,6 +244,11 @@ class DurableLedger:
     checks) and refuses to charge the same round twice, which is the
     property that makes a kill-and-restart unable to double-spend the
     privacy budget.
+
+    A server charges round ids in increasing order, and a restart
+    replays only the interrupted round, the journal's highest id.  So
+    the ledger keeps the running total and the highest charged id, not
+    one entry a round: a charge at or below that id is a replay.
     """
 
     def __init__(
@@ -243,26 +257,22 @@ class DurableLedger:
         charged: Mapping[int, float] | None = None,
     ) -> None:
         self._journal = journal
-        self._charged: dict[int, float] = dict(charged or {})
+        charged = charged or {}
+        self._last = max(charged, default=-1)
+        self._epsilon = float(sum(charged.values()))
 
     def charge(self, round_id: int, epsilon: float) -> bool:
         """Charge ``epsilon`` for ``round_id``; False if already charged."""
         if epsilon < 0:
             raise ConfigurationError("epsilon charge must be >= 0")
-        if round_id in self._charged:
+        if round_id <= self._last:
             return False
         if self._journal is not None:
             self._journal.charge(round_id, epsilon)
-        self._charged[round_id] = float(epsilon)
+        self._last = round_id
+        self._epsilon += float(epsilon)
         return True
-
-    def charged(self, round_id: int) -> bool:
-        return round_id in self._charged
-
-    @property
-    def charges(self) -> dict[int, float]:
-        return dict(self._charged)
 
     @property
     def epsilon(self) -> float:
-        return float(sum(self._charged.values()))
+        return self._epsilon

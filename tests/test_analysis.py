@@ -99,16 +99,12 @@ class TestNoiseVarianceRatio:
 
 
 def single_release_epsilon(mechanism, noise, dimension, participants):
-    """One release's epsilon at ``noise``, from the mechanism's own curve.
-
-    ``rdp_curve`` reads the calibrated geometry, so the mechanism is
-    first calibrated on it (at an arbitrary budget).
-    """
-    accounting = AccountingSpec(budget=PrivacyBudget(epsilon=1.0, delta=1e-5))
-    mechanism.calibrate(InputSpec(participants, dimension), accounting)
-    epsilon, _ = epsilon_for_curve(
-        mechanism.rdp_curve(noise, participants), accounting
+    """One release's epsilon at ``noise``, from the mechanism's own curve."""
+    curve = mechanism.rdp_curve(
+        InputSpec(participants, dimension), noise, participants
     )
+    accounting = AccountingSpec(budget=PrivacyBudget(epsilon=1.0, delta=1e-5))
+    epsilon, _ = epsilon_for_curve(curve, accounting)
     return epsilon
 
 

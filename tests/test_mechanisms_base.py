@@ -5,7 +5,11 @@ import pytest
 
 from repro.config import CompressionConfig, PrivacyBudget
 from repro.core.calibration import AccountingSpec
-from repro.errors import CalibrationError, ConfigurationError
+from repro.errors import (
+    CalibrationError,
+    ConfigurationError,
+    PrivacyAccountingError,
+)
 from repro.mechanisms import (
     CpSgdMechanism,
     DiscreteGaussianMixtureMechanism,
@@ -18,6 +22,9 @@ from repro.mechanisms.base import (
     InputSpec,
     clip_l2,
 )
+
+from tests.test_calibration_golden import CELLS, MECHANISMS, calibrated
+from tests.test_ledger_curves import RDP_MECHANISMS
 
 
 class TestInputSpec:
@@ -165,3 +172,35 @@ def test_failed_calibration_leaves_the_mechanism_refusing(mechanism_type):
         )
     with pytest.raises(CalibrationError, match="is not calibrated"):
         mechanism.estimate_sum(np.zeros((1, 4)), np.random.default_rng(0))
+
+
+def _curve_outcomes(curve):
+    """``alpha -> repr(tau)`` at every order 2..100, or the refusal."""
+    outcomes = {}
+    for alpha in range(2, 101):
+        try:
+            outcomes[alpha] = repr(curve(alpha))
+        except PrivacyAccountingError as error:
+            outcomes[alpha] = (type(error), str(error))
+    return outcomes
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+@pytest.mark.parametrize("mechanism_name", RDP_MECHANISMS)
+def test_uncalibrated_curve_equals_the_ledger_curve(mechanism_name, cell):
+    """``rdp_curve`` is a pure function of the geometry it is given: a
+    fresh, never-calibrated instance prices the calibrated noise level
+    exactly as the calibrated instance's ledger curve does."""
+    reference = calibrated(mechanism_name, cell)
+    modulus, gamma, _, participants, dimension, _, _ = CELLS[cell]
+    fresh = MECHANISMS[mechanism_name](CompressionConfig(modulus, gamma))
+    curve = fresh.rdp_curve(
+        InputSpec(participants, dimension),
+        getattr(reference, reference.noise_attribute),
+        participants,
+        1.0 if reference.clip is None else reference.clip.delta_inf,
+    )
+    assert fresh.order is None
+    assert _curve_outcomes(curve) == _curve_outcomes(
+        reference.per_round_rdp_curve()
+    )

@@ -13,7 +13,9 @@ round bit-identically while charging epsilon exactly once.
 import asyncio
 import contextlib
 import dataclasses
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,7 +207,6 @@ class TestDurableLedger:
             assert ledger.charge(0, 1.0) is False  # restart replays
             assert ledger.charge(1, 0.5) is True
         assert ledger.epsilon == 1.5
-        assert ledger.charges == {0: 1.0, 1: 0.5}
         # The refused duplicate never reached the journal either.
         recovery = recover_journal(tmp_path / "rounds.journal")
         lines = (tmp_path / "rounds.journal").read_text().splitlines()
@@ -214,9 +215,26 @@ class TestDurableLedger:
 
     def test_restart_seeds_from_recovered_charges(self):
         ledger = DurableLedger(charged={7: 2.0})
-        assert ledger.charged(7)
         assert ledger.charge(7, 2.0) is False
         assert ledger.epsilon == 2.0
+        assert ledger.charge(8, 1.0) is True
+        assert ledger.epsilon == 3.0
+
+    def test_memory_does_not_grow_with_served_rounds(self):
+        """A long-lived server charges every round it serves; the
+        ledger keeps a running total, not one entry a round."""
+        ledger = DurableLedger()
+        for round_id in range(1_000):
+            ledger.charge(round_id, 0.0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for round_id in range(1_000, 10_000):
+                ledger.charge(round_id, 0.0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1024
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -772,6 +790,82 @@ class TestCrashRecovery:
         assert parsed.value(
             "round_recovery_total", outcome="resumed"
         ) == 1.0
+
+    JOURNALLED = dict(
+        cohort_size=4, threshold=2, resume_grace=15.0, round_epsilon=0.5
+    )
+
+    def _serve_journalled(self, journal, seeds):
+        """Serve one journalled round per swarm seed; their results."""
+
+        async def scenario():
+            server = SecAggServer(
+                ServerConfig(
+                    **self.JOURNALLED,
+                    journal_path=str(journal),
+                    rounds=len(seeds),
+                )
+            )
+            async with server:
+                serve = asyncio.ensure_future(server.serve_rounds())
+                for seed in seeds:
+                    await run_swarm(
+                        "127.0.0.1",
+                        server.port,
+                        SwarmConfig(clients=4, threshold=2, seed=seed),
+                    )
+                return await asyncio.wait_for(serve, 30)
+
+        return asyncio.run(scenario())
+
+    def test_charge_is_journalled_before_round_end(self, tmp_path):
+        """A kill between a round's last two records must not leave a
+        completed round uncharged, so the charge comes first."""
+        journal = tmp_path / "rounds.journal"
+        results = self._serve_journalled(journal, seeds=(3, 4, 5))
+        assert [result.aborted for result in results] == [None] * 3
+        records = [
+            (record["kind"], record["round"])
+            for record in map(
+                json.loads, journal.read_text(encoding="utf-8").splitlines()
+            )
+        ]
+        for round_id in range(3):
+            assert records.index(("charge", round_id)) < records.index(
+                ("round-end", round_id)
+            )
+
+    def test_crash_after_charge_resumes_completed_with_one_charge(
+        self, tmp_path
+    ):
+        """A journal that ends in ``charge`` (the kill landed before
+        ``round-end``) resumes that round from its committed phases: it
+        completes with the same digest and is still charged once."""
+        journal = tmp_path / "rounds.journal"
+        (served,) = self._serve_journalled(journal, seeds=(3,))
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[-1])["kind"] == "round-end"
+        journal.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        assert recover_journal(journal).interrupted is not None
+
+        async def restart():
+            server = SecAggServer(
+                ServerConfig(**self.JOURNALLED, journal_path=str(journal))
+            )
+            async with server:
+                server.request_stop()
+                return await asyncio.wait_for(server.serve_rounds(), 10)
+
+        (resumed,) = asyncio.run(restart())
+        assert resumed.recovered is True
+        assert resumed.round_id == served.round_id == 0
+        assert resumed.digest == served.digest
+        recovery = recover_journal(journal)
+        assert recovery.completed == (0,)
+        assert recovery.interrupted is None
+        assert recovery.charged == {0: 0.5}
+        charges = journal.read_text(encoding="utf-8").count('"kind": "charge"')
+        assert charges == 1
 
     def test_unrecoverable_journal_aborts_without_charge(self, tmp_path):
         """A journalled round whose parameters no longer match the
