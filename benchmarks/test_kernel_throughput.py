@@ -3,8 +3,8 @@
 Measures the vectorised SecAgg kernels — masks/sec for the SHAKE-256
 mask PRG, cold and replayed from its memo; shares/sec for batched
 Shamir split/reconstruct vs the per-coefficient Python loops; and the
-scalar-``pow`` / window-table crossover that
-``repro.secagg.keys.SCALAR_BATCH_MAX`` records.  Rows are printed, not
+scalar-``pow`` / window-table crossovers that
+``repro.secagg.keys.SCALAR_BATCH_MAX`` and ``TABLE_POWER_MIN`` record.  Rows are printed, not
 persisted: the committed performance ledger is ``bench/`` (``python3
 bench/run.py``).
 
@@ -26,6 +26,7 @@ from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.kernels import MaskPrg
 from repro.secagg.keys import (
     SCALAR_BATCH_MAX,
+    TABLE_POWER_MIN,
     TOY_GROUP,
     _KeyTables,
     generate_keypair,
@@ -167,6 +168,43 @@ def test_key_agreement_crossover(emit, bench_rng):
             assert timings[2] < timings[3]
         elif lanes > SCALAR_BATCH_MAX:
             assert timings[3] < timings[2]
+
+
+def test_held_table_crossover(emit, bench_rng):
+    """Scalar ``pow`` per peer vs one evaluation from tables already
+    held, by lane count: the measurement ``TABLE_POWER_MIN`` is set
+    from.  An evaluation costs about the same at any lane count, so
+    below a handful of lanes ``lanes`` scalar ``pow`` calls are cheaper.
+    """
+    prime = TOY_GROUP.prime
+    keys = [generate_keypair(bench_rng, TOY_GROUP) for _ in range(17)]
+    publics = [key.public for key in keys]
+    private = keys[0].private
+    tables = _KeyTables(prime)
+    tables.add(publics)
+    for lanes in (1, 2, TABLE_POWER_MIN - 1, TABLE_POWER_MIN, 16):
+        peers = publics[1 : lanes + 1]
+
+        def scalar():
+            return [pow(peer, private, prime) for peer in peers]
+
+        def held():
+            return tables.power(peers, private).tolist()
+
+        assert scalar() == held()
+        timings = _interleaved_best_of(9, scalar, held)
+        emit(
+            f"kernel_dh_held lanes={lanes:3d} "
+            f"scalar_us={1e6 * timings[0]:7.1f} "
+            f"tables_us={1e6 * timings[1]:7.1f} "
+            f"(TABLE_POWER_MIN={TABLE_POWER_MIN})",
+        )
+        # A factor of two or more to either side of the constant the
+        # choice must be clear, or the constant has gone stale.
+        if 2 * lanes <= TABLE_POWER_MIN:
+            assert timings[0] < timings[1]
+        elif lanes >= 2 * TABLE_POWER_MIN:
+            assert timings[1] < timings[0]
 
 
 def test_shamir_throughput(emit, bench_rng):

@@ -439,6 +439,17 @@ _table_caches: dict[int, _KeyTables] = {}
 #: tree's two-to-six-party composition rounds stay on scalar ``pow``.
 SCALAR_BATCH_MAX = 15
 
+#: Fewest lanes worth one evaluation from held tables; a smaller batch
+#: takes scalar ``pow`` even when every table is held.  Measured on
+#: ``TOY_GROUP`` as above (``-k crossover``, four runs): an evaluation
+#: costs 52-125 us whatever the lane count, a scalar ``pow`` 13-20 us a
+#: lane, so the two tie at 5-6 lanes (5: 67-111 us scalar against
+#: 56-111 from tables; 6: 81-114 against 59-120) and scalar wins below
+#: (4: 64-77 against 94-95).
+#: In a roster the last few parties to agree (each has every earlier
+#: pair memoised) are the batches this catches.
+TABLE_POWER_MIN = 5
+
 
 def _group_cache(group: KeyAgreementGroup) -> _AgreementMemo:
     if isinstance(group, X25519Group):
@@ -598,8 +609,8 @@ def agree_batch(
     table; when more than :data:`SCALAR_BATCH_MAX` have none, those
     tables are built first — with ``own_public``'s, so the rest of the
     roster finds it — in one vectorised pass.  A batch with fewer
-    table-less peers, and every batch of a bigger group, takes scalar
-    ``pow``.
+    table-less peers, a batch of fewer than :data:`TABLE_POWER_MIN`
+    peers, and every batch of a bigger group take scalar ``pow``.
 
     Args:
         private: This party's secret exponent.
@@ -649,15 +660,16 @@ def _table_powers(
     private: int, peers: list[int], group: DhGroup, own_public: int | None
 ) -> np.ndarray | list[int]:
     """``peer^private mod p`` per (range-checked) peer of a group within
-    the limb split: from the peers' window tables when all are held, or
-    after building them when more than :data:`SCALAR_BATCH_MAX` are
-    not; else by scalar ``pow``."""
+    the limb split: from the peers' window tables when all are held and
+    there are at least :data:`TABLE_POWER_MIN`, or after building them
+    when more than :data:`SCALAR_BATCH_MAX` are not; else by scalar
+    ``pow``."""
     tables, prime = _key_tables(group), group.prime
     unheld = [peer for peer in peers if peer not in tables.lanes]
     if len(unheld) > SCALAR_BATCH_MAX:
         # The caller's own key too, for the rest of the roster.
         roster = peers if own_public is None else peers + [own_public]
         tables.add([key for key in roster if 1 < key < prime])
-    elif unheld:
+    elif unheld or len(peers) < TABLE_POWER_MIN:
         return [pow(peer, private, prime) for peer in peers]
     return tables.power(peers, private)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.secagg.bonawitz import run_bonawitz, sealed_share_length
+from repro.secagg.bonawitz import (
+    ROUND_MASKED_INPUT,
+    run_bonawitz,
+    sealed_share_length,
+)
 from repro.secagg.field import DEFAULT_FIELD
 from repro.secagg.keys import TOY_GROUP, DhGroup
 from repro.secagg.wire import (
@@ -24,6 +28,7 @@ from repro.core.communication import (
     training_communication,
 )
 from repro.errors import ConfigurationError
+from repro.simulation import AsyncSecAggRound, ClientPlan, SimulatedClock
 
 
 class TestPayload:
@@ -141,27 +146,30 @@ class TestBonawitzCost:
         }
         assert all(len(sizes) == clients for sizes in uploads.values())
 
-    def test_full_cohort_round_moves_8972_bytes_a_client(self):
+    def test_full_cohort_round_moves_7820_bytes_a_client(self):
         """``run_bonawitz`` at n = 128, d = 16, m = 2^16, t = 77 on the
         toy group, both directions — ``secagg_quadratic``'s round.  A
         frame is a 19-byte header (11 + ``shake256``) and its body; a
         toy-group key is 8 bytes, and one base-p digit, so an envelope
-        is a seed share and one key share, 16 bytes:
+        is a seed share and one key share, 16 bytes.  Every id list is
+        the ids 1..128, the gaps 1, 0, 0, ...: a byte an id.
 
         ============= ==== ===================================== =====
         phase         dir  frame(s)                              bytes
         ============= ==== ===================================== =====
         advertise     up   Hello 19 + 4; Advertise 19 + 5 + 2 x 8   63
-        advertise     down roster 19 + 5 + 128 x (4 + 2 x 8)      2584
+        advertise     down roster 19 + 5 + 128 x (1 + 2 x 8)      2200
         share-keys    up   19 + 12 + 128 x 16                    2079
-        share-keys    down 19 + 12 + 128 x (4 + 16)              2591
+        share-keys    down 19 + 12 + 128 x (1 + 16)              2207
         masked-input  up   19 + 9 + 16 x 2                         60
-        masked-input  down request 19 + (4 + 128 x 4) + 4         539
+        masked-input  down request 19 + (4 + 128 x 1) + 4         155
         unmask        up   19 + 13 + 128 x 8                     1056
         ============= ==== ===================================== =====
 
-        8 972 bytes a client; format 3's two-limb envelopes (24 bytes)
-        made share-keys 3 103 up and 3 615 down, 11 020 in all."""
+        7 820 bytes a client.  Format 4 wrote each id as a u32, 3 bytes
+        more an id: roster 2 584, delivery 2 591 and request 539, 8 972
+        in all; format 3's two-limb envelopes (24 bytes) then made
+        share-keys 3 103 up and 3 615 down, 11 020 in all."""
         clients, dimension, modulus = 128, 16, 2**16
         rng = np.random.default_rng(5)
         outcome = run_bonawitz(
@@ -178,12 +186,67 @@ class TestBonawitzCost:
             for phase, totals in outcome.wire.phase_totals().items()
         }
         assert per_client == {
-            "advertise": (63, 2584),
-            "share-keys": (2079, 2591),
-            "masked-input": (60, 539),
+            "advertise": (63, 2200),
+            "share-keys": (2079, 2207),
+            "masked-input": (60, 155),
             "unmask": (1056, 0),
         }
-        assert outcome.wire.total_bytes == 8972 * clients
+        assert outcome.wire.total_bytes == 7820 * clients
+
+    def test_recovery_round_moves_pinned_bytes(self):
+        """An ``AsyncSecAggRound`` at ``secagg_recovery``'s shape: n = 96,
+        d = 64, m = 2^16, t = 58, and 28 clients (30 %) silent after
+        sharing keys, so 68 survivors answer for 28 dropouts.  Ids
+        1..96 are one-byte gaps whichever 28 go silent:
+
+        ============= ==== ====================================== ======
+        phase         dir  frames                                  bytes
+        ============= ==== ====================================== ======
+        advertise     up   96 x 63                                  6048
+        advertise     down 96 x (24 + 96 x (1 + 2 x 8))           158976
+        share-keys    up   96 x (31 + 96 x 16)                    150432
+        share-keys    down 96 x (31 + 96 x (1 + 16))              159648
+        masked-input  up   68 x (28 + 64 x 2)                      10608
+        masked-input  down 68 x (19 + 4 + 68 + 4 + 28)              8364
+        unmask        up   68 x (32 + 8 x 68 + 8 x 28)             54400
+        ============= ==== ====================================== ======
+
+        548 476 bytes, 5 713 a client.  Format 4's u32 ids were 3 bytes
+        more an id: 96 x 96 x 3 in the rosters and again in the
+        deliveries, 68 x 96 x 3 in the requests (74 880 B), 6 493 a
+        client."""
+        clients, dimension, modulus = 96, 64, 2**16
+        rng = np.random.default_rng(20220601)
+        vectors = {
+            u: rng.integers(0, modulus, size=dimension)
+            for u in range(1, clients + 1)
+        }
+        victims = rng.permutation(np.arange(1, clients + 1))[:28]
+        clock = SimulatedClock()
+        outcome = clock.run(
+            AsyncSecAggRound(
+                vectors,
+                modulus,
+                58,
+                clock,
+                rng,
+                plans={
+                    int(u): ClientPlan(drop_phase=ROUND_MASKED_INPUT)
+                    for u in victims
+                },
+            ).run()
+        )
+        assert len(outcome.included) == 68
+        assert {
+            phase: (totals["up_bytes"], totals["down_bytes"])
+            for phase, totals in outcome.wire.phase_totals().items()
+        } == {
+            "advertise": (6048, 158976),
+            "share-keys": (150432, 159648),
+            "masked-input": (10608, 8364),
+            "unmask": (54400, 0),
+        }
+        assert outcome.wire.total_bytes == 548476
 
     def test_total_is_sum_of_parts(self):
         cost = bonawitz_round_cost(50, 256, 2**10)

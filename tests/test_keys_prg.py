@@ -26,6 +26,7 @@ from repro.secagg.bonawitz import (
 from repro.secagg.keys import (
     OAKLEY_GROUP_2_PRIME,
     SCALAR_BATCH_MAX,
+    TABLE_POWER_MIN,
     TOY_GROUP,
     DhGroup,
     KeyPair,
@@ -634,8 +635,12 @@ class TestKeyTables:
                     key.private, peers, TOY_GROUP, own_public=key.public
                 ) == [dh_key(peer, key.private) for peer in peers]
         # The first client's 63 misses build the roster's tables; every
-        # later client but the last (all pairs memoised) evaluates once.
-        assert kernel_calls == Counter(window_tables=2, window_pow=2 * 63)
+        # later client evaluates once while it has TABLE_POWER_MIN
+        # misses or more (63 down to 5), and the last four (4 down to 1
+        # misses) take scalar pow: 59 evaluations a key set, where
+        # evaluating at any lane count made 63.
+        assert TABLE_POWER_MIN == 5
+        assert kernel_calls == Counter(window_tables=2, window_pow=2 * 59)
         forget_round_memos(TOY_GROUP)
 
     def test_five_party_round_stays_on_scalar_pow(self, kernel_calls):

@@ -27,6 +27,7 @@ from repro.net import (
     SecAggServer,
     ServerConfig,
     SwarmConfig,
+    expected_aggregate,
     expected_digest,
     run_client,
     run_swarm,
@@ -94,6 +95,53 @@ class TestSwarmEquivalence:
         assert result.digest == expected_digest(swarm_cfg)
         assert len(result.included) == 58
         assert swarm.completed == 58
+
+    def test_socket_swarm_shape_moves_pinned_bytes(self):
+        """``socket_swarm``'s round over TCP: n = 64, t = 32, d = 64,
+        m = 2^16, the last 6 clients gone before their masked input, so
+        58 survivors answer for 6 dropouts.  The server's ledger and the
+        in-memory replay count the same frames; ids 1..64 are one-byte
+        gaps:
+
+        ============= ==== ====================================== =====
+        phase         dir  frames                                 bytes
+        ============= ==== ====================================== =====
+        advertise     up   64 x 63                                 4032
+        advertise     down 64 x (24 + 64 x (1 + 2 x 8))           71168
+        share-keys    up   64 x (31 + 64 x 16)                    67520
+        share-keys    down 64 x (31 + 64 x (1 + 16))              71616
+        masked-input  up   58 x (28 + 64 x 2)                      9048
+        masked-input  down 58 x (19 + 4 + 58 + 4 + 6)              5278
+        unmask        up   58 x (32 + 8 x 58 + 8 x 6)             31552
+        ============= ==== ====================================== =====
+
+        260 214 bytes, 4 065.8 a client.  Format 4's u32 ids were 3
+        bytes more an id: 64 x 64 x 3 in the rosters and again in the
+        deliveries, 58 x 64 x 3 in the requests (35 712 B), 4 623.8 a
+        client."""
+        swarm_cfg = SwarmConfig(
+            clients=64, threshold=32, dropouts=6, seed=3, dimension=64
+        )
+        results, swarm = run_round(
+            ServerConfig(cohort_size=64, threshold=32, dimension=64),
+            swarm_cfg,
+            timeout=120.0,
+        )
+        (result,) = results
+        assert result.digest == expected_digest(swarm_cfg)
+        assert swarm.completed == 58
+        pinned = {
+            "advertise": (4032, 71168),
+            "share-keys": (67520, 71616),
+            "masked-input": (9048, 5278),
+            "unmask": (31552, 0),
+        }
+        for wire in (result.wire, expected_aggregate(swarm_cfg).wire):
+            assert {
+                phase: (totals["up_bytes"], totals["down_bytes"])
+                for phase, totals in wire.phase_totals().items()
+            } == pinned
+            assert wire.total_bytes == 260214
 
     def test_dropout_at_every_phase_matches(self):
         for phase in (0, 1, 2, 3):

@@ -16,6 +16,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AggregationError, ConfigurationError, NegotiationError
 from repro.secagg.field import DEFAULT_FIELD
@@ -35,6 +37,7 @@ from repro.secagg.statemachine import (
 )
 from repro.secagg.wire import (
     MSG_MASKED_INPUT,
+    MSG_SEALED_DELIVERY,
     PROTOCOL_V1,
     Hello,
     MaskedInput,
@@ -962,7 +965,10 @@ class TestOneMaskedInput:
             ([0], "threshold is 3"),
             ([0, 4], "threshold is 3"),
             ([1, 2, 3, 4], "excluded from the participant set"),
-            ([0, 1, 2, 2, 4], "names a sender twice"),
+            # A repeated sender has no encoding: the sender column is
+            # gaps, so the encoder refuses it (and no bytes decode to
+            # one, below).
+            ([0, 1, 2, 2, 4], "senders must be strictly increasing"),
         ],
         ids=["alone", "below-threshold", "without-itself", "duplicate-row"],
     )
@@ -977,6 +983,32 @@ class TestOneMaskedInput:
             inputs, clients, server,
             {u: b"".join(clients[u].handle(deliveries[u])) for u in clients},
         )
+
+    @given(gaps=st.binary(min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_no_bytes_decode_to_a_repeated_sender(self, gaps):
+        """Whatever stands in a delivery's sender column, the client
+        reads strictly increasing senders or refuses the frame."""
+        count = len(gaps) // 2 + 1
+        body = (
+            (1).to_bytes(4, "little")
+            + count.to_bytes(4, "little")
+            + (16).to_bytes(4, "little")
+            + gaps
+            + bytes(16 * count)
+        )
+        try:
+            senders = decode_message(
+                _frame(
+                    MSG_SEALED_DELIVERY,
+                    body,
+                    intern_header(PROTOCOL_V1, DEFAULT_MASK_PRG.name),
+                )
+            )[1].senders.tolist()
+        except AggregationError:
+            return
+        assert len(senders) == count
+        assert senders == sorted(set(senders))
 
     def test_second_delivery_is_refused(self):
         inputs, clients, server, deliveries = self.open_deliveries()

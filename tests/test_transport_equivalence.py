@@ -60,10 +60,14 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 #:
 #: * ``run_sync`` — 12 clients, 3 silent from masked-input, 9 from
 #:   unmask: 11 survivors, one dropout, 10 responders, d = 24 at 16 bits.
-#:   Advertise up 12 x 63, roster down 12 x (24 + 20 x 12), share-keys
-#:   up 12 x (31 + 12 x 16) and down 12 x (31 + 12 x 20), masked input
-#:   11 x (28 + 48), unmask request 11 x (27 + 4 x 12), unmask response
-#:   10 x (32 + 8 x 11 + 8 x 1): 12 793 B in 92 frames.  Format 3 was
+#:   Advertise up 12 x 63, roster down 12 x (24 + 12 + 16 x 12), share-keys
+#:   up 12 x (31 + 12 x 16) and down 12 x (31 + 12 + 12 x 16), masked
+#:   input 11 x (28 + 48), unmask request 11 x (27 + 12), unmask response
+#:   10 x (32 + 8 x 11 + 8 x 1): 11 533 B in 92 frames.  Every id list
+#:   is one byte an id (the ids 1..12 are the gaps 1, 0, 0, ...); format
+#:   4 wrote them as u32, 3 bytes more an id in the 12 rosters, the 12
+#:   deliveries and the 11 requests (2 x 432 + 396 = 1 260 B): 12 793 B.
+#:   Format 3 was
 #:   8 B more per envelope each way (2 x 12 x 12 x 8 = 2 304 B) and 8 B
 #:   more per response (10 x 8 = 80 B): 15 177 B.  Format 2 sent
 #:   the roster as 144 frames of 43 B (-3 024 B), an advertisement 3 B
@@ -72,16 +76,18 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 #:   (-1 020 B); the last 13 B are keys and share values it happened to
 #:   encode a byte short.
 #: * The composition round — 4 clients, none silent: share-keys up
-#:   4 x (31 + 4 x 16) and down 4 x (31 + 4 x 20), 2 x 4 x 4 x 8 = 256 B
-#:   under format 3's 2 480 B: 2 224 B in 32 frames.  Format 3's roster
+#:   4 x (31 + 4 x 16) and down 4 x (31 + 4 + 4 x 16): 2 080 B in 32
+#:   frames.  Format 4's u32 ids were 3 bytes more an id in 4 rosters, 4
+#:   deliveries and 4 requests of 4 ids (3 x 48 = 144 B): 2 224 B, and
+#:   2 x 4 x 4 x 8 = 256 B under format 3's 2 480 B.  Format 3's roster
 #:   was 4 x 104 B instead of format 2's 4 x 4 x 43 (-272 B), its
 #:   advertisements 4 x 3 B shorter (-12 B) and its responses 4 x 64 B
 #:   instead of 4 x 96 (-128 B).
-SYNC_WIRE_BYTES = 12793
+SYNC_WIRE_BYTES = 11533
 COMPOSITION_DIGEST = (
     "822ad40a27d80aed4d40ee93d880e5ccc0ac4c45c7c4862a253fd28527606152"
 )
-COMPOSITION_WIRE_BYTES = 2224
+COMPOSITION_WIRE_BYTES = 2080
 
 
 @pytest.fixture

@@ -49,18 +49,23 @@ HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
 #: left every body as it was; the unmask response's key share went from
 #: format 3's two toy-group limbs to the toy group's one base-p digit
 #: (``digits`` 2 -> 1, one 8-byte value fewer, frame length 0x42 -> 0x3a),
-#: and format 3's bytes are kept as a refused frame below.
+#: and format 3's bytes are kept as a refused frame below.  Format 5
+#: moved the format byte to 5 and wrote the three id lists (the roster's
+#: indices, the delivery's senders, both sets of the unmask request) as
+#: LEB128 gaps instead of u32 columns, one byte an id here: the roster
+#: 0x42 -> 0x3c, the delivery 0x2d -> 0x27 and the request 0x2d -> 0x21
+#: bytes; format 4's three frames are kept as refused frames below.
 GOLDEN = {
     "hello": (
         Hello(sender=7),
-        "534704011900000001000a7368613235362d63747207000000",
+        "534705011900000001000a7368613235362d63747207000000",
     ),
     "advertise": (
         Advertise(
             index=3, channel_public=0x1F2E3D4C5B6A7988, mask_public=2, width=8
         ),
         # index, width; then both keys at 8 bytes, the small one too.
-        "534704022a00000001000a7368613235362d637472"
+        "534705022a00000001000a7368613235362d637472"
         "0300000008"
         "88796a5b4c3d2e1f"
         "0200000000000000",
@@ -72,11 +77,11 @@ GOLDEN = {
             mask_keys=(2, 0x0102030405060708),
             width=8,
         ),
-        # count, width; the index column; the channel-key column; the
-        # mask-key column.
-        "5347040b4200000001000a7368613235362d637472"
+        # count, width; the indices as gaps (2, then 5 - 2 - 1); the
+        # channel-key column; the mask-key column.
+        "5347050b3c00000001000a7368613235362d637472"
         "0200000008"
-        "0200000005000000"
+        "0202"
         "88796a5b4c3d2e1f" "0700000000000000"
         "0200000000000000" "0807060504030201",
     ),
@@ -86,7 +91,7 @@ GOLDEN = {
             ciphertexts=np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8),
         ),
         # sender, count, L; then the (2, 2) matrix row by row.
-        "534704032500000001000a7368613235362d637472"
+        "534705032500000001000a7368613235362d637472"
         "020000000200000002000000deadbeef",
     ),
     "sealed-delivery": (
@@ -95,9 +100,10 @@ GOLDEN = {
             senders=np.array([2, 6], dtype="<u4"),
             ciphertexts=np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8),
         ),
-        # recipient, count, L; the sender column; the matrix.
-        "5347040a2d00000001000a7368613235362d637472"
-        "0500000002000000020000000200000006000000deadbeef",
+        # recipient, count, L; the senders as gaps (2, then 6 - 2 - 1);
+        # the matrix.
+        "5347050a2700000001000a7368613235362d637472"
+        "050000000200000002000000" "0203" "deadbeef",
     ),
     "masked-input": (
         MaskedInput(
@@ -106,13 +112,14 @@ GOLDEN = {
             bits=10,
         ),
         # sender, dimension, bits; then 5 x 10 bits in 7 bytes.
-        "534704042500000001000a7368613235362d637472"
+        "534705042500000001000a7368613235362d637472"
         "04000000050000000a0004f03f800500",
     ),
     "unmask-request": (
         UnmaskRequest(survivors=frozenset({1, 3, 2}), dropouts=frozenset({9})),
-        "534704052d00000001000a7368613235362d637472"
-        "030000000100000002000000030000000100000009000000",
+        # Each set: its count, then its ids as gaps (1, 0, 0; and 9).
+        "534705052100000001000a7368613235362d637472"
+        "03000000" "010000" "01000000" "09",
     ),
     "unmask-response": (
         UnmaskResponse(
@@ -121,36 +128,44 @@ GOLDEN = {
             key_shares=np.array([[2**61 - 2]], dtype=np.uint64),
         ),
         # responder, seeds, keys, digits; the seed column; the key matrix.
-        "534704063a00000001000a7368613235362d637472"
+        "534705063a00000001000a7368613235362d637472"
         "06000000020000000100000001"
         "15cd5b0700000000" "0100000000000000"
         "feffffffffffff1f",
     ),
     "reject": (
         Reject(client=8, reason="unsupported protocol version 9"),
-        "534704073900000001000a7368613235362d637472"
+        "534705073900000001000a7368613235362d637472"
         "080000001e00756e737570706f727465642070726f746f636f6c2076"
         "657273696f6e2039",
     ),
     "welcome": (
         Welcome(client=5, round_id=0x0102030405060708),
-        "534704082100000001000a7368613235362d637472"
+        "534705082100000001000a7368613235362d637472"
         "050000000807060504030201",
     ),
     "resume": (
         Resume(sender=9, round_id=3, deliveries=2),
-        "534704092200000001000a7368613235362d637472"
+        "534705092200000001000a7368613235362d637472"
         "09000000030000000000000002",
     ),
 }
 
 
+def gap_bytes(ids) -> int:
+    """Bytes the sorted ``ids`` take as LEB128 gaps, from the layout: a
+    gap ``g`` is one byte a started 7 bits."""
+    ordered = sorted(ids)
+    gaps = [b - a - 1 for a, b in zip([-1] + ordered, ordered)]
+    return sum(max(1, -(-gap.bit_length() // 7)) for gap in gaps)
+
+
 def _by_hand(msg_type: int, body: bytes) -> str:
-    """A format-4 frame under ``HEADER``, written out from the layout."""
+    """A format-5 frame under ``HEADER``, written out from the layout."""
     prg = b"sha256-ctr"
     header = (
         WIRE_MAGIC
-        + bytes([WIRE_FORMAT_VERSION, msg_type])  # format 4, message type
+        + bytes([WIRE_FORMAT_VERSION, msg_type])  # format 5, message type
         + (11 + len(prg) + len(body)).to_bytes(4, "little")
         + PROTOCOL_V1.to_bytes(2, "little")
         + bytes([len(prg)])
@@ -211,17 +226,41 @@ class TestGoldenVectors:
         assert _by_hand(2, body) == GOLDEN["advertise"][1]
 
     def test_roster_golden_by_hand(self):
-        """One frame: the count and width once, then three columns."""
+        """One frame: the count and width once, then three columns —
+        the indices 2 and 5 as the gaps 2 and ``5 - 2 - 1 = 2``, a byte
+        each."""
         body = (
             (2).to_bytes(4, "little")  # count
             + (8).to_bytes(1, "little")  # width
-            + b"".join(i.to_bytes(4, "little") for i in (2, 5))
+            + bytes([2, 2])  # the index gaps
             + b"".join(
                 key.to_bytes(8, "little")
                 for key in (0x1F2E3D4C5B6A7988, 7, 2, 0x0102030405060708)
             )
         )
         assert _by_hand(11, body) == GOLDEN["roster"][1]
+
+    def test_sealed_delivery_golden_by_hand(self):
+        """The senders 2 and 6 are the gaps 2 and ``6 - 2 - 1 = 3``."""
+        body = (
+            (5).to_bytes(4, "little")  # recipient
+            + (2).to_bytes(4, "little")  # count
+            + (2).to_bytes(4, "little")  # L
+            + bytes([2, 3])  # the sender gaps
+            + bytes([0xDE, 0xAD, 0xBE, 0xEF])
+        )
+        assert _by_hand(10, body) == GOLDEN["sealed-delivery"][1]
+
+    def test_unmask_request_golden_by_hand(self):
+        """Each set is its count and then its sorted ids as gaps: the
+        survivors 1, 2, 3 are 1, 0, 0 and the dropout 9 is 9."""
+        body = (
+            (3).to_bytes(4, "little")
+            + bytes([1, 0, 0])
+            + (1).to_bytes(4, "little")
+            + bytes([9])
+        )
+        assert _by_hand(5, body) == GOLDEN["unmask-request"][1]
 
     def test_unmask_response_golden_by_hand(self):
         """Share values only, 8 bytes each: no survivor ids, no points,
@@ -244,7 +283,7 @@ class TestGoldenVectors:
             Hello(sender=1), NegotiatedHeader(version=2, mask_prg="shake256")
         )
         assert frame.hex() == (
-            "5347040117000000020008" "7368616b65323536" "01000000"
+            "5347050117000000020008" "7368616b65323536" "01000000"
         )
 
     def test_encoding_is_deterministic_under_set_order(self):
@@ -297,7 +336,7 @@ class TestMalformedFrames:
             "00ffff0000000000000000000000010000"
         )
         with pytest.raises(
-            AggregationError, match="format version 1 .*speaks 4"
+            AggregationError, match="format version 1 .*speaks 5"
         ):
             decode_frames(old)
 
@@ -315,7 +354,7 @@ class TestMalformedFrames:
             "010000000900000006000000020001000a0800feffffffffffff1f",
         ):
             with pytest.raises(
-                AggregationError, match="format version 2 .*speaks 4"
+                AggregationError, match="format version 2 .*speaks 5"
             ):
                 decode_frames(bytes.fromhex(old))
 
@@ -335,7 +374,27 @@ class TestMalformedFrames:
             with pytest.raises(
                 AggregationError,
                 match=r"unsupported wire format version 3 "
-                r"\(this implementation speaks 4\)",
+                r"\(this implementation speaks 5\)",
+            ):
+                decode_frames(bytes.fromhex(old))
+
+    def test_format_4_frame_is_refused_with_what_this_side_speaks(self):
+        """Format 4's roster, delivery and unmask-request goldens wrote
+        their ids as u32 columns, which a format-5 reader would take for
+        gaps (the roster's ``02000000`` as the ids 2, 3, 4, 5): each gets
+        the typed refusal, and no format-4 decoder is kept."""
+        for old in (
+            "5347040b4200000001000a7368613235362d637472"
+            "0200000008" "0200000005000000"
+            "88796a5b4c3d2e1f" "0700000000000000"
+            "0200000000000000" "0807060504030201",
+            "5347040a2d00000001000a7368613235362d637472"
+            "0500000002000000020000000200000006000000deadbeef",
+            "534704052d00000001000a7368613235362d637472"
+            "030000000100000002000000030000000100000009000000",
+        ):
+            with pytest.raises(
+                AggregationError, match="format version 4 .*speaks 5"
             ):
                 decode_frames(bytes.fromhex(old))
 
@@ -437,14 +496,14 @@ class TestHypothesisRoundTrips:
         )
         encoded = encode_message(message, HEADER)
         assert decode_message(encoded)[1] == message
-        # header, (count, width), the index column, two key columns.
-        assert len(encoded) == 21 + 5 + count * (4 + 2 * width)
+        # header, (count, width), the index gaps, two key columns.
+        assert len(encoded) == 21 + 5 + gap_bytes(indices) + 2 * count * width
 
     @given(
         owner=st.integers(min_value=1, max_value=2**32 - 1),
-        senders=st.lists(
+        senders=st.sets(
             st.integers(min_value=1, max_value=2**32 - 1), max_size=12
-        ),
+        ).map(sorted),
         length=st.integers(min_value=0, max_value=40),
         data=st.data(),
     )
@@ -452,7 +511,7 @@ class TestHypothesisRoundTrips:
     def test_sealed_shares_round_trip(self, owner, senders, length, data):
         """One codec for both directions of the share-keys leg: an
         upload is the matrix, a delivery the matrix and who sealed each
-        row."""
+        row (``U1``, sorted)."""
         size = len(senders) * length
         raw = data.draw(st.binary(min_size=size, max_size=size))
         ciphertexts = np.frombuffer(raw, dtype=np.uint8).reshape(
@@ -464,8 +523,8 @@ class TestHypothesisRoundTrips:
         ):
             encoded = encode_message(message, HEADER)
             assert decode_message(encoded)[1] == message
-            # header, (owner, count, L), [sender column], matrix.
-            column = 4 * len(senders) * isinstance(message, SealedDelivery)
+            # header, (owner, count, L), [sender gaps], matrix.
+            column = gap_bytes(senders) * isinstance(message, SealedDelivery)
             assert len(encoded) == 21 + 12 + column + size
 
     @given(
@@ -496,7 +555,12 @@ class TestHypothesisRoundTrips:
     @settings(max_examples=50, deadline=None)
     def test_unmask_request_round_trip(self, survivors, dropouts):
         message = UnmaskRequest(survivors=survivors, dropouts=dropouts)
-        assert decode_message(encode_message(message, HEADER))[1] == message
+        encoded = encode_message(message, HEADER)
+        assert decode_message(encoded)[1] == message
+        # header, then each set's count and gaps.
+        assert len(encoded) == 21 + 8 + gap_bytes(survivors) + gap_bytes(
+            dropouts
+        )
 
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
@@ -560,6 +624,60 @@ class TestHypothesisRoundTrips:
             sender=sender, round_id=round_id, deliveries=deliveries
         )
         assert decode_message(encode_message(message, HEADER))[1] == message
+
+
+#: Valid frames the mutation property starts from: every golden, plus
+#: id lists long and sparse enough for a mutation to land in a
+#: multi-byte gap.
+MUTATION_SEEDS = [bytes.fromhex(golden) for _, golden in GOLDEN.values()] + [
+    encode_message(message, HEADER)
+    for message in (
+        Roster((1, 2, 3, 200, 70_000), (5,) * 5, (9,) * 5, 1),
+        SealedDelivery(
+            4,
+            np.array([1, 2, 300, 2**32 - 1]),
+            np.arange(8, dtype=np.uint8).reshape(4, 2),
+        ),
+        UnmaskRequest(
+            survivors=frozenset({1, 2, 3, 5, 129, 2**20}),
+            dropouts=frozenset({4, 2**32 - 1}),
+        ),
+    )
+]
+
+
+@st.composite
+def mutated_frames(draw):
+    """A valid frame after one to three byte flips, insertions or
+    deletions."""
+    frame = bytearray(draw(st.sampled_from(MUTATION_SEEDS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(frame)))
+        kind = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if kind == "flip" and at < len(frame):
+            frame[at] ^= draw(st.integers(min_value=1, max_value=255))
+        elif kind == "insert":
+            frame[at:at] = draw(st.binary(min_size=1, max_size=6))
+        else:
+            del frame[at : at + draw(st.integers(min_value=1, max_value=6))]
+    return bytes(frame)
+
+
+class TestMutatedFrames:
+    @given(frame=mutated_frames())
+    @settings(max_examples=2_000, deadline=None)
+    def test_a_mutated_frame_is_refused_or_canonical(self, frame):
+        """Every frame has one encoding: whatever a corrupted frame
+        decodes to re-encodes to exactly its bytes, or the codec refuses
+        it with a typed error — never another exception, and never a
+        message a second encoding also stands for (an id column read
+        as ``[3, 1, 1]`` that comes back as ``{1, 3}``)."""
+        try:
+            header, message = decode_message(frame)
+            again = encode_message(message, header)
+        except AggregationError:
+            return
+        assert again == frame
 
 
 class TestWireStats:

@@ -30,6 +30,7 @@ from repro.secagg.wire import (
     MSG_ROSTER,
     MSG_SEALED_DELIVERY,
     MSG_SEALED_UPLOAD,
+    MSG_UNMASK_REQUEST,
     MSG_UNMASK_RESPONSE,
     PROTOCOL_V1,
     Advertise,
@@ -38,6 +39,7 @@ from repro.secagg.wire import (
     Roster,
     SealedDelivery,
     SealedUpload,
+    UnmaskRequest,
     UnmaskResponse,
     decode_frames,
     decode_message,
@@ -45,7 +47,7 @@ from repro.secagg.wire import (
     modulus_bits,
     pack_coordinates,
 )
-from repro.secagg.wire import _frame, _pack_bits
+from repro.secagg.wire import _encode_ids, _frame, _pack_bits, _read_ids
 
 HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
 #: Frame header under ``HEADER`` (11 + the suite name), then the fixed
@@ -60,20 +62,21 @@ SEALED_PREFIX = HEADER_BYTES + 12
 #: here and whose unmask hex is byte-identical to this module's).
 GOLDEN_SEALED_MATRIX = (
     # Upload: sender 2, two 2-byte envelopes, the matrix.
-    "534704032500000001000a7368613235362d637472"
+    "534705032500000001000a7368613235362d637472"
     "020000000200000002000000deadbeef"
-    # The delivery of the same matrix to client 5, sealed by 2 and 6.
-    "5347040a2d00000001000a7368613235362d637472"
-    "0500000002000000020000000200000006000000deadbeef"
+    # The delivery of the same matrix to client 5, sealed by 2 and 6:
+    # the senders as the gaps 2 and 6 - 2 - 1 = 3.
+    "5347050a2700000001000a7368613235362d637472"
+    "050000000200000002000000" "0203" "deadbeef"
 )
 GOLDEN_MASKED = (
     # A word-sized width: sender 4, dimension 4, 16 bits, 4 x <u2.
-    "534704042600000001000a7368613235362d637472"
+    "534705042600000001000a7368613235362d637472"
     "04000000040000001000000100ffff0201"
 )
 GOLDEN_UNMASK = (
     # A dropout's key share is one base-p digit on the toy group.
-    "534704063a00000001000a7368613235362d637472"
+    "534705063a00000001000a7368613235362d637472"
     "06000000020000000100000001"
     "15cd5b0700000000" "0100000000000000"
     "feffffffffffff1f"
@@ -496,13 +499,20 @@ class TestBoundedDecode:
         assert self._peak(frame) < len(frame)
 
     def test_share_keys_frames_decode_in_place(self):
+        """The envelope matrix is a view into the frame; the one thing a
+        delivery allocates is its sender column, 8 bytes an id once the
+        gaps are summed."""
         matrix = np.arange(128 * 24, dtype=np.uint8).reshape(128, 24)
-        for message in (
-            SealedUpload(1, matrix),
-            SealedDelivery(1, np.arange(128), matrix),
+        for message, column in (
+            (SealedUpload(1, matrix), 0),
+            (SealedDelivery(1, np.arange(128), matrix), 8 * 128),
         ):
             frame = encode_message(message, HEADER)
-            assert self._peak(frame) < len(frame)
+            assert self._peak(frame) < len(frame) + column
+            decoded = decode_message(frame)[1]
+            assert np.shares_memory(
+                decoded.ciphertexts, np.frombuffer(frame, np.uint8)
+            )
 
     @pytest.mark.parametrize("bits", [8, 16, 32, 64])
     def test_word_sized_masked_input_is_one_copy(self, bits):
@@ -561,6 +571,202 @@ class TestUnmaskResponseRoundTrip:
         assert encode_message(decoded, HEADER) == encoded
 
 
+def _request_frame(*sets):
+    """A well-framed unmask request: each set a u32 count and raw gaps."""
+    body = b"".join(
+        count.to_bytes(4, "little") + gaps for count, gaps in sets
+    )
+    return _frame(MSG_UNMASK_REQUEST, body, HEADER)
+
+
+def _leb128(gap):
+    """One gap in LEB128, written from the definition: seven bits a
+    byte, lowest first, the top bit set on every byte but the last."""
+    out = bytearray()
+    while True:
+        out.append(gap & 0x7F | (0x80 if gap >> 7 else 0))
+        gap >>= 7
+        if not gap:
+            return bytes(out)
+
+
+U32 = st.integers(min_value=0, max_value=2**32 - 1)
+#: Id lists: empty, single (the ends of u32 included), dense runs, and
+#: random sparse sets.
+ID_LISTS = st.one_of(
+    st.just([]),
+    st.sampled_from([0, 1, 127, 128, 2**32 - 1]).map(lambda i: [i]),
+    st.lists(U32, max_size=1),
+    st.tuples(U32, st.integers(min_value=1, max_value=300)).map(
+        lambda run: list(range(run[0], min(run[0] + run[1], 2**32)))
+    ),
+    st.sets(U32, max_size=64).map(sorted),
+    st.sets(st.integers(min_value=0, max_value=5_000), max_size=64).map(
+        sorted
+    ),
+)
+
+
+class TestIdLists:
+    """The one codec of the three id lists (roster indices, delivery
+    senders, unmask-request sets): LEB128 gaps, read with no roster or
+    session at hand."""
+
+    @given(ids=ID_LISTS, tail=st.binary(max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, ids, tail):
+        """Exact bytes from the definition, and the reader stops where
+        the list does whatever follows it."""
+        encoded = _encode_ids(ids, "ids")
+        gaps = [b - a - 1 for a, b in zip([-1] + ids, ids)]
+        assert encoded == b"".join(map(_leb128, gaps))
+        view = memoryview(encoded + tail)
+        decoded, end = _read_ids(view, 0, len(view), len(ids))
+        assert decoded.tolist() == ids and end == len(encoded)
+        request = UnmaskRequest(frozenset(ids), frozenset(ids[:1]))
+        assert decode_message(encode_message(request, HEADER))[1] == request
+
+    def test_consecutive_ids_cost_a_byte_and_none_more_than_five(self):
+        assert _encode_ids(range(1, 129), "ids") == bytes([1] + 127 * [0])
+        assert _encode_ids([2**32 - 1], "ids") == bytes.fromhex("ffffffff0f")
+        assert len(_encode_ids([0, 2**32 - 1], "ids")) == 1 + 5
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [
+            ([3, 1], "strictly increasing"),
+            ([1, 1], "strictly increasing"),
+            ([-1, 4], r"lie in \[0, 2\^32\)"),
+            ([2**32], r"lie in \[0, 2\^32\)"),
+            ([1.5], "list of integers"),
+        ],
+    )
+    def test_encoder_refusals(self, ids, match):
+        with pytest.raises(AggregationError, match=match):
+            _encode_ids(ids, "ids")
+
+    @pytest.mark.parametrize(
+        "frame, match",
+        [
+            # More ids declared than bytes left: a gap is at least one.
+            (_request_frame((5, bytes(3)), (0, b"")), "body truncated"),
+            (_request_frame((2**32 - 1, bytes(8))), "body truncated"),
+            # A gap whose continuation bit runs off the end.
+            (_request_frame((0, b""), (1, b"\x80")), "body truncated"),
+            (_request_frame((1, b"\x01"), (2, b"\x01\x81")), "body truncated"),
+            # 1 written in two bytes, and 0 in three.
+            (_request_frame((1, b"\x81\x00"), (0, b"")), "overlong"),
+            (_request_frame((1, b"\x80\x80\x00"), (0, b"")), "overlong"),
+            # A gap of 2^32, a sum past 2^32 - 1, and a six-byte gap.
+            (_request_frame((1, _leb128(2**32)), (0, b"")), r"2\^32"),
+            (
+                _request_frame((2, _leb128(2**32 - 1) + b"\x00"), (0, b"")),
+                r"2\^32",
+            ),
+            (_request_frame((1, b"\x80" * 5 + b"\x01"), (0, b"")), r"2\^32"),
+            # A byte past both lists.
+            (_request_frame((1, b"\x01"), (1, b"\x02\x00")), "1 trailing"),
+        ],
+        ids=[
+            "count-over-bytes", "absurd-count", "cut-gap", "cut-second-gap",
+            "overlong", "overlong-zero", "gap-2^32", "sum-2^32",
+            "six-byte-gap", "trailing",
+        ],
+    )
+    def test_decoder_refusals(self, frame, match):
+        with pytest.raises(AggregationError, match=match):
+            decode_message(frame)
+
+    def test_delivery_and_roster_refuse_what_the_request_does(self):
+        """The same reader serves the other two lists; what stands
+        between a delivery's senders and its matrix must be exactly the
+        gaps."""
+        for count, gaps, match in (
+            (1, b"\x81\x00", "overlong"),
+            (2, b"\x01\x00\x00", "do not fill"),
+            (2, b"\x01", "do not fill"),
+            (2, b"\x01\x80\x01\x00", "do not fill"),
+            (2, _leb128(2**32 - 1) + b"\x00", r"2\^32"),
+        ):
+            frame = _sealed_frame(
+                MSG_SEALED_DELIVERY, count, 2, gaps + bytes(2 * count)
+            )
+            with pytest.raises(AggregationError, match=match):
+                decode_message(frame)
+        with pytest.raises(AggregationError, match="overlong"):
+            decode_message(_roster_frame(1, 1, b"\x81\x00" + bytes(2)))
+        with pytest.raises(AggregationError, match="strictly increasing"):
+            encode_message(
+                SealedDelivery(1, np.array([2, 2]), np.zeros((2, 2), np.uint8)),
+                HEADER,
+            )
+
+    @pytest.mark.parametrize("spread", ["dense", "sparse"])
+    @pytest.mark.parametrize("members", [3, 128, 1000])
+    def test_decode_stays_within_a_small_multiple_of_the_frame(
+        self, members, spread
+    ):
+        """Peak traced memory of a decode is at most ``16 x`` the frame
+        plus 64 KiB for all three frames that carry id lists, their ids
+        consecutive or spread over all of u32.  (An unmask request's
+        sets are frozensets of Python ints, ~75 bytes an id past 256:
+        past ~1 000 ids it is the message type, not the gaps, that
+        breaks the bound; :meth:`test_the_reader_alone_is_bounded`
+        holds the reader to it at any size.)"""
+        rng = np.random.default_rng(members)
+        ids = (
+            np.arange(1, members + 1)
+            if spread == "dense"
+            else np.sort(rng.choice(2**32, members, replace=False))
+        )
+        split = 3 * members // 4
+        for message in (
+            Roster(tuple(ids.tolist()), (1,) * members, (2,) * members, 8),
+            SealedDelivery(3, ids, np.zeros((members, 16), np.uint8)),
+            UnmaskRequest(
+                frozenset(ids[:split].tolist()), frozenset(ids[split:].tolist())
+            ),
+        ):
+            frame = encode_message(message, HEADER)
+            assert TestBoundedDecode._peak(frame) <= 16 * len(frame) + 65_536
+
+    @pytest.mark.parametrize("spread", ["dense", "sparse"])
+    def test_the_reader_alone_is_bounded(self, spread):
+        members = 65_536
+        rng = np.random.default_rng(7)
+        ids = (
+            np.arange(members)
+            if spread == "dense"
+            else np.sort(rng.choice(2**32, members, replace=False))
+        )
+        body = _encode_ids(ids, "ids")
+        view = memoryview(body)
+        tracemalloc.start()
+        try:
+            decoded, _ = _read_ids(view, 0, len(body), members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded, ids)
+        assert peak <= 16 * len(body) + 65_536
+
+    def test_absurd_counts_buy_no_memory(self):
+        for frame in (
+            _request_frame((2**32 - 1, bytes(16))),
+            _roster_frame(2**32 - 1, 1, bytes(16)),
+            _sealed_frame(MSG_SEALED_DELIVERY, 2**32 - 1, 0, bytes(16)),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    AggregationError, match="body truncated|do not fill"
+                ):
+                    decode_message(frame)
+                assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+            finally:
+                tracemalloc.stop()
+
+
 #: The public-key width of each key-agreement group a round can use.
 KEY_WIDTHS = {"toy-dh": 8, "x25519": 32, "oakley-2": 128}
 
@@ -605,9 +811,10 @@ class TestValueIndependentLengths:
                     ),
                 )
             )
+        # The indices 1..count are the gaps 1, 0, 0, ...: a byte each.
         assert lengths == {
             (HEADER_BYTES + 5 + 2 * width,
-             HEADER_BYTES + 5 + count * (4 + 2 * width))
+             HEADER_BYTES + 5 + count * (1 + 2 * width))
         }
 
     @given(
@@ -634,32 +841,31 @@ class TestValueIndependentLengths:
 
 
 class TestRosterFrame:
-    """A roster is one frame: ``count`` and ``width`` fix its length,
-    and its indices must be strictly increasing."""
-
-    @staticmethod
-    def _columns(indices, width=8):
-        return (
-            np.asarray(indices, dtype="<u4").tobytes()
-            + bytes(2 * width * len(indices))
-        )
+    """A roster is one frame: ``count`` and ``width`` fix its key
+    columns, which close the frame, and what is left before them is the
+    indices' gaps — one to five bytes an index, strictly increasing by
+    construction."""
 
     def test_hand_written_roster_decodes(self):
-        roster = decode_message(_roster_frame(2, 8, self._columns([2, 5])))[1]
-        assert roster == Roster((2, 5), (0, 0), (0, 0), 8)
+        """The indices 2 and 5 are the gaps 2 and 5 - 2 - 1 = 2."""
+        frame = _roster_frame(2, 8, bytes([2, 2]) + bytes(32))
+        assert decode_message(frame)[1] == Roster((2, 5), (0, 0), (0, 0), 8)
 
     @pytest.mark.parametrize(
         "frame, match",
         [
             (_frame(MSG_ROSTER, bytes(4), HEADER), "body truncated"),
-            (_roster_frame(2, 8, bytes(39)), "body truncated"),
-            (_roster_frame(2, 8, bytes(41)), "1 trailing body bytes"),
-            # A count the columns do not fill, either way.
-            (_roster_frame(3, 8, bytes(40)), "body truncated"),
-            (_roster_frame(1, 8, bytes(40)), "20 trailing body bytes"),
-            # 8-byte keys declared 9 or 7 bytes wide.
-            (_roster_frame(2, 9, bytes(40)), "body truncated"),
-            (_roster_frame(2, 7, bytes(40)), "4 trailing body bytes"),
+            # Two one-byte gaps and two 2 x 8-byte keys are 34 bytes.
+            (_roster_frame(2, 8, bytes(33)), "body truncated"),
+            (_roster_frame(2, 8, bytes(35)), "1 trailing body bytes"),
+            # A count the columns do not fill, either way: three members
+            # need 3 + 48 bytes; one leaves 34 - 16 - 1 = 17 over.
+            (_roster_frame(3, 8, bytes(34)), "body truncated"),
+            (_roster_frame(1, 8, bytes(34)), "17 trailing body bytes"),
+            # 8-byte keys declared 9 bytes wide (2 + 36 > 34) or 7 wide
+            # (34 - 28 = 6 bytes before the keys, 2 of them gaps).
+            (_roster_frame(2, 9, bytes(34)), "body truncated"),
+            (_roster_frame(2, 7, bytes(34)), "4 trailing body bytes"),
             (_roster_frame(0, 0, b""), "outside 1..255"),
             (_roster_frame(2**32 - 1, 255, bytes(16)), "body truncated"),
         ],
@@ -679,12 +885,26 @@ class TestRosterFrame:
         ids=["unsorted", "repeated", "out-of-order"],
     )
     def test_unsorted_or_repeated_indices_are_refused(self, indices):
-        frame = _roster_frame(len(indices), 8, self._columns(indices))
-        with pytest.raises(AggregationError, match="strictly increasing"):
-            decode_message(frame)
+        """The encoder refuses them; no frame can carry them (below)."""
         zeros = (0,) * len(indices)
         with pytest.raises(AggregationError, match="strictly increasing"):
             encode_message(Roster(tuple(indices), zeros, zeros, 8), HEADER)
+
+    @given(
+        count=st.integers(min_value=0, max_value=8),
+        gaps=st.binary(max_size=48),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_bytes_decode_to_unsorted_indices(self, count, gaps):
+        """Whatever bytes stand before the key columns, a roster decodes
+        with strictly increasing indices below 2^32, or not at all."""
+        frame = _roster_frame(count, 1, gaps + bytes(2 * count))
+        try:
+            indices = decode_message(frame)[1].indices
+        except AggregationError:
+            return
+        assert list(indices) == sorted(set(indices))
+        assert len(indices) == count and indices[-1:] < (2**32,)
 
     def test_ragged_columns_are_unencodable(self):
         with pytest.raises(AggregationError, match="2 keys of each kind"):
