@@ -745,12 +745,6 @@ def _read_gaps(view: memoryview, start: int, stop: int, out: np.ndarray) -> int:
     )
     last = np.flatnonzero(window < 0x80)[: len(out)]
     if len(last) < len(out):
-        if len(window) == _GAP_BYTES_MAX * len(out):
-            # Room for every gap at its longest: one is longer still.
-            raise AggregationError(
-                "malformed wire frame: ids must lie in [0, 2^32) (a gap of "
-                f"more than {_GAP_BYTES_MAX} bytes)"
-            )
         raise AggregationError(
             "malformed wire frame: body truncated "
             f"({len(window)} bytes hold fewer than {len(out)} id gaps of "

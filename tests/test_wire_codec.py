@@ -657,13 +657,17 @@ class TestIdLists:
             # 1 written in two bytes, and 0 in three.
             (_request_frame((1, b"\x81\x00"), (0, b"")), "overlong"),
             (_request_frame((1, b"\x80\x80\x00"), (0, b"")), "overlong"),
-            # A gap of 2^32, a sum past 2^32 - 1, and a six-byte gap.
+            # A gap of 2^32, a sum past 2^32 - 1, and a six-byte gap
+            # (past any u32's five).
             (_request_frame((1, _leb128(2**32)), (0, b"")), r"2\^32"),
             (
                 _request_frame((2, _leb128(2**32 - 1) + b"\x00"), (0, b"")),
                 r"2\^32",
             ),
-            (_request_frame((1, b"\x80" * 5 + b"\x01"), (0, b"")), r"2\^32"),
+            (
+                _request_frame((1, b"\x80" * 5 + b"\x01"), (0, b"")),
+                "at most 5 bytes",
+            ),
             # A byte past both lists.
             (_request_frame((1, b"\x01"), (1, b"\x02\x00")), "1 trailing"),
         ],
