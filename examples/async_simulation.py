@@ -2,8 +2,8 @@
 
 The paper's experiments assume every sampled participant is online and
 instantaneous.  This example runs the same Skellam-mixture training
-loop the way a production deployment would experience it: an asyncio
-engine on a deterministic simulated clock, a 24-client population where
+loop the way a production deployment would experience it: an engine
+on a deterministic simulated clock, a 24-client population where
 clients crash mid-protocol (20% per round, at a uniformly random phase
 of the Bonawitz state machine) and upload over heavy-tailed log-normal
 latencies, a server that closes each phase at a deadline and moves on,

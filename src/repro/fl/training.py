@@ -59,14 +59,6 @@ class TrainingConfig:
             :func:`repro.fl.schedules.make_schedule`); ``"constant"``
             is the paper's setting.  Schedules act server-side only, so
             they never affect the privacy guarantee.
-        dropout_rate: Probability that a sampled participant drops out
-            before their perturbed gradient reaches aggregation (models
-            SecAgg dropouts).  Calibration still targets
-            ``expected_batch`` contributors, but a dropped participant's
-            noise share never arrives: the aggregate carries *less*
-            noise than calibrated, and the reported epsilon does not
-            hold for such a run (nothing extra is charged).  ROADMAP
-            item 9 calibrates for the SecAgg threshold instead.
     """
 
     rounds: int
@@ -77,7 +69,6 @@ class TrainingConfig:
     l2_bound: float = 1.0
     eval_every: int = 0
     lr_schedule: str = "constant"
-    dropout_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -89,10 +80,6 @@ class TrainingConfig:
         if self.eval_every < 0:
             raise ConfigurationError(
                 f"eval_every must be >= 0, got {self.eval_every}"
-            )
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigurationError(
-                f"dropout_rate must be in [0, 1), got {self.dropout_rate}"
             )
 
 
@@ -174,16 +161,11 @@ class FederatedTrainer:
         """Record indices participating in one round (may be empty).
 
         The default is the paper's regime: Poisson sampling at rate
-        ``q``, thinned by ``config.dropout_rate``.  Subclasses (e.g. the
-        :mod:`repro.simulation` engine) override this to drive selection
-        from a client population model instead.
+        ``q``.  Subclasses (e.g. the :mod:`repro.simulation` engine)
+        override this to drive selection from a client population model
+        instead, dropouts included.
         """
         selected = rng.random(self.train.num_records) < self.sampling_rate
-        if self.config.dropout_rate > 0:
-            surviving = (
-                rng.random(self.train.num_records) >= self.config.dropout_rate
-            )
-            selected &= surviving
         return np.flatnonzero(selected)
 
     def _aggregate_gradients(

@@ -1,8 +1,8 @@
-"""Event-driven federated orchestration over an unreliable population.
+"""Federated orchestration over an unreliable population.
 
 The paper evaluates its mechanisms under fully synchronous, all-online
 aggregation; this subsystem supplies the production-shaped layer on top:
-an asyncio engine that runs whole training rounds over a simulated
+an engine that runs whole training rounds over a simulated
 client population with dropouts, stragglers and churn, survives them via
 the Bonawitz protocol's Shamir recovery, and charges a running privacy
 ledger — all on a deterministic simulated clock, so every run is
@@ -10,13 +10,12 @@ bit-reproducible from its seed.
 
 Layering (each module only depends on the ones above it):
 
-* :mod:`~repro.simulation.clock` — deterministic discrete-event clock
-  driving asyncio without wall time.
-* :mod:`~repro.simulation.events` — clock-aware mailboxes and the trace.
+* :mod:`~repro.simulation.clock` — the monotone simulated clock.
+* :mod:`~repro.simulation.events` — the timestamped event trace.
 * :mod:`~repro.simulation.population` — client registry, availability
   models, cohort sampling.
-* :mod:`~repro.simulation.rounds` — dropout-tolerant async SecAgg round
-  driver over the ``secagg.bonawitz`` state machines.
+* :mod:`~repro.simulation.rounds` — dropout-tolerant SecAgg rounds as a
+  phase schedule over the ``secagg.statemachine`` sessions.
 * :mod:`~repro.simulation.sharding` — level-agnostic sharding
   primitives: the threshold rule, picklable shard tasks, the
   inline/process execution backends.
@@ -31,14 +30,14 @@ Layering (each module only depends on the ones above it):
   the accounting ledger into the round loop.
 """
 
-from repro.simulation.clock import SimulatedClock, TimerHandle
+from repro.simulation.clock import SimulatedClock
 from repro.simulation.engine import (
     RoundRecord,
     SimulationConfig,
     SimulationEngine,
     SimulationResult,
 )
-from repro.simulation.events import Mailbox, SimulationTrace, TraceEvent
+from repro.simulation.events import SimulationTrace, TraceEvent
 from repro.simulation.hierarchy import HierarchicalSecAggRound
 from repro.simulation.population import (
     AlwaysAvailable,
@@ -72,7 +71,6 @@ __all__ = [
     "ExecutionBackend",
     "HierarchicalSecAggRound",
     "InlineBackend",
-    "Mailbox",
     "Population",
     "ProcessBackend",
     "RoundChurn",
@@ -86,7 +84,6 @@ __all__ = [
     "SimulationResult",
     "SimulationTrace",
     "StragglerLatency",
-    "TimerHandle",
     "TraceEvent",
     "get_execution_backend",
     "shamir_threshold",

@@ -1,366 +1,61 @@
-"""Deterministic simulated clock: asyncio without wall time.
+"""Deterministic simulated clock: time without a wall clock.
 
 Federated rounds are full of waiting — upload latencies, phase
 deadlines, straggler timeouts.  Simulating them against the wall clock
-would make every run slow *and* nondeterministic (task wake-up order
-would depend on OS scheduling jitter).  :class:`SimulatedClock` removes
-wall time from the picture entirely:
-
-* coroutines wait with ``await clock.sleep(delay)`` (or via the
-  clock-aware primitives in :mod:`repro.simulation.events`), which
-  registers a timer on the clock's heap instead of the event loop's
-  wall-clock timer wheel;
-* :meth:`SimulatedClock.run` drives the asyncio event loop until every
-  task is blocked on a clock timer (*quiescence*), then pops the
-  earliest timer, advances ``now`` to its due time, fires it, and
-  settles again — the classic discrete-event simulation loop.
-
-Quiescence is detected exactly, not heuristically: the clock runs the
-program on a private event loop that counts ready-queue insertions
-(every task wake-up in asyncio — future resolution, task creation,
-``sleep(0)`` — goes through ``call_soon``).  After yielding, if the only
-insertion was the driver's own re-queue, every other task has run as far
-as it can without the clock advancing.
-
-Determinism: timers fire in (time, registration order) — a total order —
-and asyncio's ready queue is FIFO, so a simulation whose tasks only
-suspend on clock primitives replays bit-identically for a fixed seed.
-
-Constraints on simulation code (enforced by failure, documented here):
-tasks must not await wall-clock primitives (``asyncio.sleep(dt)`` with
-``dt > 0``) and must not busy-loop over bare ``asyncio.sleep(0)``;
-either would stall or break the advance loop.
+would make every run slow *and* nondeterministic.  A
+:class:`SimulatedClock` is just a number that only moves forward: the
+round drivers (:mod:`repro.simulation.rounds`) compute when each upload
+lands from the clients' plans and move ``now`` to each arrival or
+deadline in turn (:meth:`SimulatedClock.advance_to`), and a sharded
+round deposits its slowest shard's finish time the same way.  Nothing
+is scheduled on the clock and nothing waits on it, so a run replays
+bit-identically for a fixed seed.
 """
 
 from __future__ import annotations
 
-import asyncio
-import heapq
-import itertools
-from collections.abc import Callable, Coroutine
+from collections.abc import Coroutine
 from typing import Any
 
-from repro.errors import ConfigurationError, SimulationError
-
-#: Upper bound on settle passes between clock advances; a simulation that
-#: schedules work this many loop iterations deep without touching the
-#: clock is assumed to be busy-looping.
-DEFAULT_MAX_SETTLE_PASSES = 100_000
-
-
-class _CountingEventLoop(asyncio.SelectorEventLoop):
-    """A selector loop that counts ready-queue insertions.
-
-    Every asyncio wake-up path (future resolution, task creation,
-    ``asyncio.sleep(0)`` re-queues) funnels through :meth:`call_soon`,
-    so the insertion counter is an exact record of scheduling activity.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.insertions = 0
-
-    def call_soon(self, callback, *args, context=None):
-        self.insertions += 1
-        return super().call_soon(callback, *args, context=context)
-
-
-class TimerHandle:
-    """A cancellable registration returned by :meth:`SimulatedClock.call_at`.
-
-    Cancelling is cheap and idempotent: the heap entry is marked dead
-    (and reaped lazily), the callback never runs, and — critically —
-    the clock never advances ``now`` to the cancelled deadline.
-    """
-
-    __slots__ = ("_clock", "_callback", "_cancelled", "_fired")
-
-    def __init__(
-        self, clock: "SimulatedClock", callback: Callable[[], None]
-    ) -> None:
-        self._clock = clock
-        self._callback = callback
-        self._cancelled = False
-        self._fired = False
-
-    def cancel(self) -> None:
-        """Withdraw the callback; a no-op if it already fired/cancelled."""
-        if not self._cancelled and not self._fired:
-            self._cancelled = True
-            self._callback = None
-            self._clock._note_cancelled()
-
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
+from repro.errors import SimulationError
 
 
 class SimulatedClock:
-    """A discrete-event clock that drives asyncio deterministically.
+    """A monotone simulated clock.
 
     Args:
         start: Initial simulated time (seconds; an arbitrary epoch).
-        max_settle_passes: Safety bound on event-loop iterations between
-            two clock advances, to fail fast on busy-looping tasks.
     """
 
-    #: Compact the heap once at least this many cancelled entries are
-    #: pending *and* they make up half the heap — classic lazy deletion.
-    _COMPACT_MIN_CANCELLED = 16
-
-    def __init__(
-        self,
-        start: float = 0.0,
-        max_settle_passes: int = DEFAULT_MAX_SETTLE_PASSES,
-    ) -> None:
-        if max_settle_passes < 1:
-            raise ConfigurationError(
-                f"max_settle_passes must be >= 1, got {max_settle_passes}"
-            )
+    def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._timers: list[tuple[float, int, Any]] = []
-        self._sequence = itertools.count()
-        self._max_settle_passes = max_settle_passes
-        self._running = False
-        # Heuristic count of dead heap entries, used ONLY to trigger
-        # compaction.  It may lag reality (a cancelled task's sleep
-        # future is dead the moment Task.cancel() runs but is noted
-        # only when the waiter resumes), so nothing correctness-bearing
-        # reads it — pending_timers scans the heap instead.
-        self._dead_hint = 0
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
 
-    @property
-    def pending_timers(self) -> int:
-        """Number of registered timers that may still fire.
-
-        Dead entries — cancelled :class:`TimerHandle` registrations and
-        sleep futures whose waiting task was cancelled — are excluded
-        even while their heap entries await lazy removal, so any
-        completed round leaves this at zero.  Computed by scanning the
-        heap (a diagnostics accessor, not a hot path): exact by
-        construction, immune to bookkeeping races.
-        """
-        return sum(
-            1 for entry in self._timers if not self._is_dead(entry[2])
-        )
-
-    async def sleep(self, delay: float) -> None:
-        """Suspend the calling task for ``delay`` simulated seconds.
-
-        Args:
-            delay: Non-negative simulated duration; ``0`` still suspends
-                until the next clock advance, providing a deterministic
-                yield point.
-        """
-        if delay < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {delay}")
-        future = asyncio.get_running_loop().create_future()
-        self._register(self._now + delay, future)
-        try:
-            await future
-        except asyncio.CancelledError:
-            # future.cancelled() means the waiter died with its timer
-            # possibly still on the heap (a task cancelled *after* its
-            # wake-up leaves an uncancelled, already-popped future);
-            # nudge the compaction hint so mass teardowns still reap
-            # their dead entries.  An intervening compaction may have
-            # removed the entry already — harmless, the hint is
-            # advisory and pending_timers derives truth from the heap.
-            if future.cancelled():
-                self._note_cancelled()
-            raise
-
-    def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
-        """Schedule ``callback()`` at simulated time ``when``.
-
-        Times in the past are clamped to ``now`` (the callback fires on
-        the next advance).  Used by the event primitives to implement
-        deadlines.
-
-        Returns:
-            A :class:`TimerHandle`; callers whose deadline races another
-            wake-up source **must** cancel it when the other source wins,
-            otherwise the stale timer would linger on the heap until its
-            due time (it still would not advance the clock — cancelled
-            and already-fired entries are skipped without touching
-            ``now`` — but it costs a heap pop and a settle cycle).
-        """
-        handle = TimerHandle(self, callback)
-        self._register(max(when, self._now), handle)
-        return handle
-
     def advance_to(self, when: float) -> None:
-        """Move ``now`` forward to ``when`` without firing any timer.
-
-        The seam through which externally simulated work (e.g. shard
-        sub-rounds executed on their own clocks, possibly in other
-        processes) deposits its elapsed simulated time back into the
-        parent clock.  Only meaningful between :meth:`run` calls, on a
-        clock with no live timer due before ``when`` — jumping past one
-        would rewind ``now`` when it eventually fired.
-
-        Raises:
-            SimulationError: If called while :meth:`run` is driving the
-                loop, or if a live timer is due before ``when`` —
-                either way time would be silently reordered.
-        """
-        if self._running:
-            raise SimulationError(
-                "advance_to is only valid between run() calls"
-            )
-        when = float(when)
-        live = [
-            entry[0]
-            for entry in self._timers
-            if not self._is_dead(entry[2])
-        ]
-        if live and min(live) < when:
-            raise SimulationError(
-                f"cannot advance to {when}: a live timer is due at "
-                f"{min(live)}"
-            )
-        self._now = max(self._now, when)
-
-    def _register(self, when: float, action: Any) -> None:
-        heapq.heappush(self._timers, (when, next(self._sequence), action))
-
-    @staticmethod
-    def _is_dead(action: Any) -> bool:
-        """Whether a heap entry can never fire (skipped without
-        advancing time): a cancelled handle, or a sleep future whose
-        waiter was cancelled (the only way a heap-resident future is
-        already done — firing pops the entry before resolving it)."""
-        if isinstance(action, TimerHandle):
-            return action.cancelled()
-        return action.done()
-
-    def _note_cancelled(self) -> None:
-        """Note one dead entry; compact the heap when dead entries
-        appear to dominate it (amortised O(1) per cancellation).  The
-        hint is advisory — compaction itself re-derives the truth by
-        filtering, and resets the hint."""
-        self._dead_hint += 1
-        if (
-            self._dead_hint >= self._COMPACT_MIN_CANCELLED
-            and self._dead_hint * 2 >= len(self._timers)
-        ):
-            self._timers = [
-                entry for entry in self._timers if not self._is_dead(entry[2])
-            ]
-            heapq.heapify(self._timers)
-            self._dead_hint = 0
+        """Move ``now`` forward to ``when``; an earlier ``when`` leaves
+        it where it is (the clock never moves backwards)."""
+        self._now = max(self._now, float(when))
 
     def run(self, main: Coroutine[Any, Any, Any]) -> Any:
-        """Run ``main`` to completion under simulated time.
+        """Run a round's ``run()`` coroutine to completion; returns its
+        value.
 
-        Creates a private event loop, so it can be called from ordinary
-        synchronous code (and called again for subsequent rounds — the
-        clock's time and any unfired timers persist across calls).
-
-        Args:
-            main: The root coroutine of the simulation.
-
-        Returns:
-            ``main``'s return value.
+        The round drivers are coroutines that never suspend, so this
+        steps ``main`` once.
 
         Raises:
-            SimulationError: On deadlock (all tasks blocked, no timer
-                pending) or a busy-looping task.
+            SimulationError: If ``main`` suspends — it is waiting on
+                something no simulated round provides.
         """
-        if self._running:
-            main.close()
-            raise SimulationError("SimulatedClock.run is not reentrant")
-        loop = _CountingEventLoop()
-        self._running = True
         try:
-            return loop.run_until_complete(self._drive(loop, main))
-        finally:
-            self._running = False
-            loop.close()
-
-    async def _drive(
-        self, loop: _CountingEventLoop, main: Coroutine[Any, Any, Any]
-    ) -> Any:
-        task = asyncio.ensure_future(main)
-        try:
-            while True:
-                await self._settle(loop)
-                if task.done():
-                    break
-                if not self._timers:
-                    raise SimulationError(
-                        "simulation deadlock: every task is waiting and no "
-                        "timer is pending"
-                    )
-                self._fire_next()
-            return task.result()
-        finally:
-            await self._cancel_stragglers(task)
-
-    async def _settle(self, loop: _CountingEventLoop) -> None:
-        """Yield until no task can run without the clock advancing."""
-        for _ in range(self._max_settle_passes):
-            before = loop.insertions
-            await asyncio.sleep(0)
-            # Our own re-queue accounts for exactly one insertion; any
-            # second insertion means some other task was scheduled and
-            # may schedule more once it runs.
-            if loop.insertions == before + 1:
-                return
+            main.send(None)
+        except StopIteration as done:
+            return done.value
+        main.close()
         raise SimulationError(
-            f"simulation failed to quiesce within {self._max_settle_passes} "
-            "event-loop passes: a task is busy-looping without awaiting "
-            "the simulated clock"
+            "a simulated round never suspends, but this coroutine did"
         )
-
-    def _fire_next(self) -> None:
-        """Advance to the earliest *live* timer and fire it.
-
-        Timers are fired one at a time (settling in between) so that the
-        consequences of each event are fully processed before the next
-        event of the same timestamp runs — the strictest, and therefore
-        most reproducible, discrete-event semantics.
-
-        Dead entries — cancelled :class:`TimerHandle`\\ s and futures
-        whose waiter was cancelled — are dropped **without advancing
-        time**: a deadline that lost its race must leave no trace on the
-        simulated timeline, or round durations would drift toward phase
-        deadlines that never actually expired.
-        """
-        while self._timers:
-            when, _, action = heapq.heappop(self._timers)
-            if isinstance(action, TimerHandle):
-                if action.cancelled():
-                    self._dead_hint = max(0, self._dead_hint - 1)
-                    continue  # Withdrawn deadline; time does not move.
-                action._fired = True
-                self._now = when
-                action._callback()
-                return
-            if action.done():
-                self._dead_hint = max(0, self._dead_hint - 1)
-                continue  # Waiter was cancelled; drop the timer.
-            self._now = when
-            action.set_result(None)
-            return
-
-    async def _cancel_stragglers(self, main_task: asyncio.Future) -> None:
-        """Cancel any tasks the simulation left behind, so the loop
-        closes cleanly even when the run raised mid-protocol."""
-        current = asyncio.current_task()
-        stragglers = [
-            pending
-            for pending in asyncio.all_tasks()
-            if pending is not current and not pending.done()
-        ]
-        for pending in stragglers:
-            pending.cancel()
-        if stragglers:
-            await asyncio.gather(*stragglers, return_exceptions=True)
-        if main_task.done() and not main_task.cancelled():
-            main_task.exception()  # Mark retrieved; avoid warnings.

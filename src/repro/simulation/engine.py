@@ -10,7 +10,7 @@ exists for.  Each training round it
    whose integer step is the calibrated SMM's own — Algorithm 5's clip,
    then the Skellam mixture — the same encoder its ``estimate_sum``
    runs),
-3. drives the encoded vectors through a dropout-tolerant asynchronous
+3. drives the encoded vectors through a dropout-tolerant
    Bonawitz round (:class:`~repro.simulation.rounds.AsyncSecAggRound`)
    on the deterministic simulated clock — crashes and stragglers
    shrink the cohort, Shamir reconstruction cleans up after them,
@@ -41,7 +41,7 @@ and visibly exceeds it under dropout, per round, in the
 :class:`RoundRecord` stream.
 
 Determinism: all randomness flows from ``config.seed`` through the
-population's spawn-keyed streams, and all concurrency runs on the
+population's spawn-keyed streams, and all waiting is scheduled on the
 simulated clock, so a run is bit-reproducible — asserted via
 :attr:`SimulationResult.parameters_digest`.
 """

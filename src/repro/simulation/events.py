@@ -1,34 +1,9 @@
-"""Clock-aware event primitives and the simulation trace.
+"""The simulation trace: an append-only log of timestamped events.
 
-Tasks in the simulation communicate exclusively through these
-primitives, which suspend on :class:`~repro.simulation.clock.SimulatedClock`
-timers and futures — never on wall time.  That discipline is what makes
-a whole run replayable bit-for-bit from a seed.
-
-* :class:`Mailbox` — a deterministic FIFO channel.  ``put`` is
-  synchronous (messages are "on the wire" instantly; transmission delay
-  is modelled by the *sender* sleeping first), ``get`` suspends until a
-  message arrives, and ``get_before`` additionally gives up at a
-  simulated-time deadline — the primitive from which phase timeouts and
-  straggler cutoffs are built.
-* :class:`SimulationTrace` — an append-only log of timestamped events
-  (arrivals, dropouts, ignored stragglers), the observability surface
-  tests and the CLI report against.
-
-Clock-timer cancellation contract
----------------------------------
-
-:meth:`SimulatedClock.call_at <repro.simulation.clock.SimulatedClock.call_at>`
-returns a :class:`~repro.simulation.clock.TimerHandle`.  Any primitive
-that races a deadline against another wake-up source (here:
-``get_before`` racing the deadline against message arrival) **must**
-call ``handle.cancel()`` the moment the other source wins.  The clock
-guarantees the other half of the contract: a cancelled timer never
-fires, never advances simulated time, is excluded from
-``pending_timers``, and is reaped from the heap lazily — so after a
-round whose phases all completed early, ``clock.pending_timers == 0``
-and no stale deadline distorts round durations or accumulates across
-rounds.
+:class:`SimulationTrace` records what happened and when on the
+simulated clock — arrivals, dropouts, ignored stragglers, phase
+timeouts — and is the observability surface tests and the CLI report
+against.
 """
 
 from __future__ import annotations
@@ -38,73 +13,7 @@ from collections import deque
 from collections.abc import Mapping
 from typing import Any
 
-import asyncio
-
 from repro.simulation.clock import SimulatedClock
-
-#: Sentinel returned by :meth:`Mailbox.get_before` on deadline expiry.
-_DEADLINE = object()
-
-
-class Mailbox:
-    """A deterministic FIFO message channel on the simulated clock.
-
-    Args:
-        clock: The clock deadlines are measured against.
-    """
-
-    def __init__(self, clock: SimulatedClock) -> None:
-        self._clock = clock
-        self._items: deque[Any] = deque()
-        self._getters: deque[asyncio.Future] = deque()
-
-    def put(self, item: Any) -> None:
-        """Deliver ``item``; wakes the oldest pending getter, if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.done():
-                getter.set_result(item)
-                return
-        self._items.append(item)
-
-    async def get(self) -> Any:
-        """Receive the next message, waiting as long as it takes."""
-        if self._items:
-            return self._items.popleft()
-        getter = asyncio.get_running_loop().create_future()
-        self._getters.append(getter)
-        return await getter
-
-    async def get_before(self, deadline: float) -> Any | None:
-        """Receive the next message, or ``None`` at ``deadline``.
-
-        A message arriving at exactly the deadline wins or loses by
-        timer registration order — deterministic either way.  Whichever
-        side loses the race is withdrawn: a real arrival cancels the
-        deadline timer (see the module docstring's cancellation
-        contract), so repeated ``get_before`` calls against one deadline
-        leave no stale timers behind.
-        """
-        if self._items:
-            return self._items.popleft()
-        getter = asyncio.get_running_loop().create_future()
-        self._getters.append(getter)
-
-        def expire() -> None:
-            if not getter.done():
-                getter.set_result(_DEADLINE)
-
-        handle = self._clock.call_at(deadline, expire)
-        try:
-            item = await getter
-        finally:
-            # No-op if the deadline itself fired; withdraws the timer
-            # when a message won the race or the waiter was cancelled.
-            handle.cancel()
-        return None if item is _DEADLINE else item
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,15 +1,21 @@
-"""Async dropout-tolerant SecAgg rounds: the mailbox caller of the driver.
+"""Dropout-tolerant SecAgg rounds on a phase schedule: the simulator's
+caller of the driver.
 
 :func:`repro.secagg.bonawitz.run_bonawitz` runs the sans-I/O protocol
 sessions (:mod:`repro.secagg.statemachine`) synchronously: every phase
 is a barrier, dropouts are a static schedule, and time does not exist.
 This module is the second of the three callers of the one
-:class:`~repro.secagg.statemachine.RoundDriver`: every client is an
-asyncio task that sleeps its upload latency on the simulated clock
-before posting its wire frames into the server's mailbox, and the server
-offers each datagram to the driver until either everyone expected has
+:class:`~repro.secagg.statemachine.RoundDriver`, and adds time: each
+client answers a phase its :class:`~repro.simulation.population.ClientPlan`
+latency after the phase opened, and the server offers each datagram to
+the driver in arrival order until either everyone expected has
 responded or the phase deadline passes — whichever comes first — and
 then has it close the phase.
+
+Which uploads make a phase is a pure function of the plans and the
+timeout, so the round is one loop over the four phases with one heap of
+datagrams in flight, ordered by ``(arrival time, push order)`` — no
+event loop, no tasks, no timers.
 
 The protocol logic itself — message encoding, negotiation, phase
 bookkeeping, thresholds, crypto — lives entirely in the shared core, and
@@ -29,9 +35,9 @@ consequences are exactly the ones the protocol was designed for:
 * a message arriving after its phase closed is logged and ignored
   (the straggler is treated as a dropout for the round);
 * a client proposing an unknown protocol version or mask-PRG backend is
-  refused at Hello with a typed :class:`~repro.secagg.wire.Reject` — its
-  task parks a :class:`~repro.errors.NegotiationError` and exits cleanly
-  while the rest of the round proceeds.
+  refused at Hello with a typed :class:`~repro.secagg.wire.Reject` — it
+  keeps a :class:`~repro.errors.NegotiationError` on its session and
+  goes silent while the rest of the round proceeds.
 
 Late in the round the server broadcasts an
 :class:`~repro.secagg.wire.UnmaskRequest`; the ``tamper_unmask_request``
@@ -50,9 +56,9 @@ runs stay bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 from collections.abc import Callable, Mapping
-
-import asyncio
 
 import numpy as np
 
@@ -77,16 +83,13 @@ from repro.secagg.statemachine import (
 from repro.secagg.wire import PROTOCOL_V1, WireStats
 from repro.simulation.clock import SimulatedClock
 from repro.telemetry.registry import MetricsRegistry
-from repro.simulation.events import Mailbox, SimulationTrace
+from repro.simulation.events import SimulationTrace
 from repro.simulation.population import ClientPlan
-
-#: Server -> client sentinel: "you are no longer part of this round".
-_EXCLUDED = object()
 
 
 @dataclasses.dataclass(frozen=True)
 class RoundOutcome:
-    """Result of one asynchronous secure-aggregation round.
+    """Result of one simulated secure-aggregation round.
 
     Attributes:
         modular_sum: ``Σ_{u ∈ included} x_u mod m``.
@@ -117,14 +120,14 @@ class RoundOutcome:
 
 
 class AsyncSecAggRound:
-    """One event-driven Bonawitz round over a cohort with behaviour plans.
+    """One Bonawitz round over a cohort with behaviour plans.
 
     Args:
         vectors: Private input per cohort member (1-based index ->
             length-``d`` integer vector over ``Z_m``).
         modulus: Aggregation modulus ``m``.
         threshold: Shamir reconstruction threshold ``t``.
-        clock: The simulated clock all waiting happens on.
+        clock: The simulated clock the round advances, phase by phase.
         rng: Round-scoped randomness; per-client protocol generators are
             spawned from it in sorted index order (mirroring
             ``run_bonawitz``).
@@ -225,11 +228,6 @@ class AsyncSecAggRound:
             u: np.random.default_rng(int(rng.integers(0, 2**63)))
             for u in self._cohort
         }
-        self._inbox = Mailbox(clock)
-        self._boxes = {u: Mailbox(clock) for u in self._cohort}
-        # Live client sessions, registered as their tasks spawn so the
-        # server can batch-warm the pairwise DH agreements.
-        self._live_clients: dict[int, ClientSession] = {}
         self._metrics = metrics
         self._driver: RoundDriver | None = None
 
@@ -257,45 +255,44 @@ class AsyncSecAggRound:
     async def run(self) -> RoundOutcome:
         """Execute the round; returns the outcome or raises on failure.
 
+        A coroutine only so that it runs under :meth:`SimulatedClock.run
+        <repro.simulation.clock.SimulatedClock.run>`; it never suspends.
+
         Raises:
             AggregationError: If any phase falls below the threshold, or
-                a client refused a (tampered) unmask request.
+                a client refused a (tampered) unmask request.  A client's
+                error is preferred as the root cause (the overlap-refusal
+                rule): the first in index order is raised, chained from
+                the server's threshold failure if there is one.
         """
-        started_at = self._clock.now
-        tasks = {
-            u: asyncio.ensure_future(self._client_task(u))
-            for u in self._cohort
-        }
+        client_errors: dict[int, AggregationError] = {}
         server_error: AggregationError | None = None
         try:
-            outcome = await self._server_task(started_at)
+            outcome = self._serve(client_errors)
         except AggregationError as error:
             server_error = error
-        finally:
-            for task in tasks.values():
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(*tasks.values(), return_exceptions=True)
+        if client_errors:
+            raise client_errors[min(client_errors)] from server_error
         if server_error is not None:
-            # Prefer a client-side protocol rejection as the root cause
-            # (e.g. the overlap-refusal rule): the server's threshold
-            # failure is its downstream symptom.  Checked *after* the
-            # teardown gather so a refusal that completes only once the
-            # cancellation sweep lets the task run (it was already past
-            # its last await) is still surfaced.
-            for u in self._cohort:
-                task = tasks[u]
-                if task.done() and not task.cancelled() and task.exception():
-                    raise task.exception() from server_error
             raise server_error
-        # Surface client failures even when the server recovered a sum.
-        for u in self._cohort:
-            task = tasks[u]
-            if task.done() and not task.cancelled() and task.exception():
-                raise task.exception()
         return outcome
 
-    async def _server_task(self, started_at: float) -> RoundOutcome:
+    def _serve(
+        self, client_errors: dict[int, AggregationError]
+    ) -> RoundOutcome:
+        """Run the four phases in order.
+
+        A phase opens at ``now``: each recipient answers in index order,
+        and its upload goes in flight until ``now`` plus its latency.
+        The server offers the datagrams in ``(arrival, push order)``
+        order — same-instant arrivals in the order they were sent —
+        until nobody is left to wait on or the next one would land after
+        the deadline.  An upload landing exactly at the deadline is on
+        time.  A late one stays in flight and reaches a later phase's
+        offer, which ignores it; whatever is still in flight when the
+        round ends is dropped.
+        """
+        started_at = self._clock.now
         session = ServerSession(
             self._modulus,
             self._dimension,
@@ -317,6 +314,10 @@ class AsyncSecAggRound:
             now=lambda: clock.now,
             record=trace.record if trace is not None else None,
         )
+        in_flight: list[tuple[float, int, int, bytes]] = []
+        pushes = itertools.count()
+        # Phase 0 goes to the whole cohort, which opens with start().
+        inputs: Mapping[int, bytes | None] = dict.fromkeys(self._cohort)
         for phase in (
             ROUND_ADVERTISE,
             ROUND_SHARE_KEYS,
@@ -330,28 +331,38 @@ class AsyncSecAggRound:
                 raise ChaosKillError(
                     f"chaos: server killed before the {tag} phase committed"
                 )
+            if phase == ROUND_ADVERTISE:
+                # Built after the kill check: a server killed before
+                # advertise meters no client series.
+                clients = {u: self._client_session(u) for u in self._cohort}
             pool = set(driver.waiting)
-            # The phase is over at the earlier of "nobody left to wait
-            # on" and the simulated deadline; stragglers' late messages
-            # reach a later phase's offer() and are ignored there.
-            deadline = self._clock.now + self._phase_timeout
+            opened_at = clock.now
+            for u in sorted(inputs):
+                upload = self._respond(
+                    clients[u], phase, inputs[u], client_errors
+                )
+                if upload is not None:
+                    latency = self._plan(u).latencies[phase]
+                    heapq.heappush(
+                        in_flight,
+                        (opened_at + latency, next(pushes), u, upload),
+                    )
+            deadline = opened_at + self._phase_timeout
             while driver.waiting:
-                item = await self._inbox.get_before(deadline)
-                if item is None:
+                if not in_flight or in_flight[0][0] > deadline:
+                    clock.advance_to(deadline)
                     driver.timeout()
                     break
-                driver.offer(*item)
+                arrival, _, sender, data = heapq.heappop(in_flight)
+                clock.advance_to(arrival)
+                driver.offer(sender, data)
             deliveries = driver.close()
             if phase == ROUND_ADVERTISE:
                 # Pre-derive the accepted roster's pairwise DH keys
                 # in one vectorised sweep (pure memoisation warm-up;
                 # the rejected clients' keys would never be used).
                 warm_pairwise_agreements(
-                    [
-                        self._live_clients[u].crypto
-                        for u in sorted(session.expected)
-                        if u in self._live_clients
-                    ]
+                    [clients[u].crypto for u in sorted(session.expected)]
                 )
                 for client, reason in session.rejections.items():
                     self._record(
@@ -360,9 +371,10 @@ class AsyncSecAggRound:
             if session.tampered and phase == ROUND_MASKED_INPUT:
                 self._record("unmask-request-tampered")
             if phase != ROUND_UNMASK:
-                self._broadcast(deliveries, among=pool)
-        modular_sum = session.modular_sum
-        completed_at = self._clock.now
+                # Pool members the server addresses nothing to are done.
+                for u in sorted(pool.difference(deliveries)):
+                    self._record("client-excluded", client=u)
+            inputs = deliveries
         included = session.included
         self._record(
             "round-complete",
@@ -372,30 +384,16 @@ class AsyncSecAggRound:
             wire_bytes=session.stats.total_bytes,
         )
         return RoundOutcome(
-            modular_sum=modular_sum,
+            modular_sum=session.modular_sum,
             included=included,
             dropped=frozenset(self._cohort) - included,
             started_at=started_at,
-            completed_at=completed_at,
+            completed_at=clock.now,
             wire=session.stats,
         )
 
-    def _broadcast(
-        self, deliveries: dict[int, bytes], among: set[int]
-    ) -> None:
-        """Send each recipient its datagram; pool members with nothing
-        addressed to them get the shutdown sentinel so their tasks
-        terminate instead of hanging."""
-        for u in sorted(among | set(deliveries)):
-            if u in deliveries:
-                self._boxes[u].put(deliveries[u])
-            else:
-                self._boxes[u].put(_EXCLUDED)
-                self._record("client-excluded", client=u)
-
-    async def _client_task(self, index: int) -> None:
-        plan = self._plan(index)
-        session = ClientSession(
+    def _client_session(self, index: int) -> ClientSession:
+        return ClientSession(
             index=index,
             vector=self._vectors[index],
             modulus=self._modulus,
@@ -407,30 +405,36 @@ class AsyncSecAggRound:
             version=self._client_versions.get(index, PROTOCOL_V1),
             metrics=self._metrics,
         )
-        self._live_clients[index] = session
-        # Phase 0 — propose the header and advertise both public keys.
-        if not plan.responds_at(ROUND_ADVERTISE):
-            self._record("client-dropped", client=index, phase=ROUND_ADVERTISE)
-            return
-        await self._clock.sleep(plan.latencies[ROUND_ADVERTISE])
-        self._inbox.put((index, b"".join(session.start())))
-        # Phases 1-3 — receive the server's datagram, respond in kind.
-        for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-            data = await self._boxes[index].get()
-            if data is _EXCLUDED:
-                return
-            if not plan.responds_at(phase):
-                self._record("client-dropped", client=index, phase=phase)
-                return
-            responses = session.handle(data)
-            if session.rejected is not None:
-                # Typed negotiation failure: the task ends cleanly; the
-                # error stays inspectable on the session.
-                self._record(
-                    "client-rejected-ack",
-                    client=index,
-                    reason=str(session.rejected),
-                )
-                return
-            await self._clock.sleep(plan.latencies[phase])
-            self._inbox.put((index, b"".join(responses)))
+
+    def _respond(
+        self,
+        session: ClientSession,
+        phase: int,
+        data: bytes | None,
+        errors: dict[int, AggregationError],
+    ) -> bytes | None:
+        """One client's answer to the phase's datagram (``None`` opens
+        the round), or ``None`` if it stays silent: its plan drops it
+        here, it was refused at Hello, or it refused the datagram
+        (kept in ``errors``)."""
+        index = session.index
+        if not self._plan(index).responds_at(phase):
+            self._record("client-dropped", client=index, phase=phase)
+            return None
+        try:
+            responses = (
+                session.start() if data is None else session.handle(data)
+            )
+        except AggregationError as error:
+            errors[index] = error
+            return None
+        if session.rejected is not None:
+            # Typed negotiation failure: the client goes silent; the
+            # error stays inspectable on the session.
+            self._record(
+                "client-rejected-ack",
+                client=index,
+                reason=str(session.rejected),
+            )
+            return None
+        return b"".join(responses)

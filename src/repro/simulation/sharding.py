@@ -176,8 +176,6 @@ class ShardReport:
             abort) — the round completes at the max across shards.
         events: The shard's trace events (its private clock shares the
             parent's epoch, so times merge directly).
-        pending_timers: Shard-clock leak counter at exit; zero when the
-            timer-cancellation contract held.
         metrics: Snapshot of the shard's private metrics registry when
             the task asked for one (``collect_metrics``), else ``None``.
             Frozen tuples all the way down, so it pickles across the
@@ -199,7 +197,6 @@ class ShardReport:
     error: str | None
     ended_at: float
     events: tuple[TraceEvent, ...]
-    pending_timers: int
     metrics: MetricsSnapshot | None = None
     abort_phase: int | None = None
     survivors: tuple[int, ...] = ()
@@ -249,7 +246,6 @@ def run_shard(task: ShardTask) -> ShardReport:
         error=error,
         ended_at=clock.now,
         events=tuple(trace.events),
-        pending_timers=clock.pending_timers,
         metrics=registry.snapshot() if registry is not None else None,
         abort_phase=sub_round.abort_phase if error is not None else None,
         survivors=tuple(sorted(sub_round.survivors_at_abort))

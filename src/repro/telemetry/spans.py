@@ -71,8 +71,8 @@ def time_phase(
     (when a clock was given) and the wall duration into
     ``wall_histogram``.  Either histogram may be ``None`` — the span is
     still yielded for callers that only want the timing object.  Safe
-    around ``await`` on the simulated clock: wall time then measures
-    the real compute spent while simulated time advanced.
+    around a block that advances the simulated clock: wall time then
+    measures the real compute spent while simulated time advanced.
     """
     span = Span(
         name=name,

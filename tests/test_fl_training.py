@@ -164,39 +164,3 @@ class TestSchedulesAndDropout:
         trainer = FederatedTrainer(model, None, train, test, config)
         history = trainer.run(np.random.default_rng(2))
         assert history.final_accuracy > before + 0.15
-
-    def test_invalid_dropout_rate_rejected(self):
-        with pytest.raises(ConfigurationError, match="dropout_rate"):
-            TrainingConfig(rounds=10, expected_batch=5, dropout_rate=1.0)
-
-    def test_dropout_training_still_learns(self, tiny_task):
-        """20% client dropout shrinks batches but training converges —
-        the robustness property SecAgg dropout-recovery provides."""
-        train, test = tiny_task
-        model = _model(2)
-        before = model.accuracy(test.features, test.labels)
-        config = TrainingConfig(
-            rounds=100,
-            expected_batch=40,
-            learning_rate=0.02,
-            dropout_rate=0.2,
-        )
-        trainer = FederatedTrainer(model, None, train, test, config)
-        history = trainer.run(np.random.default_rng(3))
-        assert history.final_accuracy > before + 0.15
-
-    def test_dropout_with_private_mechanism(self, tiny_task):
-        train, test = tiny_task
-        model = _model(13)
-        config = TrainingConfig(
-            rounds=5,
-            expected_batch=30,
-            budget=PrivacyBudget(epsilon=5.0),
-            dropout_rate=0.3,
-        )
-        mechanism = SkellamMixtureMechanism(
-            CompressionConfig(modulus=2**10, gamma=32.0)
-        )
-        trainer = FederatedTrainer(model, mechanism, train, test, config)
-        history = trainer.run(np.random.default_rng(7))
-        assert 0.0 <= history.final_accuracy <= 1.0

@@ -7,8 +7,9 @@ and ``charset_normalizer``) costs about 0.3 s and 17 MiB after numpy,
 and building the 1024-bit Oakley group runs a Miller-Rabin test.  The
 first test imports the entry points in a fresh interpreter and checks
 that neither happened; the runtime probes run one round of each SecAgg
-driver in a fresh interpreter and check that scipy still is not loaded,
-while the calibration probe records where it is: the Skellam pmf and the
+driver in a fresh interpreter and check that scipy still is not loaded
+(nor, for the two simulated ones, asyncio: they never suspend), while
+the calibration probe records where it is: the Skellam pmf and the
 subsampled RDP sum.  The last test checks that the ``group=None``
 defaults still mean Oakley-2.
 """
@@ -94,6 +95,7 @@ outcome = clock.run(AsyncSecAggRound(
     plans={3: ClientPlan(drop_phase=ROUND_MASKED_INPUT)},
 ).run())
 assert outcome.included == {1, 2, 4, 5, 6}
+assert "asyncio" not in sys.modules
 """,
     "hierarchical_secagg": """
 from repro.simulation import HierarchicalSecAggRound, SimulatedClock
@@ -104,6 +106,7 @@ outcome = HierarchicalSecAggRound(
     topology="2x2", threshold_fraction=0.6, composer="secagg",
 ).execute()
 assert outcome.composer == "secagg" and len(outcome.included) == 16
+assert "asyncio" not in sys.modules
 """,
     "server_and_swarm": """
 import asyncio

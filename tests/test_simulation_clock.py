@@ -1,303 +1,35 @@
-"""Tests for the deterministic simulated clock and event primitives."""
-
-import asyncio
+"""Tests for the simulated clock and the simulation trace."""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.simulation import Mailbox, SimulatedClock, SimulationTrace
+from repro.errors import SimulationError
+from repro.simulation import SimulatedClock, SimulationTrace
 
 
 class TestSimulatedClock:
-    def test_run_returns_value(self):
+    def test_advance_to_never_rewinds(self):
+        clock = SimulatedClock(start=2.0)
+        clock.advance_to(5.0)
+        assert clock.now == 5.0
+        clock.advance_to(3.0)
+        assert clock.now == 5.0
+
+    def test_run_returns_the_value_and_refuses_a_suspending_coroutine(self):
         clock = SimulatedClock()
 
-        async def main():
+        async def finishes():
             return 42
 
-        assert clock.run(main()) == 42
-
-    def test_sleep_advances_simulated_time(self):
-        clock = SimulatedClock()
-
-        async def main():
-            await clock.sleep(2.5)
-            first = clock.now
-            await clock.sleep(1.5)
-            return first, clock.now
-
-        assert clock.run(main()) == (2.5, 4.0)
-
-    def test_no_wall_time_consumed(self):
-        import time
-
-        clock = SimulatedClock()
-
-        async def main():
-            await clock.sleep(3_600.0)
-
-        started = time.perf_counter()
-        clock.run(main())
-        assert time.perf_counter() - started < 1.0
-        assert clock.now == 3_600.0
-
-    def test_timers_fire_in_time_order(self):
-        clock = SimulatedClock()
-        order = []
-
-        async def sleeper(delay, label):
-            await clock.sleep(delay)
-            order.append((label, clock.now))
-
-        async def main():
-            await asyncio.gather(
-                sleeper(3.0, "c"), sleeper(1.0, "a"), sleeper(2.0, "b")
-            )
-
-        clock.run(main())
-        assert order == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
-
-    def test_equal_times_fire_in_registration_order(self):
-        clock = SimulatedClock()
-        order = []
-
-        async def sleeper(label):
-            await clock.sleep(1.0)
-            order.append(label)
-
-        async def main():
-            # gather starts tasks in argument order, so registration
-            # order is deterministic.
-            await asyncio.gather(*(sleeper(i) for i in range(5)))
-
-        clock.run(main())
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_time_persists_across_runs(self):
-        clock = SimulatedClock()
-
-        async def step():
-            await clock.sleep(1.0)
-            return clock.now
-
-        assert clock.run(step()) == 1.0
-        assert clock.run(step()) == 2.0
-
-    def test_negative_delay_rejected(self):
-        clock = SimulatedClock()
-
-        async def main():
-            await clock.sleep(-1.0)
-
-        with pytest.raises(ConfigurationError):
-            clock.run(main())
-
-    def test_deadlock_detected(self):
-        clock = SimulatedClock()
-
-        async def main():
-            # Wait on a future nobody will ever resolve.
-            await asyncio.get_running_loop().create_future()
-
-        with pytest.raises(SimulationError, match="deadlock"):
-            clock.run(main())
-
-    def test_busy_loop_detected(self):
-        clock = SimulatedClock(max_settle_passes=50)
-
-        async def main():
-            while True:  # Never touches the clock.
-                await asyncio.sleep(0)
-
-        with pytest.raises(SimulationError, match="busy-looping"):
-            clock.run(main())
-
-    def test_run_not_reentrant(self):
-        clock = SimulatedClock()
-
-        async def inner():
-            return 0
-
-        async def outer():
-            return clock.run(inner())
-
-        with pytest.raises(SimulationError, match="not reentrant"):
-            clock.run(outer())
-
-    def test_exceptions_propagate(self):
-        clock = SimulatedClock()
-
-        async def main():
-            await clock.sleep(1.0)
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError, match="boom"):
-            clock.run(main())
-
-    def test_call_at_in_past_clamped_to_now(self):
-        clock = SimulatedClock(start=10.0)
-        fired = []
-
-        async def main():
-            clock.call_at(5.0, lambda: fired.append(clock.now))
-            await clock.sleep(1.0)
-
-        clock.run(main())
-        assert fired == [10.0]
-
-
-class TestTimerCancellation:
-    def test_cancelled_timer_never_fires_nor_advances_time(self):
-        clock = SimulatedClock()
-        fired = []
-
-        async def main():
-            handle = clock.call_at(100.0, lambda: fired.append("deadline"))
-            handle.cancel()
-            await clock.sleep(1.0)
-            return clock.now
-
-        # Time ends at the sleep's due time, not the stale deadline.
-        assert clock.run(main()) == 1.0
-        assert fired == []
-        assert clock.pending_timers == 0
-
-    def test_cancel_is_idempotent_and_noop_after_firing(self):
-        clock = SimulatedClock()
-        fired = []
-
-        async def main():
-            handle = clock.call_at(1.0, lambda: fired.append(clock.now))
-            await clock.sleep(2.0)
-            assert not handle.cancelled()  # It fired; cancel is a no-op.
-            handle.cancel()
-            handle.cancel()
-
-        clock.run(main())
-        assert fired == [1.0]
-        assert clock.pending_timers == 0
-
-    def test_pending_timers_excludes_cancelled(self):
-        clock = SimulatedClock()
-        handles = [clock.call_at(5.0, lambda: None) for _ in range(4)]
-        assert clock.pending_timers == 4
-        handles[0].cancel()
-        handles[2].cancel()
-        assert clock.pending_timers == 2
-
-    def test_mass_cancellation_compacts_the_heap(self):
-        clock = SimulatedClock()
-        handles = [clock.call_at(5.0, lambda: None) for _ in range(64)]
-        for handle in handles:
-            handle.cancel()
-        assert clock.pending_timers == 0
-        # Lazy deletion reaped the dominating stale entries eagerly.
-        assert len(clock._timers) == 0
-
-    def test_mass_task_cancellation_keeps_pending_timers_exact(self):
-        """Regression: compaction racing the late accounting of
-        cancelled sleep futures (dead at Task.cancel(), noted only when
-        the waiter resumes) must never skew pending_timers — it is
-        derived from the heap, so it ends at exactly zero, never
-        negative."""
-        clock = SimulatedClock()
-
-        async def sleeper():
-            await clock.sleep(1000.0)
-
-        async def main():
-            tasks = [asyncio.ensure_future(sleeper()) for _ in range(40)]
-            await clock.sleep(1.0)
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-        clock.run(main())
-        assert clock.pending_timers == 0
-
-
-class TestMailbox:
-    def test_fifo_order(self):
-        clock = SimulatedClock()
-        box = Mailbox(clock)
-
-        async def main():
-            box.put("a")
-            box.put("b")
-            return [await box.get(), await box.get()]
-
-        assert clock.run(main()) == ["a", "b"]
-
-    def test_get_waits_for_put(self):
-        clock = SimulatedClock()
-        box = Mailbox(clock)
-
-        async def producer():
-            await clock.sleep(2.0)
-            box.put("late")
-
-        async def main():
-            task = asyncio.ensure_future(producer())
-            item = await box.get()
-            await task
-            return item, clock.now
-
-        assert clock.run(main()) == ("late", 2.0)
-
-    def test_get_before_times_out(self):
-        clock = SimulatedClock()
-        box = Mailbox(clock)
-
-        async def main():
-            return await box.get_before(clock.now + 5.0), clock.now
-
-        assert clock.run(main()) == (None, 5.0)
-
-    def test_get_before_returns_early_arrival(self):
-        clock = SimulatedClock()
-        box = Mailbox(clock)
-
-        async def producer():
-            await clock.sleep(1.0)
-            box.put("x")
-
-        async def main():
-            task = asyncio.ensure_future(producer())
-            item = await box.get_before(clock.now + 5.0)
-            await task
-            return item, clock.now
-
-        assert clock.run(main()) == ("x", 1.0)
-
-    def test_won_race_cancels_the_deadline_timer(self):
-        """Regression: get_before used to leave its deadline callback
-        on the heap after the message won, so stale timers accumulated
-        (~2 per exchange) and later advances walked time through them."""
-        clock = SimulatedClock()
-        box = Mailbox(clock)
-
-        async def producer(count):
-            for _ in range(count):
-                await clock.sleep(1.0)
-                box.put("x")
-
-        async def main():
-            task = asyncio.ensure_future(producer(5))
-            deadline = clock.now + 100.0
-            for _ in range(5):
-                assert await box.get_before(deadline) == "x"
-            await task
-            return clock.now
-
-        assert clock.run(main()) == 5.0
-        assert clock.pending_timers == 0
-
-    def test_len_counts_undelivered(self):
-        clock = SimulatedClock()
-        box = Mailbox(clock)
-        box.put(1)
-        box.put(2)
-        assert len(box) == 2
+        class Suspend:
+            def __await__(self):
+                yield
+
+        async def suspends():
+            await Suspend()
+
+        assert clock.run(finishes()) == 42
+        with pytest.raises(SimulationError, match="never suspends"):
+            clock.run(suspends())
 
 
 class TestSimulationTrace:
@@ -305,13 +37,10 @@ class TestSimulationTrace:
         clock = SimulatedClock()
         trace = SimulationTrace(clock)
 
-        async def main():
-            trace.record("start", round=1)
-            await clock.sleep(3.0)
-            trace.record("finish", round=1)
-            trace.record("start", round=2)
-
-        clock.run(main())
+        trace.record("start", round=1)
+        clock.advance_to(3.0)
+        trace.record("finish", round=1)
+        trace.record("start", round=2)
         assert trace.count("start") == 2
         assert trace.count("finish") == 1
         finish = trace.of_kind("finish")[0]

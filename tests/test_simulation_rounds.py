@@ -9,6 +9,8 @@ malicious same-peer-as-survivor-and-dropout request that clients are
 required to refuse.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,15 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     UnmaskRequest,
 )
+from repro.secagg.statemachine import ClientSession
+from repro.secagg.wire import SealedUpload, decode_message, encode_message
 from repro.simulation import (
     AsyncSecAggRound,
     ClientPlan,
     SimulatedClock,
     SimulationTrace,
 )
+from repro.telemetry import MetricsRegistry
 
 MODULUS = 2**12
 DIMENSION = 16
@@ -84,12 +89,10 @@ class TestAllOnline:
         # Four phases, each gated on the slowest (0.5s) client.
         assert outcome.duration == pytest.approx(2.0)
 
-    def test_early_round_leaves_no_stale_timers_and_exact_duration(self):
-        """Regression for the stale-deadline leak: a round whose phases
-        all complete well before the phase deadlines must (a) report
-        the exact message-driven duration — not drift toward the
-        deadlines — and (b) leave zero pending timers on the clock, so
-        nothing accumulates across a multi-round simulation."""
+    def test_early_round_has_the_exact_message_driven_duration(self):
+        """A round whose phases all complete well before the phase
+        deadlines reports the exact message-driven duration — it does
+        not drift toward the deadlines."""
         vectors = make_vectors(8)
         plans = {
             u: ClientPlan(latencies=(0.25, 0.25, 0.25, 0.25))
@@ -108,11 +111,10 @@ class TestAllOnline:
         outcome = clock.run(secagg_round.run())
         assert outcome.duration == 1.0  # 4 phases x 0.25s, exactly.
         assert clock.now == outcome.completed_at
-        assert clock.pending_timers == 0
 
-    def test_cancelled_straggler_leaves_no_pending_timers(self):
-        """A straggler cancelled mid-sleep at round teardown must not
-        leave its sleep timer counted (or hoarded) on the heap."""
+    def test_straggler_still_in_flight_at_the_end_is_dropped(self):
+        """A masked input still in flight when the round ends neither
+        makes the sum nor holds the round open until it lands."""
         vectors = make_vectors(8)
         plans = {4: ClientPlan(latencies=(0.0, 0.0, 500.0, 0.0))}
         clock = SimulatedClock()
@@ -127,7 +129,7 @@ class TestAllOnline:
         )
         outcome = clock.run(secagg_round.run())
         assert 4 in outcome.dropped
-        assert clock.pending_timers == 0
+        assert outcome.completed_at == 10.0
 
 
 class TestDropoutPerPhase:
@@ -187,6 +189,23 @@ class TestStragglers:
         assert trace.count("phase-timeout") >= 1
         # The late masked input arrived mid-unmask and was ignored.
         assert trace.count("message-ignored") >= 1
+
+    def test_upload_landing_at_the_deadline_is_on_time(self):
+        """The tie rule: an upload landing exactly at the phase deadline
+        makes the phase, whether or not another upload of the phase
+        came first (every advertise lands at the deadline; client 4's
+        masked input lands at it after the others')."""
+        vectors = make_vectors(6)
+        plans = {
+            u: ClientPlan(latencies=(10.0, 0.0, 0.0, 0.0)) for u in vectors
+        }
+        plans[4] = ClientPlan(latencies=(10.0, 0.0, 10.0, 0.0))
+        outcome, trace = run_round(
+            vectors, threshold=4, plans=plans, phase_timeout=10.0, trace=True
+        )
+        assert outcome.included == frozenset(vectors)
+        assert trace.count("phase-timeout") == 0
+        assert outcome.completed_at == 20.0
 
     def test_straggler_within_deadline_is_kept(self):
         vectors = make_vectors(6)
@@ -253,53 +272,11 @@ class TestMaliciousUnmaskRequest:
 
         with pytest.raises(
             AggregationError, match="both survivor and dropout"
-        ):
-            run_round(vectors, threshold=5, plans=plans, tamper=tamper)
-
-    def test_refusal_landing_during_teardown_is_surfaced(self):
-        """Regression: the root-cause scan used to inspect client tasks
-        only *before* the cancellation sweep, so a refusal completing
-        during teardown (its task already past its last await when
-        cancel() arrived) was masked by the server's threshold error."""
-        import asyncio
-
-        refusal = AggregationError(
-            "refusing unmask request: clients [1] named as both survivor "
-            "and dropout"
-        )
-
-        class TeardownRefusalRound(AsyncSecAggRound):
-            async def _server_task(self, started_at):
-                await self._clock.sleep(1.0)
-                raise AggregationError("only 2 unmask responses; threshold")
-
-            async def _client_task(self, index):
-                if index != 3:
-                    return
-                # Swallow the cancellation the teardown sweep delivers
-                # and complete with the protocol rejection instead —
-                # the shape of a refusal racing the server's failure.
-                try:
-                    await self._clock.sleep(30.0)
-                except asyncio.CancelledError:
-                    pass
-                raise refusal
-
-        clock = SimulatedClock()
-        secagg_round = TeardownRefusalRound(
-            vectors=make_vectors(6),
-            modulus=MODULUS,
-            threshold=4,
-            clock=clock,
-            rng=np.random.default_rng(0),
-        )
-        with pytest.raises(
-            AggregationError, match="both survivor and dropout"
         ) as excinfo:
-            clock.run(secagg_round.run())
-        # Chained from the server's own (downstream) threshold error.
+            run_round(vectors, threshold=5, plans=plans, tamper=tamper)
+        # The first refusal, chained from the server's own (downstream)
+        # threshold failure at unmask.
         assert "threshold" in str(excinfo.value.__cause__)
-
 
 class TestDeterminism:
     def test_identical_seeds_replay_identically(self):
@@ -462,3 +439,79 @@ class TestMaskPrgKnob:
                 rng=np.random.default_rng(0),
                 mask_prg=name,
             )
+
+
+class ShortSharer(ClientSession):
+    """Client 9 uploads its share-keys datagram one envelope short, so
+    the server session refuses it and the driver evicts the sender."""
+
+    def handle(self, data):
+        uploads = super().handle(data)
+        if self.index != 9 or not uploads:
+            return uploads
+        header, message = decode_message(uploads[0])
+        if isinstance(message, SealedUpload):
+            short = SealedUpload(self.index, message.ciphertexts[:-1])
+            uploads = [encode_message(short, header)]
+        return uploads
+
+
+class TestRecordedTrace:
+    """A twelve-client round replays the trace, survivor set, finish
+    time and metrics recorded from the asyncio event-loop simulator
+    this phase schedule replaced, exactly."""
+
+    #: SHA-256 of the round's trace, outcome and deterministic metrics.
+    DIGEST = (
+        "13ab12954111fb1b9a8de23ade1dc31a80e9a876ae9322a5a634916b9872c93b"
+    )
+
+    def test_round_replays_the_recorded_trace(self, monkeypatch):
+        import repro.simulation.rounds as rounds_module
+
+        monkeypatch.setattr(rounds_module, "ClientSession", ShortSharer)
+        vectors = make_vectors(12)
+        plans = {
+            u: ClientPlan(
+                latencies=(
+                    0.5 + 0.25 * (u % 3), 1.0 + 0.5 * (u % 4),
+                    0.75 * (u % 2), 8.0,
+                )
+            )
+            for u in vectors
+        }
+        plans[2] = ClientPlan(drop_phase=ROUND_ADVERTISE)
+        # Client 4's masked input lands at 27.5, mid-unmask.
+        plans[4] = ClientPlan(latencies=(0.5, 1.0, 15.0, 0.0))
+        clock = SimulatedClock()
+        trace = SimulationTrace(clock)
+        metrics = MetricsRegistry()
+        outcome = clock.run(
+            AsyncSecAggRound(
+                vectors=vectors, modulus=MODULUS, threshold=7, clock=clock,
+                rng=np.random.default_rng(5), plans=plans, phase_timeout=10.0,
+                trace=trace, client_versions={6: 99}, metrics=metrics,
+            ).run()
+        )
+        kinds = [event.kind for event in trace.events]
+        for kind in (
+            "client-dropped", "message-ignored", "client-rejected-ack",
+            "client-evicted",
+        ):
+            assert kind in kinds
+        assert outcome.included == frozenset({1, 3, 5, 7, 8, 10, 11, 12})
+        assert outcome.completed_at == 30.5
+        record = [
+            [(e.time, e.kind, sorted(e.details.items())) for e in trace.events],
+            sorted(outcome.included),
+            outcome.completed_at,
+            [
+                # Wall-clock histograms keep only their observation count.
+                (s.name, s.labels, s.value, s.count)
+                if "wall" in s.name
+                else (s.name, s.labels, s.value, s.count, s.sum, s.buckets)
+                for s in metrics.snapshot().series
+            ],
+        ]
+        digest = hashlib.sha256(repr(record).encode()).hexdigest()
+        assert digest == self.DIGEST

@@ -312,13 +312,6 @@ class TestTimingAndTraces:
         assert outcome.duration == max(durations) == pytest.approx(4.0)
         assert clock.now == outcome.completed_at
 
-    def test_shard_clocks_leak_no_timers(self):
-        vectors = make_vectors(10)
-        _, sharded, _, _ = run_sharded(vectors, shards=3)
-        assert all(
-            report.pending_timers == 0 for report in sharded.last_reports
-        )
-
     def test_merged_trace_is_shard_annotated_and_time_ordered(self):
         vectors = make_vectors(8)
         _, sharded, _, trace = run_sharded(vectors, shards=2, trace=True)
@@ -347,7 +340,6 @@ class TestTimingAndTraces:
         )
         assert report.outcome is not None and report.error is None
         assert report.outcome.started_at == 5.0
-        assert report.pending_timers == 0
         assert np.array_equal(
             report.outcome.modular_sum, flat_sum(vectors, vectors)
         )
@@ -394,31 +386,6 @@ class TestValidation:
                 topology="2",
                 threshold_fraction=0.0,
             )
-
-    def test_advance_to_refused_while_running(self):
-        from repro.errors import SimulationError
-
-        clock = SimulatedClock()
-
-        async def main():
-            clock.advance_to(10.0)
-
-        with pytest.raises(SimulationError, match="between run"):
-            clock.run(main())
-
-    def test_advance_to_refused_past_a_live_timer(self):
-        """Jumping over a pending timer would rewind `now` when it
-        eventually fired; the clock refuses instead."""
-        from repro.errors import SimulationError
-
-        clock = SimulatedClock()
-        handle = clock.call_at(5.0, lambda: None)
-        with pytest.raises(SimulationError, match="live timer"):
-            clock.advance_to(10.0)
-        # Cancelled timers do not block the jump.
-        handle.cancel()
-        clock.advance_to(10.0)
-        assert clock.now == 10.0
 
     def test_shamir_threshold_shared_rule(self):
         from repro.simulation import shamir_threshold

@@ -310,7 +310,7 @@ class TestSpans:
         with time_phase(
             "advertise", clock=clock, sim_histogram=sim, wall_histogram=wall
         ) as span:
-            clock.run(clock.sleep(2.5))
+            clock.advance_to(2.5)
         assert span.sim_duration == pytest.approx(2.5)
         assert span.wall_duration >= 0.0
         snapshot = registry.snapshot()
