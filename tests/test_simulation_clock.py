@@ -31,6 +31,50 @@ class TestSimulatedClock:
         with pytest.raises(SimulationError, match="never suspends"):
             clock.run(suspends())
 
+    def test_start_sets_the_epoch(self):
+        clock = SimulatedClock(start=7)
+        assert clock.now == 7.0
+        assert isinstance(clock.now, float)
+
+    def test_exceptions_propagate(self):
+        clock = SimulatedClock()
+
+        async def fails():
+            clock.advance_to(3.0)
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            clock.run(fails())
+        assert clock.now == 3.0
+
+    def test_refused_coroutine_is_closed(self):
+        closed = []
+
+        class Suspend:
+            def __await__(self):
+                yield
+
+        async def suspends():
+            try:
+                await Suspend()
+            finally:
+                closed.append(True)
+
+        with pytest.raises(SimulationError):
+            SimulatedClock().run(suspends())
+        assert closed == [True]
+
+    def test_time_persists_across_runs(self):
+        clock = SimulatedClock()
+
+        async def step(to):
+            clock.advance_to(to)
+            return clock.now
+
+        assert clock.run(step(2.5)) == 2.5
+        assert clock.run(step(1.0)) == 2.5
+        assert clock.run(step(4.0)) == 4.0
+
 
 class TestSimulationTrace:
     def test_records_are_timestamped_and_filterable(self):

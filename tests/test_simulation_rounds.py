@@ -515,3 +515,271 @@ class TestRecordedTrace:
         ]
         digest = hashlib.sha256(repr(record).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+def received(trace, phase):
+    """Senders of the phase's accepted uploads, in the order offered."""
+    return [
+        event.details["sender"]
+        for event in trace.of_kind("message-received")
+        if event.details["phase"] == phase
+    ]
+
+
+class TestPhaseSchedule:
+    """How the phase loop orders arrivals and stamps events."""
+
+    def test_arrivals_are_offered_in_time_order(self):
+        vectors = make_vectors(6)
+        # Higher indices answer the advertise phase sooner.
+        plans = {
+            u: ClientPlan(latencies=(1.0 - 0.1 * u, 0.0, 0.0, 0.0))
+            for u in vectors
+        }
+        _, trace = run_round(vectors, threshold=4, plans=plans, trace=True)
+        assert received(trace, "advertise") == [6, 5, 4, 3, 2, 1]
+
+    def test_same_instant_arrivals_are_offered_in_index_order(self):
+        vectors = make_vectors(6)
+        plans = {u: ClientPlan(latencies=(0.5,) * 4) for u in vectors}
+        _, trace = run_round(vectors, threshold=4, plans=plans, trace=True)
+        for phase in ("advertise", "share-keys", "masked-input", "unmask"):
+            assert received(trace, phase) == sorted(vectors)
+
+    def test_trace_time_never_decreases(self):
+        vectors = make_vectors(8)
+        plans = {
+            u: ClientPlan(latencies=(0.1 * u, 2.0 - 0.2 * u, 0.3, 0.5 * u))
+            for u in vectors
+        }
+        plans[3] = ClientPlan(latencies=(0.0, 0.0, 7.0, 0.0))
+        _, trace = run_round(
+            vectors, threshold=5, plans=plans, phase_timeout=5.0, trace=True
+        )
+        times = [event.time for event in trace.events]
+        assert times == sorted(times)
+        assert trace.count("message-ignored") == 1
+
+    def test_upload_just_past_the_deadline_is_late(self):
+        vectors = make_vectors(6)
+        plans = {4: ClientPlan(latencies=(0.0, 0.0, 10.0 + 1e-9, 0.0))}
+        outcome, trace = run_round(
+            vectors, threshold=4, plans=plans, phase_timeout=10.0, trace=True
+        )
+        assert outcome.included == frozenset(vectors) - {4}
+        [timeout] = trace.of_kind("phase-timeout")
+        assert timeout.details == {"phase": "masked-input", "missing": [4]}
+        assert timeout.time == 10.0
+
+    def test_late_upload_is_ignored_by_the_phase_it_lands_in(self):
+        vectors = make_vectors(6)
+        plans = {
+            u: ClientPlan(latencies=(0.0, 0.0, 0.0, 6.0)) for u in vectors
+        }
+        plans[4] = ClientPlan(latencies=(0.0, 0.0, 12.0, 0.0))
+        outcome, trace = run_round(
+            vectors, threshold=4, plans=plans, phase_timeout=10.0, trace=True
+        )
+        [ignored] = trace.of_kind("message-ignored")
+        assert ignored.details == {"sender": 4, "during": "unmask"}
+        # Masked input closes at its deadline (10), so 4 lands at 12.
+        assert ignored.time == 12.0
+        assert outcome.completed_at == 16.0
+
+    def test_dropout_is_recorded_when_its_phase_opens(self):
+        vectors = make_vectors(6)
+        plans = {u: ClientPlan(latencies=(1.0,) * 4) for u in vectors}
+        plans[5] = ClientPlan(
+            drop_phase=ROUND_MASKED_INPUT, latencies=(1.0,) * 4
+        )
+        _, trace = run_round(
+            vectors, threshold=4, plans=plans, phase_timeout=3.0, trace=True
+        )
+        [dropped] = trace.of_kind("client-dropped")
+        assert dropped.details == {"client": 5, "phase": ROUND_MASKED_INPUT}
+        assert dropped.time == 2.0
+        [timeout] = trace.of_kind("phase-timeout")
+        assert timeout.details["missing"] == [5]
+        assert timeout.time == 5.0
+
+    def test_rejection_ack_is_recorded_when_the_reject_arrives(self):
+        vectors = make_vectors(6)
+        clock = SimulatedClock(start=4.0)
+        trace = SimulationTrace(clock)
+        clock.run(
+            AsyncSecAggRound(
+                vectors=vectors, modulus=MODULUS, threshold=4, clock=clock,
+                rng=np.random.default_rng(1), trace=trace,
+                plans={u: ClientPlan(latencies=(1.0,) * 4) for u in vectors},
+                client_versions={3: 99},
+            ).run()
+        )
+        [ack] = trace.of_kind("client-rejected-ack")
+        assert ack.details["client"] == 3
+        # The Reject goes out when advertise closes, one second in.
+        assert ack.time == 5.0
+
+    def test_pool_members_sent_nothing_are_excluded(self):
+        vectors = make_vectors(6)
+        plans = {2: ClientPlan(latencies=(0.0, 20.0, 0.0, 0.0))}
+        outcome, trace = run_round(
+            vectors, threshold=4, plans=plans, phase_timeout=10.0, trace=True
+        )
+        assert [e.details["client"] for e in trace.of_kind(
+            "client-excluded"
+        )] == [2]
+        assert 2 in outcome.dropped
+
+    def test_round_starts_where_the_clock_stands(self):
+        vectors = make_vectors(4)
+        plans = {u: ClientPlan(latencies=(0.5,) * 4) for u in vectors}
+        clock = SimulatedClock(start=100.0)
+        outcome = clock.run(
+            AsyncSecAggRound(
+                vectors=vectors, modulus=MODULUS, threshold=3, clock=clock,
+                rng=np.random.default_rng(1), plans=plans,
+            ).run()
+        )
+        assert outcome.started_at == 100.0
+        assert outcome.completed_at == clock.now == 102.0
+
+    def test_zero_latency_round_takes_no_simulated_time(self):
+        vectors = make_vectors(5)
+        outcome, trace = run_round(vectors, threshold=3, trace=True)
+        assert outcome.duration == 0.0
+        assert {event.time for event in trace.events} == {0.0}
+
+
+def random_plans(seed, num_clients):
+    rng = np.random.default_rng(seed)
+    plans = {}
+    for u in range(1, num_clients + 1):
+        drop = None if rng.random() < 0.85 else int(rng.integers(0, 4))
+        latencies = np.round(rng.uniform(0.0, 1.2, 4), 1)
+        plans[u] = ClientPlan(
+            drop_phase=drop, latencies=tuple(float(x) for x in latencies)
+        )
+    return plans
+
+
+def predict(plans, cohort, timeout, threshold):
+    """The round as a pure function of the plans: ``(U2, finish time)``,
+    or ``("abort", phase)`` when a phase falls under the threshold.
+
+    A phase's recipients are the previous phase's on-time responders; it
+    closes at its slowest recipient's arrival when all of them answer in
+    time (an arrival at the deadline counts), else at the deadline."""
+    recipients, now, delivered = sorted(cohort), 0.0, []
+    for phase in (
+        ROUND_ADVERTISE, ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK
+    ):
+        on_time = [
+            u for u in recipients
+            if plans[u].responds_at(phase)
+            and plans[u].latencies[phase] <= timeout
+        ]
+        if len(on_time) == len(recipients):
+            now += max(plans[u].latencies[phase] for u in recipients)
+        else:
+            now += timeout
+        if len(on_time) < threshold:
+            return "abort", phase
+        delivered.append(frozenset(on_time))
+        recipients = on_time
+    return delivered[ROUND_MASKED_INPUT], now
+
+
+class TestOutcomeIsAFunctionOfThePlans:
+    """Random plans: who makes the sum, when the round ends and where it
+    aborts follow from the plans and the phase timeout alone."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_plans_match_the_phase_model(self, seed):
+        vectors = make_vectors(10, seed=seed)
+        plans = random_plans(seed, len(vectors))
+        expected = predict(plans, vectors, timeout=1.0, threshold=4)
+        clock = SimulatedClock()
+        secagg_round = AsyncSecAggRound(
+            vectors=vectors, modulus=MODULUS, threshold=4, clock=clock,
+            rng=np.random.default_rng(seed), plans=plans, phase_timeout=1.0,
+        )
+        if expected[0] == "abort":
+            with pytest.raises(AggregationError, match="threshold"):
+                clock.run(secagg_round.run())
+            assert secagg_round.abort_phase == expected[1]
+            return
+        outcome = clock.run(secagg_round.run())
+        assert (outcome.included, outcome.completed_at) == pytest.approx(
+            expected
+        )
+        assert np.array_equal(
+            outcome.modular_sum, expected_sum(vectors, outcome.included)
+        )
+
+
+class TestChaosServerKill:
+    @pytest.mark.parametrize(
+        "phase",
+        [ROUND_ADVERTISE, ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK],
+    )
+    def test_server_dies_before_the_phase_commits(self, phase):
+        from repro.errors import ChaosKillError
+
+        vectors = make_vectors(5)
+        clock = SimulatedClock()
+        trace = SimulationTrace(clock)
+        secagg_round = AsyncSecAggRound(
+            vectors=vectors, modulus=MODULUS, threshold=3, clock=clock,
+            rng=np.random.default_rng(2), trace=trace,
+            plans={u: ClientPlan(latencies=(1.0,) * 4) for u in vectors},
+            fail_at_phase=phase,
+        )
+        with pytest.raises(ChaosKillError, match="server killed"):
+            clock.run(secagg_round.run())
+        assert secagg_round.abort_phase == phase
+        [kill] = trace.of_kind("chaos-server-kill")
+        assert kill.time == clock.now == float(phase)
+        assert trace.count("round-complete") == 0
+
+    @pytest.mark.parametrize("phase", [-1, 4])
+    def test_out_of_range_phase_rejected(self, phase):
+        with pytest.raises(ConfigurationError, match="fail_at_phase"):
+            AsyncSecAggRound(
+                vectors=make_vectors(3), modulus=MODULUS, threshold=2,
+                clock=SimulatedClock(), rng=np.random.default_rng(0),
+                fail_at_phase=phase,
+            )
+
+
+class RefusingClient(ClientSession):
+    """Clients 3 and 5 refuse the unmask request with their own error."""
+
+    def handle(self, data):
+        if self.index in (3, 5) and isinstance(
+            decode_message(data)[1], UnmaskRequest
+        ):
+            raise AggregationError(f"client {self.index} refuses")
+        return super().handle(data)
+
+
+class TestClientErrors:
+    def test_lowest_index_refusal_is_raised_from_the_server_error(
+        self, monkeypatch
+    ):
+        import repro.simulation.rounds as rounds_module
+
+        monkeypatch.setattr(rounds_module, "ClientSession", RefusingClient)
+        with pytest.raises(AggregationError, match="client 3 refuses") as info:
+            run_round(make_vectors(6), threshold=5)
+        # Two of six silent at unmask leave four, under the threshold.
+        assert "threshold" in str(info.value.__cause__)
+
+    def test_refusal_raised_alone_when_the_server_completes(
+        self, monkeypatch
+    ):
+        import repro.simulation.rounds as rounds_module
+
+        monkeypatch.setattr(rounds_module, "ClientSession", RefusingClient)
+        with pytest.raises(AggregationError, match="client 3 refuses") as info:
+            run_round(make_vectors(6), threshold=3)
+        assert info.value.__cause__ is None
