@@ -1,10 +1,10 @@
 """The real-socket SecAgg aggregation server.
 
-This is the third caller of the one
-:class:`~repro.secagg.statemachine.RoundDriver` — after the synchronous
-in-memory loop (:func:`repro.secagg.bonawitz.run_bonawitz`) and the
-simulated-clock mailbox
-(:class:`repro.simulation.rounds.AsyncSecAggRound`) — and the first one
+This is the second caller of the one
+:class:`~repro.secagg.statemachine.RoundDriver` — after the in-process
+phase loop :func:`~repro.secagg.statemachine.drive_phases` (behind
+:func:`repro.secagg.bonawitz.run_bonawitz` and
+:class:`repro.simulation.rounds.AsyncSecAggRound`) — and the only one
 whose clients are *real peers on real sockets*: an asyncio TCP listener
 offers every datagram to the driver of the round in flight, with
 wall-clock phase deadlines doing the job the simulated clock's
@@ -39,7 +39,7 @@ decide):
   bytes for the same phase — that is answered with a typed Reject and
   eviction (the at-most-once guard).
 * **Late traffic is ignored and counted** by the driver, as in the
-  mailbox transport.
+  simulator.
 * **Rounds are durable when a journal is configured.**  The server
   journals the cohort at round start and every phase's ingested
   uploads at phase commit; a killed-and-restarted server replays the

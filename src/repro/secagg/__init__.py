@@ -18,14 +18,14 @@ is the protocol that realises it.  Two layers:
   messages with first-class version/PRG negotiation (``encode_message``
   for every message, plus the array-at-a-time sealed-share codec for
   the one O(n²) leg), pure client/server sessions, and the one
-  :class:`~repro.secagg.statemachine.RoundDriver` through which every
-  transport (the
-  :func:`~repro.secagg.statemachine.drive_in_memory` synchronous loop
-  behind :func:`~repro.secagg.bonawitz.run_bonawitz`, which is also
-  every composition round of an aggregation tree, the
-  :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox and its
-  sharded process backend, the :mod:`repro.net` socket server) feeds
-  the server session and closes its phases.
+  :class:`~repro.secagg.statemachine.RoundDriver` through which both
+  callers feed the server session and close its phases: the one
+  in-process phase loop :func:`~repro.secagg.statemachine.drive_phases`
+  (behind :func:`~repro.secagg.bonawitz.run_bonawitz`, hence every
+  composition round of an aggregation tree, and behind
+  :class:`repro.simulation.rounds.AsyncSecAggRound` on the simulated
+  clock, hence the shards and the tree leaves) and the :mod:`repro.net`
+  socket server.
 """
 
 from repro.secagg.bonawitz import (
@@ -39,7 +39,7 @@ from repro.secagg.statemachine import (
     ClientSession,
     RoundDriver,
     ServerSession,
-    drive_in_memory,
+    drive_phases,
 )
 from repro.secagg.wire import (
     PROTOCOL_V1,
@@ -133,7 +133,7 @@ __all__ = [
     "compose",
     "decode_frames",
     "decode_message",
-    "drive_in_memory",
+    "drive_phases",
     "encode_message",
     "generate_keypair",
     "get_mask_prg",

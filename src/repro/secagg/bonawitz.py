@@ -48,10 +48,11 @@ Layering: this module holds the *crypto* state machines
 Python objects.  The wire-level protocol — typed, versioned,
 byte-serializable messages and the sans-I/O sessions that exchange them
 — lives in :mod:`repro.secagg.wire` and
-:mod:`repro.secagg.statemachine`; :func:`run_bonawitz` below is the
-synchronous in-memory *transport* over those sessions (the
-simulated-clock mailbox transport is
-:class:`repro.simulation.rounds.AsyncSecAggRound`).
+:mod:`repro.secagg.statemachine`; :func:`run_bonawitz` below runs
+those sessions through the in-process phase loop
+(:func:`~repro.secagg.statemachine.drive_phases`) with zero latency and
+no deadline (:class:`repro.simulation.rounds.AsyncSecAggRound` runs the
+same loop on the simulated clock).
 """
 
 from __future__ import annotations
@@ -945,7 +946,9 @@ def run_bonawitz(
         The aggregation outcome.
 
     Raises:
-        AggregationError: If dropouts push any round below ``threshold``.
+        AggregationError: If dropouts push any round below ``threshold``
+            or a client refuses its datagram (the lowest index is raised,
+            see :func:`repro.secagg.statemachine.drive_phases`).
         ConfigurationError: On inconsistent parameters.
     """
     # Imported here: the sans-I/O sessions live above this module in the
@@ -953,8 +956,9 @@ def run_bonawitz(
     from repro.secagg.keys import TOY_GROUP
     from repro.secagg.statemachine import (
         ClientSession,
+        RoundDriver,
         ServerSession,
-        drive_in_memory,
+        drive_phases,
     )
 
     inputs = _validate_inputs(np.asarray(inputs), modulus)
@@ -971,8 +975,10 @@ def run_bonawitz(
         if not ROUND_ADVERTISE <= round_id <= ROUND_UNMASK:
             raise ConfigurationError(f"dropout round {round_id} out of range")
 
-    def alive(index: int, round_id: int) -> bool:
-        return dropouts.get(index, ROUND_UNMASK + 1) > round_id
+    # From the round it dropped at a client neither receives nor answers.
+    def latency(index: int, round_id: int) -> float | None:
+        alive = dropouts.get(index, ROUND_UNMASK + 1) > round_id
+        return 0.0 if alive else None
 
     sessions = {
         i
@@ -991,10 +997,9 @@ def run_bonawitz(
     server = ServerSession(
         modulus, dimension, threshold, field, group, metrics=metrics
     )
-
-    # A client that dropped at a phase neither receives nor responds
-    # from then on (it stopped talking).
-    drive_in_memory(server, sessions, responds=alive, metrics=metrics)
+    driver = RoundDriver(server, sessions, metrics=metrics)
+    for _ in drive_phases(driver, sessions, latency):
+        pass
 
     included = server.included
     return AggregationOutcome(

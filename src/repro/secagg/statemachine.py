@@ -5,7 +5,7 @@ drives.  :class:`ClientSession` and :class:`ServerSession` consume
 inbound wire frames (:mod:`repro.secagg.wire`) and emit outbound ones —
 **no I/O, no clock, no asyncio**.
 
-One driver, three callers.  :class:`RoundDriver` wraps one
+One driver, two callers.  :class:`RoundDriver` wraps one
 :class:`ServerSession` for one round and is the only code that feeds it
 or closes its phases, so what happens to a datagram the session refuses
 (its sender is evicted, the round goes on), what a closed phase reports
@@ -14,13 +14,12 @@ what an abort leaves behind (the phase and who had delivered it) are
 each written once.  The callers keep only what is genuinely theirs —
 *when* a phase is over and how bytes move:
 
-* :func:`drive_in_memory` (which
-  :func:`repro.secagg.bonawitz.run_bonawitz` calls, and through it every
-  composition round of an aggregation tree) closes a phase when every
-  live client has answered;
-* :class:`repro.simulation.rounds.AsyncSecAggRound` — mailboxes on the
-  simulated clock, one per shard under the sharded backends — closes it
-  at the earlier of "everyone delivered" and the phase deadline;
+* :func:`drive_phases`, the one in-process loop, closes a phase once
+  nobody is left to wait on or at its deadline;
+  :func:`repro.secagg.bonawitz.run_bonawitz` (hence every composition
+  round of an aggregation tree) runs it with zero latency and no
+  deadline, :class:`repro.simulation.rounds.AsyncSecAggRound` (hence
+  the shards and the tree leaves) on the simulated clock;
 * :class:`repro.net.server.SecAggServer` does the same over sockets on
   the wall clock, and adds what only a lossy transport needs (parking,
   resumption, Reject notices, the journal).
@@ -73,8 +72,10 @@ sessions do no metric work at all — the no-telemetry path.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
-from collections.abc import Callable, Iterable, Mapping, Set
+from collections.abc import Callable, Iterable, Iterator, Mapping, Set
 
 import numpy as np
 
@@ -1221,55 +1222,100 @@ class RoundDriver:
         self._open_phase()
 
 
-def drive_in_memory(
-    server: ServerSession,
+def drive_phases(
+    driver: RoundDriver,
     clients: Mapping[int, ClientSession],
-    responds: Callable[[int, int], bool] | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> RoundDriver:
-    """Drive one round synchronously: the in-memory caller of
-    :class:`RoundDriver`.
+    latency: Callable[[int, int], float | None],
+    clock=None,
+    phase_timeout: float | None = None,
+) -> Iterator[tuple[int, dict[int, bytes]]]:
+    """The one in-process driver loop: run a round's four phases.
 
-    Every responding client opens with Hello + Advertise, then for each
-    later phase the server's datagrams go to the clients in index order
-    and their responses straight back, the phase closing once everyone
-    still talking has answered.  On return the server holds the round's
-    result (``modular_sum``, ``included``, ``stats``).
+    At a phase's opening (the clock's ``now``) the recipients answer in
+    index order — phase 0's with ``start()``, later ones ``handle()``
+    the previous close's datagram — and each upload lands
+    ``latency(client, phase)`` later.  A client goes silent once its
+    latency is ``None`` (``client-dropped``), once it holds a Reject
+    (``client-rejected-ack``) or after refusing a datagram (its error is
+    kept).  Uploads are offered in ``(arrival, push order)`` order until
+    nobody is left to wait on or the next one lands after the deadline
+    (one landing exactly at it is on time; a late one stays in flight
+    for a later phase to ignore).  Without ``phase_timeout`` a phase
+    closes once nothing is in flight, never by :meth:`RoundDriver.timeout`.
 
     Args:
-        server: The round's server session.
+        driver: The round's driver; its ``record`` hook gets the events.
         clients: Client session per nonzero index.
-        responds: ``responds(index, phase)`` is false from the phase at
-            which a client stops talking (it then neither receives nor
-            answers); by default nobody drops.
-        metrics: Registry the driver meters the round into; by default
-            nothing is metered.
+        latency: ``latency(client, phase)``: seconds from the opening to
+            the upload landing, ``None`` once the client stops talking.
+        clock: Anything with ``now`` and ``advance_to``, moved to each
+            arrival; without one every phase opens at 0.
+        phase_timeout: Seconds a phase waits after opening (needs a
+            clock).
 
-    Returns:
-        The round's driver: who was evicted, and why.
+    Yields:
+        ``(phase, deliveries)`` after each close (after advertise, once
+        the roster's agreements are warmed up).  An
+        :class:`~repro.errors.AggregationError` thrown in at a yield
+        counts as the server's.
 
     Raises:
-        AggregationError: If a phase closes below the Shamir threshold
-            or a *client* session refuses its input (a datagram the
-            server session refuses only evicts its sender).
+        AggregationError: The lowest-index client refusal, chained from
+            the server's error if there is one; else the server's.
     """
-    driver = RoundDriver(server, clients, metrics=metrics)
-    for index in sorted(clients):
-        if responds is None or responds(index, ROUND_ADVERTISE):
-            driver.offer(index, b"".join(clients[index].start()))
-    deliveries = driver.close()
-    # Pre-derive the roster's pairwise DH keys in one vectorised sweep
-    # (a pure memoisation warm-up; see warm_pairwise_agreements).
-    warm_pairwise_agreements(
-        [clients[index].crypto for index in sorted(server.expected)]
-    )
-    for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-        for index in sorted(deliveries):
-            if responds is not None and not responds(index, phase):
-                continue
-            client = clients[index]
-            responses = client.handle(deliveries[index])
-            if responses and client.rejected is None:
-                driver.offer(index, b"".join(responses))
-        deliveries = driver.close()
-    return driver
+    errors: dict[int, AggregationError] = {}
+    in_flight: list[tuple[float, int, int, bytes]] = []
+    pushes = itertools.count()
+    # Phase 0 goes to every client, which opens with start().
+    inputs: Mapping[int, bytes | None] = dict.fromkeys(clients)
+    try:
+        for phase in PHASE_TAGS:
+            opened_at = 0.0 if clock is None else clock.now
+            for u in sorted(inputs):
+                delay = latency(u, phase)
+                if delay is None:
+                    driver._note("client-dropped", client=u, phase=phase)
+                    continue
+                client, data = clients[u], inputs[u]
+                try:
+                    responses = (
+                        client.start() if data is None else client.handle(data)
+                    )
+                except AggregationError as error:
+                    errors[u] = error
+                    continue
+                if client.rejected is not None:
+                    why = str(client.rejected)
+                    driver._note("client-rejected-ack", client=u, reason=why)
+                    continue
+                heapq.heappush(
+                    in_flight,
+                    (opened_at + delay, next(pushes), u, b"".join(responses)),
+                )
+            deadline = (
+                None if phase_timeout is None else opened_at + phase_timeout
+            )
+            while in_flight and (
+                deadline is None
+                or (driver.waiting and in_flight[0][0] <= deadline)
+            ):
+                arrival, _, sender, data = heapq.heappop(in_flight)
+                if clock is not None:
+                    clock.advance_to(arrival)
+                driver.offer(sender, data)
+            if deadline is not None and driver.waiting:
+                clock.advance_to(deadline)
+                driver.timeout()
+            inputs = driver.close()
+            if phase == ROUND_ADVERTISE:
+                # Pre-derive the accepted roster's pairwise DH keys in
+                # one vectorised sweep (a pure memoisation warm-up).
+                roster = sorted(driver.session.expected)
+                warm_pairwise_agreements([clients[u].crypto for u in roster])
+            yield phase, inputs
+    except AggregationError as error:
+        if errors:
+            raise errors[min(errors)] from error
+        raise
+    if errors:
+        raise errors[min(errors)]

@@ -1,16 +1,15 @@
-"""Dropout-tolerant SecAgg rounds on a phase schedule: the simulator's
-caller of the driver.
+"""Dropout-tolerant SecAgg rounds on a phase schedule, on the simulated
+clock.
 
-:func:`repro.secagg.bonawitz.run_bonawitz` runs the sans-I/O protocol
-sessions (:mod:`repro.secagg.statemachine`) synchronously: every phase
-is a barrier, dropouts are a static schedule, and time does not exist.
-This module is the second of the three callers of the one
-:class:`~repro.secagg.statemachine.RoundDriver`, and adds time: each
-client answers a phase its :class:`~repro.simulation.population.ClientPlan`
-latency after the phase opened, and the server offers each datagram to
-the driver in arrival order until either everyone expected has
-responded or the phase deadline passes — whichever comes first — and
-then has it close the phase.
+:func:`repro.secagg.bonawitz.run_bonawitz` runs the one in-process
+phase loop (:func:`repro.secagg.statemachine.drive_phases`) with zero
+latency and no deadline: every phase is a barrier, dropouts are a
+static schedule, and time does not exist.  :class:`AsyncSecAggRound`
+runs the same loop and adds time: each client answers a phase its
+:class:`~repro.simulation.population.ClientPlan` latency after the
+phase opened, and the datagrams reach the driver in arrival order until
+either everyone expected has responded or the phase deadline passes —
+whichever comes first — and then it closes the phase.
 
 Which uploads make a phase is a pure function of the plans and the
 timeout, so the round is one loop over the four phases with one heap of
@@ -18,10 +17,11 @@ datagrams in flight, ordered by ``(arrival time, push order)`` — no
 event loop, no tasks, no timers.
 
 The protocol logic itself — message encoding, negotiation, phase
-bookkeeping, thresholds, crypto — lives entirely in the shared core, and
+bookkeeping, thresholds, crypto — lives entirely in the shared core,
 what a refused datagram, a closed phase and an abort mean lives in the
-driver; this file only moves bytes and decides when phases close.  The
-consequences are exactly the ones the protocol was designed for:
+driver, and when a phase closes lives in the loop; this file builds the
+round, records what only the simulator traces and reports the outcome.
+The consequences are exactly the ones the protocol was designed for:
 
 * a client that crashes (plan says stop) or straggles past the deadline
   simply misses the phase; the surviving set shrinks monotonically
@@ -56,29 +56,25 @@ runs stay bit-identical.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
 from collections.abc import Callable, Mapping
 
 import numpy as np
 
-from repro.errors import AggregationError, ChaosKillError, ConfigurationError
+from repro.errors import ChaosKillError, ConfigurationError
 from repro.secagg.bonawitz import (
     ROUND_ADVERTISE,
     ROUND_MASKED_INPUT,
-    ROUND_SHARE_KEYS,
     ROUND_UNMASK,
     UnmaskRequest,
-    warm_pairwise_agreements,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import MaskPrg, get_mask_prg
 from repro.secagg.keys import TOY_GROUP, KeyAgreementGroup
 from repro.secagg.statemachine import (
-    PHASE_TAGS,
     ClientSession,
     RoundDriver,
     ServerSession,
+    drive_phases,
 )
 from repro.secagg.wire import PROTOCOL_V1, WireStats
 from repro.simulation.clock import SimulatedClock
@@ -245,18 +241,29 @@ class AsyncSecAggRound:
             return frozenset()
         return self._driver.survivors_at_abort
 
-    def _plan(self, client: int) -> ClientPlan:
-        return self._plans.get(client, ClientPlan())
+    def _latency(self, client: int, phase: int) -> float | None:
+        plan = self._plans.get(client, ClientPlan())
+        return plan.latencies[phase] if plan.responds_at(phase) else None
 
     def _record(self, kind: str, **details) -> None:
         if self._trace is not None:
             self._trace.record(kind, **details)
+
+    def _kill(self, driver: RoundDriver) -> ChaosKillError:
+        """Abort at the phase about to open: the chaos server kill."""
+        tag = driver.session.phase_tag
+        driver.abort()
+        self._record("chaos-server-kill", phase=tag)
+        return ChaosKillError(
+            f"chaos: server killed before the {tag} phase committed"
+        )
 
     async def run(self) -> RoundOutcome:
         """Execute the round; returns the outcome or raises on failure.
 
         A coroutine only so that it runs under :meth:`SimulatedClock.run
         <repro.simulation.clock.SimulatedClock.run>`; it never suspends.
+        The phases run in :func:`~repro.secagg.statemachine.drive_phases`.
 
         Raises:
             AggregationError: If any phase falls below the threshold, or
@@ -264,33 +271,6 @@ class AsyncSecAggRound:
                 error is preferred as the root cause (the overlap-refusal
                 rule): the first in index order is raised, chained from
                 the server's threshold failure if there is one.
-        """
-        client_errors: dict[int, AggregationError] = {}
-        server_error: AggregationError | None = None
-        try:
-            outcome = self._serve(client_errors)
-        except AggregationError as error:
-            server_error = error
-        if client_errors:
-            raise client_errors[min(client_errors)] from server_error
-        if server_error is not None:
-            raise server_error
-        return outcome
-
-    def _serve(
-        self, client_errors: dict[int, AggregationError]
-    ) -> RoundOutcome:
-        """Run the four phases in order.
-
-        A phase opens at ``now``: each recipient answers in index order,
-        and its upload goes in flight until ``now`` plus its latency.
-        The server offers the datagrams in ``(arrival, push order)``
-        order — same-instant arrivals in the order they were sent —
-        until nobody is left to wait on or the next one would land after
-        the deadline.  An upload landing exactly at the deadline is on
-        time.  A late one stays in flight and reaches a later phase's
-        offer, which ignores it; whatever is still in flight when the
-        round ends is dropped.
         """
         started_at = self._clock.now
         session = ServerSession(
@@ -314,75 +294,40 @@ class AsyncSecAggRound:
             now=lambda: clock.now,
             record=trace.record if trace is not None else None,
         )
-        in_flight: list[tuple[float, int, int, bytes]] = []
-        pushes = itertools.count()
-        # Phase 0 goes to the whole cohort, which opens with start().
-        inputs: Mapping[int, bytes | None] = dict.fromkeys(self._cohort)
-        for phase in (
-            ROUND_ADVERTISE,
-            ROUND_SHARE_KEYS,
-            ROUND_MASKED_INPUT,
-            ROUND_UNMASK,
-        ):
-            if self._fail_at_phase == phase:
-                tag = PHASE_TAGS[phase]
-                driver.abort()
-                self._record("chaos-server-kill", phase=tag)
-                raise ChaosKillError(
-                    f"chaos: server killed before the {tag} phase committed"
-                )
+        if self._fail_at_phase == ROUND_ADVERTISE:
+            # Before the clients exist: it meters no client series.
+            raise self._kill(driver)
+        clients = {u: self._client_session(u) for u in self._cohort}
+        phases = drive_phases(
+            driver, clients, self._latency, clock, self._phase_timeout
+        )
+        pool = set(driver.waiting)
+        for phase, deliveries in phases:
             if phase == ROUND_ADVERTISE:
-                # Built after the kill check: a server killed before
-                # advertise meters no client series.
-                clients = {u: self._client_session(u) for u in self._cohort}
-            pool = set(driver.waiting)
-            opened_at = clock.now
-            for u in sorted(inputs):
-                upload = self._respond(
-                    clients[u], phase, inputs[u], client_errors
-                )
-                if upload is not None:
-                    latency = self._plan(u).latencies[phase]
-                    heapq.heappush(
-                        in_flight,
-                        (opened_at + latency, next(pushes), u, upload),
-                    )
-            deadline = opened_at + self._phase_timeout
-            while driver.waiting:
-                if not in_flight or in_flight[0][0] > deadline:
-                    clock.advance_to(deadline)
-                    driver.timeout()
-                    break
-                arrival, _, sender, data = heapq.heappop(in_flight)
-                clock.advance_to(arrival)
-                driver.offer(sender, data)
-            deliveries = driver.close()
-            if phase == ROUND_ADVERTISE:
-                # Pre-derive the accepted roster's pairwise DH keys
-                # in one vectorised sweep (pure memoisation warm-up;
-                # the rejected clients' keys would never be used).
-                warm_pairwise_agreements(
-                    [clients[u].crypto for u in sorted(session.expected)]
-                )
                 for client, reason in session.rejections.items():
                     self._record(
                         "client-rejected", client=client, reason=reason
                     )
-            if session.tampered and phase == ROUND_MASKED_INPUT:
+            elif phase == ROUND_MASKED_INPUT and session.tampered:
                 self._record("unmask-request-tampered")
-            if phase != ROUND_UNMASK:
-                # Pool members the server addresses nothing to are done.
-                for u in sorted(pool.difference(deliveries)):
-                    self._record("client-excluded", client=u)
-            inputs = deliveries
+            if phase == ROUND_UNMASK:
+                # Recorded even if a client's refusal is raised next.
+                self._record(
+                    "round-complete",
+                    included=len(session.included),
+                    dropped=len(self._cohort) - len(session.included),
+                    wire_messages=session.stats.total_messages,
+                    wire_bytes=session.stats.total_bytes,
+                )
+                continue
+            # Pool members the server addresses nothing to are done.
+            for u in sorted(pool.difference(deliveries)):
+                self._record("client-excluded", client=u)
+            if self._fail_at_phase == phase + 1:
+                # Thrown into the loop, which prefers a client's error.
+                phases.throw(self._kill(driver))
+            pool = set(driver.waiting)
         included = session.included
-        self._record(
-            "round-complete",
-            included=len(included),
-            dropped=len(self._cohort) - len(included),
-            wire_messages=session.stats.total_messages,
-            wire_bytes=session.stats.total_bytes,
-        )
         return RoundOutcome(
             modular_sum=session.modular_sum,
             included=included,
@@ -405,36 +350,3 @@ class AsyncSecAggRound:
             version=self._client_versions.get(index, PROTOCOL_V1),
             metrics=self._metrics,
         )
-
-    def _respond(
-        self,
-        session: ClientSession,
-        phase: int,
-        data: bytes | None,
-        errors: dict[int, AggregationError],
-    ) -> bytes | None:
-        """One client's answer to the phase's datagram (``None`` opens
-        the round), or ``None`` if it stays silent: its plan drops it
-        here, it was refused at Hello, or it refused the datagram
-        (kept in ``errors``)."""
-        index = session.index
-        if not self._plan(index).responds_at(phase):
-            self._record("client-dropped", client=index, phase=phase)
-            return None
-        try:
-            responses = (
-                session.start() if data is None else session.handle(data)
-            )
-        except AggregationError as error:
-            errors[index] = error
-            return None
-        if session.rejected is not None:
-            # Typed negotiation failure: the client goes silent; the
-            # error stays inspectable on the session.
-            self._record(
-                "client-rejected-ack",
-                client=index,
-                reason=str(session.rejected),
-            )
-            return None
-        return b"".join(responses)

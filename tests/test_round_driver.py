@@ -1,10 +1,13 @@
-"""One round driver, three callers.
+"""One round driver, two callers.
 
-``drive_in_memory``, ``AsyncSecAggRound`` and ``SecAggServer`` all close
+The in-process phase loop ``drive_phases`` (behind ``run_bonawitz`` and
+``AsyncSecAggRound``) and the socket server ``SecAggServer`` both close
 their phases through :class:`~repro.secagg.statemachine.RoundDriver`, so
-the same offender must end the same way on each of them, the same
-metered scenario must read the same in the ``secagg_*`` round families,
-and nothing else in ``src/`` may feed or advance a ``ServerSession``.
+the same offender must end the same way on all three transports, the
+same metered scenario must read the same in the ``secagg_*`` round
+families, nothing else in ``src/`` may feed or advance a
+``ServerSession``, and outside the socket transport nothing else may
+answer for a ``ClientSession``.
 """
 
 import ast
@@ -34,7 +37,7 @@ from repro.secagg.statemachine import (
     ClientSession,
     RoundDriver,
     ServerSession,
-    drive_in_memory,
+    drive_phases,
 )
 from repro.secagg.tree import run_composition_round
 from repro.secagg.wire import (
@@ -252,13 +255,16 @@ def run_in_memory(vectors, make, seeds, threshold, silent, metrics=None):
     server = ServerSession(
         MODULUS, DIMENSION, threshold, group=TOY_GROUP, metrics=metrics
     )
+    driver = RoundDriver(server, clients, metrics=metrics)
     try:
-        driver = drive_in_memory(
-            server,
+        for _ in drive_phases(
+            driver,
             clients,
-            responds=lambda u, phase: silent.get(u, ROUND_UNMASK + 1) > phase,
-            metrics=metrics,
-        )
+            lambda u, phase: (
+                0.0 if silent.get(u, ROUND_UNMASK + 1) > phase else None
+            ),
+        ):
+            pass
     except AggregationError as error:
         # The driver is the loop's own; what its abort record holds is
         # what the caller's session still shows.
@@ -652,6 +658,35 @@ class TestOneLoop:
         assert {(path, owner) for path, owner, _ in calls} == {
             ("secagg/statemachine.py", "RoundDriver")
         }, calls
+
+    def test_only_the_phase_loop_drives_a_client_session(self):
+        """Outside the socket transport, which answers real arrivals,
+        a client session is opened and answered, and a roster's
+        agreements warmed up, in one place: ``drive_phases``."""
+        calls = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.relative_to(SRC).parts[0] == "net":
+                continue
+            tree = ast.parse(path.read_text())
+            # Innermost enclosing function per node (ast.walk is
+            # breadth-first, so a nested function overwrites its own).
+            owner = dict.fromkeys(ast.walk(tree))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update(dict.fromkeys(ast.walk(node), node.name))
+            for node, function in owner.items():
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("start", "handle", "warm_pairwise_agreements"):
+                    calls.append(
+                        (str(path.relative_to(SRC)), function, name)
+                    )
+        assert sorted(calls) == [
+            ("secagg/statemachine.py", "drive_phases", name)
+            for name in ("handle", "start", "warm_pairwise_agreements")
+        ], calls
 
     def test_each_round_family_is_named_exactly_once(self):
         literals = dict.fromkeys(ROUND_FAMILIES, 0)

@@ -14,6 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.secagg.statemachine as statemachine_module
+import repro.simulation.rounds as rounds_module
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg.bonawitz import (
     ROUND_ADVERTISE,
@@ -21,6 +23,7 @@ from repro.secagg.bonawitz import (
     ROUND_SHARE_KEYS,
     ROUND_UNMASK,
     UnmaskRequest,
+    run_bonawitz,
 )
 from repro.secagg.statemachine import ClientSession
 from repro.secagg.wire import SealedUpload, decode_message, encode_message
@@ -762,24 +765,33 @@ class RefusingClient(ClientSession):
         return super().handle(data)
 
 
+@pytest.fixture(params=["AsyncSecAggRound", "run_bonawitz"])
+def refusing_round(request, monkeypatch):
+    """``threshold -> None``: six clients, 3 and 5 refusing the unmask
+    request, through either caller of the one phase loop."""
+    vectors = make_vectors(6)
+    if request.param == "AsyncSecAggRound":
+        monkeypatch.setattr(rounds_module, "ClientSession", RefusingClient)
+        return lambda threshold: run_round(vectors, threshold=threshold)
+    monkeypatch.setattr(statemachine_module, "ClientSession", RefusingClient)
+    inputs = np.stack([vectors[u] for u in sorted(vectors)])
+    return lambda threshold: run_bonawitz(
+        inputs, MODULUS, threshold, np.random.default_rng(1)
+    )
+
+
 class TestClientErrors:
     def test_lowest_index_refusal_is_raised_from_the_server_error(
-        self, monkeypatch
+        self, refusing_round
     ):
-        import repro.simulation.rounds as rounds_module
-
-        monkeypatch.setattr(rounds_module, "ClientSession", RefusingClient)
         with pytest.raises(AggregationError, match="client 3 refuses") as info:
-            run_round(make_vectors(6), threshold=5)
+            refusing_round(threshold=5)
         # Two of six silent at unmask leave four, under the threshold.
         assert "threshold" in str(info.value.__cause__)
 
     def test_refusal_raised_alone_when_the_server_completes(
-        self, monkeypatch
+        self, refusing_round
     ):
-        import repro.simulation.rounds as rounds_module
-
-        monkeypatch.setattr(rounds_module, "ClientSession", RefusingClient)
         with pytest.raises(AggregationError, match="client 3 refuses") as info:
-            run_round(make_vectors(6), threshold=3)
+            refusing_round(threshold=3)
         assert info.value.__cause__ is None

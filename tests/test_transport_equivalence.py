@@ -49,7 +49,8 @@ PRE_REFACTOR_SHARDED_DIGEST = (
 
 #: Wire bytes ``run_sync`` moved, and the sum digest and wire bytes of a
 #: composition round over the first four input rows (protocol rng seed
-#: 42), captured before both were moved onto ``drive_in_memory``.  Every
+#: 42), captured before both were moved onto the in-memory loop (now
+#: ``drive_phases``).  Every
 #: frame carries the suite name ``"shake256"``.  The digests are older
 #: than every wire format and unchanged; the byte counts are wire
 #: format 4's (format 1 moved 31 129 and 4 467 B, format 2 19 244 and
